@@ -5,7 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use pareto_core::{Stratifier, StratifierConfig};
-use pareto_datagen::rcv1_syn;
+use pareto_datagen::{rcv1_syn, ItemSet};
 use pareto_sketch::MinHasher;
 use pareto_workloads::{lz77_compress, Lz77Config};
 
@@ -14,8 +14,8 @@ const SEED: u64 = 99;
 /// compositeKModes cost as the center width `L` grows.
 fn kmodes_l(c: &mut Criterion) {
     let ds = rcv1_syn(SEED, 0.05);
-    let hasher = MinHasher::new(64, SEED);
-    let sigs: Vec<_> = ds.items.iter().map(|i| hasher.sketch(&i.items)).collect();
+    let sets: Vec<&ItemSet> = ds.items.iter().map(|i| &i.items).collect();
+    let sigs = MinHasher::new(64, SEED).sketch_matrix(&sets, 1);
     let mut group = c.benchmark_group("ablation_kmodes_l");
     group.sample_size(10);
     for l in [1usize, 2, 4, 8] {
@@ -34,18 +34,12 @@ fn kmodes_l(c: &mut Criterion) {
 /// Sketch size `k` vs sketching cost.
 fn sketch_size(c: &mut Criterion) {
     let ds = rcv1_syn(SEED, 0.05);
+    let sets: Vec<&ItemSet> = ds.items.iter().map(|i| &i.items).collect();
     let mut group = c.benchmark_group("ablation_sketch_size");
     for k in [16usize, 64, 256] {
         let hasher = MinHasher::new(k, SEED);
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, _| {
-            b.iter(|| {
-                let n: usize = ds
-                    .items
-                    .iter()
-                    .map(|i| hasher.sketch(&i.items).len())
-                    .sum();
-                black_box(n)
-            })
+            b.iter(|| black_box(hasher.sketch_matrix(&sets, 1).num_rows()))
         });
     }
     group.finish();

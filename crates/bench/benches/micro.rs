@@ -22,8 +22,8 @@ fn bench_sketching(c: &mut Criterion) {
         let hasher = MinHasher::new(k, 7);
         group.bench_with_input(BenchmarkId::new("minhash", k), &k, |b, _| {
             b.iter(|| {
-                let sigs = hasher.sketch_all(sets.iter().copied());
-                black_box(sigs.len())
+                let sigs = hasher.sketch_matrix(&sets, 1);
+                black_box(sigs.num_rows())
             })
         });
     }

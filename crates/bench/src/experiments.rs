@@ -381,8 +381,9 @@ pub fn table3(st: ExpSettings) -> (Table, Vec<StrategyRow>) {
 pub const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 /// Planning-throughput curve: per-stage wall-clock of `Framework::plan`
-/// (sketch / stratify / profile / optimize) at each thread count, plus the
-/// total-time speedup relative to the first entry (conventionally serial).
+/// (sketch / stratify / profile / optimize / partition) at each thread
+/// count, plus the total-time speedup relative to the first entry
+/// (conventionally serial).
 ///
 /// Asserts the determinism contract along the way: every plan must choose
 /// exactly the same partition sizes as the first one, whatever the thread
@@ -398,6 +399,7 @@ pub fn planning_speedup(st: ExpSettings, thread_counts: &[usize]) -> Table {
             "stratify_s",
             "profile_s",
             "optimize_s",
+            "partition_s",
             "total_s",
             "speedup",
         ],
@@ -436,6 +438,7 @@ pub fn planning_speedup(st: ExpSettings, thread_counts: &[usize]) -> Table {
             format!("{:.4}", t.stratify_s),
             format!("{:.4}", t.profile_s),
             format!("{:.4}", t.optimize_s),
+            format!("{:.4}", t.partition_s),
             format!("{:.4}", t.total_s),
             format!("{speedup:.2}x"),
         ]);

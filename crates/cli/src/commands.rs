@@ -309,12 +309,13 @@ fn partition(common: &Common, out: &Path) -> Result<(), String> {
     emit(format!("sizes: {:?}", plan.sizes));
     emit(format!(
         "planning: {:.3}s total (sketch {:.3}s, stratify {:.3}s, profile {:.3}s, \
-         optimize {:.3}s) on {} thread(s)",
+         optimize {:.3}s, partition {:.3}s) on {} thread(s)",
         plan.timings.total_s,
         plan.timings.sketch_s,
         plan.timings.stratify_s,
         plan.timings.profile_s,
         plan.timings.optimize_s,
+        plan.timings.partition_s,
         common.threads
     ));
     if let Some(point) = &plan.pareto {
@@ -523,16 +524,7 @@ fn execute(common: &Common) -> Result<(), String> {
     );
     println!("strategy           {}", common.strategy.label());
     println!("partition sizes    {:?}", outcome.plan.sizes);
-    println!(
-        "planning time      {:.3} s (sketch {:.3} / stratify {:.3} / profile {:.3} / \
-         optimize {:.3}) on {} thread(s)",
-        outcome.plan.timings.total_s,
-        outcome.plan.timings.sketch_s,
-        outcome.plan.timings.stratify_s,
-        outcome.plan.timings.profile_s,
-        outcome.plan.timings.optimize_s,
-        common.threads
-    );
+    println!("{}", planning_time_line(&outcome.plan, common.threads));
     println!(
         "makespan           {:.2} s",
         outcome.report.makespan_seconds
@@ -621,6 +613,16 @@ fn plan_line(plan: &pareto_core::Plan) -> String {
     }
 }
 
+/// The per-stage planning wall-clock, as `run` and `plan` print it.
+fn planning_time_line(plan: &pareto_core::Plan, threads: usize) -> String {
+    let t = plan.timings;
+    format!(
+        "planning time      {:.3} s (sketch {:.3} / stratify {:.3} / profile {:.3} / \
+         optimize {:.3} / partition {:.3}) on {threads} thread(s)",
+        t.total_s, t.sketch_s, t.stratify_s, t.profile_s, t.optimize_s, t.partition_s
+    )
+}
+
 fn reuse_line(reuse: pareto_core::StageReuse) -> String {
     let flag = |b: bool| if b { "hit" } else { "miss" };
     format!(
@@ -664,6 +666,7 @@ fn plan_cmd(common: &Common, sweep: &[f64], out: Option<&Path>) -> Result<(), St
         let plan = flight_guard(&tel, session.plan().map_err(|e| e.to_string()), "plan-error")?;
         println!("plan               {}", plan_line(&plan));
         println!("stage cache        {}", reuse_line(session.last_reuse()));
+        println!("{}", planning_time_line(&plan, common.threads));
         plans.push(plan);
     } else {
         for &alpha in sweep {

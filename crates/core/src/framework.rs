@@ -145,8 +145,10 @@ pub struct PlanTimings {
     pub stratify_s: f64,
     /// Energy profiling + progressive-sampling time-model estimation.
     pub profile_s: f64,
-    /// Pareto LP solve + partition materialization.
+    /// Pareto LP solve (zero for strategies that solve none).
     pub optimize_s: f64,
+    /// Partition materialization: placing every record on its node.
+    pub partition_s: f64,
     /// End-to-end planning time (≥ the sum of the stages).
     pub total_s: f64,
 }
@@ -994,11 +996,12 @@ mod tests {
             ("stratify", t.stratify_s),
             ("profile", t.profile_s),
             ("optimize", t.optimize_s),
+            ("partition", t.partition_s),
         ] {
             assert!(v >= 0.0 && v.is_finite(), "{label} timing {v}");
         }
         assert!(
-            t.total_s >= t.sketch_s + t.stratify_s + t.profile_s + t.optimize_s,
+            t.total_s >= t.sketch_s + t.stratify_s + t.profile_s + t.optimize_s + t.partition_s,
             "total must cover the stages: {t:?}"
         );
     }

@@ -30,7 +30,7 @@ use std::time::Instant;
 use pareto_cluster::{Cost, SimCluster};
 use pareto_datagen::{DataItem, Dataset};
 use pareto_energy::NodeEnergyProfile;
-use pareto_sketch::Signature;
+use pareto_sketch::SignatureMatrix;
 use pareto_stats::LinearFit;
 use pareto_stratify::{Stratification, Stratifier, StratifierConfig};
 use pareto_telemetry::{metrics, ClockDomain, SpanId, Telemetry, Track};
@@ -235,7 +235,7 @@ pub struct StageCtx<'a> {
     /// used to find a prefix sketch after an append.
     pub prev_dataset: Option<(Fingerprint, usize)>,
     /// Sketch artifact + fingerprint (after the sketch stage).
-    pub signatures: Option<(Arc<Vec<Signature>>, Fingerprint)>,
+    pub signatures: Option<(Arc<SignatureMatrix>, Fingerprint)>,
     /// Stratification artifact + fingerprint (after the stratify stage).
     pub stratification: Option<(Arc<Stratification>, Fingerprint)>,
     /// Profile artifact + fingerprint (after the profile stage).
@@ -352,7 +352,7 @@ pub trait PlanStage {
 pub struct SketchStage;
 
 impl PlanStage for SketchStage {
-    type Artifact = Vec<Signature>;
+    type Artifact = SignatureMatrix;
 
     fn name(&self) -> &'static str {
         "sketch"
@@ -375,7 +375,7 @@ impl PlanStage for SketchStage {
             if prev_len < ctx.dataset.len() {
                 let prev_key = sketch_fingerprint(prev_fp, &ctx.cfg.stratifier);
                 if let Some(prefix) =
-                    cache.get_if_cached::<Vec<Signature>>(self.name(), prev_key)
+                    cache.get_if_cached::<SignatureMatrix>(self.name(), prev_key)
                 {
                     return Ok(stratifier.sketch_append(ctx.dataset, &prefix));
                 }
@@ -912,7 +912,7 @@ impl<'a> PlanEngine<'a> {
 
         deadline.poll(PartitionStage.name())?;
         let (placed, _, hit) =
-            run_stage(&mut cache.lock(), &PartitionStage, &ctx, &mut timings.optimize_s)?;
+            run_stage(&mut cache.lock(), &PartitionStage, &ctx, &mut timings.partition_s)?;
         reuse.partition = hit;
 
         timings.total_s = started.elapsed().as_secs_f64();
@@ -985,10 +985,11 @@ fn run_stage<S: PlanStage>(
 }
 
 /// Record the planning span tree (§9 taxonomy: `plan` → `sketch` /
-/// `stratify` / `profile` / `optimize` on the planner track, wall clock)
-/// plus the plan-shape metrics. Called from serial code only, after the
-/// plan is fully decided — nothing here can feed back. Each stage span
-/// carries a `cache` attribute (`hit`/`miss`) describing artifact reuse.
+/// `stratify` / `profile` / `optimize` / `partition` on the planner track,
+/// wall clock) plus the plan-shape metrics. Called from serial code only,
+/// after the plan is fully decided — nothing here can feed back. Each
+/// stage span carries a `cache` attribute (`hit`/`miss`) describing
+/// artifact reuse.
 fn record_plan_telemetry(
     telemetry: &Telemetry,
     cfg: &FrameworkConfig,
@@ -1017,9 +1018,8 @@ fn record_plan_telemetry(
         ],
     );
     let mut cursor = wall_start;
-    // The reported "optimize" stage covers LP solve + partition
-    // materialization (as it always has); it reads as cached only when
-    // both underlying stages hit.
+    // A strategy that solves no LP never runs "optimize": its zero-length
+    // span reads as cached.
     for (name, secs, hit) in [
         ("sketch", t.sketch_s, reuse.sketch),
         ("stratify", t.stratify_s, reuse.stratify),
@@ -1027,8 +1027,9 @@ fn record_plan_telemetry(
         (
             "optimize",
             t.optimize_s,
-            reuse.partition && (reuse.optimize || !strategy_needs_models(&cfg.strategy)),
+            reuse.optimize || !strategy_needs_models(&cfg.strategy),
         ),
+        ("partition", t.partition_s, reuse.partition),
     ] {
         tel.span(
             Track::Planner,

@@ -498,6 +498,8 @@ impl Lu {
 
     /// Solve `B x = rhs` (rhs indexed by original row); result aligned with
     /// the basis column order used at factor time.
+    // The index loops are the triangular solves as written on paper.
+    #[allow(clippy::needless_range_loop)]
     fn solve(&self, rhs: &[f64], out: &mut [f64]) {
         let m = self.m;
         for (i, &p) in self.perm.iter().enumerate() {
@@ -523,6 +525,7 @@ impl Lu {
 
     /// Solve `Bᵀ y = rhs` (rhs aligned with basis order); result indexed by
     /// original row, ready for dotting against standardized columns.
+    #[allow(clippy::needless_range_loop)]
     fn solve_t(&self, rhs: &[f64], out: &mut [f64]) {
         let m = self.m;
         let mut w = rhs.to_vec();

@@ -9,7 +9,8 @@
 //! independence well in practice. That is exactly what this crate
 //! implements.
 //!
-//! A [`Signature`] is also the input record format of the compositeKModes
+//! A dataset's sketches live in one [`SignatureMatrix`] — row `i` is
+//! record `i`'s signature — which is also the input of the compositeKModes
 //! stratifier: each of the `k` hash coordinates is one categorical
 //! attribute.
 //!
@@ -31,6 +32,7 @@ mod permutation;
 pub use permutation::LinearPermutation;
 
 use pareto_datagen::ItemSet;
+use permutation::{affine, reduce};
 
 /// A MinHash signature: the per-permutation minima of one item set.
 ///
@@ -81,99 +83,147 @@ impl Signature {
     }
 }
 
-/// A family of `k` independent linear permutations.
+/// The signatures of a whole batch of item sets: a dense row-major
+/// `rows × width` matrix in one allocation. Rows cannot be ragged, a
+/// prefix is a slice, and appending records is one `extend_from_slice`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SignatureMatrix {
+    width: usize,
+    rows: usize,
+    values: Vec<u64>,
+}
+
+impl SignatureMatrix {
+    /// Wrap row-major `values`.
+    ///
+    /// # Panics
+    /// Panics unless `values.len() == rows * width`.
+    pub fn new(width: usize, rows: usize, values: Vec<u64>) -> Self {
+        assert_eq!(values.len(), rows * width, "values must fill rows x width");
+        SignatureMatrix { width, rows, values }
+    }
+
+    /// Number of signatures.
+    pub fn num_rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Coordinates per signature (the sketch dimensionality `k`).
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Signature of record `i`.
+    pub fn row(&self, i: usize) -> &[u64] {
+        &self.values[i * self.width..(i + 1) * self.width]
+    }
+}
+
+/// Hash evaluations (item × permutation) below which a sketching shard is
+/// not worth a thread of its own: a spawn costs tens of microseconds, this
+/// much hashing a few hundred.
+const MIN_SHARD_HASHES: usize = 1 << 17;
+
+/// A family of `k` independent linear permutations, stored as two
+/// coefficient arrays so the per-item loop streams over them.
 #[derive(Debug, Clone)]
 pub struct MinHasher {
-    perms: Vec<LinearPermutation>,
+    a: Vec<u64>,
+    b: Vec<u64>,
 }
 
 impl MinHasher {
     /// Create `k` permutations seeded deterministically from `seed`.
     pub fn new(k: usize, seed: u64) -> Self {
         let mut seq = SeedSeq::new(seed);
-        let perms = (0..k)
+        let (a, b) = (0..k)
             .map(|_| LinearPermutation::from_seed(seq.next()))
-            .collect();
-        MinHasher { perms }
+            .map(|perm| (perm.a(), perm.b()))
+            .unzip();
+        MinHasher { a, b }
     }
 
     /// Sketch dimensionality `k`.
     pub fn num_hashes(&self) -> usize {
-        self.perms.len()
+        self.a.len()
     }
 
-    /// Sketch an item set: coordinate `j` is `min_{x∈S} π_j(x)`.
+    /// Write `set`'s signature into `out` (`k` slots): coordinate `j` is
+    /// `min_{x∈S} π_j(x)`. Each item is folded onto `Z_p` once, then
+    /// pushed through all `k` permutations.
     ///
     /// The empty set sketches to all-`u64::MAX` (a reserved value no
     /// permutation output attains, since outputs are `< p < u64::MAX`).
-    pub fn sketch(&self, set: &ItemSet) -> Signature {
-        let mut values = vec![u64::MAX; self.perms.len()];
+    fn sketch_into(&self, set: &ItemSet, out: &mut [u64]) {
+        out.fill(u64::MAX);
         for x in set.iter() {
-            for (v, perm) in values.iter_mut().zip(&self.perms) {
-                let h = perm.apply(x);
-                if h < *v {
-                    *v = h;
-                }
+            let x = reduce(x);
+            for ((v, &a), &b) in out.iter_mut().zip(&self.a).zip(&self.b) {
+                *v = (*v).min(affine(a, x, b));
             }
         }
+    }
+
+    /// Sketch one item set.
+    pub fn sketch(&self, set: &ItemSet) -> Signature {
+        let mut values = vec![0; self.num_hashes()];
+        self.sketch_into(set, &mut values);
         Signature { values }
     }
 
-    /// Sketch many sets (convenience for dataset-level sketching).
-    pub fn sketch_all<'a, I>(&self, sets: I) -> Vec<Signature>
-    where
-        I: IntoIterator<Item = &'a ItemSet>,
-    {
-        sets.into_iter().map(|s| self.sketch(s)).collect()
-    }
-
-    /// Sketch a batch of sets, sharding the work across up to `threads`
-    /// scoped worker threads.
+    /// Sketch a batch of sets into a matrix, sharding the rows across up
+    /// to `threads` scoped worker threads.
     ///
     /// Sketching consumes no RNG state at sketch time (the permutations
-    /// are fixed at construction), so the only determinism requirement is
-    /// ordering: shards are contiguous index ranges and their outputs are
-    /// concatenated in index order, making the result bit-identical to
-    /// [`MinHasher::sketch_all`] at any thread count.
-    pub fn sketch_batch_par(&self, sets: &[&ItemSet], threads: usize) -> Vec<Signature> {
-        let threads = threads.max(1).min(sets.len().max(1));
-        if threads <= 1 {
-            return sets.iter().map(|s| self.sketch(s)).collect();
-        }
-        let chunk = sets.len().div_ceil(threads);
-        let mut out = Vec::with_capacity(sets.len());
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = sets
-                .chunks(chunk)
-                .map(|shard| {
-                    scope.spawn(move |_| {
-                        shard.iter().map(|s| self.sketch(s)).collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for handle in handles {
-                out.extend(handle.join().expect("sketch worker panicked"));
-            }
-        })
-        .expect("sketch scope panicked");
-        out
+    /// are fixed at construction) and every shard writes its own
+    /// contiguous block of rows in place, so the result is bit-identical
+    /// at any thread count.
+    pub fn sketch_matrix(&self, sets: &[&ItemSet], threads: usize) -> SignatureMatrix {
+        self.sketch_extend(&SignatureMatrix::new(self.num_hashes(), 0, Vec::new()), sets, threads)
     }
 
-    /// Extend an existing batch of signatures with sketches of appended
-    /// sets. Sketching is a pure per-set function (no cross-record state),
-    /// so `prefix ++ sketch(new_sets)` is bit-identical to sketching the
+    /// Extend an existing matrix with sketches of appended sets. Sketching
+    /// is a pure per-set function (no cross-record state), so
+    /// `prefix ++ sketch(new_sets)` is bit-identical to sketching the
     /// whole concatenated batch from scratch — the property the
     /// incremental planner's append path relies on.
+    ///
+    /// # Panics
+    /// Panics if `prefix` was sketched with a different `k`.
     pub fn sketch_extend(
         &self,
-        prefix: &[Signature],
+        prefix: &SignatureMatrix,
         new_sets: &[&ItemSet],
         threads: usize,
-    ) -> Vec<Signature> {
-        let mut out = Vec::with_capacity(prefix.len() + new_sets.len());
-        out.extend_from_slice(prefix);
-        out.extend(self.sketch_batch_par(new_sets, threads));
-        out
+    ) -> SignatureMatrix {
+        let width = self.num_hashes();
+        assert_eq!(prefix.width, width, "prefix from a different hasher");
+        let rows = prefix.rows + new_sets.len();
+        let mut values = Vec::with_capacity(rows * width);
+        values.extend_from_slice(&prefix.values);
+        values.resize(rows * width, u64::MAX);
+        let fresh = &mut values[prefix.values.len()..];
+        let hashes = new_sets.iter().map(|s| s.len()).sum::<usize>() * width;
+        let shards = threads.min(hashes / MIN_SHARD_HASHES).max(1);
+        // With `width == 0` the block is empty and no row has a slot to
+        // fill (and `hashes` is 0, so that case never shards).
+        let fill = |sets: &[&ItemSet], block: &mut [u64]| {
+            for (set, out) in sets.iter().zip(block.chunks_exact_mut(width.max(1))) {
+                self.sketch_into(set, out);
+            }
+        };
+        if shards == 1 {
+            fill(new_sets, fresh);
+        } else {
+            let chunk = new_sets.len().div_ceil(shards);
+            crossbeam::thread::scope(|scope| {
+                for (sets, block) in new_sets.chunks(chunk).zip(fresh.chunks_mut(chunk * width)) {
+                    scope.spawn(move |_| fill(sets, block));
+                }
+            })
+            .expect("sketch worker panicked");
+        }
+        SignatureMatrix { width, rows, values }
     }
 }
 
@@ -263,29 +313,61 @@ mod tests {
     }
 
     #[test]
-    fn parallel_batch_matches_serial() {
+    fn parallel_matrix_matches_serial_and_single_sketches() {
+        // Big enough (300 sets x 200 items x 32 hashes) that the shard
+        // gate admits every thread count below.
         let h = MinHasher::new(32, 13);
-        let sets: Vec<ItemSet> = (0..37)
-            .map(|i| ItemSet::from_items((i..i + 20).collect()))
+        let sets: Vec<ItemSet> = (0..300)
+            .map(|i| ItemSet::from_items((i..i + 200).collect()))
             .collect();
         let refs: Vec<&ItemSet> = sets.iter().collect();
-        let serial = h.sketch_batch_par(&refs, 1);
-        for threads in [2, 3, 8, 64] {
-            assert_eq!(serial, h.sketch_batch_par(&refs, threads));
+        let serial = h.sketch_matrix(&refs, 1);
+        assert_eq!((serial.num_rows(), serial.width()), (300, 32));
+        for (i, set) in sets.iter().enumerate() {
+            assert_eq!(serial.row(i), h.sketch(set).values());
         }
-        // Degenerate inputs.
-        assert!(h.sketch_batch_par(&[], 4).is_empty());
-        assert_eq!(h.sketch_batch_par(&refs[..1], 4), serial[..1].to_vec());
+        for threads in [2, 3, 8, 64] {
+            assert_eq!(serial, h.sketch_matrix(&refs, threads));
+        }
     }
 
     #[test]
-    fn sketch_all_matches_individual() {
-        let h = MinHasher::new(8, 9);
-        let sets = [ItemSet::from_items(vec![1, 2]),
-            ItemSet::from_items(vec![2, 3])];
-        let all = h.sketch_all(sets.iter());
-        assert_eq!(all[0], h.sketch(&sets[0]));
-        assert_eq!(all[1], h.sketch(&sets[1]));
+    fn degenerate_batches_are_defined() {
+        let h = MinHasher::new(32, 13);
+        let set = ItemSet::from_items(vec![1, 2, 3]);
+        assert_eq!(h.sketch_matrix(&[], 4).num_rows(), 0);
+        assert_eq!(h.sketch_matrix(&[&set], 4).row(0), h.sketch(&set).values());
+        // Zero hash functions: rows exist but have no coordinates.
+        let none = MinHasher::new(0, 13);
+        let m = none.sketch_matrix(&[&set, &set], 4);
+        assert_eq!((m.num_rows(), m.width()), (2, 0));
+        assert!(m.row(0).is_empty() && m.row(1).is_empty());
+        assert_eq!(none.sketch(&set).estimate_jaccard(&none.sketch(&set)), 1.0);
+        // All-empty sets: every coordinate is the sentinel.
+        let empty = ItemSet::empty();
+        let m = h.sketch_matrix(&[&empty, &empty], 1);
+        assert!((0..2).all(|i| m.row(i).iter().all(|&v| v == u64::MAX)));
+    }
+
+    #[test]
+    fn extend_equals_sketching_the_whole_batch() {
+        let h = MinHasher::new(16, 9);
+        let sets: Vec<ItemSet> = (0..40u64)
+            .map(|i| ItemSet::from_items((i * 3..i * 3 + 25).collect()))
+            .collect();
+        let refs: Vec<&ItemSet> = sets.iter().collect();
+        let whole = h.sketch_matrix(&refs, 1);
+        for split in [0, 1, 17, 40] {
+            let prefix = h.sketch_matrix(&refs[..split], 1);
+            assert_eq!(h.sketch_extend(&prefix, &refs[split..], 2), whole, "split {split}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "different hasher")]
+    fn extend_rejects_a_prefix_of_another_width() {
+        let prefix = MinHasher::new(4, 1).sketch_matrix(&[], 1);
+        MinHasher::new(8, 1).sketch_extend(&prefix, &[], 1);
     }
 
     #[test]

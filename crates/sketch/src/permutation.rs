@@ -51,7 +51,7 @@ impl LinearPermutation {
     /// negligible fraction of inputs and does not affect sketch quality).
     #[inline]
     pub fn apply(&self, x: u64) -> u64 {
-        mulmod(self.a, x % PRIME).wrapping_add(self.b) % PRIME
+        affine(self.a, reduce(x), self.b)
     }
 
     /// The multiplier coefficient.
@@ -65,15 +65,34 @@ impl LinearPermutation {
     }
 }
 
-/// `(a · b) mod p` for `p = 2^61 − 1`, via 128-bit multiply and Mersenne
-/// folding.
+/// `x mod p` by Mersenne folding: `2^61 ≡ 1`, so the low 61 bits plus the
+/// top 3 are congruent to `x` and at most `p + 7` — one conditional
+/// subtract away from canonical.
 #[inline]
-fn mulmod(a: u64, b: u64) -> u64 {
-    let prod = a as u128 * b as u128;
-    // Fold the 122-bit product: p = 2^61 - 1 means 2^61 ≡ 1 (mod p).
-    let lo = (prod & ((1u128 << 61) - 1)) as u64;
-    let hi = (prod >> 61) as u64;
-    let mut r = lo.wrapping_add(hi % PRIME);
+pub(crate) fn reduce(x: u64) -> u64 {
+    let r = (x & PRIME) + (x >> 61);
+    if r >= PRIME {
+        r - PRIME
+    } else {
+        r
+    }
+}
+
+/// `(a·x + b) mod p` for `a, x, b < p`, via one 128-bit multiply and two
+/// conditional subtracts.
+///
+/// `2^61 ≡ 1`, so the product's low 61 bits `lo ≤ p` plus its high half
+/// `hi` are congruent to it; `hi ≤ p − 3` because `a·x ≤ (p − 1)²`, so
+/// `lo + hi < 2p` and one subtract makes it canonical. Adding `b < p`
+/// then stays below `2p` and needs one more.
+#[inline]
+pub(crate) fn affine(a: u64, x: u64, b: u64) -> u64 {
+    let prod = a as u128 * x as u128;
+    let mut r = (prod as u64 & PRIME) + (prod >> 61) as u64;
+    if r >= PRIME {
+        r -= PRIME;
+    }
+    r += b;
     if r >= PRIME {
         r -= PRIME;
     }
@@ -84,18 +103,50 @@ fn mulmod(a: u64, b: u64) -> u64 {
 mod tests {
     use super::*;
 
+    /// The independent oracle: `(a·(x mod p) + b) mod p` in plain `u128`
+    /// arithmetic, no folding.
+    fn apply_reference(a: u64, b: u64, x: u64) -> u64 {
+        let p = PRIME as u128;
+        ((a as u128 * (x as u128 % p) + b as u128) % p) as u64
+    }
+
     #[test]
-    fn mulmod_matches_u128_reference() {
-        let cases = [
-            (0u64, 0u64),
-            (1, PRIME - 1),
-            (PRIME - 1, PRIME - 1),
-            (123_456_789, 987_654_321),
-            (1u64 << 60, (1u64 << 60) + 12345),
-        ];
-        for (a, b) in cases {
-            let expected = ((a as u128 * b as u128) % PRIME as u128) as u64;
-            assert_eq!(mulmod(a % PRIME, b % PRIME), expected, "a={a} b={b}");
+    fn apply_matches_u128_reference_at_the_edges() {
+        let xs = [0, 1, PRIME - 1, PRIME, PRIME + 1, 1u64 << 61, u64::MAX];
+        let coeffs = [1, 2, 123_456_789, 1u64 << 60, PRIME - 2, PRIME - 1];
+        for a in coeffs {
+            for b in [0, 1, 987_654_321, PRIME - 1] {
+                for x in xs {
+                    assert_eq!(
+                        LinearPermutation::new(a, b).apply(x),
+                        apply_reference(a, b, x),
+                        "a={a} b={b} x={x}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn high_half_of_the_product_never_reaches_p() {
+        // The retired kernel reduced the product's high half with
+        // `hi % p`. For operands below p that half tops out at p − 3
+        // ((p − 1)² = 2^122 − 2^63 + 4), so the `%` never fired and
+        // `lo + hi` needs exactly one conditional subtract.
+        let top = (PRIME - 1) as u128 * (PRIME - 1) as u128;
+        assert_eq!((top >> 61) as u64, PRIME - 3);
+        for (a, x) in [(PRIME - 1, PRIME - 1), (PRIME - 1, PRIME - 2), (1 << 60, PRIME - 1)] {
+            for b in [0, 1, PRIME - 1] {
+                assert_eq!(affine(a, x, b), apply_reference(a, b, x), "a={a} x={x} b={b}");
+            }
+        }
+    }
+
+    #[test]
+    fn reduce_is_mod_p() {
+        let edges = [0, 1, PRIME - 1, PRIME, PRIME + 1, 2 * PRIME, 1 << 61, u64::MAX - 1, u64::MAX];
+        for x in edges {
+            assert_eq!(reduce(x), x % PRIME, "x={x}");
         }
     }
 

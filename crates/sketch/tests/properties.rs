@@ -5,7 +5,45 @@ use proptest::prelude::*;
 use pareto_datagen::ItemSet;
 use pareto_sketch::{LinearPermutation, MinHasher};
 
+/// `p = 2^61 − 1`.
+const P: u64 = (1 << 61) - 1;
+
 proptest! {
+    /// The folded kernel agrees with `(a·(x mod p) + b) mod p` in plain
+    /// `u128` arithmetic, for arbitrary coefficients and inputs and at the
+    /// edges of the field and of `u64`.
+    #[test]
+    fn apply_matches_u128_reference(
+        a in 1u64..P,
+        b in 0u64..P,
+        xs in proptest::collection::vec(any::<u64>(), 1..32),
+    ) {
+        let perm = LinearPermutation::new(a, b);
+        for x in xs.into_iter().chain([0, 1, P - 1, P, P + 1, 1 << 61, u64::MAX]) {
+            let expected = (a as u128 * (x as u128 % P as u128) + b as u128) % P as u128;
+            prop_assert_eq!(perm.apply(x) as u128, expected, "x = {}", x);
+        }
+    }
+
+    /// Batch sketching writes the same rows as sketching set by set, at
+    /// any thread count.
+    #[test]
+    fn matrix_rows_equal_single_sketches(
+        sets in proptest::collection::vec(proptest::collection::vec(any::<u64>(), 0..48), 0..24),
+        k in 0usize..40,
+        seed in any::<u64>(),
+        threads in 1usize..9,
+    ) {
+        let h = MinHasher::new(k, seed);
+        let sets: Vec<ItemSet> = sets.into_iter().map(ItemSet::from_items).collect();
+        let refs: Vec<&ItemSet> = sets.iter().collect();
+        let matrix = h.sketch_matrix(&refs, threads);
+        prop_assert_eq!((matrix.num_rows(), matrix.width()), (sets.len(), k));
+        for (i, set) in sets.iter().enumerate() {
+            prop_assert_eq!(matrix.row(i), h.sketch(set).values());
+        }
+    }
+
     /// Permutations are injective on any sample of distinct inputs below
     /// the prime modulus.
     #[test]

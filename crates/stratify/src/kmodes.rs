@@ -8,10 +8,25 @@
 //! appears anywhere in that attribute's list. The objective — total number
 //! of matched attributes — is non-decreasing under both the assignment and
 //! the update step, so the algorithm converges like classic kModes.
+//!
+//! # Data layout
+//!
+//! The run never looks at a raw `u64` sketch value after its first step:
+//! every column of the signature matrix is **dictionary-encoded** once
+//! (dense `u32` ids in ascending value order, stored column-major), so
+//! "the same value" is "the same id", id order is value order, and every
+//! per-value table is a direct-indexed array. The same sort yields an
+//! **inverted index** `(attribute, id) → rows holding it`. The assignment
+//! step walks, for every id a center lists, that id's rows and bumps the
+//! (row, cluster) cell of an `n × K` score block — work proportional to
+//! the matches that exist instead of `O(n·A·K·L)` compares; the update
+//! step is dense counting over each cluster's members plus a top-`L`
+//! selection by (count desc, id asc). Each shard of a step owns a disjoint
+//! output range — points for assignment, attributes for encoding and
+//! update — so the result is bit-identical at any thread count with
+//! nothing to merge.
 
-use std::collections::HashMap;
-
-use pareto_sketch::Signature;
+use pareto_sketch::SignatureMatrix;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
@@ -27,13 +42,9 @@ pub struct KModesConfig {
     pub max_iters: usize,
     /// Seed for center initialization.
     pub seed: u64,
-    /// Worker threads for the assignment and update steps (1 = serial).
-    ///
-    /// Both parallel steps are deterministic by construction — assignment
-    /// is a pure per-point function of the centers, and the update step's
-    /// per-shard frequency counts merge by addition (commutative) before
-    /// the deterministic tie-broken sort — so the result is bit-identical
-    /// at any thread count.
+    /// Worker threads for the encoding, assignment and update steps
+    /// (1 = serial). Every step is a pure function of its shard's rows or
+    /// columns, so the result is bit-identical at any thread count.
     pub threads: usize,
 }
 
@@ -53,30 +64,126 @@ pub struct KModesResult {
     pub total_score: u64,
 }
 
-/// A cluster center: per attribute, up to `L` values ordered by descending
-/// member frequency.
-#[derive(Debug, Clone)]
-struct Center {
-    lists: Vec<Vec<u64>>,
+/// `(point, attribute)` cells below which a shard is not worth a thread of
+/// its own: each step touches every cell a few times per iteration, so
+/// this is a few hundred microseconds of work against tens for a spawn.
+const MIN_SHARD_CELLS: usize = 1 << 16;
+
+/// Run `work` on every shard: inline when there is at most one, on scoped
+/// threads (each owning its shard's output blocks) otherwise.
+fn run_shards<S: Send>(shards: impl Iterator<Item = S>, work: impl Fn(S) + Sync) {
+    let mut shards: Vec<S> = shards.collect();
+    if shards.len() <= 1 {
+        return shards.pop().map(work).unwrap_or(());
+    }
+    crossbeam::thread::scope(|scope| {
+        for shard in shards {
+            let work = &work;
+            scope.spawn(move |_| work(shard));
+        }
+    })
+    .expect("kmodes worker panicked");
 }
 
-impl Center {
-    fn from_signature(sig: &Signature, num_attrs: usize) -> Center {
-        debug_assert_eq!(sig.len(), num_attrs);
-        Center {
-            lists: sig.values().iter().map(|&v| vec![v]).collect(),
+/// The dictionary-encoded sketch columns and their inverted index.
+struct Columns {
+    n: usize,
+    /// `ids[a * n + i]`: rank of row `i`'s value among attribute `a`'s
+    /// distinct values.
+    ids: Vec<u32>,
+    /// `base[a]`: attribute `a`'s first slot in tables indexed by
+    /// (attribute, id); `base[num_attrs]` is such a table's size.
+    base: Vec<u32>,
+    /// Per attribute, the rows ordered by (id, row): the rows holding the
+    /// id of slot `s` are `rows[starts[s]..starts[s + 1]]`, ascending.
+    rows: Vec<u32>,
+    starts: Vec<u32>,
+}
+
+impl Columns {
+    fn encode(signatures: &SignatureMatrix, shards: usize) -> Columns {
+        let (n, num_attrs) = (signatures.num_rows(), signatures.width());
+        let cells = u32::try_from(n * num_attrs).expect("fewer than 2^32 sketch coordinates");
+        let mut ids = vec![0u32; n * num_attrs];
+        let mut rows = vec![0u32; n * num_attrs];
+        let chunk = num_attrs.div_ceil(shards).max(1);
+        run_shards(
+            ids.chunks_mut(chunk * n).zip(rows.chunks_mut(chunk * n)).enumerate(),
+            |(shard, (ids, rows))| {
+                let mut keyed: Vec<(u64, u32)> = Vec::with_capacity(n);
+                for (off, (ids, rows)) in
+                    ids.chunks_exact_mut(n).zip(rows.chunks_exact_mut(n)).enumerate()
+                {
+                    let a = shard * chunk + off;
+                    keyed.clear();
+                    keyed.extend((0..n).map(|i| (signatures.row(i)[a], i as u32)));
+                    keyed.sort_unstable();
+                    let (mut id, mut prev) = (0, keyed[0].0);
+                    for (slot, &(value, row)) in rows.iter_mut().zip(&keyed) {
+                        id += u32::from(value != prev);
+                        prev = value;
+                        ids[row as usize] = id;
+                        *slot = row;
+                    }
+                }
+            },
+        );
+        // A column's ids are dense, so its last sorted row holds its
+        // largest id; each id's rows start where the id first appears.
+        let mut base = vec![0u32; num_attrs + 1];
+        let mut starts = Vec::with_capacity(n * num_attrs / 2);
+        for a in 0..num_attrs {
+            let (ids, rows) = (&ids[a * n..(a + 1) * n], &rows[a * n..(a + 1) * n]);
+            base[a + 1] = base[a] + ids[rows[n - 1] as usize] + 1;
+            for (at, &row) in rows.iter().enumerate() {
+                if starts.len() as u32 == base[a] + ids[row as usize] {
+                    starts.push((a * n + at) as u32);
+                }
+            }
         }
+        starts.push(cells);
+        Columns { n, ids, base, rows, starts }
     }
 
-    /// Match score of a signature against this center: the number of
-    /// attributes whose value appears in the center's list.
-    fn score(&self, sig: &Signature) -> u32 {
-        self.lists
-            .iter()
-            .zip(sig.values())
-            .filter(|(list, v)| list.contains(v))
-            .count() as u32
+    fn column(&self, a: usize) -> &[u32] {
+        &self.ids[a * self.n..(a + 1) * self.n]
     }
+
+    /// The rows whose attribute holds the id of `slot`, ascending.
+    fn rows_of(&self, slot: usize) -> &[u32] {
+        &self.rows[self.starts[slot] as usize..self.starts[slot + 1] as usize]
+    }
+}
+
+/// The cluster centers: per (attribute, cluster), up to `l` ids ordered by
+/// descending member frequency. Attribute-major, so the update step's
+/// attribute shards own contiguous blocks.
+struct Centers {
+    k: usize,
+    l: usize,
+    lists: Vec<u32>,
+    lens: Vec<u32>,
+}
+
+impl Centers {
+    /// Every listed id as `(slot in an (attribute, id) table, cluster)`.
+    fn entries<'a>(&'a self, cols: &'a Columns) -> impl Iterator<Item = (usize, u32)> + 'a {
+        self.lens.iter().enumerate().flat_map(move |(slot, &len)| {
+            let (a, c) = (slot / self.k, slot % self.k);
+            self.lists[slot * self.l..][..len as usize]
+                .iter()
+                .map(move |&id| ((cols.base[a] + id) as usize, c as u32))
+        })
+    }
+}
+
+/// Per-shard scratch of the update step: a zeroed count per id of the
+/// widest column, and the ids the current (cluster, attribute) touched
+/// (later their sort keys).
+#[derive(Clone)]
+struct Scratch {
+    count: Vec<u32>,
+    touched: Vec<u64>,
 }
 
 /// The clustering algorithm.
@@ -92,13 +199,11 @@ impl CompositeKModes {
         CompositeKModes { cfg }
     }
 
-    /// Cluster the signatures.
-    ///
-    /// All signatures must share the same length. An empty input produces
-    /// an empty assignment.
-    pub fn run(&self, signatures: &[Signature]) -> KModesResult {
-        let n = signatures.len();
-        let k = self.cfg.num_clusters.min(n.max(1));
+    /// Cluster the signatures. An empty input produces an empty
+    /// assignment; zero-width signatures match nothing, so every point
+    /// lands in cluster 0 with score 0.
+    pub fn run(&self, signatures: &SignatureMatrix) -> KModesResult {
+        let n = signatures.num_rows();
         if n == 0 {
             return KModesResult {
                 assignments: Vec::new(),
@@ -108,69 +213,285 @@ impl CompositeKModes {
                 total_score: 0,
             };
         }
-        let num_attrs = signatures[0].len();
-        assert!(
-            signatures.iter().all(|s| s.len() == num_attrs),
-            "signatures must share dimensionality"
-        );
+        let num_attrs = signatures.width();
+        let k = self.cfg.num_clusters.min(n);
+        // No column has more than `n` distinct values to list.
+        let l = self.cfg.l.min(n);
+        let shards = self.cfg.threads.min(n * num_attrs / MIN_SHARD_CELLS).max(1);
+        let cols = Columns::encode(signatures, shards);
 
         // Initialize centers on K distinct random points.
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(self.cfg.seed);
         let mut idx: Vec<usize> = (0..n).collect();
         idx.shuffle(&mut rng);
-        let mut centers: Vec<Center> = idx[..k]
-            .iter()
-            .map(|&i| Center::from_signature(&signatures[i], num_attrs))
-            .collect();
+        let mut centers = Centers {
+            k,
+            l,
+            lists: vec![0; num_attrs * k * l],
+            lens: vec![1; num_attrs * k],
+        };
+        for a in 0..num_attrs {
+            for (c, &point) in idx[..k].iter().enumerate() {
+                centers.lists[(a * k + c) * l] = cols.column(a)[point];
+            }
+        }
 
-        let threads = self.cfg.threads.max(1).min(n);
+        let mut scores = vec![0u32; n * k];
+        // `(cluster, score)` per point, as the assignment step leaves it.
+        let mut best = vec![(0u32, 0u32); n];
         let mut assignments = vec![u32::MAX; n];
-        let mut scores = vec![0u32; n];
+        // Points grouped by cluster: `grouped[starts[c]..starts[c + 1]]`.
+        let mut grouped = vec![0u32; n];
+        let mut starts = vec![0usize; k + 1];
+        let widest = cols.base.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+        let mut scratch = vec![
+            Scratch {
+                count: vec![0; widest as usize],
+                touched: Vec::new(),
+            };
+            shards
+        ];
+        let point_chunk = n.div_ceil(shards.min(n));
+        let attr_chunk = num_attrs.div_ceil(shards).max(1);
         let mut iterations = 0;
         for _ in 0..self.cfg.max_iters.max(1) {
             iterations += 1;
-            // --- Assignment step (parallel over point shards) ---
-            let best = assign_points(signatures, &centers, threads);
+            // --- Assignment step (parallel over point ranges) ---
+            run_shards(
+                scores
+                    .chunks_mut(point_chunk * k)
+                    .zip(best.chunks_mut(point_chunk))
+                    .enumerate(),
+                |(shard, (scores, best))| {
+                    assign_points(&cols, &centers, shard * point_chunk, scores, best)
+                },
+            );
             let mut changed = false;
-            for (i, &(best_c, best_s)) in best.iter().enumerate() {
-                if assignments[i] != best_c {
-                    assignments[i] = best_c;
-                    changed = true;
+            for (old, &(c, _)) in assignments.iter_mut().zip(&best) {
+                changed |= *old != c;
+                *old = c;
+            }
+            if !changed && iterations > 1 {
+                break;
+            }
+            // --- Update step (parallel over attributes): recompute the
+            // L-frequent lists from each cluster's members ---
+            group_by_cluster(&assignments, &mut starts, &mut grouped);
+            // An empty cluster is re-seeded on the worst-matched point,
+            // the standard kModes fix for dead centers.
+            let worst = (0..n).min_by_key(|&i| (best[i].1, i)).expect("n > 0");
+            let members = |c: usize| &grouped[starts[c]..starts[c + 1]];
+            run_shards(
+                centers
+                    .lists
+                    .chunks_mut(attr_chunk * k * l)
+                    .zip(centers.lens.chunks_mut(attr_chunk * k))
+                    .zip(&mut scratch)
+                    .enumerate(),
+                |(shard, ((lists, lens), scratch))| {
+                    for (slot, (list, len)) in lists.chunks_exact_mut(l).zip(lens).enumerate() {
+                        let col = cols.column(shard * attr_chunk + slot / k);
+                        let members = members(slot % k);
+                        *len = if members.is_empty() {
+                            list[0] = col[worst];
+                            1
+                        } else {
+                            top_values(col, members, scratch, list)
+                        };
+                    }
+                },
+            );
+        }
+
+        let zero_matches = best.iter().filter(|&&(_, s)| s == 0).count();
+        KModesResult {
+            assignments,
+            num_clusters: self.cfg.num_clusters,
+            zero_match_rate: zero_matches as f64 / n as f64,
+            iterations,
+            total_score: best.iter().map(|&(_, s)| s as u64).sum(),
+        }
+    }
+}
+
+/// Assignment step for the points `first..first + best.len()`: for every
+/// id a center lists, bump the (row, cluster) score of the rows holding it,
+/// then pick each point's best cluster (ties go to the lowest cluster id).
+fn assign_points(
+    cols: &Columns,
+    centers: &Centers,
+    first: usize,
+    scores: &mut [u32],
+    best: &mut [(u32, u32)],
+) {
+    let k = centers.k;
+    let (lo, hi) = (first as u32, (first + best.len()) as u32);
+    scores.fill(0);
+    for (slot, c) in centers.entries(cols) {
+        let rows = cols.rows_of(slot);
+        let rows = &rows[rows.partition_point(|&r| r < lo)..];
+        for &row in &rows[..rows.partition_point(|&r| r < hi)] {
+            scores[(row - lo) as usize * k + c as usize] += 1;
+        }
+    }
+    for (scores, best) in scores.chunks_exact(k).zip(best) {
+        *best = (0, scores[0]);
+        for (c, &s) in scores.iter().enumerate().skip(1) {
+            if s > best.1 {
+                *best = (c as u32, s);
+            }
+        }
+    }
+}
+
+/// Counting sort of the points by cluster.
+fn group_by_cluster(assignments: &[u32], starts: &mut [usize], grouped: &mut [u32]) {
+    starts.fill(0);
+    for &c in assignments {
+        starts[c as usize + 1] += 1;
+    }
+    for c in 1..starts.len() {
+        starts[c] += starts[c - 1];
+    }
+    // Placing advances each cluster's start to its end, i.e. to the next
+    // cluster's start: rotate them back into place afterwards.
+    for (i, &c) in assignments.iter().enumerate() {
+        grouped[starts[c as usize]] = i as u32;
+        starts[c as usize] += 1;
+    }
+    starts.rotate_right(1);
+    starts[0] = 0;
+}
+
+/// Update step for one (cluster, attribute): write the most frequent ids
+/// among the members' values in `col` into `list`, ordered by descending
+/// count with the lower id (= lower value) first among equals, and return
+/// how many there are (at most `list.len()`).
+fn top_values(col: &[u32], members: &[u32], scratch: &mut Scratch, list: &mut [u32]) -> u32 {
+    let Scratch { count, touched } = scratch;
+    touched.clear();
+    for &point in members {
+        let id = col[point as usize];
+        if count[id as usize] == 0 {
+            touched.push(id as u64);
+        }
+        count[id as usize] += 1;
+    }
+    // One integer key per id that sorts ascending into the wanted order.
+    for key in touched.iter_mut() {
+        let id = *key as usize;
+        *key |= ((u32::MAX - count[id]) as u64) << 32;
+        count[id] = 0;
+    }
+    let len = touched.len().min(list.len());
+    if len < touched.len() {
+        touched.select_nth_unstable(len - 1);
+    }
+    touched[..len].sort_unstable();
+    for (slot, &key) in list.iter_mut().zip(&touched[..len]) {
+        *slot = key as u32;
+    }
+    len as u32
+}
+
+#[cfg(test)]
+mod reference {
+    //! The retired per-signature `HashMap` implementation, kept as the
+    //! independent oracle the flat-array kernel is tested against. It
+    //! compares raw `u64` values, hashes them per (cluster, attribute),
+    //! and scores every point against every center.
+
+    use std::collections::HashMap;
+
+    use super::*;
+
+    struct Center {
+        lists: Vec<Vec<u64>>,
+    }
+
+    impl Center {
+        fn from_row(row: &[u64]) -> Center {
+            Center {
+                lists: row.iter().map(|&v| vec![v]).collect(),
+            }
+        }
+
+        fn score(&self, row: &[u64]) -> u32 {
+            self.lists
+                .iter()
+                .zip(row)
+                .filter(|(list, v)| list.contains(v))
+                .count() as u32
+        }
+    }
+
+    pub fn run(cfg: &KModesConfig, signatures: &SignatureMatrix) -> KModesResult {
+        let n = signatures.num_rows();
+        let rows: Vec<&[u64]> = (0..n).map(|i| signatures.row(i)).collect();
+        let k = cfg.num_clusters.min(n.max(1));
+        if n == 0 {
+            return KModesResult {
+                assignments: Vec::new(),
+                num_clusters: cfg.num_clusters,
+                zero_match_rate: 0.0,
+                iterations: 0,
+                total_score: 0,
+            };
+        }
+        let num_attrs = signatures.width();
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(cfg.seed);
+        let mut idx: Vec<usize> = (0..n).collect();
+        idx.shuffle(&mut rng);
+        let mut centers: Vec<Center> =
+            idx[..k].iter().map(|&i| Center::from_row(rows[i])).collect();
+
+        let mut assignments = vec![u32::MAX; n];
+        let mut scores = vec![0u32; n];
+        let mut iterations = 0;
+        for _ in 0..cfg.max_iters.max(1) {
+            iterations += 1;
+            let mut changed = false;
+            for (i, row) in rows.iter().enumerate() {
+                let (mut best_c, mut best_s) = (0u32, centers[0].score(row));
+                for (c, center) in centers.iter().enumerate().skip(1) {
+                    let s = center.score(row);
+                    if s > best_s {
+                        best_s = s;
+                        best_c = c as u32;
+                    }
                 }
+                changed |= assignments[i] != best_c;
+                assignments[i] = best_c;
                 scores[i] = best_s;
             }
             if !changed && iterations > 1 {
                 break;
             }
-            // --- Update step: recompute L-frequent lists per attribute ---
-            let (freq, members) =
-                accumulate_frequencies(signatures, &assignments, k, num_attrs, threads);
+            let mut freq: Vec<Vec<HashMap<u64, u32>>> = vec![vec![HashMap::new(); num_attrs]; k];
+            let mut members = vec![0usize; k];
+            for (row, &c) in rows.iter().zip(&assignments) {
+                members[c as usize] += 1;
+                for (a, &v) in row.iter().enumerate() {
+                    *freq[c as usize][a].entry(v).or_insert(0) += 1;
+                }
+            }
             for (c, center) in centers.iter_mut().enumerate() {
                 if members[c] == 0 {
-                    // Re-seed an empty cluster on the worst-matched point,
-                    // the standard kModes fix for dead centers.
-                    let worst = (0..n)
-                        .min_by_key(|&i| (scores[i], i))
-                        .expect("n > 0");
-                    *center = Center::from_signature(&signatures[worst], num_attrs);
+                    let worst = (0..n).min_by_key(|&i| (scores[i], i)).expect("n > 0");
+                    *center = Center::from_row(rows[worst]);
                     continue;
                 }
                 for (a, counts) in freq[c].iter().enumerate() {
-                    let mut pairs: Vec<(u64, u32)> =
-                        counts.iter().map(|(&v, &c)| (v, c)).collect();
-                    // Descending frequency; value breaks ties for
-                    // determinism.
+                    let mut pairs: Vec<(u64, u32)> = counts.iter().map(|(&v, &c)| (v, c)).collect();
                     pairs.sort_by(|x, y| y.1.cmp(&x.1).then(x.0.cmp(&y.0)));
-                    center.lists[a] =
-                        pairs.iter().take(self.cfg.l).map(|&(v, _)| v).collect();
+                    center.lists[a] = pairs.iter().take(cfg.l).map(|&(v, _)| v).collect();
                 }
             }
         }
-
         let zero_matches = scores.iter().filter(|&&s| s == 0).count();
         KModesResult {
             assignments,
-            num_clusters: self.cfg.num_clusters,
+            num_clusters: cfg.num_clusters,
             zero_match_rate: zero_matches as f64 / n as f64,
             iterations,
             total_score: scores.iter().map(|&s| s as u64).sum(),
@@ -178,115 +499,26 @@ impl CompositeKModes {
     }
 }
 
-/// Assignment step: `(best cluster, best score)` per point. A pure
-/// function of the centers, so sharding points across threads and
-/// concatenating shard outputs in index order reproduces the serial
-/// result exactly.
-fn assign_points(
-    signatures: &[Signature],
-    centers: &[Center],
-    threads: usize,
-) -> Vec<(u32, u32)> {
-    let assign_shard = |shard: &[Signature]| -> Vec<(u32, u32)> {
-        shard
-            .iter()
-            .map(|sig| {
-                let (mut best_c, mut best_s) = (0u32, centers[0].score(sig));
-                for (c, center) in centers.iter().enumerate().skip(1) {
-                    let s = center.score(sig);
-                    if s > best_s {
-                        best_s = s;
-                        best_c = c as u32;
-                    }
-                }
-                (best_c, best_s)
-            })
-            .collect()
-    };
-    if threads <= 1 || signatures.len() < 2 {
-        return assign_shard(signatures);
-    }
-    let chunk = signatures.len().div_ceil(threads);
-    let mut out = Vec::with_capacity(signatures.len());
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = signatures
-            .chunks(chunk)
-            .map(|shard| scope.spawn(move |_| assign_shard(shard)))
-            .collect();
-        for handle in handles {
-            out.extend(handle.join().expect("assignment worker panicked"));
-        }
-    })
-    .expect("assignment scope panicked");
-    out
-}
-
-/// Update-step accumulation: per-cluster, per-attribute value frequencies
-/// plus member counts. Each shard accumulates its own maps; shard results
-/// merge by integer addition, which is commutative and associative, so
-/// the totals are independent of shard boundaries and thread count.
-fn accumulate_frequencies(
-    signatures: &[Signature],
-    assignments: &[u32],
-    k: usize,
-    num_attrs: usize,
-    threads: usize,
-) -> (Vec<Vec<HashMap<u64, u32>>>, Vec<usize>) {
-    let accumulate_shard = |sigs: &[Signature], assigns: &[u32]| {
-        let mut freq: Vec<Vec<HashMap<u64, u32>>> = vec![vec![HashMap::new(); num_attrs]; k];
-        let mut members = vec![0usize; k];
-        for (sig, &c) in sigs.iter().zip(assigns) {
-            let c = c as usize;
-            members[c] += 1;
-            for (a, &v) in sig.values().iter().enumerate() {
-                *freq[c][a].entry(v).or_insert(0) += 1;
-            }
-        }
-        (freq, members)
-    };
-    if threads <= 1 || signatures.len() < 2 {
-        return accumulate_shard(signatures, assignments);
-    }
-    let chunk = signatures.len().div_ceil(threads);
-    let mut partials = Vec::new();
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = signatures
-            .chunks(chunk)
-            .zip(assignments.chunks(chunk))
-            .map(|(sigs, assigns)| scope.spawn(move |_| accumulate_shard(sigs, assigns)))
-            .collect();
-        for handle in handles {
-            partials.push(handle.join().expect("update worker panicked"));
-        }
-    })
-    .expect("update scope panicked");
-    let mut iter = partials.into_iter();
-    let (mut freq, mut members) = iter.next().expect("at least one shard");
-    for (shard_freq, shard_members) in iter {
-        for (m, s) in members.iter_mut().zip(shard_members) {
-            *m += s;
-        }
-        for (cluster, shard_cluster) in freq.iter_mut().zip(shard_freq) {
-            for (attr, shard_attr) in cluster.iter_mut().zip(shard_cluster) {
-                for (value, count) in shard_attr {
-                    *attr.entry(value).or_insert(0) += count;
-                }
-            }
-        }
-    }
-    (freq, members)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pareto_datagen::ItemSet;
     use pareto_sketch::MinHasher;
+    use proptest::prelude::*;
+
+    fn config(num_clusters: usize, l: usize, max_iters: usize, seed: u64) -> KModesConfig {
+        KModesConfig {
+            num_clusters,
+            l,
+            max_iters,
+            seed,
+            threads: 1,
+        }
+    }
 
     /// Three well-separated groups of item sets.
-    fn grouped_signatures(per_group: usize, k: usize) -> (Vec<Signature>, Vec<u32>) {
-        let hasher = MinHasher::new(k, 77);
-        let mut sigs = Vec::new();
+    fn grouped_signatures(per_group: usize, k: usize) -> (SignatureMatrix, Vec<u32>) {
+        let mut sets = Vec::new();
         let mut truth = Vec::new();
         for g in 0u64..3 {
             let base: Vec<u64> = (0..40).map(|i| g * 10_000 + i).collect();
@@ -294,11 +526,31 @@ mod tests {
                 let mut items = base.clone();
                 // Small per-member variation.
                 items.push(g * 10_000 + 500 + v as u64);
-                sigs.push(hasher.sketch(&ItemSet::from_items(items)));
+                sets.push(ItemSet::from_items(items));
                 truth.push(g as u32);
             }
         }
-        (sigs, truth)
+        let refs: Vec<&ItemSet> = sets.iter().collect();
+        (MinHasher::new(k, 77).sketch_matrix(&refs, 1), truth)
+    }
+
+    /// The new kernel against the retired one on every reported field, at
+    /// the thread counts the planner runs.
+    fn assert_matches_reference(cfg: &KModesConfig, signatures: &SignatureMatrix) {
+        let expected = reference::run(cfg, signatures);
+        for threads in [1, 2, 4, 8] {
+            let got = CompositeKModes::new(KModesConfig {
+                threads,
+                ..cfg.clone()
+            })
+            .run(signatures);
+            let ctx = format!("threads {threads}, {cfg:?}");
+            assert_eq!(got.assignments, expected.assignments, "{ctx}");
+            assert_eq!(got.iterations, expected.iterations, "{ctx}");
+            assert_eq!(got.total_score, expected.total_score, "{ctx}");
+            assert_eq!(got.zero_match_rate.to_bits(), expected.zero_match_rate.to_bits(), "{ctx}");
+            assert_eq!(got.num_clusters, expected.num_clusters, "{ctx}");
+        }
     }
 
     #[test]
@@ -306,14 +558,7 @@ mod tests {
     fn scan_seeds_for_group_recovery() {
         let (sigs, truth) = grouped_signatures(20, 48);
         for seed in 0u64..24 {
-            let result = CompositeKModes::new(KModesConfig {
-                num_clusters: 3,
-                l: 3,
-                max_iters: 15,
-                seed,
-                threads: 1,
-            })
-            .run(&sigs);
+            let result = CompositeKModes::new(config(3, 3, 15, seed)).run(&sigs);
             let purity = crate::quality::cluster_purity(&result.assignments, &truth);
             println!(
                 "seed {seed}: purity {purity:.3} zero_match {:.3}",
@@ -325,90 +570,86 @@ mod tests {
     #[test]
     fn recovers_separated_groups() {
         let (sigs, truth) = grouped_signatures(20, 48);
-        let result = CompositeKModes::new(KModesConfig {
-            num_clusters: 3,
-            l: 3,
-            max_iters: 15,
-            // Calibrated: random init must land one center per group
-            // (~23% of seeds); see scan_seeds_for_group_recovery.
-            seed: 9,
-            threads: 1,
-        })
-        .run(&sigs);
+        // Calibrated: random init must land one center per group (~23% of
+        // seeds); see scan_seeds_for_group_recovery.
+        let result = CompositeKModes::new(config(3, 3, 15, 9)).run(&sigs);
         let purity = crate::quality::cluster_purity(&result.assignments, &truth);
         assert!(purity > 0.9, "purity {purity}");
         assert!(result.zero_match_rate < 0.2);
     }
 
     #[test]
-    fn parallel_run_matches_serial_bitwise() {
+    fn matches_reference_on_sketched_groups() {
         let (sigs, _) = grouped_signatures(20, 48);
-        let base = KModesConfig {
-            num_clusters: 3,
-            l: 3,
-            max_iters: 15,
-            seed: 5,
-            threads: 1,
-        };
-        let serial = CompositeKModes::new(base.clone()).run(&sigs);
-        for threads in [2, 4, 8, 64] {
-            let par = CompositeKModes::new(KModesConfig {
-                threads,
-                ..base.clone()
-            })
-            .run(&sigs);
-            assert_eq!(serial.assignments, par.assignments, "threads={threads}");
-            assert_eq!(serial.total_score, par.total_score, "threads={threads}");
-            assert_eq!(serial.iterations, par.iterations, "threads={threads}");
-            assert_eq!(serial.zero_match_rate, par.zero_match_rate);
+        for seed in [5, 9, 11] {
+            for l in [1, 3, 8] {
+                assert_matches_reference(&config(3, l, 15, seed), &sigs);
+            }
         }
     }
 
     #[test]
+    fn matches_reference_when_shards_actually_spawn() {
+        // 2100 points x 64 attributes clears the shard gate at every
+        // thread count in `assert_matches_reference`; values drawn from a
+        // small pool force ties and shared center entries.
+        let (n, width) = (2100, 64);
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let values: Vec<u64> = (0..n * width)
+            .map(|_| {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                (state >> 33) % 7
+            })
+            .collect();
+        assert!(n * width / MIN_SHARD_CELLS >= 2);
+        assert_matches_reference(&config(6, 2, 4, 3), &SignatureMatrix::new(width, n, values));
+    }
+
+    #[test]
     fn empty_input() {
-        let result = CompositeKModes::new(KModesConfig {
-            num_clusters: 4,
-            l: 2,
-            max_iters: 5,
-            seed: 1,
-            threads: 1,
-        })
-        .run(&[]);
+        let none = SignatureMatrix::new(16, 0, vec![]);
+        let result = CompositeKModes::new(config(4, 2, 5, 1)).run(&none);
         assert!(result.assignments.is_empty());
         assert_eq!(result.iterations, 0);
     }
 
     #[test]
-    fn fewer_points_than_clusters() {
-        let hasher = MinHasher::new(16, 3);
-        let sigs = vec![
-            hasher.sketch(&ItemSet::from_items(vec![1, 2, 3])),
-            hasher.sketch(&ItemSet::from_items(vec![100, 200])),
+    fn degenerate_shapes_are_defined_and_match_the_reference() {
+        let m = |width: usize, rows: &[&[u64]]| {
+            SignatureMatrix::new(width, rows.len(), rows.concat())
+        };
+        let max = u64::MAX;
+        let cases = [
+            // sketch_size = 0: nothing can match.
+            m(0, &[&[], &[], &[]]),
+            // n = 1.
+            m(3, &[&[7, 8, 9]]),
+            // n < K.
+            m(2, &[&[1, 2], &[100, 200]]),
+            // All-empty item sets: every row is the sentinel.
+            m(2, &[&[max, max], &[max, max], &[max, max], &[max, max]]),
+            // Duplicate rows, and L larger than any column's distinct values.
+            m(2, &[&[1, 2], &[1, 2], &[1, 2], &[3, 2], &[3, 2]]),
         ];
-        let result = CompositeKModes::new(KModesConfig {
-            num_clusters: 8,
-            l: 2,
-            max_iters: 5,
-            seed: 2,
-            threads: 1,
-        })
-        .run(&sigs);
-        assert_eq!(result.assignments.len(), 2);
-        assert!(result.assignments.iter().all(|&c| c < 8));
+        for sigs in &cases {
+            for (k, l) in [(1, 1), (3, 2), (8, 64)] {
+                let cfg = config(k, l, 6, 2);
+                assert_matches_reference(&cfg, sigs);
+                let result = CompositeKModes::new(cfg).run(sigs);
+                assert_eq!(result.assignments.len(), sigs.num_rows());
+                assert!(result.assignments.iter().all(|&c| (c as usize) < k));
+            }
+        }
+        let zero_width = CompositeKModes::new(config(3, 2, 6, 2)).run(&cases[0]);
+        assert_eq!(zero_width.assignments, vec![0, 0, 0]);
+        assert_eq!(zero_width.zero_match_rate, 1.0);
     }
 
     #[test]
     fn deterministic_across_runs() {
         let (sigs, _) = grouped_signatures(10, 32);
-        let cfg = KModesConfig {
-            num_clusters: 3,
-            l: 2,
-            max_iters: 10,
-            seed: 9,
-            threads: 1,
-        };
-        let a = CompositeKModes::new(cfg.clone()).run(&sigs);
-        let b = CompositeKModes::new(cfg).run(&sigs);
+        let a = CompositeKModes::new(config(3, 2, 10, 9)).run(&sigs);
+        let b = CompositeKModes::new(config(3, 2, 10, 9)).run(&sigs);
         assert_eq!(a.assignments, b.assignments);
         assert_eq!(a.total_score, b.total_score);
     }
@@ -416,14 +657,7 @@ mod tests {
     #[test]
     fn single_cluster_groups_everything() {
         let (sigs, _) = grouped_signatures(5, 16);
-        let result = CompositeKModes::new(KModesConfig {
-            num_clusters: 1,
-            l: 4,
-            max_iters: 5,
-            seed: 4,
-            threads: 1,
-        })
-        .run(&sigs);
+        let result = CompositeKModes::new(config(1, 4, 5, 4)).run(&sigs);
         assert!(result.assignments.iter().all(|&c| c == 0));
     }
 
@@ -432,36 +666,35 @@ mod tests {
         // More values per attribute can only widen matching; the final
         // objective with larger L should be >= the L=1 objective.
         let (sigs, _) = grouped_signatures(15, 32);
-        let score = |l: usize| {
-            CompositeKModes::new(KModesConfig {
-                num_clusters: 3,
-                l,
-                max_iters: 15,
-                seed: 11,
-            threads: 1,
-            })
-            .run(&sigs)
-            .total_score
-        };
+        let score = |l: usize| CompositeKModes::new(config(3, l, 15, 11)).run(&sigs).total_score;
         assert!(score(4) >= score(1));
     }
 
-    #[test]
-    #[should_panic(expected = "share dimensionality")]
-    fn rejects_mixed_dimensions() {
-        let h1 = MinHasher::new(4, 1);
-        let h2 = MinHasher::new(8, 1);
-        let sigs = vec![
-            h1.sketch(&ItemSet::from_items(vec![1])),
-            h2.sketch(&ItemSet::from_items(vec![1])),
-        ];
-        CompositeKModes::new(KModesConfig {
-            num_clusters: 2,
-            l: 1,
-            max_iters: 2,
-            seed: 0,
-            threads: 1,
-        })
-        .run(&sigs);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random matrices over a tiny value pool: most columns tie on
+        /// counts, many points tie on score, and with K close to n some
+        /// clusters go empty and get re-seeded — the places where the
+        /// tie-break and re-seed rules of the two kernels could part.
+        #[test]
+        fn flat_kernel_equals_hashmap_reference(
+            n in 1usize..40,
+            width in 0usize..7,
+            pool in 1u64..5,
+            k in 1usize..10,
+            l in 1usize..5,
+            max_iters in 1usize..8,
+            seed in any::<u64>(),
+            raw in proptest::collection::vec(any::<u64>(), 40 * 6),
+        ) {
+            // A pool entry of u64::MAX mixes the empty-set sentinel in.
+            let values: Vec<u64> = raw[..n * width]
+                .iter()
+                .map(|v| if v % (pool + 1) == pool { u64::MAX } else { v % pool })
+                .collect();
+            let sigs = SignatureMatrix::new(width, n, values);
+            assert_matches_reference(&config(k, l, max_iters, seed), &sigs);
+        }
     }
 }

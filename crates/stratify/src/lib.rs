@@ -1,13 +1,14 @@
 //! Data stratification via compositeKModes sketch clustering (§III-C).
 //!
 //! The stratifier groups a dataset's records into **strata** of similar
-//! items by clustering their MinHash [`Signature`]s. Plain kModes fails
-//! here: a sketch has few coordinates drawn from an enormous universe, so a
-//! point's chance of matching a single-value-per-attribute center is tiny
-//! (the *zero-match* problem, paper §III-C step 3). The compositeKModes
-//! variant of Wang et al. (ICDE 2013) keeps the **`L` most frequent values
-//! per attribute** in each center, shrinking the zero-match probability
-//! while retaining kModes' convergence guarantee.
+//! items by clustering their MinHash signatures (one [`SignatureMatrix`]
+//! per dataset). Plain kModes fails here: a sketch has few coordinates
+//! drawn from an enormous universe, so a point's chance of matching a
+//! single-value-per-attribute center is tiny (the *zero-match* problem,
+//! paper §III-C step 3). The compositeKModes variant of Wang et al. (ICDE
+//! 2013) keeps the **`L` most frequent values per attribute** in each
+//! center, shrinking the zero-match probability while retaining kModes'
+//! convergence guarantee.
 //!
 //! The resulting [`Stratification`] drives both partitioning layouts
 //! (representative and similar-together, §III-E) and the representative
@@ -20,7 +21,7 @@ pub use kmodes::{CompositeKModes, KModesConfig, KModesResult};
 pub use quality::{cluster_purity, normalized_mutual_information};
 
 use pareto_datagen::Dataset;
-use pareto_sketch::{MinHasher, Signature};
+use pareto_sketch::{MinHasher, SignatureMatrix};
 
 /// End-to-end stratifier configuration.
 #[derive(Debug, Clone)]
@@ -117,29 +118,27 @@ impl Stratifier {
     /// Sketch a dataset's item sets (the first pipeline stage), sharded
     /// across `cfg.threads` workers. Exposed separately so callers can
     /// time sketching and clustering independently.
-    pub fn sketch(&self, dataset: &Dataset) -> Vec<Signature> {
-        let hasher = MinHasher::new(self.cfg.sketch_size, self.cfg.seed);
-        let sets: Vec<&pareto_datagen::ItemSet> =
-            dataset.items.iter().map(|it| &it.items).collect();
-        hasher.sketch_batch_par(&sets, self.cfg.threads)
+    pub fn sketch(&self, dataset: &Dataset) -> SignatureMatrix {
+        let empty = SignatureMatrix::new(self.cfg.sketch_size, 0, Vec::new());
+        self.sketch_append(dataset, &empty)
     }
 
     /// Sketch only the records of `dataset` beyond `prefix` and return the
-    /// full signature vector. Bit-identical to [`Stratifier::sketch`] on
+    /// full signature matrix. Bit-identical to [`Stratifier::sketch`] on
     /// the whole dataset whenever `prefix` equals the sketch of the
-    /// dataset's first `prefix.len()` records under the same config
+    /// dataset's first `prefix.num_rows()` records under the same config
     /// (MinHash is a pure per-record function), which is what lets the
     /// incremental planner reuse a cached sketch after a dataset append.
     ///
     /// # Panics
     /// Panics if `prefix` is longer than the dataset.
-    pub fn sketch_append(&self, dataset: &Dataset, prefix: &[Signature]) -> Vec<Signature> {
+    pub fn sketch_append(&self, dataset: &Dataset, prefix: &SignatureMatrix) -> SignatureMatrix {
         assert!(
-            prefix.len() <= dataset.len(),
+            prefix.num_rows() <= dataset.len(),
             "prefix longer than the dataset"
         );
         let hasher = MinHasher::new(self.cfg.sketch_size, self.cfg.seed);
-        let new_sets: Vec<&pareto_datagen::ItemSet> = dataset.items[prefix.len()..]
+        let new_sets: Vec<&pareto_datagen::ItemSet> = dataset.items[prefix.num_rows()..]
             .iter()
             .map(|it| &it.items)
             .collect();
@@ -148,7 +147,7 @@ impl Stratifier {
 
     /// Cluster pre-computed signatures (useful when the caller also needs
     /// the sketches, e.g. for diagnostics).
-    pub fn stratify_signatures(&self, signatures: &[Signature]) -> Stratification {
+    pub fn stratify_signatures(&self, signatures: &SignatureMatrix) -> Stratification {
         let kcfg = KModesConfig {
             num_clusters: self.cfg.num_strata,
             l: self.cfg.l,
@@ -254,5 +253,30 @@ mod tests {
             z8 <= z1 + 1e-9,
             "larger L must not increase zero-match rate (L=1: {z1}, L=8: {z8})"
         );
+    }
+
+    #[test]
+    fn degenerate_configs_stratify_without_panicking() {
+        let mut ds = small_corpus(5);
+        ds.items.truncate(3);
+        // No hash functions: nothing can match, everything lands in
+        // stratum 0.
+        let st = Stratifier::new(StratifierConfig {
+            sketch_size: 0,
+            num_strata: 4,
+            ..StratifierConfig::default()
+        })
+        .stratify(&ds);
+        assert_eq!(st.sizes(), vec![3, 0, 0, 0]);
+        assert_eq!(st.zero_match_rate, 1.0);
+        // More strata than records, and L beyond any column's values.
+        let st = Stratifier::new(StratifierConfig {
+            num_strata: 8,
+            l: 1000,
+            ..StratifierConfig::default()
+        })
+        .stratify(&ds);
+        assert_eq!(st.num_strata(), 8);
+        assert_eq!(st.sizes().iter().sum::<usize>(), 3);
     }
 }

@@ -81,8 +81,8 @@ proptest! {
             },
             seed,
         );
-        let hasher = pareto_sketch::MinHasher::new(24, seed);
-        let sigs: Vec<_> = ds.items.iter().map(|i| hasher.sketch(&i.items)).collect();
+        let sets: Vec<_> = ds.items.iter().map(|i| &i.items).collect();
+        let sigs = pareto_sketch::MinHasher::new(24, seed).sketch_matrix(&sets, 1);
         let cfg = KModesConfig {
             num_clusters: k,
             l: 2,

@@ -4,11 +4,17 @@
 //! join the frequent `(k−1)`-itemsets into `k`-candidates, prune candidates
 //! with an infrequent subset, and count the survivors against the
 //! transactions. The returned `ops` tally counts every transaction-item
-//! touch and every candidate containment probe — the quantity that actually
-//! drives runtime ("the total number of candidate patterns represents the
-//! search space", paper §I).
-
-use std::collections::HashMap;
+//! touch and every candidate containment probe of that textbook
+//! formulation — the quantity that actually drives runtime ("the total
+//! number of candidate patterns represents the search space", paper §I).
+//!
+//! `ops` is the **cost model** the simulated cluster turns into node time
+//! and the LP's time models are fitted on; it is deliberately independent
+//! of how fast this process arrives at the answer. Internally itemsets are
+//! flat rows of dense item ranks and support is counted vertically — one
+//! transaction bitset per item, a candidate's support being the popcount
+//! of its items' AND — while every tally keeps the closed form of the
+//! horizontal scan it replaces (`n · Σ|candidate|` for a counting pass).
 
 use pareto_datagen::ItemSet;
 
@@ -149,7 +155,217 @@ impl Apriori {
         }
         let minsup = self.abs_support(n);
 
-        // --- L1: singleton counts ---
+        // --- L1: singleton counts, as runs of the sorted item stream
+        // (a stable sort merges the already-sorted transactions) ---
+        let mut stream: Vec<u64> = Vec::new();
+        for t in transactions {
+            ops += t.len() as u64;
+            stream.extend_from_slice(t.as_slice());
+        }
+        stream.sort();
+        let mut items = Vec::new();
+        let mut start = 0;
+        while start < stream.len() {
+            let item = stream[start];
+            let count = stream[start..].partition_point(|&x| x == item);
+            if count as u32 >= minsup {
+                items.push(item);
+                out.itemsets.push(FrequentItemset {
+                    items: vec![item],
+                    count: count as u32,
+                });
+            }
+            start += count;
+        }
+        out.candidates_generated += items.len() as u64;
+
+        // --- Level-wise loop over rows of item ranks (rank order is item
+        // order, so rows sort exactly as the itemsets they stand for) ---
+        let index = ItemBitsets::build(items, transactions);
+        let mut level: Vec<u32> = (0..index.items.len() as u32).collect();
+        let mut k = 2;
+        while !level.is_empty() && k <= self.cfg.max_len {
+            let (candidates, gen_ops) = self.generate_candidates(&level, k - 1);
+            ops += gen_ops;
+            out.candidates_generated += (candidates.len() / k) as u64;
+            if candidates.is_empty() {
+                break;
+            }
+            ops += (n * candidates.len()) as u64;
+            level.clear();
+            for cand in candidates.chunks_exact(k) {
+                let count = index.support(cand);
+                if count >= minsup {
+                    level.extend_from_slice(cand);
+                    out.itemsets.push(FrequentItemset {
+                        items: cand.iter().map(|&r| index.items[r as usize]).collect(),
+                        count,
+                    });
+                }
+            }
+            k += 1;
+        }
+        out.itemsets
+            .sort_by(|a, b| (a.items.len(), &a.items).cmp(&(b.items.len(), &b.items)));
+        (out, ops)
+    }
+
+    /// Join step + prune step over the sorted `(k−1)`-level, whose rows
+    /// are `width` ranks each. Returns the candidate rows (`width + 1`
+    /// ranks each, sorted) and the op tally.
+    fn generate_candidates(&self, level: &[u32], width: usize) -> (Vec<u32>, u64) {
+        let mut ops = 0u64;
+        let mut candidates = Vec::new();
+        let rows: Vec<&[u32]> = level.chunks_exact(width).collect();
+        let k = width + 1;
+        // One subset probe: a binary search of `k`-item compares.
+        let probe_ops = k as u64 * (rows.len() as f64).log2().ceil() as u64;
+        let mut cand = vec![0u32; k];
+        let mut subset = vec![0u32; width - 1];
+        let mut siblings = vec![0..0; k - 2];
+        // Join: pairs sharing the first k-2 items (the level is sorted, so
+        // joinable sets are adjacent runs).
+        let mut start = 0;
+        while start < rows.len() {
+            let prefix = &rows[start][..width - 1];
+            let run_len = rows[start..].partition_point(|r| r[..width - 1] == *prefix);
+            let run = &rows[start..start + run_len];
+            start += run.len();
+            for (i, first) in run.iter().enumerate() {
+                cand[..width].copy_from_slice(first);
+                // Prune: all (k−1)-subsets must be frequent. The two the
+                // join came from are by construction; check the rest
+                // (drop positions 0..k-2). Such a subset is `first` minus
+                // the dropped position, then `second`'s last item — so for
+                // one `first` and position, every probe lands in the same
+                // run of the level. Find the run once; `second`s ascend,
+                // so a cursor walks it.
+                for (drop, sibling) in siblings.iter_mut().enumerate() {
+                    subset[..drop].copy_from_slice(&first[..drop]);
+                    subset[drop..].copy_from_slice(&first[drop + 1..]);
+                    let lo = rows.partition_point(|r| r[..width - 1] < subset[..]);
+                    let len = rows[lo..].partition_point(|r| r[..width - 1] == subset[..]);
+                    *sibling = lo..lo + len;
+                }
+                for second in &run[i + 1..] {
+                    ops += width as u64;
+                    let last = second[width - 1];
+                    cand[width] = last;
+                    let frequent = siblings.iter_mut().all(|sibling| {
+                        ops += probe_ops;
+                        while sibling.start < sibling.end && rows[sibling.start][width - 1] < last {
+                            sibling.start += 1;
+                        }
+                        sibling.start < sibling.end && rows[sibling.start][width - 1] == last
+                    });
+                    if frequent {
+                        candidates.extend_from_slice(&cand);
+                        if self.cfg.max_candidates > 0
+                            && candidates.len() >= self.cfg.max_candidates * k
+                        {
+                            return (candidates, ops);
+                        }
+                    }
+                }
+            }
+        }
+        (candidates, ops)
+    }
+}
+
+/// The vertical view of a transaction list: for each tracked item, the
+/// set of transactions holding it as a bitset over transaction indices.
+struct ItemBitsets {
+    /// The tracked items, strictly increasing; an item's position is its
+    /// rank.
+    items: Vec<u64>,
+    /// `u64` words per bitset.
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl ItemBitsets {
+    fn build(items: Vec<u64>, transactions: &[&ItemSet]) -> ItemBitsets {
+        let words = transactions.len().div_ceil(64);
+        let mut bits = vec![0u64; items.len() * words];
+        for (tid, t) in transactions.iter().enumerate() {
+            // Both lists are sorted: search onward from the last hit.
+            let mut rank = 0;
+            for item in t.iter() {
+                rank += items[rank..].partition_point(|&tracked| tracked < item);
+                if items.get(rank) == Some(&item) {
+                    bits[rank * words + tid / 64] |= 1 << (tid % 64);
+                }
+            }
+        }
+        ItemBitsets { items, words, bits }
+    }
+
+    /// Number of transactions holding every item of `ranks` (which must
+    /// not be empty).
+    fn support(&self, ranks: &[u32]) -> u32 {
+        let row = |rank: u32| &self.bits[rank as usize * self.words..][..self.words];
+        let (first, rest) = ranks.split_first().expect("a candidate has items");
+        let mut count = 0;
+        for (w, &word) in row(*first).iter().enumerate() {
+            count += rest.iter().fold(word, |acc, &rank| acc & row(rank)[w]).count_ones();
+        }
+        count
+    }
+}
+
+/// Count how many transactions contain each candidate. Returns per-
+/// candidate counts and the op tally (one op per item comparison of a
+/// transaction-by-candidate scan: `transactions · Σ|candidate|`).
+///
+/// A candidate naming an item no transaction holds counts 0; the empty
+/// candidate is contained in every transaction.
+pub fn count_candidates(candidates: &[Vec<u64>], transactions: &[&ItemSet]) -> (Vec<u32>, u64) {
+    let mut items: Vec<u64> = candidates.iter().flatten().copied().collect();
+    items.sort_unstable();
+    items.dedup();
+    let index = ItemBitsets::build(items, transactions);
+    let mut ranks = Vec::new();
+    let counts = candidates
+        .iter()
+        .map(|cand| {
+            if cand.is_empty() {
+                return transactions.len() as u32;
+            }
+            ranks.clear();
+            ranks.extend(cand.iter().map(|item| {
+                index.items.binary_search(item).expect("every candidate item is tracked") as u32
+            }));
+            index.support(&ranks)
+        })
+        .collect();
+    let cand_items: usize = candidates.iter().map(Vec::len).sum();
+    (counts, (transactions.len() * cand_items) as u64)
+}
+
+#[cfg(test)]
+mod reference {
+    //! The retired horizontal implementation — a `HashMap` singleton
+    //! count, one heap `Vec` per candidate, and a transaction × candidate
+    //! containment scan — kept as the independent oracle for both the
+    //! mined itemsets and the `ops` tally, which it defines.
+
+    use std::collections::HashMap;
+
+    use super::*;
+
+    pub fn mine(cfg: &AprioriConfig, transactions: &[&ItemSet]) -> (MiningOutput, u64) {
+        let n = transactions.len();
+        let mut ops: u64 = 0;
+        let mut out = MiningOutput {
+            num_transactions: n,
+            ..MiningOutput::default()
+        };
+        if n == 0 {
+            return (out, ops);
+        }
+        let minsup = Apriori::new(*cfg).abs_support(n);
+
         let mut counts: HashMap<u64, u32> = HashMap::new();
         for t in transactions {
             ops += t.len() as u64;
@@ -171,10 +387,9 @@ impl Apriori {
         let mut level: Vec<Vec<u64>> = frequent.iter().map(|f| f.items.clone()).collect();
         out.itemsets.append(&mut frequent);
 
-        // --- Level-wise loop ---
         let mut k = 2;
-        while !level.is_empty() && k <= self.cfg.max_len {
-            let (candidates, gen_ops) = self.generate_candidates(&level);
+        while !level.is_empty() && k <= cfg.max_len {
+            let (candidates, gen_ops) = generate_candidates(cfg, &level);
             ops += gen_ops;
             out.candidates_generated += candidates.len() as u64;
             if candidates.is_empty() {
@@ -182,16 +397,13 @@ impl Apriori {
             }
             let (counted, count_ops) = count_candidates(&candidates, transactions);
             ops += count_ops;
-            let mut next_level = Vec::new();
-            let mut next_frequent = Vec::new();
+            level = Vec::new();
             for (cand, count) in candidates.into_iter().zip(counted) {
                 if count >= minsup {
-                    next_level.push(cand.clone());
-                    next_frequent.push(FrequentItemset { items: cand, count });
+                    level.push(cand.clone());
+                    out.itemsets.push(FrequentItemset { items: cand, count });
                 }
             }
-            out.itemsets.extend(next_frequent);
-            level = next_level;
             k += 1;
         }
         out.itemsets
@@ -199,16 +411,13 @@ impl Apriori {
         (out, ops)
     }
 
-    /// Join step + prune step over the sorted `(k−1)`-level.
-    fn generate_candidates(&self, level: &[Vec<u64>]) -> (Vec<Vec<u64>>, u64) {
+    fn generate_candidates(cfg: &AprioriConfig, level: &[Vec<u64>]) -> (Vec<Vec<u64>>, u64) {
         let mut ops = 0u64;
         let mut candidates = Vec::new();
         let k_minus_1 = match level.first() {
             Some(first) => first.len(),
             None => return (candidates, ops),
         };
-        // Join: pairs sharing the first k-2 items (level is sorted, so
-        // joinable sets are adjacent runs).
         let mut start = 0;
         while start < level.len() {
             let mut end = start + 1;
@@ -222,12 +431,9 @@ impl Apriori {
                     ops += k_minus_1 as u64;
                     let mut cand = level[i].clone();
                     cand.push(level[j][k_minus_1 - 1]);
-                    // Prune: all (k−1)-subsets must be frequent.
-                    if self.all_subsets_frequent(&cand, level, &mut ops) {
+                    if all_subsets_frequent(&cand, level, &mut ops) {
                         candidates.push(cand);
-                        if self.cfg.max_candidates > 0
-                            && candidates.len() >= self.cfg.max_candidates
-                        {
+                        if cfg.max_candidates > 0 && candidates.len() >= cfg.max_candidates {
                             return (candidates, ops);
                         }
                     }
@@ -238,20 +444,16 @@ impl Apriori {
         (candidates, ops)
     }
 
-    fn all_subsets_frequent(&self, cand: &[u64], level: &[Vec<u64>], ops: &mut u64) -> bool {
-        // The two subsets from the join are frequent by construction; check
-        // the rest (drop positions 0..k-2).
+    fn all_subsets_frequent(cand: &[u64], level: &[Vec<u64>], ops: &mut u64) -> bool {
         let k = cand.len();
         let mut subset = Vec::with_capacity(k - 1);
         for drop in 0..k - 2 {
             subset.clear();
-            subset.extend(cand.iter().enumerate().filter_map(|(i, &v)| {
-                if i == drop {
-                    None
-                } else {
-                    Some(v)
-                }
-            }));
+            subset.extend(
+                cand.iter()
+                    .enumerate()
+                    .filter_map(|(i, &v)| if i == drop { None } else { Some(v) }),
+            );
             *ops += (k as u64) * (level.len() as f64).log2().ceil() as u64;
             if level.binary_search_by(|probe| probe.as_slice().cmp(&subset)).is_err() {
                 return false;
@@ -259,22 +461,23 @@ impl Apriori {
         }
         true
     }
-}
 
-/// Count how many transactions contain each candidate. Returns per-
-/// candidate counts and the op tally (one op per item comparison).
-pub fn count_candidates(candidates: &[Vec<u64>], transactions: &[&ItemSet]) -> (Vec<u32>, u64) {
-    let mut counts = vec![0u32; candidates.len()];
-    let mut ops = 0u64;
-    for t in transactions {
-        for (ci, cand) in candidates.iter().enumerate() {
-            ops += cand.len() as u64;
-            if cand.iter().all(|&item| t.contains(item)) {
-                counts[ci] += 1;
+    pub fn count_candidates(
+        candidates: &[Vec<u64>],
+        transactions: &[&ItemSet],
+    ) -> (Vec<u32>, u64) {
+        let mut counts = vec![0u32; candidates.len()];
+        let mut ops = 0u64;
+        for t in transactions {
+            for (ci, cand) in candidates.iter().enumerate() {
+                ops += cand.len() as u64;
+                if cand.iter().all(|&item| t.contains(item)) {
+                    counts[ci] += 1;
+                }
             }
         }
+        (counts, ops)
     }
-    (counts, ops)
 }
 
 #[cfg(test)]
@@ -471,5 +674,118 @@ mod tests {
         let (out_mix, ops_mix) = miner.mine(&refs(&mixed));
         assert!(out_sim.candidates_generated > out_mix.candidates_generated);
         assert!(ops_sim > ops_mix);
+    }
+
+    /// A database of `n` transactions where item `i` sits in the
+    /// transactions whose index has bit `i % 8` set, plus a rare item.
+    fn striped_db(n: usize) -> Vec<ItemSet> {
+        (0..n)
+            .map(|t| {
+                let mut items: Vec<u64> = (0..8).filter(|b| t >> b & 1 == 1).collect();
+                if t % 7 == 0 {
+                    items.push(100);
+                }
+                ItemSet::from_items(items)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bitset_counter_matches_the_scan_across_word_boundaries() {
+        let cands = vec![
+            vec![0],
+            vec![0, 1],
+            vec![1, 2, 5],
+            vec![100],
+            vec![7, 100],
+            // An item no transaction holds, alone and in company.
+            vec![55],
+            vec![0, 55],
+            // The empty candidate is contained in everything.
+            vec![],
+            // Unsorted and repeated items are still a conjunction.
+            vec![3, 1, 3],
+        ];
+        for n in [0, 1, 63, 64, 65, 200] {
+            let db = striped_db(n);
+            let got = count_candidates(&cands, &refs(&db));
+            assert_eq!(got, reference::count_candidates(&cands, &refs(&db)), "n = {n}");
+            assert_eq!(got.1, n as u64 * 15, "n = {n}: ops is n x total candidate items");
+        }
+        // No candidates at all.
+        assert_eq!(count_candidates(&[], &refs(&striped_db(5))), (vec![], 0));
+    }
+
+    #[test]
+    fn mine_matches_reference_itemsets_and_ops_on_fixed_databases() {
+        let dense: Vec<ItemSet> = (0..60u64)
+            .map(|i| ItemSet::from_items(vec![1, 2, 3, 4 + (i % 6), 20 + (i % 9), 40 + (i % 4)]))
+            .collect();
+        for db in [classic_db(), striped_db(65), striped_db(200), dense] {
+            for (min_support, max_len, max_candidates) in
+                [(0.5, 4, 200_000), (0.05, 6, 0), (0.2, 3, 0), (0.1, 5, 7), (1.0, 2, 1)]
+            {
+                let cfg = AprioriConfig {
+                    min_support,
+                    max_len,
+                    max_candidates,
+                };
+                let (got, got_ops) = Apriori::new(cfg).mine(&refs(&db));
+                let (want, want_ops) = reference::mine(&cfg, &refs(&db));
+                assert_eq!(got.itemsets, want.itemsets, "{cfg:?}");
+                assert_eq!(got.candidates_generated, want.candidates_generated, "{cfg:?}");
+                assert_eq!(got_ops, want_ops, "{cfg:?}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The bitset counter against the transaction-by-candidate scan on
+        /// random databases and candidate lists, counts and ops.
+        #[test]
+        fn counter_equals_scan(
+            raw in proptest::collection::vec(proptest::collection::vec(0u64..12, 0..8), 0..140),
+            cands in proptest::collection::vec(proptest::collection::vec(0u64..14, 0..5), 0..24),
+        ) {
+            let db: Vec<ItemSet> = raw.into_iter().map(ItemSet::from_items).collect();
+            proptest::prop_assert_eq!(
+                count_candidates(&cands, &refs(&db)),
+                reference::count_candidates(&cands, &refs(&db))
+            );
+        }
+
+        /// The flat miner against the retired one: same itemsets, same
+        /// candidate count, and the same `ops` to the unit — with the
+        /// candidate cap binding on some cases — and against Eclat, which
+        /// shares no code with either.
+        #[test]
+        fn mine_equals_reference_and_eclat(
+            raw in proptest::collection::vec(proptest::collection::vec(0u64..10, 0..7), 1..80),
+            support_pct in 1u32..=100,
+            max_len in 1usize..7,
+            max_candidates in 0usize..40,
+        ) {
+            let db: Vec<ItemSet> = raw.into_iter().map(ItemSet::from_items).collect();
+            let cfg = AprioriConfig {
+                min_support: support_pct as f64 / 100.0,
+                max_len,
+                max_candidates,
+            };
+            let (got, got_ops) = Apriori::new(cfg).mine(&refs(&db));
+            let (want, want_ops) = reference::mine(&cfg, &refs(&db));
+            proptest::prop_assert_eq!(&got.itemsets, &want.itemsets);
+            proptest::prop_assert_eq!(got.candidates_generated, want.candidates_generated);
+            proptest::prop_assert_eq!(got_ops, want_ops);
+            if max_candidates == 0 {
+                let (eclat, _) = crate::eclat::Eclat::new(crate::eclat::EclatConfig {
+                    min_support: cfg.min_support,
+                    max_len,
+                })
+                .mine(&refs(&db));
+                proptest::prop_assert_eq!(&got.itemsets, &eclat.itemsets);
+            }
+        }
     }
 }

@@ -103,7 +103,7 @@ fn plan_is_bit_identical_with_telemetry_on() {
         let on = plan_with(2017, threads, Some(tel.clone()));
         assert_plans_bit_identical(&off, &on, &format!("threads {threads}"));
         let snap = tel.snapshot();
-        for stage in ["plan", "sketch", "stratify", "profile", "optimize"] {
+        for stage in ["plan", "sketch", "stratify", "profile", "optimize", "partition"] {
             assert!(
                 snap.spans.iter().any(|s| s.name == stage),
                 "threads {threads}: no {stage:?} span recorded"
