@@ -57,7 +57,7 @@ fn bench_strategies(
             |b, &strategy| {
                 b.iter(|| {
                     let fw = Framework::new(&cluster, cfg(strategy, layout));
-                    let out = fw.run(dataset, workload);
+                    let out = fw.try_run(dataset, workload).expect("non-empty dataset");
                     black_box(out.report.makespan_seconds)
                 })
             },
@@ -137,12 +137,13 @@ fn fig56_frontier_point(c: &mut Criterion) {
                     PartitionLayout::Representative,
                 ),
             );
-            let out = fw.run(
+            let out = fw.try_run(
                 &ds,
                 WorkloadKind::FrequentPatterns {
                     support: BENCH_TEXT_SUPPORT,
                 },
-            );
+            )
+            .expect("non-empty dataset");
             black_box(out.report.total_dirty_linear)
         })
     });

@@ -26,7 +26,7 @@ fn sweep_alphas(n: usize) -> Vec<f64> {
     (0..n).map(|i| 1.0 - i as f64 / (n - 1) as f64).collect()
 }
 
-/// Cold α sweep (fresh `Framework::plan` per α) vs warm sweep (one
+/// Cold α sweep (fresh `Framework::try_plan` per α) vs warm sweep (one
 /// `PlanSession`, sketch/stratify/profile computed once).
 fn alpha_sweep(c: &mut Criterion) {
     let ds = pareto_datagen::rcv1_syn(SEED, 0.5);
@@ -46,7 +46,8 @@ fn alpha_sweep(c: &mut Criterion) {
                         ..cfg(1)
                     },
                 )
-                .plan(&ds, WORKLOAD);
+                .try_plan(&ds, WORKLOAD)
+                .expect("non-empty dataset");
                 total += plan.sizes.iter().sum::<usize>();
             }
             black_box(total)

@@ -1,6 +1,6 @@
 //! LP warm-starting benches: what re-seeding the previous optimal basis
-//! buys on the two hot re-solve paths — the α sweep (`solve_warm` chained
-//! point to point) and the adaptive frontier explorer (each bisection
+//! buys on the two hot re-solve paths — the α sweep (`solve` chained basis to
+//! basis, point to point) and the adaptive frontier explorer (each bisection
 //! midpoint seeded from its interval endpoint). Cold solves are the
 //! reference; warm results are bit-identical by the solver's contract, so
 //! these measure pure pivot savings.
@@ -41,7 +41,7 @@ fn sweep_alphas(n: usize) -> Vec<f64> {
 }
 
 /// Cold sweep (every α solved from scratch) vs warm sweep (basis chained
-/// α to α through `solve_warm`).
+/// α to α through `solve`).
 fn lp_warm_sweep(c: &mut Criterion) {
     let m = modeler();
     let alphas = sweep_alphas(33);
@@ -52,7 +52,7 @@ fn lp_warm_sweep(c: &mut Criterion) {
         b.iter(|| {
             let mut total = 0usize;
             for &alpha in &alphas {
-                let p = m.solve(n, alpha).expect("solve");
+                let p = m.solve(n, alpha, None).expect("solve").point;
                 total += p.sizes.iter().sum::<usize>();
             }
             black_box(total)
@@ -63,7 +63,7 @@ fn lp_warm_sweep(c: &mut Criterion) {
             let mut total = 0usize;
             let mut basis = None;
             for &alpha in &alphas {
-                let solved = m.solve_warm(n, alpha, basis.as_ref()).expect("solve");
+                let solved = m.solve(n, alpha, basis.as_ref()).expect("solve");
                 total += solved.point.sizes.iter().sum::<usize>();
                 basis = solved.basis;
             }

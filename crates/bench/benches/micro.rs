@@ -71,8 +71,9 @@ fn bench_parallel_planning(c: &mut Criterion) {
                     },
                 );
                 b.iter(|| {
-                    let plan =
-                        fw.plan(&ds, WorkloadKind::FrequentPatterns { support: 0.1 });
+                    let plan = fw
+                        .try_plan(&ds, WorkloadKind::FrequentPatterns { support: 0.1 })
+                        .expect("non-empty dataset");
                     black_box(plan.sizes.len())
                 })
             },

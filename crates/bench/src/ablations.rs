@@ -288,8 +288,8 @@ pub fn normalized_alpha_ablation(st: ExpSettings) -> Table {
         &["alpha", "raw_time_s", "raw_dirty_kJ", "norm_time_s", "norm_dirty_kJ"],
     );
     for alpha in [1.0, 0.75, 0.5, 0.25, 0.0] {
-        let raw = modeler.solve(ds.len(), alpha).expect("feasible");
-        let norm = modeler.solve_normalized(ds.len(), alpha).expect("feasible");
+        let raw = modeler.solve(ds.len(), alpha, None).expect("feasible").point;
+        let norm = modeler.solve_normalized(ds.len(), alpha, None).expect("feasible").point;
         t.row(vec![
             format!("{alpha}"),
             format!("{:.2}", raw.predicted_makespan),
@@ -337,7 +337,7 @@ pub fn forecast_error_ablation(st: ExpSettings) -> Table {
     let alpha = 0.995;
     let truth_modeler =
         ParetoModeler::new(fits.clone(), true_profiles.clone()).expect("aligned");
-    let oracle = truth_modeler.solve(n_records, alpha).expect("feasible");
+    let oracle = truth_modeler.solve(n_records, alpha, None).expect("feasible").point;
     // Regret is measured on the scalarized objective the planner actually
     // optimizes — the oracle is optimal for it by construction, so regret
     // is guaranteed non-negative (dirty energy alone could accidentally
@@ -366,7 +366,7 @@ pub fn forecast_error_ablation(st: ExpSettings) -> Table {
             })
             .collect();
         let planner = ParetoModeler::new(fits.clone(), forecast).expect("aligned");
-        let plan = planner.solve(n_records, alpha).expect("feasible");
+        let plan = planner.solve(n_records, alpha, None).expect("feasible").point;
         // Evaluate the (mis)informed plan under the true profiles.
         let actual_dirty = truth_modeler.predicted_dirty(&plan.fractional_sizes);
         let makespan = truth_modeler
@@ -432,8 +432,8 @@ pub fn supply_topology_ablation(st: ExpSettings) -> Table {
             })
             .collect();
         let modeler = ParetoModeler::new(fits, profiles).expect("aligned");
-        let fast = modeler.solve(100_000, 1.0).expect("feasible");
-        let green = modeler.solve(100_000, 0.995).expect("feasible");
+        let fast = modeler.solve(100_000, 1.0, None).expect("feasible").point;
+        let green = modeler.solve(100_000, 0.995, None).expect("feasible").point;
         let d1 = modeler.predicted_dirty(&fast.fractional_sizes);
         let d995 = modeler.predicted_dirty(&green.fractional_sizes);
         t.row(vec![

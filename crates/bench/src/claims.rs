@@ -9,7 +9,7 @@
 
 use pareto_cluster::FaultPlan;
 use pareto_core::framework::{Framework, FrameworkConfig, Strategy};
-use pareto_core::frontier::{explore, pareto_frontier, FrontierConfig, ModelerSolver};
+use pareto_core::frontier::{explore, hypervolume, pareto_frontier, FrontierConfig, ModelerSolver};
 use pareto_core::pareto::ParetoModeler;
 use pareto_core::partitioner::PartitionLayout;
 use pareto_core::RecoveryConfig;
@@ -170,10 +170,10 @@ pub fn check_claims(st: ExpSettings) -> Vec<ClaimResult> {
 
     // --- C7: the measured sweep points are mutually non-dominated. ---
     let points = vec![
-        (het.makespan_s, het.dirty_linear_j),
-        (green.makespan_s, green.dirty_linear_j),
+        vec![het.makespan_s, het.dirty_linear_j],
+        vec![green.makespan_s, green.dirty_linear_j],
     ];
-    let keep = ParetoModeler::pareto_filter(&points);
+    let keep = pareto_frontier(&points);
     results.push(ClaimResult {
         id: "C7",
         claim: "swept alpha points are mutually non-dominated",
@@ -195,7 +195,9 @@ pub fn check_claims(st: ExpSettings) -> Vec<ClaimResult> {
         },
     );
     let rcfg = RecoveryConfig::default();
-    let clean = fw.run_with_faults(&text, mine, &FaultPlan::none(), &rcfg);
+    let clean = fw
+        .try_run_with_faults(&text, mine, &FaultPlan::none(), &rcfg)
+        .expect("non-empty dataset, valid config");
     // Crash the longest-working node 40% into its own busy time so the
     // crash is guaranteed to land mid-work (a wall-clock fraction can miss
     // a fast node that drained its partition early).
@@ -209,7 +211,9 @@ pub fn check_claims(st: ExpSettings) -> Vec<ClaimResult> {
         .max_by(|a, b| a.1.total_cmp(&b.1))
         .expect("non-empty cluster");
     let tc = victim_busy * 0.4;
-    let crashed = fw.run_with_faults(&text, mine, &FaultPlan::new().with_crash(victim, tc), &rcfg);
+    let crashed = fw
+        .try_run_with_faults(&text, mine, &FaultPlan::new().with_crash(victim, tc), &rcfg)
+        .expect("non-empty dataset, valid config");
     let rec = &crashed.outcome.recovery;
     let on_dead = crashed
         .outcome
@@ -240,7 +244,7 @@ pub fn check_claims(st: ExpSettings) -> Vec<ClaimResult> {
     // fixed α grid of the Fig.-5 sweep: no dominated points, at least the
     // fixed grid's hypervolume, and fewer LP solves than a uniform grid at
     // the same resolution. ---
-    let plan = fw.plan(&text, mine);
+    let plan = fw.try_plan(&text, mine).expect("non-empty dataset");
     let fits: Vec<_> = plan
         .time_models
         .as_ref()
@@ -271,10 +275,11 @@ pub fn check_claims(st: ExpSettings) -> Vec<ClaimResult> {
     let fixed_pts: Vec<(f64, f64)> = modeler
         .frontier(n, &fixed_grid)
         .expect("fixed sweep")
+        .0
         .iter()
         .map(|p| (p.predicted_makespan, p.predicted_dirty_joules))
         .collect();
-    let hv_fixed = ParetoModeler::hypervolume(&fixed_pts, adaptive.baseline);
+    let hv_fixed = hypervolume(&fixed_pts, adaptive.baseline);
     let hv_adaptive = adaptive.hypervolume_vs_baseline();
     // (c) fewer LP solves than a uniform grid at the adaptive run's own
     // finest resolution.

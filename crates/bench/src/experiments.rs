@@ -138,7 +138,7 @@ pub fn run_strategy(
         &cluster,
         framework_config(strategy, layout, st.seed, st.threads),
     );
-    let outcome = fw.run(dataset, workload);
+    let outcome = fw.try_run(dataset, workload).expect("non-empty dataset");
     let (ratio, candidates, frequent) = match &outcome.quality {
         Quality::Compression { ratio, .. } => (Some(*ratio), None, None),
         Quality::Mining {
@@ -380,7 +380,7 @@ pub fn table3(st: ExpSettings) -> (Table, Vec<StrategyRow>) {
 /// Thread counts swept by the planning-throughput experiment.
 pub const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
-/// Planning-throughput curve: per-stage wall-clock of `Framework::plan`
+/// Planning-throughput curve: per-stage wall-clock of `Framework::try_plan`
 /// (sketch / stratify / profile / optimize / partition) at each thread
 /// count, plus the total-time speedup relative to the first entry
 /// (conventionally serial).
@@ -414,12 +414,13 @@ pub fn planning_speedup(st: ExpSettings, thread_counts: &[usize]) -> Table {
             st.seed,
             threads,
         );
-        let plan = Framework::new(&cluster, cfg).plan(
+        let plan = Framework::new(&cluster, cfg).try_plan(
             &ds,
             WorkloadKind::FrequentPatterns {
                 support: TEXT_SUPPORT,
             },
-        );
+        )
+        .expect("non-empty dataset");
         let t = plan.timings;
         let (base_total, base_sizes) =
             baseline.get_or_insert_with(|| (t.total_s, plan.sizes.clone()));
@@ -446,7 +447,7 @@ pub fn planning_speedup(st: ExpSettings, thread_counts: &[usize]) -> Table {
     table
 }
 
-/// Incremental replanning amortization: a fresh cold `Framework::plan`
+/// Incremental replanning amortization: a fresh cold `Framework::try_plan`
 /// per α against one warm [`PlanSession`] sweeping the same α values.
 /// The warm session pays for sketch/stratify/profile once and reruns only
 /// the LP + partitioning per α, so its per-α cost collapses to the
@@ -476,7 +477,9 @@ pub fn replan_amortization(st: ExpSettings) -> Table {
             strategy: Strategy::HetEnergyAware { alpha },
             ..cfg.clone()
         };
-        let cold = Framework::new(&cluster, cold_cfg).plan(&ds, workload);
+        let cold = Framework::new(&cluster, cold_cfg)
+            .try_plan(&ds, workload)
+            .expect("non-empty dataset");
         session.set_alpha(alpha);
         let warm = session.plan().expect("warm sweep plan");
         assert_eq!(
@@ -683,7 +686,9 @@ pub fn faults_experiment(st: ExpSettings) -> Table {
     );
     let fw = Framework::new(&cluster, cfg);
     let rcfg = RecoveryConfig::default();
-    let clean = fw.run_with_faults(&ds, workload, &FaultPlan::none(), &rcfg);
+    let clean = fw
+        .try_run_with_faults(&ds, workload, &FaultPlan::none(), &rcfg)
+        .expect("non-empty dataset, valid config");
     // Crash the node that works longest, 40% into its own busy time —
     // crashing by wall clock can miss entirely (a fast node may already
     // have drained its partition while a slow one still dominates the
@@ -735,7 +740,9 @@ pub fn faults_experiment(st: ExpSettings) -> Table {
         ],
     );
     for (name, plan) in scenarios {
-        let out = fw.run_with_faults(&ds, workload, &plan, &rcfg);
+        let out = fw
+            .try_run_with_faults(&ds, workload, &plan, &rcfg)
+            .expect("non-empty dataset, valid config");
         let rec = &out.outcome.recovery;
         assert!(
             rec.exactly_once,
@@ -794,7 +801,9 @@ pub fn telemetry_overhead(st: ExpSettings) -> Table {
 
     // Same crash placement as `faults_experiment`: the longest-working
     // node, 40% into its own busy time.
-    let clean = fw_off.run_with_faults(&ds, workload, &FaultPlan::none(), &rcfg);
+    let clean = fw_off
+        .try_run_with_faults(&ds, workload, &FaultPlan::none(), &rcfg)
+        .expect("non-empty dataset, valid config");
     let (victim, victim_busy) = clean
         .outcome
         .report
@@ -807,10 +816,10 @@ pub fn telemetry_overhead(st: ExpSettings) -> Table {
     let faults = FaultPlan::new().with_crash(victim, victim_busy * 0.4);
 
     let t = Instant::now();
-    let plan_off = fw_off.plan(&ds, workload);
+    let plan_off = fw_off.try_plan(&ds, workload).expect("non-empty dataset");
     let plan_off_ms = t.elapsed().as_secs_f64() * 1e3;
     let t = Instant::now();
-    let plan_on = fw_on.plan(&ds, workload);
+    let plan_on = fw_on.try_plan(&ds, workload).expect("non-empty dataset");
     let plan_on_ms = t.elapsed().as_secs_f64() * 1e3;
     assert_eq!(
         plan_off.partitions, plan_on.partitions,
@@ -819,10 +828,14 @@ pub fn telemetry_overhead(st: ExpSettings) -> Table {
     let after_plan = tel.snapshot();
 
     let t = Instant::now();
-    let run_off = fw_off.run_with_faults(&ds, workload, &faults, &rcfg);
+    let run_off = fw_off
+        .try_run_with_faults(&ds, workload, &faults, &rcfg)
+        .expect("non-empty dataset, valid config");
     let run_off_ms = t.elapsed().as_secs_f64() * 1e3;
     let t = Instant::now();
-    let run_on = fw_on.run_with_faults(&ds, workload, &faults, &rcfg);
+    let run_on = fw_on
+        .try_run_with_faults(&ds, workload, &faults, &rcfg)
+        .expect("non-empty dataset, valid config");
     let run_on_ms = t.elapsed().as_secs_f64() * 1e3;
     assert_eq!(
         run_off.outcome.recovery, run_on.outcome.recovery,

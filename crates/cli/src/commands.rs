@@ -9,7 +9,8 @@ use pareto_cluster::{Durability, FaultPlan, FaultSpec, NodeSpec, SimCluster};
 use pareto_core::framework::{DurabilityReport, Framework, FrameworkConfig, Quality, Strategy};
 use pareto_core::frontier::{FrontierConfig, FrontierResult, ObjectiveSet};
 use pareto_core::{
-    advise_join, run_chaos, ChaosConfig, ElasticPlan, ElasticSpec, JoinAdvice, RecoveryConfig,
+    advise_join, run_chaos, ChaosConfig, ElasticPlan, ElasticSpec, JoinAdvice, ParetoModeler,
+    RecoveryConfig,
 };
 use pareto_core::PlanSession;
 use pareto_datagen::{loaders, writers, DataKind, Dataset};
@@ -285,7 +286,9 @@ fn partition(common: &Common, out: &Path) -> Result<(), String> {
     if let Some(tel) = TelemetrySession::recorder(&session) {
         fw = fw.with_telemetry(tel);
     }
-    let plan = fw.plan(&dataset, common.workload);
+    let plan = fw
+        .try_plan(&dataset, common.workload)
+        .map_err(|e| e.to_string())?;
 
     fs::create_dir_all(out).map_err(|e| format!("mkdir {out:?}: {e}"))?;
     for (node, indices) in plan.partitions.iter().enumerate() {
@@ -515,7 +518,9 @@ fn execute(common: &Common) -> Result<(), String> {
         }
         return result;
     }
-    let outcome = fw.run(&dataset, common.workload);
+    let outcome = fw
+        .try_run(&dataset, common.workload)
+        .map_err(|e| e.to_string())?;
 
     println!(
         "dataset            {} ({} records)",
@@ -994,7 +999,8 @@ fn elastic_cmd(
         )
     })?;
     let fits: Vec<_> = models.iter().map(|m| m.fit).collect();
-    let profiles = cold.energy_profiles.clone();
+    let modeler =
+        ParetoModeler::new(fits, cold.energy_profiles.clone()).map_err(|e| e.to_string())?;
     let alpha = match common.strategy {
         Strategy::HetEnergyAware { alpha } => alpha,
         Strategy::HetEnergyAwareNormalized { alpha } => alpha,
@@ -1011,8 +1017,7 @@ fn elastic_cmd(
 
     let advice = advise_join(
         &cluster,
-        &fits,
-        &profiles,
+        &modeler,
         session.roster(),
         candidate,
         backlog_items,

@@ -4,7 +4,7 @@
 //! promises — exactly-once item processing, conservation of the LP plan's
 //! partition sizes, monotone simulated time, bit-identical WAL recovery.
 //! This module turns those promises into *checked invariants*: given a
-//! [`RecoveryOutcome`] (plus the plan it executed), [`audit_fault_run`]
+//! [`RecoveryOutcome`] (plus the plan it executed), [`audit_elastic_run`]
 //! returns an [`AuditReport`] listing every violated invariant with a
 //! human-readable detail string. The chaos harness ([`crate::chaos`])
 //! sweeps hundreds of seeded fault schedules through this auditor and
@@ -16,6 +16,7 @@
 use pareto_cluster::FaultPlan;
 
 use crate::elastic::ElasticPlan;
+use crate::framework::Plan;
 use crate::recovery::RecoveryOutcome;
 
 /// The invariants the auditor enforces.
@@ -156,50 +157,24 @@ impl AuditReport {
     }
 }
 
-/// Audit one fault-injected execution against the plan it ran.
+/// Audit one execution against the plan it ran and the schedules it ran
+/// under: `outcome` is what [`execute`](crate::recovery::execute) produced
+/// for `plan`'s partitions (one per cluster node) under `faults` and
+/// `elastic` (pass [`ElasticPlan::none`] for a fault-only run).
 ///
-/// `partitions`/`sizes` are the LP plan's initial assignment, `strata[r]`
-/// is record `r`'s stratum, `outcome` is what
-/// [`execute_with_recovery`](crate::recovery::execute_with_recovery)
-/// produced under `faults`, and `num_nodes` is the cluster size.
-pub fn audit_fault_run(
-    faults: &FaultPlan,
-    partitions: &[Vec<usize>],
-    sizes: &[usize],
-    strata: &[u32],
-    outcome: &RecoveryOutcome,
-    num_nodes: usize,
-) -> AuditReport {
-    audit_elastic_run(
-        faults,
-        &ElasticPlan::none(),
-        partitions,
-        sizes,
-        strata,
-        outcome,
-        num_nodes,
-    )
-}
-
-/// Audit one execution that ran under both a fault plan and an elastic
-/// roster plan.
-///
-/// This is the full auditor: [`audit_fault_run`] is a thin wrapper that
-/// passes an empty [`ElasticPlan`]. Beyond the six fault invariants it
-/// checks the elastic-transition promises — exactly-once across drain
-/// handoffs, no work executed outside a node's membership window, and
-/// conservation of items and transition counts across join/leave
-/// boundaries.
-#[allow(clippy::too_many_arguments)]
+/// Beyond the six fault invariants it checks the elastic-transition
+/// promises — exactly-once across drain handoffs, no work executed outside
+/// a node's membership window, and conservation of items and transition
+/// counts across join/leave boundaries.
 pub fn audit_elastic_run(
     faults: &FaultPlan,
     elastic: &ElasticPlan,
-    partitions: &[Vec<usize>],
-    sizes: &[usize],
-    strata: &[u32],
+    plan: &Plan,
     outcome: &RecoveryOutcome,
-    num_nodes: usize,
 ) -> AuditReport {
+    let (partitions, sizes) = (&plan.partitions, &plan.sizes);
+    let strata = &plan.stratification.assignments;
+    let num_nodes = partitions.len();
     let mut report = AuditReport::new();
     let rec = &outcome.recovery;
     let n = rec.items_total;
@@ -558,18 +533,22 @@ pub fn audit_elastic_run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recovery::{execute_with_recovery_elastic, RecoveryConfig};
+    use crate::framework::PlanTimings;
+    use crate::recovery::{execute, ExecRequest, RecoveryConfig};
     use crate::stealing::RecordWork;
     use pareto_cluster::{Cost, NodeSpec, SimCluster};
     use pareto_energy::NodeEnergyProfile;
     use pareto_stats::LinearFit;
+    use pareto_stratify::Stratification;
 
+    /// An equal-split plan over `p` nodes and what the executor made of it
+    /// under the two schedules.
     fn elastic_fixture(
         p: usize,
         n: usize,
         faults: &FaultPlan,
         elastic: &ElasticPlan,
-    ) -> (Vec<Vec<usize>>, Vec<usize>, Vec<u32>, RecoveryOutcome, usize) {
+    ) -> (Plan, RecoveryOutcome) {
         let cl = SimCluster::new(NodeSpec::paper_cluster(p, 400.0, 2, 9, 3));
         let work = vec![RecordWork { ops: 1_000_000, bytes: 256 }; n];
         let mut partitions = vec![Vec::new(); p];
@@ -592,34 +571,49 @@ mod tests {
                 mean_green_watts: 120.0,
             })
             .collect();
-        let outcome = execute_with_recovery_elastic(
-            &cl,
-            &work,
-            &partitions,
-            &strata,
-            &fits,
-            &profiles,
-            1.0,
+        let outcome = execute(&ExecRequest {
+            cluster: &cl,
+            work: &work,
+            initial: &partitions,
+            strata: &strata,
+            fits: &fits,
+            profiles: &profiles,
+            alpha: 1.0,
             faults,
-            elastic,
-            &RecoveryConfig::default(),
-        );
-        (partitions, sizes, strata, outcome, p)
+            cfg: &RecoveryConfig::default(),
+            elastic: Some(elastic),
+            warm: None,
+            telemetry: None,
+        })
+        .expect("well-formed request");
+        let plan = Plan {
+            stratification: Stratification {
+                assignments: strata,
+                strata: Vec::new(),
+                zero_match_rate: 0.0,
+                iterations: 0,
+            },
+            time_models: None,
+            energy_profiles: profiles,
+            pareto: None,
+            sizes,
+            partitions,
+            lp_basis: None,
+            estimation_cost: Cost::ZERO,
+            timings: PlanTimings::default(),
+        };
+        (plan, outcome)
     }
 
-    fn fixture(
-        p: usize,
-        n: usize,
-        faults: &FaultPlan,
-    ) -> (Vec<Vec<usize>>, Vec<usize>, Vec<u32>, RecoveryOutcome, usize) {
+    fn fixture(p: usize, n: usize, faults: &FaultPlan) -> (Plan, RecoveryOutcome) {
         elastic_fixture(p, n, faults, &ElasticPlan::none())
     }
 
     #[test]
     fn clean_run_passes_every_invariant() {
         let faults = FaultPlan::none();
-        let (parts, sizes, strata, outcome, p) = fixture(4, 120, &faults);
-        let report = audit_fault_run(&faults, &parts, &sizes, &strata, &outcome, p);
+        let (plan, outcome) = fixture(4, 120, &faults);
+        let report = audit_elastic_run(&faults, &ElasticPlan::none(), &plan, &outcome);
         assert!(report.is_clean(), "violations: {:?}", report.violations);
         assert!(report.checks > 10, "audit must actually check things");
     }
@@ -627,16 +621,16 @@ mod tests {
     #[test]
     fn crashed_run_still_passes_when_recovery_works() {
         let faults = FaultPlan::new().with_crash(1, 0.5).with_store_errors(2, 2);
-        let (parts, sizes, strata, outcome, p) = fixture(4, 120, &faults);
-        let report = audit_fault_run(&faults, &parts, &sizes, &strata, &outcome, p);
+        let (plan, outcome) = fixture(4, 120, &faults);
+        let report = audit_elastic_run(&faults, &ElasticPlan::none(), &plan, &outcome);
         assert!(report.is_clean(), "violations: {:?}", report.violations);
     }
 
     #[test]
     fn total_cluster_loss_is_not_a_violation() {
         let faults = FaultPlan::new().with_crash(0, 0.001).with_crash(1, 0.001);
-        let (parts, sizes, strata, outcome, p) = fixture(2, 40, &faults);
-        let report = audit_fault_run(&faults, &parts, &sizes, &strata, &outcome, p);
+        let (plan, outcome) = fixture(2, 40, &faults);
+        let report = audit_elastic_run(&faults, &ElasticPlan::none(), &plan, &outcome);
         // Losing the job to a total cluster loss is the *correct* outcome;
         // the auditor only flags invented completions.
         assert!(report.is_clean(), "violations: {:?}", report.violations);
@@ -645,10 +639,10 @@ mod tests {
     #[test]
     fn doctored_outcome_trips_exactly_once() {
         let faults = FaultPlan::none();
-        let (parts, sizes, strata, mut outcome, p) = fixture(3, 60, &faults);
+        let (plan, mut outcome) = fixture(3, 60, &faults);
         // Forge a lost item that the report still claims completed.
         outcome.completed_by[7] = None;
-        let report = audit_fault_run(&faults, &parts, &sizes, &strata, &outcome, p);
+        let report = audit_elastic_run(&faults, &ElasticPlan::none(), &plan, &outcome);
         assert!(!report.is_clean());
         assert!(report
             .violations
@@ -669,10 +663,10 @@ mod tests {
     #[test]
     fn doctored_partitions_trip_size_conservation() {
         let faults = FaultPlan::none();
-        let (mut parts, sizes, strata, outcome, p) = fixture(3, 60, &faults);
-        let dup = parts[0][0];
-        parts[1].push(dup); // same item in two partitions
-        let report = audit_fault_run(&faults, &parts, &sizes, &strata, &outcome, p);
+        let (mut plan, outcome) = fixture(3, 60, &faults);
+        let dup = plan.partitions[0][0];
+        plan.partitions[1].push(dup); // same item in two partitions
+        let report = audit_elastic_run(&faults, &ElasticPlan::none(), &plan, &outcome);
         assert!(report
             .violations
             .iter()
@@ -683,9 +677,9 @@ mod tests {
     fn doctored_time_trips_monotonicity() {
         // A fault-free plan: no work moves, so the baseline bound applies.
         let faults = FaultPlan::none();
-        let (parts, sizes, strata, mut outcome, p) = fixture(4, 120, &faults);
+        let (plan, mut outcome) = fixture(4, 120, &faults);
         outcome.recovery.makespan_s = outcome.recovery.fault_free_makespan_s * 0.5;
-        let report = audit_fault_run(&faults, &parts, &sizes, &strata, &outcome, p);
+        let report = audit_elastic_run(&faults, &ElasticPlan::none(), &plan, &outcome);
         assert!(report
             .violations
             .iter()
@@ -697,14 +691,14 @@ mod tests {
         let faults = FaultPlan::none();
         // Calibrate transition times off the fault-free makespan so the
         // drain lands mid-run with work still queued.
-        let (_, _, _, base, _) = elastic_fixture(4, 120, &faults, &ElasticPlan::none());
+        let (_, base) = elastic_fixture(4, 120, &faults, &ElasticPlan::none());
         let t = base.recovery.makespan_s * 0.3;
         let elastic = ElasticPlan::new()
             .with_join(3, t * 0.5)
             .with_drain(1, t)
             .with_preempt(2, t * 1.4, base.recovery.makespan_s * 10.0);
-        let (parts, sizes, strata, outcome, p) = elastic_fixture(4, 120, &faults, &elastic);
-        let report = audit_elastic_run(&faults, &elastic, &parts, &sizes, &strata, &outcome, p);
+        let (plan, outcome) = elastic_fixture(4, 120, &faults, &elastic);
+        let report = audit_elastic_run(&faults, &elastic, &plan, &outcome);
         assert!(report.is_clean(), "violations: {:?}", report.violations);
         assert!(report.checks > 20, "elastic audit must check things");
         let labels: std::collections::HashSet<&str> =
@@ -715,9 +709,9 @@ mod tests {
     #[test]
     fn doctored_completion_after_leave_trips_leave_epoch() {
         let faults = FaultPlan::none();
-        let (_, _, _, base, _) = elastic_fixture(4, 120, &faults, &ElasticPlan::none());
+        let (_, base) = elastic_fixture(4, 120, &faults, &ElasticPlan::none());
         let elastic = ElasticPlan::new().with_drain(1, base.recovery.makespan_s * 0.3);
-        let (parts, sizes, strata, mut outcome, p) = elastic_fixture(4, 120, &faults, &elastic);
+        let (plan, mut outcome) = elastic_fixture(4, 120, &faults, &elastic);
         let leave = outcome.leave_epochs[1].expect("node 1 drained and left");
         let victim = outcome
             .completed_by
@@ -726,7 +720,7 @@ mod tests {
             .expect("node 1 completed something before draining");
         // Forge an execution on the drained node after its leave epoch.
         outcome.completed_at_s[victim] = Some(leave + 100.0);
-        let report = audit_elastic_run(&faults, &elastic, &parts, &sizes, &strata, &outcome, p);
+        let report = audit_elastic_run(&faults, &elastic, &plan, &outcome);
         assert!(report
             .violations
             .iter()
@@ -736,13 +730,13 @@ mod tests {
     #[test]
     fn doctored_handoff_aggregates_trip_handoff_exactly_once() {
         let faults = FaultPlan::none();
-        let (_, _, _, base, _) = elastic_fixture(4, 120, &faults, &ElasticPlan::none());
+        let (_, base) = elastic_fixture(4, 120, &faults, &ElasticPlan::none());
         let elastic = ElasticPlan::new().with_drain(1, base.recovery.makespan_s * 0.3);
-        let (parts, sizes, strata, mut outcome, p) = elastic_fixture(4, 120, &faults, &elastic);
+        let (plan, mut outcome) = elastic_fixture(4, 120, &faults, &elastic);
         assert!(outcome.recovery.items_handed_off > 0, "drain must hand off");
         // Claim one more handed-off item than the per-item log records.
         outcome.recovery.items_handed_off += 1;
-        let report = audit_elastic_run(&faults, &elastic, &parts, &sizes, &strata, &outcome, p);
+        let report = audit_elastic_run(&faults, &elastic, &plan, &outcome);
         assert!(report
             .violations
             .iter()
@@ -752,9 +746,9 @@ mod tests {
     #[test]
     fn elastic_activity_under_empty_plan_is_flagged() {
         let faults = FaultPlan::none();
-        let (parts, sizes, strata, mut outcome, p) = fixture(4, 120, &faults);
+        let (plan, mut outcome) = fixture(4, 120, &faults);
         outcome.recovery.joins_applied = 1;
-        let report = audit_fault_run(&faults, &parts, &sizes, &strata, &outcome, p);
+        let report = audit_elastic_run(&faults, &ElasticPlan::none(), &plan, &outcome);
         assert!(report
             .violations
             .iter()

@@ -28,7 +28,7 @@ use pareto_workloads::WorkloadKind;
 use crate::audit::{audit_elastic_run, AuditReport, Invariant, Violation};
 use crate::elastic::{ElasticPlan, ElasticSpec};
 use crate::framework::{per_item_work, synthetic_fits, Framework, FrameworkConfig, Plan, Strategy};
-use crate::recovery::{execute_with_recovery_elastic, RecoveryConfig};
+use crate::recovery::{self, ExecRequest, RecoveryConfig};
 use crate::stages::PlanError;
 use crate::stealing::RecordWork;
 
@@ -363,27 +363,22 @@ impl ChaosContext<'_> {
         elastic: &ElasticPlan,
         verify_checksums: bool,
     ) -> AuditReport {
-        let outcome = execute_with_recovery_elastic(
-            self.cluster,
-            &self.work,
-            &self.plan.partitions,
-            &self.plan.stratification.assignments,
-            &self.fits,
-            &self.plan.energy_profiles,
-            self.alpha,
+        let outcome = recovery::execute(&ExecRequest {
+            cluster: self.cluster,
+            work: &self.work,
+            initial: &self.plan.partitions,
+            strata: &self.plan.stratification.assignments,
+            fits: &self.fits,
+            profiles: &self.plan.energy_profiles,
+            alpha: self.alpha,
             faults,
-            elastic,
-            &self.recovery,
-        );
-        let mut audit = audit_elastic_run(
-            faults,
-            elastic,
-            &self.plan.partitions,
-            &self.plan.sizes,
-            &self.plan.stratification.assignments,
-            &outcome,
-            self.cluster.num_nodes(),
-        );
+            cfg: &self.recovery,
+            elastic: Some(elastic),
+            warm: None,
+            telemetry: None,
+        })
+        .expect("run_chaos validated the config and planned node-aligned inputs");
+        let mut audit = audit_elastic_run(faults, elastic, &self.plan, &outcome);
         for (node, fx) in self.fixtures.iter().enumerate() {
             if faults.has_storage_faults(node) {
                 drill_node(node, fx, faults, verify_checksums, &mut audit);

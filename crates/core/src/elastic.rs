@@ -24,8 +24,6 @@ use std::fmt;
 
 use pareto_cluster::fault::unit_draw;
 use pareto_cluster::{Cost, SimCluster};
-use pareto_energy::NodeEnergyProfile;
-use pareto_stats::LinearFit;
 
 use crate::pareto::{ParetoModeler, PartitionPlanError};
 
@@ -400,11 +398,9 @@ pub struct JoinAdvice {
 /// bytes_per_item` over the cluster network). The share itself comes from
 /// a zero-offset pre-solve, so a slow network shrinks the apparent
 /// benefit exactly the way the recovery replanner's offsets do.
-#[allow(clippy::too_many_arguments)]
 pub fn advise_join(
     cluster: &SimCluster,
-    fits: &[LinearFit],
-    profiles: &[NodeEnergyProfile],
+    modeler: &ParetoModeler,
     roster: &[usize],
     candidate: usize,
     backlog_items: usize,
@@ -414,18 +410,18 @@ pub fn advise_join(
     if roster.is_empty() {
         return Err(PartitionPlanError::Degenerate("empty roster"));
     }
-    if candidate >= fits.len() || roster.iter().any(|&i| i >= fits.len()) {
+    let nodes = modeler.num_nodes();
+    if candidate >= nodes || roster.iter().any(|&i| i >= nodes) {
         return Err(PartitionPlanError::Degenerate("node index out of range"));
     }
     if roster.contains(&candidate) {
         return Err(PartitionPlanError::Degenerate("candidate already in roster"));
     }
-    let modeler = ParetoModeler::new(fits.to_vec(), profiles.to_vec())?;
     let solve = |m: &ParetoModeler, n: usize| {
         if alpha >= 1.0 {
             Ok(m.solve_het_aware(n))
         } else {
-            m.solve(n, alpha)
+            m.solve(n, alpha, None).map(|solved| solved.point)
         }
     };
 
@@ -446,14 +442,7 @@ pub fn advise_join(
     let migration_seconds = if migration_items == 0 {
         0.0
     } else {
-        cluster.cost_to_seconds(
-            candidate,
-            &Cost {
-                compute_ops: 0,
-                bytes: migration_bytes,
-                round_trips: 1,
-            },
-        )
+        cluster.cost_to_seconds(candidate, &Cost::request(migration_bytes))
     };
     // Pass 2: the candidate pays its migration before contributing.
     let mut offsets = vec![0.0; extended.len()];
@@ -482,6 +471,8 @@ pub fn advise_join(
 mod tests {
     use super::*;
     use pareto_cluster::NodeSpec;
+    use pareto_energy::NodeEnergyProfile;
+    use pareto_stats::LinearFit;
 
     fn spec_all() -> ElasticSpec {
         ElasticSpec {
@@ -614,7 +605,7 @@ mod tests {
         }
     }
 
-    fn advisor_fixture() -> (SimCluster, Vec<LinearFit>, Vec<NodeEnergyProfile>) {
+    fn advisor_fixture() -> (SimCluster, ParetoModeler) {
         let cluster = SimCluster::new(NodeSpec::paper_cluster(4, 400.0, 2, 9, 3));
         let fits: Vec<LinearFit> = (0..4)
             .map(|i| LinearFit {
@@ -630,15 +621,16 @@ mod tests {
                 mean_green_watts: 120.0,
             })
             .collect();
-        (cluster, fits, profiles)
+        let modeler = ParetoModeler::new(fits, profiles).expect("aligned fixture");
+        (cluster, modeler)
     }
 
     #[test]
     fn advisor_is_deterministic_and_accounts_migration() {
-        let (cluster, fits, profiles) = advisor_fixture();
-        let a = advise_join(&cluster, &fits, &profiles, &[0, 1, 2], 3, 5_000, 256, 1.0)
+        let (cluster, modeler) = advisor_fixture();
+        let a = advise_join(&cluster, &modeler, &[0, 1, 2], 3, 5_000, 256, 1.0)
             .expect("advice");
-        let b = advise_join(&cluster, &fits, &profiles, &[0, 1, 2], 3, 5_000, 256, 1.0)
+        let b = advise_join(&cluster, &modeler, &[0, 1, 2], 3, 5_000, 256, 1.0)
             .expect("advice");
         assert_eq!(a, b);
         assert!(a.current_makespan_s > 0.0);
@@ -650,23 +642,14 @@ mod tests {
 
     #[test]
     fn huge_migration_cost_makes_join_unprofitable() {
-        let (cluster, fits, profiles) = advisor_fixture();
+        let (cluster, modeler) = advisor_fixture();
         // A big backlog of tiny items: join clearly pays.
-        let cheap = advise_join(&cluster, &fits, &profiles, &[0, 1], 3, 50_000, 1, 1.0)
+        let cheap = advise_join(&cluster, &modeler, &[0, 1], 3, 50_000, 1, 1.0)
             .expect("cheap advice");
         assert!(cheap.worthwhile, "cheap migration should pay: {cheap:?}");
         // A tiny backlog of enormous items: migration swamps the benefit.
-        let dear = advise_join(
-            &cluster,
-            &fits,
-            &profiles,
-            &[0, 1],
-            3,
-            16,
-            1_000_000_000,
-            1.0,
-        )
-        .expect("dear advice");
+        let dear = advise_join(&cluster, &modeler, &[0, 1], 3, 16, 1_000_000_000, 1.0)
+            .expect("dear advice");
         assert!(
             dear.joined_makespan_s >= cheap.joined_makespan_s || !dear.worthwhile,
             "dear: {dear:?}"
@@ -676,9 +659,9 @@ mod tests {
 
     #[test]
     fn advisor_rejects_degenerate_inputs() {
-        let (cluster, fits, profiles) = advisor_fixture();
-        assert!(advise_join(&cluster, &fits, &profiles, &[], 3, 100, 1, 1.0).is_err());
-        assert!(advise_join(&cluster, &fits, &profiles, &[0, 1], 9, 100, 1, 1.0).is_err());
-        assert!(advise_join(&cluster, &fits, &profiles, &[0, 3], 3, 100, 1, 1.0).is_err());
+        let (cluster, modeler) = advisor_fixture();
+        assert!(advise_join(&cluster, &modeler, &[], 3, 100, 1, 1.0).is_err());
+        assert!(advise_join(&cluster, &modeler, &[0, 1], 9, 100, 1, 1.0).is_err());
+        assert!(advise_join(&cluster, &modeler, &[0, 3], 3, 100, 1, 1.0).is_err());
     }
 }

@@ -2,9 +2,9 @@
 //! Pareto modeler → partitioner → distributed execution on the simulated
 //! cluster.
 //!
-//! [`Framework::plan`] produces a [`Plan`] (strata, per-node time models,
-//! energy profiles, partition sizes and record placement);
-//! [`Framework::run`] additionally places the partitions into the per-node
+//! [`Framework::try_plan`] produces a [`Plan`] (strata, per-node time
+//! models, energy profiles, partition sizes and record placement);
+//! [`Framework::try_run`] additionally places the partitions into the per-node
 //! KV stores and executes the workload — the SON two-phase protocol for
 //! frequent pattern mining (local mine, global barrier, candidate
 //! broadcast, global count, merge) or single-phase distributed compression
@@ -28,7 +28,7 @@ use crate::estimator::{NodeTimeModel, SamplingPlan};
 use crate::pareto::{LpBasis, ParetoPoint};
 use crate::partitioner::PartitionLayout;
 use crate::elastic::ElasticPlan;
-use crate::recovery::{execute_with_recovery_elastic_warm, RecoveryConfig, RecoveryOutcome};
+use crate::recovery::{self, ExecRequest, RecoveryConfig, RecoveryOutcome};
 use crate::stages::{PlanEngine, PlanError};
 use crate::stealing::RecordWork;
 
@@ -312,35 +312,16 @@ impl<'a> Framework<'a> {
     /// [`crate::session::PlanSession`] to keep the engine's artifact cache
     /// warm across replans. The first three stages shard their inner loops
     /// across [`FrameworkConfig::threads`] workers; the plan is
-    /// bit-identical at any thread count.
-    ///
-    /// # Panics
-    /// Panics on any [`PlanError`] (empty dataset, infeasible LP). Use
-    /// [`Framework::try_plan`] to handle those as values.
-    pub fn plan(&self, dataset: &Dataset, workload: WorkloadKind) -> Plan {
-        self.try_plan(dataset, workload)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Like [`Framework::plan`], returning planning failures as a typed
-    /// [`PlanError`] instead of panicking.
+    /// bit-identical at any thread count. Planning failures (empty dataset,
+    /// infeasible LP) come back as a typed [`PlanError`].
     pub fn try_plan(&self, dataset: &Dataset, workload: WorkloadKind) -> Result<Plan, PlanError> {
         PlanEngine::new(self.cluster, self.cfg.clone())
             .with_telemetry(self.telemetry.clone())
             .plan(dataset, workload)
     }
 
-    /// Plan, place, and execute the workload; returns the measured run.
-    ///
-    /// # Panics
-    /// Panics on any [`PlanError`]; see [`Framework::try_run`].
-    pub fn run(&self, dataset: &Dataset, workload: WorkloadKind) -> RunOutcome {
-        self.try_run(dataset, workload)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Like [`Framework::run`], returning planning failures as a typed
-    /// [`PlanError`] instead of panicking.
+    /// Plan, place, and execute the workload; returns the measured run, or
+    /// the planning failure as a typed [`PlanError`].
     pub fn try_run(
         &self,
         dataset: &Dataset,
@@ -389,20 +370,9 @@ impl<'a> Framework<'a> {
     /// index), so the fault-free baseline charges the same total compute
     /// as the happy-path executor. Replans reuse the plan's fitted
     /// `f_i(x)` models; strategies without models (baselines) get
-    /// speed-derived synthetic fits so recovery still works.
-    pub fn run_with_faults(
-        &self,
-        dataset: &Dataset,
-        workload: WorkloadKind,
-        faults: &FaultPlan,
-        recovery_cfg: &RecoveryConfig,
-    ) -> FaultRunOutcome {
-        self.try_run_with_faults(dataset, workload, faults, recovery_cfg)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Like [`Framework::run_with_faults`], returning planning failures as
-    /// a typed [`PlanError`] instead of panicking.
+    /// speed-derived synthetic fits so recovery still works. Planning
+    /// failures and an invalid `recovery_cfg` come back as a typed
+    /// [`PlanError`].
     pub fn try_run_with_faults(
         &self,
         dataset: &Dataset,
@@ -448,20 +418,20 @@ impl<'a> Framework<'a> {
         } else {
             None
         };
-        let outcome = execute_with_recovery_elastic_warm(
-            self.cluster,
-            &work,
-            &plan.partitions,
-            &plan.stratification.assignments,
-            &fits,
-            &plan.energy_profiles,
+        let outcome = recovery::execute(&ExecRequest {
+            cluster: self.cluster,
+            work: &work,
+            initial: &plan.partitions,
+            strata: &plan.stratification.assignments,
+            fits: &fits,
+            profiles: &plan.energy_profiles,
             alpha,
             faults,
-            elastic,
-            recovery_cfg,
+            cfg: recovery_cfg,
+            elastic: Some(elastic),
             warm,
-            &self.telemetry,
-        );
+            telemetry: Some(&self.telemetry),
+        })?;
         Ok(FaultRunOutcome { plan, outcome })
     }
 
@@ -844,7 +814,8 @@ mod tests {
             Strategy::RoundRobin,
         ] {
             let plan = Framework::new(&cl, cfg(strategy, PartitionLayout::Representative))
-                .plan(&ds, WorkloadKind::FrequentPatterns { support: 0.1 });
+                .try_plan(&ds, WorkloadKind::FrequentPatterns { support: 0.1 })
+                .expect("non-empty dataset");
             let mut all: Vec<usize> = plan.partitions.iter().flatten().copied().collect();
             all.sort_unstable();
             assert_eq!(
@@ -860,7 +831,8 @@ mod tests {
         let ds = text_ds();
         let cl = cluster(4);
         let plan = Framework::new(&cl, cfg(Strategy::HetAware, PartitionLayout::Representative))
-            .plan(&ds, WorkloadKind::Lz77);
+            .try_plan(&ds, WorkloadKind::Lz77)
+            .expect("non-empty dataset");
         // Node 0 is 4x faster than node 3.
         assert!(
             plan.sizes[0] > 2 * plan.sizes[3],
@@ -876,9 +848,11 @@ mod tests {
         let ds = text_ds();
         let cl = cluster(4);
         let base = Framework::new(&cl, cfg(Strategy::Stratified, PartitionLayout::Representative))
-            .run(&ds, WorkloadKind::Lz77);
+            .try_run(&ds, WorkloadKind::Lz77)
+            .expect("non-empty dataset");
         let het = Framework::new(&cl, cfg(Strategy::HetAware, PartitionLayout::Representative))
-            .run(&ds, WorkloadKind::Lz77);
+            .try_run(&ds, WorkloadKind::Lz77)
+            .expect("non-empty dataset");
         assert!(
             het.report.makespan_seconds < base.report.makespan_seconds * 0.75,
             "het {} vs stratified {}",
@@ -892,7 +866,8 @@ mod tests {
         let ds = graph_ds();
         let cl = cluster(4);
         let het = Framework::new(&cl, cfg(Strategy::HetAware, PartitionLayout::SimilarTogether))
-            .run(&ds, WorkloadKind::WebGraph);
+            .try_run(&ds, WorkloadKind::WebGraph)
+            .expect("non-empty dataset");
         let green = Framework::new(
             &cl,
             cfg(
@@ -900,7 +875,8 @@ mod tests {
                 PartitionLayout::SimilarTogether,
             ),
         )
-        .run(&ds, WorkloadKind::WebGraph);
+        .try_run(&ds, WorkloadKind::WebGraph)
+        .expect("non-empty dataset");
         assert!(
             green.report.total_dirty_linear < het.report.total_dirty_linear,
             "green {} vs het {}",
@@ -919,7 +895,8 @@ mod tests {
             &cl,
             cfg(Strategy::Stratified, PartitionLayout::Representative),
         )
-        .run(&ds, WorkloadKind::FrequentPatterns { support });
+        .try_run(&ds, WorkloadKind::FrequentPatterns { support })
+        .expect("non-empty dataset");
         let Quality::Mining {
             global_frequent,
             candidates,
@@ -948,9 +925,11 @@ mod tests {
             &cl,
             cfg(Strategy::Stratified, PartitionLayout::SimilarTogether),
         )
-        .run(&ds, WorkloadKind::WebGraph);
+        .try_run(&ds, WorkloadKind::WebGraph)
+        .expect("non-empty dataset");
         let random = Framework::new(&cl, cfg(Strategy::Random, PartitionLayout::Representative))
-            .run(&ds, WorkloadKind::WebGraph);
+            .try_run(&ds, WorkloadKind::WebGraph)
+            .expect("non-empty dataset");
         let ratio = |q: &Quality| match q {
             Quality::Compression { ratio, .. } => *ratio,
             other => panic!("unexpected {other:?}"),
@@ -969,9 +948,11 @@ mod tests {
         let cl = cluster(4);
         let config = cfg(Strategy::Stratified, PartitionLayout::Representative);
         let apriori = Framework::new(&cl, config.clone())
-            .run(&ds, WorkloadKind::FrequentPatterns { support: 0.2 });
+            .try_run(&ds, WorkloadKind::FrequentPatterns { support: 0.2 })
+            .expect("non-empty dataset");
         let eclat = Framework::new(&cl, config)
-            .run(&ds, WorkloadKind::FrequentPatternsEclat { support: 0.2 });
+            .try_run(&ds, WorkloadKind::FrequentPatternsEclat { support: 0.2 })
+            .expect("non-empty dataset");
         let freq = |q: &Quality| match q {
             Quality::Mining { global_frequent, .. } => *global_frequent,
             other => panic!("unexpected {other:?}"),
@@ -989,7 +970,8 @@ mod tests {
         let ds = text_ds();
         let cl = cluster(4);
         let plan = Framework::new(&cl, cfg(Strategy::HetAware, PartitionLayout::Representative))
-            .plan(&ds, WorkloadKind::Lz77);
+            .try_plan(&ds, WorkloadKind::Lz77)
+            .expect("non-empty dataset");
         let t = plan.timings;
         for (label, v) in [
             ("sketch", t.sketch_s),
@@ -1013,7 +995,9 @@ mod tests {
         let plan_at = |threads: usize| {
             let mut config = cfg(Strategy::HetEnergyAware { alpha: 0.995 }, PartitionLayout::SimilarTogether);
             config.threads = threads;
-            Framework::new(&cl, config).plan(&ds, WorkloadKind::FrequentPatterns { support: 0.15 })
+            Framework::new(&cl, config)
+                .try_plan(&ds, WorkloadKind::FrequentPatterns { support: 0.15 })
+                .expect("non-empty dataset")
         };
         let serial = plan_at(1);
         for threads in [2, 4, 8] {
@@ -1038,7 +1022,8 @@ mod tests {
         let cl = cluster(4);
         let run = || {
             Framework::new(&cl, cfg(Strategy::HetAware, PartitionLayout::Representative))
-                .run(&ds, WorkloadKind::FrequentPatterns { support: 0.15 })
+                .try_run(&ds, WorkloadKind::FrequentPatterns { support: 0.15 })
+                .expect("non-empty dataset")
         };
         let a = run();
         let b = run();
@@ -1055,11 +1040,15 @@ mod tests {
         let workload = WorkloadKind::Lz77;
         let cfg = RecoveryConfig::default();
         // Fault-free pass to place the crash mid-job.
-        let clean = fw.run_with_faults(&ds, workload, &FaultPlan::none(), &cfg);
+        let clean = fw
+            .try_run_with_faults(&ds, workload, &FaultPlan::none(), &cfg)
+            .expect("non-empty dataset, valid config");
         assert!(clean.outcome.recovery.exactly_once);
         let tc = clean.outcome.recovery.makespan_s * 0.4;
         let faults = FaultPlan::new().with_crash(0, tc);
-        let out = fw.run_with_faults(&ds, workload, &faults, &cfg);
+        let out = fw
+            .try_run_with_faults(&ds, workload, &faults, &cfg)
+            .expect("non-empty dataset, valid config");
         let rec = &out.outcome.recovery;
         assert_eq!(rec.crashed_nodes, vec![0]);
         assert!(rec.replans >= 1);
@@ -1080,7 +1069,8 @@ mod tests {
         let faults = FaultPlan::generate(7, 4, &pareto_cluster::FaultSpec::default());
         let run = || {
             Framework::new(&cl, cfg(Strategy::HetAware, PartitionLayout::Representative))
-                .run_with_faults(&ds, WorkloadKind::Lz77, &faults, &RecoveryConfig::default())
+                .try_run_with_faults(&ds, WorkloadKind::Lz77, &faults, &RecoveryConfig::default())
+                .expect("non-empty dataset, valid config")
         };
         let a = run();
         let b = run();
@@ -1094,7 +1084,9 @@ mod tests {
         let cl = cluster(4);
         let mut config = cfg(Strategy::HetAware, PartitionLayout::SimilarTogether);
         config.durability = pareto_cluster::Durability::Wal;
-        let out = Framework::new(&cl, config).run(&ds, WorkloadKind::WebGraph);
+        let out = Framework::new(&cl, config)
+            .try_run(&ds, WorkloadKind::WebGraph)
+            .expect("non-empty dataset");
         let dur = out.durability.expect("durability report in Wal mode");
         assert_eq!(dur.mode, pareto_cluster::Durability::Wal);
         assert_eq!(dur.nodes.len(), 4);
@@ -1113,7 +1105,8 @@ mod tests {
         let mut config = cfg(Strategy::Stratified, PartitionLayout::Representative);
         config.durability = pareto_cluster::Durability::SnapshotOnCheckpoint;
         let out = Framework::new(&cl, config)
-            .run(&ds, WorkloadKind::FrequentPatterns { support: 0.2 });
+            .try_run(&ds, WorkloadKind::FrequentPatterns { support: 0.2 })
+            .expect("non-empty dataset");
         let dur = out.durability.expect("durability report in snapshot mode");
         assert!(dur.all_recovered(), "{dur:?}");
         assert_eq!(dur.total_wal_records(), 0, "snapshot mode logs nothing");
@@ -1124,13 +1117,16 @@ mod tests {
         let ds = text_ds();
         let cl = cluster(4);
         let base = Framework::new(&cl, cfg(Strategy::HetAware, PartitionLayout::Representative))
-            .run(&ds, WorkloadKind::Lz77);
+            .try_run(&ds, WorkloadKind::Lz77)
+            .expect("non-empty dataset");
         assert!(base.durability.is_none());
         // Arming WAL must not perturb the measured run (durability is
         // observational): identical makespan and plan either way.
         let mut config = cfg(Strategy::HetAware, PartitionLayout::Representative);
         config.durability = pareto_cluster::Durability::Wal;
-        let walled = Framework::new(&cl, config).run(&ds, WorkloadKind::Lz77);
+        let walled = Framework::new(&cl, config)
+            .try_run(&ds, WorkloadKind::Lz77)
+            .expect("non-empty dataset");
         assert_eq!(base.report.makespan_seconds, walled.report.makespan_seconds);
         assert_eq!(base.plan.sizes, walled.plan.sizes);
     }

@@ -208,6 +208,25 @@ fn lex_cmp(a: &[f64], b: &[f64]) -> std::cmp::Ordering {
     std::cmp::Ordering::Equal
 }
 
+/// Hypervolume (area dominated w.r.t. a reference worst point) of a
+/// `(time, dirty)` point set — the standard scalar quality measure for a
+/// bi-objective frontier; larger is better.
+pub fn hypervolume(points: &[(f64, f64)], reference: (f64, f64)) -> f64 {
+    let vectors: Vec<Vec<f64>> = points.iter().map(|&(t, e)| vec![t, e]).collect();
+    // The frontier comes back sorted by time ascending; sweep rectangles
+    // against the reference.
+    let mut volume = 0.0;
+    let mut prev_e = reference.1;
+    for i in pareto_frontier(&vectors) {
+        let (t, e) = points[i];
+        if t <= reference.0 && e <= reference.1 {
+            volume += (reference.0 - t) * (prev_e - e).max(0.0);
+            prev_e = prev_e.min(e);
+        }
+    }
+    volume
+}
+
 /// One solved point: the α that produced it, its objective values, and the
 /// integer partition vector that identifies the LP vertex (the refinement
 /// criterion compares these to decide whether an interval has a bend).
@@ -365,7 +384,7 @@ impl AlphaSolver for ModelerSolver<'_> {
         warm: Option<&LpBasis>,
     ) -> Result<AlphaSolve, PlanError> {
         let hint = if self.warm { warm } else { None };
-        let solved = self.modeler.solve_warm(self.n, alpha, hint)?;
+        let solved = self.modeler.solve(self.n, alpha, hint)?;
         Ok(AlphaSolve {
             point: FrontierPoint {
                 alpha,
@@ -479,7 +498,7 @@ impl FrontierResult {
             .iter()
             .map(|p| (p.makespan_s, p.dirty_joules))
             .collect();
-        ParetoModeler::hypervolume(&pts, self.baseline)
+        hypervolume(&pts, self.baseline)
     }
 
     /// Condense into the report the claims gate consumes.
@@ -849,6 +868,21 @@ mod tests {
         ];
         let keep = pareto_frontier(&points);
         assert_eq!(keep, vec![1, 2, 3, 0]);
+    }
+
+    #[test]
+    fn hypervolume_known_value() {
+        // Two points against reference (10, 10):
+        // (2,6): (10-2)*(10-6)=32; (5,3): (10-5)*(6-3)=15 -> 47.
+        let points = vec![(2.0, 6.0), (5.0, 3.0)];
+        let hv = hypervolume(&points, (10.0, 10.0));
+        assert!((hv - 47.0).abs() < 1e-9);
+        // Adding a dominated point changes nothing.
+        let with_dom = vec![(2.0, 6.0), (5.0, 3.0), (6.0, 7.0)];
+        assert!((hypervolume(&with_dom, (10.0, 10.0)) - 47.0).abs() < 1e-9);
+        // Points beyond the reference contribute nothing.
+        let outside = vec![(11.0, 1.0)];
+        assert_eq!(hypervolume(&outside, (10.0, 10.0)), 0.0);
     }
 
     #[test]

@@ -37,7 +37,8 @@
 //!     ..FrameworkConfig::default()
 //! };
 //! let outcome = Framework::new(&cluster, cfg)
-//!     .run(&dataset, WorkloadKind::FrequentPatterns { support: 0.05 });
+//!     .try_run(&dataset, WorkloadKind::FrequentPatterns { support: 0.05 })
+//!     .expect("non-empty dataset");
 //! assert!(outcome.report.makespan_seconds > 0.0);
 //! ```
 
@@ -56,7 +57,7 @@ pub mod session;
 pub mod stages;
 pub mod stealing;
 
-pub use audit::{audit_elastic_run, audit_fault_run, AuditReport, Invariant, Violation};
+pub use audit::{audit_elastic_run, AuditReport, Invariant, Violation};
 pub use cache::{CacheStats, Fingerprint, FingerprintBuilder, PlanCache, SharedPlanCache};
 pub use chaos::{
     run_chaos, shrink_combined_schedule, shrink_schedule, ChaosConfig, ChaosReport,
@@ -75,7 +76,7 @@ pub use framework::{
     PlanTimings, RunOutcome, Strategy,
 };
 pub use frontier::{
-    dominates, explore, pareto_frontier, AlphaSolve, AlphaSolver, FrontierConfig,
+    dominates, explore, hypervolume, pareto_frontier, AlphaSolve, AlphaSolver, FrontierConfig,
     FrontierPoint, FrontierReport, FrontierResult, ModelerSolver, Objective, ObjectiveSet,
 };
 pub use pareto::{
@@ -87,8 +88,7 @@ pub use stages::{
     dataset_fingerprint, Deadline, PlanEngine, PlanError, PlanStage, StageCtx, StageReuse,
 };
 pub use recovery::{
-    execute_with_recovery, execute_with_recovery_elastic, execute_with_recovery_elastic_warm,
-    RecoveryConfig, RecoveryConfigError, RecoveryOutcome, RecoveryReport,
+    ExecRequest, RecoveryConfig, RecoveryConfigError, RecoveryOutcome, RecoveryReport,
 };
 pub use scheduling::{best_start, sweep_start_times, StartTimeOption};
 pub use partitioner::{DataPartitioner, PartitionLayout};

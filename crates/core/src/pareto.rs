@@ -24,6 +24,8 @@ use pareto_energy::NodeEnergyProfile;
 use pareto_lp::{LpError, Problem, Relation, SolveStatus};
 use pareto_stats::{largest_remainder_apportion, LinearFit};
 
+use crate::frontier::pareto_frontier;
+
 pub use pareto_lp::{Basis as LpBasis, StartKind};
 
 /// Errors from planning.
@@ -168,7 +170,7 @@ impl LpStats {
 }
 
 /// A [`ParetoPoint`] together with the optimal LP basis that produced it
-/// and the solver-work tally, returned by the warm-capable solve paths.
+/// and the solver-work tally, returned by the LP solve paths.
 #[derive(Debug, Clone)]
 pub struct SolvedPoint {
     /// The plan point — bit-identical whether warm- or cold-started.
@@ -247,7 +249,7 @@ pub fn map_partition_basis(
 /// let fast = modeler.solve_het_aware(900);
 /// assert_eq!(fast.sizes, vec![600, 300]);
 /// // Pure energy: everything on the solar-covered node.
-/// let green = modeler.solve(900, 0.0).unwrap();
+/// let green = modeler.solve(900, 0.0, None).unwrap().point;
 /// assert_eq!(green.sizes, vec![0, 900]);
 /// ```
 #[derive(Debug, Clone)]
@@ -337,11 +339,6 @@ impl ParetoModeler {
             .sum()
     }
 
-    /// Solve the scalarized LP for weight `alpha`, planning `n` records.
-    pub fn solve(&self, n: usize, alpha: f64) -> Result<ParetoPoint, PartitionPlanError> {
-        Ok(self.solve_warm(n, alpha, None)?.point)
-    }
-
     /// Build the scalarized partition LP for weight `alpha` over `n`
     /// records: variables `x_0 … x_{p-1}, v`, rows `m_i x_i − v ≤ −c_i`
     /// per node plus `Σ x_i = n`.
@@ -366,12 +363,13 @@ impl ParetoModeler {
         lp
     }
 
-    /// [`ParetoModeler::solve`], optionally re-seeding a previous optimal
-    /// basis (same roster, or mapped across rosters via
-    /// [`map_partition_basis`]). The returned point is bit-identical to the
-    /// cold solve — an unusable warm basis deterministically falls back —
-    /// and the new basis rides along for the next solve in a sweep.
-    pub fn solve_warm(
+    /// Solve the scalarized LP for weight `alpha`, planning `n` records,
+    /// optionally re-seeding a previous optimal basis `warm` (same roster,
+    /// or mapped across rosters via [`map_partition_basis`]). The returned
+    /// point is bit-identical to the cold (`None`) solve — an unusable warm
+    /// basis deterministically falls back — and the new basis rides along
+    /// for the next solve in a sweep.
+    pub fn solve(
         &self,
         n: usize,
         alpha: f64,
@@ -457,18 +455,11 @@ impl ParetoModeler {
     /// (target `pareto`) instead of passing silently; use
     /// [`crate::frontier::explore`] when a dominated-free frontier is
     /// required.
+    ///
+    /// Each solve re-seeds the previous alpha's optimal basis
+    /// (bit-identical by contract); the aggregate solver-work tally is
+    /// returned beside the points for telemetry.
     pub fn frontier(
-        &self,
-        n: usize,
-        alphas: &[f64],
-    ) -> Result<Vec<ParetoPoint>, PartitionPlanError> {
-        Ok(self.frontier_warm(n, alphas)?.0)
-    }
-
-    /// [`ParetoModeler::frontier`] with basis reuse: each solve re-seeds
-    /// the previous alpha's optimal basis (bit-identical by contract), and
-    /// the aggregate solver-work tally is returned for telemetry.
-    pub fn frontier_warm(
         &self,
         n: usize,
         alphas: &[f64],
@@ -477,16 +468,16 @@ impl ParetoModeler {
         let mut basis: Option<LpBasis> = None;
         let mut points: Vec<ParetoPoint> = Vec::with_capacity(alphas.len());
         for &a in alphas {
-            let solved = self.solve_warm(n, a, basis.as_ref())?;
+            let solved = self.solve(n, a, basis.as_ref())?;
             stats.merge(&solved.stats);
             basis = solved.basis;
             points.push(solved.point);
         }
-        let pairs: Vec<(f64, f64)> = points
+        let objectives: Vec<Vec<f64>> = points
             .iter()
-            .map(|p| (p.predicted_makespan, p.predicted_dirty_joules))
+            .map(|p| vec![p.predicted_makespan, p.predicted_dirty_joules])
             .collect();
-        let keep = Self::pareto_filter(&pairs);
+        let keep = pareto_frontier(&objectives);
         for (i, p) in points.iter().enumerate() {
             if !keep.contains(&i) {
                 pareto_telemetry::event::warn(
@@ -515,20 +506,13 @@ impl ParetoModeler {
     /// to the raw solve with
     /// `α' = α·Δe / (α·Δe + (1−α)·Δt)` where `Δt`, `Δe` are the extreme
     /// ranges — the normalization only reweights the two linear terms.
+    ///
+    /// The seed basis `warm` warm-starts the `α = 1` extreme, and each
+    /// internal solve chains its basis into the next, so a sweep of
+    /// normalized alphas re-solves the extremes near-freely. The returned
+    /// basis belongs to the final (re-weighted) solve — the right seed for
+    /// the next sweep point.
     pub fn solve_normalized(
-        &self,
-        n: usize,
-        alpha: f64,
-    ) -> Result<ParetoPoint, PartitionPlanError> {
-        Ok(self.solve_normalized_warm(n, alpha, None)?.point)
-    }
-
-    /// [`ParetoModeler::solve_normalized`] with basis reuse: the seed basis
-    /// warm-starts the `α = 1` extreme, and each internal solve chains its
-    /// basis into the next, so a sweep of normalized alphas re-solves the
-    /// extremes near-freely. The returned basis belongs to the final
-    /// (re-weighted) solve — the right seed for the next sweep point.
-    pub fn solve_normalized_warm(
         &self,
         n: usize,
         alpha: f64,
@@ -538,9 +522,9 @@ impl ParetoModeler {
             return Err(PartitionPlanError::BadAlpha(alpha));
         }
         let mut stats = LpStats::default();
-        let fast = self.solve_warm(n, 1.0, warm)?;
+        let fast = self.solve(n, 1.0, warm)?;
         stats.merge(&fast.stats);
-        let green = self.solve_warm(n, 0.0, fast.basis.as_ref().or(warm))?;
+        let green = self.solve(n, 0.0, fast.basis.as_ref().or(warm))?;
         stats.merge(&green.stats);
         let dt = (green.point.predicted_makespan - fast.point.predicted_makespan).abs();
         let de =
@@ -557,7 +541,7 @@ impl ParetoModeler {
             });
         }
         let raw_alpha = alpha * de / (alpha * de + (1.0 - alpha) * dt);
-        let solved = self.solve_warm(n, raw_alpha, green.basis.as_ref().or(warm))?;
+        let solved = self.solve(n, raw_alpha, green.basis.as_ref().or(warm))?;
         stats.merge(&solved.stats);
         let mut point = solved.point;
         point.alpha = alpha;
@@ -566,39 +550,6 @@ impl ParetoModeler {
             basis: solved.basis,
             stats,
         })
-    }
-
-    /// Indices of the non-dominated points among `(time, dirty)` pairs —
-    /// the set the paper's Fig. 5 magenta arrowheads trace. A point is
-    /// kept unless some other point is at least as good on both objectives
-    /// and strictly better on one.
-    pub fn pareto_filter(points: &[(f64, f64)]) -> Vec<usize> {
-        (0..points.len())
-            .filter(|&i| {
-                !points.iter().enumerate().any(|(j, &(tj, ej))| {
-                    let (ti, ei) = points[i];
-                    j != i && tj <= ti && ej <= ei && (tj < ti || ej < ei)
-                })
-            })
-            .collect()
-    }
-
-    /// Hypervolume (area dominated w.r.t. a reference worst point) of a
-    /// `(time, dirty)` point set — the standard scalar quality measure for
-    /// a bi-objective frontier; larger is better.
-    pub fn hypervolume(points: &[(f64, f64)], reference: (f64, f64)) -> f64 {
-        let keep = Self::pareto_filter(points);
-        let mut frontier: Vec<(f64, f64)> = keep.iter().map(|&i| points[i]).collect();
-        frontier.retain(|&(t, e)| t <= reference.0 && e <= reference.1);
-        // Sort by time ascending; sweep rectangles against the reference.
-        frontier.sort_by(|a, b| a.partial_cmp(b).expect("finite points"));
-        let mut volume = 0.0;
-        let mut prev_e = reference.1;
-        for &(t, e) in &frontier {
-            volume += (reference.0 - t) * (prev_e - e).max(0.0);
-            prev_e = prev_e.min(e);
-        }
-        volume
     }
 
     fn point_from_fractional(&self, alpha: f64, n: usize, fractional: Vec<f64>) -> ParetoPoint {
@@ -617,6 +568,7 @@ impl ParetoModeler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frontier::hypervolume;
 
     fn fit(slope: f64, intercept: f64) -> LinearFit {
         LinearFit {
@@ -701,7 +653,7 @@ mod tests {
     fn lp_at_alpha_one_matches_waterfilling() {
         let m = paper_modeler([120.0, 90.0, 200.0, 30.0]);
         let wf = m.solve_het_aware(10_000);
-        let lp = m.solve(10_000, 1.0).unwrap();
+        let lp = m.solve(10_000, 1.0, None).unwrap().point;
         assert!(
             (wf.predicted_makespan - lp.predicted_makespan).abs()
                 < 1e-6 * wf.predicted_makespan.max(1.0),
@@ -720,7 +672,7 @@ mod tests {
         let energy = vec![profile(440.0, 0.0), profile(250.0, 0.0), profile(155.0, 0.0)];
         let m = ParetoModeler::new(time, energy).unwrap();
         let wf = m.solve_het_aware(50_000);
-        let lp = m.solve(50_000, 1.0).unwrap();
+        let lp = m.solve(50_000, 1.0, None).unwrap().point;
         assert!((wf.predicted_makespan - lp.predicted_makespan).abs() < 1e-3);
     }
 
@@ -728,7 +680,7 @@ mod tests {
     fn low_alpha_concentrates_on_greenest_node() {
         // Node 3 has draw 155 and green 150 => k ≈ 5, far below others.
         let m = paper_modeler([0.0, 0.0, 0.0, 150.0]);
-        let point = m.solve(10_000, 0.0).unwrap();
+        let point = m.solve(10_000, 0.0, None).unwrap().point;
         assert!(
             point.fractional_sizes[3] > 9_999.0,
             "all load should go to the green node: {:?}",
@@ -743,7 +695,7 @@ mod tests {
     fn frontier_trades_time_for_energy() {
         let m = paper_modeler([20.0, 80.0, 120.0, 150.0]);
         let alphas = [1.0, 0.9999, 0.999, 0.99, 0.9, 0.5, 0.0];
-        let frontier = m.frontier(20_000, &alphas).unwrap();
+        let frontier = m.frontier(20_000, &alphas).unwrap().0;
         // Monotone trends along the sweep (within tiny tolerance).
         for w in frontier.windows(2) {
             assert!(
@@ -776,7 +728,7 @@ mod tests {
         let m = paper_modeler([10.0, 20.0, 30.0, 40.0]);
         for n in [1usize, 7, 100, 99_999] {
             for alpha in [1.0, 0.999, 0.5] {
-                let point = m.solve(n, alpha).unwrap();
+                let point = m.solve(n, alpha, None).unwrap().point;
                 assert_eq!(point.sizes.iter().sum::<usize>(), n, "n={n} alpha={alpha}");
                 assert!(point.sizes.iter().all(|&s| s <= n));
             }
@@ -788,7 +740,7 @@ mod tests {
         // Perturbing mass between node pairs must not improve both
         // objectives — the Pareto-efficiency definition of §III-D.
         let m = paper_modeler([20.0, 60.0, 100.0, 140.0]);
-        let point = m.solve(10_000, 0.999).unwrap();
+        let point = m.solve(10_000, 0.999, None).unwrap().point;
         let base_t = point.predicted_makespan;
         let base_e = point.predicted_dirty_joules;
         let p = m.num_nodes();
@@ -816,13 +768,13 @@ mod tests {
         let n = 20_000;
         // The raw objectives differ by orders of magnitude, so raw
         // alpha=0.5 collapses to the energy extreme…
-        let raw_half = m.solve(n, 0.5).unwrap();
-        let green = m.solve(n, 0.0).unwrap();
+        let raw_half = m.solve(n, 0.5, None).unwrap().point;
+        let green = m.solve(n, 0.0, None).unwrap().point;
         assert!((raw_half.predicted_dirty_joules - green.predicted_dirty_joules).abs() < 1e-6);
         // …whereas normalized alpha spans the frontier meaningfully.
-        let fast = m.solve_normalized(n, 1.0).unwrap();
-        let mid = m.solve_normalized(n, 0.5).unwrap();
-        let slow = m.solve_normalized(n, 0.0).unwrap();
+        let fast = m.solve_normalized(n, 1.0, None).unwrap().point;
+        let mid = m.solve_normalized(n, 0.5, None).unwrap().point;
+        let slow = m.solve_normalized(n, 0.0, None).unwrap().point;
         assert!(fast.predicted_makespan <= mid.predicted_makespan + 1e-9);
         assert!(mid.predicted_makespan <= slow.predicted_makespan + 1e-9);
         assert!(fast.predicted_dirty_joules >= mid.predicted_dirty_joules - 1e-9);
@@ -838,11 +790,11 @@ mod tests {
     fn normalized_endpoints_match_raw_extremes() {
         let m = paper_modeler([30.0, 60.0, 90.0, 140.0]);
         let n = 10_000;
-        let n1 = m.solve_normalized(n, 1.0).unwrap();
-        let r1 = m.solve(n, 1.0).unwrap();
+        let n1 = m.solve_normalized(n, 1.0, None).unwrap().point;
+        let r1 = m.solve(n, 1.0, None).unwrap().point;
         assert!((n1.predicted_makespan - r1.predicted_makespan).abs() < 1e-9);
-        let n0 = m.solve_normalized(n, 0.0).unwrap();
-        let r0 = m.solve(n, 0.0).unwrap();
+        let n0 = m.solve_normalized(n, 0.0, None).unwrap().point;
+        let r0 = m.solve(n, 0.0, None).unwrap().point;
         assert!((n0.predicted_dirty_joules - r0.predicted_dirty_joules).abs() < 1e-6);
     }
 
@@ -852,39 +804,8 @@ mod tests {
         let time = vec![fit(1e-3, 0.0); 3];
         let energy = vec![profile(250.0, 250.0); 3]; // k = 0 everywhere
         let m = ParetoModeler::new(time, energy).unwrap();
-        let p = m.solve_normalized(999, 0.5).unwrap();
+        let p = m.solve_normalized(999, 0.5, None).unwrap().point;
         assert_eq!(p.sizes.iter().sum::<usize>(), 999);
-    }
-
-    #[test]
-    fn pareto_filter_removes_dominated() {
-        let points = vec![
-            (1.0, 10.0), // frontier
-            (2.0, 5.0),  // frontier
-            (3.0, 5.0),  // dominated by (2,5)
-            (2.5, 7.0),  // dominated by (2,5)
-            (4.0, 1.0),  // frontier
-        ];
-        let keep = ParetoModeler::pareto_filter(&points);
-        assert_eq!(keep, vec![0, 1, 4]);
-        // Duplicates are both kept (neither strictly dominates).
-        let dup = vec![(1.0, 1.0), (1.0, 1.0)];
-        assert_eq!(ParetoModeler::pareto_filter(&dup).len(), 2);
-    }
-
-    #[test]
-    fn hypervolume_known_value() {
-        // Two points against reference (10, 10):
-        // (2,6): (10-2)*(10-6)=32; (5,3): (10-5)*(6-3)=15 -> 47.
-        let points = vec![(2.0, 6.0), (5.0, 3.0)];
-        let hv = ParetoModeler::hypervolume(&points, (10.0, 10.0));
-        assert!((hv - 47.0).abs() < 1e-9);
-        // Adding a dominated point changes nothing.
-        let with_dom = vec![(2.0, 6.0), (5.0, 3.0), (6.0, 7.0)];
-        assert!((ParetoModeler::hypervolume(&with_dom, (10.0, 10.0)) - 47.0).abs() < 1e-9);
-        // Points beyond the reference contribute nothing.
-        let outside = vec![(11.0, 1.0)];
-        assert_eq!(ParetoModeler::hypervolume(&outside, (10.0, 10.0)), 0.0);
     }
 
     #[test]
@@ -892,16 +813,17 @@ mod tests {
         let m = paper_modeler([20.0, 60.0, 100.0, 140.0]);
         let n = 50_000;
         let alphas = [1.0, 0.999, 0.995, 0.99, 0.9, 0.0];
-        let frontier = m.frontier(n, &alphas).unwrap();
+        let frontier = m.frontier(n, &alphas).unwrap().0;
         let points: Vec<(f64, f64)> = frontier
             .iter()
             .map(|p| (p.predicted_makespan, p.predicted_dirty_joules))
             .collect();
+        let vectors: Vec<Vec<f64>> = points.iter().map(|&(t, e)| vec![t, e]).collect();
         // Every swept point is on the frontier of the swept set, except
         // possibly the alpha = 1 endpoint: pure-makespan LPs can have many
         // time-optimal vertices, and the solver's pick may be weakly
         // dominated (equal time, higher energy) by the alpha -> 1 limit.
-        let kept = ParetoModeler::pareto_filter(&points).len();
+        let kept = pareto_frontier(&vectors).len();
         assert!(
             kept >= points.len() - 1,
             "kept {kept} of {} swept points",
@@ -915,10 +837,10 @@ mod tests {
             m.predicted_dirty(&equal),
         );
         let reference = (baseline.0 * 2.0, baseline.1.abs() * 2.0 + 1.0);
-        let hv_frontier = ParetoModeler::hypervolume(&points, reference);
+        let hv_frontier = hypervolume(&points, reference);
         let mut with_base = points.clone();
         with_base.push(baseline);
-        let hv_with = ParetoModeler::hypervolume(&with_base, reference);
+        let hv_with = hypervolume(&with_base, reference);
         assert!((hv_with - hv_frontier).abs() < 1e-6 * hv_frontier.max(1.0));
     }
 
@@ -926,7 +848,7 @@ mod tests {
     fn rejects_bad_inputs() {
         let m = paper_modeler([0.0; 4]);
         assert!(matches!(
-            m.solve(100, 1.5),
+            m.solve(100, 1.5, None),
             Err(PartitionPlanError::BadAlpha(_))
         ));
         assert!(matches!(
@@ -942,7 +864,7 @@ mod tests {
         let time = vec![fit(1e-3, 0.0), fit(1e-3, 0.0)];
         let energy = vec![profile(250.0, 50.0), profile(155.0, 300.0)];
         let m = ParetoModeler::new(time, energy).unwrap();
-        let point = m.solve(1000, 0.0).unwrap();
+        let point = m.solve(1000, 0.0, None).unwrap().point;
         assert!(point.fractional_sizes[1] > 999.0);
         assert!(point.predicted_dirty_joules < 0.0);
     }

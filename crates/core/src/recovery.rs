@@ -43,9 +43,8 @@
 //! threads — the property the CI fault-determinism job enforces.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
 
-use pareto_cluster::{Cost, FaultPlan, JobReport, NodeRun, SimCluster};
+use pareto_cluster::{Cost, FaultPlan, JobReport, SimCluster};
 use pareto_energy::NodeEnergyProfile;
 use pareto_stats::LinearFit;
 use pareto_telemetry::{ClockDomain, SpanId, Telemetry, Track};
@@ -53,17 +52,6 @@ use pareto_telemetry::{ClockDomain, SpanId, Telemetry, Track};
 use crate::elastic::ElasticPlan;
 use crate::pareto::{map_partition_basis, LpBasis, LpStats, ParetoModeler};
 use crate::stealing::{steal_back_half, RecordWork};
-
-/// Warm-start state chained across a simulation pass's runtime re-solves:
-/// the roster the most recent basis was solved over plus the basis itself
-/// (seeded from the pre-fault plan), and the cold/warm pivot tallies
-/// recorded to telemetry once per pass. Warm and cold re-solves produce
-/// bit-identical partitions by the LP layer's contract, so the recovery
-/// report is unchanged either way.
-struct LpWarm {
-    slot: Option<(Vec<usize>, LpBasis)>,
-    stats: LpStats,
-}
 
 /// Tunables for the recovery machinery.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,7 +66,8 @@ pub struct RecoveryConfig {
     pub straggler_threshold: f64,
 }
 
-/// Why a [`RecoveryConfig`] was rejected at construction.
+/// Why a [`RecoveryConfig`] was rejected at construction, or an
+/// [`ExecRequest`] at the executor boundary.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RecoveryConfigError {
     /// `max_retries` was zero — a single transient error would kill every
@@ -93,6 +82,23 @@ pub enum RecoveryConfigError {
     /// `straggler_threshold` was non-finite or below 1.0 (a node cannot be
     /// "slower than itself"; thresholds under 1 steal from healthy nodes).
     BadStragglerThreshold(f64),
+    /// A per-node request input (`initial`, `fits` or `profiles`) does not
+    /// have exactly one entry per cluster node.
+    Misaligned {
+        /// Which input.
+        input: &'static str,
+        /// Its length.
+        len: usize,
+        /// The cluster size it must match.
+        nodes: usize,
+    },
+    /// An initial queue names an item outside the request's `work`.
+    ItemOutOfRange {
+        /// The offending item index.
+        item: usize,
+        /// Number of items in `work`.
+        items: usize,
+    },
 }
 
 impl std::fmt::Display for RecoveryConfigError {
@@ -112,6 +118,12 @@ impl std::fmt::Display for RecoveryConfigError {
             RecoveryConfigError::BadStragglerThreshold(v) => {
                 write!(f, "straggler_threshold must be finite and >= 1.0, got {v}")
             }
+            RecoveryConfigError::Misaligned { input, len, nodes } => {
+                write!(f, "{input} has {len} entries for a {nodes}-node cluster")
+            }
+            RecoveryConfigError::ItemOutOfRange { item, items } => {
+                write!(f, "initial queues name item {item} of a {items}-item job")
+            }
         }
     }
 }
@@ -125,10 +137,8 @@ impl RecoveryConfig {
     /// sentinel values smuggled in as configuration.
     pub const MAX_RETRY_BOUND: u32 = 1024;
 
-    /// Validated constructor: the only way to build a config that the
-    /// executor has not vetted is to write the fields directly (kept
-    /// public for struct-update ergonomics; `execute_with_recovery`
-    /// asserts validity in debug builds).
+    /// Validated constructor. The fields stay public for struct-update
+    /// ergonomics; [`execute`] re-validates whatever it is handed.
     pub fn new(
         max_retries: u32,
         backoff_base_s: f64,
@@ -175,7 +185,7 @@ impl Default for RecoveryConfig {
 
 /// Structured account of what the recovery machinery observed and did.
 /// Derives `PartialEq` so determinism tests can compare whole reports.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecoveryReport {
     /// Events in the injected fault plan.
     pub faults_injected: usize,
@@ -262,29 +272,6 @@ pub struct RecoveryOutcome {
     pub handed_off_items: Vec<usize>,
 }
 
-/// What one simulation pass produces (before baseline comparison).
-struct SimPass {
-    runs: Vec<NodeRun>,
-    wall_makespan_s: f64,
-    crashed_nodes: Vec<usize>,
-    replans: u32,
-    retries_spent: u32,
-    speculative_steals: u32,
-    items_stolen: usize,
-    reassigned_items: Vec<usize>,
-    completed_by: Vec<Option<usize>>,
-    completed_at_s: Vec<Option<f64>>,
-    joins_applied: u32,
-    drains_applied: u32,
-    preempts_applied: u32,
-    left_nodes: Vec<usize>,
-    handoff_records: u32,
-    handoff_retries: u32,
-    handed_off_items: Vec<usize>,
-    join_epochs: Vec<Option<f64>>,
-    leave_epochs: Vec<Option<f64>>,
-}
-
 /// Order orphans stratum-aware: stable-group by stratum, then round-robin
 /// across the groups so any contiguous cut of the result carries a
 /// near-proportional mix of every stratum.
@@ -307,239 +294,119 @@ fn stratum_interleave(mut orphans: Vec<usize>, strata: &[u32]) -> Vec<usize> {
     out
 }
 
-/// Execute `work` over `initial` per-node queues while honouring `faults`,
-/// recovering as described in the module docs. `strata[r]` is record `r`'s
-/// stratum; `fits`/`profiles` are the per-node planning models used for
-/// replanning and straggler detection; `alpha` is the scalarization weight
-/// for runtime re-solves (`>= 1` uses exact waterfilling).
+/// One job for the fault-tolerant executor: the cluster, the per-item work
+/// and its initial placement, the planning models runtime re-solves use,
+/// and the schedules to survive. The three optional parts default to "no
+/// roster changes", "cold runtime LP" and "record nothing".
+#[derive(Clone, Copy)]
+pub struct ExecRequest<'a> {
+    /// The simulated cluster the job runs on.
+    pub cluster: &'a SimCluster,
+    /// `work[r]` is record `r`'s execution profile.
+    pub work: &'a [RecordWork],
+    /// `initial[i]` is node `i`'s starting queue (indices into `work`).
+    pub initial: &'a [Vec<usize>],
+    /// `strata[r]` is record `r`'s stratum (missing entries read as 0).
+    pub strata: &'a [u32],
+    /// Per-node time models `f_i`, for replanning and straggler detection.
+    pub fits: &'a [LinearFit],
+    /// Per-node energy profiles `k_i`, for replanning.
+    pub profiles: &'a [NodeEnergyProfile],
+    /// Scalarization weight of runtime re-solves (`>= 1` uses exact
+    /// waterfilling).
+    pub alpha: f64,
+    /// The fault schedule to survive.
+    pub faults: &'a FaultPlan,
+    /// Retry, backoff and straggler tunables.
+    pub cfg: &'a RecoveryConfig,
+    /// Planned roster transitions (joins, drains, preemptions) consumed
+    /// alongside the fault plan.
+    pub elastic: Option<&'a ElasticPlan>,
+    /// The pre-fault plan's optimal LP basis over the full roster: every
+    /// runtime re-solve maps the most recent basis onto the surviving
+    /// roster ([`map_partition_basis`]) and warm-starts from it. The
+    /// outcome is bit-identical with or without it — the LP layer falls
+    /// back to a cold solve whenever the repaired basis cannot be proven
+    /// optimal — so only the `pareto_lp_*` counters observe the difference.
+    pub warm: Option<&'a LpBasis>,
+    /// Recorder for the faulty pass: per-node sim-clock spans (fetch
+    /// retries, item execution, transfers), crash and elastic-transition
+    /// instants, coordinator replan instants, work-item lineage, the energy
+    /// ledger and the recovery metrics. The internal fault-free baseline
+    /// pass records nothing. Recording is inert: the [`RecoveryOutcome`] is
+    /// bit-identical with telemetry on or off.
+    pub telemetry: Option<&'a Telemetry>,
+}
+
+impl ExecRequest<'_> {
+    /// The one place a request is checked: a valid config, one queue, time
+    /// model and energy profile per cluster node, and every queued item
+    /// inside `work`. Returns the modeler runtime re-solves restrict.
+    fn validate(&self) -> Result<ParetoModeler, RecoveryConfigError> {
+        self.cfg.validate()?;
+        let nodes = self.cluster.num_nodes();
+        for (input, len) in [
+            ("initial", self.initial.len()),
+            ("fits", self.fits.len()),
+            ("profiles", self.profiles.len()),
+        ] {
+            if len != nodes {
+                return Err(RecoveryConfigError::Misaligned { input, len, nodes });
+            }
+        }
+        let items = self.work.len();
+        if let Some(&item) = self.initial.iter().flatten().find(|&&r| r >= items) {
+            return Err(RecoveryConfigError::ItemOutOfRange { item, items });
+        }
+        let modeler = ParetoModeler::new(self.fits.to_vec(), self.profiles.to_vec())
+            .expect("fits and profiles just checked node-aligned; a cluster is never empty");
+        Ok(modeler)
+    }
+}
+
+/// Execute `req.work` over the `req.initial` per-node queues while
+/// honouring the fault (and elastic) plan, recovering as described in the
+/// module docs. The fault-free baseline (same job, empty plans) is
+/// simulated internally to price the recovery overhead.
 ///
-/// The fault-free baseline (same job, empty plan) is simulated internally
-/// to price the recovery overhead.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_with_recovery(
-    cluster: &SimCluster,
-    work: &[RecordWork],
-    initial: &[Vec<usize>],
-    strata: &[u32],
-    fits: &[LinearFit],
-    profiles: &[NodeEnergyProfile],
-    alpha: f64,
-    faults: &FaultPlan,
-    cfg: &RecoveryConfig,
-) -> RecoveryOutcome {
-    execute_with_recovery_elastic_traced(
-        cluster,
-        work,
-        initial,
-        strata,
-        fits,
-        profiles,
-        alpha,
-        faults,
-        &ElasticPlan::none(),
-        cfg,
-        &Telemetry::disabled(),
-    )
-}
-
-/// [`execute_with_recovery`] with a planned [`ElasticPlan`] consumed
-/// alongside the fault plan: joins, drains and preemptions are applied as
-/// described in the module docs.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_with_recovery_elastic(
-    cluster: &SimCluster,
-    work: &[RecordWork],
-    initial: &[Vec<usize>],
-    strata: &[u32],
-    fits: &[LinearFit],
-    profiles: &[NodeEnergyProfile],
-    alpha: f64,
-    faults: &FaultPlan,
-    elastic: &ElasticPlan,
-    cfg: &RecoveryConfig,
-) -> RecoveryOutcome {
-    execute_with_recovery_elastic_traced(
-        cluster,
-        work,
-        initial,
-        strata,
-        fits,
-        profiles,
-        alpha,
-        faults,
-        elastic,
-        cfg,
-        &Telemetry::disabled(),
-    )
-}
-
-/// [`execute_with_recovery`] with a telemetry recorder attached: the
-/// faulty pass records per-node sim-clock spans (fetch retries, item
-/// execution, transfers), crash instants, coordinator replan instants,
-/// and recovery metrics. The internal fault-free baseline pass records
-/// nothing — it exists only to price the overhead. Recording is inert:
-/// the [`RecoveryOutcome`] is bit-identical with telemetry on or off.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_with_recovery_traced(
-    cluster: &SimCluster,
-    work: &[RecordWork],
-    initial: &[Vec<usize>],
-    strata: &[u32],
-    fits: &[LinearFit],
-    profiles: &[NodeEnergyProfile],
-    alpha: f64,
-    faults: &FaultPlan,
-    cfg: &RecoveryConfig,
-    telemetry: &Arc<Telemetry>,
-) -> RecoveryOutcome {
-    execute_with_recovery_elastic_traced(
-        cluster,
-        work,
-        initial,
-        strata,
-        fits,
-        profiles,
-        alpha,
-        faults,
-        &ElasticPlan::none(),
-        cfg,
-        telemetry,
-    )
-}
-
-/// [`execute_with_recovery_elastic`] with a telemetry recorder attached.
-/// Elastic transitions record inert per-transition instants/spans plus the
-/// `pareto_elastic_events_total{kind}` and
-/// `pareto_handoff_records_total{outcome}` counters.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_with_recovery_elastic_traced(
-    cluster: &SimCluster,
-    work: &[RecordWork],
-    initial: &[Vec<usize>],
-    strata: &[u32],
-    fits: &[LinearFit],
-    profiles: &[NodeEnergyProfile],
-    alpha: f64,
-    faults: &FaultPlan,
-    elastic: &ElasticPlan,
-    cfg: &RecoveryConfig,
-    telemetry: &Arc<Telemetry>,
-) -> RecoveryOutcome {
-    execute_with_recovery_elastic_warm(
-        cluster, work, initial, strata, fits, profiles, alpha, faults, elastic, cfg, None,
-        telemetry,
-    )
-}
-
-/// [`execute_with_recovery_elastic_traced`] seeded with the pre-fault
-/// plan's optimal LP basis (`warm`, over the full roster): every runtime
-/// re-solve maps the most recent basis onto the surviving roster
-/// ([`map_partition_basis`]) and warm-starts from it. The outcome is
-/// bit-identical with or without `warm` — the LP layer falls back to a
-/// cold solve whenever the repaired basis cannot be proven optimal — so
-/// only the `pareto_lp_*` counters observe the difference.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_with_recovery_elastic_warm(
-    cluster: &SimCluster,
-    work: &[RecordWork],
-    initial: &[Vec<usize>],
-    strata: &[u32],
-    fits: &[LinearFit],
-    profiles: &[NodeEnergyProfile],
-    alpha: f64,
-    faults: &FaultPlan,
-    elastic: &ElasticPlan,
-    cfg: &RecoveryConfig,
-    warm: Option<&LpBasis>,
-    telemetry: &Arc<Telemetry>,
-) -> RecoveryOutcome {
-    let p = cluster.num_nodes();
-    assert_eq!(initial.len(), p, "one initial queue per node");
-    assert_eq!(fits.len(), p, "one time model per node");
-    assert_eq!(profiles.len(), p, "one energy profile per node");
-    debug_assert!(cfg.validate().is_ok(), "invalid RecoveryConfig: {cfg:?}");
-
+/// Errors — never panics — on a request whose per-node inputs are not
+/// node-aligned, that queues an item outside `work`, or whose config is
+/// invalid.
+pub fn execute(req: &ExecRequest<'_>) -> Result<RecoveryOutcome, RecoveryConfigError> {
+    let modeler = req.validate()?;
+    let (silent, no_elastic) = (Telemetry::disabled(), ElasticPlan::none());
+    let tel = req.telemetry.unwrap_or(&silent);
+    let elastic = req.elastic.unwrap_or(&no_elastic);
     // Spans land after any previously recorded jobs on the shared sim
     // timeline; the cursor only moves when a recorder is attached.
-    let epoch = if telemetry.is_enabled() {
-        cluster.sim_epoch()
+    let epoch = if tel.is_enabled() {
+        req.cluster.sim_epoch()
     } else {
         0.0
     };
-    let faulty = simulate(
-        cluster, work, initial, strata, fits, profiles, alpha, faults, elastic, cfg, warm,
-        telemetry, epoch,
-    );
-    if telemetry.is_enabled() {
-        cluster.advance_sim_epoch(faulty.wall_makespan_s);
+    let mut out = Sim::new(req, &modeler, req.faults, elastic, tel, epoch).run();
+    let rec = &mut out.recovery;
+    if tel.is_enabled() {
+        req.cluster.advance_sim_epoch(rec.makespan_s);
     }
-    let (ff_makespan, ff_dirty) = if faults.is_empty() && elastic.is_empty() {
-        let dirty: f64 = faulty.runs.iter().map(|r| r.dirty_joules_linear).sum();
-        (faulty.wall_makespan_s, dirty)
-    } else {
-        // Baseline pass records nothing — only the faulty run is the story.
-        let baseline = simulate(
-            cluster,
-            work,
-            initial,
-            strata,
-            fits,
-            profiles,
-            alpha,
-            &FaultPlan::none(),
-            &ElasticPlan::none(),
-            cfg,
-            warm,
-            &Telemetry::disabled(),
-            0.0,
-        );
-        let dirty: f64 = baseline.runs.iter().map(|r| r.dirty_joules_linear).sum();
-        (baseline.wall_makespan_s, dirty)
-    };
-
-    let dirty_linear_j: f64 = faulty.runs.iter().map(|r| r.dirty_joules_linear).sum();
-    let items_completed = faulty.completed_by.iter().filter(|c| c.is_some()).count();
-    let recovery = RecoveryReport {
-        faults_injected: faults.len(),
-        crashed_nodes: faulty.crashed_nodes.clone(),
-        replans: faulty.replans,
-        retries_spent: faulty.retries_spent,
-        speculative_steals: faulty.speculative_steals,
-        items_reassigned: faulty.reassigned_items.len(),
-        items_stolen: faulty.items_stolen,
-        items_total: work.len(),
-        items_completed,
-        exactly_once: items_completed == work.len(),
-        makespan_s: faulty.wall_makespan_s,
-        fault_free_makespan_s: ff_makespan,
-        makespan_overhead: if ff_makespan > 0.0 {
-            faulty.wall_makespan_s / ff_makespan - 1.0
+    (rec.fault_free_makespan_s, rec.fault_free_dirty_linear_j) =
+        if req.faults.is_empty() && elastic.is_empty() {
+            (rec.makespan_s, rec.dirty_linear_j)
         } else {
-            0.0
-        },
-        dirty_linear_j,
-        fault_free_dirty_linear_j: ff_dirty,
-        dirty_overhead_j: dirty_linear_j - ff_dirty,
-        elastic_events: elastic.len(),
-        joins_applied: faulty.joins_applied,
-        drains_applied: faulty.drains_applied,
-        preempts_applied: faulty.preempts_applied,
-        left_nodes: faulty.left_nodes.clone(),
-        handoff_records: faulty.handoff_records,
-        handoff_retries: faulty.handoff_retries,
-        items_handed_off: faulty.handed_off_items.len(),
+            // Baseline pass records nothing — only the faulty run is the story.
+            let base = Sim::new(req, &modeler, &FaultPlan::none(), &no_elastic, &silent, 0.0)
+                .run()
+                .recovery;
+            (base.makespan_s, base.dirty_linear_j)
+        };
+    rec.makespan_overhead = if rec.fault_free_makespan_s > 0.0 {
+        rec.makespan_s / rec.fault_free_makespan_s - 1.0
+    } else {
+        0.0
     };
-    record_recovery_telemetry(telemetry, &recovery, epoch);
-    RecoveryOutcome {
-        report: JobReport::from_runs(faulty.runs),
-        recovery,
-        completed_by: faulty.completed_by,
-        reassigned_items: faulty.reassigned_items,
-        completed_at_s: faulty.completed_at_s,
-        join_epochs: faulty.join_epochs,
-        leave_epochs: faulty.leave_epochs,
-        handed_off_items: faulty.handed_off_items,
-    }
+    rec.dirty_overhead_j = rec.dirty_linear_j - rec.fault_free_dirty_linear_j;
+    record_recovery_telemetry(tel, rec, epoch);
+    Ok(out)
 }
 
 /// Record the recovery summary: a coordinator span covering the faulty
@@ -619,147 +486,278 @@ impl NodeState {
     fn active(&self) -> bool {
         self.alive && !self.left && !self.absent
     }
+
+    fn has_work(&self) -> bool {
+        !self.queue.is_empty() || self.pending != Cost::ZERO
+    }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn simulate(
-    cluster: &SimCluster,
-    work: &[RecordWork],
-    initial: &[Vec<usize>],
-    strata: &[u32],
-    fits: &[LinearFit],
-    profiles: &[NodeEnergyProfile],
-    alpha: f64,
-    faults: &FaultPlan,
-    elastic: &ElasticPlan,
-    cfg: &RecoveryConfig,
-    warm: Option<&LpBasis>,
-    tel: &Telemetry,
-    epoch: f64,
-) -> SimPass {
-    let p = cluster.num_nodes();
-    let modeler = ParetoModeler::new(fits.to_vec(), profiles.to_vec())
-        .expect("node-aligned fits and profiles");
-    // Runtime re-solves chain their bases: the first replan warm-starts
-    // from the pre-fault basis (over the full roster), later ones from the
-    // previous re-solve's basis.
-    let mut lp_warm = LpWarm {
-        slot: warm.map(|b| ((0..p).collect(), b.clone())),
-        stats: LpStats::default(),
-    };
-    // A preemption's hard kill rides the crash machinery: the node's
-    // effective kill time is the earlier of its scheduled crash and its
-    // preempt notice plus grace.
-    let kill_at: Vec<Option<f64>> = (0..p)
-        .map(|i| {
-            let crash = faults.crash_time(i);
-            let preempt_kill = elastic.preempt(i).map(|(t, g)| t + g);
-            match (crash, preempt_kill) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, None) => a,
-                (None, b) => b,
-            }
-        })
-        .collect();
-    let join_at: Vec<Option<f64>> = (0..p).map(|i| elastic.join_time(i)).collect();
-    // Earliest drain trigger per node and whether it came from a
-    // preemption (ties prefer the graceful drain).
-    let drain_notice: Vec<Option<(f64, bool)>> = (0..p)
-        .map(|i| {
-            let drain = elastic.drain_time(i).map(|t| (t, false));
-            let preempt = elastic.preempt(i).map(|(t, _)| (t, true));
-            match (drain, preempt) {
-                (Some(d), Some(pr)) => Some(if d.0 <= pr.0 { d } else { pr }),
-                (d, None) => d,
-                (None, pr) => pr,
-            }
-        })
-        .collect();
+/// One group move of work items as the lineage trace labels it.
+/// Telemetry-only: no decision reads it.
+#[derive(Clone, Copy)]
+struct Hop {
+    /// Source node; `None` is the pool (stranded orphans, rebalance excess).
+    from: Option<usize>,
+    /// Simulated time of the move.
+    now: f64,
+    /// "redistribute", "handoff", "rescue", "rebalance" or "steal".
+    kind: &'static str,
+}
 
-    let mut nodes: Vec<NodeState> = initial
-        .iter()
-        .enumerate()
-        .map(|(i, q)| NodeState {
-            queue: q.iter().copied().collect(),
-            clock: 0.0,
-            busy: 0.0,
-            cost: Cost::ZERO,
-            pending: Cost::ZERO,
-            pending_kind: "fetch",
-            alive: true,
-            retired: false,
-            absent: join_at[i].is_some(),
-            left: false,
-            assigned: q.len(),
-        })
-        .collect();
-    let mut completed_by: Vec<Option<usize>> = vec![None; work.len()];
-    let mut completed_at_s: Vec<Option<f64>> = vec![None; work.len()];
-    let mut crashed_nodes = Vec::new();
-    let mut replans = 0u32;
-    let mut retries_spent = 0u32;
-    let mut speculative_steals = 0u32;
-    let mut items_stolen = 0usize;
-    let mut reassigned_items = Vec::new();
-    let mut joins_applied = 0u32;
-    let mut drains_applied = 0u32;
-    let mut preempts_applied = 0u32;
-    let mut left_nodes = Vec::new();
-    let mut handoff_records = 0u32;
-    let mut handoff_retries = 0u32;
-    let mut handed_off_items = Vec::new();
-    let mut join_epochs: Vec<Option<f64>> = vec![None; p];
-    let mut leave_epochs: Vec<Option<f64>> = vec![None; p];
-    // Orphans stranded while no node was active; a later joiner rescues
-    // them (conservation across join/leave boundaries).
-    let mut lost_pool: Vec<usize> = Vec::new();
-    // Causal trace-context per item: (batch id, hop counter), where the
-    // batch is the node index of the item's initial placement and every
-    // subsequent move bumps the hop. Telemetry-owned (None when
-    // disabled); never read by any scheduling decision.
-    let mut lineage: Option<Vec<(u32, u32)>> = if tel.is_enabled() {
-        let mut lin = vec![(0u32, 0u32); work.len()];
-        for (i, q) in initial.iter().enumerate() {
-            for &r in q {
-                lin[r] = (i as u32, 0);
+/// One simulation pass: the borrowed job, this pass's schedules and
+/// recorder, and all mutable state. The methods below are the executor's
+/// mechanisms, each existing once — `retry`, `charge`, `crash`/`orphan`,
+/// `shares`, `distribute`/`deliver` — plus one method per event of the
+/// main loop.
+struct Sim<'a> {
+    req: &'a ExecRequest<'a>,
+    modeler: &'a ParetoModeler,
+    faults: &'a FaultPlan,
+    tel: &'a Telemetry,
+    epoch: f64,
+    /// A preemption's hard kill rides the crash machinery: the node's
+    /// effective kill time is the earlier of its scheduled crash and its
+    /// preempt notice plus grace.
+    kill_at: Vec<Option<f64>>,
+    join_at: Vec<Option<f64>>,
+    /// Earliest drain trigger per node and whether it came from a
+    /// preemption (ties prefer the graceful drain).
+    drain_notice: Vec<Option<(f64, bool)>>,
+    nodes: Vec<NodeState>,
+    /// Warm-start state chained across the pass's runtime re-solves: the
+    /// roster the most recent basis was solved over plus the basis itself
+    /// (seeded from the pre-fault plan). Warm and cold re-solves produce
+    /// bit-identical partitions by the LP layer's contract.
+    lp_slot: Option<(Vec<usize>, LpBasis)>,
+    /// Cold/warm pivot tallies, recorded to telemetry once per pass.
+    lp_stats: LpStats,
+    /// Orphans stranded while no node was active; a later joiner rescues
+    /// them (conservation across join/leave boundaries).
+    lost_pool: Vec<usize>,
+    /// Causal trace-context per item: (batch id, hop counter), where the
+    /// batch is the node index of the item's initial placement and every
+    /// subsequent move bumps the hop. Telemetry-owned (`None` when
+    /// disabled); never read by any scheduling decision.
+    lineage: Option<Vec<(u32, u32)>>,
+    /// The outcome under construction; counters accumulate straight into
+    /// it and `run` fills the per-run totals.
+    out: RecoveryOutcome,
+}
+
+impl<'a> Sim<'a> {
+    fn new(
+        req: &'a ExecRequest<'a>,
+        modeler: &'a ParetoModeler,
+        faults: &'a FaultPlan,
+        elastic: &'a ElasticPlan,
+        tel: &'a Telemetry,
+        epoch: f64,
+    ) -> Self {
+        let p = req.cluster.num_nodes();
+        let join_at: Vec<Option<f64>> = (0..p).map(|i| elastic.join_time(i)).collect();
+        let lineage = tel.is_enabled().then(|| {
+            let mut lin = vec![(0u32, 0u32); req.work.len()];
+            for (i, q) in req.initial.iter().enumerate() {
+                for &r in q {
+                    lin[r] = (i as u32, 0);
+                }
+                if !q.is_empty() {
+                    tel.instant(
+                        Track::Coordinator,
+                        "lineage",
+                        ClockDomain::Sim,
+                        epoch,
+                        vec![
+                            ("batch".into(), i.to_string()),
+                            ("hop".into(), "0".into()),
+                            ("kind".into(), "place".into()),
+                            ("from".into(), "-".into()),
+                            ("to".into(), format!("node{i}")),
+                            ("items".into(), q.len().to_string()),
+                        ],
+                    );
+                }
             }
-            if !q.is_empty() {
-                tel.instant(
-                    Track::Coordinator,
-                    "lineage",
-                    ClockDomain::Sim,
-                    epoch,
-                    vec![
-                        ("batch".into(), i.to_string()),
-                        ("hop".into(), "0".into()),
-                        ("kind".into(), "place".into()),
-                        ("from".into(), "-".into()),
-                        ("to".into(), format!("node{i}")),
-                        ("items".into(), q.len().to_string()),
-                    ],
-                );
+            lin
+        });
+        Sim {
+            req,
+            modeler,
+            faults,
+            tel,
+            epoch,
+            kill_at: (0..p)
+                .map(|i| {
+                    let preempt_kill = elastic.preempt(i).map(|(t, grace)| t + grace);
+                    faults.crash_time(i).into_iter().chain(preempt_kill).reduce(f64::min)
+                })
+                .collect(),
+            drain_notice: (0..p)
+                .map(|i| {
+                    let drain = elastic.drain_time(i).map(|t| (t, false));
+                    let preempt = elastic.preempt(i).map(|(t, _)| (t, true));
+                    match (drain, preempt) {
+                        (Some(d), Some(pr)) => Some(if d.0 <= pr.0 { d } else { pr }),
+                        (d, None) => d,
+                        (None, pr) => pr,
+                    }
+                })
+                .collect(),
+            nodes: req
+                .initial
+                .iter()
+                .zip(&join_at)
+                .map(|(q, join)| NodeState {
+                    queue: q.iter().copied().collect(),
+                    clock: 0.0,
+                    busy: 0.0,
+                    cost: Cost::ZERO,
+                    pending: Cost::ZERO,
+                    pending_kind: "fetch",
+                    alive: true,
+                    retired: false,
+                    absent: join.is_some(),
+                    left: false,
+                    assigned: q.len(),
+                })
+                .collect(),
+            join_at,
+            // Runtime re-solves chain their bases: the first replan
+            // warm-starts from the pre-fault basis (over the full roster),
+            // later ones from the previous re-solve's basis.
+            lp_slot: req.warm.map(|b| ((0..p).collect(), b.clone())),
+            lp_stats: LpStats::default(),
+            lost_pool: Vec::new(),
+            lineage,
+            out: RecoveryOutcome {
+                report: JobReport::from_runs(Vec::new()),
+                recovery: RecoveryReport {
+                    faults_injected: faults.len(),
+                    elastic_events: elastic.len(),
+                    items_total: req.work.len(),
+                    ..RecoveryReport::default()
+                },
+                completed_by: vec![None; req.work.len()],
+                reassigned_items: Vec::new(),
+                completed_at_s: vec![None; req.work.len()],
+                join_epochs: vec![None; p],
+                leave_epochs: vec![None; p],
+                handed_off_items: Vec::new(),
+            },
+        }
+    }
+
+    /// Run the pass to completion: scheduled joiners' partitions are
+    /// reassigned, every present node fetches, then the event loop always
+    /// advances the smallest-clock node until everyone has retired.
+    fn run(mut self) -> RecoveryOutcome {
+        let p = self.nodes.len();
+        // Scheduled joiners are absent at job start; the coordinator
+        // reassigns their initial partitions to the present nodes before
+        // anyone fetches.
+        for i in 0..p {
+            if self.nodes[i].absent {
+                let items = self.take_queue(i);
+                self.orphan(i, items, "redistribute");
             }
         }
-        Some(lin)
-    } else {
-        None
-    };
+        self.fetch_partitions();
+        loop {
+            if self.activate_due_joiner() {
+                continue;
+            }
+            // Among active nodes, pick the smallest clock; on ties a node
+            // with work beats an idle one (so idle waits strictly advance),
+            // then the lowest id wins. f64 total_cmp keeps this
+            // deterministic.
+            let nodes = &self.nodes;
+            let Some(node) = (0..p)
+                .filter(|&i| nodes[i].active() && !nodes[i].retired)
+                .min_by(|&a, &b| {
+                    nodes[a]
+                        .clock
+                        .total_cmp(&nodes[b].clock)
+                        .then_with(|| nodes[b].has_work().cmp(&nodes[a].has_work()))
+                        .then(a.cmp(&b))
+                })
+            else {
+                break;
+            };
+            if self.drain_if_noticed(node) {
+                continue;
+            }
+            // Pay any pending transfer (fetch or received reassignment)
+            // first.
+            if self.nodes[node].pending != Cost::ZERO {
+                let transfer = std::mem::replace(&mut self.nodes[node].pending, Cost::ZERO);
+                if !self.charge(node, transfer, self.nodes[node].pending_kind) {
+                    self.crash(node, "transfer", Vec::new());
+                }
+                continue;
+            }
+            if let Some(r) = self.nodes[node].queue.pop_front() {
+                self.exec_item(node, r);
+                continue;
+            }
+            if self.steal_from_straggler(node) {
+                continue;
+            }
+            // Nothing to steal. If work remains elsewhere, wait (advance
+            // the wall clock without charging busy time) until the
+            // earliest working node's clock; otherwise retire.
+            let next_work_clock = (0..p)
+                .filter(|&j| j != node && self.nodes[j].active() && self.nodes[j].has_work())
+                .map(|j| self.nodes[j].clock)
+                .fold(f64::INFINITY, f64::min);
+            if next_work_clock.is_finite() {
+                // Strictly later than this node's clock, because clock
+                // ties prefer working nodes.
+                self.nodes[node].clock = next_work_clock;
+            } else {
+                self.nodes[node].retired = true;
+            }
+        }
 
-    // Seconds one event takes on `node` starting at `now`: cost converted
-    // through the node's speed and the (possibly degraded) network, then
-    // stretched by the node's straggler factor.
-    let event_seconds = |node: usize, cost: &Cost, now: f64| -> f64 {
-        let net = faults.network_at(node, now, cluster.network());
+        self.lp_stats.record(self.tel);
+        let mut out = self.out;
+        out.report = JobReport::from_runs(
+            (0..p)
+                .map(|i| {
+                    self.req
+                        .cluster
+                        .account_busy(i, self.nodes[i].busy, self.nodes[i].cost)
+                })
+                .collect(),
+        );
+        let rec = &mut out.recovery;
+        // Idle waits only ever advance a node to another *working* node's
+        // clock, so the max clock is exactly the wall completion time.
+        rec.makespan_s = self.nodes.iter().map(|s| s.clock).fold(0.0, f64::max);
+        rec.dirty_linear_j = out.report.total_dirty_linear;
+        rec.items_reassigned = out.reassigned_items.len();
+        rec.items_handed_off = out.handed_off_items.len();
+        rec.items_completed = out.completed_by.iter().filter(|c| c.is_some()).count();
+        rec.exactly_once = rec.items_completed == rec.items_total;
+        out
+    }
+
+    /// Seconds one event takes on `node` starting at `now`: cost converted
+    /// through the node's speed and the (possibly degraded) network, then
+    /// stretched by the node's straggler factor.
+    fn event_seconds(&self, node: usize, cost: &Cost, now: f64) -> f64 {
+        let cluster = self.req.cluster;
+        let net = self.faults.network_at(node, now, cluster.network());
         cost.seconds(cluster.node(node).speed(), cluster.base_ops_per_sec(), &net)
-            * faults.straggler_factor(node)
-    };
+            * self.faults.straggler_factor(node)
+    }
 
-    // Advance `node` by `dt` busy seconds, unless its scheduled kill
-    // (crash or preempt-grace expiry) lands inside the event; returns
-    // false if the node died (clock pinned at the kill instant, the
-    // event's work lost).
-    let advance = |state: &mut NodeState, node: usize, dt: f64| -> bool {
-        if let Some(tc) = kill_at[node] {
+    /// Advance `node` by `dt` busy seconds, unless its scheduled kill
+    /// (crash or preempt-grace expiry) lands inside the event; returns
+    /// false if the node died (clock pinned at the kill instant, the
+    /// event's work lost).
+    fn advance(&mut self, node: usize, dt: f64) -> bool {
+        let state = &mut self.nodes[node];
+        if let Some(tc) = self.kill_at[node] {
             if state.clock + dt > tc {
                 let burned = (tc - state.clock).max(0.0);
                 state.clock = tc;
@@ -771,1036 +769,581 @@ fn simulate(
         state.clock += dt;
         state.busy += dt;
         true
-    };
-
-    // Predicted f_i(x_i) for the node's current assignment (floored so
-    // the straggler ratio is always well-defined).
-    let predicted = |node: usize, assigned: usize| -> f64 {
-        fits[node].predict(assigned as f64).max(1e-9)
-    };
-
-    // --- Phase -1: scheduled joiners are absent at job start; the
-    // coordinator reassigns their initial partitions to the present
-    // nodes before anyone fetches.
-    for i in 0..p {
-        if nodes[i].absent && !nodes[i].queue.is_empty() {
-            let orphans: Vec<usize> = nodes[i].queue.drain(..).collect();
-            nodes[i].assigned -= orphans.len();
-            replan(
-                work,
-                strata,
-                fits,
-                &modeler,
-                alpha,
-                &mut lp_warm,
-                &mut nodes,
-                orphans,
-                &mut replans,
-                &mut reassigned_items,
-                &mut lost_pool,
-                tel,
-                epoch,
-                0.0,
-                "redistribute",
-                &format!("node{i}"),
-                &mut lineage,
-            );
-        }
     }
 
-    // --- Phase 0: partition fetch, with transient-error retries. ---
-    for (i, node) in nodes.iter_mut().enumerate() {
-        if node.queue.is_empty() {
-            continue;
-        }
-        let mut errors = faults.store_error_count(i);
-        let mut attempt = 0u32;
-        while errors > 0 && node.alive {
-            errors -= 1;
-            attempt += 1;
+    /// Burn `node`'s transient store errors against the retry budget: a
+    /// failed request still pays its round trip, then backs off
+    /// exponentially in simulated time. `stage` names the span and ledger
+    /// rows ("kv-retry" for the fetch, "handoff-retry" for a drain's
+    /// handoff write). Returns the retries spent; the node is dead
+    /// afterwards if it exhausted `max_retries` or its kill landed
+    /// mid-retry.
+    fn retry(&mut self, node: usize, stage: &str) -> u32 {
+        let cfg = self.req.cfg;
+        let mut spent = 0;
+        for attempt in 1..=self.faults.store_error_count(node) {
             if attempt > cfg.max_retries {
-                node.alive = false;
+                self.nodes[node].alive = false;
                 break;
             }
-            retries_spent += 1;
-            // A failed request still pays its round trip, then backs off
-            // exponentially in simulated time.
-            let failed = Cost {
-                compute_ops: 0,
-                bytes: 0,
-                round_trips: 1,
-            };
-            let dt = event_seconds(i, &failed, node.clock)
+            spent += 1;
+            let failed = Cost::request(0);
+            let (before, busy0) = (self.nodes[node].clock, self.nodes[node].busy);
+            let dt = self.event_seconds(node, &failed, before)
                 + cfg.backoff_base_s * f64::powi(2.0, (attempt - 1) as i32);
-            node.cost.add(failed);
-            let before = node.clock;
-            let busy0 = node.busy;
-            let survived = advance(node, i, dt);
-            if tel.is_enabled() {
-                tel.span(
-                    Track::Node(i),
-                    "kv-retry",
+            self.nodes[node].cost.add(failed);
+            let survived = self.advance(node, dt);
+            if self.tel.is_enabled() {
+                self.tel.span(
+                    Track::Node(node),
+                    stage,
                     ClockDomain::Sim,
-                    epoch + before,
-                    epoch + node.clock,
+                    self.epoch + before,
+                    self.epoch + self.nodes[node].clock,
                     SpanId::NONE,
                     vec![("attempt".into(), attempt.to_string())],
                 );
-                tel.counter_add("pareto_kv_retries_total", &[], 1);
-                tel.ledger_interval(
-                    i,
-                    "kv-retry",
-                    None,
-                    epoch + before,
-                    epoch + node.clock,
-                    busy0,
-                    node.busy,
-                );
+                self.ledger(node, stage, None, before, busy0);
             }
             if !survived {
                 break;
             }
         }
-        if node.alive {
-            let bytes: u64 = node.queue.iter().map(|&r| work[r].bytes).sum();
-            node.pending = Cost {
-                compute_ops: 0,
-                bytes,
-                round_trips: 1,
-            };
-            node.pending_kind = "fetch";
-        }
-    }
-    // Nodes lost during fetch orphan their whole partition.
-    for i in 0..p {
-        if !nodes[i].alive && !nodes[i].queue.is_empty() {
-            crashed_nodes.push(i);
-            record_crash(tel, epoch, i, nodes[i].clock, "fetch");
-            let orphans: Vec<usize> = nodes[i].queue.drain(..).collect();
-            let now = nodes[i].clock;
-            nodes[i].assigned -= orphans.len();
-            replan(
-                work,
-                strata,
-                fits,
-                &modeler,
-                alpha,
-                &mut lp_warm,
-                &mut nodes,
-                orphans,
-                &mut replans,
-                &mut reassigned_items,
-                &mut lost_pool,
-                tel,
-                epoch,
-                now,
-                "redistribute",
-                &format!("node{i}"),
-                &mut lineage,
-            );
-        } else if !nodes[i].alive {
-            crashed_nodes.push(i);
-            record_crash(tel, epoch, i, nodes[i].clock, "fetch");
-        }
+        spent
     }
 
-    // --- Main loop: event-driven min-clock execution. ---
-    loop {
-        let has_work = |s: &NodeState| !s.queue.is_empty() || s.pending != Cost::ZERO;
-
-        // Activate scheduled joiners whose time has come: simulated time
-        // is the minimum clock over selectable nodes, and a joiner whose
-        // join time is at or before it enters the roster (earliest join
-        // first, ties to the lowest id). When no node is selectable but
-        // orphans are stranded in the lost pool, the next joiner is
-        // activated unconditionally to rescue them. A joiner whose kill
-        // time precedes its join time never activates.
-        let now_min = (0..p)
-            .filter(|&i| nodes[i].active() && !nodes[i].retired)
-            .map(|i| nodes[i].clock)
-            .fold(f64::INFINITY, f64::min);
-        let rescue = !now_min.is_finite() && !lost_pool.is_empty();
-        let due = (0..p)
-            .filter(|&j| nodes[j].absent && nodes[j].alive)
-            .filter_map(|j| join_at[j].map(|t| (j, t)))
-            .filter(|&(j, t)| kill_at[j].is_none_or(|k| k > t) && (t <= now_min || rescue))
-            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        if let Some((joiner, t_join)) = due {
-            nodes[joiner].absent = false;
-            nodes[joiner].clock = t_join;
-            join_epochs[joiner] = Some(t_join);
-            joins_applied += 1;
-            if tel.is_enabled() {
-                tel.instant(
-                    Track::Node(joiner),
-                    "join",
-                    ClockDomain::Sim,
-                    epoch + t_join,
-                    vec![],
-                );
-                tel.counter_add("pareto_elastic_events_total", &[("kind", "join")], 1);
-            }
-            // Rescue any stranded orphans first, then pull an LP share of
-            // the queued backlog onto the joiner.
-            if !lost_pool.is_empty() {
-                let orphans = std::mem::take(&mut lost_pool);
-                replan(
-                    work,
-                    strata,
-                    fits,
-                    &modeler,
-                    alpha,
-                    &mut lp_warm,
-                    &mut nodes,
-                    orphans,
-                    &mut replans,
-                    &mut reassigned_items,
-                    &mut lost_pool,
-                    tel,
-                    epoch,
-                    t_join,
-                    "rescue",
-                    "pool",
-                    &mut lineage,
-                );
-            }
-            rebalance_on_join(
-                work,
-                strata,
-                fits,
-                &modeler,
-                alpha,
-                &mut lp_warm,
-                &mut nodes,
-                joiner,
-                &mut replans,
-                &mut reassigned_items,
-                tel,
-                epoch,
-                t_join,
-                &mut lineage,
+    /// Price a transfer on `node` at its current clock, bill it and advance
+    /// through it, recording the `transfer` span, the energy-ledger row and
+    /// the byte counter under `kind`. Returns false if the node died
+    /// mid-transfer.
+    fn charge(&mut self, node: usize, transfer: Cost, kind: &str) -> bool {
+        let (before, busy0) = (self.nodes[node].clock, self.nodes[node].busy);
+        let dt = self.event_seconds(node, &transfer, before);
+        self.nodes[node].cost.add(transfer);
+        let survived = self.advance(node, dt);
+        if self.tel.is_enabled() {
+            self.tel.span(
+                Track::Node(node),
+                "transfer",
+                ClockDomain::Sim,
+                self.epoch + before,
+                self.epoch + self.nodes[node].clock,
+                SpanId::NONE,
+                vec![
+                    ("kind".into(), kind.into()),
+                    ("bytes".into(), transfer.bytes.to_string()),
+                ],
             );
-            continue;
+            self.ledger(node, kind, None, before, busy0);
+            let labels = [("kind", kind)];
+            self.tel
+                .counter_add("pareto_transfer_bytes_total", &labels, transfer.bytes);
         }
+        survived
+    }
 
-        // Among active nodes, pick the smallest clock; on ties a node
-        // with work beats an idle one (so idle waits strictly advance),
-        // then the lowest id wins. f64 total_cmp keeps this deterministic.
-        let Some(node) = (0..p)
-            .filter(|&i| nodes[i].active() && !nodes[i].retired)
-            .min_by(|&a, &b| {
-                nodes[a]
-                    .clock
-                    .total_cmp(&nodes[b].clock)
-                    .then_with(|| has_work(&nodes[b]).cmp(&has_work(&nodes[a])))
-                    .then(a.cmp(&b))
-            })
-        else {
-            break;
+    /// Energy-ledger row for the busy stretch `node` just finished: from
+    /// `before`/`busy0` to its current clock and cumulative busy time.
+    fn ledger(&self, node: usize, stage: &str, stratum: Option<u32>, before: f64, busy0: f64) {
+        let state = &self.nodes[node];
+        self.tel.ledger_interval(
+            node,
+            stage,
+            stratum,
+            self.epoch + before,
+            self.epoch + state.clock,
+            busy0,
+            state.busy,
+        );
+    }
+
+    /// Empty `node`'s queue, taking the items off its assignment count.
+    fn take_queue(&mut self, node: usize) -> Vec<usize> {
+        let state = &mut self.nodes[node];
+        state.assigned -= state.queue.len();
+        state.queue.drain(..).collect()
+    }
+
+    /// `node` just died (its kill landed inside an event, or it ran out of
+    /// retries) while `during` some activity: log the death and orphan
+    /// `in_flight` plus its whole remaining queue.
+    fn crash(&mut self, node: usize, during: &str, mut in_flight: Vec<usize>) {
+        self.out.recovery.crashed_nodes.push(node);
+        if self.tel.is_enabled() {
+            self.tel.instant(
+                Track::Node(node),
+                "crash",
+                ClockDomain::Sim,
+                self.epoch + self.nodes[node].clock,
+                vec![("during".into(), during.into())],
+            );
+        }
+        in_flight.extend(self.take_queue(node));
+        self.orphan(node, in_flight, "redistribute");
+    }
+
+    /// Redistribute `items` that `node` can no longer run, as of its clock.
+    fn orphan(&mut self, node: usize, items: Vec<usize>, kind: &'static str) {
+        let hop = Hop {
+            from: Some(node),
+            now: self.nodes[node].clock,
+            kind,
         };
+        self.redistribute(hop, items);
+    }
 
-        // A node at or past its drain notice stops taking work: it hands
-        // its queue off through a KV-backed handoff record (same retry +
-        // backoff discipline as the fetch path — the node's transient
-        // store-error count applies here too) and leaves gracefully. A
-        // failed handoff (retry exhaustion or the preempt kill landing
-        // mid-write) falls back to the crash path.
-        if let Some((notice, from_preempt)) = drain_notice[node] {
-            if !nodes[node].left && nodes[node].clock >= notice {
-                if from_preempt {
-                    preempts_applied += 1;
-                } else {
-                    drains_applied += 1;
+    /// Re-solve the LP over the survivors and redistribute `orphans`
+    /// stratum-aware. Receivers get the items appended to their queue plus
+    /// a pending transfer cost; their time-intercept offsets carry current
+    /// clock and backlog so completed fractions are subtracted from the
+    /// solve. Survivors are nodes that are alive, present, and have not
+    /// left; when none exist the orphans park in the lost pool for a
+    /// future joiner.
+    fn redistribute(&mut self, hop: Hop, orphans: Vec<usize>) {
+        if orphans.is_empty() {
+            return;
+        }
+        let survivors: Vec<usize> = (0..self.nodes.len())
+            .filter(|&i| self.nodes[i].active())
+            .collect();
+        if survivors.is_empty() {
+            // No node can take the work right now: park it for a joiner.
+            let parked = Hop {
+                kind: "park",
+                ..hop
+            };
+            self.trace_move(parked, None, &orphans);
+            self.lost_pool.extend(orphans);
+            return;
+        }
+        self.out.recovery.replans += 1;
+        if self.tel.is_enabled() {
+            self.tel.instant(
+                Track::Coordinator,
+                "replan",
+                ClockDomain::Sim,
+                self.epoch + hop.now,
+                vec![
+                    ("orphans".into(), orphans.len().to_string()),
+                    ("survivors".into(), survivors.len().to_string()),
+                ],
+            );
+        }
+        // Wall finish estimate per survivor, in the planner's own units:
+        // current clock plus model-predicted time for the remaining
+        // backlog.
+        let offsets: Vec<f64> = survivors
+            .iter()
+            .map(|&j| {
+                let state = &self.nodes[j];
+                state.clock + self.req.fits[j].slope.max(0.0) * state.queue.len() as f64
+            })
+            .collect();
+        let sizes = self.shares(&survivors, &offsets, orphans.len());
+        let ordered = stratum_interleave(orphans, self.req.strata);
+        self.out.reassigned_items.extend(&ordered);
+        // Integer-rounding slack goes to the fastest survivor.
+        self.distribute(hop, &ordered, &survivors, &sizes, survivors[0]);
+    }
+
+    /// Integer LP shares of `n` items over `roster`, each node's time
+    /// intercept shifted by its entry in `offsets`: exact waterfilling at
+    /// `alpha >= 1`, otherwise the scalarized LP warm-started from the most
+    /// recent basis mapped onto `roster` (bit-identical to cold by
+    /// contract) with waterfilling as the fallback if the LP fails, and an
+    /// even split for degenerate models.
+    fn shares(&mut self, roster: &[usize], offsets: &[f64], n: usize) -> Vec<usize> {
+        let Ok(sub) = self.modeler.restrict_with_offsets(roster, offsets) else {
+            let (base, extra) = (n / roster.len(), n % roster.len());
+            return (0..roster.len())
+                .map(|k| base + usize::from(k < extra))
+                .collect();
+        };
+        if self.req.alpha < 1.0 {
+            let warm = self
+                .lp_slot
+                .as_ref()
+                .and_then(|(prev, basis)| map_partition_basis(prev, roster, basis));
+            if let Ok(solved) = sub.solve(n, self.req.alpha, warm.as_ref()) {
+                self.lp_stats.merge(&solved.stats);
+                if let Some(basis) = solved.basis {
+                    self.lp_slot = Some((roster.to_vec(), basis));
                 }
-                if tel.is_enabled() {
-                    let kind = if from_preempt { "preempt" } else { "drain" };
-                    tel.counter_add("pareto_elastic_events_total", &[("kind", kind)], 1);
-                }
-                let orphans: Vec<usize> = nodes[node].queue.drain(..).collect();
-                nodes[node].assigned -= orphans.len();
-                nodes[node].pending = Cost::ZERO;
-                let mut handoff_ok = true;
-                if !orphans.is_empty() {
-                    // Handoff write, with the node's transient-error
-                    // budget applied a second time (store flakiness is a
-                    // property of the node's path, not a one-shot count).
-                    let mut errors = faults.store_error_count(node);
-                    let mut attempt = 0u32;
-                    while errors > 0 && nodes[node].alive {
-                        errors -= 1;
-                        attempt += 1;
-                        if attempt > cfg.max_retries {
-                            nodes[node].alive = false;
-                            break;
-                        }
-                        handoff_retries += 1;
-                        let failed = Cost {
-                            compute_ops: 0,
-                            bytes: 0,
-                            round_trips: 1,
-                        };
-                        let dt = event_seconds(node, &failed, nodes[node].clock)
-                            + cfg.backoff_base_s * f64::powi(2.0, (attempt - 1) as i32);
-                        nodes[node].cost.add(failed);
-                        let before = nodes[node].clock;
-                        let busy0 = nodes[node].busy;
-                        let survived = advance(&mut nodes[node], node, dt);
-                        if tel.is_enabled() {
-                            tel.span(
-                                Track::Node(node),
-                                "handoff-retry",
-                                ClockDomain::Sim,
-                                epoch + before,
-                                epoch + nodes[node].clock,
-                                SpanId::NONE,
-                                vec![("attempt".into(), attempt.to_string())],
-                            );
-                            tel.ledger_interval(
-                                node,
-                                "handoff-retry",
-                                None,
-                                epoch + before,
-                                epoch + nodes[node].clock,
-                                busy0,
-                                nodes[node].busy,
-                            );
-                        }
-                        if !survived {
-                            break;
-                        }
-                    }
-                    if nodes[node].alive {
-                        let bytes: u64 = orphans.iter().map(|&r| work[r].bytes).sum();
-                        let record = Cost {
-                            compute_ops: 0,
-                            bytes,
-                            round_trips: 1,
-                        };
-                        let dt = event_seconds(node, &record, nodes[node].clock);
-                        nodes[node].cost.add(record);
-                        let before = nodes[node].clock;
-                        let busy0 = nodes[node].busy;
-                        let survived = advance(&mut nodes[node], node, dt);
-                        record_transfer(
-                            tel,
-                            epoch,
-                            node,
-                            before,
-                            nodes[node].clock,
-                            busy0,
-                            nodes[node].busy,
-                            "handoff",
-                            bytes,
-                        );
-                        handoff_ok = survived;
-                    } else {
-                        handoff_ok = false;
-                    }
-                    if tel.is_enabled() {
-                        let outcome = if handoff_ok { "ok" } else { "failed" };
-                        tel.counter_add(
-                            "pareto_handoff_records_total",
-                            &[("outcome", outcome)],
-                            1,
-                        );
-                    }
-                }
-                let now = nodes[node].clock;
-                if handoff_ok {
-                    handoff_records += u32::from(!orphans.is_empty());
-                    handed_off_items.extend(orphans.iter().copied());
-                    nodes[node].left = true;
-                    leave_epochs[node] = Some(now);
-                    left_nodes.push(node);
-                    if tel.is_enabled() {
-                        tel.instant(
-                            Track::Node(node),
-                            "leave",
-                            ClockDomain::Sim,
-                            epoch + now,
-                            vec![("items_handed_off".into(), orphans.len().to_string())],
-                        );
-                    }
-                } else {
-                    nodes[node].alive = false;
-                    crashed_nodes.push(node);
-                    record_crash(tel, epoch, node, now, "handoff");
-                }
-                let hop_kind = if handoff_ok { "handoff" } else { "redistribute" };
-                replan(
-                    work,
-                    strata,
-                    fits,
-                    &modeler,
-                    alpha,
-                    &mut lp_warm,
-                    &mut nodes,
-                    orphans,
-                    &mut replans,
-                    &mut reassigned_items,
-                    &mut lost_pool,
-                    tel,
-                    epoch,
-                    now,
-                    hop_kind,
-                    &format!("node{node}"),
-                    &mut lineage,
-                );
+                return solved.point.sizes;
+            }
+        }
+        sub.solve_het_aware(n).sizes
+    }
+
+    /// Hand `ordered` out along `roster`, at most `quotas[k]` items to
+    /// `roster[k]`, and any integer-rounding tail to `tail_to`.
+    fn distribute(
+        &mut self,
+        hop: Hop,
+        ordered: &[usize],
+        roster: &[usize],
+        quotas: &[usize],
+        tail_to: usize,
+    ) {
+        let mut cursor = 0usize;
+        for (&receiver, &quota) in roster.iter().zip(quotas) {
+            let take = quota.min(ordered.len() - cursor);
+            self.deliver(hop, receiver, &ordered[cursor..cursor + take]);
+            cursor += take;
+        }
+        self.deliver(hop, tail_to, &ordered[cursor..]);
+    }
+
+    /// Append `items` to `receiver`'s queue. The transfer is priced when
+    /// the receiver reaches it; recording it as pending keeps it subject
+    /// to the receiver's own crash. Its span will read "rebalance" for a
+    /// join rebalance and "redistribute" for every other reassignment.
+    fn deliver(&mut self, hop: Hop, receiver: usize, items: &[usize]) {
+        if items.is_empty() {
+            return;
+        }
+        self.trace_move(hop, Some(receiver), items);
+        let bytes: u64 = items.iter().map(|&r| self.req.work[r].bytes).sum();
+        let state = &mut self.nodes[receiver];
+        state.pending.add(Cost::request(bytes));
+        state.pending_kind = if hop.kind == "rebalance" {
+            "rebalance"
+        } else {
+            "redistribute"
+        };
+        state.queue.extend(items.iter().copied());
+        state.assigned += items.len();
+        state.retired = false;
+    }
+
+    /// Record one group move for causal work-item tracing: bump each moved
+    /// item's hop counter and emit one `lineage` instant per `(batch, hop)`
+    /// group (BTreeMap order, so recording is deterministic). `to = None`
+    /// is the lost pool. The endpoint labels are only built when a recorder
+    /// is attached.
+    fn trace_move(&mut self, hop: Hop, to: Option<usize>, items: &[usize]) {
+        let Some(lin) = self.lineage.as_mut() else {
+            return;
+        };
+        let mut groups: BTreeMap<(u32, u32), usize> = BTreeMap::new();
+        for &r in items {
+            let (batch, hop_count) = lin[r];
+            *groups.entry((batch, hop_count)).or_insert(0) += 1;
+            lin[r] = (batch, hop_count + 1);
+        }
+        let label = |end: Option<usize>| end.map_or("pool".to_string(), |i| format!("node{i}"));
+        for ((batch, hop_count), count) in groups {
+            self.tel.instant(
+                Track::Coordinator,
+                "lineage",
+                ClockDomain::Sim,
+                self.epoch + hop.now,
+                vec![
+                    ("batch".into(), batch.to_string()),
+                    ("hop".into(), (hop_count + 1).to_string()),
+                    ("kind".into(), hop.kind.into()),
+                    ("from".into(), label(hop.from)),
+                    ("to".into(), label(to)),
+                    ("items".into(), count.to_string()),
+                ],
+            );
+        }
+    }
+
+    /// Phase 0: every node with a partition fetches it, spending its
+    /// transient-error retries first; nodes lost during the fetch orphan
+    /// their whole partition.
+    fn fetch_partitions(&mut self) {
+        for i in 0..self.nodes.len() {
+            if self.nodes[i].queue.is_empty() {
                 continue;
             }
+            let spent = self.retry(i, "kv-retry");
+            self.out.recovery.retries_spent += spent;
+            if spent > 0 {
+                self.tel
+                    .counter_add("pareto_kv_retries_total", &[], u64::from(spent));
+            }
+            let state = &mut self.nodes[i];
+            if state.alive {
+                let bytes: u64 = state.queue.iter().map(|&r| self.req.work[r].bytes).sum();
+                state.pending = Cost::request(bytes);
+                state.pending_kind = "fetch";
+            }
         }
+        for i in 0..self.nodes.len() {
+            if !self.nodes[i].alive {
+                self.crash(i, "fetch", Vec::new());
+            }
+        }
+    }
 
-        // Pay any pending transfer (fetch or received reassignment) first.
-        if nodes[node].pending != Cost::ZERO {
-            let transfer = nodes[node].pending;
-            let kind = nodes[node].pending_kind;
-            nodes[node].pending = Cost::ZERO;
-            let dt = event_seconds(node, &transfer, nodes[node].clock);
-            nodes[node].cost.add(transfer);
-            let before = nodes[node].clock;
-            let busy0 = nodes[node].busy;
-            let survived = advance(&mut nodes[node], node, dt);
-            record_transfer(
-                tel,
-                epoch,
-                node,
-                before,
-                nodes[node].clock,
-                busy0,
-                nodes[node].busy,
-                kind,
-                transfer.bytes,
+    /// Activate the scheduled joiner whose time has come, if any:
+    /// simulated time is the minimum clock over selectable nodes, and a
+    /// joiner whose join time is at or before it enters the roster
+    /// (earliest join first, ties to the lowest id). When no node is
+    /// selectable but orphans are stranded in the lost pool, the next
+    /// joiner is activated unconditionally to rescue them. A joiner whose
+    /// kill time precedes its join time never activates.
+    fn activate_due_joiner(&mut self) -> bool {
+        let p = self.nodes.len();
+        let now_min = (0..p)
+            .filter(|&i| self.nodes[i].active() && !self.nodes[i].retired)
+            .map(|i| self.nodes[i].clock)
+            .fold(f64::INFINITY, f64::min);
+        let rescue = !now_min.is_finite() && !self.lost_pool.is_empty();
+        let due = (0..p)
+            .filter(|&j| self.nodes[j].absent && self.nodes[j].alive)
+            .filter_map(|j| self.join_at[j].map(|t| (j, t)))
+            .filter(|&(j, t)| self.kill_at[j].is_none_or(|k| k > t) && (t <= now_min || rescue))
+            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        let Some((joiner, t_join)) = due else {
+            return false;
+        };
+        self.nodes[joiner].absent = false;
+        self.nodes[joiner].clock = t_join;
+        self.out.join_epochs[joiner] = Some(t_join);
+        self.out.recovery.joins_applied += 1;
+        if self.tel.is_enabled() {
+            self.tel.instant(
+                Track::Node(joiner),
+                "join",
+                ClockDomain::Sim,
+                self.epoch + t_join,
+                vec![],
             );
-            if !survived {
-                crashed_nodes.push(node);
-                record_crash(tel, epoch, node, nodes[node].clock, "transfer");
-                let orphans: Vec<usize> = nodes[node].queue.drain(..).collect();
-                let now = nodes[node].clock;
-                nodes[node].assigned -= orphans.len();
-                replan(
-                    work,
-                    strata,
-                    fits,
-                    &modeler,
-                    alpha,
-                    &mut lp_warm,
-                    &mut nodes,
-                    orphans,
-                    &mut replans,
-                    &mut reassigned_items,
-                    &mut lost_pool,
-                    tel,
-                    epoch,
-                    now,
-                    "redistribute",
-                    &format!("node{node}"),
-                    &mut lineage,
-                );
-            }
-            continue;
+            self.tel
+                .counter_add("pareto_elastic_events_total", &[("kind", "join")], 1);
         }
+        // Rescue any stranded orphans first, then pull an LP share of the
+        // queued backlog onto the joiner.
+        let stranded = std::mem::take(&mut self.lost_pool);
+        let from_pool = |kind| Hop {
+            from: None,
+            now: t_join,
+            kind,
+        };
+        self.redistribute(from_pool("rescue"), stranded);
+        self.rebalance_onto(joiner, from_pool("rebalance"));
+        true
+    }
 
-        if let Some(r) = nodes[node].queue.pop_front() {
-            let cost = Cost::compute(work[r].ops);
-            let dt = event_seconds(node, &cost, nodes[node].clock);
-            let before = nodes[node].clock;
-            let busy0 = nodes[node].busy;
-            let stratum = Some(strata.get(r).copied().unwrap_or(0));
-            if advance(&mut nodes[node], node, dt) {
-                nodes[node].cost.add(cost);
-                completed_by[r] = Some(node);
-                completed_at_s[r] = Some(nodes[node].clock);
-                if tel.is_enabled() {
-                    tel.span(
-                        Track::Node(node),
-                        "exec",
-                        ClockDomain::Sim,
-                        epoch + before,
-                        epoch + nodes[node].clock,
-                        SpanId::NONE,
-                        vec![("item".into(), r.to_string())],
-                    );
-                    tel.ledger_interval(
-                        node,
-                        "exec",
-                        stratum,
-                        epoch + before,
-                        epoch + nodes[node].clock,
-                        busy0,
-                        nodes[node].busy,
-                    );
-                }
-            } else {
-                // Died mid-item: the in-flight item and the rest of the
-                // queue are orphans. The busy time burned before the kill
-                // still draws power, so it gets an exec ledger interval.
-                crashed_nodes.push(node);
-                record_crash(tel, epoch, node, nodes[node].clock, "exec");
-                tel.ledger_interval(
-                    node,
+    /// Rebalance queued (not in-flight) backlog when `joiner` activates:
+    /// re-solve the LP over every active node for the total queued count,
+    /// trim each overloaded queue back to its LP share (from the back, so
+    /// imminent work stays put), and hand the pooled excess to the
+    /// underloaded nodes — in practice, mostly the joiner. Only moved items
+    /// pay a transfer; items that keep their node are untouched.
+    fn rebalance_onto(&mut self, joiner: usize, hop: Hop) {
+        let eligible: Vec<usize> = (0..self.nodes.len())
+            .filter(|&i| self.nodes[i].active())
+            .collect();
+        let total_queued: usize = eligible.iter().map(|&i| self.nodes[i].queue.len()).sum();
+        if total_queued == 0 || eligible.len() < 2 {
+            return;
+        }
+        // The whole queued backlog is up for re-assignment, so offsets
+        // carry only each node's clock (no backlog term). The joiner
+        // enters the roster idle, exactly the shape `map_partition_basis`
+        // seeds with its slack column.
+        let offsets: Vec<f64> = eligible.iter().map(|&j| self.nodes[j].clock).collect();
+        let sizes = self.shares(&eligible, &offsets, total_queued);
+        // Trim excess from the back of each overloaded queue.
+        let mut pool: Vec<usize> = Vec::new();
+        for (&i, &share) in eligible.iter().zip(&sizes) {
+            let state = &mut self.nodes[i];
+            if state.queue.len() > share {
+                let tail = state.queue.split_off(share);
+                state.assigned -= tail.len();
+                pool.extend(tail);
+            }
+        }
+        if pool.is_empty() {
+            return;
+        }
+        self.out.recovery.replans += 1;
+        if self.tel.is_enabled() {
+            self.tel.instant(
+                Track::Coordinator,
+                "rebalance",
+                ClockDomain::Sim,
+                self.epoch + hop.now,
+                vec![
+                    ("joiner".into(), joiner.to_string()),
+                    ("moved".into(), pool.len().to_string()),
+                ],
+            );
+        }
+        let ordered = stratum_interleave(pool, self.req.strata);
+        self.out.reassigned_items.extend(&ordered);
+        let deficits: Vec<usize> = eligible
+            .iter()
+            .zip(&sizes)
+            .map(|(&i, &share)| share.saturating_sub(self.nodes[i].queue.len()))
+            .collect();
+        // Integer-rounding slack lands on the joiner.
+        self.distribute(hop, &ordered, &eligible, &deficits, joiner);
+    }
+
+    /// A node at or past its drain notice stops taking work: it hands its
+    /// queue off through a KV-backed handoff record (same retry + backoff
+    /// discipline as the fetch path — store flakiness is a property of the
+    /// node's path, not a one-shot count, so its transient-error budget
+    /// applies a second time) and leaves gracefully. A failed handoff
+    /// (retry exhaustion or the preempt kill landing mid-write) falls back
+    /// to the crash path. Returns whether `node` was due.
+    fn drain_if_noticed(&mut self, node: usize) -> bool {
+        let Some((notice, from_preempt)) = self.drain_notice[node] else {
+            return false;
+        };
+        if self.nodes[node].left || self.nodes[node].clock < notice {
+            return false;
+        }
+        let rec = &mut self.out.recovery;
+        if from_preempt {
+            rec.preempts_applied += 1;
+        } else {
+            rec.drains_applied += 1;
+        }
+        if self.tel.is_enabled() {
+            let kind = if from_preempt { "preempt" } else { "drain" };
+            self.tel
+                .counter_add("pareto_elastic_events_total", &[("kind", kind)], 1);
+        }
+        let items = self.take_queue(node);
+        self.nodes[node].pending = Cost::ZERO;
+        let mut handoff_ok = true;
+        if !items.is_empty() {
+            let spent = self.retry(node, "handoff-retry");
+            self.out.recovery.handoff_retries += spent;
+            let bytes: u64 = items.iter().map(|&r| self.req.work[r].bytes).sum();
+            let record = Cost::request(bytes);
+            handoff_ok = self.nodes[node].alive && self.charge(node, record, "handoff");
+            if self.tel.is_enabled() {
+                let outcome = if handoff_ok { "ok" } else { "failed" };
+                self.tel
+                    .counter_add("pareto_handoff_records_total", &[("outcome", outcome)], 1);
+            }
+        }
+        if !handoff_ok {
+            self.crash(node, "handoff", items);
+            return true;
+        }
+        let now = self.nodes[node].clock;
+        self.out.recovery.handoff_records += u32::from(!items.is_empty());
+        self.out.handed_off_items.extend(&items);
+        self.nodes[node].left = true;
+        self.out.leave_epochs[node] = Some(now);
+        self.out.recovery.left_nodes.push(node);
+        if self.tel.is_enabled() {
+            self.tel.instant(
+                Track::Node(node),
+                "leave",
+                ClockDomain::Sim,
+                self.epoch + now,
+                vec![("items_handed_off".into(), items.len().to_string())],
+            );
+        }
+        self.orphan(node, items, "handoff");
+        true
+    }
+
+    /// Execute item `r` (already popped) on `node`. If the node dies
+    /// mid-item, the in-flight item and the rest of the queue are orphans;
+    /// the busy time burned before the kill still draws power, so it gets
+    /// an exec ledger row either way.
+    fn exec_item(&mut self, node: usize, r: usize) {
+        let cost = Cost::compute(self.req.work[r].ops);
+        let (before, busy0) = (self.nodes[node].clock, self.nodes[node].busy);
+        let dt = self.event_seconds(node, &cost, before);
+        let survived = self.advance(node, dt);
+        if survived {
+            self.nodes[node].cost.add(cost);
+            self.out.completed_by[r] = Some(node);
+            self.out.completed_at_s[r] = Some(self.nodes[node].clock);
+        }
+        if self.tel.is_enabled() {
+            if survived {
+                self.tel.span(
+                    Track::Node(node),
                     "exec",
-                    stratum,
-                    epoch + before,
-                    epoch + nodes[node].clock,
-                    busy0,
-                    nodes[node].busy,
-                );
-                let mut orphans: Vec<usize> = vec![r];
-                orphans.extend(nodes[node].queue.drain(..));
-                let now = nodes[node].clock;
-                nodes[node].assigned -= orphans.len();
-                replan(
-                    work,
-                    strata,
-                    fits,
-                    &modeler,
-                    alpha,
-                    &mut lp_warm,
-                    &mut nodes,
-                    orphans,
-                    &mut replans,
-                    &mut reassigned_items,
-                    &mut lost_pool,
-                    tel,
-                    epoch,
-                    now,
-                    "redistribute",
-                    &format!("node{node}"),
-                    &mut lineage,
+                    ClockDomain::Sim,
+                    self.epoch + before,
+                    self.epoch + self.nodes[node].clock,
+                    SpanId::NONE,
+                    vec![("item".into(), r.to_string())],
                 );
             }
-            continue;
+            let stratum = self.req.strata.get(r).copied().unwrap_or(0);
+            self.ledger(node, "exec", Some(stratum), before, busy0);
         }
+        if !survived {
+            self.crash(node, "exec", vec![r]);
+        }
+    }
 
-        // Idle: speculative re-execution — steal the back half of the
-        // most-behind straggler (projected finish > threshold × f_v(x_v)).
-        let victim = (0..p)
-            .filter(|&v| v != node && nodes[v].active() && !nodes[v].queue.is_empty())
+    /// Idle `node` looks for speculative re-execution: steal the back half
+    /// of the most-behind straggler (projected finish > threshold ×
+    /// `f_v(x_v)`), transfer paid by the thief. If the thief dies
+    /// mid-transfer the stolen items become orphans and are replanned.
+    /// Returns whether a steal happened.
+    fn steal_from_straggler(&mut self, node: usize) -> bool {
+        let work = self.req.work;
+        let victim = (0..self.nodes.len())
+            .filter(|&v| v != node && self.nodes[v].active() && !self.nodes[v].queue.is_empty())
             .map(|v| {
-                let remaining: f64 = nodes[v]
+                let state = &self.nodes[v];
+                let remaining: f64 = state
                     .queue
                     .iter()
-                    .map(|&r| event_seconds(v, &Cost::compute(work[r].ops), nodes[v].clock))
+                    .map(|&r| self.event_seconds(v, &Cost::compute(work[r].ops), state.clock))
                     .sum::<f64>()
-                    + event_seconds(v, &nodes[v].pending, nodes[v].clock);
-                (v, nodes[v].clock + remaining)
+                    + self.event_seconds(v, &state.pending, state.clock);
+                (v, state.clock + remaining)
             })
             .filter(|&(v, projected)| {
-                projected > cfg.straggler_threshold * predicted(v, nodes[v].assigned)
+                // Predicted f_v(x_v) for the victim's current assignment,
+                // floored so the ratio is always well-defined.
+                let assigned = self.nodes[v].assigned as f64;
+                let predicted = self.req.fits[v].predict(assigned).max(1e-9);
+                projected > self.req.cfg.straggler_threshold * predicted
             })
             .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)));
-
-        if let Some((victim, _)) = victim {
-            let stolen = steal_back_half(&mut nodes[victim].queue);
-            nodes[victim].assigned -= stolen.len();
-            let bytes: u64 = stolen.iter().map(|&r| work[r].bytes).sum();
-            let transfer = Cost {
-                compute_ops: 0,
-                bytes,
-                round_trips: 1,
-            };
-            speculative_steals += 1;
-            items_stolen += stolen.len();
-            let dt = event_seconds(node, &transfer, nodes[node].clock);
-            nodes[node].cost.add(transfer);
-            let before = nodes[node].clock;
-            let busy0 = nodes[node].busy;
-            let survived = advance(&mut nodes[node], node, dt);
-            record_transfer(
-                tel,
-                epoch,
-                node,
-                before,
-                nodes[node].clock,
-                busy0,
-                nodes[node].busy,
+        let Some((victim, _)) = victim else {
+            return false;
+        };
+        let stolen = steal_back_half(&mut self.nodes[victim].queue);
+        self.nodes[victim].assigned -= stolen.len();
+        let bytes: u64 = stolen.iter().map(|&r| work[r].bytes).sum();
+        self.out.recovery.speculative_steals += 1;
+        self.out.recovery.items_stolen += stolen.len();
+        let before = self.nodes[node].clock;
+        let survived = self.charge(node, Cost::request(bytes), "steal");
+        let hop = Hop {
+            from: Some(victim),
+            now: before,
+            kind: "steal",
+        };
+        self.trace_move(hop, Some(node), &stolen);
+        if self.tel.is_enabled() {
+            self.tel.instant(
+                Track::Node(node),
                 "steal",
-                bytes,
+                ClockDomain::Sim,
+                self.epoch + before,
+                vec![
+                    ("victim".into(), victim.to_string()),
+                    ("items".into(), stolen.len().to_string()),
+                ],
             );
-            record_lineage_move(
-                tel,
-                epoch,
-                before,
-                &mut lineage,
-                &stolen,
-                "steal",
-                &format!("node{victim}"),
-                &format!("node{node}"),
-            );
-            if tel.is_enabled() {
-                tel.instant(
-                    Track::Node(node),
-                    "steal",
-                    ClockDomain::Sim,
-                    epoch + before,
-                    vec![
-                        ("victim".into(), victim.to_string()),
-                        ("items".into(), stolen.len().to_string()),
-                    ],
-                );
-            }
-            if survived {
-                nodes[node].assigned += stolen.len();
-                nodes[node].queue.extend(stolen);
-            } else {
-                // The thief died mid-transfer: the stolen items become
-                // orphans and are replanned.
-                crashed_nodes.push(node);
-                record_crash(tel, epoch, node, nodes[node].clock, "steal");
-                let now = nodes[node].clock;
-                replan(
-                    work,
-                    strata,
-                    fits,
-                    &modeler,
-                    alpha,
-                    &mut lp_warm,
-                    &mut nodes,
-                    stolen,
-                    &mut replans,
-                    &mut reassigned_items,
-                    &mut lost_pool,
-                    tel,
-                    epoch,
-                    now,
-                    "redistribute",
-                    &format!("node{node}"),
-                    &mut lineage,
-                );
-            }
-            continue;
         }
-
-        // Nothing to steal. If work remains elsewhere, wait (advance the
-        // wall clock without charging busy time) until the earliest
-        // working node's clock; otherwise retire.
-        let next_work_clock = (0..p)
-            .filter(|&j| j != node && nodes[j].active() && has_work(&nodes[j]))
-            .map(|j| nodes[j].clock)
-            .fold(f64::INFINITY, f64::min);
-        if next_work_clock.is_finite() {
-            // Strictly later than this node's clock, because clock ties
-            // prefer working nodes.
-            nodes[node].clock = next_work_clock;
+        if survived {
+            self.nodes[node].assigned += stolen.len();
+            self.nodes[node].queue.extend(stolen);
         } else {
-            nodes[node].retired = true;
+            self.crash(node, "steal", stolen);
         }
-    }
-
-    let runs: Vec<NodeRun> = (0..p)
-        .map(|i| cluster.account_busy(i, nodes[i].busy, nodes[i].cost))
-        .collect();
-    // Idle waits only ever advance a node to another *working* node's
-    // clock, so the max clock is exactly the wall completion time.
-    let wall_makespan_s = nodes.iter().map(|s| s.clock).fold(0.0, f64::max);
-    lp_warm.stats.record(tel);
-    SimPass {
-        runs,
-        wall_makespan_s,
-        crashed_nodes,
-        replans,
-        retries_spent,
-        speculative_steals,
-        items_stolen,
-        reassigned_items,
-        completed_by,
-        completed_at_s,
-        joins_applied,
-        drains_applied,
-        preempts_applied,
-        left_nodes,
-        handoff_records,
-        handoff_retries,
-        handed_off_items,
-        join_epochs,
-        leave_epochs,
-    }
-}
-
-/// Instant marker for a node death, on the node's own sim track.
-/// `during` says what the node was doing when it died.
-fn record_crash(tel: &Telemetry, epoch: f64, node: usize, clock: f64, during: &str) {
-    if !tel.is_enabled() {
-        return;
-    }
-    tel.instant(
-        Track::Node(node),
-        "crash",
-        ClockDomain::Sim,
-        epoch + clock,
-        vec![("during".into(), during.into())],
-    );
-}
-
-/// Span for a paid data transfer (partition fetch, replan redistribution,
-/// or a speculative steal) on the paying node's sim track, plus the
-/// matching energy-ledger interval (`busy0..busy1` is the node's
-/// cumulative-busy range over the transfer).
-#[allow(clippy::too_many_arguments)]
-fn record_transfer(
-    tel: &Telemetry,
-    epoch: f64,
-    node: usize,
-    start: f64,
-    end: f64,
-    busy0: f64,
-    busy1: f64,
-    kind: &str,
-    bytes: u64,
-) {
-    if !tel.is_enabled() {
-        return;
-    }
-    tel.span(
-        Track::Node(node),
-        "transfer",
-        ClockDomain::Sim,
-        epoch + start,
-        epoch + end,
-        SpanId::NONE,
-        vec![
-            ("kind".into(), kind.into()),
-            ("bytes".into(), bytes.to_string()),
-        ],
-    );
-    tel.ledger_interval(node, kind, None, epoch + start, epoch + end, busy0, busy1);
-    tel.counter_add("pareto_transfer_bytes_total", &[("kind", kind)], bytes);
-}
-
-/// Record one group move for causal work-item tracing: bump each moved
-/// item's hop counter and emit one `lineage` instant per `(batch, hop)`
-/// group (BTreeMap order, so recording is deterministic). `lineage` is
-/// `None` exactly when telemetry is disabled — the whole trace-context is
-/// telemetry-owned state and never feeds a decision.
-#[allow(clippy::too_many_arguments)]
-fn record_lineage_move(
-    tel: &Telemetry,
-    epoch: f64,
-    now: f64,
-    lineage: &mut Option<Vec<(u32, u32)>>,
-    items: &[usize],
-    kind: &str,
-    from: &str,
-    to: &str,
-) {
-    let Some(lin) = lineage.as_mut() else {
-        return;
-    };
-    let mut groups: BTreeMap<(u32, u32), usize> = BTreeMap::new();
-    for &r in items {
-        let (batch, hop) = lin[r];
-        *groups.entry((batch, hop)).or_insert(0) += 1;
-        lin[r] = (batch, hop + 1);
-    }
-    for ((batch, hop), count) in groups {
-        tel.instant(
-            Track::Coordinator,
-            "lineage",
-            ClockDomain::Sim,
-            epoch + now,
-            vec![
-                ("batch".into(), batch.to_string()),
-                ("hop".into(), (hop + 1).to_string()),
-                ("kind".into(), kind.into()),
-                ("from".into(), from.into()),
-                ("to".into(), to.into()),
-                ("items".into(), count.to_string()),
-            ],
-        );
-    }
-}
-
-/// Re-solve the LP over the survivors and redistribute `orphans`
-/// stratum-aware. Receivers get the items appended to their queue plus a
-/// pending transfer cost; their time-intercept offsets carry current clock
-/// and backlog so completed fractions are subtracted from the solve.
-/// Survivors are nodes that are alive, present, and have not left; when
-/// none exist the orphans park in `lost_pool` for a future joiner.
-#[allow(clippy::too_many_arguments)]
-fn replan(
-    work: &[RecordWork],
-    strata: &[u32],
-    fits: &[LinearFit],
-    modeler: &ParetoModeler,
-    alpha: f64,
-    lp_warm: &mut LpWarm,
-    nodes: &mut [NodeState],
-    orphans: Vec<usize>,
-    replans: &mut u32,
-    reassigned_items: &mut Vec<usize>,
-    lost_pool: &mut Vec<usize>,
-    tel: &Telemetry,
-    epoch: f64,
-    now: f64,
-    hop_kind: &str,
-    hop_from: &str,
-    lineage: &mut Option<Vec<(u32, u32)>>,
-) {
-    if orphans.is_empty() {
-        return;
-    }
-    let survivors: Vec<usize> = (0..nodes.len()).filter(|&i| nodes[i].active()).collect();
-    if survivors.is_empty() {
-        // No node can take the work right now: park it for a joiner.
-        record_lineage_move(tel, epoch, now, lineage, &orphans, "park", hop_from, "pool");
-        lost_pool.extend(orphans);
-        return;
-    }
-    *replans += 1;
-    if tel.is_enabled() {
-        tel.instant(
-            Track::Coordinator,
-            "replan",
-            ClockDomain::Sim,
-            epoch + now,
-            vec![
-                ("orphans".into(), orphans.len().to_string()),
-                ("survivors".into(), survivors.len().to_string()),
-            ],
-        );
-    }
-    // Wall finish estimate per survivor, in the planner's own units:
-    // current clock plus model-predicted time for the remaining backlog.
-    let offsets: Vec<f64> = survivors
-        .iter()
-        .map(|&j| nodes[j].clock + fits[j].slope.max(0.0) * nodes[j].queue.len() as f64)
-        .collect();
-    let sizes = match modeler.restrict_with_offsets(&survivors, &offsets) {
-        Ok(sub) => {
-            let point = if alpha >= 1.0 {
-                sub.solve_het_aware(orphans.len())
-            } else {
-                // Warm-start from the most recent basis mapped onto the
-                // survivor roster; bit-identical to cold by contract.
-                let warm = lp_warm
-                    .slot
-                    .as_ref()
-                    .and_then(|(roster, basis)| map_partition_basis(roster, &survivors, basis));
-                match sub.solve_warm(orphans.len(), alpha, warm.as_ref()) {
-                    Ok(sp) => {
-                        lp_warm.stats.merge(&sp.stats);
-                        if let Some(b) = sp.basis {
-                            lp_warm.slot = Some((survivors.clone(), b));
-                        }
-                        sp.point
-                    }
-                    Err(_) => sub.solve_het_aware(orphans.len()),
-                }
-            };
-            point.sizes
-        }
-        // Degenerate models: fall back to an even split.
-        Err(_) => {
-            let base = orphans.len() / survivors.len();
-            let extra = orphans.len() % survivors.len();
-            (0..survivors.len())
-                .map(|k| base + usize::from(k < extra))
-                .collect()
-        }
-    };
-    let ordered = stratum_interleave(orphans, strata);
-    reassigned_items.extend(&ordered);
-    let mut cursor = 0usize;
-    for (k, &receiver) in survivors.iter().enumerate() {
-        let take = sizes[k].min(ordered.len() - cursor);
-        if take == 0 {
-            continue;
-        }
-        let slice = &ordered[cursor..cursor + take];
-        cursor += take;
-        let bytes: u64 = slice.iter().map(|&r| work[r].bytes).sum();
-        record_lineage_move(
-            tel,
-            epoch,
-            now,
-            lineage,
-            slice,
-            hop_kind,
-            hop_from,
-            &format!("node{receiver}"),
-        );
-        // The transfer is priced when the receiver reaches it; recording
-        // it as pending keeps it subject to the receiver's own crash.
-        nodes[receiver].pending.add(Cost {
-            compute_ops: 0,
-            bytes,
-            round_trips: 1,
-        });
-        nodes[receiver].pending_kind = "redistribute";
-        nodes[receiver].queue.extend(slice.iter().copied());
-        nodes[receiver].assigned += take;
-        nodes[receiver].retired = false;
-    }
-    // Integer-rounding slack: hand any tail to the fastest survivor.
-    if cursor < ordered.len() {
-        let receiver = survivors[0];
-        let slice = &ordered[cursor..];
-        let bytes: u64 = slice.iter().map(|&r| work[r].bytes).sum();
-        record_lineage_move(
-            tel,
-            epoch,
-            now,
-            lineage,
-            slice,
-            hop_kind,
-            hop_from,
-            &format!("node{receiver}"),
-        );
-        nodes[receiver].pending.add(Cost {
-            compute_ops: 0,
-            bytes,
-            round_trips: 1,
-        });
-        nodes[receiver].pending_kind = "redistribute";
-        nodes[receiver].queue.extend(slice.iter().copied());
-        nodes[receiver].assigned += slice.len();
-        nodes[receiver].retired = false;
-    }
-}
-
-/// Rebalance queued (not in-flight) backlog when `joiner` activates:
-/// re-solve the LP over every active node for the total queued count,
-/// trim each overloaded queue back to its LP share (from the back, so
-/// imminent work stays put), and hand the pooled excess to the
-/// underloaded nodes — in practice, mostly the joiner. Only moved items
-/// pay a transfer; items that keep their node are untouched.
-#[allow(clippy::too_many_arguments)]
-fn rebalance_on_join(
-    work: &[RecordWork],
-    strata: &[u32],
-    _fits: &[LinearFit],
-    modeler: &ParetoModeler,
-    alpha: f64,
-    lp_warm: &mut LpWarm,
-    nodes: &mut [NodeState],
-    joiner: usize,
-    replans: &mut u32,
-    reassigned_items: &mut Vec<usize>,
-    tel: &Telemetry,
-    epoch: f64,
-    now: f64,
-    lineage: &mut Option<Vec<(u32, u32)>>,
-) {
-    let eligible: Vec<usize> = (0..nodes.len()).filter(|&i| nodes[i].active()).collect();
-    let total_queued: usize = eligible.iter().map(|&i| nodes[i].queue.len()).sum();
-    if total_queued == 0 || eligible.len() < 2 {
-        return;
-    }
-    // The whole queued backlog is up for re-assignment, so offsets carry
-    // only each node's clock (no backlog term).
-    let offsets: Vec<f64> = eligible.iter().map(|&j| nodes[j].clock).collect();
-    let sizes = match modeler.restrict_with_offsets(&eligible, &offsets) {
-        Ok(sub) => {
-            let point = if alpha >= 1.0 {
-                sub.solve_het_aware(total_queued)
-            } else {
-                // The joiner enters the roster idle, exactly the shape
-                // `map_partition_basis` seeds with its slack column.
-                let warm = lp_warm
-                    .slot
-                    .as_ref()
-                    .and_then(|(roster, basis)| map_partition_basis(roster, &eligible, basis));
-                match sub.solve_warm(total_queued, alpha, warm.as_ref()) {
-                    Ok(sp) => {
-                        lp_warm.stats.merge(&sp.stats);
-                        if let Some(b) = sp.basis {
-                            lp_warm.slot = Some((eligible.clone(), b));
-                        }
-                        sp.point
-                    }
-                    Err(_) => sub.solve_het_aware(total_queued),
-                }
-            };
-            point.sizes
-        }
-        Err(_) => {
-            let base = total_queued / eligible.len();
-            let extra = total_queued % eligible.len();
-            (0..eligible.len())
-                .map(|k| base + usize::from(k < extra))
-                .collect()
-        }
-    };
-    // Trim excess from the back of each overloaded queue.
-    let mut pool: Vec<usize> = Vec::new();
-    for (k, &i) in eligible.iter().enumerate() {
-        if nodes[i].queue.len() > sizes[k] {
-            let tail = nodes[i].queue.split_off(sizes[k]);
-            nodes[i].assigned -= tail.len();
-            pool.extend(tail);
-        }
-    }
-    if pool.is_empty() {
-        return;
-    }
-    *replans += 1;
-    if tel.is_enabled() {
-        tel.instant(
-            Track::Coordinator,
-            "rebalance",
-            ClockDomain::Sim,
-            epoch + now,
-            vec![
-                ("joiner".into(), joiner.to_string()),
-                ("moved".into(), pool.len().to_string()),
-            ],
-        );
-    }
-    let ordered = stratum_interleave(pool, strata);
-    reassigned_items.extend(&ordered);
-    let mut cursor = 0usize;
-    for (k, &receiver) in eligible.iter().enumerate() {
-        let deficit = sizes[k].saturating_sub(nodes[receiver].queue.len());
-        let take = deficit.min(ordered.len() - cursor);
-        if take == 0 {
-            continue;
-        }
-        let slice = &ordered[cursor..cursor + take];
-        cursor += take;
-        let bytes: u64 = slice.iter().map(|&r| work[r].bytes).sum();
-        record_lineage_move(
-            tel,
-            epoch,
-            now,
-            lineage,
-            slice,
-            "rebalance",
-            "pool",
-            &format!("node{receiver}"),
-        );
-        nodes[receiver].pending.add(Cost {
-            compute_ops: 0,
-            bytes,
-            round_trips: 1,
-        });
-        nodes[receiver].pending_kind = "rebalance";
-        nodes[receiver].queue.extend(slice.iter().copied());
-        nodes[receiver].assigned += take;
-        nodes[receiver].retired = false;
-    }
-    // Integer-rounding slack lands on the joiner.
-    if cursor < ordered.len() {
-        let slice = &ordered[cursor..];
-        let bytes: u64 = slice.iter().map(|&r| work[r].bytes).sum();
-        record_lineage_move(
-            tel,
-            epoch,
-            now,
-            lineage,
-            slice,
-            "rebalance",
-            "pool",
-            &format!("node{joiner}"),
-        );
-        nodes[joiner].pending.add(Cost {
-            compute_ops: 0,
-            bytes,
-            round_trips: 1,
-        });
-        nodes[joiner].pending_kind = "rebalance";
-        nodes[joiner].queue.extend(slice.iter().copied());
-        nodes[joiner].assigned += slice.len();
-        nodes[joiner].retired = false;
+        true
     }
 }
 
@@ -1848,26 +1391,42 @@ mod tests {
             .collect()
     }
 
+    fn run_elastic(
+        cl: &SimCluster,
+        work: &[RecordWork],
+        initial: &[Vec<usize>],
+        faults: &FaultPlan,
+        elastic: &ElasticPlan,
+        cfg: &RecoveryConfig,
+    ) -> RecoveryOutcome {
+        let strata: Vec<u32> = (0..work.len()).map(|i| (i % 3) as u32).collect();
+        let fits = truthful_fits(cl, work.first().map_or(1, |w| w.ops));
+        let profs = profiles(cl.num_nodes());
+        execute(&ExecRequest {
+            cluster: cl,
+            work,
+            initial,
+            strata: &strata,
+            fits: &fits,
+            profiles: &profs,
+            alpha: 1.0,
+            faults,
+            cfg,
+            elastic: Some(elastic),
+            warm: None,
+            telemetry: None,
+        })
+        .expect("well-formed request")
+    }
+
     fn run(
         cl: &SimCluster,
         work: &[RecordWork],
         initial: &[Vec<usize>],
         faults: &FaultPlan,
     ) -> RecoveryOutcome {
-        let strata: Vec<u32> = (0..work.len()).map(|i| (i % 3) as u32).collect();
-        let fits = truthful_fits(cl, work.first().map_or(1, |w| w.ops));
-        let profs = profiles(cl.num_nodes());
-        execute_with_recovery(
-            cl,
-            work,
-            initial,
-            &strata,
-            &fits,
-            &profs,
-            1.0,
-            faults,
-            &RecoveryConfig::default(),
-        )
+        let cfg = RecoveryConfig::default();
+        run_elastic(cl, work, initial, faults, &ElasticPlan::none(), &cfg)
     }
 
     #[test]
@@ -1973,6 +1532,51 @@ mod tests {
             .contains("1.0"));
     }
 
+    /// The executor boundary returns typed errors, never panics: per-node
+    /// inputs that are not node-aligned, a queued item outside `work`, and
+    /// an invalid config are all rejected before anything runs.
+    #[test]
+    fn malformed_requests_are_typed_errors() {
+        let cl = cluster(3);
+        let work = uniform_work(30, 1_000_000);
+        let initial = equal_split(30, 3);
+        let fits = truthful_fits(&cl, 1_000_000);
+        let profs = profiles(3);
+        let (faults, cfg) = (FaultPlan::none(), RecoveryConfig::default());
+        let good = ExecRequest {
+            cluster: &cl,
+            work: &work,
+            initial: &initial,
+            strata: &[],
+            fits: &fits,
+            profiles: &profs,
+            alpha: 1.0,
+            faults: &faults,
+            cfg: &cfg,
+            elastic: None,
+            warm: None,
+            telemetry: None,
+        };
+        assert!(execute(&good).is_ok());
+        let misaligned = |input, len| RecoveryConfigError::Misaligned { input, len, nodes: 3 };
+        let short = ExecRequest { initial: &initial[..2], ..good };
+        assert_eq!(execute(&short).unwrap_err(), misaligned("initial", 2));
+        let short = ExecRequest { fits: &fits[..1], ..good };
+        assert_eq!(execute(&short).unwrap_err(), misaligned("fits", 1));
+        let short = ExecRequest { profiles: &[], ..good };
+        assert_eq!(execute(&short).unwrap_err(), misaligned("profiles", 0));
+        let mut stray = initial.clone();
+        stray[1].push(30);
+        let out_of_range = ExecRequest { initial: &stray, ..good };
+        assert_eq!(
+            execute(&out_of_range).unwrap_err(),
+            RecoveryConfigError::ItemOutOfRange { item: 30, items: 30 }
+        );
+        let bad_cfg = RecoveryConfig { max_retries: 0, ..cfg };
+        let invalid = ExecRequest { cfg: &bad_cfg, ..good };
+        assert_eq!(execute(&invalid).unwrap_err(), RecoveryConfigError::ZeroRetries);
+    }
+
     /// Exhaustion boundary: with `max_retries = k`, exactly `k` errors are
     /// survivable and `k + 1` is fatal.
     #[test]
@@ -1980,22 +1584,10 @@ mod tests {
         let cl = cluster(3);
         let work = uniform_work(90, 1_000_000);
         let initial = equal_split(90, 3);
-        let strata: Vec<u32> = (0..work.len()).map(|i| (i % 3) as u32).collect();
-        let fits = truthful_fits(&cl, 1_000_000);
-        let profs = profiles(3);
         let cfg = RecoveryConfig::new(4, 0.05, 1.5).unwrap();
         let run_with = |errors: u32| {
-            execute_with_recovery(
-                &cl,
-                &work,
-                &initial,
-                &strata,
-                &fits,
-                &profs,
-                1.0,
-                &FaultPlan::new().with_store_errors(1, errors),
-                &cfg,
-            )
+            let faults = FaultPlan::new().with_store_errors(1, errors);
+            run_elastic(&cl, &work, &initial, &faults, &ElasticPlan::none(), &cfg)
         };
         // Exactly at budget: survives, all retries spent on node 1.
         let at = run_with(4);
@@ -2081,22 +1673,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, vec![0, 1, 2], "prefix mixes strata: {ordered:?}");
         assert_eq!(ordered.len(), 9);
-    }
-
-    fn run_elastic(
-        cl: &SimCluster,
-        work: &[RecordWork],
-        initial: &[Vec<usize>],
-        faults: &FaultPlan,
-        elastic: &ElasticPlan,
-        cfg: &RecoveryConfig,
-    ) -> RecoveryOutcome {
-        let strata: Vec<u32> = (0..work.len()).map(|i| (i % 3) as u32).collect();
-        let fits = truthful_fits(cl, work.first().map_or(1, |w| w.ops));
-        let profs = profiles(cl.num_nodes());
-        execute_with_recovery_elastic(
-            cl, work, initial, &strata, &fits, &profs, 1.0, faults, elastic, cfg,
-        )
     }
 
     #[test]

@@ -93,7 +93,7 @@ fn plan_at(
         .iter()
         .map(|node| NodeEnergyProfile::from_trace(&node.power(), &node.trace, start_s, window_s))
         .collect();
-    ParetoModeler::new(fits.to_vec(), profiles)?.solve(n, alpha)
+    Ok(ParetoModeler::new(fits.to_vec(), profiles)?.solve(n, alpha, None)?.point)
 }
 
 #[cfg(test)]

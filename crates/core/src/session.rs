@@ -9,7 +9,7 @@
 //! stage reuse its cached signatures.
 //!
 //! Every plan a warm session produces is bit-identical to a cold
-//! [`crate::Framework::plan`] over the same inputs — the cache only ever
+//! [`crate::Framework::try_plan`] over the same inputs — the cache only ever
 //! returns what a cold compute would have produced (the `incremental`
 //! integration suite proptests this across deltas, threads, and seeds).
 

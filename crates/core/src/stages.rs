@@ -1,4 +1,4 @@
-//! The staged planning engine: `Framework::plan` decomposed into five
+//! The staged planning engine: `Framework::try_plan` decomposed into five
 //! cache-keyed stages — **sketch**, **stratify**, **profile**,
 //! **optimize**, **partition** — each declaring a [`Fingerprint`] of the
 //! inputs it reads and producing an immutable artifact in a [`PlanCache`].
@@ -590,12 +590,12 @@ impl PlanStage for OptimizeStage {
         let (point, basis) = match ctx.cfg.strategy {
             Strategy::HetAware => (modeler.solve_het_aware(n), None),
             Strategy::HetEnergyAware { alpha } => {
-                let solved = modeler.solve_warm(n, alpha, warm)?;
+                let solved = modeler.solve(n, alpha, warm)?;
                 solved.stats.record(ctx.telemetry);
                 (solved.point, solved.basis)
             }
             Strategy::HetEnergyAwareNormalized { alpha } => {
-                let solved = modeler.solve_normalized_warm(n, alpha, warm)?;
+                let solved = modeler.solve_normalized(n, alpha, warm)?;
                 solved.stats.record(ctx.telemetry);
                 (solved.point, solved.basis)
             }
@@ -687,7 +687,7 @@ impl ClusterRef<'_> {
 }
 
 /// The staged engine: a cluster + configuration + artifact cache + active
-/// node roster. [`crate::Framework::plan`] wraps a fresh (cold) engine per
+/// node roster. [`crate::Framework::try_plan`] wraps a fresh (cold) engine per
 /// call; [`crate::session::PlanSession`] keeps one warm across replans.
 pub struct PlanEngine<'a> {
     cluster: ClusterRef<'a>,

@@ -7,6 +7,7 @@ use proptest::prelude::*;
 
 use pareto_cluster::{NodeSpec, SimCluster};
 use pareto_core::framework::{Framework, FrameworkConfig, Strategy as PartitionStrategy};
+use pareto_core::frontier::{dominates, hypervolume, pareto_frontier};
 use pareto_core::pareto::ParetoModeler;
 use pareto_core::partitioner::{DataPartitioner, PartitionLayout};
 use pareto_core::{Stratifier, StratifierConfig};
@@ -54,7 +55,7 @@ proptest! {
     fn waterfilling_matches_lp((fits, profiles) in modeler_inputs(), n in 100usize..1_000_000) {
         let m = ParetoModeler::new(fits, profiles).unwrap();
         let wf = m.solve_het_aware(n);
-        let lp = m.solve(n, 1.0).unwrap();
+        let lp = m.solve(n, 1.0, None).unwrap().point;
         let tol = 1e-5 * wf.predicted_makespan.max(1.0);
         prop_assert!(
             (wf.predicted_makespan - lp.predicted_makespan).abs() < tol,
@@ -71,7 +72,7 @@ proptest! {
     ) {
         let alpha = alpha_pct as f64 / 1000.0;
         let m = ParetoModeler::new(fits, profiles).unwrap();
-        let point = m.solve(n, alpha).unwrap();
+        let point = m.solve(n, alpha, None).unwrap().point;
         prop_assert_eq!(point.sizes.iter().sum::<usize>(), n);
         prop_assert!(point.fractional_sizes.iter().all(|&x| x >= -1e-7));
     }
@@ -86,7 +87,7 @@ proptest! {
         let alpha = alpha_pct as f64 / 1000.0;
         let n = 100_000usize;
         let m = ParetoModeler::new(fits, profiles).unwrap();
-        let point = m.solve(n, alpha).unwrap();
+        let point = m.solve(n, alpha, None).unwrap().point;
         let t0 = point.predicted_makespan;
         let e0 = point.predicted_dirty_joules;
         let p = m.num_nodes();
@@ -121,30 +122,25 @@ proptest! {
     fn frontier_utilities_axioms(
         raw in proptest::collection::vec((0.1f64..100.0, 0.1f64..100.0), 1..40),
     ) {
-        let keep = ParetoModeler::pareto_filter(&raw);
+        let vectors: Vec<Vec<f64>> = raw.iter().map(|&(t, e)| vec![t, e]).collect();
+        let keep = pareto_frontier(&vectors);
         prop_assert!(!keep.is_empty());
         // Soundness: no kept point strictly dominated by another kept one.
         for &i in &keep {
             for &j in &keep {
-                if i == j { continue; }
-                let (ti, ei) = raw[i];
-                let (tj, ej) = raw[j];
                 prop_assert!(
-                    !(tj <= ti && ej <= ei && (tj < ti || ej < ei)),
+                    !dominates(&vectors[j], &vectors[i]),
                     "kept point {} dominated by {}", i, j
                 );
             }
         }
         // Idempotence on the filtered set.
-        let filtered: Vec<(f64, f64)> = keep.iter().map(|&i| raw[i]).collect();
-        prop_assert_eq!(
-            ParetoModeler::pareto_filter(&filtered).len(),
-            filtered.len()
-        );
+        let filtered: Vec<Vec<f64>> = keep.iter().map(|&i| vectors[i].clone()).collect();
+        prop_assert_eq!(pareto_frontier(&filtered).len(), filtered.len());
         // Hypervolume monotonicity: adding points never shrinks it.
         let reference = (200.0, 200.0);
-        let hv_all = ParetoModeler::hypervolume(&raw, reference);
-        let hv_first = ParetoModeler::hypervolume(&raw[..1], reference);
+        let hv_all = hypervolume(&raw, reference);
+        let hv_first = hypervolume(&raw[..1], reference);
         prop_assert!(hv_all >= hv_first - 1e-9);
         // Bounded by the reference box.
         prop_assert!(hv_all <= 200.0 * 200.0 + 1e-9);
@@ -156,7 +152,7 @@ proptest! {
     fn frontier_monotone((fits, profiles) in modeler_inputs()) {
         let m = ParetoModeler::new(fits, profiles).unwrap();
         let alphas = [1.0, 0.999, 0.99, 0.9, 0.5, 0.1, 0.0];
-        let points = m.frontier(50_000, &alphas).unwrap();
+        let points = m.frontier(50_000, &alphas).unwrap().0;
         for w in points.windows(2) {
             prop_assert!(w[1].predicted_makespan >= w[0].predicted_makespan - 1e-6);
             prop_assert!(
@@ -170,7 +166,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The full planning pipeline is thread-count invariant: for arbitrary
-    /// corpora, seeds, and strategies, `Framework::plan` at `threads > 1`
+    /// corpora, seeds, and strategies, `Framework::try_plan` at `threads > 1`
     /// reproduces the serial plan bit-for-bit (stratum assignments,
     /// fitted model coefficients, partition sizes, record placement).
     #[test]
@@ -214,7 +210,8 @@ proptest! {
                     ..FrameworkConfig::default()
                 },
             )
-            .plan(&ds, WorkloadKind::FrequentPatterns { support: 0.1 })
+            .try_plan(&ds, WorkloadKind::FrequentPatterns { support: 0.1 })
+            .expect("non-empty dataset")
         };
         let serial = plan_at(1);
         let par = plan_at(threads);

@@ -80,7 +80,7 @@ fn main() {
                 ..FrameworkConfig::default()
             },
         );
-        let outcome = fw.run(&dataset, workload);
+        let outcome = fw.try_run(&dataset, workload).expect("non-empty dataset");
         let Quality::Mining {
             global_frequent,
             candidates,

@@ -49,7 +49,7 @@ fn main() {
                     ..FrameworkConfig::default()
                 },
             );
-            let outcome = fw.run(&dataset, workload);
+            let outcome = fw.try_run(&dataset, workload).expect("non-empty dataset");
             let Quality::Compression { ratio, .. } = outcome.quality else {
                 unreachable!("compression workload yields compression quality");
             };

@@ -33,7 +33,7 @@ fn main() {
     println!("{:>10} {:>12} {:>14}", "alpha", "time_s", "dirty_kJ");
     let alphas = [1.0, 0.9999, 0.999, 0.997, 0.995, 0.99, 0.97, 0.95, 0.9, 0.5, 0.0];
     for &alpha in &alphas {
-        let point = modeler.solve(dataset.len(), alpha).expect("feasible LP");
+        let point = modeler.solve(dataset.len(), alpha, None).expect("feasible LP").point;
         println!(
             "{:>10} {:>12.1} {:>14.1}",
             alpha,
@@ -60,7 +60,7 @@ fn main() {
                 ..FrameworkConfig::default()
             },
         );
-        let outcome = fw.run(&dataset, workload);
+        let outcome = fw.try_run(&dataset, workload).expect("non-empty dataset");
         let label = match strategy {
             Strategy::HetEnergyAware { alpha } => format!("alpha={alpha}"),
             other => other.label().to_string(),

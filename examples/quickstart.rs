@@ -42,7 +42,7 @@ fn main() {
                 ..FrameworkConfig::default()
             },
         );
-        let outcome = framework.run(&dataset, workload);
+        let outcome = framework.try_run(&dataset, workload).expect("non-empty dataset");
         print_report(strategy.label(), &outcome.report);
         if let Quality::Mining {
             global_frequent,

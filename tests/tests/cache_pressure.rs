@@ -127,7 +127,8 @@ fn evicting_cache_still_serves_bit_correct_plans() {
             &cluster,
             cfg(seed, Strategy::HetEnergyAware { alpha }),
         )
-        .plan(&dataset, WORKLOAD);
+        .try_plan(&dataset, WORKLOAD)
+        .expect("non-empty dataset");
         let warm_point = warm.pareto.as_ref().expect("warm pareto point");
         let cold_point = cold.pareto.as_ref().expect("cold pareto point");
         assert_eq!(warm.sizes, cold.sizes, "alpha {alpha}: sizes diverged");

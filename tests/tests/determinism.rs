@@ -4,6 +4,7 @@
 use pareto_cluster::{NodeSpec, SimCluster};
 use pareto_core::framework::{Framework, FrameworkConfig, Strategy};
 use pareto_core::partitioner::PartitionLayout;
+use pareto_integration_tests::thread_counts;
 use pareto_workloads::WorkloadKind;
 
 fn run_once(seed: u64, strategy: Strategy) -> (Vec<usize>, f64, f64) {
@@ -17,7 +18,8 @@ fn run_once(seed: u64, strategy: Strategy) -> (Vec<usize>, f64, f64) {
             ..FrameworkConfig::default()
         },
     )
-    .run(&ds, WorkloadKind::FrequentPatterns { support: 0.15 });
+    .try_run(&ds, WorkloadKind::FrequentPatterns { support: 0.15 })
+    .expect("non-empty dataset");
     (
         out.plan.sizes.clone(),
         out.report.makespan_seconds,
@@ -60,24 +62,6 @@ fn dataset_generation_stable_across_calls() {
     }
 }
 
-/// Thread counts exercised by the cross-thread determinism suite. CI runs
-/// this at several counts via `PARETO_TEST_THREADS`; locally the default
-/// {1, 4, 8} already covers serial, partial-shard, and over-subscribed
-/// (threads > strata/nodes) regimes.
-fn thread_counts() -> Vec<usize> {
-    let mut counts = vec![1, 4, 8];
-    if let Ok(extra) = std::env::var("PARETO_TEST_THREADS") {
-        for part in extra.split(',') {
-            if let Ok(t) = part.trim().parse::<usize>() {
-                if t >= 1 && !counts.contains(&t) {
-                    counts.push(t);
-                }
-            }
-        }
-    }
-    counts
-}
-
 /// The acceptance gate for the parallel planning pipeline: `plan()` is
 /// bit-identical across thread counts for every strategy class that
 /// exercises a parallel stage, at three different seeds.
@@ -102,7 +86,8 @@ fn plan_bit_identical_across_thread_counts() {
                         ..FrameworkConfig::default()
                     },
                 )
-                .plan(&ds, WorkloadKind::FrequentPatterns { support: 0.15 })
+                .try_plan(&ds, WorkloadKind::FrequentPatterns { support: 0.15 })
+                .expect("non-empty dataset")
             };
             let serial = plan_at(counts[0]);
             for &threads in &counts[1..] {
@@ -169,7 +154,8 @@ fn run_outcomes_identical_across_thread_counts() {
                 ..FrameworkConfig::default()
             },
         )
-        .run(&ds, WorkloadKind::WebGraph)
+        .try_run(&ds, WorkloadKind::WebGraph)
+        .expect("non-empty dataset")
     };
     let base = run_at(1);
     for threads in [4usize, 8] {
@@ -196,7 +182,8 @@ fn parallel_execution_does_not_affect_results() {
                 ..FrameworkConfig::default()
             },
         )
-        .run(&ds, WorkloadKind::WebGraph)
+        .try_run(&ds, WorkloadKind::WebGraph)
+        .expect("non-empty dataset")
     };
     let reports: Vec<f64> = (0..4).map(|_| run().report.makespan_seconds).collect();
     assert!(

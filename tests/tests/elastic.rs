@@ -7,7 +7,7 @@ use pareto_cluster::{FaultPlan, NodeSpec, SimCluster};
 use pareto_core::framework::{FrameworkConfig, Strategy};
 use pareto_core::{
     advise_join, run_chaos, shrink_combined_schedule, ChaosConfig, ChaosReport, ElasticPlan,
-    ElasticSpec, PlanSession, RecoveryConfig,
+    ElasticSpec, ParetoModeler, PlanSession, RecoveryConfig,
 };
 use pareto_datagen::Dataset;
 use pareto_telemetry::Telemetry;
@@ -175,14 +175,12 @@ fn join_advice_is_deterministic_and_self_consistent() {
     let cold = session.plan().expect("cold plan");
     let models = cold.time_models.as_ref().expect("het-aware fits models");
     let fits: Vec<_> = models.iter().map(|m| m.fit).collect();
-    let profiles = cold.energy_profiles.clone();
+    let modeler = ParetoModeler::new(fits, cold.energy_profiles.clone()).expect("aligned models");
 
     session.drop_node(3).expect("drop candidate");
     let roster: Vec<usize> = session.roster().to_vec();
-    let a = advise_join(&cluster, &fits, &profiles, &roster, 3, items, 512, 1.0)
-        .expect("advice");
-    let b = advise_join(&cluster, &fits, &profiles, &roster, 3, items, 512, 1.0)
-        .expect("advice");
+    let a = advise_join(&cluster, &modeler, &roster, 3, items, 512, 1.0).expect("advice");
+    let b = advise_join(&cluster, &modeler, &roster, 3, items, 512, 1.0).expect("advice");
     assert_eq!(a.candidate, 3);
     assert_eq!(a.roster, roster);
     assert_eq!(
@@ -253,15 +251,7 @@ fn single_drain_schedule_audits_clean_with_handoffs() {
         rec.handoff_records >= 1 && rec.items_handed_off >= 1,
         "a mid-job drain must hand off in-flight work: {rec:?}"
     );
-    let report = audit_elastic_run(
-        &FaultPlan::none(),
-        &elastic,
-        &run.plan.partitions,
-        &run.plan.sizes,
-        &run.plan.stratification.assignments,
-        &run.outcome,
-        4,
-    );
+    let report = audit_elastic_run(&FaultPlan::none(), &elastic, &run.plan, &run.outcome);
     assert!(
         report.is_clean(),
         "drain run must satisfy all nine invariants: {:?}",

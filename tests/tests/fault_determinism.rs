@@ -7,24 +7,8 @@
 use pareto_cluster::{FaultPlan, FaultSpec, NodeSpec, SimCluster};
 use pareto_core::framework::{FaultRunOutcome, Framework, FrameworkConfig, Strategy};
 use pareto_core::{ElasticPlan, ElasticSpec, RecoveryConfig};
+use pareto_integration_tests::thread_counts;
 use pareto_workloads::WorkloadKind;
-
-/// Thread counts exercised: the local default {1, 4, 8} covers serial,
-/// partial-shard, and over-subscribed planning; CI appends more via
-/// `PARETO_TEST_THREADS`.
-fn thread_counts() -> Vec<usize> {
-    let mut counts = vec![1, 4, 8];
-    if let Ok(extra) = std::env::var("PARETO_TEST_THREADS") {
-        for part in extra.split(',') {
-            if let Ok(t) = part.trim().parse::<usize>() {
-                if t >= 1 && !counts.contains(&t) {
-                    counts.push(t);
-                }
-            }
-        }
-    }
-    counts
-}
 
 fn faulted_run(seed: u64, threads: usize, faults: &FaultPlan) -> FaultRunOutcome {
     elastic_run(seed, threads, faults, &ElasticPlan::none())

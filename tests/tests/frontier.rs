@@ -9,6 +9,7 @@ use pareto_core::frontier::{
 };
 use pareto_core::pareto::ParetoModeler;
 use pareto_core::partitioner::PartitionLayout;
+use pareto_integration_tests::thread_counts;
 use pareto_telemetry::Telemetry;
 use pareto_workloads::WorkloadKind;
 use proptest::prelude::*;
@@ -114,22 +115,6 @@ proptest! {
 // S2: the refinement oracle.
 // ---------------------------------------------------------------------------
 
-/// Thread counts exercised by the oracle; mirrors the determinism suite
-/// (extendable via `PARETO_TEST_THREADS`).
-fn thread_counts() -> Vec<usize> {
-    let mut counts = vec![1, 4, 8];
-    if let Ok(extra) = std::env::var("PARETO_TEST_THREADS") {
-        for part in extra.split(',') {
-            if let Ok(t) = part.trim().parse::<usize>() {
-                if t >= 1 && !counts.contains(&t) {
-                    counts.push(t);
-                }
-            }
-        }
-    }
-    counts
-}
-
 /// Fit the per-node models via the real pipeline, then hand them to the
 /// bare-modeler solver (one LP per α, no placement).
 fn modeler_for(seed: u64, threads: usize) -> (ParetoModeler, usize) {
@@ -145,7 +130,8 @@ fn modeler_for(seed: u64, threads: usize) -> (ParetoModeler, usize) {
             ..FrameworkConfig::default()
         },
     )
-    .plan(&ds, WorkloadKind::FrequentPatterns { support: 0.1 });
+    .try_plan(&ds, WorkloadKind::FrequentPatterns { support: 0.1 })
+    .expect("non-empty dataset");
     let fits: Vec<_> = plan
         .time_models
         .as_ref()
@@ -179,7 +165,7 @@ fn adaptive_refinement_beats_its_oracles() {
             .coarse
             .iter()
             .map(|&a| {
-                let p = ref_modeler.solve(ref_n, a).expect("coarse solve");
+                let p = ref_modeler.solve(ref_n, a, None).expect("coarse solve").point;
                 (a, vec![p.predicted_makespan, p.predicted_dirty_joules])
             })
             .collect();
@@ -191,7 +177,7 @@ fn adaptive_refinement_beats_its_oracles() {
         let dense: Vec<Vec<f64>> = (0..1000)
             .map(|i| {
                 let a = i as f64 / 999.0;
-                let p = ref_modeler.solve(ref_n, a).expect("dense solve");
+                let p = ref_modeler.solve(ref_n, a, None).expect("dense solve").point;
                 vec![p.predicted_makespan, p.predicted_dirty_joules]
             })
             .collect();

@@ -65,7 +65,9 @@ fn every_domain_runs_under_every_strategy() {
             Strategy::RoundRobin,
             Strategy::ClusterMode,
         ] {
-            let outcome = Framework::new(&cl, cfg(strategy, layout)).run(&ds, workload);
+            let outcome = Framework::new(&cl, cfg(strategy, layout))
+                .try_run(&ds, workload)
+                .expect("non-empty dataset");
             // Partition cover.
             let mut all: Vec<usize> = outcome.plan.partitions.iter().flatten().copied().collect();
             all.sort_unstable();
@@ -108,7 +110,9 @@ fn mining_results_are_strategy_invariant() {
         Strategy::RoundRobin,
     ] {
         let outcome =
-            Framework::new(&cl, cfg(strategy, PartitionLayout::Representative)).run(&ds, workload);
+            Framework::new(&cl, cfg(strategy, PartitionLayout::Representative))
+                .try_run(&ds, workload)
+                .expect("non-empty dataset");
         let Quality::Mining { global_frequent, .. } = outcome.quality else {
             panic!("expected mining quality");
         };
@@ -128,7 +132,8 @@ fn cluster_mode_reports_hash_dictated_sizes() {
     let cl = cluster(4);
     let ds = pareto_datagen::rcv1_syn(13, 0.08);
     let plan = Framework::new(&cl, cfg(Strategy::ClusterMode, PartitionLayout::Representative))
-        .plan(&ds, WorkloadKind::FrequentPatterns { support: 0.15 });
+        .try_plan(&ds, WorkloadKind::FrequentPatterns { support: 0.15 })
+        .expect("non-empty dataset");
     assert!(plan.time_models.is_none(), "cluster-mode never estimates");
     assert!(plan.pareto.is_none(), "cluster-mode never optimizes");
     assert_eq!(plan.estimation_cost.compute_ops, 0);
@@ -163,7 +168,8 @@ fn normalized_alpha_trades_predicted_time_for_dirty_energy() {
                 PartitionLayout::Representative,
             ),
         )
-        .plan(&ds, WorkloadKind::FrequentPatterns { support: 0.15 });
+        .try_plan(&ds, WorkloadKind::FrequentPatterns { support: 0.15 })
+        .expect("non-empty dataset");
         let point = plan.pareto.expect("normalized strategy always optimizes");
         assert!(plan.time_models.is_some());
         assert_eq!(plan.sizes.iter().sum::<usize>(), ds.len());
@@ -189,7 +195,8 @@ fn estimation_cost_is_small_relative_to_job() {
     let cl = cluster(4);
     let ds = pareto_datagen::rcv1_syn(11, 0.12);
     let outcome = Framework::new(&cl, cfg(Strategy::HetAware, PartitionLayout::Representative))
-        .run(&ds, WorkloadKind::FrequentPatterns { support: 0.15 });
+        .try_run(&ds, WorkloadKind::FrequentPatterns { support: 0.15 })
+        .expect("non-empty dataset");
     let est_ops = outcome.plan.estimation_cost.compute_ops;
     let job_ops: u64 = outcome.report.runs.iter().map(|r| r.cost.compute_ops).sum();
     assert!(est_ops > 0);
@@ -203,7 +210,9 @@ fn estimation_cost_is_small_relative_to_job() {
 fn plan_sizes_respect_node_speeds() {
     let cl = cluster(8);
     for (ds, workload, layout) in all_domains() {
-        let plan = Framework::new(&cl, cfg(Strategy::HetAware, layout)).plan(&ds, workload);
+        let plan = Framework::new(&cl, cfg(Strategy::HetAware, layout))
+            .try_plan(&ds, workload)
+            .expect("non-empty dataset");
         // Node 0 (type 1) vs node 3 (type 4): the fast node must receive
         // more data under Het-Aware for every domain.
         assert!(
@@ -220,7 +229,8 @@ fn single_node_cluster_degenerates_gracefully() {
     let cl = cluster(1);
     let ds = pareto_datagen::rcv1_syn(5, 0.05);
     let outcome = Framework::new(&cl, cfg(Strategy::HetAware, PartitionLayout::Representative))
-        .run(&ds, WorkloadKind::FrequentPatterns { support: 0.2 });
+        .try_run(&ds, WorkloadKind::FrequentPatterns { support: 0.2 })
+        .expect("non-empty dataset");
     assert_eq!(outcome.plan.sizes, vec![ds.len()]);
     assert!(outcome.report.makespan_seconds > 0.0);
 }
@@ -234,7 +244,8 @@ fn many_partitions_small_data() {
         &cl,
         cfg(Strategy::Stratified, PartitionLayout::SimilarTogether),
     )
-    .run(&ds, WorkloadKind::WebGraph);
+    .try_run(&ds, WorkloadKind::WebGraph)
+    .expect("non-empty dataset");
     assert_eq!(outcome.plan.partitions.len(), 12);
     let total: usize = outcome.plan.sizes.iter().sum();
     assert_eq!(total, ds.len());

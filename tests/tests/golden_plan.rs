@@ -18,6 +18,7 @@ use pareto_core::estimator::HeterogeneityEstimator;
 use pareto_core::framework::{Framework, FrameworkConfig, Strategy};
 use pareto_core::partitioner::PartitionLayout;
 use pareto_datagen::Dataset;
+use pareto_integration_tests::digest;
 use pareto_workloads::WorkloadKind;
 
 const SEEDS: [u64; 3] = [11, 31, 2017];
@@ -45,17 +46,6 @@ const GOLDEN: &[(&str, u64, Pin)] = &[
     ("uk_syn", 31, Pin { assignments: 0x6d75896b8d0099a8, iterations: 10, measure: 0xfda60b114b4ed12f, sizes: 0x2178e721d3d40b22 }),
     ("uk_syn", 2017, Pin { assignments: 0xb7588aa0bc7e54a4, iterations: 20, measure: 0xfc9ea72b3be02b62, sizes: 0x132c5fc2e0772ac4 }),
 ];
-
-/// FNV-1a over a stream of words.
-fn digest(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
 
 type Domain = (&'static str, fn(u64) -> Dataset, WorkloadKind, PartitionLayout);
 
@@ -97,7 +87,9 @@ fn observe(
         threads,
         ..FrameworkConfig::default()
     };
-    let plan = Framework::new(&cluster, cfg.clone()).plan(ds, workload);
+    let plan = Framework::new(&cluster, cfg.clone())
+        .try_plan(ds, workload)
+        .expect("non-empty dataset");
     let (measurements, _) = HeterogeneityEstimator::new(&cluster, cfg.sampling, seed)
         .with_threads(threads)
         .measure(ds, &plan.stratification, workload);

@@ -124,13 +124,15 @@ fn warm_replan_same_inputs_is_bit_identical() {
     let ds = dataset(seed);
     let cl = cluster(seed);
     let strategy = Strategy::HetEnergyAware { alpha: 0.995 };
-    let cold_ref = Framework::new(&cl, cfg(seed, 1, strategy)).plan(&ds, WORKLOAD);
+    let cold_ref = Framework::new(&cl, cfg(seed, 1, strategy))
+        .try_plan(&ds, WORKLOAD)
+        .expect("non-empty dataset");
 
     let mut session = PlanSession::new(&cl, cfg(seed, 1, strategy), ds, WORKLOAD);
     let cold = session.plan().expect("cold plan");
     let warm = session.plan().expect("warm replan");
 
-    assert_plans_identical(&cold, &cold_ref, "cold session vs Framework::plan");
+    assert_plans_identical(&cold, &cold_ref, "cold session vs Framework::try_plan");
     assert_plans_identical(&warm, &cold, "warm replan vs cold plan");
     let reuse = session.last_reuse();
     assert!(
@@ -179,7 +181,8 @@ fn alpha_sweep_computes_upstream_stages_once() {
             &cl,
             cfg(seed, 4, Strategy::HetEnergyAware { alpha: *alpha }),
         )
-        .plan(&ds, WORKLOAD);
+        .try_plan(&ds, WORKLOAD)
+        .expect("non-empty dataset");
         assert_plans_identical(plan, &cold, &format!("sweep alpha {alpha}"));
     }
 }
@@ -203,7 +206,9 @@ fn append_replan_matches_cold_plan_over_grown_dataset() {
 
     let mut grown = ds;
     grown.items.extend(extra);
-    let cold = Framework::new(&cl, cfg(seed, 4, strategy)).plan(&grown, WORKLOAD);
+    let cold = Framework::new(&cl, cfg(seed, 4, strategy))
+        .try_plan(&grown, WORKLOAD)
+        .expect("non-empty dataset");
     assert_plans_identical(&warm, &cold, "append replan vs cold grown plan");
 
     let stats = session.cache_stats();
@@ -249,7 +254,9 @@ fn drop_node_replan_matches_cold_subset_plan() {
     // Restoring the node brings back the original cached artifacts.
     session.restore_node(2).expect("restore node 2");
     let restored = session.plan().expect("replan after restore");
-    let cold_full = Framework::new(&cl, cfg(seed, 4, strategy)).plan(&ds, WORKLOAD);
+    let cold_full = Framework::new(&cl, cfg(seed, 4, strategy))
+        .try_plan(&ds, WORKLOAD)
+        .expect("non-empty dataset");
     assert_plans_identical(&restored, &cold_full, "restore replan vs cold full plan");
     let reuse = session.last_reuse();
     assert!(
@@ -313,7 +320,9 @@ proptest! {
         let (warm, cold, ctx) = match delta {
             0 => {
                 let warm = session.plan().expect("warm replan");
-                let cold = Framework::new(&cl, cfg(seed, threads, strategy)).plan(&ds, WORKLOAD);
+                let cold = Framework::new(&cl, cfg(seed, threads, strategy))
+                    .try_plan(&ds, WORKLOAD)
+                    .expect("non-empty dataset");
                 (warm, cold, "no delta")
             }
             1 => {
@@ -322,7 +331,9 @@ proptest! {
                 let warm = session.plan().expect("append replan");
                 let mut grown = ds.clone();
                 grown.items.extend(extra);
-                let cold = Framework::new(&cl, cfg(seed, threads, strategy)).plan(&grown, WORKLOAD);
+                let cold = Framework::new(&cl, cfg(seed, threads, strategy))
+                    .try_plan(&grown, WORKLOAD)
+                    .expect("non-empty dataset");
                 (warm, cold, "append")
             }
             2 => {
@@ -340,7 +351,8 @@ proptest! {
                     &cl,
                     cfg(seed, threads, Strategy::HetEnergyAware { alpha: 0.9 }),
                 )
-                .plan(&ds, WORKLOAD);
+                .try_plan(&ds, WORKLOAD)
+                .expect("non-empty dataset");
                 (warm, cold, "alpha change")
             }
         };
@@ -398,7 +410,9 @@ fn shared_cache_sessions_replan_bit_identically() {
 
     // Both match a cold, private-cache reference: sharing is an
     // optimization, never an oracle.
-    let cold = Framework::new(&cl, cfg(seed, 1, strategy)).plan(&ds, WORKLOAD);
+    let cold = Framework::new(&cl, cfg(seed, 1, strategy))
+        .try_plan(&ds, WORKLOAD)
+        .expect("non-empty dataset");
     assert_plans_identical(&plan_a, &cold, "shared vs cold");
 
     // A warm replan after an alpha change only re-solves downstream
@@ -409,7 +423,8 @@ fn shared_cache_sessions_replan_bit_identically() {
         &cl,
         cfg(seed, 1, Strategy::HetEnergyAware { alpha: 0.9 }),
     )
-    .plan(&ds, WORKLOAD);
+    .try_plan(&ds, WORKLOAD)
+    .expect("non-empty dataset");
     assert_plans_identical(&warm, &cold_alpha, "shared-cache alpha replan");
     let reuse = a.last_reuse();
     assert!(reuse.sketch && reuse.stratify && reuse.profile, "upstream stages must be reused");

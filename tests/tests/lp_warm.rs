@@ -150,10 +150,14 @@ fn faulted_run_is_bit_identical_with_warm_replans() {
             let fw = Framework::new(&cl, cfg(seed, 1, lp_warm));
             let ds = dataset(seed);
             // Crash node 1 early enough that real replanning happens.
-            let clean = fw.run_with_faults(&ds, WORKLOAD, &FaultPlan::none(), &RecoveryConfig::default());
+            let clean = fw
+                .try_run_with_faults(&ds, WORKLOAD, &FaultPlan::none(), &RecoveryConfig::default())
+                .expect("non-empty dataset, valid config");
             let tc = clean.outcome.recovery.makespan_s * 0.4;
             let faults = FaultPlan::new().with_crash(1, tc);
-            fw.run_with_faults(&ds, WORKLOAD, &faults, &RecoveryConfig::default())
+            fw
+                .try_run_with_faults(&ds, WORKLOAD, &faults, &RecoveryConfig::default())
+                .expect("non-empty dataset, valid config")
         };
         let warm = run(true);
         let cold = run(false);

@@ -43,9 +43,11 @@ fn het_aware_speedup_on_compression() {
     let cl = cluster(8);
     let ds = pareto_datagen::arabic_syn(SEED, 0.3);
     let base = Framework::new(&cl, cfg(Strategy::Stratified, PartitionLayout::SimilarTogether))
-        .run(&ds, WorkloadKind::WebGraph);
+        .try_run(&ds, WorkloadKind::WebGraph)
+        .expect("non-empty dataset");
     let het = Framework::new(&cl, cfg(Strategy::HetAware, PartitionLayout::SimilarTogether))
-        .run(&ds, WorkloadKind::WebGraph);
+        .try_run(&ds, WorkloadKind::WebGraph)
+        .expect("non-empty dataset");
     let speedup = 1.0 - het.report.makespan_seconds / base.report.makespan_seconds;
     assert!(
         speedup > 0.30,
@@ -63,9 +65,11 @@ fn het_aware_speedup_on_mining() {
     let ds = pareto_datagen::rcv1_syn(SEED, 0.15);
     let workload = WorkloadKind::FrequentPatterns { support: 0.12 };
     let base = Framework::new(&cl, cfg(Strategy::Stratified, PartitionLayout::Representative))
-        .run(&ds, workload);
+        .try_run(&ds, workload)
+        .expect("non-empty dataset");
     let het = Framework::new(&cl, cfg(Strategy::HetAware, PartitionLayout::Representative))
-        .run(&ds, workload);
+        .try_run(&ds, workload)
+        .expect("non-empty dataset");
     assert!(
         het.report.makespan_seconds < base.report.makespan_seconds,
         "het {} vs base {}",
@@ -82,7 +86,8 @@ fn energy_aware_trades_time_for_dirty_energy() {
     let ds = pareto_datagen::rcv1_syn(SEED, 0.15);
     let workload = WorkloadKind::FrequentPatterns { support: 0.12 };
     let het = Framework::new(&cl, cfg(Strategy::HetAware, PartitionLayout::Representative))
-        .run(&ds, workload);
+        .try_run(&ds, workload)
+        .expect("non-empty dataset");
     let green = Framework::new(
         &cl,
         cfg(
@@ -90,7 +95,8 @@ fn energy_aware_trades_time_for_dirty_energy() {
             PartitionLayout::Representative,
         ),
     )
-    .run(&ds, workload);
+    .try_run(&ds, workload)
+    .expect("non-empty dataset");
     assert!(
         green.report.total_dirty_linear < het.report.total_dirty_linear,
         "green {} vs het {}",
@@ -118,7 +124,8 @@ fn measured_frontier_is_monotone() {
             Strategy::HetEnergyAware { alpha }
         };
         let out = Framework::new(&cl, cfg(strategy, PartitionLayout::Representative))
-            .run(&ds, workload);
+            .try_run(&ds, workload)
+            .expect("non-empty dataset");
         points.push((out.report.makespan_seconds, out.report.total_dirty_linear));
     }
     for w in points.windows(2) {
@@ -147,7 +154,8 @@ fn baseline_is_dominated_by_some_alpha() {
     let ds = pareto_datagen::rcv1_syn(SEED, 1.0);
     let workload = WorkloadKind::FrequentPatterns { support: 0.1 };
     let base = Framework::new(&cl, cfg(Strategy::Stratified, PartitionLayout::Representative))
-        .run(&ds, workload);
+        .try_run(&ds, workload)
+        .expect("non-empty dataset");
     let bt = base.report.makespan_seconds;
     let be = base.report.total_dirty_linear;
     let mut dominated = false;
@@ -161,7 +169,8 @@ fn baseline_is_dominated_by_some_alpha() {
             Strategy::HetEnergyAware { alpha }
         };
         let out = Framework::new(&cl, cfg(strategy, PartitionLayout::Representative))
-            .run(&ds, workload);
+            .try_run(&ds, workload)
+            .expect("non-empty dataset");
         if out.report.makespan_seconds <= bt * 1.001
             && out.report.total_dirty_linear <= be * 1.001
             && (out.report.makespan_seconds < bt * 0.98
@@ -188,7 +197,8 @@ fn compression_ratio_is_preserved() {
     .into_iter()
     .map(|s| {
         let out = Framework::new(&cl, cfg(s, PartitionLayout::SimilarTogether))
-            .run(&ds, WorkloadKind::WebGraph);
+            .try_run(&ds, WorkloadKind::WebGraph)
+            .expect("non-empty dataset");
         match out.quality {
             Quality::Compression { ratio, .. } => ratio,
             other => panic!("unexpected {other:?}"),
@@ -211,7 +221,9 @@ fn similar_together_beats_random_on_ratio() {
     let cl = cluster(8);
     let ds = pareto_datagen::uk_syn(SEED, 0.4);
     let ratio = |strategy, layout| {
-        let out = Framework::new(&cl, cfg(strategy, layout)).run(&ds, WorkloadKind::WebGraph);
+        let out = Framework::new(&cl, cfg(strategy, layout))
+            .try_run(&ds, WorkloadKind::WebGraph)
+            .expect("non-empty dataset");
         match out.quality {
             Quality::Compression { ratio, .. } => ratio,
             other => panic!("unexpected {other:?}"),
@@ -237,7 +249,9 @@ fn stratified_controls_candidate_inflation() {
     let ds = pareto_datagen::treebank_syn(SEED, 0.2);
     let workload = WorkloadKind::FrequentPatterns { support: 0.2 };
     let get = |strategy, layout| {
-        let out = Framework::new(&cl, cfg(strategy, layout)).run(&ds, workload);
+        let out = Framework::new(&cl, cfg(strategy, layout))
+            .try_run(&ds, workload)
+            .expect("non-empty dataset");
         match out.quality {
             Quality::Mining {
                 candidates,
@@ -287,19 +301,22 @@ fn scan_seeds_for_claim_shapes() {
             &cl4,
             cfg_at(seed, Strategy::Stratified, PartitionLayout::Representative),
         )
-        .run(&ds, workload);
+        .try_run(&ds, workload)
+        .expect("non-empty dataset");
         let het4 = Framework::new(
             &cl4,
             cfg_at(seed, Strategy::HetAware, PartitionLayout::Representative),
         )
-        .run(&ds, workload);
+        .try_run(&ds, workload)
+        .expect("non-empty dataset");
         let mining_ok = het4.report.makespan_seconds < base4.report.makespan_seconds;
 
         let het = Framework::new(
             &cl,
             cfg_at(seed, Strategy::HetAware, PartitionLayout::Representative),
         )
-        .run(&ds, workload);
+        .try_run(&ds, workload)
+        .expect("non-empty dataset");
         let green = Framework::new(
             &cl,
             cfg_at(
@@ -308,7 +325,8 @@ fn scan_seeds_for_claim_shapes() {
                 PartitionLayout::Representative,
             ),
         )
-        .run(&ds, workload);
+        .try_run(&ds, workload)
+        .expect("non-empty dataset");
         let trade_ok = green.report.total_dirty_linear < het.report.total_dirty_linear
             && green.report.makespan_seconds >= het.report.makespan_seconds * 0.99;
 
@@ -323,7 +341,8 @@ fn scan_seeds_for_claim_shapes() {
             &cl,
             cfg_at(seed, Strategy::Stratified, PartitionLayout::Representative),
         )
-        .run(&big, big_workload);
+        .try_run(&big, big_workload)
+        .expect("non-empty dataset");
         let (bt, be) = (
             base.report.makespan_seconds,
             base.report.total_dirty_linear,
@@ -340,7 +359,8 @@ fn scan_seeds_for_claim_shapes() {
                 &cl,
                 cfg_at(seed, strategy, PartitionLayout::Representative),
             )
-            .run(&big, big_workload);
+            .try_run(&big, big_workload)
+            .expect("non-empty dataset");
             let (t, e) = (
                 out.report.makespan_seconds,
                 out.report.total_dirty_linear,

@@ -41,7 +41,7 @@ fn plan_with(seed: u64, threads: usize, tel: Option<Arc<Telemetry>>) -> Plan {
     if let Some(tel) = tel {
         fw = fw.with_telemetry(tel);
     }
-    fw.plan(&ds, WorkloadKind::FrequentPatterns { support: 0.15 })
+    fw.try_plan(&ds, WorkloadKind::FrequentPatterns { support: 0.15 }).expect("non-empty dataset")
 }
 
 fn faulted_run_with(
@@ -56,12 +56,13 @@ fn faulted_run_with(
     if let Some(tel) = tel {
         fw = fw.with_telemetry(tel);
     }
-    fw.run_with_faults(
+    fw.try_run_with_faults(
         &ds,
         WorkloadKind::FrequentPatterns { support: 0.15 },
         faults,
         &RecoveryConfig::default(),
     )
+    .expect("non-empty dataset, valid config")
 }
 
 /// Bit-level plan comparison: partitions, sizes, and every f64 the
