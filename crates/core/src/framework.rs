@@ -1147,6 +1147,35 @@ mod tests {
     }
 
     #[test]
+    fn invalid_stratifier_config_surfaces_as_plan_error() {
+        let ds = text_ds();
+        let cl = cluster(4);
+        let bad = |stratifier: StratifierConfig| {
+            let config = FrameworkConfig {
+                stratifier,
+                ..cfg(Strategy::HetAware, PartitionLayout::Representative)
+            };
+            Framework::new(&cl, config)
+                .try_plan(&ds, WorkloadKind::FrequentPatterns { support: 0.1 })
+                .unwrap_err()
+        };
+        let default = StratifierConfig::default;
+        for (stratifier, expected) in [
+            (StratifierConfig { num_strata: 0, ..default() }, "num_strata"),
+            (StratifierConfig { l: 0, ..default() }, "l"),
+            // 200 documents x 2^25 hash functions = 2^32.7 coordinates.
+            (StratifierConfig { sketch_size: 1 << 25, ..default() }, "sketch_size"),
+            (StratifierConfig { sketch_size: usize::MAX, ..default() }, "sketch_size"),
+        ] {
+            let err = bad(stratifier);
+            assert!(
+                matches!(err, PlanError::InvalidStratifier { field, .. } if field == expected),
+                "got {err}"
+            );
+        }
+    }
+
+    #[test]
     fn sequential_report_adds() {
         let cl = cluster(2);
         let r1 = cl.account_costs(&[Cost::compute(1_000_000), Cost::compute(2_000_000)]);

@@ -52,6 +52,16 @@ pub enum PlanError {
     EmptyDataset,
     /// Every node has been dropped from the roster.
     EmptyRoster,
+    /// A [`StratifierConfig`] field the stratify stage cannot run with:
+    /// zero strata, zero center-list length, or a sketch so wide that the
+    /// dataset has 2³² or more sketch coordinates (the kModes kernel
+    /// indexes them with `u32`).
+    InvalidStratifier {
+        /// The offending `FrameworkConfig.stratifier` field.
+        field: &'static str,
+        /// What is wrong with its value.
+        reason: &'static str,
+    },
     /// A roster operation named a node the cluster does not have (or the
     /// roster does not contain, for removals).
     UnknownNode {
@@ -93,6 +103,9 @@ impl std::fmt::Display for PlanError {
         match self {
             PlanError::EmptyDataset => write!(f, "cannot plan an empty dataset"),
             PlanError::EmptyRoster => write!(f, "cannot plan with an empty node roster"),
+            PlanError::InvalidStratifier { field, reason } => {
+                write!(f, "invalid stratifier config: {field} {reason}")
+            }
             PlanError::UnknownNode { node, cluster_size } => write!(
                 f,
                 "node {node} is not available (cluster has {cluster_size} nodes)"
@@ -383,6 +396,23 @@ impl PlanStage for SketchStage {
         }
         Ok(stratifier.sketch(ctx.dataset))
     }
+}
+
+/// Reject the stratifier settings that would panic inside the stratify
+/// stage, mid-plan, for a dataset of `records` records.
+fn validate_stratifier(cfg: &StratifierConfig, records: usize) -> Result<(), PlanError> {
+    let invalid = |field, reason| Err(PlanError::InvalidStratifier { field, reason });
+    if cfg.num_strata == 0 {
+        return invalid("num_strata", "must be at least 1");
+    }
+    if cfg.l == 0 {
+        return invalid("l", "must be at least 1");
+    }
+    let cells = records.checked_mul(cfg.sketch_size);
+    if cells.and_then(|cells| u32::try_from(cells).ok()).is_none() {
+        return invalid("sketch_size", "times the record count must stay below 2^32");
+    }
+    Ok(())
 }
 
 fn sketch_fingerprint(dataset_fp: Fingerprint, cfg: &StratifierConfig) -> Fingerprint {
@@ -846,6 +876,7 @@ impl<'a> PlanEngine<'a> {
         if self.roster.is_empty() {
             return Err(PlanError::EmptyRoster);
         }
+        validate_stratifier(&self.cfg.stratifier, dataset.len())?;
         let started = Instant::now();
         let mut timings = PlanTimings::default();
         let wall_start = self.telemetry.wall_now();

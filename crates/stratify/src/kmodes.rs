@@ -16,15 +16,34 @@
 //! (dense `u32` ids in ascending value order, stored column-major), so
 //! "the same value" is "the same id", id order is value order, and every
 //! per-value table is a direct-indexed array. The same sort yields an
-//! **inverted index** `(attribute, id) → rows holding it`. The assignment
-//! step walks, for every id a center lists, that id's rows and bumps the
-//! (row, cluster) cell of an `n × K` score block — work proportional to
-//! the matches that exist instead of `O(n·A·K·L)` compares; the update
-//! step is dense counting over each cluster's members plus a top-`L`
-//! selection by (count desc, id asc). Each shard of a step owns a disjoint
-//! output range — points for assignment, attributes for encoding and
-//! update — so the result is bit-identical at any thread count with
-//! nothing to merge.
+//! **inverted index** `(attribute, id) → rows holding it`.
+//!
+//! An `n × K` **score block** — cell `(row, cluster)` counts the
+//! attributes of `row` whose id the cluster's center lists — lives for the
+//! whole run and is only ever *adjusted*. An iteration is an update step
+//! followed by an assignment step, and what passes between them is a list
+//! of [`Delta`]s: "this id entered (left) that cluster's list for this
+//! attribute".
+//!
+//! * **Update** recomputes the `L` most frequent ids (count desc, id asc)
+//!   of every attribute for each **dirty** cluster — one that gained or
+//!   lost a point in the last assignment — and emits the set difference
+//!   between the list it replaces and the new one (order inside a list
+//!   does not affect a score). A clean cluster has the members it had, so
+//!   the counts, and the lists, it had: it is skipped. An empty cluster is
+//!   re-seeded on the *current* worst-matched point, which moves while the
+//!   cluster's (empty) membership does not, so it is always dirty.
+//! * **Assignment** walks the inverted-index rows of each delta's id and
+//!   adds `±1` to their cells — work proportional to what changed — then
+//!   sweeps the block for each point's best cluster.
+//!
+//! The first iteration is not special: the seed points are `K` singleton
+//! clusters, all dirty, whose update writes the initial centers into empty
+//! lists, so every seeded id "enters" and the first assignment builds the
+//! score block from zero through the same deltas. Each shard of a step
+//! owns a disjoint output range — points for assignment, attributes for
+//! encoding and update — so the result is bit-identical at any thread
+//! count with nothing to merge.
 
 use pareto_sketch::SignatureMatrix;
 use rand::seq::SliceRandom;
@@ -82,6 +101,8 @@ fn run_shards<S: Send>(shards: impl Iterator<Item = S>, work: impl Fn(S) + Sync)
             scope.spawn(move |_| work(shard));
         }
     })
+    // Invariant: a worker only indexes its own shard, so it panics only if
+    // this module has a bug; re-raise that instead of hiding it.
     .expect("kmodes worker panicked");
 }
 
@@ -103,6 +124,8 @@ struct Columns {
 impl Columns {
     fn encode(signatures: &SignatureMatrix, shards: usize) -> Columns {
         let (n, num_attrs) = (signatures.num_rows(), signatures.width());
+        // Invariant: rows and table slots are `u32`; the planner rejects
+        // larger inputs before the stage runs (`PlanError::InvalidStratifier`).
         let cells = u32::try_from(n * num_attrs).expect("fewer than 2^32 sketch coordinates");
         let mut ids = vec![0u32; n * num_attrs];
         let mut rows = vec![0u32; n * num_attrs];
@@ -155,35 +178,30 @@ impl Columns {
     }
 }
 
-/// The cluster centers: per (attribute, cluster), up to `l` ids ordered by
-/// descending member frequency. Attribute-major, so the update step's
-/// attribute shards own contiguous blocks.
-struct Centers {
-    k: usize,
-    l: usize,
-    lists: Vec<u32>,
-    lens: Vec<u32>,
+/// One change to a center list: the id at `slot` of an (attribute, id)
+/// table entered (or left) `cluster`'s list for that attribute, so every
+/// row holding the id matches the cluster on one attribute more (fewer).
+#[derive(Clone, Copy)]
+struct Delta {
+    slot: u32,
+    cluster: u32,
+    entered: bool,
 }
 
-impl Centers {
-    /// Every listed id as `(slot in an (attribute, id) table, cluster)`.
-    fn entries<'a>(&'a self, cols: &'a Columns) -> impl Iterator<Item = (usize, u32)> + 'a {
-        self.lens.iter().enumerate().flat_map(move |(slot, &len)| {
-            let (a, c) = (slot / self.k, slot % self.k);
-            self.lists[slot * self.l..][..len as usize]
-                .iter()
-                .map(move |&id| ((cols.base[a] + id) as usize, c as u32))
-        })
-    }
-}
-
-/// Per-shard scratch of the update step: a zeroed count per id of the
-/// widest column, and the ids the current (cluster, attribute) touched
-/// (later their sort keys).
+/// Per-shard state of the update step.
 #[derive(Clone)]
-struct Scratch {
+struct UpdateShard {
+    /// A zeroed cell per id of the widest column: member counts while a
+    /// list is computed, old/new marks while it is diffed.
     count: Vec<u32>,
+    /// Room for one entry per point: the ids the current (attribute,
+    /// cluster) touched, later their sort keys.
     touched: Vec<u64>,
+    /// The list being computed, before it replaces the old one.
+    fresh: Vec<u32>,
+    /// What this shard's last update step changed, in (attribute,
+    /// cluster) order.
+    deltas: Vec<Delta>,
 }
 
 /// The clustering algorithm.
@@ -193,7 +211,12 @@ pub struct CompositeKModes {
 
 impl CompositeKModes {
     /// Create a runner with the given configuration.
+    ///
+    /// # Panics
+    /// Panics if `num_clusters` or `l` is zero.
     pub fn new(cfg: KModesConfig) -> Self {
+        // Invariant: the planner validates both before the stage runs
+        // (`PlanError::InvalidStratifier`); a direct caller passes constants.
         assert!(cfg.num_clusters >= 1, "need at least one cluster");
         assert!(cfg.l >= 1, "center list length L must be >= 1");
         CompositeKModes { cfg }
@@ -203,6 +226,17 @@ impl CompositeKModes {
     /// assignment; zero-width signatures match nothing, so every point
     /// lands in cluster 0 with score 0.
     pub fn run(&self, signatures: &SignatureMatrix) -> KModesResult {
+        self.run_observed(signatures, |_, _, _, _| ())
+    }
+
+    /// [`run`](Self::run), showing `after_assign` the columns, the centers
+    /// (`lists`, `lens`) and the maintained score block after every
+    /// assignment step.
+    fn run_observed(
+        &self,
+        signatures: &SignatureMatrix,
+        mut after_assign: impl FnMut(&Columns, &[u32], &[u32], &[u32]),
+    ) -> KModesResult {
         let n = signatures.num_rows();
         if n == 0 {
             return KModesResult {
@@ -220,34 +254,41 @@ impl CompositeKModes {
         let shards = self.cfg.threads.min(n * num_attrs / MIN_SHARD_CELLS).max(1);
         let cols = Columns::encode(signatures, shards);
 
-        // Initialize centers on K distinct random points.
+        // Seed the centers on K distinct random points: each is the only
+        // member of its cluster and every cluster is dirty, so the first
+        // update step writes the seeds' values into the (empty) lists.
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(self.cfg.seed);
         let mut idx: Vec<usize> = (0..n).collect();
         idx.shuffle(&mut rng);
-        let mut centers = Centers {
-            k,
-            l,
-            lists: vec![0; num_attrs * k * l],
-            lens: vec![1; num_attrs * k],
-        };
-        for a in 0..num_attrs {
-            for (c, &point) in idx[..k].iter().enumerate() {
-                centers.lists[(a * k + c) * l] = cols.column(a)[point];
-            }
+        // Points grouped by cluster: `grouped[starts[c]..starts[c + 1]]`.
+        let mut grouped = vec![0u32; n];
+        for (slot, &point) in grouped.iter_mut().zip(&idx[..k]) {
+            *slot = point as u32;
         }
+        let mut starts: Vec<usize> = (0..=k).collect();
+        // Clusters whose lists the next update step must recompute.
+        let mut dirty = vec![true; k];
+        // The point an empty cluster is re-seeded on (no cluster is empty
+        // while the seeds are the members).
+        let mut worst = 0;
+        // The cluster centers: per (attribute, cluster), `lens` ids in an
+        // `l`-wide slot of `lists`, ordered by descending member
+        // frequency. Attribute-major, so the update step's attribute
+        // shards own contiguous blocks.
+        let mut lists = vec![0u32; num_attrs * k * l];
+        let mut lens = vec![0u32; num_attrs * k];
 
         let mut scores = vec![0u32; n * k];
         // `(cluster, score)` per point, as the assignment step leaves it.
         let mut best = vec![(0u32, 0u32); n];
         let mut assignments = vec![u32::MAX; n];
-        // Points grouped by cluster: `grouped[starts[c]..starts[c + 1]]`.
-        let mut grouped = vec![0u32; n];
-        let mut starts = vec![0usize; k + 1];
         let widest = cols.base.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
-        let mut scratch = vec![
-            Scratch {
+        let mut update_shards = vec![
+            UpdateShard {
                 count: vec![0; widest as usize],
-                touched: Vec::new(),
+                touched: vec![0; n],
+                fresh: vec![0; l],
+                deltas: Vec::new(),
             };
             shards
         ];
@@ -256,6 +297,33 @@ impl CompositeKModes {
         let mut iterations = 0;
         for _ in 0..self.cfg.max_iters.max(1) {
             iterations += 1;
+            // --- Update step (parallel over attributes): recompute the
+            // L-frequent lists of the dirty clusters from their members ---
+            let members = |c: usize| &grouped[starts[c]..starts[c + 1]];
+            run_shards(
+                lists
+                    .chunks_mut(attr_chunk * k * l)
+                    .zip(lens.chunks_mut(attr_chunk * k))
+                    .zip(&mut update_shards)
+                    .enumerate(),
+                |(shard, ((lists, lens), state))| {
+                    state.deltas.clear();
+                    for (slot, (list, len)) in lists.chunks_exact_mut(l).zip(lens).enumerate() {
+                        let (a, c) = (shard * attr_chunk + slot / k, slot % k);
+                        if !dirty[c] {
+                            continue;
+                        }
+                        let (col, members) = (cols.column(a), members(c));
+                        let fresh = if members.is_empty() {
+                            state.fresh[0] = col[worst];
+                            1
+                        } else {
+                            state.top_values(col, members)
+                        };
+                        state.replace(list, len, fresh, cols.base[a], c as u32);
+                    }
+                },
+            );
             // --- Assignment step (parallel over point ranges) ---
             run_shards(
                 scores
@@ -263,44 +331,35 @@ impl CompositeKModes {
                     .zip(best.chunks_mut(point_chunk))
                     .enumerate(),
                 |(shard, (scores, best))| {
-                    assign_points(&cols, &centers, shard * point_chunk, scores, best)
+                    assign_points(&cols, &update_shards, k, shard * point_chunk, scores, best)
                 },
             );
+            after_assign(&cols, &lists, &lens, &scores);
             let mut changed = false;
+            dirty.fill(false);
             for (old, &(c, _)) in assignments.iter_mut().zip(&best) {
-                changed |= *old != c;
-                *old = c;
+                if *old != c {
+                    changed = true;
+                    dirty[c as usize] = true;
+                    // The first assignment moves a point out of no cluster.
+                    if let Some(lost) = dirty.get_mut(*old as usize) {
+                        *lost = true;
+                    }
+                    *old = c;
+                }
             }
             if !changed && iterations > 1 {
                 break;
             }
-            // --- Update step (parallel over attributes): recompute the
-            // L-frequent lists from each cluster's members ---
             group_by_cluster(&assignments, &mut starts, &mut grouped);
             // An empty cluster is re-seeded on the worst-matched point,
-            // the standard kModes fix for dead centers.
-            let worst = (0..n).min_by_key(|&i| (best[i].1, i)).expect("n > 0");
-            let members = |c: usize| &grouped[starts[c]..starts[c + 1]];
-            run_shards(
-                centers
-                    .lists
-                    .chunks_mut(attr_chunk * k * l)
-                    .zip(centers.lens.chunks_mut(attr_chunk * k))
-                    .zip(&mut scratch)
-                    .enumerate(),
-                |(shard, ((lists, lens), scratch))| {
-                    for (slot, (list, len)) in lists.chunks_exact_mut(l).zip(lens).enumerate() {
-                        let col = cols.column(shard * attr_chunk + slot / k);
-                        let members = members(slot % k);
-                        *len = if members.is_empty() {
-                            list[0] = col[worst];
-                            1
-                        } else {
-                            top_values(col, members, scratch, list)
-                        };
-                    }
-                },
-            );
+            // the standard kModes fix for dead centers. That point moves
+            // from one iteration to the next, so the cluster stays dirty.
+            for (c, dirty) in dirty.iter_mut().enumerate() {
+                *dirty |= starts[c] == starts[c + 1];
+            }
+            // Invariant: `n > 0` was checked on entry.
+            worst = (0..n).min_by_key(|&i| (best[i].1, i)).expect("n > 0");
         }
 
         let zero_matches = best.iter().filter(|&&(_, s)| s == 0).count();
@@ -315,23 +374,30 @@ impl CompositeKModes {
 }
 
 /// Assignment step for the points `first..first + best.len()`: for every
-/// id a center lists, bump the (row, cluster) score of the rows holding it,
-/// then pick each point's best cluster (ties go to the lowest cluster id).
+/// id that entered or left a center list, adjust the (row, cluster) score
+/// of the rows holding it, then pick each point's best cluster (ties go to
+/// the lowest cluster id). A row holds one id per attribute, so a cell
+/// sees at most one delta per attribute and never dips below zero on the
+/// way.
 fn assign_points(
     cols: &Columns,
-    centers: &Centers,
+    updates: &[UpdateShard],
+    k: usize,
     first: usize,
     scores: &mut [u32],
     best: &mut [(u32, u32)],
 ) {
-    let k = centers.k;
     let (lo, hi) = (first as u32, (first + best.len()) as u32);
-    scores.fill(0);
-    for (slot, c) in centers.entries(cols) {
-        let rows = cols.rows_of(slot);
+    for delta in updates.iter().flat_map(|shard| &shard.deltas) {
+        let rows = cols.rows_of(delta.slot as usize);
         let rows = &rows[rows.partition_point(|&r| r < lo)..];
         for &row in &rows[..rows.partition_point(|&r| r < hi)] {
-            scores[(row - lo) as usize * k + c as usize] += 1;
+            let cell = &mut scores[(row - lo) as usize * k + delta.cluster as usize];
+            if delta.entered {
+                *cell += 1;
+            } else {
+                *cell -= 1;
+            }
         }
     }
     for (scores, best) in scores.chunks_exact(k).zip(best) {
@@ -363,35 +429,76 @@ fn group_by_cluster(assignments: &[u32], starts: &mut [usize], grouped: &mut [u3
     starts[0] = 0;
 }
 
-/// Update step for one (cluster, attribute): write the most frequent ids
-/// among the members' values in `col` into `list`, ordered by descending
-/// count with the lower id (= lower value) first among equals, and return
-/// how many there are (at most `list.len()`).
-fn top_values(col: &[u32], members: &[u32], scratch: &mut Scratch, list: &mut [u32]) -> u32 {
-    let Scratch { count, touched } = scratch;
-    touched.clear();
-    for &point in members {
-        let id = col[point as usize];
-        if count[id as usize] == 0 {
-            touched.push(id as u64);
+impl UpdateShard {
+    /// Update step for one (cluster, attribute): write the most frequent
+    /// ids among the members' values in `col` into `fresh`, ordered by
+    /// descending count with the lower id (= lower value) first among
+    /// equals, and return how many there are (at most `fresh.len()`).
+    fn top_values(&mut self, col: &[u32], members: &[u32]) -> usize {
+        let UpdateShard { count, touched, fresh, .. } = self;
+        // Whether a member brings a new id is a coin flip over MinHash
+        // values, so write the id unconditionally and advance past it only
+        // when it is new instead of branching on it.
+        let mut distinct = 0;
+        for &point in members {
+            let id = col[point as usize];
+            touched[distinct] = id as u64;
+            distinct += usize::from(count[id as usize] == 0);
+            count[id as usize] += 1;
         }
-        count[id as usize] += 1;
+        let touched = &mut touched[..distinct];
+        // One integer key per id that sorts ascending into the wanted order.
+        for key in touched.iter_mut() {
+            let id = *key as usize;
+            *key |= ((u32::MAX - count[id]) as u64) << 32;
+            count[id] = 0;
+        }
+        let len = touched.len().min(fresh.len());
+        if len < touched.len() {
+            touched.select_nth_unstable(len - 1);
+        }
+        touched[..len].sort_unstable();
+        for (slot, &key) in fresh.iter_mut().zip(&touched[..len]) {
+            *slot = key as u32;
+        }
+        len
     }
-    // One integer key per id that sorts ascending into the wanted order.
-    for key in touched.iter_mut() {
-        let id = *key as usize;
-        *key |= ((u32::MAX - count[id]) as u64) << 32;
-        count[id] = 0;
+
+    /// Replace `list[..*len]` by `fresh[..fresh_len]` and record the set
+    /// difference: ids only the new list holds entered, ids only the old
+    /// one holds left. `base` is the attribute's first (attribute, id)
+    /// table slot.
+    fn replace(
+        &mut self,
+        list: &mut [u32],
+        len: &mut u32,
+        fresh_len: usize,
+        base: u32,
+        cluster: u32,
+    ) {
+        const OLD: u32 = 1;
+        const KEPT: u32 = 2;
+        let UpdateShard { count, fresh, deltas, .. } = self;
+        let (old, fresh) = (&list[..*len as usize], &fresh[..fresh_len]);
+        for &id in old {
+            count[id as usize] = OLD;
+        }
+        for &id in fresh {
+            if count[id as usize] == OLD {
+                count[id as usize] = KEPT;
+            } else {
+                deltas.push(Delta { slot: base + id, cluster, entered: true });
+            }
+        }
+        for &id in old {
+            if count[id as usize] == OLD {
+                deltas.push(Delta { slot: base + id, cluster, entered: false });
+            }
+            count[id as usize] = 0;
+        }
+        list[..fresh_len].copy_from_slice(fresh);
+        *len = fresh_len as u32;
     }
-    let len = touched.len().min(list.len());
-    if len < touched.len() {
-        touched.select_nth_unstable(len - 1);
-    }
-    touched[..len].sort_unstable();
-    for (slot, &key) in list.iter_mut().zip(&touched[..len]) {
-        *slot = key as u32;
-    }
-    len as u32
 }
 
 #[cfg(test)]
@@ -505,6 +612,7 @@ mod tests {
     use pareto_datagen::ItemSet;
     use pareto_sketch::MinHasher;
     use proptest::prelude::*;
+    use rand::RngCore;
 
     fn config(num_clusters: usize, l: usize, max_iters: usize, seed: u64) -> KModesConfig {
         KModesConfig {
@@ -553,6 +661,81 @@ mod tests {
         }
     }
 
+    /// Run the kernel and, after *every* assignment step, recompute the
+    /// `n × K` score block from the current centers the slow way — per
+    /// cell, the attributes whose list holds the row's id, without the
+    /// inverted index — and compare it with the block the deltas
+    /// maintained. Equal final assignments would not catch a delta applied
+    /// twice whose arg-max happens to coincide. Returns each step's
+    /// assignment (the block's arg-max, ties to the lowest cluster).
+    fn assert_scores_maintained(cfg: &KModesConfig, signatures: &SignatureMatrix) -> Vec<Vec<u32>> {
+        let mut history = Vec::new();
+        let result = CompositeKModes::new(cfg.clone()).run_observed(
+            signatures,
+            |cols, lists, lens, scores| {
+                let k = scores.len() / cols.n;
+                let l = lists.len().checked_div(lens.len()).unwrap_or(0);
+                let list = |a: usize, c: usize| {
+                    let slot = a * k + c;
+                    &lists[slot * l..][..lens[slot] as usize]
+                };
+                let num_attrs = cols.base.len() - 1;
+                let expected: Vec<u32> = (0..cols.n * k)
+                    .map(|cell| {
+                        let (row, c) = (cell / k, cell % k);
+                        (0..num_attrs)
+                            .filter(|&a| list(a, c).contains(&cols.column(a)[row]))
+                            .count() as u32
+                    })
+                    .collect();
+                let step = history.len() + 1;
+                assert_eq!(scores, expected, "score block after assignment {step}, {cfg:?}");
+                history.push(
+                    scores
+                        .chunks_exact(k)
+                        .map(|row| (0..k).rev().max_by_key(|&c| row[c]).expect("k >= 1") as u32)
+                        .collect(),
+                );
+            },
+        );
+        assert_eq!(history.len(), result.iterations);
+        assert_eq!(history.last(), Some(&result.assignments));
+        history
+    }
+
+    /// The first assignment step (1-based, at least 3) after which some
+    /// cluster is empty that had members one step earlier while another
+    /// cluster kept exactly the members it had: the update that follows
+    /// re-seeds a dead center while skipping a clean one.
+    fn late_empty_step(history: &[Vec<u32>], k: usize) -> Option<usize> {
+        let members = |step: &[u32], c: usize| -> Vec<usize> {
+            (0..step.len()).filter(|&i| step[i] as usize == c).collect()
+        };
+        (2..history.len()).find_map(|at| {
+            let (prev, now) = (&history[at - 1], &history[at]);
+            let emptied =
+                (0..k).any(|c| members(now, c).is_empty() && !members(prev, c).is_empty());
+            let clean = (0..k)
+                .any(|c| !members(now, c).is_empty() && members(now, c) == members(prev, c));
+            (emptied && clean).then_some(at + 1)
+        })
+    }
+
+    /// Rows on a line: cell `(row, a)` holds `(row + jitter) / window` with
+    /// a per-cell jitter below `window`, so two rows share an attribute's
+    /// value with a probability that falls off linearly with their
+    /// distance. Cluster boundaries creep along the line a few rows per
+    /// iteration while the clusters away from them sit still, and a
+    /// cluster squeezed between two neighbours empties late.
+    fn chain_matrix(n: usize, width: usize, window: u64, raw: &[u64]) -> SignatureMatrix {
+        let values = raw[..n * width]
+            .iter()
+            .enumerate()
+            .map(|(cell, &r)| ((cell / width) as u64 + r % window) / window)
+            .collect();
+        SignatureMatrix::new(width, n, values)
+    }
+
     #[test]
     #[ignore = "diagnostic: seed scan for recovers_separated_groups calibration"]
     fn scan_seeds_for_group_recovery() {
@@ -586,6 +769,50 @@ mod tests {
                 assert_matches_reference(&config(3, l, 15, seed), &sigs);
             }
         }
+    }
+
+    #[test]
+    fn score_block_is_maintained_on_sketched_groups() {
+        for (per_group, width) in [(20, 48), (10, 32)] {
+            let (sigs, _) = grouped_signatures(per_group, width);
+            for seed in [5, 9, 11] {
+                for (k, l) in [(3, 1), (3, 3), (5, 8), (16, 4)] {
+                    assert_scores_maintained(&config(k, l, 15, seed), &sigs);
+                }
+            }
+        }
+    }
+
+    /// The chain fixture of `late_empty_cluster_reseeds_among_clean_ones`.
+    fn chain_fixture(seed: u64) -> (KModesConfig, SignatureMatrix) {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let raw: Vec<u64> = (0..120 * 8).map(|_| rng.next_u64()).collect();
+        (config(12, 2, 20, seed), chain_matrix(120, 8, 10, &raw))
+    }
+
+    #[test]
+    #[ignore = "diagnostic: seed scan for late_empty_cluster_reseeds_among_clean_ones"]
+    fn scan_seeds_for_late_empties() {
+        for seed in 0u64..64 {
+            let (cfg, sigs) = chain_fixture(seed);
+            let history = assert_scores_maintained(&cfg, &sigs);
+            if let Some(step) = late_empty_step(&history, cfg.num_clusters) {
+                println!("seed {seed}: cluster empties at {step} of {}", history.len());
+            }
+        }
+    }
+
+    #[test]
+    fn late_empty_cluster_reseeds_among_clean_ones() {
+        // Calibrated (see scan_seeds_for_late_empties): a cluster loses
+        // its last member at the fifth of eight assignment steps, when
+        // most clusters are clean and skipped.
+        let (cfg, sigs) = chain_fixture(58);
+        let history = assert_scores_maintained(&cfg, &sigs);
+        let step = late_empty_step(&history, cfg.num_clusters);
+        assert!(step >= Some(5), "no late empty cluster: {step:?} of {}", history.len());
+        assert!(history.len() > step.unwrap_or(0) + 2, "the run ends with the re-seed");
+        assert_matches_reference(&cfg, &sigs);
     }
 
     #[test]
@@ -694,7 +921,29 @@ mod tests {
                 .map(|v| if v % (pool + 1) == pool { u64::MAX } else { v % pool })
                 .collect();
             let sigs = SignatureMatrix::new(width, n, values);
-            assert_matches_reference(&config(k, l, max_iters, seed), &sigs);
+            let cfg = config(k, l, max_iters, seed);
+            assert_matches_reference(&cfg, &sigs);
+            assert_scores_maintained(&cfg, &sigs);
+        }
+
+        /// The sparse tail, where the delta loop differs from a full
+        /// recompute: chains keep a few rows changing sides for up to a
+        /// dozen iterations, most clusters clean, some emptying late.
+        #[test]
+        fn delta_kernel_equals_hashmap_reference_in_the_tail(
+            n in 20usize..=120,
+            width in 1usize..=12,
+            window in 2u64..=40,
+            k in 2usize..=16,
+            l in 1usize..=4,
+            max_iters in 1usize..=20,
+            seed in any::<u64>(),
+            raw in proptest::collection::vec(any::<u64>(), 120 * 12),
+        ) {
+            let sigs = chain_matrix(n, width, window, &raw);
+            let cfg = config(k, l, max_iters, seed);
+            assert_matches_reference(&cfg, &sigs);
+            assert_scores_maintained(&cfg, &sigs);
         }
     }
 }

@@ -133,6 +133,8 @@ impl Stratifier {
     /// # Panics
     /// Panics if `prefix` is longer than the dataset.
     pub fn sketch_append(&self, dataset: &Dataset, prefix: &SignatureMatrix) -> SignatureMatrix {
+        // Invariant: the sketch stage passes a prefix only when the cached
+        // generation is shorter than the dataset (`prev_len < dataset.len()`).
         assert!(
             prefix.num_rows() <= dataset.len(),
             "prefix longer than the dataset"

@@ -17,12 +17,12 @@ use pareto_cluster::{NodeSpec, SimCluster};
 use pareto_core::estimator::HeterogeneityEstimator;
 use pareto_core::framework::{Framework, FrameworkConfig, Strategy};
 use pareto_core::partitioner::PartitionLayout;
+use pareto_core::session::PlanSession;
 use pareto_datagen::Dataset;
-use pareto_integration_tests::digest;
+use pareto_integration_tests::{digest, thread_counts};
 use pareto_workloads::WorkloadKind;
 
 const SEEDS: [u64; 3] = [11, 31, 2017];
-const THREADS: [usize; 3] = [1, 4, 8];
 
 /// One pinned planning outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,11 +111,11 @@ fn plans_match_the_pins_recorded_before_the_kernel_rewrite() {
     for (name, generate, workload, layout) in domains() {
         for seed in SEEDS {
             let ds = generate(seed);
-            let serial = observe(&ds, workload, layout, seed, THREADS[0]);
-            for threads in &THREADS[1..] {
+            let serial = observe(&ds, workload, layout, seed, 1);
+            for &threads in &thread_counts()[1..] {
                 assert_eq!(
                     serial,
-                    observe(&ds, workload, layout, seed, *threads),
+                    observe(&ds, workload, layout, seed, threads),
                     "{name} seed {seed}: threads {threads} diverged from serial"
                 );
             }
@@ -134,5 +134,81 @@ fn plans_match_the_pins_recorded_before_the_kernel_rewrite() {
             })
             .collect();
         panic!("golden plan pins diverged; observed:\n{table}");
+    }
+}
+
+/// One pinned post-append planning outcome.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct AppendPin {
+    assignments: u64,
+    iterations: usize,
+    sizes: u64,
+}
+
+/// `seed` → pin of the plan that follows an append, in `SEEDS` order.
+/// Recorded at the commit before the delta kModes loop.
+#[rustfmt::skip]
+const GOLDEN_APPEND: &[(u64, AppendPin)] = &[
+    (11, AppendPin { assignments: 0xf1668c93d971a827, iterations: 14, sizes: 0x858e20d8e133ed0e }),
+    (31, AppendPin { assignments: 0x70ee8c730b3f7a4b, iterations: 15, sizes: 0x3e4ab03d3a66cf5f }),
+    (2017, AppendPin { assignments: 0x135f1ddf025123e1, iterations: 12, sizes: 0x99e7c3d53ba5d788 }),
+];
+
+/// The daemon's `Replan{append 4}`: a session that has planned its
+/// `rcv1_syn` corpus gets 40 more records (`rcv1_syn(salt, 0.002 · 4)`)
+/// and plans again — `sketch_append` over the cached prefix, then a full
+/// re-stratify of the grown matrix. `incremental` compares this path warm
+/// against cold, i.e. the kernel with itself; this pins it.
+fn observe_append(seed: u64, threads: usize) -> AppendPin {
+    let cluster = SimCluster::new(NodeSpec::paper_cluster(4, 400.0, 2, 9, seed));
+    let cfg = FrameworkConfig {
+        strategy: Strategy::HetEnergyAware { alpha: 0.995 },
+        seed,
+        threads,
+        ..FrameworkConfig::default()
+    };
+    let workload = WorkloadKind::FrequentPatterns { support: 0.1 };
+    let base = pareto_datagen::rcv1_syn(seed, 0.08);
+    let mut session = PlanSession::new(&cluster, cfg, base, workload);
+    session.plan().expect("non-empty dataset");
+    let extra = pareto_datagen::rcv1_syn(seed ^ 0x00A1_1E4D, 0.008).items;
+    assert_eq!(extra.len(), 40);
+    session.append_items(extra);
+    let plan = session.plan().expect("non-empty dataset");
+    let reuse = session.last_reuse();
+    assert!(!reuse.sketch && !reuse.stratify, "an append must re-stratify");
+    AppendPin {
+        assignments: digest(plan.stratification.assignments.iter().map(|&c| c as u64)),
+        iterations: plan.stratification.iterations,
+        sizes: digest(plan.sizes.iter().map(|&s| s as u64)),
+    }
+}
+
+#[test]
+fn post_append_plans_match_the_pins_recorded_before_the_delta_loop() {
+    let mut observed = Vec::new();
+    for seed in SEEDS {
+        let serial = observe_append(seed, 1);
+        for &threads in &thread_counts()[1..] {
+            assert_eq!(
+                serial,
+                observe_append(seed, threads),
+                "seed {seed}: threads {threads} diverged from serial"
+            );
+        }
+        observed.push((seed, serial));
+    }
+    if observed != GOLDEN_APPEND {
+        let table: String = observed
+            .iter()
+            .map(|(seed, p)| {
+                format!(
+                    "    ({seed}, AppendPin {{ assignments: {:#018x}, iterations: {}, \
+                     sizes: {:#018x} }}),\n",
+                    p.assignments, p.iterations, p.sizes
+                )
+            })
+            .collect();
+        panic!("golden append pins diverged; observed:\n{table}");
     }
 }
