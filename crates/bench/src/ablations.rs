@@ -1,8 +1,7 @@
 //! Ablations for the design choices DESIGN.md calls out.
 //!
 //! Each function returns a [`Table`] of *metrics* (error rates, simulated
-//! seconds), complementing the wall-clock micro-benches in
-//! `benches/ablations.rs`.
+//! seconds) — nothing here is wall-clock.
 
 use pareto_cluster::{Cost, KvStore};
 use pareto_core::estimator::{HeterogeneityEstimator, SamplingPlan};

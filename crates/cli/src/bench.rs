@@ -1,22 +1,23 @@
-//! `paretofab bench`: the perf/energy regression harness.
+//! `paretofab bench`: the deterministic perf/energy regression gate.
 //!
 //! Runs a fixed workload matrix — cold plan, warm replan, WAL recover,
-//! frontier explore, warm α sweep, faulted run — and emits named metrics
-//! as a deterministic BENCH JSON record. Metrics come in two kinds:
+//! frontier explore, warm α sweep, faulted run — once each and emits
+//! their deterministic outputs (predicted makespan, LP solves and
+//! pivots, cache hit rate, attributed green/dirty joules) as a BENCH
+//! JSON record. `--baseline` compares them against a previous record
+//! within each metric's relative tolerance band and exits nonzero on any
+//! out-of-band drift — a genuine behavioral regression.
 //!
-//! - **gated** (`"gate": true`): deterministic outputs of the run
-//!   (predicted makespan, LP solves, cache hit rate, attributed
-//!   green/dirty joules). `--baseline` compares these against a previous
-//!   record within each metric's relative tolerance band and exits
-//!   nonzero on any out-of-band drift — a genuine behavioral regression.
-//! - **ungated** (`"gate": false`): wall-clock samples (p50/p99 over
-//!   `--iters` runs). Recorded for trend dashboards but never compared,
-//!   because CI timing noise would make them flaky gates.
+//! Nothing here is timed: wall-clock numbers come from `benchmark/run.sh`
+//! only. Records written before that split also carry ungated
+//! (`"gate": 0`) wall rows and a sampling-count key in their matrix; both
+//! are skipped when such a record is the baseline, so the committed
+//! `BENCH_*.json` trajectory stays comparable.
 //!
 //! The matrix is self-contained (always the rcv1 preset, strategy forced
 //! to het-energy-aware α=0.995) so a record is comparable across
-//! branches; `--scale/--seed/--nodes/--iters` are captured in the record
-//! and must match between baseline and current run.
+//! branches; `--scale/--seed/--nodes` are captured in the record and must
+//! match between baseline and current run.
 
 use std::fs;
 use std::path::Path;
@@ -37,33 +38,17 @@ use crate::args::Common;
 /// the accounting can resolve" is one number everywhere.
 const GATE_TOL_REL: f64 = 1e-3;
 
-/// One named measurement in a bench record.
+/// One named, gated measurement in a bench record: a deterministic
+/// output of the run, compared against the baseline within
+/// [`GATE_TOL_REL`].
 struct Metric {
-    name: String,
+    name: &'static str,
     value: f64,
-    /// Compared against the baseline (deterministic run output) vs
-    /// recorded-only (wall-clock sample).
-    gate: bool,
-    tol_rel: f64,
 }
 
 impl Metric {
-    fn gated(name: impl Into<String>, value: f64) -> Metric {
-        Metric {
-            name: name.into(),
-            value,
-            gate: true,
-            tol_rel: GATE_TOL_REL,
-        }
-    }
-
-    fn wall(name: impl Into<String>, value: f64) -> Metric {
-        Metric {
-            name: name.into(),
-            value,
-            gate: false,
-            tol_rel: 0.0,
-        }
+    fn gated(name: &'static str, value: f64) -> Metric {
+        Metric { name, value }
     }
 }
 
@@ -74,27 +59,6 @@ struct Matrix {
     scale: f64,
     seed: u64,
     nodes: usize,
-    iters: u32,
-}
-
-/// Nearest-rank percentile of an unsorted sample (p in [0, 100]).
-fn percentile(samples: &[f64], p: f64) -> f64 {
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil().max(1.0) as usize;
-    sorted[rank.min(sorted.len()) - 1]
-}
-
-/// Push `p50_wall_s` / `p99_wall_s` metrics for one workload's samples.
-fn push_wall(metrics: &mut Vec<Metric>, workload: &str, samples: &[f64]) {
-    metrics.push(Metric::wall(
-        format!("{workload}.p50_wall_s"),
-        percentile(samples, 50.0),
-    ));
-    metrics.push(Metric::wall(
-        format!("{workload}.p99_wall_s"),
-        percentile(samples, 99.0),
-    ));
 }
 
 fn framework_cfg(m: &Matrix) -> FrameworkConfig {
@@ -111,49 +75,33 @@ fn bench_cluster(m: &Matrix) -> SimCluster {
 
 const BENCH_WORKLOAD: WorkloadKind = WorkloadKind::FrequentPatterns { support: 0.1 };
 
-/// Workload 1: cold planning — a fresh session pays the full pipeline
-/// every iteration.
+/// Workload 1: cold planning — a fresh session pays the full pipeline.
 fn cold_plan(m: &Matrix) -> Result<Vec<Metric>, String> {
-    let mut metrics = Vec::new();
-    let mut walls = Vec::new();
-    let mut last = None;
-    for _ in 0..m.iters {
-        let dataset = pareto_datagen::rcv1_syn(m.seed, m.scale);
-        let cluster = bench_cluster(m);
-        let mut session = PlanSession::new(&cluster, framework_cfg(m), dataset, BENCH_WORKLOAD);
-        let t0 = Instant::now();
-        let plan = session.plan().map_err(|e| e.to_string())?;
-        walls.push(t0.elapsed().as_secs_f64());
-        last = Some(plan);
-    }
-    let plan = last.expect("iters >= 1");
+    let dataset = pareto_datagen::rcv1_syn(m.seed, m.scale);
+    let cluster = bench_cluster(m);
+    let mut session = PlanSession::new(&cluster, framework_cfg(m), dataset, BENCH_WORKLOAD);
+    let plan = session.plan().map_err(|e| e.to_string())?;
     let point = plan
         .pareto
         .as_ref()
         .ok_or("bench strategy fits no pareto point")?;
-    metrics.push(Metric::gated("cold_plan.makespan_s", point.predicted_makespan));
-    metrics.push(Metric::gated(
-        "cold_plan.dirty_kj",
-        point.predicted_dirty_joules / 1000.0,
-    ));
-    push_wall(&mut metrics, "cold_plan", &walls);
-    Ok(metrics)
+    Ok(vec![
+        Metric::gated("cold_plan.makespan_s", point.predicted_makespan),
+        Metric::gated("cold_plan.dirty_kj", point.predicted_dirty_joules / 1000.0),
+    ])
 }
 
-/// Workload 2: warm replanning — one session, alternating α so the
-/// sketch/stratify/profile artifacts are reused while the optimizer
-/// re-solves; the cache hit rate is the gated output.
+/// Workload 2: warm replanning — one session, two replans at alternating
+/// α so the sketch/stratify/profile artifacts are reused while the
+/// optimizer re-solves; the cache hit rate is the gated output.
 fn warm_replan(m: &Matrix) -> Result<Vec<Metric>, String> {
     let dataset = pareto_datagen::rcv1_syn(m.seed, m.scale);
     let cluster = bench_cluster(m);
     let mut session = PlanSession::new(&cluster, framework_cfg(m), dataset, BENCH_WORKLOAD);
     session.plan().map_err(|e| e.to_string())?; // cold fill
-    let mut walls = Vec::new();
-    for i in 0..m.iters {
-        session.set_alpha(if i % 2 == 0 { 0.999 } else { 0.995 });
-        let t0 = Instant::now();
+    for alpha in [0.999, 0.995] {
+        session.set_alpha(alpha);
         session.plan().map_err(|e| e.to_string())?;
-        walls.push(t0.elapsed().as_secs_f64());
     }
     let (mut hits, mut misses) = (0u64, 0u64);
     for (_, kind, count) in session.cache_stats().events() {
@@ -164,13 +112,11 @@ fn warm_replan(m: &Matrix) -> Result<Vec<Metric>, String> {
         }
     }
     let rate = hits as f64 / (hits + misses).max(1) as f64;
-    let mut metrics = vec![Metric::gated("warm_replan.cache_hit_rate", rate)];
-    push_wall(&mut metrics, "warm_replan", &walls);
-    Ok(metrics)
+    Ok(vec![Metric::gated("warm_replan.cache_hit_rate", rate)])
 }
 
 /// Workload 3: WAL recovery — replay a fixed log back into a store.
-fn wal_recover(m: &Matrix) -> Result<Vec<Metric>, String> {
+fn wal_recover(_: &Matrix) -> Result<Vec<Metric>, String> {
     let store = KvStore::new();
     store.enable_wal();
     for i in 0..2000u32 {
@@ -181,46 +127,31 @@ fn wal_recover(m: &Matrix) -> Result<Vec<Metric>, String> {
             .incr("counter")
             .map_err(|e| format!("bench kv incr: {e:?}"))?;
     }
-    let wal = store.wal_bytes();
-    let mut walls = Vec::new();
-    let mut replayed = 0u64;
-    for _ in 0..m.iters {
-        let t0 = Instant::now();
-        let (_, report) = KvStore::recover(None, &wal).map_err(|e| format!("recover: {e:?}"))?;
-        walls.push(t0.elapsed().as_secs_f64());
-        replayed = report.records_replayed;
-    }
-    let mut metrics = vec![Metric::gated("wal_recover.records_replayed", replayed as f64)];
-    push_wall(&mut metrics, "wal_recover", &walls);
-    Ok(metrics)
+    let (_, report) =
+        KvStore::recover(None, &store.wal_bytes()).map_err(|e| format!("recover: {e:?}"))?;
+    Ok(vec![Metric::gated(
+        "wal_recover.records_replayed",
+        report.records_replayed as f64,
+    )])
 }
 
-/// Workload 4: adaptive frontier exploration — a fresh session per
-/// iteration so every run pays the full solve; LP effort and frontier
-/// size are the gated outputs.
+/// Workload 4: adaptive frontier exploration through a fresh session, so
+/// the run pays the full solve; LP effort and frontier size are the
+/// gated outputs.
 fn frontier_explore(m: &Matrix) -> Result<Vec<Metric>, String> {
     let fcfg = FrontierConfig {
         max_points: 24,
         ..FrontierConfig::default()
     };
-    let mut walls = Vec::new();
-    let mut last = None;
-    for _ in 0..m.iters {
-        let dataset = pareto_datagen::rcv1_syn(m.seed, m.scale);
-        let cluster = bench_cluster(m);
-        let mut session = PlanSession::new(&cluster, framework_cfg(m), dataset, BENCH_WORKLOAD);
-        let t0 = Instant::now();
-        let outcome = session.explore_frontier(&fcfg).map_err(|e| e.to_string())?;
-        walls.push(t0.elapsed().as_secs_f64());
-        last = Some(outcome.result.report());
-    }
-    let report = last.expect("iters >= 1");
-    let mut metrics = vec![
+    let dataset = pareto_datagen::rcv1_syn(m.seed, m.scale);
+    let cluster = bench_cluster(m);
+    let mut session = PlanSession::new(&cluster, framework_cfg(m), dataset, BENCH_WORKLOAD);
+    let outcome = session.explore_frontier(&fcfg).map_err(|e| e.to_string())?;
+    let report = outcome.result.report();
+    Ok(vec![
         Metric::gated("frontier_explore.lp_solves", report.lp_solves as f64),
         Metric::gated("frontier_explore.points_kept", report.points_kept as f64),
-    ];
-    push_wall(&mut metrics, "frontier_explore", &walls);
-    Ok(metrics)
+    ])
 }
 
 /// Workload 5: LP warm-starting — the same α sweep through a warm session
@@ -231,7 +162,7 @@ fn frontier_explore(m: &Matrix) -> Result<Vec<Metric>, String> {
 /// alters the pivot trajectory.
 fn warm_sweep(m: &Matrix) -> Result<Vec<Metric>, String> {
     const ALPHAS: [f64; 6] = [1.0, 0.999, 0.995, 0.9, 0.5, 0.0];
-    let run = |lp_warm: bool| -> Result<(std::sync::Arc<Telemetry>, f64), String> {
+    let run = |lp_warm: bool| -> Result<std::sync::Arc<Telemetry>, String> {
         let tel = Telemetry::enabled();
         let dataset = pareto_datagen::rcv1_syn(m.seed, m.scale);
         let cluster = bench_cluster(m);
@@ -241,12 +172,11 @@ fn warm_sweep(m: &Matrix) -> Result<Vec<Metric>, String> {
         };
         let mut session =
             PlanSession::new(&cluster, cfg, dataset, BENCH_WORKLOAD).with_telemetry(tel.clone());
-        let t0 = Instant::now();
         for &alpha in &ALPHAS {
             session.set_alpha(alpha);
             session.plan().map_err(|e| e.to_string())?;
         }
-        Ok((tel, t0.elapsed().as_secs_f64()))
+        Ok(tel)
     };
     let counter = |tel: &Telemetry, name: &str, labels: &[(&str, &str)]| -> u64 {
         tel.snapshot()
@@ -260,15 +190,8 @@ fn warm_sweep(m: &Matrix) -> Result<Vec<Metric>, String> {
         counter(tel, metrics::LP_PIVOTS_TOTAL, &[("start", "cold")])
             + counter(tel, metrics::LP_PIVOTS_TOTAL, &[("start", "warm")])
     };
-    let mut walls = Vec::new();
-    let mut last = None;
-    for _ in 0..m.iters {
-        let (tel, wall) = run(true)?;
-        walls.push(wall);
-        last = Some(tel);
-    }
-    let tel_warm = last.expect("iters >= 1");
-    let (tel_cold, _) = run(false)?;
+    let tel_warm = run(true)?;
+    let tel_cold = run(false)?;
     let warm_pivots = pivots(&tel_warm);
     let cold_pivots = pivots(&tel_cold);
     if warm_pivots >= cold_pivots {
@@ -276,7 +199,7 @@ fn warm_sweep(m: &Matrix) -> Result<Vec<Metric>, String> {
             "warm sweep spent {warm_pivots} pivots, cold {cold_pivots} — warm-starting saved nothing"
         ));
     }
-    let mut metrics = vec![
+    Ok(vec![
         Metric::gated("warm_sweep.pivots_warm_start", warm_pivots as f64),
         Metric::gated("warm_sweep.pivots_cold_start", cold_pivots as f64),
         Metric::gated(
@@ -287,9 +210,7 @@ fn warm_sweep(m: &Matrix) -> Result<Vec<Metric>, String> {
             "warm_sweep.warm_fallbacks",
             counter(&tel_warm, metrics::LP_WARM_FALLBACKS_TOTAL, &[]) as f64,
         ),
-    ];
-    push_wall(&mut metrics, "warm_sweep", &walls);
-    Ok(metrics)
+    ])
 }
 
 /// Workload 6: a fault-injected run with telemetry armed, so the gated
@@ -298,68 +219,50 @@ fn warm_sweep(m: &Matrix) -> Result<Vec<Metric>, String> {
 fn faulted_run(m: &Matrix) -> Result<Vec<Metric>, String> {
     let spec = "crash:1@0.5,slow:0@3";
     let faults = FaultPlan::parse(spec, m.nodes).map_err(|e| e.to_string())?;
-    let mut walls = Vec::new();
-    let mut metrics = Vec::new();
-    for iter in 0..m.iters {
-        let tel = Telemetry::enabled();
-        let dataset = pareto_datagen::rcv1_syn(m.seed, m.scale);
-        let cluster = bench_cluster(m).with_telemetry(tel.clone());
-        let fw = Framework::new(&cluster, framework_cfg(m)).with_telemetry(tel.clone());
-        let t0 = Instant::now();
-        let out = fw
-            .try_run_with_elastic(
-                &dataset,
-                BENCH_WORKLOAD,
-                &faults,
-                &ElasticPlan::none(),
-                &RecoveryConfig::default(),
-            )
-            .map_err(|e| e.to_string())?;
-        walls.push(t0.elapsed().as_secs_f64());
-        if iter + 1 == m.iters {
-            let rows = cluster.attribute_energy(&tel.snapshot().ledger);
-            let energy_j: f64 = rows.iter().map(|r| r.energy_j).sum();
-            let green_j: f64 = rows.iter().map(|r| r.green_j).sum();
-            let rec = &out.outcome.recovery;
-            metrics.push(Metric::gated("faulted_run.makespan_s", rec.makespan_s));
-            metrics.push(Metric::gated("faulted_run.replans", f64::from(rec.replans)));
-            metrics.push(Metric::gated("faulted_run.green_kj", green_j / 1000.0));
-            metrics.push(Metric::gated(
-                "faulted_run.dirty_kj",
-                (energy_j - green_j) / 1000.0,
-            ));
-        }
-    }
-    push_wall(&mut metrics, "faulted_run", &walls);
-    Ok(metrics)
+    let tel = Telemetry::enabled();
+    let dataset = pareto_datagen::rcv1_syn(m.seed, m.scale);
+    let cluster = bench_cluster(m).with_telemetry(tel.clone());
+    let fw = Framework::new(&cluster, framework_cfg(m)).with_telemetry(tel.clone());
+    let out = fw
+        .try_run_with_elastic(
+            &dataset,
+            BENCH_WORKLOAD,
+            &faults,
+            &ElasticPlan::none(),
+            &RecoveryConfig::default(),
+        )
+        .map_err(|e| e.to_string())?;
+    let rows = cluster.attribute_energy(&tel.snapshot().ledger);
+    let energy_j: f64 = rows.iter().map(|r| r.energy_j).sum();
+    let green_j: f64 = rows.iter().map(|r| r.green_j).sum();
+    let rec = &out.outcome.recovery;
+    Ok(vec![
+        Metric::gated("faulted_run.makespan_s", rec.makespan_s),
+        Metric::gated("faulted_run.replans", f64::from(rec.replans)),
+        Metric::gated("faulted_run.green_kj", green_j / 1000.0),
+        Metric::gated("faulted_run.dirty_kj", (energy_j - green_j) / 1000.0),
+    ])
 }
 
 /// Serialize a record deterministically via the telemetry JSON model
-/// (fixed key order; wall metrics vary run to run by nature).
+/// (fixed key order). Every row is gated; the `gate` key stays so older
+/// and newer records read the same way.
 fn record_json(m: &Matrix, metrics: &[Metric]) -> String {
     let matrix = Value::obj(vec![
         ("preset", Value::Str(m.preset.into())),
         ("scale", Value::Num(m.scale)),
         ("seed", Value::Num(m.seed as f64)),
         ("nodes", Value::Num(m.nodes as f64)),
-        ("iters", Value::Num(f64::from(m.iters))),
     ]);
     let entries = Value::Arr(
         metrics
             .iter()
             .map(|metric| {
                 Value::obj(vec![
-                    ("name", Value::Str(metric.name.clone())),
+                    ("name", Value::Str(metric.name.into())),
                     ("value", Value::Num(metric.value)),
-                    (
-                        "gate",
-                        if metric.gate {
-                            Value::Num(1.0)
-                        } else {
-                            Value::Num(0.0)
-                        },
-                    ),
-                    ("tol_rel", Value::Num(metric.tol_rel)),
+                    ("gate", Value::Num(1.0)),
+                    ("tol_rel", Value::Num(GATE_TOL_REL)),
                 ])
             })
             .collect(),
@@ -380,8 +283,8 @@ fn matrix_field(doc: &Value, key: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("baseline matrix missing {key:?}"))
 }
 
-/// Compare gated metrics against a baseline record. Returns the list of
-/// regression lines (empty = pass).
+/// Compare the run against a baseline record's gated rows. Returns the
+/// list of regression lines (empty = pass).
 fn compare_against(
     baseline_text: &str,
     m: &Matrix,
@@ -406,7 +309,6 @@ fn compare_against(
         ("scale", m.scale),
         ("seed", m.seed as f64),
         ("nodes", m.nodes as f64),
-        ("iters", f64::from(m.iters)),
     ] {
         let theirs = matrix_field(&doc, key)?;
         if theirs != ours {
@@ -460,18 +362,16 @@ pub fn bench_cmd(
     common: &Common,
     record: Option<&Path>,
     baseline: Option<&Path>,
-    iters: u32,
 ) -> Result<(), String> {
     let m = Matrix {
         preset: "rcv1",
         scale: common.scale,
         seed: common.seed,
         nodes: common.nodes,
-        iters,
     };
     println!(
-        "bench matrix       preset={} scale={} seed={} nodes={} iters={}",
-        m.preset, m.scale, m.seed, m.nodes, m.iters
+        "bench matrix       preset={} scale={} seed={} nodes={}",
+        m.preset, m.scale, m.seed, m.nodes
     );
     let mut metrics = Vec::new();
     for (label, run) in [
@@ -490,12 +390,7 @@ pub fn bench_cmd(
         );
     }
     for metric in &metrics {
-        println!(
-            "bench metric       {} = {}{}",
-            metric.name,
-            metric.value,
-            if metric.gate { "  [gated]" } else { "" }
-        );
+        println!("bench metric       {} = {}  [gated]", metric.name, metric.value);
     }
 
     if let Some(path) = record {
@@ -528,23 +423,37 @@ pub fn bench_cmd(
 mod tests {
     use super::*;
 
+    /// A record committed while this harness still sampled wall time: 14
+    /// gated rows, 12 ungated wall rows and a sampling-count matrix key.
+    const OLD_RECORD: &str = include_str!("../../../BENCH_16.json");
+
     fn tiny_matrix() -> Matrix {
         Matrix {
             preset: "rcv1",
             scale: 0.02,
             seed: 2017,
             nodes: 4,
-            iters: 1,
         }
+    }
+
+    /// The gated rows of a record, as a current run would produce them.
+    fn gated_rows(record: &str) -> Vec<Metric> {
+        let doc = json::parse(record).unwrap();
+        let rows = doc.get("metrics").and_then(Value::as_arr).unwrap();
+        rows.iter()
+            .filter(|row| row.get("gate").and_then(Value::as_f64) != Some(0.0))
+            .map(|row| {
+                let name = row.get("name").and_then(Value::as_str).unwrap();
+                let value = row.get("value").and_then(Value::as_f64).unwrap();
+                Metric::gated(Box::leak(name.to_string().into_boxed_str()), value)
+            })
+            .collect()
     }
 
     #[test]
     fn record_round_trips_and_compares_clean_against_itself() {
         let m = tiny_matrix();
-        let metrics = vec![
-            Metric::gated("cold_plan.makespan_s", 12.5),
-            Metric::wall("cold_plan.p50_wall_s", 0.03),
-        ];
+        let metrics = vec![Metric::gated("cold_plan.makespan_s", 12.5)];
         let text = record_json(&m, &metrics);
         let regressions = compare_against(&text, &m, &metrics).unwrap();
         assert!(regressions.is_empty(), "{regressions:?}");
@@ -553,19 +462,20 @@ mod tests {
     #[test]
     fn gated_drift_is_a_regression_but_wall_drift_is_not() {
         let m = tiny_matrix();
-        let baseline = record_json(
-            &m,
-            &[
-                Metric::gated("faulted_run.green_kj", 100.0),
-                Metric::wall("faulted_run.p50_wall_s", 0.5),
-            ],
-        );
-        // Wall time tripled: fine. Green joules off by 1%: regression.
-        let current = vec![
-            Metric::gated("faulted_run.green_kj", 101.0),
-            Metric::wall("faulted_run.p50_wall_s", 1.5),
-        ];
-        let regressions = compare_against(&baseline, &m, &current).unwrap();
+        // The old record's wall rows have no counterpart in a current run
+        // and its matrix has a key this harness no longer writes: neither
+        // is a regression.
+        let mut current = gated_rows(OLD_RECORD);
+        assert_eq!(current.len(), 14);
+        let regressions = compare_against(OLD_RECORD, &m, &current).unwrap();
+        assert!(regressions.is_empty(), "{regressions:?}");
+        // Green joules off by 1%: regression.
+        let green = current
+            .iter_mut()
+            .find(|metric| metric.name == "faulted_run.green_kj")
+            .unwrap();
+        green.value *= 1.01;
+        let regressions = compare_against(OLD_RECORD, &m, &current).unwrap();
         assert_eq!(regressions.len(), 1, "{regressions:?}");
         assert!(regressions[0].contains("faulted_run.green_kj"));
     }
@@ -589,13 +499,5 @@ mod tests {
         let regressions = compare_against(&baseline, &m, &[]).unwrap();
         assert_eq!(regressions.len(), 1);
         assert!(regressions[0].contains("missing from current run"));
-    }
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let samples = [5.0, 1.0, 3.0, 2.0, 4.0];
-        assert_eq!(percentile(&samples, 50.0), 3.0);
-        assert_eq!(percentile(&samples, 99.0), 5.0);
-        assert_eq!(percentile(&[7.0], 50.0), 7.0);
     }
 }

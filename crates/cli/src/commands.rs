@@ -6,7 +6,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use pareto_cluster::{Durability, FaultPlan, FaultSpec, NodeSpec, SimCluster};
-use pareto_core::framework::{DurabilityReport, Framework, FrameworkConfig, Quality, Strategy};
+use pareto_core::framework::{DurabilityReport, Framework, FrameworkConfig, Quality};
 use pareto_core::frontier::{FrontierConfig, FrontierResult, ObjectiveSet};
 use pareto_core::{
     advise_join, run_chaos, ChaosConfig, ElasticPlan, ElasticSpec, JoinAdvice, ParetoModeler,
@@ -18,7 +18,7 @@ use pareto_telemetry::{
     event, export, json, report, CaptureSink, FlightRecorder, StderrSink, TeeSink, Telemetry,
 };
 
-use pareto_service::{run_soak, PlanService, RetryPolicy, Server, ServiceConfig, SoakConfig};
+use pareto_service::{run_soak, PlanService, Server, ServiceConfig, SoakConfig};
 
 use crate::args::{Command, Common, ServeOpts};
 use crate::bench;
@@ -50,8 +50,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
             common,
             record,
             baseline,
-            iters,
-        } => bench::bench_cmd(&common, record.as_deref(), baseline.as_deref(), iters),
+        } => bench::bench_cmd(&common, record.as_deref(), baseline.as_deref()),
         Command::Plan { common, sweep, out } => plan_cmd(&common, &sweep, out.as_deref()),
         Command::Replan {
             common,
@@ -1001,11 +1000,7 @@ fn elastic_cmd(
     let fits: Vec<_> = models.iter().map(|m| m.fit).collect();
     let modeler =
         ParetoModeler::new(fits, cold.energy_profiles.clone()).map_err(|e| e.to_string())?;
-    let alpha = match common.strategy {
-        Strategy::HetEnergyAware { alpha } => alpha,
-        Strategy::HetEnergyAwareNormalized { alpha } => alpha,
-        _ => 1.0,
-    };
+    let alpha = common.strategy.alpha();
 
     session.drop_node(candidate).map_err(|e| e.to_string())?;
     let without = session.plan().map_err(|e| e.to_string())?;
@@ -1110,10 +1105,9 @@ fn serve_cmd(common: &Common, opts: &ServeOpts, out: Option<&Path>) -> Result<()
         tenants: opts.tenants,
         clients: opts.clients,
         sim_workers: opts.sim_workers,
-        retry: RetryPolicy::default(),
         replan_pct: opts.replan_pct,
         chaos: opts.chaos,
-        think_max: 6,
+        ..SoakConfig::default()
     };
     let wall = std::time::Instant::now();
     let soak = run_soak(cfg, TelemetrySession::recorder(&tel));

@@ -31,9 +31,13 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         },
+        Err(args::ParseError::Help(usage)) => {
+            print!("{usage}");
+            ExitCode::SUCCESS
+        }
         Err(e) => {
             eprintln!("error: {e}\n");
-            eprintln!("{}", args::USAGE);
+            eprintln!("{}", args::usage(args::Subs::MAX));
             ExitCode::FAILURE
         }
     }

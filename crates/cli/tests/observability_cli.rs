@@ -19,14 +19,11 @@ fn tmp(name: &str) -> PathBuf {
 }
 
 /// Small, fast bench matrix shared by the regression tests.
-const BENCH_ARGS: [&str; 8] = [
-    "bench", "--scale", "0.02", "--nodes", "4", "--seed", "7", "--iters",
-];
+const BENCH_ARGS: [&str; 7] = ["bench", "--scale", "0.02", "--nodes", "4", "--seed", "7"];
 
 fn bench(extra: &[&str]) -> std::process::Output {
     bin()
         .args(BENCH_ARGS)
-        .arg("1")
         .args(extra)
         .output()
         .expect("spawn paretofab bench")
@@ -83,10 +80,7 @@ fn bench_baseline_round_trip_and_injected_regression() {
 
     // A baseline from a different matrix is an error, not a pass.
     let out = bin()
-        .args([
-            "bench", "--scale", "0.03", "--nodes", "4", "--seed", "7", "--iters", "1",
-            "--baseline",
-        ])
+        .args(["bench", "--scale", "0.03", "--nodes", "4", "--seed", "7", "--baseline"])
         .arg(&record)
         .output()
         .expect("spawn paretofab bench");

@@ -20,14 +20,14 @@ use std::sync::Arc;
 use pareto_cluster::{
     entries_to_bytes, FaultPlan, FaultSpec, KvStore, RecoverError, SimCluster, WalError,
 };
-use pareto_datagen::{DataItem, Dataset};
+use pareto_datagen::Dataset;
 use pareto_stats::LinearFit;
 use pareto_telemetry::{event, Telemetry};
 use pareto_workloads::WorkloadKind;
 
 use crate::audit::{audit_elastic_run, AuditReport, Invariant, Violation};
 use crate::elastic::{ElasticPlan, ElasticSpec};
-use crate::framework::{per_item_work, synthetic_fits, Framework, FrameworkConfig, Plan, Strategy};
+use crate::framework::{recovery_inputs, Framework, FrameworkConfig, Plan};
 use crate::recovery::{self, ExecRequest, RecoveryConfig};
 use crate::stages::PlanError;
 use crate::stealing::RecordWork;
@@ -388,28 +388,13 @@ impl ChaosContext<'_> {
     }
 }
 
-/// Greedy delta-debugging: drop one event at a time, left to right,
-/// keeping any drop that still fails, until a full pass removes nothing.
+/// Greedy delta-debugging of a fault plan alone — [`shrink_combined_schedule`]
+/// with no elastic plan: drop one event at a time, left to right, keeping
+/// any drop that still fails, until a full pass removes nothing.
 /// Deterministic for a deterministic `fails`, hence the stable minimal
 /// specs the CI job diffs across runs.
 pub fn shrink_schedule(plan: &FaultPlan, mut fails: impl FnMut(&FaultPlan) -> bool) -> FaultPlan {
-    let mut current = plan.clone();
-    loop {
-        let mut progressed = false;
-        let mut i = 0;
-        while i < current.len() {
-            let candidate = current.without_event(i);
-            if fails(&candidate) {
-                current = candidate; // same index now names the next event
-                progressed = true;
-            } else {
-                i += 1;
-            }
-        }
-        if !progressed {
-            return current;
-        }
-    }
+    shrink_combined_schedule(plan, &ElasticPlan::none(), |faults, _| fails(faults)).0
 }
 
 /// Delta-debug a combined fault + elastic schedule: alternate one-event-
@@ -466,18 +451,7 @@ pub fn run_chaos(
     chaos.recovery.validate().map_err(PlanError::Recovery)?;
     let framework = Framework::new(cluster, fw_cfg.clone());
     let plan = framework.try_plan(dataset, workload)?;
-    let refs: Vec<&DataItem> = dataset.items.iter().collect();
-    let (_, total_ops) = pareto_workloads::run_workload(workload, &refs);
-    let work = per_item_work(dataset, total_ops);
-    let fits: Vec<LinearFit> = match &plan.time_models {
-        Some(models) => models.iter().map(|m| m.fit).collect(),
-        None => synthetic_fits(cluster, &work),
-    };
-    let alpha = match fw_cfg.strategy {
-        Strategy::HetEnergyAware { alpha } => alpha,
-        Strategy::HetEnergyAwareNormalized { alpha } => alpha,
-        _ => 1.0,
-    };
+    let (work, fits, alpha) = recovery_inputs(cluster, dataset, workload, fw_cfg.strategy, &plan);
     let p = cluster.num_nodes();
     let fixtures: Vec<NodeFixture> = (0..p)
         .map(|node| {
@@ -599,6 +573,7 @@ fn record_schedule_telemetry(telemetry: &Telemetry, audit: &AuditReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framework::Strategy;
     use pareto_cluster::NodeSpec;
 
     fn small_setup() -> (SimCluster, Dataset, FrameworkConfig) {

@@ -76,6 +76,17 @@ impl Strategy {
             Strategy::ClusterMode => "ClusterMode",
         }
     }
+
+    /// The scalarization weight runtime re-solves use: the strategy's own
+    /// α, or 1.0 (pure makespan) for the strategies that have none.
+    pub fn alpha(&self) -> f64 {
+        match *self {
+            Strategy::HetEnergyAware { alpha } | Strategy::HetEnergyAwareNormalized { alpha } => {
+                alpha
+            }
+            _ => 1.0,
+        }
+    }
 }
 
 /// Framework configuration.
@@ -397,20 +408,8 @@ impl<'a> Framework<'a> {
     ) -> Result<FaultRunOutcome, PlanError> {
         recovery_cfg.validate()?;
         let plan = self.try_plan(dataset, workload)?;
-        let refs: Vec<&DataItem> = dataset.items.iter().collect();
-        let (_, total_ops) = pareto_workloads::run_workload(workload, &refs);
-        let work = per_item_work(dataset, total_ops);
-        let fits: Vec<LinearFit> = match &plan.time_models {
-            Some(models) => models.iter().map(|m| m.fit).collect(),
-            None => synthetic_fits(self.cluster, &work),
-        };
-        // Runtime re-solves use the strategy's own scalarization weight;
-        // model-free baselines replan purely for makespan.
-        let alpha = match self.cfg.strategy {
-            Strategy::HetEnergyAware { alpha } => alpha,
-            Strategy::HetEnergyAwareNormalized { alpha } => alpha,
-            _ => 1.0,
-        };
+        let (work, fits, alpha) =
+            recovery_inputs(self.cluster, dataset, workload, self.cfg.strategy, &plan);
         // Runtime re-solves warm-start from the pre-fault optimal basis
         // (bit-identical outcome either way; gated like planning warmth).
         let warm = if self.cfg.lp_warm {
@@ -714,11 +713,32 @@ pub fn sequential_report(r1: &JobReport, r2: &JobReport) -> JobReport {
     }
 }
 
+/// What the recovery executor needs beyond the plan itself: the per-item
+/// work of actually running `workload`, the per-node time models (the
+/// plan's fitted ones, else speed-derived stand-ins) and the weight its
+/// runtime re-solves scalarize with.
+pub(crate) fn recovery_inputs(
+    cluster: &SimCluster,
+    dataset: &Dataset,
+    workload: WorkloadKind,
+    strategy: Strategy,
+    plan: &Plan,
+) -> (Vec<RecordWork>, Vec<LinearFit>, f64) {
+    let refs: Vec<&DataItem> = dataset.items.iter().collect();
+    let (_, total_ops) = pareto_workloads::run_workload(workload, &refs);
+    let work = per_item_work(dataset, total_ops);
+    let fits = match &plan.time_models {
+        Some(models) => models.iter().map(|m| m.fit).collect(),
+        None => synthetic_fits(cluster, &work),
+    };
+    (work, fits, strategy.alpha())
+}
+
 /// Spread `total_ops` over a dataset's records proportional to payload
 /// bytes, exactly: each record gets the floor of its share and the
 /// (at most `n − 1`) leftover ops go to the lowest-index records, so the
 /// per-item ops always sum to `total_ops`.
-pub(crate) fn per_item_work(dataset: &Dataset, total_ops: u64) -> Vec<RecordWork> {
+fn per_item_work(dataset: &Dataset, total_ops: u64) -> Vec<RecordWork> {
     let bytes: Vec<u64> = dataset
         .items
         .iter()
@@ -753,7 +773,7 @@ pub(crate) fn per_item_work(dataset: &Dataset, total_ops: u64) -> Vec<RecordWork
 /// Speed-derived time models for strategies that do not fit any: one
 /// mean-item slope per node, zero intercept. Only used so recovery can
 /// replan and detect stragglers under baseline strategies.
-pub(crate) fn synthetic_fits(cluster: &SimCluster, work: &[RecordWork]) -> Vec<LinearFit> {
+fn synthetic_fits(cluster: &SimCluster, work: &[RecordWork]) -> Vec<LinearFit> {
     let mean_ops = if work.is_empty() {
         1.0
     } else {

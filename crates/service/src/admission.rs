@@ -1,17 +1,17 @@
 //! Admission control: a bounded queue with deterministic load-shedding,
-//! plus the request coalescer.
+//! and the [`Dispatcher`] that pairs it with the in-flight table.
 //!
-//! Both structures are pure state machines over caller-held locks — no
-//! threads, no clocks — so the deterministic soak harness and the live
-//! thread-pool server share them verbatim. The live server wraps
-//! [`BoundedQueue`] in a `Mutex`/`Condvar` pair ([`crate::server`]); the
-//! soak harness drives it from its single-threaded event loop.
+//! Both are pure state machines over caller-held locks — no threads, no
+//! clocks, no transport — so the deterministic soak harness and the live
+//! thread-pool server drive the *same* dispatcher type: the live server
+//! holds one behind a `Mutex`/`Condvar` pair ([`crate::server`]), the soak
+//! harness holds one directly in its single-threaded event loop.
 //!
-//! Shedding is *synchronous and typed*: `offer` on a full queue returns
-//! [`Admission::Shed`] immediately — the caller answers the client with
-//! a [`crate::proto::Response::Shed`] right away. A client can always
-//! distinguish "rejected under load" from "still waiting"; nothing ever
-//! hangs on a full queue.
+//! Shedding is *synchronous and typed*: a submission to a full queue
+//! comes straight back as [`Submitted::Shed`] — the caller answers the
+//! client with a [`crate::proto::Response::Shed`] right away. A client can
+//! always distinguish "rejected under load" from "still waiting"; nothing
+//! ever hangs on a full queue.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -83,67 +83,96 @@ impl<T> BoundedQueue<T> {
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
     }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
 }
 
-/// Role assigned to a request by the coalescer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoalesceRole {
-    /// First request for this work key: runs the computation.
-    Leader,
-    /// Identical work is already in flight: this request waits for the
-    /// leader's result instead of computing.
-    Follower,
+/// What [`Dispatcher::submit`] did with a request.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Submitted<T> {
+    /// Identical work is already queued or executing: the request waits
+    /// for that leader's answer and takes no queue slot.
+    Folded,
+    /// Admitted as a leader: [`Dispatcher::next_leader`] will hand it to a
+    /// worker.
+    Queued,
+    /// The queue was at capacity: the request comes back to be answered
+    /// with a typed shed. Its work key is not left in flight.
+    Shed {
+        /// The rejected request.
+        item: T,
+        /// The capacity (== observed depth) at rejection.
+        queue_depth: usize,
+    },
 }
 
-/// Folds concurrent identical requests into one computation.
+/// The admission state machine: the bounded queue of leaders waiting for
+/// a worker plus the in-flight table of the followers folded into each.
 ///
-/// The work key is a fingerprint of everything that determines the
-/// answer — tenant, dataset digest, α, request kind — computed by the
-/// server. The first arrival becomes the [`CoalesceRole::Leader`];
-/// later arrivals while the leader is in flight become followers and are
-/// answered with the leader's response (re-stamped with their own ids).
-#[derive(Debug, Default)]
-pub struct Coalescer {
-    inflight: BTreeMap<u64, Vec<u64>>,
-    /// Total requests that attached as followers.
-    pub coalesced: u64,
+/// A request is identified by its *work key*, a fingerprint of everything
+/// that determines its answer ([`crate::PlanService`] computes it). A
+/// coalescable request whose key is in flight — queued or executing —
+/// becomes a follower and is answered from the leader's response;
+/// otherwise it leads: `submit → next_leader → (executing) → complete`.
+/// Every transition takes `&mut self`, so under one lock a follower can
+/// never attach to a leader that has completed, been shed or been drained.
+#[derive(Debug)]
+pub struct Dispatcher<T> {
+    queue: BoundedQueue<(u64, T)>,
+    inflight: BTreeMap<u64, Vec<T>>,
 }
 
-impl Coalescer {
-    /// Fresh coalescer with nothing in flight.
-    pub fn new() -> Self {
-        Self::default()
+impl<T> Dispatcher<T> {
+    /// An idle dispatcher admitting at most `capacity` waiting leaders.
+    pub fn new(capacity: usize) -> Self {
+        Dispatcher { queue: BoundedQueue::new(capacity), inflight: BTreeMap::new() }
     }
 
-    /// Register request `id` for work `key`.
-    pub fn attach(&mut self, key: u64, id: u64) -> CoalesceRole {
-        match self.inflight.get_mut(&key) {
-            None => {
-                self.inflight.insert(key, Vec::new());
-                CoalesceRole::Leader
+    /// Offer a request: fold it into in-flight identical work (only when
+    /// `coalescable`), queue it as a leader, or shed it.
+    pub fn submit(&mut self, key: u64, coalescable: bool, item: T) -> Submitted<T> {
+        if coalescable {
+            if let Some(followers) = self.inflight.get_mut(&key) {
+                followers.push(item);
+                return Submitted::Folded;
             }
-            Some(followers) => {
-                followers.push(id);
-                self.coalesced += 1;
-                CoalesceRole::Follower
+        }
+        match self.queue.offer((key, item)) {
+            Admission::Queued { .. } => {
+                if coalescable {
+                    self.inflight.insert(key, Vec::new());
+                }
+                Submitted::Queued
+            }
+            Admission::Shed { item: (_, item), queue_depth } => {
+                Submitted::Shed { item, queue_depth }
             }
         }
     }
 
-    /// The leader for `key` finished: returns the follower request ids
-    /// to answer (in attach order) and retires the key.
-    pub fn complete(&mut self, key: u64) -> Vec<u64> {
+    /// The oldest waiting leader and its work key, for a worker to
+    /// execute. Its key stays in flight until [`Dispatcher::complete`].
+    pub fn next_leader(&mut self) -> Option<(u64, T)> {
+        self.queue.pop()
+    }
+
+    /// The leader for `key` finished: retire the key and return its
+    /// followers, in arrival order, to be answered from its response.
+    pub fn complete(&mut self, key: u64) -> Vec<T> {
         self.inflight.remove(&key).unwrap_or_default()
     }
 
-    /// Number of distinct work keys currently in flight.
-    pub fn inflight_keys(&self) -> usize {
-        self.inflight.len()
+    /// Empty the queue: every leader no worker will pick up, oldest
+    /// first, each with the followers that were waiting on it.
+    pub fn drain(&mut self) -> Vec<(T, Vec<T>)> {
+        let mut drained = Vec::new();
+        while let Some((key, leader)) = self.queue.pop() {
+            drained.push((leader, self.complete(key)));
+        }
+        drained
+    }
+
+    /// Nothing queued and no key in flight.
+    pub fn is_idle(&self) -> bool {
+        self.queue.is_empty() && self.inflight.is_empty()
     }
 }
 
@@ -172,17 +201,49 @@ mod tests {
     }
 
     #[test]
-    fn coalescer_folds_concurrent_identical_work() {
-        let mut c = Coalescer::new();
-        assert_eq!(c.attach(0xAA, 1), CoalesceRole::Leader);
-        assert_eq!(c.attach(0xAA, 2), CoalesceRole::Follower);
-        assert_eq!(c.attach(0xAA, 3), CoalesceRole::Follower);
-        // A different key is independent work.
-        assert_eq!(c.attach(0xBB, 4), CoalesceRole::Leader);
-        assert_eq!(c.complete(0xAA), vec![2, 3]);
-        assert_eq!(c.coalesced, 2);
+    fn dispatcher_folds_concurrent_identical_work() {
+        let mut d = Dispatcher::new(4);
+        assert_eq!(d.submit(0xAA, true, 1), Submitted::Queued);
+        assert_eq!(d.submit(0xAA, true, 2), Submitted::Folded);
+        assert_eq!(d.submit(0xAA, true, 3), Submitted::Folded);
+        // A different key is independent work; so is the same key when
+        // the request may not share an answer.
+        assert_eq!(d.submit(0xBB, true, 4), Submitted::Queued);
+        assert_eq!(d.submit(0xAA, false, 5), Submitted::Queued);
+        // Followers keep waiting while their leader executes…
+        assert_eq!(d.next_leader(), Some((0xAA, 1)));
+        assert_eq!(d.submit(0xAA, true, 6), Submitted::Folded);
+        // …and come back in arrival order when it completes.
+        assert_eq!(d.complete(0xAA), vec![2, 3, 6]);
         // Key retired: the next arrival leads again.
-        assert_eq!(c.attach(0xAA, 5), CoalesceRole::Leader);
-        assert_eq!(c.complete(0xBB), Vec::<u64>::new());
+        assert_eq!(d.submit(0xAA, true, 7), Submitted::Queued);
+        assert_eq!(d.next_leader(), Some((0xBB, 4)));
+        assert_eq!(d.complete(0xBB), Vec::<i32>::new());
+    }
+
+    #[test]
+    fn shed_leader_leaves_no_key_in_flight() {
+        let mut d = Dispatcher::new(1);
+        assert_eq!(d.submit(1, true, 'a'), Submitted::Queued);
+        assert_eq!(d.submit(2, true, 'b'), Submitted::Shed { item: 'b', queue_depth: 1 });
+        // Had the shed left key 2 in flight, this retry would fold into a
+        // leader that will never answer.
+        assert_eq!(d.next_leader(), Some((1, 'a')));
+        assert_eq!(d.submit(2, true, 'c'), Submitted::Queued);
+    }
+
+    #[test]
+    fn drain_returns_every_queued_leader_with_its_followers() {
+        let mut d = Dispatcher::new(4);
+        assert_eq!(d.submit(7, true, "leader"), Submitted::Queued);
+        assert_eq!(d.submit(7, true, "first follower"), Submitted::Folded);
+        assert_eq!(d.submit(7, true, "second follower"), Submitted::Folded);
+        assert_eq!(d.submit(8, false, "loner"), Submitted::Queued);
+        assert_eq!(
+            d.drain(),
+            vec![("leader", vec!["first follower", "second follower"]), ("loner", vec![])]
+        );
+        assert!(d.is_idle());
+        assert_eq!(d.next_leader(), None);
     }
 }

@@ -7,9 +7,9 @@
 //! over one fleet-wide shared artifact cache, and a resilience core
 //! keeps tail behavior typed and bounded:
 //!
-//! * **Admission control** ([`admission`]) — a bounded queue that sheds
-//!   deterministically with a typed [`proto::Response::Shed`]; a full
-//!   server never hangs a client.
+//! * **Admission control** ([`admission::Dispatcher`]) — a bounded queue
+//!   that sheds deterministically with a typed
+//!   [`proto::Response::Shed`]; a full server never hangs a client.
 //! * **Deadlines** — cooperative cancellation checkpoints between
 //!   planning stages ([`pareto_core::Deadline`]); an expired request
 //!   returns a typed error but keeps its completed stage artifacts
@@ -22,12 +22,13 @@
 //! * **Graceful degradation** ([`server`]) — breaker open or deadline
 //!   unmeetable ⇒ the freshest cached plan, flagged `degraded: true`
 //!   with the digest it was computed over.
-//! * **Coalescing** ([`admission::Coalescer`]) — concurrent identical
-//!   requests fold into one solve.
+//! * **Coalescing** (the same [`admission::Dispatcher`]) — concurrent
+//!   identical requests fold into one solve; the in-flight table lives
+//!   beside the queue, under one lock.
 //!
 //! The [`soak`] module replays thousands of seeded mixed requests —
 //! including injected solver stalls and overload — through the same
-//! service core in simulated time, so its latency/outcome summary is
+//! service core and the same dispatcher in simulated time, so its latency/outcome summary is
 //! bit-identical run to run and across planning thread counts (CI diffs
 //! the JSON byte-for-byte).
 
@@ -39,7 +40,7 @@ pub mod retry;
 pub mod server;
 pub mod soak;
 
-pub use admission::{Admission, BoundedQueue, CoalesceRole, Coalescer};
+pub use admission::{Admission, BoundedQueue, Dispatcher, Submitted};
 pub use breaker::{Breaker, BreakerState, Transition};
 pub use codec::{decode_frame, encode_frame, CodecError, MAX_FRAME};
 pub use proto::{ErrorKind, Request, RequestKind, Response};

@@ -39,7 +39,7 @@ use pareto_core::{Deadline, PlanError, PlanSession, SharedPlanCache};
 use pareto_telemetry::{metrics, Telemetry};
 use pareto_workloads::WorkloadKind;
 
-use crate::admission::{Admission, BoundedQueue};
+use crate::admission::{Dispatcher, Submitted};
 use crate::breaker::Breaker;
 use crate::codec::{decode_frame, encode_frame, CodecError};
 use crate::proto::{ErrorKind, Request, RequestKind, Response};
@@ -211,23 +211,16 @@ impl PlanService {
     /// Record a terminal outcome on the
     /// [`metrics::SERVICE_REQUESTS_TOTAL`] counter. Inert: counting
     /// never feeds back into any decision.
-    pub fn record_outcome(&self, outcome: &'static str) {
+    fn record_outcome(&self, outcome: &'static str) {
         if let Some(tel) = &self.telemetry {
             tel.counter_add(metrics::SERVICE_REQUESTS_TOTAL, &[("outcome", outcome)], 1);
         }
     }
 
     /// Record a client retry attempt.
-    pub fn record_retry(&self, reason: &'static str) {
+    pub(crate) fn record_retry(&self, reason: &'static str) {
         if let Some(tel) = &self.telemetry {
             tel.counter_add(metrics::SERVICE_RETRIES_TOTAL, &[("reason", reason)], 1);
-        }
-    }
-
-    /// Record a coalesced (folded) request.
-    pub fn record_coalesced(&self) {
-        if let Some(tel) = &self.telemetry {
-            tel.counter_add(metrics::SERVICE_COALESCED_TOTAL, &[], 1);
         }
     }
 
@@ -241,24 +234,64 @@ impl PlanService {
         }
     }
 
-    /// The coalescing key for a request: a fingerprint of everything
-    /// that determines its answer. `Plan` requests against the same
+    /// The coalescing key for a request — a fingerprint of everything
+    /// that determines its answer — and whether in-flight work under the
+    /// same key may answer it. `Plan` requests against the same
     /// tenant/dataset/α collide (and fold into one solve); `Replan`
-    /// requests are salted with their id — each append mutates the
-    /// dataset, so folding two would silently drop records.
-    pub fn work_key(&self, req: &Request) -> u64 {
+    /// requests are salted with their id and never fold — each append
+    /// mutates the dataset, so folding two would silently drop records.
+    /// May wait on the tenant: call it before locking a dispatcher.
+    pub(crate) fn work_key(&self, req: &Request) -> (u64, bool) {
         let tenant = self.tenant(&req.tenant);
         let t = tenant.lock();
         let fp = t.session.dataset_fingerprint().0;
         drop(t);
+        let base = mix64(tenant_hash(&req.tenant) ^ fp);
         match req.kind {
-            RequestKind::Plan { alpha } => {
-                mix64(mix64(tenant_hash(&req.tenant) ^ fp) ^ alpha.to_bits())
-            }
-            RequestKind::Replan { .. } => {
-                mix64(mix64(tenant_hash(&req.tenant) ^ fp) ^ req.id.wrapping_mul(0x9E37_79B9))
-            }
+            RequestKind::Plan { alpha } => (mix64(base ^ alpha.to_bits()), true),
+            RequestKind::Replan { .. } => (mix64(base ^ req.id.wrapping_mul(0x9E37_79B9)), false),
         }
+    }
+
+    /// Admission for one request, live or simulated: offer `item` to
+    /// `dispatcher` under its [`PlanService::work_key`] and tally a fold
+    /// (coalesced counter) or a shed (that request's outcome).
+    pub(crate) fn admit<T>(
+        &self,
+        dispatcher: &mut Dispatcher<T>,
+        (key, coalescable): (u64, bool),
+        item: T,
+    ) -> Submitted<T> {
+        let submitted = dispatcher.submit(key, coalescable, item);
+        match submitted {
+            Submitted::Folded => {
+                if let Some(tel) = &self.telemetry {
+                    tel.counter_add(metrics::SERVICE_COALESCED_TOTAL, &[], 1);
+                }
+            }
+            Submitted::Queued => {}
+            Submitted::Shed { .. } => self.record_outcome("shed"),
+        }
+        submitted
+    }
+
+    /// The leader's `response` as follower `id`'s own terminal answer:
+    /// the same plan under the follower's correlation id, tallied as that
+    /// request's outcome.
+    pub(crate) fn follower_answer(&self, response: &Response, id: u64) -> Response {
+        let mut answer = response.clone();
+        match &mut answer {
+            Response::Served { id: slot, .. }
+            | Response::Shed { id: slot, .. }
+            | Response::Error { id: slot, .. } => *slot = id,
+        }
+        self.record_outcome(match answer {
+            Response::Served { degraded: false, .. } => "served",
+            Response::Served { degraded: true, .. } => "degraded",
+            Response::Shed { .. } => "shed",
+            Response::Error { .. } => "error",
+        });
+        answer
     }
 
     /// Serve one request (the coalescing *leader* path; followers are
@@ -421,21 +454,15 @@ impl ReplySlot {
 
 struct Job {
     request: Request,
-    key: u64,
     reply: Arc<ReplySlot>,
 }
 
-/// In-flight coalescing table: work key → follower `(id, slot)` pairs.
-/// A key's presence means a leader is queued or executing; attach and
-/// complete are atomic under one lock, so a follower can never register
-/// against a leader that already finished.
-type CoalesceTable = BTreeMap<u64, Vec<(u64, Arc<ReplySlot>)>>;
-
 struct ServerShared {
     service: Arc<PlanService>,
-    queue: Mutex<BoundedQueue<Job>>,
+    /// Admission queue and in-flight table under one lock: submissions
+    /// and key retirements are atomic with respect to each other.
+    dispatcher: Mutex<Dispatcher<Job>>,
     work_ready: Condvar,
-    inflight: Mutex<CoalesceTable>,
     now: AtomicU64,
     shutdown: AtomicBool,
 }
@@ -456,9 +483,8 @@ impl Server {
         let cfg = service.config().clone();
         let shared = Arc::new(ServerShared {
             service,
-            queue: Mutex::new(BoundedQueue::new(cfg.queue_capacity)),
+            dispatcher: Mutex::new(Dispatcher::new(cfg.queue_capacity)),
             work_ready: Condvar::new(),
-            inflight: Mutex::new(CoalesceTable::new()),
             now: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
         });
@@ -507,60 +533,48 @@ impl Server {
         })
     }
 
-    /// Stop the workers and wait for them. In-flight jobs finish;
-    /// queued-but-unstarted jobs are answered with a typed shed.
-    pub fn shutdown(mut self) {
+    fn stop_workers(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.work_ready.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        // Drain anything still queued so no caller hangs.
-        let mut q = self.shared.queue.lock();
-        while let Some(job) = q.pop() {
-            let depth = q.len();
-            job.reply.fulfill(Response::Shed {
-                id: job.request.id,
-                queue_depth: depth as u32,
-            });
+    }
+
+    /// Stop the workers and wait for them. In-flight jobs finish;
+    /// queued-but-unstarted jobs — and the requests folded into them —
+    /// are answered with a typed shed, so no caller hangs.
+    pub fn shutdown(mut self) {
+        self.stop_workers();
+        // The workers drained the queue before exiting; this answers what
+        // was submitted after they had gone.
+        let drained = self.shared.dispatcher.lock().drain();
+        // Newest first, so the index is the number of leaders still behind.
+        for (behind, (leader, followers)) in drained.into_iter().rev().enumerate() {
+            for job in std::iter::once(leader).chain(followers) {
+                job.reply.fulfill(Response::Shed {
+                    id: job.request.id,
+                    queue_depth: behind as u32,
+                });
+            }
         }
     }
 }
 
 /// The submission path shared by in-process calls and TCP handlers:
-/// coalesce, then admit or shed — every path fulfills the returned slot
-/// exactly once (possibly via a worker), so callers never hang.
-fn submit(shared: &Arc<ServerShared>, request: Request) -> Arc<ReplySlot> {
+/// fold, queue or shed through the dispatcher — every path fulfills the
+/// returned slot exactly once (possibly via a worker), so callers never
+/// hang.
+fn submit(shared: &ServerShared, request: Request) -> Arc<ReplySlot> {
     let reply = ReplySlot::new();
-    let key = shared.service.work_key(&request);
-    if matches!(request.kind, RequestKind::Plan { .. }) {
-        let mut table = shared.inflight.lock();
-        if let Some(followers) = table.get_mut(&key) {
-            // Identical solve in flight: fold into it, no queue slot.
-            followers.push((request.id, reply.clone()));
-            drop(table);
-            shared.service.record_coalesced();
-            return reply;
-        }
-        table.insert(key, Vec::new());
-    }
     let id = request.id;
-    let admission = shared
-        .queue
-        .lock()
-        .offer(Job { request, key, reply: reply.clone() });
-    match admission {
-        Admission::Queued { .. } => shared.work_ready.notify_one(),
-        Admission::Shed { item: _, queue_depth } => {
-            // Retire the key and shed the leader plus anyone who folded
-            // in between the insert above and this rejection.
-            let followers = shared.inflight.lock().remove(&key).unwrap_or_default();
-            shared.service.record_outcome("shed");
-            reply.fulfill(Response::Shed { id, queue_depth: queue_depth as u32 });
-            for (fid, slot) in followers {
-                shared.service.record_outcome("shed");
-                slot.fulfill(Response::Shed { id: fid, queue_depth: queue_depth as u32 });
-            }
+    let key = shared.service.work_key(&request);
+    let job = Job { request, reply: reply.clone() };
+    match shared.service.admit(&mut shared.dispatcher.lock(), key, job) {
+        Submitted::Folded => {}
+        Submitted::Queued => shared.work_ready.notify_one(),
+        Submitted::Shed { queue_depth, .. } => {
+            reply.fulfill(Response::Shed { id, queue_depth: queue_depth as u32 })
         }
     }
     reply
@@ -568,49 +582,28 @@ fn submit(shared: &Arc<ServerShared>, request: Request) -> Arc<ReplySlot> {
 
 fn worker_loop(shared: &ServerShared) {
     loop {
-        let job = {
-            let mut q = shared.queue.lock();
+        let (key, job) = {
+            let mut dispatcher = shared.dispatcher.lock();
             loop {
-                if let Some(job) = q.pop() {
-                    break job;
+                if let Some(next) = dispatcher.next_leader() {
+                    break next;
                 }
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                shared.work_ready.wait(&mut q);
+                shared.work_ready.wait(&mut dispatcher);
             }
         };
         let now = shared.now.fetch_add(1, Ordering::SeqCst);
         let response = shared.service.handle(&job.request, now, false);
-        // Retire the work key and answer coalesced followers with the
-        // leader's response, re-stamped with their correlation ids.
-        let followers = shared.inflight.lock().remove(&job.key).unwrap_or_default();
+        // Retire the work key and answer the coalesced followers from the
+        // leader's response.
+        let followers = shared.dispatcher.lock().complete(key);
         job.reply.fulfill(response.clone());
-        for (fid, slot) in followers {
-            let mut resp = response.clone();
-            restamp(&mut resp, fid);
-            // A coalesced answer is still that request's own terminal
-            // outcome.
-            match &resp {
-                Response::Served { degraded: false, .. } => {
-                    shared.service.record_outcome("served")
-                }
-                Response::Served { degraded: true, .. } => {
-                    shared.service.record_outcome("degraded")
-                }
-                Response::Shed { .. } => shared.service.record_outcome("shed"),
-                Response::Error { .. } => shared.service.record_outcome("error"),
-            }
-            slot.fulfill(resp);
+        for follower in followers {
+            let answer = shared.service.follower_answer(&response, follower.request.id);
+            follower.reply.fulfill(answer);
         }
-    }
-}
-
-fn restamp(resp: &mut Response, id: u64) {
-    match resp {
-        Response::Served { id: slot, .. }
-        | Response::Shed { id: slot, .. }
-        | Response::Error { id: slot, .. } => *slot = id,
     }
 }
 
@@ -643,7 +636,7 @@ fn read_frame(stream: &mut TcpStream) -> Result<Option<Vec<u8>>, CodecError> {
     }
 }
 
-fn handle_connection(mut stream: TcpStream, shared: &Arc<ServerShared>) -> std::io::Result<()> {
+fn handle_connection(mut stream: TcpStream, shared: &ServerShared) -> std::io::Result<()> {
     loop {
         let payload = match read_frame(&mut stream) {
             Ok(Some(p)) => p,
@@ -833,6 +826,23 @@ mod tests {
         let resp = server.call(plan_req(8, "acme", 0.8));
         assert!(matches!(resp, Response::Served { id: 8, .. }));
         server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_sheds_queued_leaders_and_their_followers() {
+        let svc = Arc::new(PlanService::new(small_cfg(), None));
+        let mut server = Server::start(svc);
+        // The window `shutdown` must close: requests that arrive after
+        // the workers have gone — a leader and two identical plans that
+        // fold into it while it sits in the queue.
+        server.stop_workers();
+        let slots: Vec<_> = (1..=3)
+            .map(|id| submit(&server.shared, plan_req(id, "acme", 0.8)))
+            .collect();
+        server.shutdown();
+        for (slot, id) in slots.iter().zip(1..) {
+            assert_eq!(slot.wait(), Response::Shed { id, queue_depth: 0 });
+        }
     }
 
     #[test]

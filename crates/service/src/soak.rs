@@ -11,11 +11,12 @@
 //! planning thread counts (plans themselves are thread-invariant), which
 //! CI enforces by diffing two runs byte-for-byte.
 //!
-//! The simulated executor models `sim_workers` slots over a bounded
-//! admission queue — the same [`BoundedQueue`] the live server wraps —
-//! so overload genuinely sheds, coalescing genuinely folds, and the
-//! breaker sees the same call sequence a live fleet would produce for
-//! this trace.
+//! The simulated executor models `sim_workers` slots over the same
+//! [`Dispatcher`] the live server locks — admitted through the same
+//! [`PlanService::admit`], fanned out through the same
+//! [`PlanService::follower_answer`] — so overload genuinely sheds,
+//! coalescing genuinely folds, and the breaker sees the same call
+//! sequence a live fleet would produce for this trace.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -25,7 +26,7 @@ use pareto_cluster::{FaultPlan, FaultSpec};
 use pareto_telemetry::json::Value;
 use pareto_telemetry::Telemetry;
 
-use crate::admission::{Admission, BoundedQueue};
+use crate::admission::{Dispatcher, Submitted};
 use crate::proto::{Request, RequestKind, Response};
 use crate::retry::RetryPolicy;
 use crate::server::{PlanService, ServiceConfig};
@@ -154,19 +155,13 @@ struct Running {
     response: Response,
 }
 
-struct QueuedItem {
-    key: u64,
-    pending: Pending,
-}
-
 struct Sim {
     cfg: SoakConfig,
     service: PlanService,
     events: BTreeMap<(u64, u64), Event>,
     seq: u64,
-    queue: BoundedQueue<QueuedItem>,
+    dispatcher: Dispatcher<Pending>,
     workers: Vec<Option<Running>>,
-    inflight: BTreeMap<u64, Vec<Pending>>,
     issued: u64,
     next_id: u64,
     start_ordinal: u64,
@@ -199,7 +194,7 @@ impl Sim {
             (vec![0; nodes], vec![false; nodes])
         };
         let workers = (0..cfg.sim_workers.max(1)).map(|_| None).collect();
-        let queue = BoundedQueue::new(cfg.service.queue_capacity);
+        let dispatcher = Dispatcher::new(cfg.service.queue_capacity);
         let draw_seed = mix64(cfg.service.seed ^ 0x5_0A_4B_17);
         let client_turns = vec![0; cfg.clients.max(1)];
         Sim {
@@ -207,9 +202,8 @@ impl Sim {
             service,
             events: BTreeMap::new(),
             seq: 0,
-            queue,
+            dispatcher,
             workers,
-            inflight: BTreeMap::new(),
             issued: 0,
             next_id: 1,
             start_ordinal: 0,
@@ -272,31 +266,23 @@ impl Sim {
             pending.first_issued = now;
         }
         let key = self.service.work_key(&pending.req);
-        if matches!(pending.req.kind, RequestKind::Plan { .. }) {
-            if let Some(followers) = self.inflight.get_mut(&key) {
-                followers.push(pending);
-                self.coalesced += 1;
-                self.service.record_coalesced();
-                return;
+        match self.service.admit(&mut self.dispatcher, key, pending) {
+            Submitted::Folded => self.coalesced += 1,
+            Submitted::Queued => {
+                // A slot only idles once the queue is empty, so the
+                // request just queued is the one `next_leader` hands back.
+                if let Some(worker) = self.workers.iter().position(Option::is_none) {
+                    let (key, pending) =
+                        self.dispatcher.next_leader().expect("the request just queued");
+                    self.start(worker, key, pending, now);
+                }
             }
-        }
-        self.inflight.insert(key, Vec::new());
-        if let Some(worker) = self.workers.iter().position(Option::is_none) {
-            self.start(worker, key, pending, now);
-            return;
-        }
-        match self.queue.offer(QueuedItem { key, pending }) {
-            Admission::Queued { .. } => {}
-            Admission::Shed { item, queue_depth: _ } => {
-                self.inflight.remove(&key);
-                self.shed_pending(item.pending, now);
-            }
+            Submitted::Shed { item, .. } => self.shed_pending(item, now),
         }
     }
 
     fn shed_pending(&mut self, pending: Pending, now: u64) {
         self.shed_events += 1;
-        self.service.record_outcome("shed");
         let next_retry = pending.attempt + 1;
         if self.cfg.retry.may_attempt(next_retry) {
             self.retries += 1;
@@ -397,22 +383,14 @@ impl Sim {
                     self.violations += 1;
                     return;
                 };
-                let followers = self.inflight.remove(&run.key).unwrap_or_default();
+                let followers = self.dispatcher.complete(run.key);
                 self.terminal(&run.leader, &run.response, at);
                 for f in followers {
-                    // The leader's answer, re-stamped: same plan, the
-                    // follower's own correlation id and outcome slot.
-                    match &run.response {
-                        Response::Served { degraded, .. } => self.service.record_outcome(
-                            if *degraded { "degraded" } else { "served" },
-                        ),
-                        Response::Error { .. } => self.service.record_outcome("error"),
-                        Response::Shed { .. } => self.service.record_outcome("shed"),
-                    }
-                    self.terminal(&f, &run.response, at);
+                    let answer = self.service.follower_answer(&run.response, f.req.id);
+                    self.terminal(&f, &answer, at);
                 }
-                if let Some(item) = self.queue.pop() {
-                    self.start(worker, item.key, item.pending, at);
+                if let Some((key, pending)) = self.dispatcher.next_leader() {
+                    self.start(worker, key, pending, at);
                 }
             }
         }
@@ -429,10 +407,7 @@ impl Sim {
     fn report(mut self) -> SoakReport {
         // Drain invariants: nothing queued, nothing running, nothing
         // coalesced-but-unanswered, every issued request terminal.
-        if !self.queue.is_empty()
-            || self.workers.iter().any(Option::is_some)
-            || !self.inflight.is_empty()
-        {
+        if !self.dispatcher.is_idle() || self.workers.iter().any(Option::is_some) {
             self.violations += 1;
         }
         if self.outcomes.total() != self.issued {

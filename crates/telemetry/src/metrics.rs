@@ -149,7 +149,7 @@ pub const SERVICE_BREAKER_TRANSITIONS_TOTAL: &str = "pareto_service_breaker_tran
 pub const SERVICE_RETRIES_TOTAL: &str = "pareto_service_retries_total";
 
 /// Counter of requests folded into an in-flight identical computation by
-/// the coalescer instead of planning independently.
+/// the service's dispatcher instead of planning independently.
 pub const SERVICE_COALESCED_TOTAL: &str = "pareto_service_coalesced_total";
 
 /// The registry proper.

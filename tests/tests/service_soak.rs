@@ -147,3 +147,53 @@ fn degraded_responses_carry_source_digest() {
     }
     assert!(saw_degraded, "breaker path must produce degraded serves");
 }
+
+/// Pinned summaries: FNV-1a digests of the soak summary JSON for the CI
+/// gate config, the CI overload config and a chaos-free run, recorded at
+/// the commit *before* the server and the soak came to share one
+/// `Dispatcher` (df8388d) — so the shared admission path is checked
+/// against the past, not only against itself. Threads are an execution
+/// detail: every pinned digest must hold at each planning thread count.
+#[test]
+fn soak_summaries_match_the_recorded_goldens() {
+    use pareto_integration_tests::{digest, thread_counts};
+
+    let base = SoakConfig::default;
+    let cases: [(&str, SoakConfig, u64); 3] = [
+        ("ci-gate", gate_config(1), 0xab2c_b84b_aaa5_c02b),
+        (
+            "ci-overload",
+            SoakConfig {
+                service: ServiceConfig { queue_capacity: 2, ..base().service },
+                requests: 400,
+                clients: 16,
+                sim_workers: 1,
+                ..base()
+            },
+            0x2765_4fb2_94fe_0e1e,
+        ),
+        ("no-chaos", SoakConfig { requests: 300, chaos: false, ..base() }, 0x8136_888f_5ea5_b443),
+    ];
+    let mut mismatches = Vec::new();
+    for (name, cfg, golden) in cases {
+        for &threads in &thread_counts()[..2] {
+            let mut cfg = cfg.clone();
+            // The CLI's soak seed (`--seed 2017`), as CI runs it.
+            cfg.service.seed = 2017;
+            cfg.service.threads = threads;
+            let report = run_soak(cfg, None);
+            assert_eq!(report.audit_violations, 0, "{name}: soak audit must be clean");
+            let actual = digest(report.json.bytes().map(u64::from));
+            if actual != golden {
+                mismatches.push(format!(
+                    "{name} at {threads} planning thread(s): {actual:#018x} (pinned {golden:#018x})"
+                ));
+            }
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "soak summaries diverged from the recorded ones:\n{}",
+        mismatches.join("\n")
+    );
+}
