@@ -182,8 +182,8 @@ impl SimCluster {
         start
     }
 
-    /// Override the type-1 compute rate; rejects non-positive or
-    /// non-finite rates.
+    /// Override the type-1 compute rate (abstract ops per second); rejects
+    /// non-positive or non-finite rates.
     pub fn try_with_base_ops_per_sec(mut self, rate: f64) -> Result<Self, ClusterError> {
         if !(rate > 0.0 && rate.is_finite()) {
             return Err(ClusterError::NonPositiveComputeRate(rate));
@@ -192,34 +192,14 @@ impl SimCluster {
         Ok(self)
     }
 
-    /// Override the type-1 compute rate (abstract ops per second).
-    ///
-    /// # Panics
-    /// Panics on a non-positive rate; see
-    /// [`SimCluster::try_with_base_ops_per_sec`] for the non-panicking form.
-    pub fn with_base_ops_per_sec(self, rate: f64) -> Self {
-        self.try_with_base_ops_per_sec(rate)
-            .expect("base ops/sec must be positive")
-    }
-
-    /// Set where in the green traces jobs start; rejects negative or
-    /// non-finite offsets.
+    /// Set where in the green traces jobs start (seconds); rejects
+    /// negative or non-finite offsets.
     pub fn try_with_job_start(mut self, t0_seconds: f64) -> Result<Self, ClusterError> {
         if !(t0_seconds >= 0.0 && t0_seconds.is_finite()) {
             return Err(ClusterError::BadJobStart(t0_seconds));
         }
         self.job_start_s = t0_seconds;
         Ok(self)
-    }
-
-    /// Set where in the green traces jobs start (seconds).
-    ///
-    /// # Panics
-    /// Panics on a negative offset; see [`SimCluster::try_with_job_start`]
-    /// for the non-panicking form.
-    pub fn with_job_start(self, t0_seconds: f64) -> Self {
-        self.try_with_job_start(t0_seconds)
-            .expect("job start must be non-negative")
     }
 
     /// Number of nodes.
@@ -665,8 +645,13 @@ mod tests {
     #[test]
     fn base_rate_scales_times_inversely() {
         let nodes = NodeSpec::paper_cluster(2, 400.0, 1, 9, 3);
-        let slow = SimCluster::new(nodes.clone()).with_base_ops_per_sec(1e6);
-        let fast = SimCluster::new(nodes).with_base_ops_per_sec(2e6);
+        let with_rate = |nodes, rate| {
+            SimCluster::new(nodes)
+                .try_with_base_ops_per_sec(rate)
+                .expect("positive rate")
+        };
+        let slow = with_rate(nodes.clone(), 1e6);
+        let fast = with_rate(nodes, 2e6);
         let cost = Cost::compute(10_000_000);
         let t_slow = slow.cost_to_seconds(0, &cost);
         let t_fast = fast.cost_to_seconds(0, &cost);
@@ -676,8 +661,13 @@ mod tests {
     #[test]
     fn job_start_offset_changes_energy_not_time() {
         let nodes = NodeSpec::paper_cluster(2, 400.0, 2, 0, 3);
-        let morning = SimCluster::new(nodes.clone()).with_job_start(8.0 * 3600.0);
-        let night = SimCluster::new(nodes).with_job_start(0.0);
+        let starting_at = |nodes, t0| {
+            SimCluster::new(nodes)
+                .try_with_job_start(t0)
+                .expect("non-negative start")
+        };
+        let morning = starting_at(nodes.clone(), 8.0 * 3600.0);
+        let night = starting_at(nodes, 0.0);
         let costs = [Cost::compute(50_000_000), Cost::compute(50_000_000)];
         let r_morning = morning.account_costs(&costs);
         let r_night = night.account_costs(&costs);

@@ -1,11 +1,11 @@
 //! Content-addressed artifact cache for the staged planning engine.
 //!
-//! Every [`crate::stages::PlanStage`] names its output with a
-//! [`Fingerprint`] — a seeded SplitMix64 digest of every input the stage
-//! reads (dataset content, stratifier config, node roster + energy traces,
-//! strategy + α). The [`PlanCache`] maps `(stage name, fingerprint)` to the
-//! stage's artifact, so a replan recomputes only the stages whose inputs
-//! actually changed.
+//! Every stage of the plan pipeline ([`crate::stages`]) names its output
+//! with a [`Fingerprint`] — a seeded SplitMix64 digest of every input the
+//! stage reads (dataset content, stratifier config, node roster + energy
+//! traces, strategy + α). The [`PlanCache`] maps `(stage name,
+//! fingerprint)` to the stage's artifact, so a replan recomputes only the
+//! stages whose inputs actually changed.
 //!
 //! Determinism rules (DESIGN.md §10):
 //! * keys are pure functions of stage inputs — never of wall time,

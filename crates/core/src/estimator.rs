@@ -6,8 +6,7 @@
 //! *stratified* samples of 0.05%–2% of the data (representative of the
 //! final partitions, which is what makes the model payload-aware), runs the
 //! **actual algorithm** on each sample, observes per-node execution time,
-//! and fits a linear regression. Higher-degree fits are available for the
-//! §III-D ablation.
+//! and fits a linear regression.
 //!
 //! The energy estimator reduces each node's green trace to the mean-rate
 //! profile `k_i = E_i − ḠE_i` used by the LP (§III-D).
@@ -15,7 +14,7 @@
 use pareto_cluster::{Cost, SimCluster};
 use pareto_datagen::{DataItem, Dataset};
 use pareto_energy::NodeEnergyProfile;
-use pareto_stats::{progressive_schedule, stratified_sample, LinearFit, PolyFit};
+use pareto_stats::{progressive_schedule, stratified_sample, LinearFit};
 use pareto_stratify::Stratification;
 use pareto_workloads::{run_workload, WorkloadKind};
 
@@ -132,7 +131,8 @@ impl<'a> HeterogeneityEstimator<'a> {
         workload: WorkloadKind,
     ) -> (Vec<NodeTimeModel>, Cost) {
         let (measurements, total_cost) = self.measure(dataset, stratification, workload);
-        (self.fit_nodes(&measurements), total_cost)
+        let ids: Vec<usize> = (0..self.cluster.num_nodes()).collect();
+        (self.fit_measurements(&measurements, &ids), total_cost)
     }
 
     /// The measurement half of [`estimate`](Self::estimate): run the
@@ -198,19 +198,12 @@ impl<'a> HeterogeneityEstimator<'a> {
         (measurements, total_cost)
     }
 
-    /// Fit one [`NodeTimeModel`] per node from the shared measurements,
-    /// sharding nodes across workers (fits are pure per-node functions;
-    /// outputs concatenate in node order).
-    fn fit_nodes(&self, measurements: &[(usize, u64)]) -> Vec<NodeTimeModel> {
-        let ids: Vec<usize> = (0..self.cluster.num_nodes()).collect();
-        self.fit_measurements(measurements, &ids)
-    }
-
     /// Fit one [`NodeTimeModel`] for each node in `node_ids` (actual
     /// cluster ids, e.g. an active roster) from shared measurements. Each
     /// fit is a pure per-node function of the measurements, so the models
     /// for a node are bit-identical whether fitted alongside the full
-    /// cluster or a restricted roster — and at any thread count.
+    /// cluster or a restricted roster — and at any thread count (nodes are
+    /// sharded across workers; outputs concatenate in `node_ids` order).
     pub fn fit_measurements(
         &self,
         measurements: &[(usize, u64)],
@@ -254,136 +247,6 @@ impl<'a> HeterogeneityEstimator<'a> {
         .expect("fit scope panicked");
         models
     }
-
-    /// §III-D ablation: fit a polynomial of the given degree to one node's
-    /// observations instead of a line.
-    pub fn fit_polynomial(
-        model: &NodeTimeModel,
-        degree: usize,
-    ) -> Result<PolyFit, pareto_stats::RegressionError> {
-        PolyFit::fit(&model.observations, degree)
-    }
-
-    /// Adaptive progressive sampling (Parthasarathy, ICDM 2002 — the
-    /// paper's reference [11]): instead of a fixed schedule, grow the
-    /// sample geometrically and **stop as soon as the fitted slope
-    /// stabilizes**, saving estimation cost when the workload's cost curve
-    /// is tame and spending more when it is not.
-    ///
-    /// Stops after `cfg.stable_rounds` consecutive fits whose slope moved
-    /// less than `cfg.stability_tol` relatively, or at `cfg.max_frac`.
-    pub fn estimate_adaptive(
-        &self,
-        dataset: &Dataset,
-        stratification: &Stratification,
-        workload: WorkloadKind,
-        cfg: &AdaptiveSamplingConfig,
-    ) -> (Vec<NodeTimeModel>, Cost, AdaptiveReport) {
-        let n = dataset.len();
-        assert!(n > 0, "cannot estimate on an empty dataset");
-        let mut total_cost = Cost::ZERO;
-        let mut measurements: Vec<(usize, u64)> = Vec::new();
-        let mut size = ((cfg.start_frac * n as f64) as usize)
-            .max(cfg.min_records)
-            .min(n);
-        // The ceiling honors the same small-dataset floor as the start, so
-        // tiny datasets still get a multi-point schedule.
-        let max_size = ((cfg.max_frac * n as f64) as usize)
-            .max(cfg.min_records.saturating_mul(4))
-            .clamp(size, n);
-        let mut prev_slope: Option<f64> = None;
-        let mut stable = 0usize;
-        let mut converged = false;
-        loop {
-            // Same per-step stream scheme as `estimate`: the sample at
-            // step `j` depends only on `(seed, j)`.
-            let mut rng = pareto_stats::seeded_rng(pareto_stats::split_seed(
-                self.seed,
-                measurements.len() as u64,
-            ));
-            let idx = stratified_sample(&stratification.strata, size, &mut rng)
-                .expect("size clamped to population");
-            let records: Vec<&DataItem> = idx.iter().map(|&i| &dataset.items[i]).collect();
-            let (_, ops) = run_workload(workload, &records);
-            total_cost.add(Cost::compute(ops));
-            measurements.push((size, ops));
-            // Check slope stability on the base (size, ops) curve.
-            if measurements.len() >= 2 {
-                let pts: Vec<(f64, f64)> = measurements
-                    .iter()
-                    .map(|&(s, o)| (s as f64, o as f64))
-                    .collect();
-                if let Ok(fit) = LinearFit::fit(&pts) {
-                    if let Some(prev) = prev_slope {
-                        let denom = prev.abs().max(f64::MIN_POSITIVE);
-                        if ((fit.slope - prev) / denom).abs() < cfg.stability_tol {
-                            stable += 1;
-                        } else {
-                            stable = 0;
-                        }
-                    }
-                    prev_slope = Some(fit.slope);
-                }
-            }
-            if stable >= cfg.stable_rounds {
-                converged = true;
-                break;
-            }
-            if size >= max_size {
-                break;
-            }
-            size = ((size as f64 * cfg.growth) as usize).clamp(size + 1, max_size);
-        }
-        let models = self.fit_nodes(&measurements);
-        let report = AdaptiveReport {
-            samples_used: measurements.len(),
-            largest_sample: measurements.last().map(|m| m.0).unwrap_or(0),
-            converged,
-        };
-        (models, total_cost, report)
-    }
-}
-
-/// Configuration for [`HeterogeneityEstimator::estimate_adaptive`].
-#[derive(Debug, Clone, Copy)]
-pub struct AdaptiveSamplingConfig {
-    /// First sample as a fraction of the dataset.
-    pub start_frac: f64,
-    /// Geometric growth factor between samples (> 1).
-    pub growth: f64,
-    /// Sampling budget ceiling, as a fraction of the dataset.
-    pub max_frac: f64,
-    /// Floor on sample size in records (same rationale as
-    /// [`SamplingPlan::min_records`]).
-    pub min_records: usize,
-    /// Relative slope-change threshold counting as "stable".
-    pub stability_tol: f64,
-    /// Consecutive stable fits required to stop early.
-    pub stable_rounds: usize,
-}
-
-impl Default for AdaptiveSamplingConfig {
-    fn default() -> Self {
-        AdaptiveSamplingConfig {
-            start_frac: 0.0005,
-            growth: 1.7,
-            max_frac: 0.1,
-            min_records: 32,
-            stability_tol: 0.08,
-            stable_rounds: 2,
-        }
-    }
-}
-
-/// What adaptive sampling actually did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdaptiveReport {
-    /// Number of progressive samples taken.
-    pub samples_used: usize,
-    /// Largest sample size reached.
-    pub largest_sample: usize,
-    /// Whether the stop was triggered by slope stability (vs the budget).
-    pub converged: bool,
 }
 
 /// Fit a line; if the observations are degenerate (a single distinct
@@ -410,62 +273,6 @@ fn fit_with_fallback(observations: &[(f64, f64)]) -> LinearFit {
     }
 }
 
-/// How far a finished job strayed from its plan's time models — the
-/// trigger for re-profiling (§III-A: "the utility function f cannot be
-/// static, and it has to be learned dynamically", e.g. when a co-located
-/// tenant changes a VM's effective speed).
-#[derive(Debug, Clone)]
-pub struct DriftReport {
-    /// Per-node relative error `|measured − predicted| / predicted` (nodes
-    /// with no work predicted and none measured report 0).
-    pub relative_errors: Vec<f64>,
-    /// The largest per-node relative error.
-    pub max_relative_error: f64,
-}
-
-impl DriftReport {
-    /// Compare a plan's predictions against a measured run.
-    ///
-    /// `models` are the fitted `f_i`, `sizes` the partition sizes actually
-    /// executed, and `measured_seconds` the per-node times from the job
-    /// report.
-    pub fn compare(
-        models: &[NodeTimeModel],
-        sizes: &[usize],
-        measured_seconds: &[f64],
-    ) -> DriftReport {
-        assert_eq!(models.len(), sizes.len(), "node-aligned inputs required");
-        assert_eq!(models.len(), measured_seconds.len(), "node-aligned inputs required");
-        let relative_errors: Vec<f64> = models
-            .iter()
-            .zip(sizes)
-            .zip(measured_seconds)
-            .map(|((m, &x), &t)| {
-                let predicted = m.predict(x as f64);
-                if predicted <= f64::EPSILON {
-                    if t <= f64::EPSILON {
-                        0.0
-                    } else {
-                        f64::INFINITY
-                    }
-                } else {
-                    (t - predicted).abs() / predicted
-                }
-            })
-            .collect();
-        let max_relative_error = relative_errors.iter().copied().fold(0.0, f64::max);
-        DriftReport {
-            relative_errors,
-            max_relative_error,
-        }
-    }
-
-    /// Whether the models should be re-learned before the next job.
-    pub fn needs_reprofiling(&self, tolerance: f64) -> bool {
-        self.max_relative_error > tolerance
-    }
-}
-
 /// Component II: reduce every node's trace to its `k_i` profile over the
 /// planning window (§III-D's mean-rate approximation).
 pub struct EnergyEstimator;
@@ -473,10 +280,10 @@ pub struct EnergyEstimator;
 impl EnergyEstimator {
     /// Profiles for all nodes over `[t0, t0 + horizon]` seconds.
     ///
-    /// Delegates to [`profiles_checked`](Self::profiles_checked) and emits
-    /// a structured warning (stderr by default, capturable via
-    /// [`pareto_telemetry::event::set_sink`]) when any node's trace had to
-    /// be degraded.
+    /// Nodes whose trace yields a non-finite profile are degraded to a
+    /// zero energy weight (see `profiles_checked`), with a structured
+    /// warning (stderr by default, capturable via
+    /// [`pareto_telemetry::event::set_sink`]) naming them.
     pub fn profiles(cluster: &SimCluster, t0: f64, horizon: f64) -> Vec<NodeEnergyProfile> {
         let (profiles, degraded) = Self::profiles_checked(cluster, t0, horizon);
         if !degraded.is_empty() {
@@ -497,7 +304,7 @@ impl EnergyEstimator {
     /// `k_i = E_i − ḠE_i = 0`: a broken or missing trace must not push
     /// NaN into the LP, and a zero weight makes the solver treat the node
     /// purely by its time model.
-    pub fn profiles_checked(
+    fn profiles_checked(
         cluster: &SimCluster,
         t0: f64,
         horizon: f64,
@@ -635,115 +442,6 @@ mod tests {
                 assert_eq!(a.observations, b.observations);
             }
         }
-    }
-
-    #[test]
-    fn polynomial_ablation_fits() {
-        let (ds, cluster, strat) = setup();
-        let est = HeterogeneityEstimator::new(&cluster, SamplingPlan::default(), 5);
-        let (models, _) = est.estimate(&ds, &strat, WorkloadKind::Lz77);
-        let poly = HeterogeneityEstimator::fit_polynomial(&models[0], 2).unwrap();
-        assert_eq!(poly.degree(), 2);
-    }
-
-    #[test]
-    fn adaptive_sampling_converges_and_matches_fixed() {
-        let (ds, cluster, strat) = setup();
-        let est = HeterogeneityEstimator::new(&cluster, SamplingPlan::default(), 11);
-        let (fixed, _) = est.estimate(&ds, &strat, WorkloadKind::Lz77);
-        let (adaptive, cost, report) = est.estimate_adaptive(
-            &ds,
-            &strat,
-            WorkloadKind::Lz77,
-            &AdaptiveSamplingConfig::default(),
-        );
-        assert!(report.samples_used >= 2);
-        assert!(cost.compute_ops > 0);
-        assert_eq!(adaptive.len(), 4);
-        // LZ77 cost is near-linear in record count, so the adaptive slope
-        // should land close to the fixed-schedule slope.
-        let rel = (adaptive[0].fit.slope - fixed[0].fit.slope).abs()
-            / fixed[0].fit.slope.max(f64::MIN_POSITIVE);
-        assert!(rel < 0.5, "adaptive slope diverged: rel err {rel}");
-    }
-
-    #[test]
-    fn adaptive_sampling_budget_cap_respected() {
-        let (ds, cluster, strat) = setup();
-        let est = HeterogeneityEstimator::new(&cluster, SamplingPlan::default(), 3);
-        let cfg = AdaptiveSamplingConfig {
-            stability_tol: 0.0, // never stable -> must stop at the budget
-            max_frac: 0.3,
-            ..AdaptiveSamplingConfig::default()
-        };
-        let (_, _, report) = est.estimate_adaptive(&ds, &strat, WorkloadKind::Lz77, &cfg);
-        assert!(!report.converged);
-        // The cap is max(frac*n, 4*min_records), clamped to n.
-        let cap = ((ds.len() as f64 * 0.3) as usize).max(4 * 32).min(ds.len());
-        assert!(report.largest_sample <= cap);
-    }
-
-    #[test]
-    fn adaptive_sampling_stops_early_on_stable_workload() {
-        let (ds, cluster, strat) = setup();
-        let est = HeterogeneityEstimator::new(&cluster, SamplingPlan::default(), 7);
-        let loose = AdaptiveSamplingConfig {
-            stability_tol: 0.5,
-            ..AdaptiveSamplingConfig::default()
-        };
-        let tight = AdaptiveSamplingConfig {
-            stability_tol: 1e-9,
-            ..AdaptiveSamplingConfig::default()
-        };
-        let (_, cost_loose, rep_loose) =
-            est.estimate_adaptive(&ds, &strat, WorkloadKind::Lz77, &loose);
-        let (_, cost_tight, rep_tight) =
-            est.estimate_adaptive(&ds, &strat, WorkloadKind::Lz77, &tight);
-        assert!(rep_loose.samples_used <= rep_tight.samples_used);
-        assert!(cost_loose.compute_ops <= cost_tight.compute_ops);
-        assert!(rep_loose.converged);
-    }
-
-    #[test]
-    fn drift_detects_slowed_node() {
-        let (ds, cluster, strat) = setup();
-        let est = HeterogeneityEstimator::new(&cluster, SamplingPlan::default(), 11);
-        let (models, _) = est.estimate(&ds, &strat, WorkloadKind::Lz77);
-        let sizes = vec![100usize, 80, 60, 10];
-        // On-model run: measured == predicted.
-        let on_model: Vec<f64> = models
-            .iter()
-            .zip(&sizes)
-            .map(|(m, &x)| m.predict(x as f64))
-            .collect();
-        let drift = DriftReport::compare(&models, &sizes, &on_model);
-        assert!(drift.max_relative_error < 1e-9);
-        assert!(!drift.needs_reprofiling(0.2));
-        // Node 2 suddenly runs 3x slower (e.g. a noisy co-tenant).
-        let mut degraded = on_model.clone();
-        degraded[2] *= 3.0;
-        let drift = DriftReport::compare(&models, &sizes, &degraded);
-        assert!(drift.needs_reprofiling(0.2));
-        assert!((drift.relative_errors[2] - 2.0).abs() < 1e-9);
-        assert!(drift.relative_errors[0] < 1e-9);
-    }
-
-    #[test]
-    fn drift_handles_zero_predictions() {
-        let models = vec![NodeTimeModel {
-            node_id: 0,
-            fit: pareto_stats::LinearFit {
-                slope: 0.0,
-                intercept: 0.0,
-                r_squared: 0.0,
-                n: 2,
-            },
-            observations: vec![],
-        }];
-        let quiet = DriftReport::compare(&models, &[0], &[0.0]);
-        assert_eq!(quiet.max_relative_error, 0.0);
-        let surprise = DriftReport::compare(&models, &[0], &[5.0]);
-        assert!(surprise.max_relative_error.is_infinite());
     }
 
     #[test]

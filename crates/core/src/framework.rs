@@ -100,8 +100,6 @@ pub struct FrameworkConfig {
     pub strategy: Strategy,
     /// Record layout within partitions.
     pub layout: PartitionLayout,
-    /// Redis-style pipeline width for bulk store traffic (§IV).
-    pub pipeline_width: usize,
     /// Green-energy planning window (seconds) for the `k_i` profiles.
     pub planning_horizon_s: f64,
     /// Master seed for all randomized steps.
@@ -135,7 +133,6 @@ impl Default for FrameworkConfig {
             sampling: SamplingPlan::default(),
             strategy: Strategy::Stratified,
             layout: PartitionLayout::Representative,
-            pipeline_width: 64,
             planning_horizon_s: 6.0 * 3600.0,
             seed: 0x9A9A,
             durability: Durability::None,
@@ -287,7 +284,6 @@ pub struct Framework<'a> {
 impl<'a> Framework<'a> {
     /// Bind a framework to a simulated cluster.
     pub fn new(cluster: &'a SimCluster, cfg: FrameworkConfig) -> Self {
-        assert!(cfg.pipeline_width >= 1);
         Framework {
             cluster,
             cfg,
@@ -318,7 +314,7 @@ impl<'a> Framework<'a> {
     /// over every record), **stratify** (compositeKModes over the
     /// sketches), **profile** (energy `k_i` profiles + progressive-sampling
     /// time models), **optimize** (Pareto LP), and **partition**
-    /// (materialization) — driven by a one-shot cold
+    /// (materialization) — in a one-shot cold
     /// [`crate::stages::PlanEngine`]; long-lived callers use
     /// [`crate::session::PlanSession`] to keep the engine's artifact cache
     /// warm across replans. The first three stages shard their inner loops

@@ -67,10 +67,7 @@ pub use elastic::{
     advise_join, ElasticEvent, ElasticEventKind, ElasticPlan, ElasticSpec, ElasticSpecError,
     JoinAdvice,
 };
-pub use estimator::{
-    AdaptiveReport, AdaptiveSamplingConfig, DriftReport, EnergyEstimator,
-    HeterogeneityEstimator, NodeTimeModel, SamplingPlan,
-};
+pub use estimator::{EnergyEstimator, HeterogeneityEstimator, NodeTimeModel, SamplingPlan};
 pub use framework::{
     DurabilityReport, FaultRunOutcome, Framework, FrameworkConfig, NodeDurability, Plan,
     PlanTimings, RunOutcome, Strategy,
@@ -84,9 +81,7 @@ pub use pareto::{
     SolvedPoint,
 };
 pub use session::{FrontierOutcome, PlanSession};
-pub use stages::{
-    dataset_fingerprint, Deadline, PlanEngine, PlanError, PlanStage, StageCtx, StageReuse,
-};
+pub use stages::{dataset_fingerprint, Deadline, PlanEngine, PlanError, StageReuse};
 pub use recovery::{
     ExecRequest, RecoveryConfig, RecoveryConfigError, RecoveryOutcome, RecoveryReport,
 };

@@ -3,10 +3,10 @@
 //! dataset appends, node churn, and α/strategy changes.
 //!
 //! The session owns its dataset and maintains the content chain digest
-//! incrementally ([`crate::stages::extend_dataset_fingerprint`]), so an
-//! append costs a digest of the *new* records only and the previous
-//! generation's digest survives as the prefix hint that lets the sketch
-//! stage reuse its cached signatures.
+//! incrementally (appending records extends a chain hash), so an append
+//! costs a digest of the *new* records only and the previous generation's
+//! digest survives as the prefix hint that lets the sketch stage reuse its
+//! cached signatures.
 //!
 //! Every plan a warm session produces is bit-identical to a cold
 //! [`crate::Framework::try_plan`] over the same inputs — the cache only ever
@@ -19,20 +19,17 @@ use pareto_cluster::SimCluster;
 use pareto_datagen::{DataItem, Dataset};
 use pareto_energy::NodeEnergyProfile;
 use pareto_stats::LinearFit;
-use pareto_telemetry::{metrics, Telemetry};
+use pareto_telemetry::Telemetry;
 use pareto_workloads::WorkloadKind;
 
-use crate::cache::{CacheStats, Fingerprint, FingerprintBuilder, SharedPlanCache};
+use crate::cache::{CacheStats, Fingerprint, SharedPlanCache};
 use crate::framework::{FrameworkConfig, Plan, Strategy};
 use crate::frontier::{
     explore, AlphaSolve, AlphaSolver, FrontierConfig, FrontierPoint, FrontierResult,
 };
 use crate::pareto::{LpBasis, LpStats, ParetoModeler, PartitionPlanError};
 use crate::partitioner::DataPartitioner;
-use crate::stages::{
-    extend_dataset_fingerprint, workload_fingerprint, Deadline, PlanEngine, PlanError,
-    StageReuse,
-};
+use crate::stages::{self, Deadline, PlanEngine, PlanError, StageReuse};
 
 /// A replanning session over one dataset/workload pair.
 pub struct PlanSession<'a> {
@@ -54,14 +51,7 @@ impl<'a> PlanSession<'a> {
         dataset: Dataset,
         workload: WorkloadKind,
     ) -> Self {
-        let dataset_fp = crate::stages::dataset_fingerprint(&dataset);
-        PlanSession {
-            engine: PlanEngine::new(cluster, cfg),
-            dataset,
-            workload,
-            dataset_fp,
-            prev_dataset: None,
-        }
+        Self::over(PlanEngine::new(cluster, cfg), dataset, workload)
     }
 
     /// Open a `'static` session over a shared cluster handle, so the
@@ -74,12 +64,15 @@ impl<'a> PlanSession<'a> {
         dataset: Dataset,
         workload: WorkloadKind,
     ) -> PlanSession<'static> {
-        let dataset_fp = crate::stages::dataset_fingerprint(&dataset);
+        PlanSession::over(PlanEngine::new_shared(cluster, cfg), dataset, workload)
+    }
+
+    fn over(engine: PlanEngine<'a>, dataset: Dataset, workload: WorkloadKind) -> Self {
         PlanSession {
-            engine: PlanEngine::new_shared(cluster, cfg),
+            engine,
+            dataset_fp: stages::dataset_fingerprint(&dataset),
             dataset,
             workload,
-            dataset_fp,
             prev_dataset: None,
         }
     }
@@ -140,7 +133,7 @@ impl<'a> PlanSession<'a> {
     /// incrementally. The next [`plan`](Self::plan) re-sketches only the
     /// appended records and re-stratifies/re-profiles from there.
     pub fn append_items(&mut self, items: Vec<DataItem>) {
-        self.dataset_fp = extend_dataset_fingerprint(self.dataset_fp, &items);
+        self.dataset_fp = stages::extend_dataset_fingerprint(self.dataset_fp, &items);
         self.dataset.items.extend(items);
     }
 
@@ -212,7 +205,7 @@ impl<'a> PlanSession<'a> {
     /// Snapshot of the cache hit/miss/evict counters accumulated over the
     /// session (over the whole fleet, for a shared cache).
     pub fn cache_stats(&self) -> CacheStats {
-        self.engine.cache_stats()
+        self.engine.cache().stats()
     }
 
     /// The session's cache handle, for sharing with sibling sessions.
@@ -241,29 +234,22 @@ impl<'a> PlanSession<'a> {
         cfg: &FrontierConfig,
     ) -> Result<FrontierOutcome, PlanError> {
         cfg.validate().map_err(PlanError::Frontier)?;
-        let fp = self.frontier_fingerprint(cfg);
-        let telemetry = self.engine.telemetry().clone();
-        if let Some(found) = self
+        // The key comes from the same derivation as the plan's key chain,
+        // so every input any stage reads invalidates the frontier too.
+        let key = self
             .engine
-            .cache()
-            .lock()
-            .get::<FrontierResult>("frontier", fp)
-        {
-            telemetry.counter_add(
-                metrics::PLAN_CACHE_EVENTS_TOTAL,
-                &[("event", "hit"), ("stage", "frontier")],
-                1,
-            );
+            .key_inputs(self.workload, self.dataset_fp, self.dataset.len())
+            .frontier_key(cfg);
+        let telemetry = self.engine.telemetry().clone();
+        // The exploration calls `plan()`, which takes the cache lock per
+        // stage: look up, explore unlocked, then store.
+        let found = stages::lookup(&mut self.engine.cache().lock(), &telemetry, "frontier", key);
+        if let Some(result) = found {
             return Ok(FrontierOutcome {
-                result: found,
+                result,
                 cache_hit: true,
             });
         }
-        telemetry.counter_add(
-            metrics::PLAN_CACHE_EVENTS_TOTAL,
-            &[("event", "miss"), ("stage", "frontier")],
-            1,
-        );
         let saved_strategy = self.engine.config().strategy;
         let explored = {
             let mut solver = SessionSolver::new(self);
@@ -271,61 +257,17 @@ impl<'a> PlanSession<'a> {
         };
         self.engine.config_mut().strategy = saved_strategy;
         let result = Arc::new(explored?);
-        let evicted = self
-            .engine
-            .cache()
-            .lock()
-            .insert("frontier", fp, result.clone());
-        for victim in evicted {
-            telemetry.counter_add(
-                metrics::PLAN_CACHE_EVENTS_TOTAL,
-                &[("event", "evict"), ("stage", victim)],
-                1,
-            );
-        }
+        stages::store(
+            &mut self.engine.cache().lock(),
+            &telemetry,
+            "frontier",
+            key,
+            result.clone(),
+        );
         Ok(FrontierOutcome {
             result,
             cache_hit: false,
         })
-    }
-
-    /// Digest of every input the frontier artifact depends on: dataset
-    /// content, roster state, workload, stratifier + sampling config,
-    /// seed/horizon/layout, and the explorer's own knobs. `threads` is
-    /// excluded (results are bit-identical at any thread count), as is the
-    /// session's current strategy (the explorer forces its own).
-    fn frontier_fingerprint(&self, cfg: &FrontierConfig) -> Fingerprint {
-        let ecfg = self.engine.config();
-        let roster_fp = Fingerprint(
-            self.engine
-                .cluster()
-                .roster_fingerprint(self.engine.roster()),
-        );
-        let mut b = FingerprintBuilder::new("frontier")
-            .mix_fp(self.dataset_fp)
-            .mix_fp(roster_fp)
-            .mix_fp(workload_fingerprint(self.workload))
-            .mix_usize(ecfg.stratifier.sketch_size)
-            .mix_u64(ecfg.stratifier.seed)
-            .mix_usize(ecfg.stratifier.num_strata)
-            .mix_usize(ecfg.stratifier.l)
-            .mix_usize(ecfg.stratifier.max_iters)
-            .mix_f64(ecfg.sampling.lo_frac)
-            .mix_f64(ecfg.sampling.hi_frac)
-            .mix_usize(ecfg.sampling.steps)
-            .mix_usize(ecfg.sampling.min_records)
-            .mix_u64(ecfg.seed)
-            .mix_f64(ecfg.planning_horizon_s)
-            .mix_u64(ecfg.layout as u64)
-            .mix_f64(cfg.tol)
-            .mix_usize(cfg.max_points);
-        for o in cfg.objectives.objectives() {
-            b = b.mix_u64(*o as u64);
-        }
-        for &alpha in &cfg.coarse {
-            b = b.mix_f64(alpha);
-        }
-        b.finish()
     }
 }
 

@@ -1,13 +1,26 @@
-//! The staged planning engine: `Framework::try_plan` decomposed into five
-//! cache-keyed stages — **sketch**, **stratify**, **profile**,
-//! **optimize**, **partition** — each declaring a [`Fingerprint`] of the
-//! inputs it reads and producing an immutable artifact in a [`PlanCache`].
+//! The staged planning engine: `Framework::try_plan` as a fixed pipeline
+//! of five cache-keyed stages — **sketch**, **stratify**, **profile**,
+//! **optimize**, **partition** — written as straight-line code in
+//! [`PlanEngine::plan_with_fingerprint`].
 //!
-//! A cold run through [`PlanEngine::plan`] computes every stage and is
-//! bit-identical to the historical monolithic pipeline; a warm run (same
-//! cache, e.g. via [`crate::session::PlanSession`]) recomputes only the
-//! stages whose fingerprints changed. The invalidation matrix lives in
-//! DESIGN.md §10; the short version:
+//! Two pieces carry the design:
+//!
+//! * the **key chain** (`KeyInputs::plan_keys`): every stage's
+//!   [`Fingerprint`] is a pure function of upstream *keys*, the
+//!   configuration, the workload, and digests + sizes of the dataset and
+//!   roster — never of an artifact — so the whole chain is derived before
+//!   the first stage runs;
+//! * the **driver** (`cached`, made of a counting `lookup` and a counting
+//!   `store`): the one place an artifact is looked up, computed on a miss,
+//!   inserted, and counted in [`crate::cache::CacheStats`] and telemetry.
+//!   Each stage is one call to it with a closure over the upstream
+//!   artifacts.
+//!
+//! A cold run computes every stage and is bit-identical to the historical
+//! monolithic pipeline; a warm run (same cache, e.g. via
+//! [`crate::session::PlanSession`]) recomputes only the stages whose keys
+//! changed. The invalidation matrix lives in DESIGN.md §10; the short
+//! version:
 //!
 //! | input changed            | sketch | stratify | profile | optimize | partition |
 //! |--------------------------|--------|----------|---------|----------|-----------|
@@ -16,14 +29,16 @@
 //! | node roster / traces     | —      | —        | ✗²      | ✗        | ✗         |
 //! | α (same strategy class)  | —      | —        | —       | ✗        | ✗         |
 //! | strategy class / layout  | —      | —        | ✗³      | ✗        | ✗         |
-//! | `threads`                | —      | —        | —       | —        | —         |
+//! | `threads` / `lp_warm`    | —      | —        | —       | —        | —         |
 //!
 //! ¹ via the measurement sub-artifact; a dataset *append* still reuses the
 //!   prefix sketch. ² measurements are node-independent and survive roster
 //!   changes — only the cheap per-node fits re-run. ³ only when the change
-//!   toggles whether time models are needed. `threads` never invalidates
-//!   anything because every stage is bit-identical at any thread count.
+//!   toggles whether time models are needed. `threads` and `lp_warm` never
+//!   invalidate anything because every stage is bit-identical at any
+//!   thread count and from any LP starting basis.
 
+use std::any::Any;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -32,16 +47,15 @@ use pareto_datagen::{DataItem, Dataset};
 use pareto_energy::NodeEnergyProfile;
 use pareto_sketch::SignatureMatrix;
 use pareto_stats::LinearFit;
-use pareto_stratify::{Stratification, Stratifier, StratifierConfig};
+use pareto_stratify::{Stratifier, StratifierConfig};
 use pareto_telemetry::{metrics, ClockDomain, SpanId, Telemetry, Track};
 use pareto_workloads::WorkloadKind;
 
-use crate::cache::{CacheStats, Fingerprint, FingerprintBuilder, PlanCache, SharedPlanCache};
+use crate::cache::{Fingerprint, FingerprintBuilder, PlanCache, SharedPlanCache};
 use crate::estimator::{EnergyEstimator, HeterogeneityEstimator, NodeTimeModel};
 use crate::framework::{FrameworkConfig, Plan, PlanTimings, Strategy};
-use crate::pareto::{
-    map_partition_basis, LpBasis, ParetoModeler, ParetoPoint, PartitionPlanError,
-};
+use crate::frontier::FrontierConfig;
+use crate::pareto::{map_partition_basis, LpBasis, ParetoModeler, ParetoPoint, PartitionPlanError};
 use crate::partitioner::DataPartitioner;
 
 /// A planning failure, returned instead of the historical panics so the
@@ -161,49 +175,23 @@ pub enum Deadline {
     #[default]
     None,
     /// A deterministic budget of stage checkpoints: each poll consumes
-    /// one, and the poll that finds the budget exhausted trips. This is
-    /// the variant simulated serving uses — `Budget(k)` expires before the
-    /// `k+1`-th stage on every run, on every thread count.
+    /// one, and the poll that finds the budget exhausted trips, so
+    /// `Budget(k)` expires before the `k+1`-th stage on every run, on
+    /// every thread count.
     Budget(u64),
-    /// Expires at a wall-clock instant (real-server request deadlines).
-    Wall(Instant),
-    /// Trips as soon as the flag reads `true` (remote cancellation).
-    Flag(Arc<std::sync::atomic::AtomicBool>),
 }
 
 impl Deadline {
-    /// Wall-clock deadline `timeout` from now.
-    pub fn after(timeout: std::time::Duration) -> Self {
-        Deadline::Wall(Instant::now() + timeout)
-    }
-
-    /// True for [`Deadline::None`].
-    pub fn is_none(&self) -> bool {
-        matches!(self, Deadline::None)
-    }
-
     /// Consume one checkpoint before running `stage`. Returns
     /// [`PlanError::DeadlineExceeded`] once the deadline has passed.
     pub fn poll(&mut self, stage: &'static str) -> Result<(), PlanError> {
-        let expired = match self {
-            Deadline::None => false,
+        match self {
+            Deadline::None => Ok(()),
+            Deadline::Budget(0) => Err(PlanError::DeadlineExceeded { stage }),
             Deadline::Budget(remaining) => {
-                if *remaining == 0 {
-                    true
-                } else {
-                    *remaining -= 1;
-                    false
-                }
+                *remaining -= 1;
+                Ok(())
             }
-            Deadline::Wall(at) => Instant::now() >= *at,
-            Deadline::Flag(cancelled) => {
-                cancelled.load(std::sync::atomic::Ordering::Relaxed)
-            }
-        };
-        if expired {
-            Err(PlanError::DeadlineExceeded { stage })
-        } else {
-            Ok(())
         }
     }
 }
@@ -223,60 +211,8 @@ pub struct StageReuse {
     pub partition: bool,
 }
 
-/// Everything a stage may read, plus upstream artifacts filled in as the
-/// pipeline advances. Immutable inputs are borrowed; artifacts are `Arc`s
-/// out of the cache.
-pub struct StageCtx<'a> {
-    /// The cluster being planned for.
-    pub cluster: &'a SimCluster,
-    /// Planning configuration.
-    pub cfg: &'a FrameworkConfig,
-    /// The dataset.
-    pub dataset: &'a Dataset,
-    /// The workload the estimator drives.
-    pub workload: WorkloadKind,
-    /// Active node ids (sorted, strictly increasing).
-    pub roster: &'a [usize],
-    /// Telemetry recorder for cache counters (inert: never read back).
-    pub telemetry: &'a Telemetry,
-    /// Content digest of the dataset (chain hash; see
-    /// [`dataset_fingerprint`]).
-    pub dataset_fp: Fingerprint,
-    /// Digest of the planning-relevant cluster state for the roster.
-    pub roster_fp: Fingerprint,
-    /// Dataset digest + length at the session's previous successful plan,
-    /// used to find a prefix sketch after an append.
-    pub prev_dataset: Option<(Fingerprint, usize)>,
-    /// Sketch artifact + fingerprint (after the sketch stage).
-    pub signatures: Option<(Arc<SignatureMatrix>, Fingerprint)>,
-    /// Stratification artifact + fingerprint (after the stratify stage).
-    pub stratification: Option<(Arc<Stratification>, Fingerprint)>,
-    /// Profile artifact + fingerprint (after the profile stage).
-    pub profile: Option<(Arc<ProfileArtifact>, Fingerprint)>,
-    /// LP artifact + fingerprint (after the optimize stage, when solved).
-    pub optimize: Option<(Arc<OptimizeArtifact>, Fingerprint)>,
-    /// Warm-start seed for the optimize stage's LP: the previous optimal
-    /// basis, already mapped onto the current roster. Advisory only — it
-    /// never enters a fingerprint, and by the solver's bit-identity
-    /// contract the computed artifact is independent of it.
-    pub warm_lp: Option<LpBasis>,
-}
-
-impl StageCtx<'_> {
-    fn stratifier(&self) -> Stratifier {
-        Stratifier::new(StratifierConfig {
-            threads: self.cfg.threads,
-            ..self.cfg.stratifier.clone()
-        })
-    }
-
-    fn needs_models(&self) -> bool {
-        strategy_needs_models(&self.cfg.strategy)
-    }
-}
-
 /// True for the strategies that fit per-node time models and solve the LP.
-pub fn strategy_needs_models(strategy: &Strategy) -> bool {
+fn strategy_needs_models(strategy: &Strategy) -> bool {
     matches!(
         strategy,
         Strategy::HetAware
@@ -286,7 +222,7 @@ pub fn strategy_needs_models(strategy: &Strategy) -> bool {
 }
 
 /// Strategy discriminant + scalarization weight, for fingerprints.
-fn strategy_fingerprint(strategy: &Strategy) -> FingerprintBuilder {
+fn strategy_fingerprint(strategy: &Strategy) -> Fingerprint {
     let b = FingerprintBuilder::new("strategy");
     match strategy {
         Strategy::Stratified => b.mix_u64(0),
@@ -297,9 +233,10 @@ fn strategy_fingerprint(strategy: &Strategy) -> FingerprintBuilder {
         Strategy::RoundRobin => b.mix_u64(5),
         Strategy::ClusterMode => b.mix_u64(6),
     }
+    .finish()
 }
 
-pub(crate) fn workload_fingerprint(workload: WorkloadKind) -> Fingerprint {
+fn workload_fingerprint(workload: WorkloadKind) -> Fingerprint {
     let b = FingerprintBuilder::new("workload");
     match workload {
         WorkloadKind::FrequentPatterns { support } => b.mix_u64(0).mix_f64(support),
@@ -314,7 +251,7 @@ pub(crate) fn workload_fingerprint(workload: WorkloadKind) -> Fingerprint {
 /// Appending records extends the chain, so a session can update its digest
 /// incrementally and the digest of any prefix is recoverable — that is
 /// what lets the sketch stage reuse a prefix sketch after an append.
-pub fn extend_dataset_fingerprint(fp: Fingerprint, items: &[DataItem]) -> Fingerprint {
+pub(crate) fn extend_dataset_fingerprint(fp: Fingerprint, items: &[DataItem]) -> Fingerprint {
     let mut state = fp;
     for item in items {
         let mut b = FingerprintBuilder::new("record")
@@ -338,63 +275,150 @@ pub fn dataset_fingerprint(dataset: &Dataset) -> Fingerprint {
     )
 }
 
-/// One stage of the plan pipeline: names itself, digests its inputs, and
-/// computes its artifact from the context (upstream artifacts included).
-/// The engine's driver owns timing, cache lookup/insertion, and telemetry,
-/// so stage implementations stay pure.
-pub trait PlanStage {
-    /// The cached artifact type.
-    type Artifact: Send + Sync + 'static;
-
-    /// Cache namespace + telemetry label.
-    fn name(&self) -> &'static str;
-
-    /// Digest of every input this stage reads. `threads` is deliberately
-    /// excluded everywhere: stage outputs are bit-identical at any thread
-    /// count, so a thread-count change must hit.
-    fn fingerprint(&self, ctx: &StageCtx<'_>) -> Fingerprint;
-
-    /// Compute the artifact from scratch. Receives the cache for
-    /// *auxiliary* lookups (prefix sketches, measurement sub-artifacts) —
-    /// the stage's own artifact is stored by the driver.
-    fn compute(&self, ctx: &StageCtx<'_>, cache: &mut PlanCache)
-        -> Result<Self::Artifact, PlanError>;
+/// Seed of the progressive-sampling estimator (keyed by `measure`).
+fn sampling_seed(cfg: &FrameworkConfig) -> u64 {
+    cfg.seed ^ 0x5A17
 }
 
-/// Stage 1: MinHash signatures for every record.
-pub struct SketchStage;
+/// Seed of the partitioner's record placement (keyed by `partition`).
+fn placement_seed(cfg: &FrameworkConfig) -> u64 {
+    cfg.seed ^ 0x9A27
+}
 
-impl PlanStage for SketchStage {
-    type Artifact = SignatureMatrix;
+/// Everything a cache key may depend on: the configuration, the workload,
+/// and digests + sizes of the dataset and roster. No artifact appears
+/// here, which is what lets the whole chain be derived up front.
+#[derive(Clone, Copy)]
+pub(crate) struct KeyInputs<'a> {
+    /// Planning configuration.
+    pub cfg: &'a FrameworkConfig,
+    /// The workload the estimator drives.
+    pub workload: WorkloadKind,
+    /// Content digest of the dataset (chain hash; see
+    /// [`dataset_fingerprint`]).
+    pub dataset_fp: Fingerprint,
+    /// `dataset.len()`.
+    pub records: usize,
+    /// Digest of the planning-relevant cluster state for the roster.
+    pub roster_fp: Fingerprint,
+    /// `roster.len()`.
+    pub nodes: usize,
+}
 
-    fn name(&self) -> &'static str {
-        "sketch"
-    }
+/// The cache keys of one plan, in pipeline order. Each key mixes the
+/// upstream keys its stage builds on plus the fields that stage reads, so
+/// a change invalidates exactly the first stage that reads it and
+/// everything downstream. `threads` and `lp_warm` appear nowhere: stage
+/// outputs are bit-identical at any thread count and from any LP starting
+/// basis, so changing either must hit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PlanKeys {
+    /// MinHash signatures: dataset content, sketch width, sketch seed.
+    pub sketch: Fingerprint,
+    /// Stratification: `sketch` + the kModes settings.
+    pub stratify: Fingerprint,
+    /// Progressive-sampling measurements: `stratify` + the sampling
+    /// schedule, its seed and the workload. Node-independent on purpose.
+    pub measure: Fingerprint,
+    /// Energy profiles + time models: roster state, planning horizon and —
+    /// for model-driven strategies only — `measure`. Not α, so a whole α
+    /// sweep reuses one profile pass.
+    pub profile: Fingerprint,
+    /// LP solution: `profile` + strategy (α included) + record count.
+    /// Derived for every strategy; only the model-driven ones run the
+    /// stage and mix it into `partition`.
+    pub optimize: Fingerprint,
+    /// Materialized partitions: `stratify`, `optimize`, strategy, layout,
+    /// placement seed, roster size, dataset content.
+    pub partition: Fingerprint,
+}
 
-    fn fingerprint(&self, ctx: &StageCtx<'_>) -> Fingerprint {
-        sketch_fingerprint(ctx.dataset_fp, &ctx.cfg.stratifier)
-    }
+fn sketch_key(dataset_fp: Fingerprint, cfg: &StratifierConfig) -> Fingerprint {
+    FingerprintBuilder::new("sketch")
+        .mix_fp(dataset_fp)
+        .mix_usize(cfg.sketch_size)
+        .mix_u64(cfg.seed)
+        .finish()
+}
 
-    fn compute(
-        &self,
-        ctx: &StageCtx<'_>,
-        cache: &mut PlanCache,
-    ) -> Result<Self::Artifact, PlanError> {
-        let stratifier = ctx.stratifier();
-        // After an append the full-dataset key misses, but the previous
-        // generation's sketch is a bit-identical prefix (MinHash is a pure
-        // per-record function): sketch only the appended records.
-        if let Some((prev_fp, prev_len)) = ctx.prev_dataset {
-            if prev_len < ctx.dataset.len() {
-                let prev_key = sketch_fingerprint(prev_fp, &ctx.cfg.stratifier);
-                if let Some(prefix) =
-                    cache.get_if_cached::<SignatureMatrix>(self.name(), prev_key)
-                {
-                    return Ok(stratifier.sketch_append(ctx.dataset, &prefix));
-                }
-            }
+impl KeyInputs<'_> {
+    /// Derive the plan's whole key chain.
+    pub(crate) fn plan_keys(&self) -> PlanKeys {
+        let cfg = self.cfg;
+        let needs_models = strategy_needs_models(&cfg.strategy);
+        let strategy = strategy_fingerprint(&cfg.strategy);
+        let sketch = sketch_key(self.dataset_fp, &cfg.stratifier);
+        let stratify = FingerprintBuilder::new("stratify")
+            .mix_fp(sketch)
+            .mix_usize(cfg.stratifier.num_strata)
+            .mix_usize(cfg.stratifier.l)
+            .mix_usize(cfg.stratifier.max_iters)
+            .mix_u64(cfg.stratifier.seed)
+            .finish();
+        let measure = FingerprintBuilder::new("measure")
+            .mix_fp(stratify)
+            .mix_f64(cfg.sampling.lo_frac)
+            .mix_f64(cfg.sampling.hi_frac)
+            .mix_usize(cfg.sampling.steps)
+            .mix_usize(cfg.sampling.min_records)
+            .mix_u64(sampling_seed(cfg))
+            .mix_fp(workload_fingerprint(self.workload))
+            .finish();
+        let mut profile = FingerprintBuilder::new("profile")
+            .mix_fp(self.roster_fp)
+            .mix_f64(cfg.planning_horizon_s)
+            .mix_bool(needs_models);
+        if needs_models {
+            profile = profile.mix_fp(measure);
         }
-        Ok(stratifier.sketch(ctx.dataset))
+        let profile = profile.finish();
+        let optimize = FingerprintBuilder::new("optimize")
+            .mix_fp(profile)
+            .mix_fp(strategy)
+            .mix_usize(self.records)
+            .finish();
+        let partition = FingerprintBuilder::new("partition")
+            .mix_fp(stratify)
+            .mix_fp(if needs_models { optimize } else { Fingerprint(0) })
+            .mix_fp(strategy)
+            .mix_u64(cfg.layout as u64)
+            .mix_u64(placement_seed(cfg))
+            .mix_usize(self.nodes)
+            .mix_fp(self.dataset_fp)
+            .finish();
+        PlanKeys {
+            sketch,
+            stratify,
+            measure,
+            profile,
+            optimize,
+            partition,
+        }
+    }
+
+    /// Key of the session's `frontier` artifact. An exploration is a set
+    /// of [`Strategy::HetEnergyAware`] plans that differ only in α, which
+    /// the explorer owns — so the key is the `partition` key (the end of
+    /// the chain: downstream of every field any stage reads) of that plan
+    /// at a stand-in α, plus the explorer's own knobs. The session's
+    /// current strategy is deliberately not an input.
+    pub(crate) fn frontier_key(&self, explorer: &FrontierConfig) -> Fingerprint {
+        let cfg = FrameworkConfig {
+            strategy: Strategy::HetEnergyAware { alpha: 0.0 },
+            ..self.cfg.clone()
+        };
+        let plan = KeyInputs { cfg: &cfg, ..*self }.plan_keys();
+        let mut b = FingerprintBuilder::new("frontier")
+            .mix_fp(plan.partition)
+            .mix_f64(explorer.tol)
+            .mix_usize(explorer.max_points);
+        for o in explorer.objectives.objectives() {
+            b = b.mix_u64(*o as u64);
+        }
+        for &alpha in &explorer.coarse {
+            b = b.mix_f64(alpha);
+        }
+        b.finish()
     }
 }
 
@@ -415,287 +439,134 @@ fn validate_stratifier(cfg: &StratifierConfig, records: usize) -> Result<(), Pla
     Ok(())
 }
 
-fn sketch_fingerprint(dataset_fp: Fingerprint, cfg: &StratifierConfig) -> Fingerprint {
-    FingerprintBuilder::new("sketch")
-        .mix_fp(dataset_fp)
-        .mix_usize(cfg.sketch_size)
-        .mix_u64(cfg.seed)
-        .finish()
-}
-
-/// Stage 2: compositeKModes clustering of the signatures.
-pub struct StratifyStage;
-
-impl PlanStage for StratifyStage {
-    type Artifact = Stratification;
-
-    fn name(&self) -> &'static str {
-        "stratify"
-    }
-
-    fn fingerprint(&self, ctx: &StageCtx<'_>) -> Fingerprint {
-        let (_, sketch_fp) = ctx.signatures.as_ref().expect("sketch ran first");
-        FingerprintBuilder::new("stratify")
-            .mix_fp(*sketch_fp)
-            .mix_usize(ctx.cfg.stratifier.num_strata)
-            .mix_usize(ctx.cfg.stratifier.l)
-            .mix_usize(ctx.cfg.stratifier.max_iters)
-            .mix_u64(ctx.cfg.stratifier.seed)
-            .finish()
-    }
-
-    fn compute(
-        &self,
-        ctx: &StageCtx<'_>,
-        _cache: &mut PlanCache,
-    ) -> Result<Self::Artifact, PlanError> {
-        let (signatures, _) = ctx.signatures.as_ref().expect("sketch ran first");
-        Ok(ctx.stratifier().stratify_signatures(signatures))
-    }
-}
-
-/// The profile stage's artifact: energy `k_i` profiles for the roster plus
-/// (for model-driven strategies) the fitted per-node time models and the
+/// The `profile` artifact: energy `k_i` profiles for the roster plus (for
+/// model-driven strategies) the fitted per-node time models and the
 /// one-time estimation cost.
-pub struct ProfileArtifact {
-    /// Per-roster-node energy profiles.
-    pub profiles: Vec<NodeEnergyProfile>,
-    /// Per-roster-node time models (strategies that need them only).
-    pub models: Option<Vec<NodeTimeModel>>,
-    /// Total progressive-sampling cost charged.
-    pub cost: Cost,
+struct ProfileArtifact {
+    profiles: Vec<NodeEnergyProfile>,
+    models: Option<Vec<NodeTimeModel>>,
+    cost: Cost,
 }
 
-/// The raw `(sample size, ops)` measurements behind the fits. Crucially
-/// **node-independent** — a roster change re-fits without re-measuring.
+/// The `measure` sub-artifact: the raw `(sample size, ops)` measurements
+/// behind the fits. Crucially **node-independent** — a roster change
+/// re-fits without re-measuring.
 struct MeasureArtifact {
     measurements: Vec<(usize, u64)>,
     cost: Cost,
 }
 
-/// Stage 3: energy profiles + progressive-sampling time models.
-pub struct ProfileStage;
+/// The `optimize` artifact: the chosen Pareto point plus the final LP
+/// basis so later replans (α deltas, appends, roster churn, recovery) can
+/// warm-start. The basis is a pure function of the fingerprinted inputs —
+/// warm starts are bit-identical to cold by the solver's contract, so
+/// caching it alongside the point keeps the cache content-addressed even
+/// though solves may be seeded differently.
+struct OptimizeArtifact {
+    point: ParetoPoint,
+    /// Absent for the waterfilling path.
+    basis: Option<LpBasis>,
+}
 
-impl PlanStage for ProfileStage {
-    type Artifact = ProfileArtifact;
+/// The `partition` artifact: final sizes + record placement.
+struct PartitionArtifact {
+    sizes: Vec<usize>,
+    partitions: Vec<Vec<usize>>,
+}
 
-    fn name(&self) -> &'static str {
-        "profile"
-    }
+/// Counting lookup, the driver's first half: consult the cache and count
+/// the hit or miss in `CacheStats` (inside [`PlanCache::get`]) and,
+/// inertly, in telemetry.
+pub(crate) fn lookup<T: Any + Send + Sync>(
+    cache: &mut PlanCache,
+    telemetry: &Telemetry,
+    name: &'static str,
+    key: Fingerprint,
+) -> Option<Arc<T>> {
+    let found = cache.get::<T>(name, key);
+    let event = if found.is_some() { "hit" } else { "miss" };
+    telemetry.counter_add(
+        metrics::PLAN_CACHE_EVENTS_TOTAL,
+        &[("event", event), ("stage", name)],
+        1,
+    );
+    found
+}
 
-    fn fingerprint(&self, ctx: &StageCtx<'_>) -> Fingerprint {
-        let needs_models = ctx.needs_models();
-        let mut b = FingerprintBuilder::new("profile")
-            .mix_fp(ctx.roster_fp)
-            .mix_f64(ctx.cfg.planning_horizon_s)
-            .mix_bool(needs_models);
-        if needs_models {
-            // Keyed on the measurement inputs — not on α — so a whole α
-            // sweep reuses one profile pass.
-            let (_, stratify_fp) = ctx.stratification.as_ref().expect("stratify ran first");
-            b = b.mix_fp(measure_fingerprint(ctx, *stratify_fp));
-        }
-        b.finish()
-    }
-
-    fn compute(
-        &self,
-        ctx: &StageCtx<'_>,
-        cache: &mut PlanCache,
-    ) -> Result<Self::Artifact, PlanError> {
-        let all_profiles =
-            EnergyEstimator::profiles(ctx.cluster, 0.0, ctx.cfg.planning_horizon_s);
-        let profiles: Vec<NodeEnergyProfile> = ctx
-            .roster
-            .iter()
-            .map(|&id| all_profiles[id])
-            .collect();
-        if !ctx.needs_models() {
-            return Ok(ProfileArtifact {
-                profiles,
-                models: None,
-                cost: Cost::ZERO,
-            });
-        }
-        let (stratification, stratify_fp) =
-            ctx.stratification.as_ref().expect("stratify ran first");
-        let estimator = HeterogeneityEstimator::new(
-            ctx.cluster,
-            ctx.cfg.sampling,
-            ctx.cfg.seed ^ 0x5A17,
-        )
-        .with_threads(ctx.cfg.threads);
-        // Measurements are cached separately: they survive roster changes
-        // (the workload sample never touches a node), so dropping a node
-        // re-fits the cheap per-node lines without re-running the workload.
-        let measure_fp = measure_fingerprint(ctx, *stratify_fp);
-        let measured = match cache.get::<MeasureArtifact>("measure", measure_fp) {
-            Some(m) => {
-                ctx.telemetry.counter_add(
-                    metrics::PLAN_CACHE_EVENTS_TOTAL,
-                    &[("event", "hit"), ("stage", "measure")],
-                    1,
-                );
-                m
-            }
-            None => {
-                ctx.telemetry.counter_add(
-                    metrics::PLAN_CACHE_EVENTS_TOTAL,
-                    &[("event", "miss"), ("stage", "measure")],
-                    1,
-                );
-                let (measurements, cost) =
-                    estimator.measure(ctx.dataset, stratification, ctx.workload);
-                let artifact = Arc::new(MeasureArtifact { measurements, cost });
-                cache.insert("measure", measure_fp, artifact.clone());
-                artifact
-            }
-        };
-        let models = estimator.fit_measurements(&measured.measurements, ctx.roster);
-        Ok(ProfileArtifact {
-            profiles,
-            models: Some(models),
-            cost: measured.cost,
-        })
+/// Counting store, the driver's second half: insert the artifact and count
+/// every victim the insert evicted, in `CacheStats` (inside
+/// [`PlanCache::insert`]) and in telemetry.
+pub(crate) fn store<T: Any + Send + Sync>(
+    cache: &mut PlanCache,
+    telemetry: &Telemetry,
+    name: &'static str,
+    key: Fingerprint,
+    value: Arc<T>,
+) {
+    for victim in cache.insert(name, key, value) {
+        telemetry.counter_add(
+            metrics::PLAN_CACHE_EVENTS_TOTAL,
+            &[("event", "evict"), ("stage", victim)],
+            1,
+        );
     }
 }
 
-fn measure_fingerprint(ctx: &StageCtx<'_>, stratify_fp: Fingerprint) -> Fingerprint {
-    FingerprintBuilder::new("measure")
-        .mix_fp(stratify_fp)
-        .mix_f64(ctx.cfg.sampling.lo_frac)
-        .mix_f64(ctx.cfg.sampling.hi_frac)
-        .mix_usize(ctx.cfg.sampling.steps)
-        .mix_usize(ctx.cfg.sampling.min_records)
-        .mix_u64(ctx.cfg.seed ^ 0x5A17)
-        .mix_fp(workload_fingerprint(ctx.workload))
-        .finish()
+/// The get-or-compute driver: [`lookup`], and on a miss `compute` then
+/// [`store`], all under the caller's one cache guard. `compute` receives
+/// the cache for *auxiliary* artifacts (the append-prefix sketch, the
+/// nested `measure` sub-artifact). Returns the artifact and whether it was
+/// a hit.
+fn cached<T: Any + Send + Sync>(
+    cache: &mut PlanCache,
+    telemetry: &Telemetry,
+    name: &'static str,
+    key: Fingerprint,
+    compute: impl FnOnce(&mut PlanCache) -> Result<T, PlanError>,
+) -> Result<(Arc<T>, bool), PlanError> {
+    if let Some(found) = lookup(cache, telemetry, name, key) {
+        return Ok((found, true));
+    }
+    let computed = Arc::new(compute(cache)?);
+    store(cache, telemetry, name, key, computed.clone());
+    Ok((computed, false))
 }
 
-/// The optimize stage's artifact: the chosen Pareto point plus the final
-/// LP basis so later replans (α deltas, appends, roster churn, recovery)
-/// can warm-start. The basis is a pure function of the fingerprinted
-/// inputs — warm starts are bit-identical to cold by the solver's
-/// contract, so caching it alongside the point keeps the cache
-/// content-addressed even though solves may be seeded differently.
-pub struct OptimizeArtifact {
-    /// The optimizer's chosen point.
-    pub point: ParetoPoint,
-    /// Final optimal basis (absent for the waterfilling path).
-    pub basis: Option<LpBasis>,
+/// What the driver saw of one stage: served from the cache or computed,
+/// and the wall time either took.
+#[derive(Debug, Clone, Copy)]
+struct StageRecord {
+    name: &'static str,
+    hit: bool,
+    seconds: f64,
 }
 
-/// Stage 4: the scalarized LP (or waterfilling for pure Het-Aware). Only
-/// runs for model-driven strategies.
-pub struct OptimizeStage;
-
-impl PlanStage for OptimizeStage {
-    type Artifact = OptimizeArtifact;
-
-    fn name(&self) -> &'static str {
-        "optimize"
-    }
-
-    fn fingerprint(&self, ctx: &StageCtx<'_>) -> Fingerprint {
-        let (_, profile_fp) = ctx.profile.as_ref().expect("profile ran first");
-        FingerprintBuilder::new("optimize")
-            .mix_fp(*profile_fp)
-            .mix_fp(strategy_fingerprint(&ctx.cfg.strategy).finish())
-            .mix_usize(ctx.dataset.len())
-            .finish()
-    }
-
-    fn compute(
-        &self,
-        ctx: &StageCtx<'_>,
-        _cache: &mut PlanCache,
-    ) -> Result<Self::Artifact, PlanError> {
-        let (profile, _) = ctx.profile.as_ref().expect("profile ran first");
-        let models = profile.models.as_ref().expect("optimize needs models");
-        let fits: Vec<LinearFit> = models.iter().map(|m| m.fit).collect();
-        let modeler = ParetoModeler::new(fits, profile.profiles.clone())
-            .expect("aligned models and profiles");
-        let n = ctx.dataset.len();
-        let warm = ctx.warm_lp.as_ref();
-        let (point, basis) = match ctx.cfg.strategy {
-            Strategy::HetAware => (modeler.solve_het_aware(n), None),
-            Strategy::HetEnergyAware { alpha } => {
-                let solved = modeler.solve(n, alpha, warm)?;
-                solved.stats.record(ctx.telemetry);
-                (solved.point, solved.basis)
-            }
-            Strategy::HetEnergyAwareNormalized { alpha } => {
-                let solved = modeler.solve_normalized(n, alpha, warm)?;
-                solved.stats.record(ctx.telemetry);
-                (solved.point, solved.basis)
-            }
-            _ => unreachable!("needs_models gates the strategies"),
-        };
-        Ok(OptimizeArtifact { point, basis })
-    }
+/// One plan's pass through the five stages: polls the deadline *before*
+/// each stage (an expired token leaves every stage that already ran
+/// cached for the next attempt), then holds one cache guard across that
+/// stage's lookup + compute + insert. The lock is per stage, not per plan,
+/// so on a shared cache concurrent tenants pipeline — while one computes
+/// `optimize` another can compute `sketch` — and two tenants missing the
+/// same key compute it once.
+struct StageRunner<'a> {
+    cache: &'a SharedPlanCache,
+    telemetry: &'a Telemetry,
+    deadline: &'a mut Deadline,
 }
 
-/// The partition stage's artifact: final sizes + record placement.
-pub struct PartitionArtifact {
-    /// Integer partition sizes (sums to the dataset size).
-    pub sizes: Vec<usize>,
-    /// Record indices per partition.
-    pub partitions: Vec<Vec<usize>>,
-}
-
-/// Stage 5: materialize the partitions.
-pub struct PartitionStage;
-
-impl PlanStage for PartitionStage {
-    type Artifact = PartitionArtifact;
-
-    fn name(&self) -> &'static str {
-        "partition"
-    }
-
-    fn fingerprint(&self, ctx: &StageCtx<'_>) -> Fingerprint {
-        let (_, stratify_fp) = ctx.stratification.as_ref().expect("stratify ran first");
-        let optimize_fp = ctx.optimize.as_ref().map(|(_, fp)| *fp);
-        FingerprintBuilder::new("partition")
-            .mix_fp(*stratify_fp)
-            .mix_fp(optimize_fp.unwrap_or(Fingerprint(0)))
-            .mix_fp(strategy_fingerprint(&ctx.cfg.strategy).finish())
-            .mix_u64(ctx.cfg.layout as u64)
-            .mix_u64(ctx.cfg.seed ^ 0x9A27)
-            .mix_usize(ctx.roster.len())
-            .mix_fp(ctx.dataset_fp)
-            .finish()
-    }
-
-    fn compute(
-        &self,
-        ctx: &StageCtx<'_>,
-        _cache: &mut PlanCache,
-    ) -> Result<Self::Artifact, PlanError> {
-        let (stratification, _) = ctx.stratification.as_ref().expect("stratify ran first");
-        let n = ctx.dataset.len();
-        let p = ctx.roster.len();
-        let sizes = match ctx.optimize.as_ref() {
-            Some((art, _)) => art.point.sizes.clone(),
-            None => DataPartitioner::equal_sizes(n, p),
-        };
-        let partitioner = DataPartitioner::new(ctx.cfg.seed ^ 0x9A27);
-        let partitions = match ctx.cfg.strategy {
-            Strategy::Random => partitioner.random(n, &sizes),
-            Strategy::RoundRobin => DataPartitioner::round_robin(n, p),
-            Strategy::ClusterMode => {
-                let ids: Vec<u64> = ctx.dataset.items.iter().map(|i| i.id).collect();
-                DataPartitioner::hash_slots(&ids, p)
-            }
-            _ => partitioner.partition(stratification, &sizes, ctx.cfg.layout),
-        };
-        // Hash placement dictates its own sizes; report what it produced.
-        let sizes = if matches!(ctx.cfg.strategy, Strategy::ClusterMode) {
-            partitions.iter().map(Vec::len).collect()
-        } else {
-            sizes
-        };
-        Ok(PartitionArtifact { sizes, partitions })
+impl StageRunner<'_> {
+    fn stage<T: Any + Send + Sync>(
+        &mut self,
+        name: &'static str,
+        key: Fingerprint,
+        compute: impl FnOnce(&mut PlanCache) -> Result<T, PlanError>,
+    ) -> Result<(Arc<T>, StageRecord), PlanError> {
+        self.deadline.poll(name)?;
+        let mut cache = self.cache.lock();
+        let started = Instant::now();
+        let (artifact, hit) = cached(&mut cache, self.telemetry, name, key, compute)?;
+        let seconds = started.elapsed().as_secs_f64();
+        Ok((artifact, StageRecord { name, hit, seconds }))
     }
 }
 
@@ -737,25 +608,20 @@ pub struct PlanEngine<'a> {
 impl<'a> PlanEngine<'a> {
     /// An engine over the full cluster roster with a cold default cache.
     pub fn new(cluster: &'a SimCluster, cfg: FrameworkConfig) -> Self {
-        PlanEngine {
-            roster: (0..cluster.num_nodes()).collect(),
-            cluster: ClusterRef::Borrowed(cluster),
-            cfg,
-            telemetry: Telemetry::disabled(),
-            cache: SharedPlanCache::default(),
-            last_reuse: StageReuse::default(),
-            lp_warm: None,
-            deadline: Deadline::None,
-        }
+        Self::over(ClusterRef::Borrowed(cluster), cfg)
     }
 
     /// Like [`new`](Self::new) over a shared cluster handle, yielding a
     /// `'static` engine that can move across threads (the plan server
     /// keeps one per tenant).
     pub fn new_shared(cluster: Arc<SimCluster>, cfg: FrameworkConfig) -> PlanEngine<'static> {
+        PlanEngine::over(ClusterRef::Shared(cluster), cfg)
+    }
+
+    fn over(cluster: ClusterRef<'a>, cfg: FrameworkConfig) -> Self {
         PlanEngine {
-            roster: (0..cluster.num_nodes()).collect(),
-            cluster: ClusterRef::Shared(cluster),
+            roster: (0..cluster.get().num_nodes()).collect(),
+            cluster,
             cfg,
             telemetry: Telemetry::disabled(),
             cache: SharedPlanCache::default(),
@@ -830,15 +696,9 @@ impl<'a> PlanEngine<'a> {
         Ok(())
     }
 
-    /// Snapshot of the cache hit/miss/evict counters. With a shared cache
-    /// the counters cover every engine on the handle, not just this one.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
     /// The cache handle (shared or private), for same-crate composite
-    /// artifacts (the frontier stage stores its whole result under one
-    /// fingerprint) and for plugging the handle into sibling engines.
+    /// artifacts (the session stores a whole frontier under one key) and
+    /// for plugging the handle into sibling engines.
     pub fn cache(&self) -> &SharedPlanCache {
         &self.cache
     }
@@ -846,6 +706,24 @@ impl<'a> PlanEngine<'a> {
     /// The attached telemetry recorder.
     pub(crate) fn telemetry(&self) -> &Arc<Telemetry> {
         &self.telemetry
+    }
+
+    /// The [`KeyInputs`] of a plan of a dataset with digest `dataset_fp`
+    /// and `records` records under the current configuration and roster.
+    pub(crate) fn key_inputs(
+        &self,
+        workload: WorkloadKind,
+        dataset_fp: Fingerprint,
+        records: usize,
+    ) -> KeyInputs<'_> {
+        KeyInputs {
+            cfg: &self.cfg,
+            workload,
+            dataset_fp,
+            records,
+            roster_fp: Fingerprint(self.cluster.get().roster_fingerprint(&self.roster)),
+            nodes: self.roster.len(),
+        }
     }
 
     /// Which stages of the last successful plan came from the cache.
@@ -878,141 +756,186 @@ impl<'a> PlanEngine<'a> {
         }
         validate_stratifier(&self.cfg.stratifier, dataset.len())?;
         let started = Instant::now();
-        let mut timings = PlanTimings::default();
         let wall_start = self.telemetry.wall_now();
-        let roster_fp = Fingerprint(self.cluster.get().roster_fingerprint(&self.roster));
-        // Advisory warm seed: the previous optimize basis mapped onto the
-        // current roster. Never fingerprinted; artifacts are unaffected.
-        let warm_lp = if self.cfg.lp_warm {
-            self.lp_warm
-                .as_ref()
-                .and_then(|(prev, basis)| map_partition_basis(prev, &self.roster, basis))
-        } else {
-            None
+        let keys = self.key_inputs(workload, dataset_fp, dataset.len()).plan_keys();
+
+        let cluster = self.cluster.get();
+        let cfg = &self.cfg;
+        let roster = self.roster.as_slice();
+        let telemetry: &Telemetry = &self.telemetry;
+        let (n, p) = (dataset.len(), roster.len());
+        let stratifier = Stratifier::new(StratifierConfig {
+            threads: cfg.threads,
+            ..cfg.stratifier.clone()
+        });
+        let mut run = StageRunner {
+            cache: &self.cache,
+            telemetry,
+            deadline: &mut self.deadline,
         };
-        let mut ctx = StageCtx {
-            cluster: self.cluster.get(),
-            cfg: &self.cfg,
-            dataset,
-            workload,
-            roster: &self.roster,
-            telemetry: &self.telemetry,
-            dataset_fp,
-            roster_fp,
-            prev_dataset,
-            signatures: None,
-            stratification: None,
-            profile: None,
-            optimize: None,
-            warm_lp,
+
+        let (signatures, sketched) = run.stage("sketch", keys.sketch, |cache| {
+            // After an append the full-dataset key misses, but the previous
+            // generation's sketch is a bit-identical prefix (MinHash is a
+            // pure per-record function): sketch only the appended records.
+            // A speculative lookup, so absence is not counted as a miss.
+            let prefix = prev_dataset
+                .filter(|&(_, prev_len)| prev_len < n)
+                .and_then(|(prev_fp, _)| {
+                    let prev_key = sketch_key(prev_fp, &cfg.stratifier);
+                    cache.get_if_cached::<SignatureMatrix>("sketch", prev_key)
+                });
+            Ok(match prefix {
+                Some(prefix) => stratifier.sketch_append(dataset, &prefix),
+                None => stratifier.sketch(dataset),
+            })
+        })?;
+
+        let (stratification, stratified) = run.stage("stratify", keys.stratify, |_| {
+            Ok(stratifier.stratify_signatures(&signatures))
+        })?;
+
+        let (profile, profiled) = run.stage("profile", keys.profile, |cache| {
+            let all_profiles = EnergyEstimator::profiles(cluster, 0.0, cfg.planning_horizon_s);
+            let profiles = roster.iter().map(|&id| all_profiles[id]).collect();
+            if !strategy_needs_models(&cfg.strategy) {
+                return Ok(ProfileArtifact {
+                    profiles,
+                    models: None,
+                    cost: Cost::ZERO,
+                });
+            }
+            let estimator = HeterogeneityEstimator::new(cluster, cfg.sampling, sampling_seed(cfg))
+                .with_threads(cfg.threads);
+            // Measurements are cached separately: they survive roster
+            // changes (the workload sample never touches a node), so
+            // dropping a node re-fits the cheap per-node lines without
+            // re-running the workload.
+            let (measured, _) = cached(cache, telemetry, "measure", keys.measure, |_| {
+                let (measurements, cost) = estimator.measure(dataset, &stratification, workload);
+                Ok(MeasureArtifact { measurements, cost })
+            })?;
+            Ok(ProfileArtifact {
+                profiles,
+                models: Some(estimator.fit_measurements(&measured.measurements, roster)),
+                cost: measured.cost,
+            })
+        })?;
+
+        // The scalarized LP (or waterfilling for pure Het-Aware) runs
+        // exactly when the profile stage fitted time models.
+        let optimized = match &profile.models {
+            None => None,
+            Some(models) => Some(run.stage("optimize", keys.optimize, |_| {
+                let fits: Vec<LinearFit> = models.iter().map(|m| m.fit).collect();
+                let modeler = ParetoModeler::new(fits, profile.profiles.clone())?;
+                // Advisory warm seed: the previous optimal basis mapped
+                // onto the current roster. Never keyed — by the solver's
+                // bit-identity contract the artifact is independent of it.
+                let warm = if cfg.lp_warm {
+                    self.lp_warm
+                        .as_ref()
+                        .and_then(|(prev, basis)| map_partition_basis(prev, roster, basis))
+                } else {
+                    None
+                };
+                let solved = match cfg.strategy {
+                    Strategy::HetEnergyAware { alpha } => {
+                        Some(modeler.solve(n, alpha, warm.as_ref())?)
+                    }
+                    Strategy::HetEnergyAwareNormalized { alpha } => {
+                        Some(modeler.solve_normalized(n, alpha, warm.as_ref())?)
+                    }
+                    // Het-Aware, the one model-driven strategy left.
+                    _ => None,
+                };
+                Ok(match solved {
+                    Some(solved) => {
+                        solved.stats.record(telemetry);
+                        OptimizeArtifact {
+                            point: solved.point,
+                            basis: solved.basis,
+                        }
+                    }
+                    None => OptimizeArtifact {
+                        point: modeler.solve_het_aware(n),
+                        basis: None,
+                    },
+                })
+            })?),
         };
-        // The cache lock is taken per stage (not across the plan), so on a
-        // shared cache concurrent tenants pipeline: while one computes
-        // `optimize` another can compute `sketch`. The deadline is polled
-        // *before* each stage — an expired token leaves every stage that
-        // already ran cached for the next attempt.
-        let cache = &self.cache;
-        let deadline = &mut self.deadline;
-        let mut reuse = StageReuse::default();
 
-        deadline.poll(SketchStage.name())?;
-        let (signatures, sketch_fp, hit) =
-            run_stage(&mut cache.lock(), &SketchStage, &ctx, &mut timings.sketch_s)?;
-        reuse.sketch = hit;
-        ctx.signatures = Some((signatures, sketch_fp));
+        let (placed, partitioned) = run.stage("partition", keys.partition, |_| {
+            let sizes = match &optimized {
+                Some((solved, _)) => solved.point.sizes.clone(),
+                None => DataPartitioner::equal_sizes(n, p),
+            };
+            let partitioner = DataPartitioner::new(placement_seed(cfg));
+            let partitions = match cfg.strategy {
+                Strategy::Random => partitioner.random(n, &sizes),
+                Strategy::RoundRobin => DataPartitioner::round_robin(n, p),
+                Strategy::ClusterMode => {
+                    let ids: Vec<u64> = dataset.items.iter().map(|i| i.id).collect();
+                    DataPartitioner::hash_slots(&ids, p)
+                }
+                _ => partitioner.partition(&stratification, &sizes, cfg.layout),
+            };
+            // Hash placement dictates its own sizes; report what it produced.
+            let sizes = if matches!(cfg.strategy, Strategy::ClusterMode) {
+                partitions.iter().map(Vec::len).collect()
+            } else {
+                sizes
+            };
+            Ok(PartitionArtifact { sizes, partitions })
+        })?;
 
-        deadline.poll(StratifyStage.name())?;
-        let (stratification, stratify_fp, hit) =
-            run_stage(&mut cache.lock(), &StratifyStage, &ctx, &mut timings.stratify_s)?;
-        reuse.stratify = hit;
-        ctx.stratification = Some((stratification, stratify_fp));
-
-        deadline.poll(ProfileStage.name())?;
-        let (profile, profile_fp, hit) =
-            run_stage(&mut cache.lock(), &ProfileStage, &ctx, &mut timings.profile_s)?;
-        reuse.profile = hit;
-        ctx.profile = Some((profile, profile_fp));
-
-        if ctx.needs_models() {
-            deadline.poll(OptimizeStage.name())?;
-            let (art, optimize_fp, hit) =
-                run_stage(&mut cache.lock(), &OptimizeStage, &ctx, &mut timings.optimize_s)?;
-            reuse.optimize = hit;
-            ctx.optimize = Some((art, optimize_fp));
-        }
-
-        deadline.poll(PartitionStage.name())?;
-        let (placed, _, hit) =
-            run_stage(&mut cache.lock(), &PartitionStage, &ctx, &mut timings.partition_s)?;
-        reuse.partition = hit;
-
-        timings.total_s = started.elapsed().as_secs_f64();
-        let profile = ctx.profile.as_ref().expect("profile stage ran").0.clone();
-        let lp_basis = ctx
-            .optimize
-            .as_ref()
-            .and_then(|(art, _)| art.basis.clone());
+        let (solved, optimize_record) = optimized.unzip();
+        let lp_basis = solved.as_ref().and_then(|art| art.basis.clone());
         let plan = Plan {
-            stratification: ctx
-                .stratification
-                .as_ref()
-                .expect("stratify stage ran")
-                .0
-                .as_ref()
-                .clone(),
+            stratification: stratification.as_ref().clone(),
             time_models: profile.models.clone(),
             energy_profiles: profile.profiles.clone(),
-            pareto: ctx.optimize.as_ref().map(|(art, _)| art.point.clone()),
+            pareto: solved.map(|art| art.point.clone()),
             sizes: placed.sizes.clone(),
             partitions: placed.partitions.clone(),
             lp_basis: lp_basis.clone(),
             estimation_cost: profile.cost,
-            timings,
+            timings: PlanTimings {
+                sketch_s: sketched.seconds,
+                stratify_s: stratified.seconds,
+                profile_s: profiled.seconds,
+                optimize_s: optimize_record.map_or(0.0, |r| r.seconds),
+                partition_s: partitioned.seconds,
+                total_s: started.elapsed().as_secs_f64(),
+            },
         };
+        // A strategy that solves no LP never runs "optimize": its
+        // zero-length span reads as cached.
+        let skipped = StageRecord {
+            name: "optimize",
+            hit: true,
+            seconds: 0.0,
+        };
+        record_plan_telemetry(
+            telemetry,
+            cfg,
+            &plan,
+            n,
+            wall_start,
+            [sketched, stratified, profiled, optimize_record.unwrap_or(skipped), partitioned],
+        );
         // A cache-hit optimize still yields a basis: warm seeds survive
         // artifact reuse as well as fresh solves.
         self.lp_warm = lp_basis.map(|b| (self.roster.clone(), b));
-        self.last_reuse = reuse;
-        record_plan_telemetry(&self.telemetry, &self.cfg, &plan, dataset.len(), wall_start, reuse);
+        self.last_reuse = StageReuse {
+            sketch: sketched.hit,
+            stratify: stratified.hit,
+            profile: profiled.hit,
+            optimize: optimize_record.is_some_and(|r| r.hit),
+            partition: partitioned.hit,
+        };
         Ok(plan)
     }
-}
-
-/// The stage driver (satellite: the historical `Instant` + `timings.*_s`
-/// boilerplate lives here once): digest inputs, consult the cache, compute
-/// on a miss, store, and fold the stage's wall time into its
-/// [`PlanTimings`] slot. Cache events are counted both in [`CacheStats`]
-/// and (inertly) in telemetry.
-fn run_stage<S: PlanStage>(
-    cache: &mut PlanCache,
-    stage: &S,
-    ctx: &StageCtx<'_>,
-    timing_slot: &mut f64,
-) -> Result<(Arc<S::Artifact>, Fingerprint, bool), PlanError> {
-    let started = Instant::now();
-    let name = stage.name();
-    let fp = stage.fingerprint(ctx);
-    let (artifact, hit) = match cache.get::<S::Artifact>(name, fp) {
-        Some(found) => (found, true),
-        None => {
-            let computed = Arc::new(stage.compute(ctx, cache)?);
-            for victim in cache.insert(name, fp, computed.clone()) {
-                ctx.telemetry.counter_add(
-                    metrics::PLAN_CACHE_EVENTS_TOTAL,
-                    &[("event", "evict"), ("stage", victim)],
-                    1,
-                );
-            }
-            (computed, false)
-        }
-    };
-    ctx.telemetry.counter_add(
-        metrics::PLAN_CACHE_EVENTS_TOTAL,
-        &[("event", if hit { "hit" } else { "miss" }), ("stage", name)],
-        1,
-    );
-    *timing_slot += started.elapsed().as_secs_f64();
-    Ok((artifact, fp, hit))
 }
 
 /// Record the planning span tree (§9 taxonomy: `plan` → `sketch` /
@@ -1022,24 +945,22 @@ fn run_stage<S: PlanStage>(
 /// stage span carries a `cache` attribute (`hit`/`miss`) describing
 /// artifact reuse.
 fn record_plan_telemetry(
-    telemetry: &Telemetry,
+    tel: &Telemetry,
     cfg: &FrameworkConfig,
     plan: &Plan,
     n: usize,
     wall_start: f64,
-    reuse: StageReuse,
+    stages: [StageRecord; 5],
 ) {
-    if !telemetry.is_enabled() {
+    if !tel.is_enabled() {
         return;
     }
-    let tel = telemetry;
-    let t = plan.timings;
     let root = tel.span(
         Track::Planner,
         "plan",
         ClockDomain::Wall,
         wall_start,
-        wall_start + t.total_s,
+        wall_start + plan.timings.total_s,
         SpanId::NONE,
         vec![
             ("records".into(), n.to_string()),
@@ -1049,33 +970,21 @@ fn record_plan_telemetry(
         ],
     );
     let mut cursor = wall_start;
-    // A strategy that solves no LP never runs "optimize": its zero-length
-    // span reads as cached.
-    for (name, secs, hit) in [
-        ("sketch", t.sketch_s, reuse.sketch),
-        ("stratify", t.stratify_s, reuse.stratify),
-        ("profile", t.profile_s, reuse.profile),
-        (
-            "optimize",
-            t.optimize_s,
-            reuse.optimize || !strategy_needs_models(&cfg.strategy),
-        ),
-        ("partition", t.partition_s, reuse.partition),
-    ] {
+    for StageRecord { name, hit, seconds } in stages {
         tel.span(
             Track::Planner,
             name,
             ClockDomain::Wall,
             cursor,
-            cursor + secs,
+            cursor + seconds,
             root,
             vec![("cache".into(), if hit { "hit".into() } else { "miss".into() })],
         );
-        cursor += secs;
+        cursor += seconds;
         tel.observe(
             "pareto_plan_stage_s",
             &[("stage", name)],
-            secs,
+            seconds,
             pareto_telemetry::metrics::DURATION_BOUNDS_S,
         );
     }
@@ -1132,4 +1041,208 @@ fn record_plan_telemetry(
         &[],
         plan.estimation_cost.compute_ops,
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::estimator::SamplingPlan;
+    use crate::frontier::ObjectiveSet;
+    use crate::partitioner::PartitionLayout;
+    use pareto_cluster::Durability;
+
+    /// Every key, in chain order, the frontier key last.
+    const CHAIN: [&str; 7] = [
+        "sketch",
+        "stratify",
+        "measure",
+        "profile",
+        "optimize",
+        "partition",
+        "frontier",
+    ];
+
+    #[derive(Clone)]
+    struct Inputs {
+        cfg: FrameworkConfig,
+        workload: WorkloadKind,
+        dataset_fp: Fingerprint,
+        records: usize,
+        roster_fp: Fingerprint,
+        nodes: usize,
+        explorer: FrontierConfig,
+    }
+
+    fn base() -> Inputs {
+        Inputs {
+            cfg: FrameworkConfig {
+                strategy: Strategy::HetEnergyAware { alpha: 0.9 },
+                ..FrameworkConfig::default()
+            },
+            workload: WorkloadKind::FrequentPatterns { support: 0.1 },
+            dataset_fp: Fingerprint(11),
+            records: 500,
+            roster_fp: Fingerprint(22),
+            nodes: 4,
+            explorer: FrontierConfig::default(),
+        }
+    }
+
+    fn chain(i: &Inputs) -> [Fingerprint; 7] {
+        let inputs = KeyInputs {
+            cfg: &i.cfg,
+            workload: i.workload,
+            dataset_fp: i.dataset_fp,
+            records: i.records,
+            roster_fp: i.roster_fp,
+            nodes: i.nodes,
+        };
+        let k = inputs.plan_keys();
+        let frontier = inputs.frontier_key(&i.explorer);
+        [k.sketch, k.stratify, k.measure, k.profile, k.optimize, k.partition, frontier]
+    }
+
+    /// The names of the keys that differ between `base()` and `flipped`.
+    fn changed(flipped: &Inputs) -> Vec<&'static str> {
+        let (before, after) = (chain(&base()), chain(flipped));
+        CHAIN
+            .iter()
+            .zip(before.iter().zip(&after))
+            .filter(|(_, (b, a))| b != a)
+            .map(|(name, _)| *name)
+            .collect()
+    }
+
+    /// `stage` and every key downstream of it. Under a model-driven
+    /// strategy the dependencies form one chain, so that is a suffix.
+    fn from(stage: &str) -> Vec<&'static str> {
+        let at = CHAIN.iter().position(|s| *s == stage).expect("a chain stage");
+        CHAIN[at..].to_vec()
+    }
+
+    #[test]
+    fn a_flipped_input_changes_its_first_reader_and_everything_downstream() {
+        // Exhaustiveness: adding a field to any of these structs stops
+        // this compiling until it is listed here — give it a row below.
+        let FrameworkConfig {
+            stratifier:
+                StratifierConfig {
+                    sketch_size: _,
+                    num_strata: _,
+                    l: _,
+                    max_iters: _,
+                    seed: _,
+                    threads: _,
+                },
+            sampling:
+                SamplingPlan {
+                    lo_frac: _,
+                    hi_frac: _,
+                    steps: _,
+                    min_records: _,
+                },
+            strategy: _,
+            layout: _,
+            planning_horizon_s: _,
+            seed: _,
+            durability: _,
+            lp_warm: _,
+            threads: _,
+        } = FrameworkConfig::default();
+        let FrontierConfig {
+            objectives: _,
+            coarse: _,
+            tol: _,
+            max_points: _,
+        } = FrontierConfig::default();
+
+        type Row = (&'static str, fn(&mut Inputs), Vec<&'static str>);
+        let rows: Vec<Row> = vec![
+            ("dataset digest", |i| i.dataset_fp = Fingerprint(12), from("sketch")),
+            ("stratifier.sketch_size", |i| i.cfg.stratifier.sketch_size += 1, from("sketch")),
+            ("stratifier.seed", |i| i.cfg.stratifier.seed += 1, from("sketch")),
+            ("stratifier.num_strata", |i| i.cfg.stratifier.num_strata += 1, from("stratify")),
+            ("stratifier.l", |i| i.cfg.stratifier.l += 1, from("stratify")),
+            ("stratifier.max_iters", |i| i.cfg.stratifier.max_iters += 1, from("stratify")),
+            ("stratifier.threads", |i| i.cfg.stratifier.threads += 1, vec![]),
+            ("sampling.lo_frac", |i| i.cfg.sampling.lo_frac *= 2.0, from("measure")),
+            ("sampling.hi_frac", |i| i.cfg.sampling.hi_frac *= 2.0, from("measure")),
+            ("sampling.steps", |i| i.cfg.sampling.steps += 1, from("measure")),
+            ("sampling.min_records", |i| i.cfg.sampling.min_records += 1, from("measure")),
+            ("seed", |i| i.cfg.seed += 1, from("measure")),
+            (
+                "workload",
+                |i| i.workload = WorkloadKind::FrequentPatterns { support: 0.2 },
+                from("measure"),
+            ),
+            ("workload kind", |i| i.workload = WorkloadKind::Lz77, from("measure")),
+            ("roster digest", |i| i.roster_fp = Fingerprint(23), from("profile")),
+            ("planning_horizon_s", |i| i.cfg.planning_horizon_s += 1.0, from("profile")),
+            ("dataset length", |i| i.records += 1, from("optimize")),
+            // The explorer owns α and forces its own strategy, so the
+            // session's strategy stops short of the frontier key.
+            (
+                "strategy α",
+                |i| i.cfg.strategy = Strategy::HetEnergyAware { alpha: 0.5 },
+                vec!["optimize", "partition"],
+            ),
+            (
+                "strategy, same class",
+                |i| i.cfg.strategy = Strategy::HetAware,
+                vec!["optimize", "partition"],
+            ),
+            (
+                "strategy class",
+                |i| i.cfg.strategy = Strategy::Stratified,
+                vec!["profile", "optimize", "partition"],
+            ),
+            (
+                "layout",
+                |i| i.cfg.layout = PartitionLayout::SimilarTogether,
+                from("partition"),
+            ),
+            ("roster length", |i| i.nodes += 1, from("partition")),
+            ("explorer.tol", |i| i.explorer.tol *= 2.0, from("frontier")),
+            ("explorer.max_points", |i| i.explorer.max_points += 1, from("frontier")),
+            (
+                "explorer.objectives",
+                |i| i.explorer.objectives = ObjectiveSet::full(),
+                from("frontier"),
+            ),
+            ("explorer.coarse", |i| i.explorer.coarse.push(1.0), from("frontier")),
+            // Never keyed: outputs are bit-identical whatever these say.
+            ("threads", |i| i.cfg.threads += 1, vec![]),
+            ("lp_warm", |i| i.cfg.lp_warm = !i.cfg.lp_warm, vec![]),
+            ("durability", |i| i.cfg.durability = Durability::Wal, vec![]),
+        ];
+        for (label, flip, want) in rows {
+            let mut flipped = base();
+            flip(&mut flipped);
+            assert_eq!(changed(&flipped), want, "flipping {label}");
+        }
+    }
+
+    /// Strategies that fit no models never read the measurements: the
+    /// sampling schedule and workload stop at the `measure` key.
+    #[test]
+    fn model_free_strategies_do_not_key_on_measurements() {
+        let stratified = |i: &Inputs| Inputs {
+            cfg: FrameworkConfig {
+                strategy: Strategy::Stratified,
+                ..i.cfg.clone()
+            },
+            ..i.clone()
+        };
+        let before = chain(&stratified(&base()));
+        let mut flipped = base();
+        flipped.cfg.sampling.steps += 1;
+        flipped.workload = WorkloadKind::Lz77;
+        let after = chain(&stratified(&flipped));
+        for (at, name) in CHAIN.iter().enumerate() {
+            let moved = before[at] != after[at];
+            // The frontier explores under a model-driven strategy whatever
+            // the session's own is, so it does read the measurements.
+            assert_eq!(moved, matches!(*name, "measure" | "frontier"), "{name}");
+        }
+    }
 }

@@ -129,11 +129,6 @@ impl Dataset {
         self.items.iter().map(|i| i.payload.to_bytes().len()).sum()
     }
 
-    /// Item sets of all records, in record order (borrowed).
-    pub fn item_sets(&self) -> Vec<&ItemSet> {
-        self.items.iter().map(|i| &i.items).collect()
-    }
-
     /// Build a graph dataset: one record per vertex.
     pub fn from_graph(name: impl Into<String>, graph: &AdjacencyGraph) -> Self {
         let items = (0..graph.num_nodes())

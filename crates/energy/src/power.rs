@@ -31,16 +31,6 @@ impl NodePowerModel {
         }
     }
 
-    /// The paper's four machine types, fastest (type 1, 4 cores) first.
-    pub fn paper_types() -> [NodePowerModel; 4] {
-        [
-            Self::paper_node(4),
-            Self::paper_node(3),
-            Self::paper_node(2),
-            Self::paper_node(1),
-        ]
-    }
-
     /// Total draw in watts (the paper's `E_i`, a power *rate*).
     pub fn watts(&self) -> f64 {
         self.base_watts + self.per_core_watts * self.cores as f64
@@ -59,8 +49,10 @@ mod tests {
 
     #[test]
     fn paper_power_values() {
-        let types = NodePowerModel::paper_types();
-        let watts: Vec<f64> = types.iter().map(|t| t.watts()).collect();
+        // The paper's four machine types, fastest (type 1, 4 cores) first.
+        let watts: Vec<f64> = [4, 3, 2, 1]
+            .map(|cores| NodePowerModel::paper_node(cores).watts())
+            .to_vec();
         assert_eq!(watts, vec![440.0, 345.0, 250.0, 155.0]);
     }
 

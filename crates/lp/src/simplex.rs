@@ -245,11 +245,6 @@ impl Problem {
         self.costs.len()
     }
 
-    /// Number of constraints added so far.
-    pub fn num_constraints(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Add the constraint `coeffs·x  rel  rhs`. Arity is validated by the
     /// typed path in [`Problem::solve`] (`LpError::DimensionMismatch`), so
     /// malformed rows never panic.

@@ -55,11 +55,6 @@ impl SeedSequence {
         self.next += 1;
         s
     }
-
-    /// Produce the next independent RNG.
-    pub fn next_rng(&mut self) -> WorkspaceRng {
-        seeded_rng(self.next_seed())
-    }
 }
 
 #[cfg(test)]

@@ -107,13 +107,6 @@ pub struct SpanRecord {
     pub attrs: Attrs,
 }
 
-impl SpanRecord {
-    /// Span duration in seconds.
-    pub fn duration_s(&self) -> f64 {
-        self.end_s - self.start_s
-    }
-}
-
 /// One zero-duration marker.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InstantRecord {

@@ -64,11 +64,6 @@ pub struct MiningOutput {
 }
 
 impl MiningOutput {
-    /// Frequent itemsets of exactly length `k`.
-    pub fn of_len(&self, k: usize) -> impl Iterator<Item = &FrequentItemset> {
-        self.itemsets.iter().filter(move |s| s.items.len() == k)
-    }
-
     /// The **closed** frequent itemsets: those with no frequent superset
     /// of identical support (the lossless condensed representation the
     /// CloseGraph line of work — the paper's reference [23] — mines

@@ -8,7 +8,8 @@ use std::sync::Arc;
 
 use pareto_cluster::{NodeSpec, SimCluster};
 use pareto_core::framework::{Framework, FrameworkConfig, Strategy};
-use pareto_core::{PlanSession, SharedPlanCache};
+use pareto_core::{CacheStats, FrontierConfig, PlanSession, SharedPlanCache};
+use pareto_telemetry::{metrics, Telemetry};
 use pareto_workloads::WorkloadKind;
 
 const WORKLOAD: WorkloadKind = WorkloadKind::FrequentPatterns { support: 0.15 };
@@ -22,9 +23,9 @@ fn cfg(seed: u64, strategy: Strategy) -> FrameworkConfig {
     }
 }
 
-/// Drive a seeded alpha-churn stream through one shared cache and return
-/// (hits, misses, evictions, final occupancy, capacity).
-fn churn(capacity: usize, rounds: usize) -> (u64, u64, u64, usize, usize) {
+/// Drive a seeded alpha-churn stream through one shared cache (recording
+/// into `telemetry`) and return the cache handle.
+fn churn_cache(capacity: usize, rounds: usize, telemetry: Arc<Telemetry>) -> SharedPlanCache {
     let seed = 2017;
     let cluster = Arc::new(SimCluster::new(NodeSpec::paper_cluster(4, 400.0, 2, 9, seed)));
     let dataset = pareto_datagen::rcv1_syn(seed, 0.03);
@@ -37,7 +38,8 @@ fn churn(capacity: usize, rounds: usize) -> (u64, u64, u64, usize, usize) {
         dataset,
         WORKLOAD,
     )
-    .with_shared_cache(shared.clone());
+    .with_shared_cache(shared.clone())
+    .with_telemetry(telemetry);
 
     for round in 0..rounds {
         // Deterministic pseudo-random walk over the alpha palette: the
@@ -46,19 +48,157 @@ fn churn(capacity: usize, rounds: usize) -> (u64, u64, u64, usize, usize) {
         session.set_alpha(alphas[pick]);
         session.plan().expect("plan under cache pressure");
     }
+    shared
+}
 
+/// Events of one `kind` (`hit` / `miss` / `evict`) summed over stages.
+fn total(stats: &CacheStats, kind: &str) -> u64 {
+    stats
+        .events()
+        .filter(|(_, k, _)| *k == kind)
+        .map(|(_, _, n)| n)
+        .sum()
+}
+
+/// [`churn_cache`] reduced to (hits, misses, evictions, final occupancy,
+/// capacity).
+fn churn(capacity: usize, rounds: usize) -> (u64, u64, u64, usize, usize) {
+    let shared = churn_cache(capacity, rounds, Telemetry::disabled());
     let stats = shared.stats();
-    let (mut hits, mut misses, mut evictions) = (0u64, 0u64, 0u64);
-    for (_, kind, count) in stats.events() {
-        match kind {
-            "hit" => hits += count,
-            "miss" => misses += count,
-            "evict" => evictions += count,
-            _ => {}
+    let cache = shared.lock();
+    (
+        total(&stats, "hit"),
+        total(&stats, "miss"),
+        total(&stats, "evict"),
+        cache.len(),
+        cache.capacity(),
+    )
+}
+
+/// A `(stage, hit, miss, evict)` row.
+type Row<'a> = (&'a str, u64, u64, u64);
+
+/// Per-stage rows of a [`CacheStats`], sorted by stage name.
+fn rows(stats: &CacheStats) -> Vec<Row<'_>> {
+    let mut rows: Vec<Row<'_>> = Vec::new();
+    for (stage, _, _) in stats.events() {
+        if rows.last().map(|r| r.0) != Some(stage) {
+            rows.push((
+                stage,
+                stats.hits(stage),
+                stats.misses(stage),
+                stats.evictions(stage),
+            ));
         }
     }
-    let cache = shared.lock();
-    (hits, misses, evictions, cache.len(), cache.capacity())
+    rows
+}
+
+/// The exact per-stage `(hit, miss, evict)` triples of the `churn(_, 12)`
+/// stream, recorded at commit 734fdf3 (before the plan pipeline became
+/// straight-line code over one get-or-compute driver). Any change to
+/// lookup order, LRU touch order or which lookups are counted moves them.
+#[test]
+fn per_stage_cache_events_are_pinned() {
+    let cases: [(usize, &[Row]); 3] = [
+        (
+            2,
+            &[
+                ("measure", 0, 12, 12),
+                ("optimize", 0, 12, 11),
+                ("partition", 0, 12, 11),
+                ("profile", 0, 12, 12),
+                ("sketch", 0, 12, 12),
+                ("stratify", 0, 12, 12),
+            ],
+        ),
+        (
+            8,
+            &[
+                ("measure", 0, 1, 1),
+                ("optimize", 3, 9, 7),
+                ("partition", 3, 9, 6),
+                ("profile", 11, 1, 0),
+                ("sketch", 11, 1, 0),
+                ("stratify", 11, 1, 0),
+            ],
+        ),
+        (
+            64,
+            &[
+                ("measure", 0, 1, 0),
+                ("optimize", 8, 4, 0),
+                ("partition", 8, 4, 0),
+                ("profile", 11, 1, 0),
+                ("sketch", 11, 1, 0),
+                ("stratify", 11, 1, 0),
+            ],
+        ),
+    ];
+    for (capacity, want) in cases {
+        let stats = churn_cache(capacity, 12, Telemetry::disabled()).stats();
+        assert_eq!(rows(&stats), want, "capacity {capacity}");
+    }
+}
+
+/// Same pin for the frontier artifact and the append-prefix sketch
+/// lookup: `explore_frontier` -> `append_items` -> `plan` ->
+/// `explore_frontier`, recorded at commit 734fdf3.
+#[test]
+fn frontier_and_append_cache_events_are_pinned() {
+    let seed = 2017;
+    let cluster = SimCluster::new(NodeSpec::paper_cluster(4, 400.0, 2, 9, seed));
+    let dataset = pareto_datagen::rcv1_syn(seed, 0.03);
+    let mut session = PlanSession::new(
+        &cluster,
+        cfg(seed, Strategy::HetEnergyAware { alpha: 0.9 }),
+        dataset,
+        WORKLOAD,
+    )
+    .with_cache_capacity(16);
+    let fcfg = FrontierConfig {
+        max_points: 12,
+        ..FrontierConfig::default()
+    };
+    let first = session.explore_frontier(&fcfg).expect("explore");
+    assert!(!first.cache_hit);
+    session.append_items(pareto_datagen::rcv1_syn(seed ^ 0x00A1_1E4D, 0.004).items);
+    session.plan().expect("plan after append");
+    let second = session.explore_frontier(&fcfg).expect("re-explore");
+    assert!(!second.cache_hit, "an append must invalidate the frontier");
+    let third = session.explore_frontier(&fcfg).expect("repeat explore");
+    assert!(third.cache_hit);
+    let want: &[Row] = &[
+        ("frontier", 1, 2, 1),
+        ("measure", 0, 2, 2),
+        ("optimize", 0, 25, 19),
+        ("partition", 0, 25, 19),
+        ("profile", 23, 2, 1),
+        ("sketch", 24, 2, 1),
+        ("stratify", 23, 2, 1),
+    ];
+    assert_eq!(rows(&session.cache_stats()), want);
+}
+
+/// Every eviction the cache counts is also counted in telemetry, whichever
+/// artifact's insert caused it (the `measure` sub-artifact included).
+#[test]
+fn telemetry_counts_every_eviction() {
+    let telemetry = Telemetry::enabled();
+    let in_stats = total(&churn_cache(2, 12, telemetry.clone()).stats(), "evict");
+    let in_telemetry: u64 = telemetry
+        .snapshot()
+        .metrics
+        .counters
+        .iter()
+        .filter(|(key, _)| {
+            key.name == metrics::PLAN_CACHE_EVENTS_TOTAL
+                && key.labels.contains(&("event".to_string(), "evict".to_string()))
+        })
+        .map(|(_, &n)| n)
+        .sum();
+    assert!(in_stats > 0, "capacity 2 under alpha churn must evict");
+    assert_eq!(in_telemetry, in_stats);
 }
 
 /// Exact accounting: every artifact in the store arrived via a miss and
@@ -147,11 +287,6 @@ fn evicting_cache_still_serves_bit_correct_plans() {
             "alpha {alpha}: energy bits diverged"
         );
     }
-    let stats = shared.stats();
-    let evictions: u64 = stats
-        .events()
-        .filter(|(_, kind, _)| *kind == "evict")
-        .map(|(_, _, n)| n)
-        .sum();
+    let evictions = total(&shared.stats(), "evict");
     assert!(evictions > 0, "capacity 2 under alpha churn must evict");
 }
