@@ -50,7 +50,18 @@ fn parse_args() -> Result<Args, String> {
         match arg.as_str() {
             "--scale" => {
                 let v = it.next().ok_or("--scale needs a value")?;
-                settings.scale = v.parse().map_err(|e| format!("bad --scale: {e}"))?;
+                // The check `paretofab`'s `--scale` gets: a non-positive
+                // or non-finite scale has no corpus to generate.
+                settings.scale = v
+                    .parse()
+                    .map_err(|e| format!("bad --scale: {e}"))
+                    .and_then(|s: f64| {
+                        if s > 0.0 && s.is_finite() {
+                            Ok(s)
+                        } else {
+                            Err(format!("bad --scale {v}: must be finite and > 0"))
+                        }
+                    })?;
             }
             "--seed" => {
                 let v = it.next().ok_or("--seed needs a value")?;
@@ -163,7 +174,7 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: experiments [--scale F] [--seed N] [--threads N] [--out DIR] \
                  <table1|fig2|fig3|fig4|table2|table3|fig5|fig6|ablations|faults|check|speedup|\
-                 telemetry|all>"
+                 telemetry|replan|all>"
             );
             return ExitCode::FAILURE;
         }

@@ -116,7 +116,6 @@ fn framework_config(
             l: 4,
             max_iters: 12,
             seed: seed ^ 0x57A7,
-            ..StratifierConfig::default()
         },
         seed,
         threads,

@@ -429,7 +429,7 @@ const FLAGS: &[(&str, &str, Subs, &str, Setter)] = &[
          if v <= 1.0 { Ok(Some(v)) } else { Err("must be in (0, 1]".into()) }
      }))),
     ("--scale", "F", PLANNING | GEN | BENCH, "synthetic generation scale (default 0.25)",
-     |p, s| store(&mut p.common.scale, num(s))),
+     |p, s| store(&mut p.common.scale, positive(s))),
     ("--seed", "N", PLANNING | GEN | BENCH | SERVE, "seed for everything (default 2017)",
      |p, s| store(&mut p.common.seed, num(s))),
     ("--threads", "N", PLANNING | SERVE,
@@ -827,6 +827,9 @@ mod tests {
         assert!(parse(&argv("run --preset rcv1 --bogus 1")).is_err());
         assert!(parse(&argv("run --preset rcv1 --layout diagonal")).is_err());
         assert!(parse(&argv("run --preset rcv1 --support 0")).is_err());
+        for scale in ["0", "-1", "nan", "inf"] {
+            assert!(parse(&argv(&format!("plan --preset uk --scale {scale}"))).is_err());
+        }
         assert!(parse(&argv("frobnicate")).is_err());
     }
 

@@ -2,8 +2,11 @@
 //! records a baseline it can cleanly compare against and fails loudly on
 //! an injected regression; a traced faulted run's telemetry dump
 //! validates through `report` and `report lineage` reconstructs the
-//! crashed batch's hop chain deterministically; the flight recorder
-//! dumps its ring when a run dies.
+//! crashed batch's hop chain deterministically while its chrome trace and
+//! Prometheus exposition validate; the flight recorder dumps its ring when
+//! a run dies or a chaos sweep finds a violation. Two more end-to-end
+//! checks live here: a WAL-durable run recovers every node, and graph
+//! presets plan at scales below their host count.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -94,17 +97,27 @@ fn bench_baseline_round_trip_and_injected_regression() {
     let _ = std::fs::remove_file(&perturbed);
 }
 
-/// Run a traced, fault-injected workload and return its telemetry dump
-/// path (caller removes it).
-fn traced_faulted_dump(name: &str) -> PathBuf {
-    let dump = tmp(name);
+/// Run a traced, fault-injected workload with every exporter on and return
+/// its telemetry dump, chrome trace and Prometheus paths (caller removes
+/// them).
+fn traced_faulted_dump(name: &str) -> [PathBuf; 3] {
+    let files = [
+        tmp(&format!("{name}.json")),
+        tmp(&format!("{name}-trace.json")),
+        tmp(&format!("{name}.prom")),
+    ];
     let out = bin()
         .args([
             "run", "--preset", "rcv1", "--scale", "0.05", "--nodes", "4", "--seed", "31",
             "--strategy", "het-energy-aware", "--alpha", "0.995", "--support", "0.15",
-            "--faults", "crash:1@0.5", "--telemetry-out",
+            "--faults", "crash:1@0.5",
         ])
-        .arg(&dump)
+        .arg("--telemetry-out")
+        .arg(&files[0])
+        .arg("--trace-out")
+        .arg(&files[1])
+        .arg("--metrics-out")
+        .arg(&files[2])
         .output()
         .expect("spawn paretofab run");
     assert!(
@@ -112,20 +125,24 @@ fn traced_faulted_dump(name: &str) -> PathBuf {
         "traced faulted run failed:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    dump
+    files
 }
 
 /// The telemetry dump of a faulted run validates and summarizes through
-/// `report`, and `report lineage` reconstructs the crashed batch's full
-/// hop chain — placement then redistribution off the dead node — with
-/// byte-identical output across invocations.
+/// `report`, its chrome trace validates alongside it (matched B/E pairs,
+/// monotone timestamps per track), its Prometheus exposition parses, and
+/// `report lineage` reconstructs the crashed batch's full hop chain —
+/// placement then redistribution off the dead node — with byte-identical
+/// output across invocations.
 #[test]
 fn report_validates_dump_and_reconstructs_lineage() {
-    let dump = traced_faulted_dump("dump.json");
+    let [dump, trace, prom] = traced_faulted_dump("dump");
 
     let out = bin()
         .args(["report", "--input"])
         .arg(&dump)
+        .arg("--trace")
+        .arg(&trace)
         .output()
         .expect("spawn paretofab report");
     assert!(
@@ -136,6 +153,18 @@ fn report_validates_dump_and_reconstructs_lineage() {
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
     assert!(stdout.contains("telemetry dump:"), "summary header missing: {stdout}");
     assert!(stdout.contains("[ledger]"), "ledger section missing: {stdout}");
+    assert!(
+        stdout.lines().any(|l| l.starts_with("chrome trace ") && l.contains(": OK")),
+        "chrome trace verdict missing: {stdout}"
+    );
+
+    let exposition = std::fs::read_to_string(&prom).expect("read --metrics-out file");
+    pareto_telemetry::export::validate_exposition(&exposition)
+        .unwrap_or_else(|e| panic!("malformed exposition: {e}\n{exposition}"));
+    assert!(
+        exposition.contains("pareto_plan_cache_events_total"),
+        "exposition missing the plan-cache counters: {exposition}"
+    );
 
     let lineage = |batch: &str| -> std::process::Output {
         bin()
@@ -167,7 +196,9 @@ fn report_validates_dump_and_reconstructs_lineage() {
     let out = lineage("99");
     assert!(!out.status.success(), "unknown batch must exit nonzero");
 
-    let _ = std::fs::remove_file(&dump);
+    for file in [dump, trace, prom] {
+        let _ = std::fs::remove_file(file);
+    }
 }
 
 /// A run that cannot complete (every node crashes) dumps the flight
@@ -209,4 +240,72 @@ fn flight_recorder_dumps_on_failure_only() {
         !flight.exists(),
         "flight recorder must stay silent on a clean run"
     );
+
+    // A chaos sweep that catches its planted corruption succeeds, and the
+    // violation still arms the recorder.
+    let flight = tmp("flight-chaos.json");
+    let out = bin()
+        .args([
+            "chaos", "--preset", "rcv1", "--scale", "0.05", "--seed", "2017", "--nodes", "4",
+            "--schedules", "16", "--inject-corruption", "--flight-out",
+        ])
+        .arg(&flight)
+        .output()
+        .expect("spawn paretofab chaos");
+    assert!(
+        out.status.success(),
+        "caught corruption must exit 0:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let dump = std::fs::read_to_string(&flight).expect("flight dump written on violation");
+    for key in ["\"flight-recorder\"", "\"chaos-violation\""] {
+        assert!(dump.contains(key), "flight dump missing {key}: {dump}");
+    }
+    let _ = std::fs::remove_file(&flight);
+}
+
+/// `run --durability wal` replays every node's snapshot + WAL after the
+/// workload and reports a bit-identical recovery on each of them.
+#[test]
+fn durable_run_recovers_every_node() {
+    let out = bin()
+        .args([
+            "run", "--preset", "rcv1", "--scale", "0.1", "--seed", "7", "--nodes", "4",
+            "--workload", "patterns", "--durability", "wal",
+        ])
+        .output()
+        .expect("spawn paretofab run");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "durable run failed:\n{stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for node in 0..4 {
+        let prefix = format!("node {node}: ");
+        assert!(
+            stdout
+                .lines()
+                .any(|l| l.trim_start().starts_with(&prefix) && l.ends_with("recovery ok")),
+            "node {node} did not recover bit-identically:\n{stdout}"
+        );
+    }
+}
+
+/// Scales too small for a graph preset's host count generate one vertex
+/// per host instead of panicking.
+#[test]
+fn tiny_scale_graph_presets_plan() {
+    for preset in ["uk", "arabic"] {
+        let out = bin()
+            .args(["plan", "--preset", preset, "--scale", "0.001", "--nodes", "4"])
+            .output()
+            .expect("spawn paretofab plan");
+        assert!(
+            out.status.success(),
+            "{preset} at scale 0.001 exited {:?}:\n{}",
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
 }

@@ -1016,7 +1016,10 @@ mod tests {
                 .expect("non-empty dataset")
         };
         let serial = plan_at(1);
-        for threads in [2, 4, 8] {
+        // CI's thread matrix appends counts through `PARETO_TEST_THREADS`.
+        let extra = std::env::var("PARETO_TEST_THREADS").unwrap_or_default();
+        let counts = extra.split(',').filter_map(|t| t.trim().parse().ok());
+        for threads in [2, 4, 8].into_iter().chain(counts) {
             let par = plan_at(threads);
             assert_eq!(serial.stratification.assignments, par.stratification.assignments);
             assert_eq!(serial.sizes, par.sizes);

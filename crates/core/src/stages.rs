@@ -764,10 +764,7 @@ impl<'a> PlanEngine<'a> {
         let roster = self.roster.as_slice();
         let telemetry: &Telemetry = &self.telemetry;
         let (n, p) = (dataset.len(), roster.len());
-        let stratifier = Stratifier::new(StratifierConfig {
-            threads: cfg.threads,
-            ..cfg.stratifier.clone()
-        });
+        let stratifier = Stratifier::new(cfg.stratifier.clone()).with_threads(cfg.threads);
         let mut run = StageRunner {
             cache: &self.cache,
             telemetry,
@@ -1132,7 +1129,6 @@ mod tests {
                     l: _,
                     max_iters: _,
                     seed: _,
-                    threads: _,
                 },
             sampling:
                 SamplingPlan {
@@ -1164,7 +1160,6 @@ mod tests {
             ("stratifier.num_strata", |i| i.cfg.stratifier.num_strata += 1, from("stratify")),
             ("stratifier.l", |i| i.cfg.stratifier.l += 1, from("stratify")),
             ("stratifier.max_iters", |i| i.cfg.stratifier.max_iters += 1, from("stratify")),
-            ("stratifier.threads", |i| i.cfg.stratifier.threads += 1, vec![]),
             ("sampling.lo_frac", |i| i.cfg.sampling.lo_frac *= 2.0, from("measure")),
             ("sampling.hi_frac", |i| i.cfg.sampling.hi_frac *= 2.0, from("measure")),
             ("sampling.steps", |i| i.cfg.sampling.steps += 1, from("measure")),

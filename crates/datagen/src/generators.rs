@@ -389,9 +389,11 @@ pub fn treebank_syn(seed: u64, scale: f64) -> Dataset {
 
 /// UK-webgraph-like dataset: strong host locality.
 pub fn uk_syn(seed: u64, scale: f64) -> Dataset {
+    let num_hosts = 36;
     let cfg = GraphGenConfig {
-        num_vertices: scaled(9000, scale),
-        num_hosts: 36,
+        // `gen_graph` needs a vertex per host; tiny scales floor there.
+        num_vertices: scaled(9000, scale).max(num_hosts),
+        num_hosts,
         mean_degree: 26,
         host_affinity: 0.85,
         host_skew: 0.9,
@@ -404,9 +406,10 @@ pub fn uk_syn(seed: u64, scale: f64) -> Dataset {
 
 /// Arabic-webgraph-like dataset: larger and denser than UK.
 pub fn arabic_syn(seed: u64, scale: f64) -> Dataset {
+    let num_hosts = 44;
     let cfg = GraphGenConfig {
-        num_vertices: scaled(13_000, scale),
-        num_hosts: 44,
+        num_vertices: scaled(13_000, scale).max(num_hosts),
+        num_hosts,
         mean_degree: 36,
         host_affinity: 0.82,
         host_skew: 0.85,
@@ -544,6 +547,18 @@ mod tests {
         }
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
         assert!(mean(&within) > mean(&across));
+    }
+
+    #[test]
+    fn graph_presets_generate_at_tiny_scales() {
+        // Below the host count the presets floor at one vertex per host
+        // instead of tripping `gen_graph`'s assert; above it nothing moves.
+        for scale in [0.0, 1e-9, 0.001, 0.003] {
+            assert_eq!(uk_syn(7, scale).len(), 36, "uk at scale {scale}");
+            assert_eq!(arabic_syn(7, scale).len(), 44, "arabic at scale {scale}");
+        }
+        assert_eq!(uk_syn(7, 0.01).len(), scaled(9000, 0.01));
+        assert_eq!(arabic_syn(7, 0.01).len(), scaled(13_000, 0.01));
     }
 
     #[test]

@@ -37,9 +37,6 @@ pub struct StratifierConfig {
     pub max_iters: usize,
     /// Seed for sketching and center initialization.
     pub seed: u64,
-    /// Worker threads for sketching and clustering (1 = serial). The
-    /// output is bit-identical at any thread count.
-    pub threads: usize,
 }
 
 impl Default for StratifierConfig {
@@ -50,7 +47,6 @@ impl Default for StratifierConfig {
             l: 4,
             max_iters: 20,
             seed: 0xDA7A,
-            threads: 1,
         }
     }
 }
@@ -96,12 +92,21 @@ impl Stratification {
 /// Sketch a dataset and cluster the sketches into strata.
 pub struct Stratifier {
     cfg: StratifierConfig,
+    threads: usize,
 }
 
 impl Stratifier {
-    /// Create a stratifier with the given configuration.
+    /// Create a stratifier with the given configuration (serial; see
+    /// [`Stratifier::with_threads`]).
     pub fn new(cfg: StratifierConfig) -> Self {
-        Stratifier { cfg }
+        Stratifier { cfg, threads: 1 }
+    }
+
+    /// Sketch and cluster on up to `threads` workers. The output is
+    /// bit-identical at any thread count.
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads.max(1);
+        self
     }
 
     /// Configuration accessor.
@@ -116,7 +121,7 @@ impl Stratifier {
     }
 
     /// Sketch a dataset's item sets (the first pipeline stage), sharded
-    /// across `cfg.threads` workers. Exposed separately so callers can
+    /// across the stratifier's workers. Exposed separately so callers can
     /// time sketching and clustering independently.
     pub fn sketch(&self, dataset: &Dataset) -> SignatureMatrix {
         let empty = SignatureMatrix::new(self.cfg.sketch_size, 0, Vec::new());
@@ -144,7 +149,7 @@ impl Stratifier {
             .iter()
             .map(|it| &it.items)
             .collect();
-        hasher.sketch_extend(prefix, &new_sets, self.cfg.threads)
+        hasher.sketch_extend(prefix, &new_sets, self.threads)
     }
 
     /// Cluster pre-computed signatures (useful when the caller also needs
@@ -155,7 +160,7 @@ impl Stratifier {
             l: self.cfg.l,
             max_iters: self.cfg.max_iters,
             seed: self.cfg.seed ^ 0x005E_EDC1u64,
-            threads: self.cfg.threads,
+            threads: self.threads,
         };
         let result = CompositeKModes::new(kcfg).run(signatures);
         let mut strata = vec![Vec::new(); result.num_clusters];

@@ -39,7 +39,6 @@ proptest! {
             sketch_size: 32,
             max_iters: 8,
             seed,
-            threads: 1,
         })
         .stratify(&ds);
         prop_assert_eq!(st.assignments.len(), num_docs);

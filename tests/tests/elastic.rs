@@ -10,6 +10,7 @@ use pareto_core::{
     ElasticSpec, ParetoModeler, PlanSession, RecoveryConfig,
 };
 use pareto_datagen::Dataset;
+use pareto_integration_tests::thread_counts;
 use pareto_telemetry::Telemetry;
 use pareto_workloads::WorkloadKind;
 
@@ -48,9 +49,9 @@ fn elastic_chaos(seed: u64) -> ChaosConfig {
 
 /// The issue's acceptance number: 256 seeded elastic schedules composed
 /// with the storage fault mix, zero auditor violations, and the sweep
-/// report is identical across thread counts {1, 4, 8} for three master
-/// seeds (planning is the only threaded stage; the roster simulation and
-/// audit must not observe it).
+/// report is identical across thread counts {1, 4, 8} (plus any in
+/// `PARETO_TEST_THREADS`) for three master seeds (planning is the only
+/// threaded stage; the roster simulation and audit must not observe it).
 #[test]
 fn elastic_sweep_clean_and_identical_across_thread_counts() {
     for seed in [2017u64, 42, 0xC0FFEE] {
@@ -74,7 +75,7 @@ fn elastic_sweep_clean_and_identical_across_thread_counts() {
             "seed {seed}: suspiciously few checks: {}",
             serial.checks
         );
-        for threads in [4usize, 8] {
+        for &threads in &thread_counts()[1..] {
             let par = sweep(threads, &chaos);
             assert_eq!(
                 par.schedules_run, serial.schedules_run,

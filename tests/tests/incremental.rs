@@ -6,10 +6,13 @@
 //! a cache-served plan against a from-scratch reference (a fresh
 //! [`Framework`] or [`PlanEngine`]) field by field, floats by bit pattern.
 
+use std::collections::BTreeMap;
+
 use pareto_cluster::{NodeSpec, SimCluster};
 use pareto_core::framework::{Framework, FrameworkConfig, Plan, Strategy};
 use pareto_core::{PlanEngine, PlanSession};
 use pareto_datagen::Dataset;
+use pareto_telemetry::{metrics, MetricKey, Telemetry};
 use pareto_workloads::WorkloadKind;
 use proptest::prelude::*;
 
@@ -146,7 +149,8 @@ fn warm_replan_same_inputs_is_bit_identical() {
 }
 
 /// An 11-point α sweep computes sketch/stratify/profile exactly once; each
-/// swept plan equals a cold plan at that α.
+/// swept plan equals a cold plan at that α; and the telemetry counters a
+/// `report` prints agree with `CacheStats` event for event.
 #[test]
 fn alpha_sweep_computes_upstream_stages_once() {
     let seed = 2017;
@@ -155,12 +159,14 @@ fn alpha_sweep_computes_upstream_stages_once() {
     let alphas: Vec<f64> = (0..11).map(|i| 1.0 - i as f64 / 10.0).collect();
     assert_eq!(alphas.len(), 11);
 
+    let telemetry = Telemetry::enabled();
     let mut session = PlanSession::new(
         &cl,
         cfg(seed, 4, Strategy::HetEnergyAware { alpha: 1.0 }),
         ds.clone(),
         WORKLOAD,
-    );
+    )
+    .with_telemetry(telemetry.clone());
     let plans = session.sweep(&alphas).expect("sweep");
 
     let stats = session.cache_stats();
@@ -175,6 +181,24 @@ fn alpha_sweep_computes_upstream_stages_once() {
     // The LP depends on α, so it must NOT be reused across distinct alphas.
     assert_eq!(stats.misses("optimize"), alphas.len() as u64);
     assert_eq!(stats.misses("partition"), alphas.len() as u64);
+
+    let label = |key: &MetricKey, name: &str| {
+        let value = key.labels.iter().find(|(k, _)| k == name);
+        value.expect("plan-cache counters carry stage and event").1.clone()
+    };
+    let in_telemetry: BTreeMap<(String, String), u64> = telemetry
+        .snapshot()
+        .metrics
+        .counters
+        .iter()
+        .filter(|(key, _)| key.name == metrics::PLAN_CACHE_EVENTS_TOTAL)
+        .map(|(key, &n)| ((label(key, "stage"), label(key, "event")), n))
+        .collect();
+    let in_stats: BTreeMap<(String, String), u64> = stats
+        .events()
+        .map(|(stage, event, n)| ((stage.to_string(), event.to_string()), n))
+        .collect();
+    assert_eq!(in_telemetry, in_stats, "telemetry and CacheStats disagree");
 
     for (alpha, plan) in alphas.iter().zip(&plans) {
         let cold = Framework::new(
