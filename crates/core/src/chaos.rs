@@ -13,7 +13,8 @@
 //!
 //! Everything is seeded: the same `(seed, schedules)` pair explores the
 //! same schedules and shrinks to the same minimal spec on every run and
-//! every machine — the property the CI `chaos-smoke` job pins.
+//! every machine. `tests/tests/chaos.rs` and `golden_cli`'s `chaos-smoke/*`
+//! cases pin it.
 
 use std::sync::Arc;
 

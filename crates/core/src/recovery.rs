@@ -40,7 +40,8 @@
 //! The simulation is serial and event-driven (always advance the
 //! smallest-clock node, ties broken by node id), so for a fixed fault plan
 //! the resulting [`RecoveryReport`] is bit-identical regardless of host
-//! threads — the property the CI fault-determinism job enforces.
+//! threads. `fault_determinism` and `golden_recovery` check it, also under
+//! the extra thread counts of CI's `thread-matrix` job.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -51,7 +52,7 @@ use pareto_telemetry::{ClockDomain, SpanId, Telemetry, Track};
 
 use crate::elastic::ElasticPlan;
 use crate::pareto::{map_partition_basis, LpBasis, LpStats, ParetoModeler};
-use crate::stealing::{steal_back_half, RecordWork};
+use crate::stealing::{RecordWork, WorkQueue};
 
 /// Tunables for the recovery machinery.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -99,6 +100,9 @@ pub enum RecoveryConfigError {
         /// Number of items in `work`.
         items: usize,
     },
+    /// The ops of the items in the initial queues sum past `u64::MAX`, so
+    /// a queue's running ops total could not stay exact.
+    WorkOverflow,
 }
 
 impl std::fmt::Display for RecoveryConfigError {
@@ -123,6 +127,9 @@ impl std::fmt::Display for RecoveryConfigError {
             }
             RecoveryConfigError::ItemOutOfRange { item, items } => {
                 write!(f, "initial queues name item {item} of a {items}-item job")
+            }
+            RecoveryConfigError::WorkOverflow => {
+                write!(f, "the queued items' ops sum past u64::MAX")
             }
         }
     }
@@ -340,8 +347,10 @@ pub struct ExecRequest<'a> {
 
 impl ExecRequest<'_> {
     /// The one place a request is checked: a valid config, one queue, time
-    /// model and energy profile per cluster node, and every queued item
-    /// inside `work`. Returns the modeler runtime re-solves restrict.
+    /// model and energy profile per cluster node, every queued item inside
+    /// `work`, and a total of queued ops that fits in `u64` (items only
+    /// move between queues, so no queue's running total can then
+    /// overflow). Returns the modeler runtime re-solves restrict.
     fn validate(&self) -> Result<ParetoModeler, RecoveryConfigError> {
         self.cfg.validate()?;
         let nodes = self.cluster.num_nodes();
@@ -355,8 +364,14 @@ impl ExecRequest<'_> {
             }
         }
         let items = self.work.len();
-        if let Some(&item) = self.initial.iter().flatten().find(|&&r| r >= items) {
-            return Err(RecoveryConfigError::ItemOutOfRange { item, items });
+        let mut queued_ops = 0u64;
+        for &item in self.initial.iter().flatten() {
+            let Some(w) = self.work.get(item) else {
+                return Err(RecoveryConfigError::ItemOutOfRange { item, items });
+            };
+            queued_ops = queued_ops
+                .checked_add(w.ops)
+                .ok_or(RecoveryConfigError::WorkOverflow)?;
         }
         let modeler = ParetoModeler::new(self.fits.to_vec(), self.profiles.to_vec())
             .expect("fits and profiles just checked node-aligned; a cluster is never empty");
@@ -370,8 +385,8 @@ impl ExecRequest<'_> {
 /// simulated internally to price the recovery overhead.
 ///
 /// Errors — never panics — on a request whose per-node inputs are not
-/// node-aligned, that queues an item outside `work`, or whose config is
-/// invalid.
+/// node-aligned, that queues an item outside `work`, whose queued ops
+/// overflow `u64`, or whose config is invalid.
 pub fn execute(req: &ExecRequest<'_>) -> Result<RecoveryOutcome, RecoveryConfigError> {
     let modeler = req.validate()?;
     let (silent, no_elastic) = (Telemetry::disabled(), ElasticPlan::none());
@@ -456,8 +471,8 @@ fn record_recovery_telemetry(tel: &Telemetry, rec: &RecoveryReport, epoch: f64) 
 }
 
 /// Per-node simulation state.
-struct NodeState {
-    queue: VecDeque<usize>,
+struct NodeState<'a> {
+    queue: WorkQueue<'a>,
     /// Wall-clock position (simulated seconds).
     clock: f64,
     /// Busy seconds actually charged (excludes idle waits).
@@ -481,7 +496,7 @@ struct NodeState {
     assigned: usize,
 }
 
-impl NodeState {
+impl NodeState<'_> {
     /// Can this node still be scheduled or receive work?
     fn active(&self) -> bool {
         self.alive && !self.left && !self.absent
@@ -519,11 +534,13 @@ struct Sim<'a> {
     /// effective kill time is the earlier of its scheduled crash and its
     /// preempt notice plus grace.
     kill_at: Vec<Option<f64>>,
+    /// Per node, the fault plan's straggler factor (1.0 when healthy).
+    straggler: Vec<f64>,
     join_at: Vec<Option<f64>>,
     /// Earliest drain trigger per node and whether it came from a
     /// preemption (ties prefer the graceful drain).
     drain_notice: Vec<Option<(f64, bool)>>,
-    nodes: Vec<NodeState>,
+    nodes: Vec<NodeState<'a>>,
     /// Warm-start state chained across the pass's runtime re-solves: the
     /// roster the most recent basis was solved over plus the basis itself
     /// (seeded from the pre-fault plan). Warm and cold re-solves produce
@@ -592,6 +609,7 @@ impl<'a> Sim<'a> {
                     faults.crash_time(i).into_iter().chain(preempt_kill).reduce(f64::min)
                 })
                 .collect(),
+            straggler: (0..p).map(|i| faults.straggler_factor(i)).collect(),
             drain_notice: (0..p)
                 .map(|i| {
                     let drain = elastic.drain_time(i).map(|t| (t, false));
@@ -608,7 +626,7 @@ impl<'a> Sim<'a> {
                 .iter()
                 .zip(&join_at)
                 .map(|(q, join)| NodeState {
-                    queue: q.iter().copied().collect(),
+                    queue: WorkQueue::new(req.work, q),
                     clock: 0.0,
                     busy: 0.0,
                     cost: Cost::ZERO,
@@ -748,7 +766,7 @@ impl<'a> Sim<'a> {
         let cluster = self.req.cluster;
         let net = self.faults.network_at(node, now, cluster.network());
         cost.seconds(cluster.node(node).speed(), cluster.base_ops_per_sec(), &net)
-            * self.faults.straggler_factor(node)
+            * self.straggler[node]
     }
 
     /// Advance `node` by `dt` busy seconds, unless its scheduled kill
@@ -861,7 +879,7 @@ impl<'a> Sim<'a> {
     fn take_queue(&mut self, node: usize) -> Vec<usize> {
         let state = &mut self.nodes[node];
         state.assigned -= state.queue.len();
-        state.queue.drain(..).collect()
+        state.queue.take_all()
     }
 
     /// `node` just died (its kill landed inside an event, or it ran out of
@@ -1066,7 +1084,7 @@ impl<'a> Sim<'a> {
             }
             let state = &mut self.nodes[i];
             if state.alive {
-                let bytes: u64 = state.queue.iter().map(|&r| self.req.work[r].bytes).sum();
+                let bytes: u64 = state.queue.iter().map(|r| self.req.work[r].bytes).sum();
                 state.pending = Cost::request(bytes);
                 state.pending_kind = "fetch";
             }
@@ -1288,31 +1306,14 @@ impl<'a> Sim<'a> {
     /// mid-transfer the stolen items become orphans and are replanned.
     /// Returns whether a steal happened.
     fn steal_from_straggler(&mut self, node: usize) -> bool {
-        let work = self.req.work;
-        let victim = (0..self.nodes.len())
-            .filter(|&v| v != node && self.nodes[v].active() && !self.nodes[v].queue.is_empty())
-            .map(|v| {
-                let state = &self.nodes[v];
-                let remaining: f64 = state
-                    .queue
-                    .iter()
-                    .map(|&r| self.event_seconds(v, &Cost::compute(work[r].ops), state.clock))
-                    .sum::<f64>()
-                    + self.event_seconds(v, &state.pending, state.clock);
-                (v, state.clock + remaining)
-            })
-            .filter(|&(v, projected)| {
-                // Predicted f_v(x_v) for the victim's current assignment,
-                // floored so the ratio is always well-defined.
-                let assigned = self.nodes[v].assigned as f64;
-                let predicted = self.req.fits[v].predict(assigned).max(1e-9);
-                projected > self.req.cfg.straggler_threshold * predicted
-            })
-            .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)));
+        let victim = self.pick_victim(node, |v| self.projected_finish(v));
+        #[cfg(test)]
+        self.assert_matches_reference(node, victim);
         let Some((victim, _)) = victim else {
             return false;
         };
-        let stolen = steal_back_half(&mut self.nodes[victim].queue);
+        let work = self.req.work;
+        let stolen = self.nodes[victim].queue.steal_back_half();
         self.nodes[victim].assigned -= stolen.len();
         let bytes: u64 = stolen.iter().map(|&r| work[r].bytes).sum();
         self.out.recovery.speculative_steals += 1;
@@ -1344,6 +1345,34 @@ impl<'a> Sim<'a> {
             self.crash(node, "steal", stolen);
         }
         true
+    }
+
+    /// `v`'s projected wall finish: its clock plus its queue's ops total
+    /// and its pending transfer, each priced once at that clock. O(1), so a
+    /// straggler poll costs O(nodes) whatever the queue lengths.
+    fn projected_finish(&self, v: usize) -> f64 {
+        let state = &self.nodes[v];
+        let queued = Cost::compute(state.queue.ops());
+        let remaining = self.event_seconds(v, &queued, state.clock)
+            + self.event_seconds(v, &state.pending, state.clock);
+        state.clock + remaining
+    }
+
+    /// The most-behind straggler other than `node`, with its projected
+    /// finish: among active nodes with queued items, those whose
+    /// `finish(v)` exceeds `threshold × f_v(x_v)` for their current
+    /// assignment (the prediction floored so the ratio is always
+    /// well-defined); ties go to the lowest id.
+    fn pick_victim(&self, node: usize, finish: impl Fn(usize) -> f64) -> Option<(usize, f64)> {
+        (0..self.nodes.len())
+            .filter(|&v| v != node && self.nodes[v].active() && !self.nodes[v].queue.is_empty())
+            .map(|v| (v, finish(v)))
+            .filter(|&(v, projected)| {
+                let assigned = self.nodes[v].assigned as f64;
+                let predicted = self.req.fits[v].predict(assigned).max(1e-9);
+                projected > self.req.cfg.straggler_threshold * predicted
+            })
+            .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)))
     }
 }
 
@@ -1427,6 +1456,46 @@ mod tests {
     ) -> RecoveryOutcome {
         let cfg = RecoveryConfig::default();
         run_elastic(cl, work, initial, faults, &ElasticPlan::none(), &cfg)
+    }
+
+    /// The unit tests' side of `steal_from_straggler`'s check.
+    impl Sim<'_> {
+        /// The reference straggler scan: every queued item priced separately
+        /// and summed.
+        fn reference_victim(&self, node: usize) -> Option<(usize, f64)> {
+            self.pick_victim(node, |v| self.reference_finish(v))
+        }
+
+        /// [`Sim::projected_finish`] with the queue priced item by item.
+        fn reference_finish(&self, v: usize) -> f64 {
+            let (state, work) = (&self.nodes[v], self.req.work);
+            let remaining: f64 = state
+                .queue
+                .iter()
+                .map(|r| self.event_seconds(v, &Cost::compute(work[r].ops), state.clock))
+                .sum::<f64>()
+                + self.event_seconds(v, &state.pending, state.clock);
+            state.clock + remaining
+        }
+
+        /// Every idle poll in the unit tests re-derives the victim the slow
+        /// way: the same victim, and for every node with queued items a
+        /// projection equal up to the rounding of summing per item.
+        pub(super) fn assert_matches_reference(&self, node: usize, victim: Option<(usize, f64)>) {
+            for v in (0..self.nodes.len()).filter(|&v| !self.nodes[v].queue.is_empty()) {
+                let (fast, slow) = (self.projected_finish(v), self.reference_finish(v));
+                assert!(
+                    (fast - slow).abs() <= 1e-9 * slow.abs(),
+                    "node {v}: projection {fast} vs per-item {slow}"
+                );
+            }
+            let reference = self.reference_victim(node);
+            assert_eq!(
+                victim.map(|v| v.0),
+                reference.map(|v| v.0),
+                "node {node} chose {victim:?}, the per-item scan {reference:?}"
+            );
+        }
     }
 
     #[test]
@@ -1575,6 +1644,15 @@ mod tests {
         let bad_cfg = RecoveryConfig { max_retries: 0, ..cfg };
         let invalid = ExecRequest { cfg: &bad_cfg, ..good };
         assert_eq!(execute(&invalid).unwrap_err(), RecoveryConfigError::ZeroRetries);
+        // Queued ops summing past u64::MAX would wrap a queue's running
+        // total; exactly u64::MAX passes the check. (Only the check:
+        // simulating 2^64 ops does not finish in test time.)
+        let two = [vec![0], vec![1], vec![]];
+        let huge = uniform_work(2, u64::MAX / 2 + 1);
+        let overflow = ExecRequest { work: &huge, initial: &two, ..good };
+        assert_eq!(execute(&overflow).unwrap_err(), RecoveryConfigError::WorkOverflow);
+        let edge = [huge[0], RecordWork { ops: u64::MAX / 2, bytes: 256 }];
+        assert!(ExecRequest { work: &edge, initial: &two, ..good }.validate().is_ok());
     }
 
     /// Exhaustion boundary: with `max_retries = k`, exactly `k` errors are
@@ -1636,6 +1714,40 @@ mod tests {
         );
         assert!(out.recovery.items_stolen > 0);
         assert!(out.recovery.exactly_once);
+    }
+
+    /// An unpaid transfer counts toward a victim's projected finish: node
+    /// 1 runs at its predicted pace but owes a huge redistribution
+    /// transfer, so an idle node steals from it. (The poll also checks every
+    /// projection against the per-item scan.)
+    #[test]
+    fn pending_transfer_makes_a_straggler() {
+        let cl = cluster(3);
+        let work = uniform_work(60, 1_000_000);
+        let initial = vec![(0..30).collect(), (30..60).collect(), Vec::new()];
+        let (fits, profs) = (truthful_fits(&cl, 1_000_000), profiles(3));
+        let (faults, cfg) = (FaultPlan::none(), RecoveryConfig::default());
+        let req = ExecRequest {
+            cluster: &cl,
+            work: &work,
+            initial: &initial,
+            strata: &[],
+            fits: &fits,
+            profiles: &profs,
+            alpha: 1.0,
+            faults: &faults,
+            cfg: &cfg,
+            elastic: None,
+            warm: None,
+            telemetry: None,
+        };
+        let modeler = req.validate().expect("well-formed request");
+        let (tel, elastic) = (Telemetry::disabled(), ElasticPlan::none());
+        let mut sim = Sim::new(&req, &modeler, &faults, &elastic, &tel, 0.0);
+        assert!(!sim.steal_from_straggler(2), "on pace: nothing to steal");
+        sim.nodes[1].pending = Cost::request(1 << 40);
+        assert!(sim.steal_from_straggler(2), "the transfer makes node 1 late");
+        assert_eq!(sim.nodes[1].queue.len(), 15);
     }
 
     #[test]

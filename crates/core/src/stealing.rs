@@ -15,6 +15,12 @@
 //! bytes over the network plus one round trip per steal. Simulated time
 //! advances per record; the returned report uses the same accounting as
 //! [`SimCluster::account_costs`](pareto_cluster::SimCluster).
+//!
+//! Every deque is a [`WorkQueue`], which keeps the sum of its records' ops
+//! next to the ids, so picking a victim reads one total per node instead
+//! of re-pricing every queued record.
+
+use std::collections::VecDeque;
 
 use pareto_cluster::{Cost, JobReport, SimCluster};
 
@@ -40,13 +46,85 @@ pub struct RecordWork {
     pub bytes: u64,
 }
 
-/// Take the back half of a victim's deque (classic deque steal), in order.
-/// Shared by the work-stealing baseline and the fault executor's
-/// speculative re-execution of straggler queues.
-pub(crate) fn steal_back_half(victim: &mut std::collections::VecDeque<usize>) -> Vec<usize> {
-    let take = victim.len().div_ceil(2);
-    let start = victim.len() - take;
-    victim.drain(start..).collect()
+/// One node's queue of record ids (front = next to run) plus the sum of
+/// their [`RecordWork::ops`]. Every edit goes through a method that keeps
+/// the sum, so a scheduler reads a queue's remaining work in O(1). Shared
+/// by the work-stealing baseline and the fault executor's node queues.
+///
+/// The sum saturates rather than wraps. It is exact while the ops queued
+/// at once fit in `u64`; the fault executor rejects jobs where they may
+/// not (`RecoveryConfigError::WorkOverflow`).
+pub(crate) struct WorkQueue<'a> {
+    work: &'a [RecordWork],
+    items: VecDeque<usize>,
+    ops: u64,
+}
+
+impl<'a> WorkQueue<'a> {
+    /// A queue holding `items`, in order; each is an index into `work`.
+    pub(crate) fn new(work: &'a [RecordWork], items: &[usize]) -> Self {
+        let mut queue = WorkQueue {
+            work,
+            items: VecDeque::with_capacity(items.len()),
+            ops: 0,
+        };
+        queue.extend(items.iter().copied());
+        queue
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
+
+    /// Total ops of the queued records.
+    pub(crate) fn ops(&self) -> u64 {
+        self.ops
+    }
+
+    /// The queued record ids, front first.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.items.iter().copied()
+    }
+
+    pub(crate) fn pop_front(&mut self) -> Option<usize> {
+        let r = self.items.pop_front()?;
+        self.ops = self.ops.saturating_sub(self.work[r].ops);
+        Some(r)
+    }
+
+    /// Append `items` at the back, in order.
+    pub(crate) fn extend(&mut self, items: impl IntoIterator<Item = usize>) {
+        for r in items {
+            self.ops = self.ops.saturating_add(self.work[r].ops);
+            self.items.push_back(r);
+        }
+    }
+
+    /// Remove and return the records from position `at` on, in order.
+    /// Panics if `at > len`, like [`VecDeque::split_off`].
+    pub(crate) fn split_off(&mut self, at: usize) -> Vec<usize> {
+        let tail: Vec<usize> = self.items.drain(at..).collect();
+        for &r in &tail {
+            self.ops = self.ops.saturating_sub(self.work[r].ops);
+        }
+        tail
+    }
+
+    /// Take the back half (rounded up) of the queue, in order: the classic
+    /// deque steal.
+    pub(crate) fn steal_back_half(&mut self) -> Vec<usize> {
+        self.split_off(self.len() / 2)
+    }
+
+    /// Empty the queue, returning every record in order.
+    pub(crate) fn take_all(&mut self) -> Vec<usize> {
+        self.ops = 0;
+        self.items.drain(..).collect()
+    }
 }
 
 /// Simulate work stealing over `initial` per-node record queues.
@@ -66,10 +144,7 @@ pub fn simulate_work_stealing(
     let p = cluster.num_nodes();
     // Per-node state: pending record queue (front = next to process),
     // current simulated clock, and accumulated cost.
-    let mut queues: Vec<std::collections::VecDeque<usize>> = initial
-        .iter()
-        .map(|q| q.iter().copied().collect())
-        .collect();
+    let mut queues: Vec<_> = initial.iter().map(|q| WorkQueue::new(work, q)).collect();
     let mut clock = vec![0.0f64; p];
     let mut costs = vec![Cost::ZERO; p];
     let mut steals = 0usize;
@@ -82,7 +157,7 @@ pub fn simulate_work_stealing(
     let mut retired = vec![false; p];
     while let Some(node) = (0..p)
         .filter(|&i| !retired[i])
-        .min_by(|&a, &b| clock[a].partial_cmp(&clock[b]).expect("finite clocks"))
+        .min_by(|&a, &b| clock[a].total_cmp(&clock[b]))
     {
         if let Some(r) = queues[node].pop_front() {
             let cost = Cost::compute(work[r].ops);
@@ -91,25 +166,20 @@ pub fn simulate_work_stealing(
             continue;
         }
         // Steal from the victim with the most *remaining simulated work*
-        // (what a real scheduler approximates with queue lengths).
+        // (what a real scheduler approximates with queue lengths), priced
+        // once per victim from its queue's ops total.
         let victim = (0..p)
             .filter(|&v| v != node && !queues[v].is_empty())
-            .max_by(|&a, &b| {
-                let load = |v: usize| -> f64 {
-                    queues[v]
-                        .iter()
-                        .map(|&r| {
-                            cluster.cost_to_seconds(v, &Cost::compute(work[r].ops))
-                        })
-                        .sum()
-                };
-                load(a).partial_cmp(&load(b)).expect("finite loads")
-            });
-        let Some(victim) = victim else {
+            .map(|v| {
+                let load = Cost::compute(queues[v].ops());
+                (v, cluster.cost_to_seconds(v, &load))
+            })
+            .max_by(|a, b| a.1.total_cmp(&b.1));
+        let Some((victim, _)) = victim else {
             retired[node] = true;
             continue;
         };
-        let stolen = steal_back_half(&mut queues[victim]);
+        let stolen = queues[victim].steal_back_half();
         let moved_bytes: u64 = stolen.iter().map(|&r| work[r].bytes).sum();
         // The thief pays the transfer before it can proceed.
         let transfer = Cost {
@@ -154,6 +224,8 @@ where
 mod tests {
     use super::*;
     use pareto_cluster::NodeSpec;
+    use proptest::collection::vec;
+    use proptest::prelude::any;
 
     fn cluster(p: usize) -> SimCluster {
         SimCluster::new(NodeSpec::paper_cluster(p, 400.0, 2, 9, 3))
@@ -169,6 +241,48 @@ mod tests {
             parts[i * p / n].push(i);
         }
         parts
+    }
+
+    proptest::proptest! {
+        /// Random edit sequences leave a `WorkQueue` holding the same items,
+        /// in the same order, as a plain deque, with `ops()` equal to their
+        /// recomputed sum after every step.
+        #[test]
+        fn work_queue_matches_a_plain_deque(
+            ops in vec(0u64..1_000_000_000_000, 1..40),
+            initial in vec(0usize..40, 0..20),
+            steps in vec((0u8..5, any::<usize>()), 0..64),
+        ) {
+            let work: Vec<RecordWork> =
+                ops.iter().map(|&ops| RecordWork { ops, bytes: 1 }).collect();
+            let initial: Vec<usize> = initial.iter().map(|r| r % work.len()).collect();
+            let mut queue = WorkQueue::new(&work, &initial);
+            let mut model: VecDeque<usize> = initial.iter().copied().collect();
+            for (kind, arg) in steps {
+                match kind {
+                    0 => {
+                        let items: Vec<usize> =
+                            (0..arg % 8).map(|k| (arg / 8 + k * 7) % work.len()).collect();
+                        queue.extend(items.iter().copied());
+                        model.extend(items);
+                    }
+                    1 => assert_eq!(queue.pop_front(), model.pop_front()),
+                    2 => {
+                        let take = model.len().div_ceil(2);
+                        let back: Vec<usize> = model.drain(model.len() - take..).collect();
+                        assert_eq!(queue.steal_back_half(), back);
+                    }
+                    3 => {
+                        let at = arg % (model.len() + 1);
+                        assert_eq!(queue.split_off(at), Vec::from(model.split_off(at)));
+                    }
+                    _ => assert_eq!(queue.take_all(), model.drain(..).collect::<Vec<_>>()),
+                }
+                assert_eq!(queue.iter().collect::<Vec<_>>(), Vec::from(model.clone()));
+                assert_eq!(queue.len(), model.len());
+                assert_eq!(queue.ops(), model.iter().map(|&r| work[r].ops).sum::<u64>());
+            }
+        }
     }
 
     #[test]

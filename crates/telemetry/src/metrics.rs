@@ -101,8 +101,9 @@ pub const SIZE_BOUNDS: &[f64] = &[
 
 /// Counter of plan-cache events, labelled `{event=hit|miss|evict,
 /// stage=<stage name>}`. Recorded by the incremental planning engine's
-/// stage driver; CI's cache-reuse job greps it out of the `report`
-/// subcommand to assert that warm α sweeps actually reuse artifacts.
+/// stage driver; `incremental::alpha_sweep_computes_upstream_stages_once`
+/// checks it against `CacheStats` to assert that warm α sweeps actually
+/// reuse artifacts.
 pub const PLAN_CACHE_EVENTS_TOTAL: &str = "pareto_plan_cache_events_total";
 
 /// Counter of frontier-explorer candidate points, labelled

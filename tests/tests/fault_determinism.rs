@@ -66,7 +66,7 @@ fn assert_bit_identical(a: &FaultRunOutcome, b: &FaultRunOutcome, ctx: &str) {
 }
 
 /// Seeded generated fault plans replay bit-identically at every thread
-/// count — the CI fault-determinism matrix gate.
+/// count, including the extra ones CI's `thread-matrix` job sets.
 #[test]
 fn generated_fault_plan_identical_across_thread_counts() {
     let counts = thread_counts();
