@@ -275,7 +275,6 @@ pub fn check_claims(st: ExpSettings) -> Vec<ClaimResult> {
     let fixed_pts: Vec<(f64, f64)> = modeler
         .frontier(n, &fixed_grid)
         .expect("fixed sweep")
-        .0
         .iter()
         .map(|p| (p.predicted_makespan, p.predicted_dirty_joules))
         .collect();

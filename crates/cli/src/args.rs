@@ -194,10 +194,6 @@ pub struct Common {
     /// Planning worker threads (1 = serial; results are thread-count
     /// invariant).
     pub threads: usize,
-    /// LP warm-starting across re-solves (plans are bit-identical either
-    /// way; `--lp-warm off` is the reference the identity job diffs
-    /// against).
-    pub lp_warm: bool,
     /// Fault-injection spec (`run` only; `run --help` gives the grammar).
     /// Parsed against the cluster size at execution time.
     pub faults: Option<String>,
@@ -230,7 +226,6 @@ impl Default for Common {
             scale: 0.25,
             seed: 2017,
             threads: 1,
-            lp_warm: true,
             faults: None,
             elastic: None,
             durability: Durability::None,
@@ -327,7 +322,7 @@ const SUBCOMMANDS: &[(&str, Subs, &str)] = &[
       rescue — from a traced run's telemetry dump"),
     ("bench", BENCH,
      "deterministic regression gate over a fixed workload matrix — cold plan, warm replan,\n\
-      WAL recover, frontier explore, warm sweep, faulted run; benchmark/run.sh does the timing"),
+      WAL recover, frontier explore, faulted run; benchmark/run.sh does the timing"),
     ("chaos", CHAOS,
      "sweep seeded fault schedules through the invariant auditor and shrink any violation\n\
       to a minimal reproducing --faults spec; exits nonzero on violations"),
@@ -435,10 +430,6 @@ const FLAGS: &[(&str, &str, Subs, &str, Setter)] = &[
     ("--threads", "N", PLANNING | SERVE,
      "planning worker threads (default 1; the plan is bit-identical at any thread count)",
      |p, s| store(&mut p.common.threads, within(1.., s))),
-    ("--lp-warm", "<on|off>", PLANNING,
-     "LP warm-starting across re-solves (default on; plans are bit-identical either way,\n\
-      only pivot counters differ)",
-     |p, s| store(&mut p.common.lp_warm, choice(s, &[("on", true), ("off", false)]))),
     ("--durability", "<none|snapshot|wal>", RUN,
      "KV durability mode (default none; wal verifies bit-identical recovery after the\n\
       workload and prints a durability report)",
@@ -1384,101 +1375,105 @@ mod tests {
 
     /// Every argv that CI, the benchmark's `daemon_args()`, the README and
     /// the verify skill spell still parses to the command it parsed to at
-    /// df8388d, where these digests were recorded (`bench` apart: its
-    /// command lost the sampling count, so its fields are checked below).
+    /// df8388d (`bench` apart: its command lost the sampling count, so its
+    /// fields are checked below). `--lp-warm` has since been deleted: the
+    /// digests were recomputed at 2b741a9, the last commit that parsed it,
+    /// with `lp_warm: …, ` cut from the `Debug` text and the flag dropped
+    /// from the two argvs that passed it, so the check still compares
+    /// against the past.
     #[test]
     #[rustfmt::skip]
     fn documented_argvs_parse_to_the_commands_recorded_at_the_parent_commit() {
         let cases: &[(u64, &str)] = &[
             // .github/workflows/ci.yml
-            (0x8309_1d03_ff62_e198,
+            (0x5ebf_e0ce_cdbf_9a86,
              "run --preset rcv1 --scale 0.25 --seed 7 --nodes 4 --strategy het-energy-aware \
               --workload patterns --faults crash:1@0.3 --trace-out t/trace.json \
               --metrics-out t/metrics.prom --telemetry-out t/dump.json"),
             (0x5b73_5b96_3fc1_88d8,
              "report --input t/dump.json --trace t/trace.json"),
-            (0xc419_fe47_82ed_2c06,
+            (0x84dc_d6d4_0026_76ec,
              "plan --preset rcv1 --scale 0.25 --seed 7 --nodes 4 --strategy het-energy-aware \
               --workload patterns --sweep \
               1.0,0.999,0.995,0.99,0.95,0.9,0.75,0.5,0.25,0.1,0.0 --out a.txt \
               --telemetry-out c/dump.json"),
             (0x1731_3af5_7dff_13be,
              "report --input c/dump.json"),
-            (0xa7f9_10e6_64a3_1d3c,
+            (0xafac_a57a_a0af_9140,
              "chaos --preset rcv1 --scale 0.05 --seed 2017 --nodes 4 --schedules 64"),
-            (0xe28e_ec39_065a_d12d,
+            (0x1e84_bd58_e325_e249,
              "chaos --preset rcv1 --scale 0.05 --seed 2017 --nodes 4 --schedules 16 \
               --inject-corruption --flight-out c/flight-a.json"),
-            (0xb2ab_550e_555b_dce5,
+            (0x071b_57e6_9af6_e8e1,
              "run --preset rcv1 --scale 0.1 --seed 7 --nodes 4 --workload patterns \
               --durability wal"),
-            (0xbcf6_e6e9_8428_90cf,
+            (0x82a3_919d_a76f_914b,
              "chaos --preset rcv1 --scale 0.05 --seed 2017 --nodes 4 --schedules 64 \
               --with-elastic"),
-            (0x6870_6dc9_5a9c_be96,
+            (0x150b_e485_a5a2_bfd2,
              "chaos --preset rcv1 --scale 0.05 --seed 2017 --nodes 4 --schedules 16 \
               --inject-corruption --with-elastic --flight-out e/flight-a.json"),
-            (0x0cae_0877_32f8_8417,
+            (0x0536_735d_8014_61ad,
              "run --preset rcv1 --scale 0.05 --seed 2017 --nodes 4 --elastic \
               join:3@0.5,drain:1@1.0,preempt:2@1.5@5"),
-            (0x18bc_330f_5c21_bb36,
-             "plan --preset rcv1 --scale 0.04 --seed 31 --nodes 4 --threads 8 --lp-warm off \
+            (0x3f31_cb7c_e320_1565,
+             "plan --preset rcv1 --scale 0.04 --seed 31 --nodes 4 --threads 8 \
               --strategy het-energy-aware --workload patterns --sweep \
               1.0,0.999,0.995,0.9,0.5,0.0 --out w/sweep.txt"),
-            (0x820e_68b1_30d6_e568,
-             "frontier --preset rcv1 --scale 0.04 --seed 31 --nodes 4 --threads 8 --lp-warm \
-              on --strategy het-energy-aware --workload patterns --out w/frontier.json"),
-            (0x67e2_06f6_8db8_618f,
+            (0xc1dc_bf6d_7e61_8784,
+             "frontier --preset rcv1 --scale 0.04 --seed 31 --nodes 4 --threads 8 \
+              --strategy het-energy-aware --workload patterns --out w/frontier.json"),
+            (0xd894_fbf5_07d9_9b93,
              "serve --soak --requests 1000 --seed 2017 --out s/soak-a.json"),
-            (0xfdf6_439d_6b2a_1f75,
+            (0x4821_93ea_1055_d313,
              "serve --soak --requests 1000 --seed 2017 --threads 4 --out s/soak-b.json"),
-            (0x3841_771e_5efa_0e56,
+            (0x1cec_2470_2c5b_99e2,
              "serve --soak --requests 400 --seed 2017 --clients 16 --sim-workers 1 \
               --queue-cap 2 --out s/soak-overload.json"),
             // benchmark/src/workloads/serve_mixed.rs::daemon_args behind proc.rs's `serve --listen`
-            (0xe760_b5e6_2198_92d0,
+            (0xbd13_2549_987c_3024,
              "serve --listen 127.0.0.1:0 --workers 2 --queue-cap 8 --cache-cap 4096 \
               --dataset-scale 0.125 --nodes 8 --threads 1 --seed 2017"),
             // README.md
             (0xd853_48fc_4167_e846,
              "gen --preset rcv1 --scale 0.25 --out corpus.txt"),
-            (0xfc2a_a669_0a24_b424,
+            (0x3dec_2951_7707_a580,
              "partition --input corpus.txt --kind text --nodes 8 --strategy het-aware \
               --workload patterns --support 0.1 --out parts/"),
-            (0x9b6d_fca6_8e9b_b3d4,
+            (0x190f_343a_741a_1ffe,
              "run --preset uk --nodes 8 --strategy het-energy-aware --alpha 0.995 --workload \
               webgraph"),
-            (0x620e_4ba5_860f_2378,
+            (0x9140_767c_0cdc_50c2,
              "run --preset rcv1 --nodes 4 --faults crash:1@2.0,slow:3@4,kv:2@2"),
-            (0x70eb_142d_7480_1d37,
+            (0x8bb0_83ea_fbdb_b881,
              "run --preset rcv1 --nodes 8 --faults seeded:99"),
-            (0x46a3_2305_f557_0f6c,
+            (0x1508_190f_9561_8282,
              "run --preset rcv1 --nodes 4 --durability wal"),
-            (0x55e1_b988_e8ff_3a69,
+            (0xef8e_efe2_cd9e_681f,
              "replan --preset rcv1 --nodes 4 --strategy het-energy-aware --workload patterns \
               --append-scale 0.01 --drop-node 2 --realpha 0.9"),
-            (0x4c65_6b0e_18b7_c0bf,
+            (0x804d_2226_c28e_38fd,
              "frontier --preset rcv1 --scale 0.05 --nodes 4 --objectives time,energy --tol \
               1e-3 --max-points 48 --out frontier.json"),
-            (0x4601_523b_6866_5a00,
+            (0x9487_7519_0e75_556a,
              "run --preset rcv1 --nodes 4 --faults crash:2@2.0 --elastic eseeded:99"),
-            (0xaca1_a18f_b242_cb7c,
+            (0x89ff_5c11_ffad_db82,
              "elastic --preset rcv1 --scale 0.05 --nodes 4 --candidate 3 --out advice.json"),
-            (0xab88_4d51_b4fb_b95c,
+            (0x823c_453c_9b9f_9bf0,
              "serve --soak --requests 400 --clients 16 --sim-workers 1 --queue-cap 2"),
-            (0xc7f2_aff7_f966_e62c,
+            (0x35c5_e643_94ae_9820,
              "serve --listen 127.0.0.1:7315 --workers 4"),
             (0x6d13_37c7_723d_789a,
              "report lineage --input dump.json --batch 1"),
             // .claude/skills/verify/SKILL.md
-            (0xdcd0_b01d_149f_d634,
+            (0x48ef_6815_3a54_31ca,
              "partition --input /tmp/corpus.txt --kind text --nodes 4 --strategy \
               het-energy-aware --alpha 0.995 --workload patterns --support 0.12 --threads 4 \
               --out /tmp/parts/"),
-            (0x1110_d346_57a4_6625,
+            (0x35c5_6923_f432_3dc1,
              "run --preset uk --nodes 4 --scale 0.08 --strategy het-aware --workload \
               webgraph --threads 8"),
-            (0xdc7f_5ba0_a4ae_d9e8,
+            (0x444c_e188_c3a2_633a,
              "run --preset rcv1 --scale 0.05 --nodes 4 --seed 31 --faults crash:1@0.5 \
               --telemetry-out /tmp/d.json"),
         ];

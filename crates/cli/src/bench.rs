@@ -1,12 +1,12 @@
 //! `paretofab bench`: the deterministic perf/energy regression gate.
 //!
 //! Runs a fixed workload matrix — cold plan, warm replan, WAL recover,
-//! frontier explore, warm α sweep, faulted run — once each and emits
-//! their deterministic outputs (predicted makespan, LP solves and
-//! pivots, cache hit rate, attributed green/dirty joules) as a BENCH
-//! JSON record. `--baseline` compares them against a previous record
-//! within each metric's relative tolerance band and exits nonzero on any
-//! out-of-band drift — a genuine behavioral regression.
+//! frontier explore, faulted run — once each and emits their
+//! deterministic outputs (predicted makespan, LP solves, cache hit rate,
+//! attributed green/dirty joules) as a BENCH JSON record. `--baseline`
+//! compares them against a previous record within each metric's relative
+//! tolerance band and exits nonzero on any out-of-band drift — a genuine
+//! behavioral regression.
 //!
 //! Nothing here is timed: wall-clock numbers come from `benchmark/run.sh`
 //! only. Records written before that split also carry ungated
@@ -28,7 +28,7 @@ use pareto_core::framework::{Framework, FrameworkConfig, Strategy};
 use pareto_core::frontier::FrontierConfig;
 use pareto_core::{ElasticPlan, PlanSession, RecoveryConfig};
 use pareto_telemetry::json::{self, Value};
-use pareto_telemetry::{event, metrics, Telemetry};
+use pareto_telemetry::{event, Telemetry};
 use pareto_workloads::WorkloadKind;
 
 use crate::args::Common;
@@ -154,66 +154,7 @@ fn frontier_explore(m: &Matrix) -> Result<Vec<Metric>, String> {
     ])
 }
 
-/// Workload 5: LP warm-starting — the same α sweep through a warm session
-/// with basis reuse on vs off. The gated outputs are the solver-work
-/// tallies read off the inert `pareto_lp_*` counters: pivots are a
-/// deterministic property of the solve path, so the gate catches both a
-/// warm-start regression (savings evaporate) and a solver change that
-/// alters the pivot trajectory.
-fn warm_sweep(m: &Matrix) -> Result<Vec<Metric>, String> {
-    const ALPHAS: [f64; 6] = [1.0, 0.999, 0.995, 0.9, 0.5, 0.0];
-    let run = |lp_warm: bool| -> Result<std::sync::Arc<Telemetry>, String> {
-        let tel = Telemetry::enabled();
-        let dataset = pareto_datagen::rcv1_syn(m.seed, m.scale);
-        let cluster = bench_cluster(m);
-        let cfg = FrameworkConfig {
-            lp_warm,
-            ..framework_cfg(m)
-        };
-        let mut session =
-            PlanSession::new(&cluster, cfg, dataset, BENCH_WORKLOAD).with_telemetry(tel.clone());
-        for &alpha in &ALPHAS {
-            session.set_alpha(alpha);
-            session.plan().map_err(|e| e.to_string())?;
-        }
-        Ok(tel)
-    };
-    let counter = |tel: &Telemetry, name: &str, labels: &[(&str, &str)]| -> u64 {
-        tel.snapshot()
-            .metrics
-            .counters
-            .get(&metrics::MetricKey::new(name, labels))
-            .copied()
-            .unwrap_or(0)
-    };
-    let pivots = |tel: &Telemetry| -> u64 {
-        counter(tel, metrics::LP_PIVOTS_TOTAL, &[("start", "cold")])
-            + counter(tel, metrics::LP_PIVOTS_TOTAL, &[("start", "warm")])
-    };
-    let tel_warm = run(true)?;
-    let tel_cold = run(false)?;
-    let warm_pivots = pivots(&tel_warm);
-    let cold_pivots = pivots(&tel_cold);
-    if warm_pivots >= cold_pivots {
-        return Err(format!(
-            "warm sweep spent {warm_pivots} pivots, cold {cold_pivots} — warm-starting saved nothing"
-        ));
-    }
-    Ok(vec![
-        Metric::gated("warm_sweep.pivots_warm_start", warm_pivots as f64),
-        Metric::gated("warm_sweep.pivots_cold_start", cold_pivots as f64),
-        Metric::gated(
-            "warm_sweep.warm_solves",
-            counter(&tel_warm, metrics::LP_SOLVES_TOTAL, &[("start", "warm")]) as f64,
-        ),
-        Metric::gated(
-            "warm_sweep.warm_fallbacks",
-            counter(&tel_warm, metrics::LP_WARM_FALLBACKS_TOTAL, &[]) as f64,
-        ),
-    ])
-}
-
-/// Workload 6: a fault-injected run with telemetry armed, so the gated
+/// Workload 5: a fault-injected run with telemetry armed, so the gated
 /// metrics include the energy ledger's attributed green/dirty joules —
 /// the regression gate over the paper's energy objective.
 fn faulted_run(m: &Matrix) -> Result<Vec<Metric>, String> {
@@ -379,7 +320,6 @@ pub fn bench_cmd(
         ("warm_replan", warm_replan),
         ("wal_recover", wal_recover),
         ("frontier_explore", frontier_explore),
-        ("warm_sweep", warm_sweep),
         ("faulted_run", faulted_run),
     ] {
         let t0 = Instant::now();
@@ -423,8 +363,9 @@ pub fn bench_cmd(
 mod tests {
     use super::*;
 
-    /// A record committed while this harness still sampled wall time: 14
-    /// gated rows, 12 ungated wall rows and a sampling-count matrix key.
+    /// A record committed while this harness still sampled wall time and
+    /// ran the LP warm-start workload: 14 gated rows, 12 ungated wall rows
+    /// and a sampling-count matrix key.
     const OLD_RECORD: &str = include_str!("../../../BENCH_16.json");
 
     fn tiny_matrix() -> Matrix {

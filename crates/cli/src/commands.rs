@@ -270,7 +270,6 @@ fn build_framework_parts(
         layout: common.layout,
         seed: common.seed,
         threads: common.threads,
-        lp_warm: common.lp_warm,
         durability: common.durability,
         ..FrameworkConfig::default()
     };

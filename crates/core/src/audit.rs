@@ -582,7 +582,6 @@ mod tests {
             faults,
             cfg: &RecoveryConfig::default(),
             elastic: Some(elastic),
-            warm: None,
             telemetry: None,
         })
         .expect("well-formed request");
@@ -598,7 +597,6 @@ mod tests {
             pareto: None,
             sizes,
             partitions,
-            lp_basis: None,
             estimation_cost: Cost::ZERO,
             timings: PlanTimings::default(),
         };

@@ -375,7 +375,6 @@ impl ChaosContext<'_> {
             faults,
             cfg: &self.recovery,
             elastic: Some(elastic),
-            warm: None,
             telemetry: None,
         })
         .expect("run_chaos validated the config and planned node-aligned inputs");

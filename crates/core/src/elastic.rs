@@ -421,7 +421,7 @@ pub fn advise_join(
         if alpha >= 1.0 {
             Ok(m.solve_het_aware(n))
         } else {
-            m.solve(n, alpha, None).map(|solved| solved.point)
+            m.solve(n, alpha)
         }
     };
 

@@ -25,7 +25,7 @@ use pareto_workloads::{
 };
 
 use crate::estimator::{NodeTimeModel, SamplingPlan};
-use crate::pareto::{LpBasis, ParetoPoint};
+use crate::pareto::ParetoPoint;
 use crate::partitioner::PartitionLayout;
 use crate::elastic::ElasticPlan;
 use crate::recovery::{self, ExecRequest, RecoveryConfig, RecoveryOutcome};
@@ -110,11 +110,10 @@ pub struct FrameworkConfig {
     /// `SnapshotOnCheckpoint` verifies a checkpoint round-trip; `None`
     /// (the default) skips durability entirely — the historical behavior.
     pub durability: Durability,
-    /// Re-seed each partition-LP solve from the previous optimal basis
-    /// (warm-started revised simplex). Plans are bit-identical either way
-    /// — an unusable warm basis falls back to the cold path — so this
-    /// toggle only trades pivots for a tiny basis-mapping cost. Excluded
-    /// from every stage fingerprint for the same reason `threads` is.
+    /// Accepted and ignored: the partition LP is solved exactly by a
+    /// breakpoint walk, which has no starting point to choose. Kept so
+    /// callers that set it (the benchmark harness) still compile; excluded
+    /// from every stage fingerprint.
     pub lp_warm: bool,
     /// Worker threads for the planning pipeline (1 = serial). Copied into
     /// the stratifier's config and the heterogeneity estimator, which
@@ -176,11 +175,6 @@ pub struct Plan {
     pub sizes: Vec<usize>,
     /// Record indices per partition.
     pub partitions: Vec<Vec<usize>>,
-    /// The optimize stage's final LP basis (absent for non-LP strategies).
-    /// Never serialized into plan artifacts/JSON; carried so downstream
-    /// re-solvers (fault/elastic recovery) can warm-start from the
-    /// pre-fault optimum restricted to survivors.
-    pub lp_basis: Option<LpBasis>,
     /// One-time cost of the progressive-sampling estimation (§III: "a
     /// one-time cost (small)… amortized over multiple runs").
     pub estimation_cost: Cost,
@@ -406,13 +400,6 @@ impl<'a> Framework<'a> {
         let plan = self.try_plan(dataset, workload)?;
         let (work, fits, alpha) =
             recovery_inputs(self.cluster, dataset, workload, self.cfg.strategy, &plan);
-        // Runtime re-solves warm-start from the pre-fault optimal basis
-        // (bit-identical outcome either way; gated like planning warmth).
-        let warm = if self.cfg.lp_warm {
-            plan.lp_basis.as_ref()
-        } else {
-            None
-        };
         let outcome = recovery::execute(&ExecRequest {
             cluster: self.cluster,
             work: &work,
@@ -424,7 +411,6 @@ impl<'a> Framework<'a> {
             faults,
             cfg: recovery_cfg,
             elastic: Some(elastic),
-            warm,
             telemetry: Some(&self.telemetry),
         })?;
         Ok(FaultRunOutcome { plan, outcome })

@@ -20,7 +20,7 @@
 //!
 //! The same refinement runs either against a bare
 //! [`crate::pareto::ParetoModeler`] ([`ModelerSolver`]: one LP per α, used
-//! by the claims gate and the oracle tests) or through a warm
+//! by the claims gate and the oracle tests) or through a
 //! [`crate::session::PlanSession`]
 //! ([`crate::session::PlanSession::explore_frontier`]): there the whole
 //! frontier is a fingerprinted cache artifact (stage name `frontier`), and
@@ -38,7 +38,7 @@ use std::fmt;
 
 use pareto_telemetry::{metrics, ClockDomain, SpanId, Telemetry, Track};
 
-use crate::pareto::{LpBasis, LpStats, ParetoModeler, PartitionPlanError};
+use crate::pareto::{ParetoModeler, PartitionPlanError};
 use crate::stages::PlanError;
 
 /// One optimization axis; every axis is minimized.
@@ -315,35 +315,12 @@ impl FrontierConfig {
     }
 }
 
-/// One solved α point plus the warm-start bookkeeping [`explore`] chains
-/// between solves. Backends that manage their own warm-starting (the
-/// session path) return `basis: None` and an empty `stats`.
-#[derive(Debug, Clone)]
-pub struct AlphaSolve {
-    /// The solved frontier point.
-    pub point: FrontierPoint,
-    /// Optimal basis of the scalarized LP, for seeding neighbouring α
-    /// solves. `None` when the backend does not expose one.
-    pub basis: Option<LpBasis>,
-    /// Cold/warm solve and pivot tallies for this α, not yet recorded to
-    /// telemetry; [`explore`] merges and records them once.
-    pub stats: LpStats,
-}
-
 /// What [`explore`] needs from a planning backend: solve one α, and
 /// predict the static homogeneous (equal-split) baseline used as the
 /// hypervolume reference.
 pub trait AlphaSolver {
-    /// Solve the scalarized problem at `alpha`. `warm` is an advisory
-    /// basis from a neighbouring α (the interval endpoint during
-    /// bisection); backends may ignore it. The bit-identity contract of
-    /// [`pareto_lp::Problem::solve_from`] guarantees the returned point is
-    /// the same either way.
-    fn solve_alpha(
-        &mut self,
-        alpha: f64,
-        warm: Option<&LpBasis>,
-    ) -> Result<AlphaSolve, PlanError>;
+    /// Solve the scalarized problem at `alpha`.
+    fn solve_alpha(&mut self, alpha: f64) -> Result<FrontierPoint, PlanError>;
 
     /// The equal-split `(time_s, dirty_joules)` baseline point.
     fn baseline(&mut self) -> Result<(f64, f64), PlanError>;
@@ -355,46 +332,24 @@ pub trait AlphaSolver {
 pub struct ModelerSolver<'m> {
     modeler: &'m ParetoModeler,
     n: usize,
-    warm: bool,
 }
 
 impl<'m> ModelerSolver<'m> {
-    /// Solve for `n` records against `modeler`, warm-starting neighbouring
-    /// α solves from each other's bases.
+    /// Solve for `n` records against `modeler`.
     pub fn new(modeler: &'m ParetoModeler, n: usize) -> Self {
-        ModelerSolver {
-            modeler,
-            n,
-            warm: true,
-        }
-    }
-
-    /// Enable or disable warm-starting (plans are bit-identical either
-    /// way; cold is the reference the identity job compares against).
-    pub fn with_warm(mut self, warm: bool) -> Self {
-        self.warm = warm;
-        self
+        ModelerSolver { modeler, n }
     }
 }
 
 impl AlphaSolver for ModelerSolver<'_> {
-    fn solve_alpha(
-        &mut self,
-        alpha: f64,
-        warm: Option<&LpBasis>,
-    ) -> Result<AlphaSolve, PlanError> {
-        let hint = if self.warm { warm } else { None };
-        let solved = self.modeler.solve(self.n, alpha, hint)?;
-        Ok(AlphaSolve {
-            point: FrontierPoint {
-                alpha,
-                makespan_s: solved.point.predicted_makespan,
-                dirty_joules: solved.point.predicted_dirty_joules,
-                transfer_bytes: 0.0,
-                sizes: solved.point.sizes,
-            },
-            basis: solved.basis,
-            stats: solved.stats,
+    fn solve_alpha(&mut self, alpha: f64) -> Result<FrontierPoint, PlanError> {
+        let point = self.modeler.solve(self.n, alpha)?;
+        Ok(FrontierPoint {
+            alpha,
+            makespan_s: point.predicted_makespan,
+            dirty_joules: point.predicted_dirty_joules,
+            transfer_bytes: 0.0,
+            sizes: point.sizes,
         })
     }
 
@@ -564,47 +519,24 @@ pub fn explore<S: AlphaSolver>(
     cfg.validate().map_err(PlanError::Frontier)?;
 
     let mut solved: Vec<FrontierPoint> = Vec::with_capacity(cfg.max_points);
-    // Per-point optimal bases, parallel to `solved`: each bisection
-    // midpoint is seeded from its interval's lo endpoint, each coarse grid
-    // point from its predecessor.
-    let mut bases: Vec<Option<LpBasis>> = Vec::with_capacity(cfg.max_points);
-    let mut lp_stats = LpStats::default();
     let mut seen: BTreeSet<u64> = BTreeSet::new();
-    let mut lp_solves = 0usize;
 
     let mut solve_at = |alpha: f64,
-                        warm: Option<&LpBasis>,
                         solved: &mut Vec<FrontierPoint>,
-                        bases: &mut Vec<Option<LpBasis>>,
-                        lp_stats: &mut LpStats,
-                        seen: &mut BTreeSet<u64>,
-                        lp_solves: &mut usize|
+                        seen: &mut BTreeSet<u64>|
      -> Result<usize, PlanError> {
         let fresh = seen.insert(alpha.to_bits());
         debug_assert!(fresh, "alpha solved twice");
-        let out = solver.solve_alpha(alpha, warm)?;
-        *lp_solves += 1;
+        solved.push(solver.solve_alpha(alpha)?);
         telemetry.counter_add(metrics::FRONTIER_LP_SOLVES_TOTAL, &[], 1);
-        solved.push(out.point);
-        bases.push(out.basis);
-        lp_stats.merge(&out.stats);
         Ok(solved.len() - 1)
     };
 
-    // Coarse grid, ascending; each solve warm-starts from its predecessor.
+    // Coarse grid, ascending.
     let mut interval_queue: VecDeque<(usize, usize)> = VecDeque::new();
     let mut prev: Option<usize> = None;
     for &alpha in &cfg.coarse {
-        let warm = prev.and_then(|i| bases[i].clone());
-        let idx = solve_at(
-            alpha,
-            warm.as_ref(),
-            &mut solved,
-            &mut bases,
-            &mut lp_stats,
-            &mut seen,
-            &mut lp_solves,
-        )?;
+        let idx = solve_at(alpha, &mut solved, &mut seen)?;
         if let Some(lo) = prev {
             interval_queue.push_back((lo, idx));
         }
@@ -650,7 +582,7 @@ pub fn explore<S: AlphaSolver>(
 
     let mut bisections = 0usize;
     while let Some((lo, hi)) = interval_queue.pop_front() {
-        if lp_solves >= cfg.max_points {
+        if solved.len() >= cfg.max_points {
             break;
         }
         let (alpha_lo, alpha_hi) = (solved[lo].alpha, solved[hi].alpha);
@@ -673,18 +605,7 @@ pub fn explore<S: AlphaSolver>(
             continue;
         }
         let span_start = telemetry.wall_now();
-        // Warm-start the midpoint from the interval's lo endpoint: its
-        // basis stays (dual-)feasible under the objective rotation.
-        let warm = bases[lo].clone();
-        let mid = solve_at(
-            mid_alpha,
-            warm.as_ref(),
-            &mut solved,
-            &mut bases,
-            &mut lp_stats,
-            &mut seen,
-            &mut lp_solves,
-        )?;
+        let mid = solve_at(mid_alpha, &mut solved, &mut seen)?;
         bisections += 1;
         let err = chord_error(
             &normalize(&solved[lo]),
@@ -748,7 +669,6 @@ pub fn explore<S: AlphaSolver>(
 
     let candidates = solved.len();
     let dominated = candidates - points.len();
-    lp_stats.record(telemetry);
     telemetry.counter_add(
         metrics::FRONTIER_POINTS_TOTAL,
         &[("outcome", "kept")],
@@ -772,7 +692,7 @@ pub fn explore<S: AlphaSolver>(
         points,
         candidates,
         dominated,
-        lp_solves,
+        lp_solves: candidates,
         bisections,
         finest_gap,
         baseline: solver.baseline()?,
@@ -916,60 +836,6 @@ mod tests {
         let report = result.report();
         assert!(report.hypervolume_vs_baseline >= 0.0);
         assert!(report.knee_alpha.is_finite());
-    }
-
-    #[test]
-    fn explore_warm_is_bit_identical_to_cold_and_saves_pivots() {
-        let m = modeler([20.0, 80.0, 120.0, 150.0]);
-        let cfg = FrontierConfig {
-            max_points: 40,
-            tol: 1e-3,
-            ..FrontierConfig::default()
-        };
-        let tel_warm = Telemetry::enabled();
-        let mut warm_solver = ModelerSolver::new(&m, 20_000);
-        let warm = explore(&mut warm_solver, &cfg, &tel_warm).unwrap();
-        let tel_cold = Telemetry::enabled();
-        let mut cold_solver = ModelerSolver::new(&m, 20_000).with_warm(false);
-        let cold = explore(&mut cold_solver, &cfg, &tel_cold).unwrap();
-
-        // The frontier is bit-identical: same refinement path, same points.
-        assert_eq!(warm.lp_solves, cold.lp_solves, "solve counts diverged");
-        assert_eq!(warm.bisections, cold.bisections, "bisections diverged");
-        assert_eq!(warm.points.len(), cold.points.len(), "point counts diverged");
-        for (a, b) in warm.points.iter().zip(&cold.points) {
-            assert_eq!(a.alpha.to_bits(), b.alpha.to_bits(), "alpha diverged");
-            assert_eq!(a.makespan_s.to_bits(), b.makespan_s.to_bits());
-            assert_eq!(a.dirty_joules.to_bits(), b.dirty_joules.to_bits());
-            assert_eq!(a.sizes, b.sizes, "sizes diverged at α {}", a.alpha);
-        }
-
-        // Warm-starting did real work and saved pivots overall.
-        let counter = |tel: &Telemetry, name: &str, labels: &[(&str, &str)]| -> u64 {
-            tel.snapshot()
-                .metrics
-                .counters
-                .get(&metrics::MetricKey::new(name, labels))
-                .copied()
-                .unwrap_or(0)
-        };
-        let warm_hits = counter(&tel_warm, metrics::LP_SOLVES_TOTAL, &[("start", "warm")]);
-        assert!(warm_hits > 0, "warm explore never accepted a warm basis");
-        assert_eq!(
-            counter(&tel_cold, metrics::LP_SOLVES_TOTAL, &[("start", "warm")]),
-            0,
-            "cold explore must not warm-start"
-        );
-        let total = |tel: &Telemetry| {
-            counter(tel, metrics::LP_PIVOTS_TOTAL, &[("start", "cold")])
-                + counter(tel, metrics::LP_PIVOTS_TOTAL, &[("start", "warm")])
-        };
-        assert!(
-            total(&tel_warm) < total(&tel_cold),
-            "warm explore spent {} pivots, cold {}",
-            total(&tel_warm),
-            total(&tel_cold)
-        );
     }
 
     #[test]

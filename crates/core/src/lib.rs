@@ -73,13 +73,10 @@ pub use framework::{
     PlanTimings, RunOutcome, Strategy,
 };
 pub use frontier::{
-    dominates, explore, hypervolume, pareto_frontier, AlphaSolve, AlphaSolver, FrontierConfig,
-    FrontierPoint, FrontierReport, FrontierResult, ModelerSolver, Objective, ObjectiveSet,
+    dominates, explore, hypervolume, pareto_frontier, AlphaSolver, FrontierConfig, FrontierPoint,
+    FrontierReport, FrontierResult, ModelerSolver, Objective, ObjectiveSet,
 };
-pub use pareto::{
-    map_partition_basis, LpBasis, LpStats, ParetoModeler, ParetoPoint, PartitionPlanError,
-    SolvedPoint,
-};
+pub use pareto::{ParetoModeler, ParetoPoint, PartitionPlanError};
 pub use session::{FrontierOutcome, PlanSession};
 pub use stages::{dataset_fingerprint, Deadline, PlanEngine, PlanError, StageReuse};
 pub use recovery::{

@@ -16,29 +16,28 @@
 //! (compression) because the energy objective's scale dwarfs the time
 //! objective's.
 //!
-//! Two solvers are provided and cross-validated in tests: the general LP
-//! (two-phase simplex from `pareto-lp`) and, for `α = 1`, an exact
-//! waterfilling solution of `min max_i f_i(x_i)`.
+//! The LP has only `p + 1` variables, and [`ParetoModeler::solve`] answers
+//! it exactly for every `α` and either sign of `k_i` by a walk over
+//! makespan breakpoints (DESIGN.md §15). [`ParetoModeler::solve_het_aware`]
+//! is the `α = 1` waterfilling of `min max_i f_i(x_i)` in which idle nodes
+//! do not bind the makespan; the Het-Aware strategy and recovery at
+//! `α ≥ 1` use it. `crates/core/tests/lp_oracle.rs` checks the walk
+//! against the `pareto-lp` simplex and against vertex enumeration.
 
 use pareto_energy::NodeEnergyProfile;
-use pareto_lp::{LpError, Problem, Relation, SolveStatus};
 use pareto_stats::{largest_remainder_apportion, LinearFit};
 
 use crate::frontier::pareto_frontier;
 
-pub use pareto_lp::{Basis as LpBasis, StartKind};
-
 /// Errors from planning.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PartitionPlanError {
     /// Time models and energy profiles disagree on the node count.
     MismatchedInputs { models: usize, profiles: usize },
     /// `alpha` outside `[0, 1]`.
     BadAlpha(f64),
-    /// The LP solver failed structurally.
-    Lp(LpError),
-    /// The LP reported infeasible/unbounded (should not happen for this
-    /// formulation; indicates corrupt inputs such as negative slopes).
+    /// Inputs no plan can be made from: a non-finite model or profile, a
+    /// negative slope, or a survivor index out of range.
     Degenerate(&'static str),
 }
 
@@ -49,19 +48,12 @@ impl std::fmt::Display for PartitionPlanError {
                 write!(f, "{models} time models vs {profiles} energy profiles")
             }
             PartitionPlanError::BadAlpha(a) => write!(f, "alpha {a} outside [0, 1]"),
-            PartitionPlanError::Lp(e) => write!(f, "LP solver failure: {e}"),
             PartitionPlanError::Degenerate(m) => write!(f, "degenerate plan: {m}"),
         }
     }
 }
 
 impl std::error::Error for PartitionPlanError {}
-
-impl From<LpError> for PartitionPlanError {
-    fn from(e: LpError) -> Self {
-        PartitionPlanError::Lp(e)
-    }
-}
 
 /// One point on the Pareto frontier: a complete partition-size plan.
 #[derive(Debug, Clone)]
@@ -77,155 +69,6 @@ pub struct ParetoPoint {
     /// Predicted total dirty energy `Σ_i k_i·f_i(x_i)` in joules
     /// (paper-linear form; can be negative under green surplus).
     pub predicted_dirty_joules: f64,
-}
-
-/// Tally of LP-solver work behind a planning call, for telemetry and the
-/// warm-vs-cold pivot accounting. Merging is additive, so multi-solve
-/// paths (`solve_normalized`, frontier sweeps) report totals.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LpStats {
-    /// Solves answered by the cold two-phase path with no warm attempt.
-    pub cold: usize,
-    /// Solves answered by an accepted warm start.
-    pub warm: usize,
-    /// Warm attempts abandoned to the deterministic cold fallback (these
-    /// are also cold-answered, but not double-counted in `cold`).
-    pub fallbacks: usize,
-    /// Simplex pivots spent by cold-answered solves (including pivots
-    /// wasted inside abandoned warm attempts).
-    pub pivots_cold: usize,
-    /// Simplex pivots spent by accepted warm solves.
-    pub pivots_warm: usize,
-}
-
-impl LpStats {
-    fn absorb(&mut self, solved: &pareto_lp::Solved) {
-        match solved.start {
-            StartKind::Cold => {
-                self.cold += 1;
-                self.pivots_cold += solved.solution.iterations;
-            }
-            StartKind::Warm => {
-                self.warm += 1;
-                self.pivots_warm += solved.solution.iterations;
-            }
-            StartKind::WarmFallback => {
-                self.fallbacks += 1;
-                self.pivots_cold += solved.solution.iterations;
-            }
-        }
-    }
-
-    /// Total pivots across all counted solves.
-    pub fn pivots(&self) -> usize {
-        self.pivots_cold + self.pivots_warm
-    }
-
-    /// Fold another tally into this one.
-    pub fn merge(&mut self, other: &LpStats) {
-        self.cold += other.cold;
-        self.warm += other.warm;
-        self.fallbacks += other.fallbacks;
-        self.pivots_cold += other.pivots_cold;
-        self.pivots_warm += other.pivots_warm;
-    }
-
-    /// Emit the tally on the inert LP counters (`pareto_lp_solves_total`,
-    /// `pareto_lp_warm_fallbacks_total`, `pareto_lp_pivots_total`).
-    pub fn record(&self, telemetry: &pareto_telemetry::Telemetry) {
-        use pareto_telemetry::metrics;
-        let cold_solves = (self.cold + self.fallbacks) as u64;
-        if cold_solves > 0 {
-            telemetry.counter_add(metrics::LP_SOLVES_TOTAL, &[("start", "cold")], cold_solves);
-        }
-        if self.warm > 0 {
-            telemetry.counter_add(
-                metrics::LP_SOLVES_TOTAL,
-                &[("start", "warm")],
-                self.warm as u64,
-            );
-        }
-        if self.fallbacks > 0 {
-            telemetry.counter_add(
-                metrics::LP_WARM_FALLBACKS_TOTAL,
-                &[],
-                self.fallbacks as u64,
-            );
-        }
-        if self.pivots_cold > 0 {
-            telemetry.counter_add(
-                metrics::LP_PIVOTS_TOTAL,
-                &[("start", "cold")],
-                self.pivots_cold as u64,
-            );
-        }
-        if self.pivots_warm > 0 {
-            telemetry.counter_add(
-                metrics::LP_PIVOTS_TOTAL,
-                &[("start", "warm")],
-                self.pivots_warm as u64,
-            );
-        }
-    }
-}
-
-/// A [`ParetoPoint`] together with the optimal LP basis that produced it
-/// and the solver-work tally, returned by the LP solve paths.
-#[derive(Debug, Clone)]
-pub struct SolvedPoint {
-    /// The plan point — bit-identical whether warm- or cold-started.
-    pub point: ParetoPoint,
-    /// Reusable optimal basis (absent for non-LP paths, e.g. waterfilling).
-    pub basis: Option<LpBasis>,
-    /// Solver work spent producing the point.
-    pub stats: LpStats,
-}
-
-/// Map an optimal partition-LP basis across a roster change so it can seed
-/// the restricted (or extended) problem's solve.
-///
-/// The partition LP's standardized column layout is a pure function of the
-/// node count `p`: columns `0..p` are the `x_i`, `p` is the makespan `v`,
-/// `p+1+i` is row `i`'s slack/surplus, and artificials start at `2p+1`.
-/// Columns belonging to departed nodes are dropped; each newly joined node
-/// seeds its own slack column (idle at the warm vertex — the repair pivots
-/// work onto it). Returns `None` when the basis cannot be mapped exactly
-/// (wrong shape, artificial columns, or a degenerate drop that removes
-/// more than one column per departed node) — callers then solve cold.
-pub fn map_partition_basis(
-    prev_nodes: &[usize],
-    next_nodes: &[usize],
-    basis: &LpBasis,
-) -> Option<LpBasis> {
-    let p_old = prev_nodes.len();
-    let p_new = next_nodes.len();
-    if p_new == 0 || basis.num_rows() != p_old + 1 || basis.num_structural() != p_old + 1 {
-        return None;
-    }
-    let pos_in_next = |id: usize| next_nodes.iter().position(|&n| n == id);
-    let mut cols: Vec<u32> = Vec::with_capacity(p_new + 1);
-    for &c in basis.columns() {
-        let c = c as usize;
-        if c < p_old {
-            if let Some(pos) = pos_in_next(prev_nodes[c]) {
-                cols.push(pos as u32); // x_i survives
-            }
-        } else if c == p_old {
-            cols.push(p_new as u32); // v
-        } else if c < 2 * p_old + 1 {
-            if let Some(pos) = pos_in_next(prev_nodes[c - p_old - 1]) {
-                cols.push((p_new + 1 + pos) as u32); // row slack survives
-            }
-        } else {
-            return None; // artificial basic: redundant rows never warm-start
-        }
-    }
-    for (pos, id) in next_nodes.iter().enumerate() {
-        if !prev_nodes.contains(id) {
-            cols.push((p_new + 1 + pos) as u32);
-        }
-    }
-    LpBasis::from_columns(p_new + 1, p_new + 1, cols)
 }
 
 /// The modeler: owns the per-node models and answers planning queries.
@@ -249,7 +92,7 @@ pub fn map_partition_basis(
 /// let fast = modeler.solve_het_aware(900);
 /// assert_eq!(fast.sizes, vec![600, 300]);
 /// // Pure energy: everything on the solar-covered node.
-/// let green = modeler.solve(900, 0.0, None).unwrap().point;
+/// let green = modeler.solve(900, 0.0).unwrap();
 /// assert_eq!(green.sizes, vec![0, 900]);
 /// ```
 #[derive(Debug, Clone)]
@@ -261,7 +104,8 @@ pub struct ParetoModeler {
 }
 
 impl ParetoModeler {
-    /// Create a modeler; the two vectors must be node-aligned.
+    /// Create a modeler; the two vectors must be node-aligned, every slope,
+    /// intercept, draw and green figure finite, and every slope `≥ 0`.
     pub fn new(
         time: Vec<LinearFit>,
         energy: Vec<NodeEnergyProfile>,
@@ -271,6 +115,19 @@ impl ParetoModeler {
                 models: time.len(),
                 profiles: energy.len(),
             });
+        }
+        let finite = |v: f64| v.is_finite();
+        if !time.iter().all(|f| finite(f.slope) && finite(f.intercept))
+            || !energy
+                .iter()
+                .all(|e| finite(e.draw_watts) && finite(e.mean_green_watts))
+        {
+            return Err(PartitionPlanError::Degenerate(
+                "non-finite time model or energy profile",
+            ));
+        }
+        if time.iter().any(|f| f.slope < 0.0) {
+            return Err(PartitionPlanError::Degenerate("negative time-model slope"));
         }
         Ok(ParetoModeler { time, energy })
     }
@@ -339,64 +196,126 @@ impl ParetoModeler {
             .sum()
     }
 
-    /// Build the scalarized partition LP for weight `alpha` over `n`
-    /// records: variables `x_0 … x_{p-1}, v`, rows `m_i x_i − v ≤ −c_i`
-    /// per node plus `Σ x_i = n`.
-    fn build_lp(&self, n: usize, alpha: f64) -> Problem {
-        let p = self.num_nodes();
-        let mut costs = vec![0.0; p + 1];
-        for ((c, e), t) in costs.iter_mut().zip(&self.energy).zip(&self.time) {
-            *c = (1.0 - alpha) * e.k() * t.slope;
-        }
-        costs[p] = alpha;
-        let mut lp = Problem::minimize(costs);
-        for i in 0..p {
-            // m_i x_i − v ≤ −c_i.
-            let mut row = vec![0.0; p + 1];
-            row[i] = self.time[i].slope;
-            row[p] = -1.0;
-            lp.constrain(row, Relation::Le, -self.time[i].intercept);
-        }
-        let mut sum_row = vec![1.0; p + 1];
-        sum_row[p] = 0.0;
-        lp.constrain(sum_row, Relation::Eq, n as f64);
-        lp
-    }
-
     /// Solve the scalarized LP for weight `alpha`, planning `n` records,
-    /// optionally re-seeding a previous optimal basis `warm` (same roster,
-    /// or mapped across rosters via [`map_partition_basis`]). The returned
-    /// point is bit-identical to the cold (`None`) solve — an unusable warm
-    /// basis deterministically falls back — and the new basis rides along
-    /// for the next solve in a sweep.
-    pub fn solve(
-        &self,
-        n: usize,
-        alpha: f64,
-        warm: Option<&LpBasis>,
-    ) -> Result<SolvedPoint, PartitionPlanError> {
-        if !(0.0..=1.0).contains(&alpha) || !alpha.is_finite() {
+    /// exactly, by a walk over makespan breakpoints.
+    ///
+    /// The LP's rows `m_i x_i − v ≤ −c_i` make every intercept bind the
+    /// makespan `v`, even at `x_i = 0`, so `v ≥ c_max = max(0, max_i c_i)`.
+    /// For a fixed `v` the energy term is a fractional knapsack: fill nodes
+    /// in ascending `w_i = k_i·m_i` (index breaks ties), each up to its
+    /// capacity `(v − c_i)/m_i` (unbounded when `m_i = 0`), until `n` is
+    /// placed. That minimum `g(v)` is convex and piecewise linear in `v`,
+    /// so the scalarized objective `α·v + (1−α)·g(v)` is minimized at the
+    /// lowest feasible makespan or at a breakpoint `v_j`, where the `j`
+    /// cheapest nodes hold exactly `n`. Each candidate is scored at its own
+    /// `α·max_i f_i(x_i) + (1−α)·Σ w_i x_i`.
+    ///
+    /// Ties: candidates are visited in ascending makespan and the incumbent
+    /// is replaced only on strict improvement. So `α = 1` returns the
+    /// energy-cheapest of the time-optimal splits, and `α = 0` the fastest
+    /// of the energy-optimal ones.
+    pub fn solve(&self, n: usize, alpha: f64) -> Result<ParetoPoint, PartitionPlanError> {
+        if !(0.0..=1.0).contains(&alpha) {
             return Err(PartitionPlanError::BadAlpha(alpha));
         }
+        let fractional = self
+            .walk(n as f64, alpha)
+            .ok_or(PartitionPlanError::Degenerate(
+                "no finite candidate makespan",
+            ))?;
+        Ok(self.point_from_fractional(alpha, n, fractional))
+    }
+
+    /// The breakpoint walk behind [`solve`](Self::solve): the fractional
+    /// sizes of the best candidate, or `None` if no candidate scores finite.
+    fn walk(&self, total: f64, alpha: f64) -> Option<Vec<f64>> {
         let p = self.num_nodes();
-        let solved = self.build_lp(n, alpha).solve_warm(warm)?;
-        let mut stats = LpStats::default();
-        stats.absorb(&solved);
-        match solved.solution.status {
-            SolveStatus::Optimal => {}
-            SolveStatus::Infeasible => {
-                return Err(PartitionPlanError::Degenerate("LP infeasible"))
+        let slope = |i: usize| self.time[i].slope;
+        let intercept = |i: usize| self.time[i].intercept;
+        let cost: Vec<f64> = (0..p).map(|i| self.energy[i].k() * slope(i)).collect();
+        let mut order: Vec<usize> = (0..p).collect();
+        // `partial_cmp`, not `total_cmp`: a -0.0 cost ties with 0.0. `new`
+        // admits no NaN.
+        order.sort_by(|&a, &b| {
+            let by_cost = cost[a].partial_cmp(&cost[b]);
+            by_cost.unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
+        });
+        let c_max = (0..p).map(intercept).fold(0.0, f64::max);
+
+        // `breakpoints[j]` is the makespan at which the `j + 1` cheapest
+        // nodes hold exactly `total`. A zero-slope node holds any amount,
+        // so no prefix containing it has a breakpoint.
+        let mut breakpoints = Vec::with_capacity(p);
+        let (mut inv, mut off) = (0.0, 0.0);
+        for &i in order.iter().take_while(|&&i| slope(i) > 0.0) {
+            inv += 1.0 / slope(i);
+            off += intercept(i) / slope(i);
+            breakpoints.push((total + off) / inv);
+        }
+        // The lowest feasible makespan is the all-tight breakpoint when it
+        // clears `c_max`; otherwise it is `c_max`, filled cheapest-first.
+        let all_tight = breakpoints.len() == p && breakpoints.last().is_some_and(|&v| v >= c_max);
+        let lowest = (!all_tight).then(|| {
+            let mut x = vec![0.0; p];
+            let mut left = total;
+            for &i in &order {
+                let cap = if slope(i) > 0.0 {
+                    (c_max - intercept(i)) / slope(i)
+                } else {
+                    f64::INFINITY
+                };
+                x[i] = cap.min(left);
+                left -= x[i];
             }
-            SolveStatus::Unbounded => {
-                return Err(PartitionPlanError::Degenerate("LP unbounded"))
+            x
+        });
+        // Then every breakpoint at or above `c_max`, in ascending makespan.
+        // None is compared with the lowest makespan: a steep node's
+        // breakpoint can round to it and still be the optimum (see
+        // `lp_oracle.rs`). Each prefix node is tight at `v`; the float residue of
+        // `Σx = total` goes to the prefix node with the smallest slope,
+        // where it moves the makespan least.
+        let tight = |prefix: &[usize], v: f64| {
+            let mut x = vec![0.0; p];
+            for &i in prefix {
+                x[i] = (v - intercept(i)) / slope(i);
+            }
+            let residue = total - prefix.iter().map(|&i| x[i]).sum::<f64>();
+            let flattest = prefix
+                .iter()
+                .copied()
+                .min_by(|&a, &b| slope(a).total_cmp(&slope(b)));
+            if let Some(k) = flattest {
+                x[k] = (x[k] + residue).max(0.0);
+            }
+            x
+        };
+        let walk = breakpoints
+            .iter()
+            .enumerate()
+            .rev()
+            .filter(|&(_, &v)| v >= c_max)
+            .map(|(j, &v)| tight(&order[..=j], v));
+
+        let score = |x: &[f64]| {
+            let makespan = (0..p)
+                .map(|i| slope(i) * x[i] + intercept(i))
+                .fold(0.0, f64::max);
+            let energy: f64 = (0..p).map(|i| cost[i] * x[i]).sum();
+            alpha * makespan + (1.0 - alpha) * energy
+        };
+        let mut best: Option<(f64, Vec<f64>)> = None;
+        for x in lowest.into_iter().chain(walk) {
+            let s = score(&x);
+            let improves = match &best {
+                None => true,
+                Some((b, _)) => s < *b,
+            };
+            if s.is_finite() && improves {
+                best = Some((s, x));
             }
         }
-        let fractional: Vec<f64> = solved.solution.x[..p].to_vec();
-        Ok(SolvedPoint {
-            point: self.point_from_fractional(alpha, n, fractional),
-            basis: solved.basis,
-            stats,
-        })
+        best.map(|(_, x)| x)
     }
 
     /// Exact `α = 1` solution (pure makespan minimization) by
@@ -456,23 +375,15 @@ impl ParetoModeler {
     /// [`crate::frontier::explore`] when a dominated-free frontier is
     /// required.
     ///
-    /// Each solve re-seeds the previous alpha's optimal basis
-    /// (bit-identical by contract); the aggregate solver-work tally is
-    /// returned beside the points for telemetry.
     pub fn frontier(
         &self,
         n: usize,
         alphas: &[f64],
-    ) -> Result<(Vec<ParetoPoint>, LpStats), PartitionPlanError> {
-        let mut stats = LpStats::default();
-        let mut basis: Option<LpBasis> = None;
-        let mut points: Vec<ParetoPoint> = Vec::with_capacity(alphas.len());
-        for &a in alphas {
-            let solved = self.solve(n, a, basis.as_ref())?;
-            stats.merge(&solved.stats);
-            basis = solved.basis;
-            points.push(solved.point);
-        }
+    ) -> Result<Vec<ParetoPoint>, PartitionPlanError> {
+        let points = alphas
+            .iter()
+            .map(|&a| self.solve(n, a))
+            .collect::<Result<Vec<_>, _>>()?;
         let objectives: Vec<Vec<f64>> = points
             .iter()
             .map(|p| vec![p.predicted_makespan, p.predicted_dirty_joules])
@@ -491,7 +402,7 @@ impl ParetoModeler {
                 );
             }
         }
-        Ok((points, stats))
+        Ok(points)
     }
 
     /// Scale-free scalarization — the normalization the paper proposes as
@@ -506,50 +417,27 @@ impl ParetoModeler {
     /// to the raw solve with
     /// `α' = α·Δe / (α·Δe + (1−α)·Δt)` where `Δt`, `Δe` are the extreme
     /// ranges — the normalization only reweights the two linear terms.
-    ///
-    /// The seed basis `warm` warm-starts the `α = 1` extreme, and each
-    /// internal solve chains its basis into the next, so a sweep of
-    /// normalized alphas re-solves the extremes near-freely. The returned
-    /// basis belongs to the final (re-weighted) solve — the right seed for
-    /// the next sweep point.
     pub fn solve_normalized(
         &self,
         n: usize,
         alpha: f64,
-        warm: Option<&LpBasis>,
-    ) -> Result<SolvedPoint, PartitionPlanError> {
-        if !(0.0..=1.0).contains(&alpha) || !alpha.is_finite() {
+    ) -> Result<ParetoPoint, PartitionPlanError> {
+        if !(0.0..=1.0).contains(&alpha) {
             return Err(PartitionPlanError::BadAlpha(alpha));
         }
-        let mut stats = LpStats::default();
-        let fast = self.solve(n, 1.0, warm)?;
-        stats.merge(&fast.stats);
-        let green = self.solve(n, 0.0, fast.basis.as_ref().or(warm))?;
-        stats.merge(&green.stats);
-        let dt = (green.point.predicted_makespan - fast.point.predicted_makespan).abs();
-        let de =
-            (fast.point.predicted_dirty_joules - green.point.predicted_dirty_joules).abs();
-        if dt <= f64::EPSILON || de <= f64::EPSILON {
+        let fast = self.solve(n, 1.0)?;
+        let green = self.solve(n, 0.0)?;
+        let dt = (green.predicted_makespan - fast.predicted_makespan).abs();
+        let de = (fast.predicted_dirty_joules - green.predicted_dirty_joules).abs();
+        let mut point = if dt <= f64::EPSILON || de <= f64::EPSILON {
             // Degenerate frontier (a single point): any α gives the same
             // optimum; return the time-optimal plan relabeled.
-            let mut point = fast.point;
-            point.alpha = alpha;
-            return Ok(SolvedPoint {
-                point,
-                basis: fast.basis,
-                stats,
-            });
-        }
-        let raw_alpha = alpha * de / (alpha * de + (1.0 - alpha) * dt);
-        let solved = self.solve(n, raw_alpha, green.basis.as_ref().or(warm))?;
-        stats.merge(&solved.stats);
-        let mut point = solved.point;
+            fast
+        } else {
+            self.solve(n, alpha * de / (alpha * de + (1.0 - alpha) * dt))?
+        };
         point.alpha = alpha;
-        Ok(SolvedPoint {
-            point,
-            basis: solved.basis,
-            stats,
-        })
+        Ok(point)
     }
 
     fn point_from_fractional(&self, alpha: f64, n: usize, fractional: Vec<f64>) -> ParetoPoint {
@@ -653,7 +541,7 @@ mod tests {
     fn lp_at_alpha_one_matches_waterfilling() {
         let m = paper_modeler([120.0, 90.0, 200.0, 30.0]);
         let wf = m.solve_het_aware(10_000);
-        let lp = m.solve(10_000, 1.0, None).unwrap().point;
+        let lp = m.solve(10_000, 1.0).unwrap();
         assert!(
             (wf.predicted_makespan - lp.predicted_makespan).abs()
                 < 1e-6 * wf.predicted_makespan.max(1.0),
@@ -672,7 +560,7 @@ mod tests {
         let energy = vec![profile(440.0, 0.0), profile(250.0, 0.0), profile(155.0, 0.0)];
         let m = ParetoModeler::new(time, energy).unwrap();
         let wf = m.solve_het_aware(50_000);
-        let lp = m.solve(50_000, 1.0, None).unwrap().point;
+        let lp = m.solve(50_000, 1.0).unwrap();
         assert!((wf.predicted_makespan - lp.predicted_makespan).abs() < 1e-3);
     }
 
@@ -680,7 +568,7 @@ mod tests {
     fn low_alpha_concentrates_on_greenest_node() {
         // Node 3 has draw 155 and green 150 => k ≈ 5, far below others.
         let m = paper_modeler([0.0, 0.0, 0.0, 150.0]);
-        let point = m.solve(10_000, 0.0, None).unwrap().point;
+        let point = m.solve(10_000, 0.0).unwrap();
         assert!(
             point.fractional_sizes[3] > 9_999.0,
             "all load should go to the green node: {:?}",
@@ -695,7 +583,7 @@ mod tests {
     fn frontier_trades_time_for_energy() {
         let m = paper_modeler([20.0, 80.0, 120.0, 150.0]);
         let alphas = [1.0, 0.9999, 0.999, 0.99, 0.9, 0.5, 0.0];
-        let frontier = m.frontier(20_000, &alphas).unwrap().0;
+        let frontier = m.frontier(20_000, &alphas).unwrap();
         // Monotone trends along the sweep (within tiny tolerance).
         for w in frontier.windows(2) {
             assert!(
@@ -728,7 +616,7 @@ mod tests {
         let m = paper_modeler([10.0, 20.0, 30.0, 40.0]);
         for n in [1usize, 7, 100, 99_999] {
             for alpha in [1.0, 0.999, 0.5] {
-                let point = m.solve(n, alpha, None).unwrap().point;
+                let point = m.solve(n, alpha).unwrap();
                 assert_eq!(point.sizes.iter().sum::<usize>(), n, "n={n} alpha={alpha}");
                 assert!(point.sizes.iter().all(|&s| s <= n));
             }
@@ -740,7 +628,7 @@ mod tests {
         // Perturbing mass between node pairs must not improve both
         // objectives — the Pareto-efficiency definition of §III-D.
         let m = paper_modeler([20.0, 60.0, 100.0, 140.0]);
-        let point = m.solve(10_000, 0.999, None).unwrap().point;
+        let point = m.solve(10_000, 0.999).unwrap();
         let base_t = point.predicted_makespan;
         let base_e = point.predicted_dirty_joules;
         let p = m.num_nodes();
@@ -768,13 +656,13 @@ mod tests {
         let n = 20_000;
         // The raw objectives differ by orders of magnitude, so raw
         // alpha=0.5 collapses to the energy extreme…
-        let raw_half = m.solve(n, 0.5, None).unwrap().point;
-        let green = m.solve(n, 0.0, None).unwrap().point;
+        let raw_half = m.solve(n, 0.5).unwrap();
+        let green = m.solve(n, 0.0).unwrap();
         assert!((raw_half.predicted_dirty_joules - green.predicted_dirty_joules).abs() < 1e-6);
         // …whereas normalized alpha spans the frontier meaningfully.
-        let fast = m.solve_normalized(n, 1.0, None).unwrap().point;
-        let mid = m.solve_normalized(n, 0.5, None).unwrap().point;
-        let slow = m.solve_normalized(n, 0.0, None).unwrap().point;
+        let fast = m.solve_normalized(n, 1.0).unwrap();
+        let mid = m.solve_normalized(n, 0.5).unwrap();
+        let slow = m.solve_normalized(n, 0.0).unwrap();
         assert!(fast.predicted_makespan <= mid.predicted_makespan + 1e-9);
         assert!(mid.predicted_makespan <= slow.predicted_makespan + 1e-9);
         assert!(fast.predicted_dirty_joules >= mid.predicted_dirty_joules - 1e-9);
@@ -790,11 +678,11 @@ mod tests {
     fn normalized_endpoints_match_raw_extremes() {
         let m = paper_modeler([30.0, 60.0, 90.0, 140.0]);
         let n = 10_000;
-        let n1 = m.solve_normalized(n, 1.0, None).unwrap().point;
-        let r1 = m.solve(n, 1.0, None).unwrap().point;
+        let n1 = m.solve_normalized(n, 1.0).unwrap();
+        let r1 = m.solve(n, 1.0).unwrap();
         assert!((n1.predicted_makespan - r1.predicted_makespan).abs() < 1e-9);
-        let n0 = m.solve_normalized(n, 0.0, None).unwrap().point;
-        let r0 = m.solve(n, 0.0, None).unwrap().point;
+        let n0 = m.solve_normalized(n, 0.0).unwrap();
+        let r0 = m.solve(n, 0.0).unwrap();
         assert!((n0.predicted_dirty_joules - r0.predicted_dirty_joules).abs() < 1e-6);
     }
 
@@ -804,7 +692,7 @@ mod tests {
         let time = vec![fit(1e-3, 0.0); 3];
         let energy = vec![profile(250.0, 250.0); 3]; // k = 0 everywhere
         let m = ParetoModeler::new(time, energy).unwrap();
-        let p = m.solve_normalized(999, 0.5, None).unwrap().point;
+        let p = m.solve_normalized(999, 0.5).unwrap();
         assert_eq!(p.sizes.iter().sum::<usize>(), 999);
     }
 
@@ -813,7 +701,7 @@ mod tests {
         let m = paper_modeler([20.0, 60.0, 100.0, 140.0]);
         let n = 50_000;
         let alphas = [1.0, 0.999, 0.995, 0.99, 0.9, 0.0];
-        let frontier = m.frontier(n, &alphas).unwrap().0;
+        let frontier = m.frontier(n, &alphas).unwrap();
         let points: Vec<(f64, f64)> = frontier
             .iter()
             .map(|p| (p.predicted_makespan, p.predicted_dirty_joules))
@@ -848,7 +736,7 @@ mod tests {
     fn rejects_bad_inputs() {
         let m = paper_modeler([0.0; 4]);
         assert!(matches!(
-            m.solve(100, 1.5, None),
+            m.solve(100, 1.5),
             Err(PartitionPlanError::BadAlpha(_))
         ));
         assert!(matches!(
@@ -864,7 +752,7 @@ mod tests {
         let time = vec![fit(1e-3, 0.0), fit(1e-3, 0.0)];
         let energy = vec![profile(250.0, 50.0), profile(155.0, 300.0)];
         let m = ParetoModeler::new(time, energy).unwrap();
-        let point = m.solve(1000, 0.0, None).unwrap().point;
+        let point = m.solve(1000, 0.0).unwrap();
         assert!(point.fractional_sizes[1] > 999.0);
         assert!(point.predicted_dirty_joules < 0.0);
     }

@@ -51,7 +51,7 @@ use pareto_stats::LinearFit;
 use pareto_telemetry::{ClockDomain, SpanId, Telemetry, Track};
 
 use crate::elastic::ElasticPlan;
-use crate::pareto::{map_partition_basis, LpBasis, LpStats, ParetoModeler};
+use crate::pareto::{ParetoModeler, PartitionPlanError};
 use crate::stealing::{RecordWork, WorkQueue};
 
 /// Tunables for the recovery machinery.
@@ -103,6 +103,9 @@ pub enum RecoveryConfigError {
     /// The ops of the items in the initial queues sum past `u64::MAX`, so
     /// a queue's running ops total could not stay exact.
     WorkOverflow,
+    /// The request's `fits` and `profiles` build no planning model: a
+    /// non-finite figure or a negative slope.
+    BadModel(PartitionPlanError),
 }
 
 impl std::fmt::Display for RecoveryConfigError {
@@ -131,6 +134,7 @@ impl std::fmt::Display for RecoveryConfigError {
             RecoveryConfigError::WorkOverflow => {
                 write!(f, "the queued items' ops sum past u64::MAX")
             }
+            RecoveryConfigError::BadModel(e) => write!(f, "bad planning model: {e}"),
         }
     }
 }
@@ -303,8 +307,8 @@ fn stratum_interleave(mut orphans: Vec<usize>, strata: &[u32]) -> Vec<usize> {
 
 /// One job for the fault-tolerant executor: the cluster, the per-item work
 /// and its initial placement, the planning models runtime re-solves use,
-/// and the schedules to survive. The three optional parts default to "no
-/// roster changes", "cold runtime LP" and "record nothing".
+/// and the schedules to survive. The two optional parts default to "no
+/// roster changes" and "record nothing".
 #[derive(Clone, Copy)]
 pub struct ExecRequest<'a> {
     /// The simulated cluster the job runs on.
@@ -329,13 +333,6 @@ pub struct ExecRequest<'a> {
     /// Planned roster transitions (joins, drains, preemptions) consumed
     /// alongside the fault plan.
     pub elastic: Option<&'a ElasticPlan>,
-    /// The pre-fault plan's optimal LP basis over the full roster: every
-    /// runtime re-solve maps the most recent basis onto the surviving
-    /// roster ([`map_partition_basis`]) and warm-starts from it. The
-    /// outcome is bit-identical with or without it — the LP layer falls
-    /// back to a cold solve whenever the repaired basis cannot be proven
-    /// optimal — so only the `pareto_lp_*` counters observe the difference.
-    pub warm: Option<&'a LpBasis>,
     /// Recorder for the faulty pass: per-node sim-clock spans (fetch
     /// retries, item execution, transfers), crash and elastic-transition
     /// instants, coordinator replan instants, work-item lineage, the energy
@@ -350,7 +347,8 @@ impl ExecRequest<'_> {
     /// model and energy profile per cluster node, every queued item inside
     /// `work`, and a total of queued ops that fits in `u64` (items only
     /// move between queues, so no queue's running total can then
-    /// overflow). Returns the modeler runtime re-solves restrict.
+    /// overflow), and fits and profiles a [`ParetoModeler`] accepts.
+    /// Returns the modeler runtime re-solves restrict.
     fn validate(&self) -> Result<ParetoModeler, RecoveryConfigError> {
         self.cfg.validate()?;
         let nodes = self.cluster.num_nodes();
@@ -373,9 +371,8 @@ impl ExecRequest<'_> {
                 .checked_add(w.ops)
                 .ok_or(RecoveryConfigError::WorkOverflow)?;
         }
-        let modeler = ParetoModeler::new(self.fits.to_vec(), self.profiles.to_vec())
-            .expect("fits and profiles just checked node-aligned; a cluster is never empty");
-        Ok(modeler)
+        ParetoModeler::new(self.fits.to_vec(), self.profiles.to_vec())
+            .map_err(RecoveryConfigError::BadModel)
     }
 }
 
@@ -386,7 +383,8 @@ impl ExecRequest<'_> {
 ///
 /// Errors — never panics — on a request whose per-node inputs are not
 /// node-aligned, that queues an item outside `work`, whose queued ops
-/// overflow `u64`, or whose config is invalid.
+/// overflow `u64`, whose fits or profiles are non-finite or carry a
+/// negative slope, or whose config is invalid.
 pub fn execute(req: &ExecRequest<'_>) -> Result<RecoveryOutcome, RecoveryConfigError> {
     let modeler = req.validate()?;
     let (silent, no_elastic) = (Telemetry::disabled(), ElasticPlan::none());
@@ -541,13 +539,6 @@ struct Sim<'a> {
     /// preemption (ties prefer the graceful drain).
     drain_notice: Vec<Option<(f64, bool)>>,
     nodes: Vec<NodeState<'a>>,
-    /// Warm-start state chained across the pass's runtime re-solves: the
-    /// roster the most recent basis was solved over plus the basis itself
-    /// (seeded from the pre-fault plan). Warm and cold re-solves produce
-    /// bit-identical partitions by the LP layer's contract.
-    lp_slot: Option<(Vec<usize>, LpBasis)>,
-    /// Cold/warm pivot tallies, recorded to telemetry once per pass.
-    lp_stats: LpStats,
     /// Orphans stranded while no node was active; a later joiner rescues
     /// them (conservation across join/leave boundaries).
     lost_pool: Vec<usize>,
@@ -640,11 +631,6 @@ impl<'a> Sim<'a> {
                 })
                 .collect(),
             join_at,
-            // Runtime re-solves chain their bases: the first replan
-            // warm-starts from the pre-fault basis (over the full roster),
-            // later ones from the previous re-solve's basis.
-            lp_slot: req.warm.map(|b| ((0..p).collect(), b.clone())),
-            lp_stats: LpStats::default(),
             lost_pool: Vec::new(),
             lineage,
             out: RecoveryOutcome {
@@ -736,7 +722,6 @@ impl<'a> Sim<'a> {
             }
         }
 
-        self.lp_stats.record(self.tel);
         let mut out = self.out;
         out.report = JobReport::from_runs(
             (0..p)
@@ -966,11 +951,9 @@ impl<'a> Sim<'a> {
 
     /// Integer LP shares of `n` items over `roster`, each node's time
     /// intercept shifted by its entry in `offsets`: exact waterfilling at
-    /// `alpha >= 1`, otherwise the scalarized LP warm-started from the most
-    /// recent basis mapped onto `roster` (bit-identical to cold by
-    /// contract) with waterfilling as the fallback if the LP fails, and an
-    /// even split for degenerate models.
-    fn shares(&mut self, roster: &[usize], offsets: &[f64], n: usize) -> Vec<usize> {
+    /// `alpha >= 1`, otherwise the scalarized LP with waterfilling as the
+    /// fallback if the LP fails, and an even split for degenerate models.
+    fn shares(&self, roster: &[usize], offsets: &[f64], n: usize) -> Vec<usize> {
         let Ok(sub) = self.modeler.restrict_with_offsets(roster, offsets) else {
             let (base, extra) = (n / roster.len(), n % roster.len());
             return (0..roster.len())
@@ -978,16 +961,8 @@ impl<'a> Sim<'a> {
                 .collect();
         };
         if self.req.alpha < 1.0 {
-            let warm = self
-                .lp_slot
-                .as_ref()
-                .and_then(|(prev, basis)| map_partition_basis(prev, roster, basis));
-            if let Ok(solved) = sub.solve(n, self.req.alpha, warm.as_ref()) {
-                self.lp_stats.merge(&solved.stats);
-                if let Some(basis) = solved.basis {
-                    self.lp_slot = Some((roster.to_vec(), basis));
-                }
-                return solved.point.sizes;
+            if let Ok(point) = sub.solve(n, self.req.alpha) {
+                return point.sizes;
             }
         }
         sub.solve_het_aware(n).sizes
@@ -1161,9 +1136,7 @@ impl<'a> Sim<'a> {
             return;
         }
         // The whole queued backlog is up for re-assignment, so offsets
-        // carry only each node's clock (no backlog term). The joiner
-        // enters the roster idle, exactly the shape `map_partition_basis`
-        // seeds with its slack column.
+        // carry only each node's clock (no backlog term).
         let offsets: Vec<f64> = eligible.iter().map(|&j| self.nodes[j].clock).collect();
         let sizes = self.shares(&eligible, &offsets, total_queued);
         // Trim excess from the back of each overloaded queue.
@@ -1442,7 +1415,6 @@ mod tests {
             faults,
             cfg,
             elastic: Some(elastic),
-            warm: None,
             telemetry: None,
         })
         .expect("well-formed request")
@@ -1623,7 +1595,6 @@ mod tests {
             faults: &faults,
             cfg: &cfg,
             elastic: None,
-            warm: None,
             telemetry: None,
         };
         assert!(execute(&good).is_ok());
@@ -1653,6 +1624,21 @@ mod tests {
         assert_eq!(execute(&overflow).unwrap_err(), RecoveryConfigError::WorkOverflow);
         let edge = [huge[0], RecordWork { ops: u64::MAX / 2, bytes: 256 }];
         assert!(ExecRequest { work: &edge, initial: &two, ..good }.validate().is_ok());
+        // Fits and profiles the planning model rejects.
+        let mut negative = fits.clone();
+        negative[2].slope = -1e-6;
+        let bad_fit = ExecRequest { fits: &negative, alpha: 0.5, ..good };
+        assert!(matches!(
+            execute(&bad_fit).unwrap_err(),
+            RecoveryConfigError::BadModel(PartitionPlanError::Degenerate(_))
+        ));
+        let mut nan = profs.clone();
+        nan[0].mean_green_watts = f64::NAN;
+        let bad_profile = ExecRequest { profiles: &nan, alpha: 0.5, ..good };
+        assert!(matches!(
+            execute(&bad_profile).unwrap_err(),
+            RecoveryConfigError::BadModel(PartitionPlanError::Degenerate(_))
+        ));
     }
 
     /// Exhaustion boundary: with `max_retries = k`, exactly `k` errors are
@@ -1738,7 +1724,6 @@ mod tests {
             faults: &faults,
             cfg: &cfg,
             elastic: None,
-            warm: None,
             telemetry: None,
         };
         let modeler = req.validate().expect("well-formed request");

@@ -24,10 +24,8 @@ use pareto_workloads::WorkloadKind;
 
 use crate::cache::{CacheStats, Fingerprint, SharedPlanCache};
 use crate::framework::{FrameworkConfig, Plan, Strategy};
-use crate::frontier::{
-    explore, AlphaSolve, AlphaSolver, FrontierConfig, FrontierPoint, FrontierResult,
-};
-use crate::pareto::{LpBasis, LpStats, ParetoModeler, PartitionPlanError};
+use crate::frontier::{explore, AlphaSolver, FrontierConfig, FrontierPoint, FrontierResult};
+use crate::pareto::{ParetoModeler, PartitionPlanError};
 use crate::partitioner::DataPartitioner;
 use crate::stages::{self, Deadline, PlanEngine, PlanError, StageReuse};
 
@@ -341,15 +339,7 @@ impl<'s, 'a> SessionSolver<'s, 'a> {
 }
 
 impl AlphaSolver for SessionSolver<'_, '_> {
-    fn solve_alpha(
-        &mut self,
-        alpha: f64,
-        _warm: Option<&LpBasis>,
-    ) -> Result<AlphaSolve, PlanError> {
-        // The advisory basis is ignored: the engine threads its own warm
-        // hint between plans (gated on `FrameworkConfig::lp_warm`) and the
-        // optimize stage records LP counters itself on cache misses, so
-        // nothing would be double-counted here.
+    fn solve_alpha(&mut self, alpha: f64) -> Result<FrontierPoint, PlanError> {
         self.session
             .set_strategy(Strategy::HetEnergyAware { alpha });
         let plan = self.session.plan()?;
@@ -363,16 +353,12 @@ impl AlphaSolver for SessionSolver<'_, '_> {
             ));
         }
         let transfer_bytes = self.transfer_bytes(&plan.partitions);
-        Ok(AlphaSolve {
-            point: FrontierPoint {
-                alpha,
-                makespan_s: point.predicted_makespan,
-                dirty_joules: point.predicted_dirty_joules,
-                transfer_bytes,
-                sizes: plan.sizes.clone(),
-            },
-            basis: None,
-            stats: LpStats::default(),
+        Ok(FrontierPoint {
+            alpha,
+            makespan_s: point.predicted_makespan,
+            dirty_joules: point.predicted_dirty_joules,
+            transfer_bytes,
+            sizes: plan.sizes.clone(),
         })
     }
 

@@ -29,14 +29,13 @@
 //! | node roster / traces     | —      | —        | ✗²      | ✗        | ✗         |
 //! | α (same strategy class)  | —      | —        | —       | ✗        | ✗         |
 //! | strategy class / layout  | —      | —        | ✗³      | ✗        | ✗         |
-//! | `threads` / `lp_warm`    | —      | —        | —       | —        | —         |
+//! | `threads`                | —      | —        | —       | —        | —         |
 //!
 //! ¹ via the measurement sub-artifact; a dataset *append* still reuses the
 //!   prefix sketch. ² measurements are node-independent and survive roster
 //!   changes — only the cheap per-node fits re-run. ³ only when the change
-//!   toggles whether time models are needed. `threads` and `lp_warm` never
-//!   invalidate anything because every stage is bit-identical at any
-//!   thread count and from any LP starting basis.
+//!   toggles whether time models are needed. `threads` never invalidates
+//!   anything because every stage is bit-identical at any thread count.
 
 use std::any::Any;
 use std::sync::Arc;
@@ -55,7 +54,7 @@ use crate::cache::{Fingerprint, FingerprintBuilder, PlanCache, SharedPlanCache};
 use crate::estimator::{EnergyEstimator, HeterogeneityEstimator, NodeTimeModel};
 use crate::framework::{FrameworkConfig, Plan, PlanTimings, Strategy};
 use crate::frontier::FrontierConfig;
-use crate::pareto::{map_partition_basis, LpBasis, ParetoModeler, ParetoPoint, PartitionPlanError};
+use crate::pareto::{ParetoModeler, PartitionPlanError};
 use crate::partitioner::DataPartitioner;
 
 /// A planning failure, returned instead of the historical panics so the
@@ -308,9 +307,8 @@ pub(crate) struct KeyInputs<'a> {
 /// The cache keys of one plan, in pipeline order. Each key mixes the
 /// upstream keys its stage builds on plus the fields that stage reads, so
 /// a change invalidates exactly the first stage that reads it and
-/// everything downstream. `threads` and `lp_warm` appear nowhere: stage
-/// outputs are bit-identical at any thread count and from any LP starting
-/// basis, so changing either must hit.
+/// everything downstream. `threads` appears nowhere: stage outputs are
+/// bit-identical at any thread count, so changing it must hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct PlanKeys {
     /// MinHash signatures: dataset content, sketch width, sketch seed.
@@ -456,18 +454,6 @@ struct MeasureArtifact {
     cost: Cost,
 }
 
-/// The `optimize` artifact: the chosen Pareto point plus the final LP
-/// basis so later replans (α deltas, appends, roster churn, recovery) can
-/// warm-start. The basis is a pure function of the fingerprinted inputs —
-/// warm starts are bit-identical to cold by the solver's contract, so
-/// caching it alongside the point keeps the cache content-addressed even
-/// though solves may be seeded differently.
-struct OptimizeArtifact {
-    point: ParetoPoint,
-    /// Absent for the waterfilling path.
-    basis: Option<LpBasis>,
-}
-
 /// The `partition` artifact: final sizes + record placement.
 struct PartitionArtifact {
     sizes: Vec<usize>,
@@ -597,10 +583,6 @@ pub struct PlanEngine<'a> {
     cache: SharedPlanCache,
     roster: Vec<usize>,
     last_reuse: StageReuse,
-    /// The last optimize artifact's basis, tagged with the roster it was
-    /// solved for, seeding the next plan's LP (mapped across roster
-    /// deltas; see [`map_partition_basis`]).
-    lp_warm: Option<(Vec<usize>, LpBasis)>,
     /// Cooperative cancellation token, polled before every stage.
     deadline: Deadline,
 }
@@ -626,7 +608,6 @@ impl<'a> PlanEngine<'a> {
             telemetry: Telemetry::disabled(),
             cache: SharedPlanCache::default(),
             last_reuse: StageReuse::default(),
-            lp_warm: None,
             deadline: Deadline::None,
         }
     }
@@ -820,51 +801,27 @@ impl<'a> PlanEngine<'a> {
         })?;
 
         // The scalarized LP (or waterfilling for pure Het-Aware) runs
-        // exactly when the profile stage fitted time models.
+        // exactly when the profile stage fitted time models. The artifact
+        // is the chosen Pareto point.
         let optimized = match &profile.models {
             None => None,
             Some(models) => Some(run.stage("optimize", keys.optimize, |_| {
                 let fits: Vec<LinearFit> = models.iter().map(|m| m.fit).collect();
                 let modeler = ParetoModeler::new(fits, profile.profiles.clone())?;
-                // Advisory warm seed: the previous optimal basis mapped
-                // onto the current roster. Never keyed — by the solver's
-                // bit-identity contract the artifact is independent of it.
-                let warm = if cfg.lp_warm {
-                    self.lp_warm
-                        .as_ref()
-                        .and_then(|(prev, basis)| map_partition_basis(prev, roster, basis))
-                } else {
-                    None
-                };
-                let solved = match cfg.strategy {
-                    Strategy::HetEnergyAware { alpha } => {
-                        Some(modeler.solve(n, alpha, warm.as_ref())?)
-                    }
+                Ok(match cfg.strategy {
+                    Strategy::HetEnergyAware { alpha } => modeler.solve(n, alpha)?,
                     Strategy::HetEnergyAwareNormalized { alpha } => {
-                        Some(modeler.solve_normalized(n, alpha, warm.as_ref())?)
+                        modeler.solve_normalized(n, alpha)?
                     }
                     // Het-Aware, the one model-driven strategy left.
-                    _ => None,
-                };
-                Ok(match solved {
-                    Some(solved) => {
-                        solved.stats.record(telemetry);
-                        OptimizeArtifact {
-                            point: solved.point,
-                            basis: solved.basis,
-                        }
-                    }
-                    None => OptimizeArtifact {
-                        point: modeler.solve_het_aware(n),
-                        basis: None,
-                    },
+                    _ => modeler.solve_het_aware(n),
                 })
             })?),
         };
 
         let (placed, partitioned) = run.stage("partition", keys.partition, |_| {
             let sizes = match &optimized {
-                Some((solved, _)) => solved.point.sizes.clone(),
+                Some((point, _)) => point.sizes.clone(),
                 None => DataPartitioner::equal_sizes(n, p),
             };
             let partitioner = DataPartitioner::new(placement_seed(cfg));
@@ -886,16 +843,14 @@ impl<'a> PlanEngine<'a> {
             Ok(PartitionArtifact { sizes, partitions })
         })?;
 
-        let (solved, optimize_record) = optimized.unzip();
-        let lp_basis = solved.as_ref().and_then(|art| art.basis.clone());
+        let (point, optimize_record) = optimized.unzip();
         let plan = Plan {
             stratification: stratification.as_ref().clone(),
             time_models: profile.models.clone(),
             energy_profiles: profile.profiles.clone(),
-            pareto: solved.map(|art| art.point.clone()),
+            pareto: point.map(|point| point.as_ref().clone()),
             sizes: placed.sizes.clone(),
             partitions: placed.partitions.clone(),
-            lp_basis: lp_basis.clone(),
             estimation_cost: profile.cost,
             timings: PlanTimings {
                 sketch_s: sketched.seconds,
@@ -921,9 +876,6 @@ impl<'a> PlanEngine<'a> {
             wall_start,
             [sketched, stratified, profiled, optimize_record.unwrap_or(skipped), partitioned],
         );
-        // A cache-hit optimize still yields a basis: warm seeds survive
-        // artifact reuse as well as fresh solves.
-        self.lp_warm = lp_basis.map(|b| (self.roster.clone(), b));
         self.last_reuse = StageReuse {
             sketch: sketched.hit,
             stratify: stratified.hit,
@@ -1205,7 +1157,8 @@ mod tests {
                 from("frontier"),
             ),
             ("explorer.coarse", |i| i.explorer.coarse.push(1.0), from("frontier")),
-            // Never keyed: outputs are bit-identical whatever these say.
+            // Never keyed: outputs are bit-identical whatever these say
+            // (`lp_warm` is accepted and ignored).
             ("threads", |i| i.cfg.threads += 1, vec![]),
             ("lp_warm", |i| i.cfg.lp_warm = !i.cfg.lp_warm, vec![]),
             ("durability", |i| i.cfg.durability = Durability::Wal, vec![]),

@@ -55,7 +55,7 @@ proptest! {
     fn waterfilling_matches_lp((fits, profiles) in modeler_inputs(), n in 100usize..1_000_000) {
         let m = ParetoModeler::new(fits, profiles).unwrap();
         let wf = m.solve_het_aware(n);
-        let lp = m.solve(n, 1.0, None).unwrap().point;
+        let lp = m.solve(n, 1.0).unwrap();
         let tol = 1e-5 * wf.predicted_makespan.max(1.0);
         prop_assert!(
             (wf.predicted_makespan - lp.predicted_makespan).abs() < tol,
@@ -72,7 +72,7 @@ proptest! {
     ) {
         let alpha = alpha_pct as f64 / 1000.0;
         let m = ParetoModeler::new(fits, profiles).unwrap();
-        let point = m.solve(n, alpha, None).unwrap().point;
+        let point = m.solve(n, alpha).unwrap();
         prop_assert_eq!(point.sizes.iter().sum::<usize>(), n);
         prop_assert!(point.fractional_sizes.iter().all(|&x| x >= -1e-7));
     }
@@ -87,7 +87,7 @@ proptest! {
         let alpha = alpha_pct as f64 / 1000.0;
         let n = 100_000usize;
         let m = ParetoModeler::new(fits, profiles).unwrap();
-        let point = m.solve(n, alpha, None).unwrap().point;
+        let point = m.solve(n, alpha).unwrap();
         let t0 = point.predicted_makespan;
         let e0 = point.predicted_dirty_joules;
         let p = m.num_nodes();
@@ -152,7 +152,7 @@ proptest! {
     fn frontier_monotone((fits, profiles) in modeler_inputs()) {
         let m = ParetoModeler::new(fits, profiles).unwrap();
         let alphas = [1.0, 0.999, 0.99, 0.9, 0.5, 0.1, 0.0];
-        let points = m.frontier(50_000, &alphas).unwrap().0;
+        let points = m.frontier(50_000, &alphas).unwrap();
         for w in points.windows(2) {
             prop_assert!(w[1].predicted_makespan >= w[0].predicted_makespan - 1e-6);
             prop_assert!(

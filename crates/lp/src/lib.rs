@@ -11,12 +11,18 @@
 //!            x_i ≥ 0
 //! ```
 //!
-//! which is tiny (`p + 1` variables, `p + 1` constraints) but still needs a
-//! real LP solver because the energy coefficients `k_i` may be negative
-//! (nodes with surplus green energy), which makes greedy waterfilling
-//! incorrect in general. This crate implements a dense **two-phase primal
-//! simplex** with Bland's anti-cycling rule — exact for problems of this
-//! scale and straightforward to audit.
+//! which is tiny (`p + 1` variables, `p + 1` constraints). Equal-finish
+//! waterfilling does not solve it in general: the energy coefficients
+//! `k_i` may be negative (nodes with surplus green energy), and at `α < 1`
+//! levelling finish times is not the objective. It does have a closed
+//! form, though: for a fixed `v` the energy term is a fractional knapsack
+//! filled in ascending `k_i·m_i`, so the optimum sits at the lowest
+//! feasible `v` or at a breakpoint of that fill.
+//! `pareto_core::pareto::ParetoModeler::solve` plans with that breakpoint
+//! walk, and this crate is its independent oracle in tests (and the
+//! benchmark ledger's `lp.*` rows). It implements a dense **two-phase
+//! primal simplex** with Bland's anti-cycling rule and reusable bases —
+//! exact for problems of this scale and straightforward to audit.
 //!
 //! # Example
 //!

@@ -115,25 +115,6 @@ pub const FRONTIER_POINTS_TOTAL: &str = "pareto_frontier_points_total";
 /// (coarse grid + adaptive bisections).
 pub const FRONTIER_LP_SOLVES_TOTAL: &str = "pareto_frontier_lp_solves_total";
 
-/// Counter of partition-LP solves, labelled `{start=cold|warm}`. A `warm`
-/// solve re-seeded a previous optimal basis and was accepted as provably
-/// bit-identical to the cold path; a `cold` solve ran two-phase simplex
-/// from scratch (including deterministic fallbacks from abandoned warm
-/// attempts, which are additionally counted by
-/// [`LP_WARM_FALLBACKS_TOTAL`]). Inert: recording never changes plans.
-pub const LP_SOLVES_TOTAL: &str = "pareto_lp_solves_total";
-
-/// Counter of warm-start attempts that were abandoned (shape mismatch,
-/// singular or dual-infeasible basis, degeneracy, or a non-unique optimum)
-/// and deterministically fell back to the cold path.
-pub const LP_WARM_FALLBACKS_TOTAL: &str = "pareto_lp_warm_fallbacks_total";
-
-/// Counter of simplex pivots spent by partition-LP solves, labelled
-/// `{start=cold|warm}` like [`LP_SOLVES_TOTAL`]. The warm-vs-cold pivot
-/// saving asserted by the bench gate and the warm-sweep tests reads off
-/// this counter.
-pub const LP_PIVOTS_TOTAL: &str = "pareto_lp_pivots_total";
-
 /// Counter of plan-service requests, labelled `{outcome=served|degraded|
 /// shed|error}`. Every admitted or shed request increments exactly one
 /// outcome, so the series total equals the request count — the soak

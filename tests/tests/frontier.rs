@@ -165,7 +165,7 @@ fn adaptive_refinement_beats_its_oracles() {
             .coarse
             .iter()
             .map(|&a| {
-                let p = ref_modeler.solve(ref_n, a, None).expect("coarse solve").point;
+                let p = ref_modeler.solve(ref_n, a).expect("coarse solve");
                 (a, vec![p.predicted_makespan, p.predicted_dirty_joules])
             })
             .collect();
@@ -177,7 +177,7 @@ fn adaptive_refinement_beats_its_oracles() {
         let dense: Vec<Vec<f64>> = (0..1000)
             .map(|i| {
                 let a = i as f64 / 999.0;
-                let p = ref_modeler.solve(ref_n, a, None).expect("dense solve").point;
+                let p = ref_modeler.solve(ref_n, a).expect("dense solve");
                 vec![p.predicted_makespan, p.predicted_dirty_joules]
             })
             .collect();

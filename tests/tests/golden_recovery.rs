@@ -10,7 +10,14 @@
 //! restructuring must reproduce bit for bit: the whole [`RecoveryOutcome`]
 //! and the sim-clock telemetry dump of the same run, for every recovery
 //! mechanism, at both re-solve regimes (`alpha = 1` waterfilling and
-//! `alpha < 1` LP), with the runtime LP warm-started and cold.
+//! `alpha < 1` LP).
+//!
+//! When the partition LP's warm-started simplex gave way to the exact
+//! breakpoint walk, every outcome digest stayed as recorded. The dump
+//! digests were re-recorded then: the `pareto_lp_*` solve and pivot
+//! counters left the dump, and the `pareto_lp_*` plan-point gauges moved
+//! in their last bits. With every `pareto_lp_*` metric dropped from both
+//! sides, all 24 dumps hashed as they did under the simplex.
 //!
 //! On any mismatch the test prints the full observed table in the form of
 //! the `GOLDEN` constant, so an *intentional* change to the simulation can
@@ -29,43 +36,40 @@ const NODES: usize = 4;
 const ALPHAS: [f64; 2] = [1.0, 0.999];
 const WORKLOAD: WorkloadKind = WorkloadKind::FrequentPatterns { support: 0.15 };
 
-/// One pinned run: the outcome digest (identical warm and cold by the LP
-/// layer's contract) and the telemetry-dump digest under each LP regime
-/// (they differ only in the `pareto_lp_*` counters).
+/// One pinned run: the outcome digest and the telemetry-dump digest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Pin {
     outcome: u64,
-    dump_warm: u64,
-    dump_cold: u64,
+    dump: u64,
 }
 
 /// `(scenario, alpha)` → pin, in `scenarios()` × `ALPHAS` order.
 #[rustfmt::skip]
 const GOLDEN: &[(&str, f64, Pin)] = &[
-    ("fault-free", 1.0, Pin { outcome: 0x14f2576867c19c71, dump_warm: 0xfdff4f833f263d87, dump_cold: 0xfdff4f833f263d87 }),
-    ("crash-mid-exec", 1.0, Pin { outcome: 0x77534633520c6ecd, dump_warm: 0xc5f6ecdd28627384, dump_cold: 0xc5f6ecdd28627384 }),
-    ("fetch-retry-exhaustion", 1.0, Pin { outcome: 0x5fa61f96eec66d1a, dump_warm: 0x834af5be843b0b47, dump_cold: 0x834af5be843b0b47 }),
-    ("transient-retries", 1.0, Pin { outcome: 0x5013e690b1a7aad1, dump_warm: 0x0f6b85c0a0f52674, dump_cold: 0x0f6b85c0a0f52674 }),
-    ("straggler-steal", 1.0, Pin { outcome: 0x58dc1ccc6e573fd7, dump_warm: 0x6c57fac243cf5ad5, dump_cold: 0x6c57fac243cf5ad5 }),
-    ("thief-dies-mid-steal", 1.0, Pin { outcome: 0x0883359076df87de, dump_warm: 0x1815b8cef82f60c0, dump_cold: 0x1815b8cef82f60c0 }),
-    ("net-degradation", 1.0, Pin { outcome: 0x5e6e8130b9a62ade, dump_warm: 0x3299ff5cbf7ab3bf, dump_cold: 0x3299ff5cbf7ab3bf }),
-    ("drain", 1.0, Pin { outcome: 0xaa152ddc8899b414, dump_warm: 0xbe2d45626b5a96e5, dump_cold: 0xbe2d45626b5a96e5 }),
-    ("preempt-generous-grace", 1.0, Pin { outcome: 0xd684be885526789c, dump_warm: 0xf1a9df4ba559ad61, dump_cold: 0xf1a9df4ba559ad61 }),
-    ("preempt-zero-grace", 1.0, Pin { outcome: 0xdcbaaae4f6bfc2ca, dump_warm: 0xb49cf22bc74da15f, dump_cold: 0xb49cf22bc74da15f }),
-    ("join-rebalance", 1.0, Pin { outcome: 0xb74aed223d93cfc8, dump_warm: 0xd48af2f03ecf47fe, dump_cold: 0xd48af2f03ecf47fe }),
-    ("late-joiner-rescue", 1.0, Pin { outcome: 0x00c27d7d2758b87a, dump_warm: 0xdfccf599270fca53, dump_cold: 0xdfccf599270fca53 }),
-    ("fault-free", 0.999, Pin { outcome: 0x14f2576867c19c71, dump_warm: 0xbbd5aee16f4ff46f, dump_cold: 0xbbd5aee16f4ff46f }),
-    ("crash-mid-exec", 0.999, Pin { outcome: 0x77534633520c6ecd, dump_warm: 0x5fde2d059fa9dadb, dump_cold: 0x51bbc791309ef25a }),
-    ("fetch-retry-exhaustion", 0.999, Pin { outcome: 0x5fa61f96eec66d1a, dump_warm: 0x30ef319c62392eb8, dump_cold: 0x3b64e5f248155779 }),
-    ("transient-retries", 0.999, Pin { outcome: 0x5013e690b1a7aad1, dump_warm: 0x4dd7c96f950ccb1c, dump_cold: 0x4dd7c96f950ccb1c }),
-    ("straggler-steal", 0.999, Pin { outcome: 0x58dc1ccc6e573fd7, dump_warm: 0x9f487087615950fd, dump_cold: 0x9f487087615950fd }),
-    ("thief-dies-mid-steal", 0.999, Pin { outcome: 0xe2565bdd2f1f6315, dump_warm: 0xe26ca2543368b3eb, dump_cold: 0xad88531f5ad6a46f }),
-    ("net-degradation", 0.999, Pin { outcome: 0x5e6e8130b9a62ade, dump_warm: 0x62fed36b4e9a1b57, dump_cold: 0x62fed36b4e9a1b57 }),
-    ("drain", 0.999, Pin { outcome: 0xaa152ddc8899b414, dump_warm: 0xc8905039beb1cc3a, dump_cold: 0x3d1323856a3072db }),
-    ("preempt-generous-grace", 0.999, Pin { outcome: 0xd684be885526789c, dump_warm: 0x822674cfd0a8979e, dump_cold: 0x46568b09331f2f7f }),
-    ("preempt-zero-grace", 0.999, Pin { outcome: 0xdcbaaae4f6bfc2ca, dump_warm: 0x8927bb4bde4dd280, dump_cold: 0xeb91d0a204e2c5a1 }),
-    ("join-rebalance", 0.999, Pin { outcome: 0xb74aed223d93cfc8, dump_warm: 0x4bfbe0a2461258a0, dump_cold: 0x5a43c17dc5e57694 }),
-    ("late-joiner-rescue", 0.999, Pin { outcome: 0x00c27d7d2758b87a, dump_warm: 0xe18f548a85682c8d, dump_cold: 0x08682c403cbace2a }),
+    ("fault-free", 1.0, Pin { outcome: 0x14f2576867c19c71, dump: 0x07c10b78e36166e1 }),
+    ("crash-mid-exec", 1.0, Pin { outcome: 0x77534633520c6ecd, dump: 0x8c367cd989509782 }),
+    ("fetch-retry-exhaustion", 1.0, Pin { outcome: 0x5fa61f96eec66d1a, dump: 0x2654b3ad38b25fa1 }),
+    ("transient-retries", 1.0, Pin { outcome: 0x5013e690b1a7aad1, dump: 0x956bf31aefc4baf2 }),
+    ("straggler-steal", 1.0, Pin { outcome: 0x58dc1ccc6e573fd7, dump: 0x44337324d882a473 }),
+    ("thief-dies-mid-steal", 1.0, Pin { outcome: 0x0883359076df87de, dump: 0x403f21369b661246 }),
+    ("net-degradation", 1.0, Pin { outcome: 0x5e6e8130b9a62ade, dump: 0x82c3dbf3cdd898d9 }),
+    ("drain", 1.0, Pin { outcome: 0xaa152ddc8899b414, dump: 0x973e8e2c7ff74e23 }),
+    ("preempt-generous-grace", 1.0, Pin { outcome: 0xd684be885526789c, dump: 0x4693ddaba7d922c7 }),
+    ("preempt-zero-grace", 1.0, Pin { outcome: 0xdcbaaae4f6bfc2ca, dump: 0xb7a927bb06a119f9 }),
+    ("join-rebalance", 1.0, Pin { outcome: 0xb74aed223d93cfc8, dump: 0x97300ef29babf7f8 }),
+    ("late-joiner-rescue", 1.0, Pin { outcome: 0x00c27d7d2758b87a, dump: 0xf6798ee5221b3875 }),
+    ("fault-free", 0.999, Pin { outcome: 0x14f2576867c19c71, dump: 0xb264c611421a7349 }),
+    ("crash-mid-exec", 0.999, Pin { outcome: 0x77534633520c6ecd, dump: 0x8b6ff45aaae16cea }),
+    ("fetch-retry-exhaustion", 0.999, Pin { outcome: 0x5fa61f96eec66d1a, dump: 0x5ae81ada6bb24089 }),
+    ("transient-retries", 0.999, Pin { outcome: 0x5013e690b1a7aad1, dump: 0x49d60446ce0c549a }),
+    ("straggler-steal", 0.999, Pin { outcome: 0x58dc1ccc6e573fd7, dump: 0x926b04e75a15a41b }),
+    ("thief-dies-mid-steal", 0.999, Pin { outcome: 0xe2565bdd2f1f6315, dump: 0x4d9a74e6a87ba258 }),
+    ("net-degradation", 0.999, Pin { outcome: 0x5e6e8130b9a62ade, dump: 0xf3494747d0dec671 }),
+    ("drain", 0.999, Pin { outcome: 0xaa152ddc8899b414, dump: 0x03503c204e5ef40b }),
+    ("preempt-generous-grace", 0.999, Pin { outcome: 0xd684be885526789c, dump: 0x179787987a90222f }),
+    ("preempt-zero-grace", 0.999, Pin { outcome: 0xdcbaaae4f6bfc2ca, dump: 0xb680034d8c589a91 }),
+    ("join-rebalance", 0.999, Pin { outcome: 0xb74aed223d93cfc8, dump: 0x06f3ca4d5631bd10 }),
+    ("late-joiner-rescue", 0.999, Pin { outcome: 0x00c27d7d2758b87a, dump: 0x9fd58575908ad5dd }),
 ];
 
 /// `None` → 0, `Some(x)` → 1 then `x`: keeps `Some(0)` apart from `None`.
@@ -146,7 +150,6 @@ fn outcome_digest(out: &RecoveryOutcome) -> u64 {
 /// legitimately machine-dependent part of a dump).
 fn run(
     alpha: f64,
-    lp_warm: bool,
     threads: usize,
     faults: &FaultPlan,
     elastic: &ElasticPlan,
@@ -159,7 +162,6 @@ fn run(
         strategy: Strategy::HetEnergyAware { alpha },
         seed: SEED,
         threads,
-        lp_warm,
         ..FrameworkConfig::default()
     };
     let out = Framework::new(&cl, cfg)
@@ -271,35 +273,23 @@ fn recovery_matches_the_pins_recorded_before_the_executor_collapse() {
     let counts = thread_counts();
     let mut observed = Vec::new();
     for alpha in ALPHAS {
-        let (clean, _) = run(alpha, true, 1, &FaultPlan::none(), &ElasticPlan::none());
+        let (clean, _) = run(alpha, 1, &FaultPlan::none(), &ElasticPlan::none());
         let t = clean.recovery.makespan_s;
         let (_, straggler_snap) = run(
             alpha,
-            true,
             1,
             &FaultPlan::new().with_straggler(3, 8.0),
             &ElasticPlan::none(),
         );
         for (name, faults, elastic, marker) in scenarios(t, first_steal(&straggler_snap)) {
             let observe = |threads: usize| {
-                let (warm_out, warm_snap) = run(alpha, true, threads, &faults, &elastic);
-                let (cold_out, cold_snap) = run(alpha, false, threads, &faults, &elastic);
-                let (warm_dump, cold_dump) = (json_dump(&warm_snap, &[]), json_dump(&cold_snap, &[]));
-                assert!(
-                    warm_dump.contains(marker),
-                    "{name} alpha {alpha}: dump lacks {marker}"
-                );
-                let pin = Pin {
-                    outcome: outcome_digest(&warm_out),
-                    dump_warm: digest(warm_dump.bytes().map(u64::from)),
-                    dump_cold: digest(cold_dump.bytes().map(u64::from)),
-                };
-                assert_eq!(
-                    pin.outcome,
-                    outcome_digest(&cold_out),
-                    "{name} alpha {alpha} threads {threads}: warm and cold outcomes diverged"
-                );
-                pin
+                let (out, snap) = run(alpha, threads, &faults, &elastic);
+                let dump = json_dump(&snap, &[]);
+                assert!(dump.contains(marker), "{name} alpha {alpha}: dump lacks {marker}");
+                Pin {
+                    outcome: outcome_digest(&out),
+                    dump: digest(dump.bytes().map(u64::from)),
+                }
             };
             let serial = observe(counts[0]);
             for &threads in &counts[1..] {
@@ -317,9 +307,8 @@ fn recovery_matches_the_pins_recorded_before_the_executor_collapse() {
             .iter()
             .map(|(name, alpha, p)| {
                 format!(
-                    "    ({name:?}, {alpha:?}, Pin {{ outcome: {:#018x}, dump_warm: {:#018x}, \
-                     dump_cold: {:#018x} }}),\n",
-                    p.outcome, p.dump_warm, p.dump_cold
+                    "    ({name:?}, {alpha:?}, Pin {{ outcome: {:#018x}, dump: {:#018x} }}),\n",
+                    p.outcome, p.dump
                 )
             })
             .collect();
