@@ -9,7 +9,7 @@ use pareto_core::{Stratifier, StratifierConfig};
 use pareto_datagen::DataItem;
 use pareto_energy::{dirty_energy_joules, DirtyEnergyMode, NodeEnergyProfile};
 use pareto_stats::{simple_random_sample, stratified_sample, total_variation_distance, PolyFit};
-use pareto_workloads::{run_workload, WorkloadKind};
+use pareto_workloads::{workload_ops, WorkloadKind};
 
 use crate::experiments::{make_cluster, ExpSettings};
 use crate::harness::Table;
@@ -33,7 +33,7 @@ pub fn regression_ablation(st: ExpSettings) -> Table {
     let (models, _) = est.estimate(&ds, &strat, workload);
     // Ground truth: actually run the full dataset on node 0.
     let refs: Vec<&DataItem> = ds.items.iter().collect();
-    let (_, ops) = run_workload(workload, &refs);
+    let ops = workload_ops(workload, &refs);
     let actual = cluster.cost_to_seconds(0, &Cost::compute(ops));
 
     let mut t = Table::new(

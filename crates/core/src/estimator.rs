@@ -16,7 +16,7 @@ use pareto_datagen::{DataItem, Dataset};
 use pareto_energy::NodeEnergyProfile;
 use pareto_stats::{progressive_schedule, stratified_sample, LinearFit};
 use pareto_stratify::Stratification;
-use pareto_workloads::{run_workload, WorkloadKind};
+use pareto_workloads::{workload_ops, WorkloadKind};
 
 /// Progressive-sampling schedule parameters (§III-A: 0.05% → 2%).
 #[derive(Debug, Clone, Copy)]
@@ -157,8 +157,7 @@ impl<'a> HeterogeneityEstimator<'a> {
             let idx = stratified_sample(&stratification.strata, size, &mut rng)
                 .expect("schedule sizes never exceed the population");
             let records: Vec<&DataItem> = idx.iter().map(|&i| &dataset.items[i]).collect();
-            let (_, ops) = run_workload(workload, &records);
-            (size, ops)
+            (size, workload_ops(workload, &records))
         };
         let measurements: Vec<(usize, u64)> = if self.threads > 1 && sizes.len() > 1 {
             let chunk = sizes.len().div_ceil(self.threads.min(sizes.len()));

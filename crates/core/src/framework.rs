@@ -707,8 +707,7 @@ pub(crate) fn recovery_inputs(
     plan: &Plan,
 ) -> (Vec<RecordWork>, Vec<LinearFit>, f64) {
     let refs: Vec<&DataItem> = dataset.items.iter().collect();
-    let (_, total_ops) = pareto_workloads::run_workload(workload, &refs);
-    let work = per_item_work(dataset, total_ops);
+    let work = per_item_work(dataset, pareto_workloads::workload_ops(workload, &refs));
     let fits = match &plan.time_models {
         Some(models) => models.iter().map(|m| m.fit).collect(),
         None => synthetic_fits(cluster, &work),

@@ -75,6 +75,12 @@ pub enum PlanError {
         /// What is wrong with its value.
         reason: &'static str,
     },
+    /// A [`WorkloadKind`] the measure stage cannot run: a mining support
+    /// outside `(0, 1]` (NaN included).
+    InvalidWorkload {
+        /// What is wrong with it.
+        reason: &'static str,
+    },
     /// A roster operation named a node the cluster does not have (or the
     /// roster does not contain, for removals).
     UnknownNode {
@@ -119,6 +125,7 @@ impl std::fmt::Display for PlanError {
             PlanError::InvalidStratifier { field, reason } => {
                 write!(f, "invalid stratifier config: {field} {reason}")
             }
+            PlanError::InvalidWorkload { reason } => write!(f, "invalid workload: {reason}"),
             PlanError::UnknownNode { node, cluster_size } => write!(
                 f,
                 "node {node} is not available (cluster has {cluster_size} nodes)"
@@ -736,6 +743,9 @@ impl<'a> PlanEngine<'a> {
             return Err(PlanError::EmptyRoster);
         }
         validate_stratifier(&self.cfg.stratifier, dataset.len())?;
+        workload
+            .validate()
+            .map_err(|reason| PlanError::InvalidWorkload { reason })?;
         let started = Instant::now();
         let wall_start = self.telemetry.wall_now();
         let keys = self.key_inputs(workload, dataset_fp, dataset.len()).plan_keys();

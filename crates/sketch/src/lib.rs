@@ -27,12 +27,13 @@
 //! assert!((est - exact).abs() < 0.15);
 //! ```
 
+mod kernel;
 mod permutation;
 
 pub use permutation::LinearPermutation;
 
+use kernel::Kernel;
 use pareto_datagen::ItemSet;
-use permutation::{affine, reduce};
 
 /// A MinHash signature: the per-permutation minima of one item set.
 ///
@@ -120,8 +121,11 @@ impl SignatureMatrix {
 }
 
 /// Hash evaluations (item × permutation) below which a sketching shard is
-/// not worth a thread of its own: a spawn costs tens of microseconds, this
-/// much hashing a few hundred.
+/// not worth a thread of its own. A spawn costs tens of microseconds; this
+/// much hashing costs about 85 µs on the AVX-512 kernel (0.65 ns a hash),
+/// 150 µs on AVX2 (1.15 ns) and 220 µs on the `u128` loop (1.7 ns) — on
+/// a 2-vCPU AVX-512 host, by the `kernel_ns_per_hash` diagnostic — so
+/// several spawns' worth on every path.
 const MIN_SHARD_HASHES: usize = 1 << 17;
 
 /// A family of `k` independent linear permutations, stored as two
@@ -148,26 +152,15 @@ impl MinHasher {
         self.a.len()
     }
 
-    /// Write `set`'s signature into `out` (`k` slots): coordinate `j` is
-    /// `min_{x∈S} π_j(x)`. Each item is folded onto `Z_p` once, then
-    /// pushed through all `k` permutations.
+    /// Sketch one item set: coordinate `j` is `min_{x∈S} π_j(x)`, each
+    /// item folded onto `Z_p` once, then pushed through all `k`
+    /// permutations.
     ///
     /// The empty set sketches to all-`u64::MAX` (a reserved value no
     /// permutation output attains, since outputs are `< p < u64::MAX`).
-    fn sketch_into(&self, set: &ItemSet, out: &mut [u64]) {
-        out.fill(u64::MAX);
-        for x in set.iter() {
-            let x = reduce(x);
-            for ((v, &a), &b) in out.iter_mut().zip(&self.a).zip(&self.b) {
-                *v = (*v).min(affine(a, x, b));
-            }
-        }
-    }
-
-    /// Sketch one item set.
     pub fn sketch(&self, set: &ItemSet) -> Signature {
         let mut values = vec![0; self.num_hashes()];
-        self.sketch_into(set, &mut values);
+        Kernel::detect().sketch(&self.a, &self.b, set, &mut values);
         Signature { values }
     }
 
@@ -207,9 +200,10 @@ impl MinHasher {
         let shards = threads.min(hashes / MIN_SHARD_HASHES).max(1);
         // With `width == 0` the block is empty and no row has a slot to
         // fill (and `hashes` is 0, so that case never shards).
+        let kernel = Kernel::detect();
         let fill = |sets: &[&ItemSet], block: &mut [u64]| {
             for (set, out) in sets.iter().zip(block.chunks_exact_mut(width.max(1))) {
-                self.sketch_into(set, out);
+                kernel.sketch(&self.a, &self.b, set, out);
             }
         };
         if shards == 1 {

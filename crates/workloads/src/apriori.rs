@@ -125,7 +125,7 @@ impl Apriori {
     /// Create a miner.
     pub fn new(cfg: AprioriConfig) -> Self {
         assert!(
-            cfg.min_support > 0.0 && cfg.min_support <= 1.0,
+            crate::valid_support(cfg.min_support),
             "support must be in (0, 1]"
         );
         assert!(cfg.max_len >= 1);
@@ -139,25 +139,42 @@ impl Apriori {
 
     /// Mine the transactions. Returns the output and the exact op count.
     pub fn mine(&self, transactions: &[&ItemSet]) -> (MiningOutput, u64) {
-        let n = transactions.len();
-        let mut ops: u64 = 0;
         let mut out = MiningOutput {
-            num_transactions: n,
+            num_transactions: transactions.len(),
             ..MiningOutput::default()
         };
+        let ops = self.levels::<true>(transactions, &mut out);
+        out.itemsets
+            .sort_by(|a, b| (a.items.len(), &a.items).cmp(&(b.items.len(), &b.items)));
+        (out, ops)
+    }
+
+    /// The exact op count of [`mine`](Self::mine) alone: the same level
+    /// loop, without building the itemsets or sorting them. Progressive
+    /// sampling reads nothing else.
+    pub fn ops(&self, transactions: &[&ItemSet]) -> u64 {
+        self.levels::<false>(transactions, &mut MiningOutput::default())
+    }
+
+    /// The level-wise loop behind [`mine`](Self::mine) and
+    /// [`ops`](Self::ops): returns the op tally, counts candidates into
+    /// `out` and, with `KEEP`, appends every frequent itemset to it in
+    /// level order.
+    fn levels<const KEEP: bool>(&self, transactions: &[&ItemSet], out: &mut MiningOutput) -> u64 {
+        let n = transactions.len();
+        let mut ops: u64 = 0;
         if n == 0 {
-            return (out, ops);
+            return ops;
         }
         let minsup = self.abs_support(n);
 
-        // --- L1: singleton counts, as runs of the sorted item stream
-        // (a stable sort merges the already-sorted transactions) ---
+        // --- L1: singleton counts, as runs of the sorted item stream ---
         let mut stream: Vec<u64> = Vec::new();
         for t in transactions {
             ops += t.len() as u64;
             stream.extend_from_slice(t.as_slice());
         }
-        stream.sort();
+        stream.sort_unstable();
         let mut items = Vec::new();
         let mut start = 0;
         while start < stream.len() {
@@ -165,10 +182,12 @@ impl Apriori {
             let count = stream[start..].partition_point(|&x| x == item);
             if count as u32 >= minsup {
                 items.push(item);
-                out.itemsets.push(FrequentItemset {
-                    items: vec![item],
-                    count: count as u32,
-                });
+                if KEEP {
+                    out.itemsets.push(FrequentItemset {
+                        items: vec![item],
+                        count: count as u32,
+                    });
+                }
             }
             start += count;
         }
@@ -192,17 +211,17 @@ impl Apriori {
                 let count = index.support(cand);
                 if count >= minsup {
                     level.extend_from_slice(cand);
-                    out.itemsets.push(FrequentItemset {
-                        items: cand.iter().map(|&r| index.items[r as usize]).collect(),
-                        count,
-                    });
+                    if KEEP {
+                        out.itemsets.push(FrequentItemset {
+                            items: cand.iter().map(|&r| index.items[r as usize]).collect(),
+                            count,
+                        });
+                    }
                 }
             }
             k += 1;
         }
-        out.itemsets
-            .sort_by(|a, b| (a.items.len(), &a.items).cmp(&(b.items.len(), &b.items)));
-        (out, ops)
+        ops
     }
 
     /// Join step + prune step over the sorted `(k−1)`-level, whose rows
@@ -218,6 +237,12 @@ impl Apriori {
         let mut cand = vec![0u32; k];
         let mut subset = vec![0u32; width - 1];
         let mut siblings = vec![0..0; k - 2];
+        // `rows[block[r]..block[r + 1]]` are the rows whose first rank is
+        // `r` (for `r < top`); a subset probe searches only its block.
+        let top = rows.last().map_or(0, |row| row[0] as usize + 1);
+        let block: Vec<usize> = (0..=top)
+            .map(|r| rows.partition_point(|row| (row[0] as usize) < r))
+            .collect();
         // Join: pairs sharing the first k-2 items (the level is sorted, so
         // joinable sets are adjacent runs).
         let mut start = 0;
@@ -238,8 +263,13 @@ impl Apriori {
                 for (drop, sibling) in siblings.iter_mut().enumerate() {
                     subset[..drop].copy_from_slice(&first[..drop]);
                     subset[drop..].copy_from_slice(&first[drop + 1..]);
-                    let lo = rows.partition_point(|r| r[..width - 1] < subset[..]);
-                    let len = rows[lo..].partition_point(|r| r[..width - 1] == subset[..]);
+                    let first_rank = subset[0] as usize;
+                    let (lo, hi) = match block.get(first_rank..first_rank + 2) {
+                        Some(&[lo, hi]) => (lo, hi),
+                        _ => (rows.len(), rows.len()),
+                    };
+                    let lo = lo + rows[lo..hi].partition_point(|r| r[..width - 1] < subset[..]);
+                    let len = rows[lo..hi].partition_point(|r| r[..width - 1] == subset[..]);
                     *sibling = lo..lo + len;
                 }
                 for second in &run[i + 1..] {
@@ -730,6 +760,7 @@ mod tests {
                 assert_eq!(got.itemsets, want.itemsets, "{cfg:?}");
                 assert_eq!(got.candidates_generated, want.candidates_generated, "{cfg:?}");
                 assert_eq!(got_ops, want_ops, "{cfg:?}");
+                assert_eq!(Apriori::new(cfg).ops(&refs(&db)), want_ops, "{cfg:?}");
             }
         }
     }
@@ -773,6 +804,7 @@ mod tests {
             proptest::prop_assert_eq!(&got.itemsets, &want.itemsets);
             proptest::prop_assert_eq!(got.candidates_generated, want.candidates_generated);
             proptest::prop_assert_eq!(got_ops, want_ops);
+            proptest::prop_assert_eq!(Apriori::new(cfg).ops(&refs(&db)), want_ops);
             if max_candidates == 0 {
                 let (eclat, _) = crate::eclat::Eclat::new(crate::eclat::EclatConfig {
                     min_support: cfg.min_support,

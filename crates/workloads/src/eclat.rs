@@ -65,7 +65,7 @@ impl Eclat {
     /// Create a miner.
     pub fn new(cfg: EclatConfig) -> Self {
         assert!(
-            cfg.min_support > 0.0 && cfg.min_support <= 1.0,
+            crate::valid_support(cfg.min_support),
             "support must be in (0, 1]"
         );
         assert!(cfg.max_len >= 1);

@@ -96,20 +96,47 @@ impl WorkloadOutput {
     }
 }
 
+impl WorkloadKind {
+    /// Refuse what the miners would panic on: a mining support outside
+    /// `(0, 1]`, NaN included.
+    pub fn validate(self) -> Result<(), &'static str> {
+        match self {
+            WorkloadKind::FrequentPatterns { support }
+            | WorkloadKind::FrequentPatternsEclat { support }
+                if !valid_support(support) =>
+            {
+                Err("support must be in (0, 1]")
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
+/// A mining support fraction the miners accept: in `(0, 1]`.
+pub(crate) fn valid_support(support: f64) -> bool {
+    support > 0.0 && support <= 1.0
+}
+
+fn apriori(support: f64) -> Apriori {
+    Apriori::new(AprioriConfig {
+        min_support: support,
+        ..AprioriConfig::default()
+    })
+}
+
+fn item_sets<'a>(records: &[&'a DataItem]) -> Vec<&'a pareto_datagen::ItemSet> {
+    records.iter().map(|r| &r.items).collect()
+}
+
 /// Run `kind` over one partition's records; returns output and exact ops.
 pub fn run_workload(kind: WorkloadKind, records: &[&DataItem]) -> (WorkloadOutput, u64) {
     match kind {
         WorkloadKind::FrequentPatterns { support } => {
-            let sets: Vec<&pareto_datagen::ItemSet> = records.iter().map(|r| &r.items).collect();
-            let (out, ops) = Apriori::new(AprioriConfig {
-                min_support: support,
-                ..AprioriConfig::default()
-            })
-            .mine(&sets);
+            let (out, ops) = apriori(support).mine(&item_sets(records));
             (WorkloadOutput::Patterns(out), ops)
         }
         WorkloadKind::FrequentPatternsEclat { support } => {
-            let sets: Vec<&pareto_datagen::ItemSet> = records.iter().map(|r| &r.items).collect();
+            let sets = item_sets(records);
             let (out, ops) = Eclat::new(EclatConfig {
                 min_support: support,
                 ..EclatConfig::default()
@@ -154,6 +181,16 @@ pub fn run_workload(kind: WorkloadKind, records: &[&DataItem]) -> (WorkloadOutpu
     }
 }
 
+/// The exact ops of [`run_workload`] alone, for callers that discard its
+/// output: Apriori runs count-only ([`Apriori::ops`]), every other kind
+/// runs in full.
+pub fn workload_ops(kind: WorkloadKind, records: &[&DataItem]) -> u64 {
+    match kind {
+        WorkloadKind::FrequentPatterns { support } => apriori(support).ops(&item_sets(records)),
+        _ => run_workload(kind, records).1,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,8 +207,10 @@ mod tests {
     fn dispatch_mining() {
         let ds = text_items();
         let refs: Vec<&DataItem> = ds.items.iter().collect();
-        let (out, ops) = run_workload(WorkloadKind::FrequentPatterns { support: 0.5 }, &refs);
+        let kind = WorkloadKind::FrequentPatterns { support: 0.5 };
+        let (out, ops) = run_workload(kind, &refs);
         assert!(ops > 0);
+        assert_eq!(workload_ops(kind, &refs), ops, "count-only run, same ops");
         match out {
             WorkloadOutput::Patterns(m) => {
                 assert!(!m.itemsets.is_empty(), "1,2,3 are in every transaction");

@@ -321,6 +321,39 @@ fn empty_inputs_are_typed_errors() {
     assert_eq!(session.roster(), &[3], "failed drop must leave the roster intact");
 }
 
+/// A mining support outside (0, 1] is a typed error before the first
+/// stage runs, not a panic inside the miner the measure stage calls.
+#[test]
+fn invalid_support_is_a_typed_error() {
+    let cl = cluster(7);
+    let ds = dataset(7);
+    let config = cfg(7, 1, Strategy::HetEnergyAware { alpha: 0.995 });
+    for support in [0.0, -0.1, 1.5, f64::NAN] {
+        for workload in [
+            WorkloadKind::FrequentPatterns { support },
+            WorkloadKind::FrequentPatternsEclat { support },
+        ] {
+            let mut session = PlanSession::new(&cl, config.clone(), ds.clone(), workload);
+            let err = session.plan().expect_err("invalid support must not plan");
+            assert!(
+                matches!(err, pareto_core::PlanError::InvalidWorkload { .. }),
+                "{workload:?}: got {err}"
+            );
+            assert_eq!(
+                err.to_string(),
+                "invalid workload: support must be in (0, 1]"
+            );
+            let err = Framework::new(&cl, config.clone())
+                .try_run(&ds, workload)
+                .expect_err("invalid support must not run");
+            assert!(
+                matches!(err, pareto_core::PlanError::InvalidWorkload { .. }),
+                "{workload:?}: got {err}"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
     /// Any single-input delta (none, append, drop a node, change α), at
