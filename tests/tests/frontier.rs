@@ -9,7 +9,9 @@ use pareto_core::frontier::{
 };
 use pareto_core::pareto::ParetoModeler;
 use pareto_core::partitioner::PartitionLayout;
+use pareto_energy::NodeEnergyProfile;
 use pareto_integration_tests::thread_counts;
+use pareto_stats::LinearFit;
 use pareto_telemetry::Telemetry;
 use pareto_workloads::WorkloadKind;
 use proptest::prelude::*;
@@ -118,8 +120,22 @@ proptest! {
 /// Fit the per-node models via the real pipeline, then hand them to the
 /// bare-modeler solver (one LP per α, no placement).
 fn modeler_for(seed: u64, threads: usize) -> (ParetoModeler, usize) {
+    let (fits, profiles, n) = fitted(seed, 4, threads);
+    (
+        ParetoModeler::new(fits, profiles).expect("aligned models"),
+        n,
+    )
+}
+
+/// The time models and energy profiles the real pipeline fits for `seed`
+/// on `p` nodes, and the record count they plan for.
+fn fitted(
+    seed: u64,
+    p: usize,
+    threads: usize,
+) -> (Vec<LinearFit>, Vec<NodeEnergyProfile>, usize) {
     let ds = pareto_datagen::rcv1_syn(seed, 0.05);
-    let cl = SimCluster::new(NodeSpec::paper_cluster(4, 400.0, 2, 9, seed));
+    let cl = SimCluster::new(NodeSpec::paper_cluster(p, 400.0, 2, 9, seed));
     let plan = Framework::new(
         &cl,
         FrameworkConfig {
@@ -139,11 +155,7 @@ fn modeler_for(seed: u64, threads: usize) -> (ParetoModeler, usize) {
         .iter()
         .map(|m| m.fit)
         .collect();
-    let n = ds.len();
-    (
-        ParetoModeler::new(fits, plan.energy_profiles).expect("aligned models"),
-        n,
-    )
+    (fits, plan.energy_profiles, ds.len())
 }
 
 fn explore_for(modeler: &ParetoModeler, n: usize, cfg: &FrontierConfig) -> FrontierResult {
@@ -271,5 +283,92 @@ fn budget_truncated_run_is_covered_by_the_full_run() {
             "full run lost truncated frontier point α={} {v:?}",
             p.alpha
         );
+    }
+}
+
+/// The breakpoint walk's candidates (DESIGN.md §15), re-derived from the
+/// fitted models rather than taken from the walk: the cheapest-first fill
+/// at `c_max = max(0, max_i c_i)` when it can place all `n` records, and
+/// the tight fill of the `j` cheapest nodes at every breakpoint at or
+/// above `c_max`. Each is returned as its predicted `(makespan, dirty)`.
+fn walk_candidates(
+    fits: &[LinearFit],
+    profiles: &[NodeEnergyProfile],
+    n: usize,
+) -> Vec<(f64, f64)> {
+    let modeler = ParetoModeler::new(fits.to_vec(), profiles.to_vec()).expect("aligned models");
+    let p = fits.len();
+    let total = n as f64;
+    let cost = |i: usize| profiles[i].k() * fits[i].slope;
+    let mut order: Vec<usize> = (0..p).collect();
+    order.sort_by(|&a, &b| cost(a).total_cmp(&cost(b)).then(a.cmp(&b)));
+    let c_max = fits.iter().map(|f| f.intercept).fold(0.0, f64::max);
+    let mut fills = Vec::new();
+    let mut x = vec![0.0; p];
+    let mut left = total;
+    for &i in &order {
+        let cap = if fits[i].slope > 0.0 {
+            (c_max - fits[i].intercept) / fits[i].slope
+        } else {
+            f64::INFINITY
+        };
+        x[i] = cap.min(left);
+        left -= x[i];
+    }
+    if left <= 1e-9 * total {
+        fills.push(x);
+    }
+    let (mut inv, mut off) = (0.0, 0.0);
+    for (j, &i) in order.iter().enumerate() {
+        if fits[i].slope <= 0.0 {
+            break;
+        }
+        inv += 1.0 / fits[i].slope;
+        off += fits[i].intercept / fits[i].slope;
+        let v = (total + off) / inv;
+        if v >= c_max {
+            let mut x = vec![0.0; p];
+            for &k in &order[..=j] {
+                x[k] = (v - fits[k].intercept) / fits[k].slope;
+            }
+            fills.push(x);
+        }
+    }
+    fills
+        .iter()
+        .map(|x| {
+            let makespan = modeler.predicted_times(x).into_iter().fold(0.0, f64::max);
+            (makespan, modeler.predicted_dirty(x))
+        })
+        .collect()
+}
+
+/// `a` and `b` agree to 1e-9 relative.
+fn close(a: f64, b: f64) -> bool {
+    (a - b).abs() <= 1e-9 * a.abs().max(b.abs()) + 1e-12
+}
+
+#[test]
+fn every_kept_point_is_a_walk_candidate() {
+    for p in [4usize, 8] {
+        for seed in [11u64, 31, 107, 2017] {
+            let (fits, profiles, n) = fitted(seed, p, 1);
+            let modeler =
+                ParetoModeler::new(fits.clone(), profiles.clone()).expect("aligned models");
+            let result = explore_for(&modeler, n, &FrontierConfig::default());
+            let candidates = walk_candidates(&fits, &profiles, n);
+            for point in &result.points {
+                assert!(
+                    candidates
+                        .iter()
+                        .any(|&(t, e)| close(t, point.makespan_s) && close(e, point.dirty_joules)),
+                    "p {p} seed {seed}: kept point α={} ({}, {}) is no walk candidate \
+                     {candidates:?}",
+                    point.alpha,
+                    point.makespan_s,
+                    point.dirty_joules
+                );
+            }
+        }
     }
 }
