@@ -45,15 +45,13 @@ pub enum Command {
         /// Shared data/cluster/strategy options.
         common: Common,
     },
-    /// Explore the predicted Pareto frontier adaptively (no execution).
+    /// List the predicted Pareto frontier's vertices (no execution).
     Frontier {
         /// Shared data/cluster/strategy options.
         common: Common,
         /// Objective axes the dominance filter ranks on.
         objectives: ObjectiveSet,
-        /// Normalized convergence tolerance for bisection.
-        tol: f64,
-        /// Hard budget on scalarized LP solves.
+        /// Cap on planned frontier vertices.
         max_points: usize,
         /// Deterministic JSON frontier report (optional).
         out: Option<PathBuf>,
@@ -308,8 +306,8 @@ const SUBCOMMANDS: &[(&str, Subs, &str)] = &[
      "plan a placement; write one file per partition plus plan.txt under --out DIR"),
     ("run", RUN, "plan, place and execute the workload on the simulated cluster"),
     ("frontier", FRONTIER,
-     "adaptive dominance-based frontier exploration through a warm planning session: a\n\
-      coarse alpha grid, then bisection of the intervals whose plans differ"),
+     "list the Pareto frontier's vertices through a warm planning session: one plan per\n\
+      vertex of the LP's time/energy hull, filtered by dominance"),
     ("plan", PLAN,
      "incremental planning session; a --sweep reuses the cached sketch/stratify/profile\n\
       artifacts per alpha and prints cache hit/miss statistics"),
@@ -469,9 +467,7 @@ const FLAGS: &[(&str, &str, Subs, &str, Setter)] = &[
     ("--objectives", "LIST", FRONTIER,
      "comma-separated from time, energy, transfer (default time,energy)",
      |p, s| store(&mut p.objectives, ObjectiveSet::parse(s).map(Some))),
-    ("--tol", "T", FRONTIER, "normalized convergence tolerance (default 1e-3)",
-     |p, s| store(&mut p.tol, positive(s).map(Some))),
-    ("--max-points", "N", FRONTIER, "cap on scalarized LP solves (default 48)",
+    ("--max-points", "N", FRONTIER, "cap on planned frontier vertices (default 48)",
      |p, s| store(&mut p.max_points, within(2.., s).map(Some))),
     ("--drop-node", "N", REPLAN, "drop this node from the roster before replanning",
      |p, s| store(&mut p.drop_node, num(s).map(Some))),
@@ -578,7 +574,6 @@ struct Parsed {
     trace: Option<PathBuf>,
     sweep: Vec<f64>,
     objectives: Option<ObjectiveSet>,
-    tol: Option<f64>,
     max_points: Option<usize>,
     drop_node: Option<usize>,
     restore_node: Option<usize>,
@@ -678,7 +673,6 @@ impl Parsed {
             FRONTIER => Command::Frontier {
                 common,
                 objectives: self.objectives.unwrap_or_else(ObjectiveSet::time_energy),
-                tol: self.tol.unwrap_or(1e-3),
                 max_points: self.max_points.unwrap_or(48),
                 out,
             },
@@ -830,13 +824,11 @@ mod tests {
         match cmd {
             Command::Frontier {
                 objectives,
-                tol,
                 max_points,
                 out,
                 ..
             } => {
                 assert_eq!(objectives, ObjectiveSet::time_energy());
-                assert_eq!(tol, 1e-3);
                 assert_eq!(max_points, 48);
                 assert!(out.is_none());
             }
@@ -848,19 +840,17 @@ mod tests {
     fn parses_frontier_explorer_flags() {
         let cmd = parse(&argv(
             "frontier --preset rcv1 --objectives time,energy,transfer \
-             --tol 1e-4 --max-points 32 --out f.json",
+             --max-points 32 --out f.json",
         ))
         .unwrap();
         match cmd {
             Command::Frontier {
                 objectives,
-                tol,
                 max_points,
                 out,
                 ..
             } => {
                 assert_eq!(objectives, ObjectiveSet::full());
-                assert_eq!(tol, 1e-4);
                 assert_eq!(max_points, 32);
                 assert_eq!(out, Some(PathBuf::from("f.json")));
             }
@@ -869,10 +859,12 @@ mod tests {
         // Invalid specs are parse errors (nonzero CLI exit).
         assert!(parse(&argv("frontier --preset rcv1 --objectives frobnicate")).is_err());
         assert!(parse(&argv("frontier --preset rcv1 --objectives")).is_err());
-        assert!(parse(&argv("frontier --preset rcv1 --tol 0")).is_err());
-        assert!(parse(&argv("frontier --preset rcv1 --tol -1e-3")).is_err());
-        assert!(parse(&argv("frontier --preset rcv1 --tol nan")).is_err());
-        assert!(parse(&argv("frontier --preset rcv1 --tol nope")).is_err());
+        // `--tol` went with the bisection it tuned: it is an unknown flag,
+        // which exits 1.
+        assert!(matches!(
+            parse(&argv("frontier --preset rcv1 --tol 1e-3")),
+            Err(ParseError::Invalid(m)) if m == "unknown argument \"--tol\""
+        ));
         assert!(parse(&argv("frontier --preset rcv1 --max-points 1")).is_err());
         assert!(parse(&argv("frontier --preset rcv1 --max-points nope")).is_err());
     }
@@ -1380,7 +1372,8 @@ mod tests {
     /// digests were recomputed at 2b741a9, the last commit that parsed it,
     /// with `lp_warm: …, ` cut from the `Debug` text and the flag dropped
     /// from the two argvs that passed it, so the check still compares
-    /// against the past.
+    /// against the past. `--tol` went the same way: the two `frontier`
+    /// digests were recomputed at 0c3b28f with `tol: 0.001, ` cut.
     #[test]
     #[rustfmt::skip]
     fn documented_argvs_parse_to_the_commands_recorded_at_the_parent_commit() {
@@ -1420,7 +1413,7 @@ mod tests {
              "plan --preset rcv1 --scale 0.04 --seed 31 --nodes 4 --threads 8 \
               --strategy het-energy-aware --workload patterns --sweep \
               1.0,0.999,0.995,0.9,0.5,0.0 --out w/sweep.txt"),
-            (0xc1dc_bf6d_7e61_8784,
+            (0x31a3_b7c2_5b12_149a,
              "frontier --preset rcv1 --scale 0.04 --seed 31 --nodes 4 --threads 8 \
               --strategy het-energy-aware --workload patterns --out w/frontier.json"),
             (0xd894_fbf5_07d9_9b93,
@@ -1452,9 +1445,9 @@ mod tests {
             (0xef8e_efe2_cd9e_681f,
              "replan --preset rcv1 --nodes 4 --strategy het-energy-aware --workload patterns \
               --append-scale 0.01 --drop-node 2 --realpha 0.9"),
-            (0x804d_2226_c28e_38fd,
-             "frontier --preset rcv1 --scale 0.05 --nodes 4 --objectives time,energy --tol \
-              1e-3 --max-points 48 --out frontier.json"),
+            (0xaa2d_3663_8d74_4697,
+             "frontier --preset rcv1 --scale 0.05 --nodes 4 --objectives time,energy \
+              --max-points 48 --out frontier.json"),
             (0x9487_7519_0e75_556a,
              "run --preset rcv1 --nodes 4 --faults crash:2@2.0 --elastic eseeded:99"),
             (0x89ff_5c11_ffad_db82,

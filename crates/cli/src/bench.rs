@@ -135,7 +135,7 @@ fn wal_recover(_: &Matrix) -> Result<Vec<Metric>, String> {
     )])
 }
 
-/// Workload 4: adaptive frontier exploration through a fresh session, so
+/// Workload 4: frontier exploration through a fresh session, so
 /// the run pays the full solve; LP effort and frontier size are the
 /// gated outputs.
 fn frontier_explore(m: &Matrix) -> Result<Vec<Metric>, String> {

@@ -37,10 +37,9 @@ pub fn run(cmd: Command) -> Result<(), String> {
         Command::Frontier {
             common,
             objectives,
-            tol,
             max_points,
             out,
-        } => frontier(&common, objectives, tol, max_points, out.as_deref()),
+        } => frontier(&common, objectives, max_points, out.as_deref()),
         Command::Report {
             input,
             trace,
@@ -349,15 +348,13 @@ fn partition(common: &Common, out: &Path) -> Result<(), String> {
     Ok(())
 }
 
-/// `frontier`: adaptive dominance-based frontier exploration through a
-/// warm [`PlanSession`] — a coarse α grid refined by bisecting only
-/// intervals whose plans differ, replacing the historical hand-rolled
-/// fixed sweep. With `--out` the frontier is written as deterministic
-/// JSON (byte-identical across runs and thread counts).
+/// `frontier`: the Pareto frontier's vertices, one plan each, through a
+/// warm [`PlanSession`] — replacing the historical hand-rolled fixed α
+/// sweep. With `--out` the frontier is written as deterministic JSON
+/// (byte-identical across runs and thread counts).
 fn frontier(
     common: &Common,
     objectives: ObjectiveSet,
-    tol: f64,
     max_points: usize,
     out: Option<&Path>,
 ) -> Result<(), String> {
@@ -370,9 +367,7 @@ fn frontier(
     }
     let fcfg = FrontierConfig {
         objectives,
-        tol,
         max_points,
-        ..FrontierConfig::default()
     };
     let outcome = flight_guard(
         &tel,
@@ -383,7 +378,7 @@ fn frontier(
     let report = result.report();
 
     println!(
-        "adaptive Pareto frontier for {} on {} nodes (objectives {}):",
+        "Pareto frontier for {} on {} nodes (objectives {}):",
         session.dataset().name,
         common.nodes,
         result.objectives
@@ -406,10 +401,7 @@ fn frontier(
         "frontier           {} point(s) kept, {} dominated candidate(s) filtered",
         report.points_kept, report.dominated_candidates
     );
-    println!(
-        "refinement         {} LP solve(s), {} bisection(s), finest alpha gap {:.3e}",
-        report.lp_solves, report.bisections, report.finest_gap
-    );
+    println!("vertices           {} LP solve(s)", report.lp_solves);
     println!(
         "knee               alpha={:.6} time={:.2}s dirty={:.2}kJ",
         report.knee_alpha,
@@ -462,14 +454,12 @@ fn frontier_json(result: &FrontierResult) -> String {
     let _ = writeln!(
         s,
         "  \"report\": {{\"points_kept\": {}, \"dominated_candidates\": {}, \
-         \"lp_solves\": {}, \"bisections\": {}, \"finest_gap\": {}, \
+         \"lp_solves\": {}, \
          \"knee_alpha\": {}, \"knee_time_s\": {}, \"knee_dirty_joules\": {}, \
          \"hypervolume_vs_baseline\": {}}},",
         report.points_kept,
         report.dominated_candidates,
         report.lp_solves,
-        report.bisections,
-        report.finest_gap,
         report.knee_alpha,
         report.knee_time_s,
         report.knee_dirty_joules,

@@ -79,10 +79,7 @@ fn invalid_explorer_flags_exit_nonzero() {
     let cases: &[&[&str]] = &[
         &["frontier", "--preset", "rcv1", "--objectives", "karma"],
         &["frontier", "--preset", "rcv1", "--objectives", ""],
-        &["frontier", "--preset", "rcv1", "--tol", "0"],
-        &["frontier", "--preset", "rcv1", "--tol", "-1e-3"],
-        &["frontier", "--preset", "rcv1", "--tol", "nan"],
-        &["frontier", "--preset", "rcv1", "--tol", "abc"],
+        &["frontier", "--preset", "rcv1", "--tol", "1e-3"],
         &["frontier", "--preset", "rcv1", "--max-points", "1"],
     ];
     for args in cases {
@@ -113,8 +110,6 @@ fn valid_invocation_exits_zero_without_out_file() {
             "31",
             "--objectives",
             "time,energy,transfer",
-            "--tol",
-            "1e-2",
             "--max-points",
             "16",
         ])

@@ -1,9 +1,10 @@
-//! Dominance-based frontier exploration with adaptive α refinement.
+//! The Pareto frontier as a finite list, plus the dominance order that
+//! filters it.
 //!
 //! [`crate::pareto::ParetoModeler::frontier`] maps `solve` over a
 //! caller-supplied α grid, so the "frontier" it reports can contain
 //! dominated points and misses every bend between grid steps. This module
-//! is the true enumeration the ROADMAP calls for:
+//! lists the frontier instead:
 //!
 //! 1. [`dominates`] defines a **strict partial order** over a configurable
 //!    [`ObjectiveSet`] — completion time, dirty energy, transfer bytes,
@@ -12,31 +13,30 @@
 //! 2. [`pareto_frontier`] filters any point set to its non-dominated
 //!    subset with deterministic tie-breaking (canonical lexicographic
 //!    order, exact duplicates all kept — neither dominates the other);
-//! 3. [`explore`] runs **adaptive α refinement**: start from a coarse
-//!    grid, then recursively bisect only the intervals whose endpoints'
-//!    plans differ (distinct integer partition vectors, i.e. distinct LP
-//!    vertices) *and* whose midpoint deviates from the endpoints' chord by
-//!    more than a tolerance, until a point budget or convergence.
+//! 3. [`explore`] plans once per vertex of
+//!    [`crate::pareto::ParetoModeler::vertices`] — the breakpoint walk's
+//!    candidates on the convex hull, at most `p + 1` of them — at the
+//!    vertex's representative α, and filters the plans by dominance.
 //!
-//! The same refinement runs either against a bare
+//! The same listing runs either against a bare
 //! [`crate::pareto::ParetoModeler`] ([`ModelerSolver`]: one LP per α, used
 //! by the claims gate and the oracle tests) or through a
 //! [`crate::session::PlanSession`]
 //! ([`crate::session::PlanSession::explore_frontier`]): there the whole
 //! frontier is a fingerprinted cache artifact (stage name `frontier`), and
-//! every per-α solve reuses the session's cached
-//! sketch/stratify/profile artifacts, which is what makes bisection cheap.
+//! every per-vertex plan reuses the session's cached
+//! sketch/stratify/profile artifacts.
 //!
 //! The dominance laws (irreflexivity, asymmetry, transitivity), the
 //! frontier invariants (order-invariance, no internally dominated pair,
-//! idempotence), and the refinement oracles (superset of the coarse grid's
-//! non-dominated points, never dominated by a dense reference sweep) are
-//! property-tested in `tests/tests/frontier.rs`.
+//! idempotence), and the explorer's oracles (exactly the vertex list's
+//! distinct plans, a superset of a coarse α grid's non-dominated points,
+//! never dominated by a dense reference sweep) are property-tested in
+//! `tests/tests/frontier.rs`.
 
-use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 
-use pareto_telemetry::{metrics, ClockDomain, SpanId, Telemetry, Track};
+use pareto_telemetry::{metrics, Telemetry};
 
 use crate::pareto::{ParetoModeler, PartitionPlanError};
 use crate::stages::PlanError;
@@ -227,9 +227,8 @@ pub fn hypervolume(points: &[(f64, f64)], reference: (f64, f64)) -> f64 {
     volume
 }
 
-/// One solved point: the α that produced it, its objective values, and the
-/// integer partition vector that identifies the LP vertex (the refinement
-/// criterion compares these to decide whether an interval has a bend).
+/// One planned point: the α that produced it, its objective values, and the
+/// integer partition vector that identifies the plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrontierPoint {
     /// Scalarization weight.
@@ -241,8 +240,7 @@ pub struct FrontierPoint {
     /// Bytes moved relative to the hash-home placement (0 when the solver
     /// has no placement, e.g. the bare-modeler solver).
     pub transfer_bytes: f64,
-    /// Integer partition sizes — the plan identity used for bend
-    /// detection.
+    /// Integer partition sizes — the plan identity.
     pub sizes: Vec<usize>,
 }
 
@@ -251,13 +249,7 @@ pub struct FrontierPoint {
 pub struct FrontierConfig {
     /// Axes the dominance filter ranks on.
     pub objectives: ObjectiveSet,
-    /// Starting α grid (ascending, within `[0, 1]`, ≥ 2 points).
-    pub coarse: Vec<f64>,
-    /// Convergence tolerance: a bisected interval stops refining once its
-    /// midpoint lies within `tol` of the endpoints' chord in normalized
-    /// objective space.
-    pub tol: f64,
-    /// Hard budget on solved α points (coarse grid included).
+    /// Cap on planned vertices; the fastest are kept first.
     pub max_points: usize,
 }
 
@@ -265,65 +257,33 @@ impl Default for FrontierConfig {
     fn default() -> Self {
         FrontierConfig {
             objectives: ObjectiveSet::time_energy(),
-            coarse: vec![0.0, 0.25, 0.5, 0.75, 1.0],
-            tol: 1e-3,
             max_points: 48,
         }
     }
 }
 
 impl FrontierConfig {
-    /// Intervals narrower than this never refine further — below one part
-    /// per billion of α the LP is numerically indistinguishable.
-    pub const MIN_GAP: f64 = 1e-9;
-
     /// Validate the configuration (the CLI maps failures to exit codes).
     pub fn validate(&self) -> Result<(), String> {
         if self.objectives.is_empty() {
             return Err("objective set must not be empty".into());
         }
-        if !self.tol.is_finite() || self.tol <= 0.0 {
-            return Err(format!("--tol must be finite and > 0, got {}", self.tol));
-        }
-        if self.coarse.len() < 2 {
-            return Err("coarse grid needs at least 2 alphas".into());
-        }
-        for w in self.coarse.windows(2) {
-            // partial_cmp: NaN endpoints must fail this check too.
-            if w[0].partial_cmp(&w[1]) != Some(std::cmp::Ordering::Less) {
-                return Err(format!(
-                    "coarse grid must be strictly ascending, got {} then {}",
-                    w[0], w[1]
-                ));
-            }
-        }
-        if self
-            .coarse
-            .iter()
-            .any(|a| !a.is_finite() || !(0.0..=1.0).contains(a))
-        {
-            return Err("coarse grid alphas must lie in [0, 1]".into());
-        }
-        if self.max_points < self.coarse.len() {
-            return Err(format!(
-                "--max-points {} is below the coarse grid size {}",
-                self.max_points,
-                self.coarse.len()
-            ));
+        if self.max_points == 0 {
+            return Err("--max-points must be at least 1".into());
         }
         Ok(())
     }
 }
 
-/// What [`explore`] needs from a planning backend: solve one α, and
-/// predict the static homogeneous (equal-split) baseline used as the
-/// hypervolume reference.
+/// What [`explore`] needs from a planning backend: plan one α, and the
+/// modeler and record count the plans are solved against.
 pub trait AlphaSolver {
-    /// Solve the scalarized problem at `alpha`.
+    /// Plan the scalarized problem at `alpha`.
     fn solve_alpha(&mut self, alpha: f64) -> Result<FrontierPoint, PlanError>;
 
-    /// The equal-split `(time_s, dirty_joules)` baseline point.
-    fn baseline(&mut self) -> Result<(f64, f64), PlanError>;
+    /// The modeler behind the plans and the record count; `None` until a
+    /// backend that builds its modeler from a plan has planned once.
+    fn modeler(&self) -> Option<(&ParetoModeler, usize)>;
 }
 
 /// The bare-modeler backend: one LP per α, no placement (transfer bytes
@@ -353,21 +313,8 @@ impl AlphaSolver for ModelerSolver<'_> {
         })
     }
 
-    fn baseline(&mut self) -> Result<(f64, f64), PlanError> {
-        let p = self.modeler.num_nodes();
-        if p == 0 {
-            return Err(PlanError::Lp(PartitionPlanError::Degenerate(
-                "no nodes to baseline",
-            )));
-        }
-        let equal = vec![self.n as f64 / p as f64; p];
-        let t = self
-            .modeler
-            .predicted_times(&equal)
-            .iter()
-            .copied()
-            .fold(0.0, f64::max);
-        Ok((t, self.modeler.predicted_dirty(&equal)))
+    fn modeler(&self) -> Option<(&ParetoModeler, usize)> {
+        Some((self.modeler, self.n))
     }
 }
 
@@ -378,21 +325,15 @@ pub struct FrontierResult {
     /// Axes the dominance filter ranked on.
     pub objectives: ObjectiveSet,
     /// Non-dominated points, sorted by objective vector (lexicographic)
-    /// with α ascending as the tie-break; exact-duplicate objective
-    /// vectors are merged keeping the smallest α.
+    /// with planning order as the tie-break.
     pub points: Vec<FrontierPoint>,
-    /// Total α points solved (coarse + bisections).
+    /// Vertices planned (one per distinct integer plan, up to
+    /// `max_points`).
     pub candidates: usize,
-    /// Candidates dropped by the dominance filter (or merged as exact
-    /// duplicates).
+    /// Candidates dropped by the dominance filter.
     pub dominated: usize,
-    /// Scalarized solves spent (= candidates; each α is solved once).
+    /// Scalarized solves spent (= candidates; each vertex is planned once).
     pub lp_solves: usize,
-    /// Bisection midpoints solved beyond the coarse grid.
-    pub bisections: usize,
-    /// Smallest gap between adjacent solved α values — the resolution an
-    /// equal-coverage uniform grid would need everywhere.
-    pub finest_gap: f64,
     /// Equal-split `(time_s, dirty_joules)` baseline.
     pub baseline: (f64, f64),
 }
@@ -463,8 +404,6 @@ impl FrontierResult {
             points_kept: self.points.len(),
             dominated_candidates: self.dominated,
             lp_solves: self.lp_solves,
-            bisections: self.bisections,
-            finest_gap: self.finest_gap,
             knee_alpha: knee.map(|k| k.alpha).unwrap_or(f64::NAN),
             knee_time_s: knee.map(|k| k.makespan_s).unwrap_or(f64::NAN),
             knee_dirty_joules: knee.map(|k| k.dirty_joules).unwrap_or(f64::NAN),
@@ -482,10 +421,6 @@ pub struct FrontierReport {
     pub dominated_candidates: usize,
     /// Scalarized solves spent.
     pub lp_solves: usize,
-    /// Midpoints solved beyond the coarse grid.
-    pub bisections: usize,
-    /// Smallest adjacent-α gap reached.
-    pub finest_gap: f64,
     /// α of the knee point.
     pub knee_alpha: f64,
     /// Knee completion time, seconds.
@@ -496,177 +431,48 @@ pub struct FrontierReport {
     pub hypervolume_vs_baseline: f64,
 }
 
-/// Run adaptive α refinement against `solver`.
+/// List the frontier through `solver`: plan once per vertex of
+/// [`ParetoModeler::vertices`], fastest first, at its representative α,
+/// then keep the non-dominated plans.
 ///
-/// The worklist starts as the coarse grid's adjacent intervals, in order.
-/// An interval refines only when its endpoints' integer partition vectors
-/// differ — identical vectors mean the same LP vertex, so the frontier
-/// segment between them is a single point with no bend. On a refine, the
-/// midpoint α is solved and the interval converges when the midpoint lies
-/// within `tol` of the endpoints' chord in normalized objective space;
-/// otherwise both halves whose endpoints still differ are enqueued. The
-/// loop stops at `max_points` solves, at intervals narrower than
-/// [`FrontierConfig::MIN_GAP`], or when every interval has converged.
+/// The fastest vertex's representative α is 1, so it is planned first,
+/// which also gives a session backend its modeler. A vertex whose integer
+/// sizes equal the previous planned one's is skipped unplanned, and
+/// planning stops at `max_points`. The equal-split baseline comes from the
+/// same modeler.
 ///
-/// Deterministic by construction: the worklist is FIFO, each α is solved
-/// at most once, and no wall-clock or randomness feeds the refinement.
-/// Telemetry is observational only (counters + per-bisection spans).
+/// Deterministic by construction: the vertex list is a pure function of
+/// the models and `n`. Telemetry is observational only (counters).
 pub fn explore<S: AlphaSolver>(
     solver: &mut S,
     cfg: &FrontierConfig,
     telemetry: &Telemetry,
 ) -> Result<FrontierResult, PlanError> {
     cfg.validate().map_err(PlanError::Frontier)?;
-
-    let mut solved: Vec<FrontierPoint> = Vec::with_capacity(cfg.max_points);
-    let mut seen: BTreeSet<u64> = BTreeSet::new();
-
-    let mut solve_at = |alpha: f64,
-                        solved: &mut Vec<FrontierPoint>,
-                        seen: &mut BTreeSet<u64>|
-     -> Result<usize, PlanError> {
-        let fresh = seen.insert(alpha.to_bits());
-        debug_assert!(fresh, "alpha solved twice");
-        solved.push(solver.solve_alpha(alpha)?);
-        telemetry.counter_add(metrics::FRONTIER_LP_SOLVES_TOTAL, &[], 1);
-        Ok(solved.len() - 1)
-    };
-
-    // Coarse grid, ascending.
-    let mut interval_queue: VecDeque<(usize, usize)> = VecDeque::new();
-    let mut prev: Option<usize> = None;
-    for &alpha in &cfg.coarse {
-        let idx = solve_at(alpha, &mut solved, &mut seen)?;
-        if let Some(lo) = prev {
-            interval_queue.push_back((lo, idx));
-        }
-        prev = Some(idx);
-    }
-
-    // Normalization ranges for the chord-error metric, fixed from the
-    // coarse extremes so later refinement cannot change the metric.
-    let dims = cfg.objectives.len();
-    let mut norm_lo = vec![f64::INFINITY; dims];
-    let mut norm_hi = vec![f64::NEG_INFINITY; dims];
-    for p in &solved {
-        let v = cfg.objectives.values(p);
-        for d in 0..dims {
-            norm_lo[d] = norm_lo[d].min(v[d]);
-            norm_hi[d] = norm_hi[d].max(v[d]);
-        }
-    }
-    let normalize = |p: &FrontierPoint| -> Vec<f64> {
-        cfg.objectives
-            .values(p)
-            .iter()
-            .enumerate()
-            .map(|(d, &v)| {
-                let range = norm_hi[d] - norm_lo[d];
-                if range > 0.0 {
-                    (v - norm_lo[d]) / range
-                } else {
-                    0.0
-                }
-            })
-            .collect()
-    };
-
-    let dist = |a: &FrontierPoint, b: &FrontierPoint| -> f64 {
-        normalize(a)
-            .iter()
-            .zip(normalize(b))
-            .map(|(x, y)| (x - y) * (x - y))
-            .sum::<f64>()
-            .sqrt()
-    };
-
-    let mut bisections = 0usize;
-    while let Some((lo, hi)) = interval_queue.pop_front() {
+    let mut solved = vec![solver.solve_alpha(1.0)?];
+    let (modeler, n) = solver
+        .modeler()
+        .ok_or(PlanError::Lp(PartitionPlanError::Degenerate(
+            "frontier backend has no modeler",
+        )))?;
+    let vertices = modeler.vertices(n)?;
+    let baseline = equal_split(modeler, n);
+    for vertex in vertices.iter().skip(1) {
         if solved.len() >= cfg.max_points {
             break;
         }
-        let (alpha_lo, alpha_hi) = (solved[lo].alpha, solved[hi].alpha);
-        if alpha_hi - alpha_lo <= FrontierConfig::MIN_GAP {
+        if solved.last().is_some_and(|p| p.sizes == vertex.point.sizes) {
             continue;
         }
-        // Same integer partition vector => same LP vertex => no bend.
-        if solved[lo].sizes == solved[hi].sizes {
-            continue;
-        }
-        // Endpoints are distinct vertices but (normalized) within
-        // tolerance of each other: by convexity of the parametric
-        // frontier, anything between them improves on the chord by at
-        // most their distance — converged.
-        if dist(&solved[lo], &solved[hi]) <= cfg.tol {
-            continue;
-        }
-        let mid_alpha = 0.5 * (alpha_lo + alpha_hi);
-        if seen.contains(&mid_alpha.to_bits()) {
-            continue;
-        }
-        let span_start = telemetry.wall_now();
-        let mid = solve_at(mid_alpha, &mut solved, &mut seen)?;
-        bisections += 1;
-        let err = chord_error(
-            &normalize(&solved[lo]),
-            &normalize(&solved[mid]),
-            &normalize(&solved[hi]),
-        );
-        telemetry.span(
-            Track::Planner,
-            "frontier_bisect",
-            ClockDomain::Wall,
-            span_start,
-            telemetry.wall_now(),
-            SpanId::NONE,
-            vec![
-                ("alpha_lo".into(), format!("{alpha_lo}")),
-                ("alpha_hi".into(), format!("{alpha_hi}")),
-                ("chord_error".into(), format!("{err:.3e}")),
-            ],
-        );
-        let same_lo = solved[lo].sizes == solved[mid].sizes;
-        let same_hi = solved[mid].sizes == solved[hi].sizes;
-        if same_lo && same_hi {
-            // A plan that reappears on both sides: nothing between.
-            continue;
-        }
-        if same_lo || same_hi {
-            // The midpoint landed on one endpoint's vertex: the bend is
-            // entirely inside the other half — keep localizing it (the
-            // pop-time guards bound this by MIN_GAP / tol / budget).
-            interval_queue.push_back(if same_lo { (mid, hi) } else { (lo, mid) });
-            continue;
-        }
-        // The midpoint is a genuinely new vertex. If it sits on the
-        // endpoints' chord within tolerance the segment is linear within
-        // tol (convexity again) — converged; otherwise both halves may
-        // still hide vertices.
-        if err > cfg.tol {
-            interval_queue.push_back((lo, mid));
-            interval_queue.push_back((mid, hi));
-        }
+        solved.push(solver.solve_alpha(vertex.point.alpha)?);
     }
+    telemetry.counter_add(metrics::FRONTIER_LP_SOLVES_TOTAL, &[], solved.len() as u64);
 
-    // Dominance filter + deterministic dedup (smallest α represents an
-    // exactly-repeated objective vector).
     let vectors: Vec<Vec<f64>> = solved.iter().map(|p| cfg.objectives.values(p)).collect();
-    let keep = pareto_frontier(&vectors);
-    let mut points: Vec<FrontierPoint> = Vec::with_capacity(keep.len());
-    for &i in &keep {
-        if let Some(last) = points.last() {
-            if cfg.objectives.values(last) == vectors[i] {
-                // Same objective vector: keep the smaller α.
-                if solved[i].alpha < last.alpha {
-                    let slot = points.last_mut().expect("non-empty");
-                    *slot = solved[i].clone();
-                }
-                continue;
-            }
-        }
-        points.push(solved[i].clone());
-    }
-
+    let points: Vec<FrontierPoint> = pareto_frontier(&vectors)
+        .into_iter()
+        .map(|i| solved[i].clone())
+        .collect();
     let candidates = solved.len();
     let dominated = candidates - points.len();
     telemetry.counter_add(
@@ -679,49 +485,26 @@ pub fn explore<S: AlphaSolver>(
         &[("outcome", "dominated")],
         dominated as u64,
     );
-
-    let mut alphas: Vec<f64> = solved.iter().map(|p| p.alpha).collect();
-    alphas.sort_by(f64::total_cmp);
-    let finest_gap = alphas
-        .windows(2)
-        .map(|w| w[1] - w[0])
-        .fold(f64::INFINITY, f64::min);
-
     Ok(FrontierResult {
         objectives: cfg.objectives.clone(),
         points,
         candidates,
         dominated,
         lp_solves: candidates,
-        bisections,
-        finest_gap,
-        baseline: solver.baseline()?,
+        baseline,
     })
 }
 
-/// Euclidean distance from `mid` to the segment `[lo, hi]` in the
-/// (already normalized) objective space.
-fn chord_error(lo: &[f64], mid: &[f64], hi: &[f64]) -> f64 {
-    let dims = lo.len();
-    let mut seg_sq = 0.0;
-    let mut dot = 0.0;
-    for d in 0..dims {
-        let seg = hi[d] - lo[d];
-        seg_sq += seg * seg;
-        dot += seg * (mid[d] - lo[d]);
-    }
-    let t = if seg_sq > 0.0 {
-        (dot / seg_sq).clamp(0.0, 1.0)
-    } else {
-        0.0
-    };
-    let mut dist_sq = 0.0;
-    for d in 0..dims {
-        let proj = lo[d] + t * (hi[d] - lo[d]);
-        let delta = mid[d] - proj;
-        dist_sq += delta * delta;
-    }
-    dist_sq.sqrt()
+/// The equal-split `(time_s, dirty_joules)` point of `n` records.
+fn equal_split(modeler: &ParetoModeler, n: usize) -> (f64, f64) {
+    let p = modeler.num_nodes();
+    let equal = vec![n as f64 / p as f64; p];
+    let t = modeler
+        .predicted_times(&equal)
+        .iter()
+        .copied()
+        .fold(0.0, f64::max);
+    (t, modeler.predicted_dirty(&equal))
 }
 
 #[cfg(test)]
@@ -808,31 +591,25 @@ mod tests {
     #[test]
     fn explore_finds_the_knee_region() {
         let m = modeler([20.0, 80.0, 120.0, 150.0]);
-        let mut solver = ModelerSolver::new(&m, 20_000);
-        let cfg = FrontierConfig {
-            max_points: 40,
-            tol: 1e-3,
-            ..FrontierConfig::default()
-        };
+        let n = 20_000;
+        let mut solver = ModelerSolver::new(&m, n);
         let tel = Telemetry::disabled();
-        let result = explore(&mut solver, &cfg, &tel).unwrap();
+        let result = explore(&mut solver, &FrontierConfig::default(), &tel).unwrap();
         assert!(result.points.len() >= 3, "found {}", result.points.len());
-        assert!(result.bisections > 0, "raw α scale demands refinement");
-        assert!(result.lp_solves <= cfg.max_points);
-        // The frontier itself is clean.
+        assert!(result.lp_solves <= m.num_nodes() + 1);
+        // The frontier is clean, and every point is a vertex's plan.
         let vecs: Vec<Vec<f64>> = result
             .points
             .iter()
             .map(|p| result.objectives.values(p))
             .collect();
         assert_eq!(pareto_frontier(&vecs).len(), vecs.len());
-        // The refinement concentrated points where the raw scalarization
-        // bends — near α = 1 (energy dwarfs time).
-        assert!(
-            result.finest_gap < 0.25 / 4.0,
-            "no interval was ever refined: finest gap {}",
-            result.finest_gap
-        );
+        let vertices = m.vertices(n).unwrap();
+        for p in &result.points {
+            assert!(vertices.iter().any(|v| v.point.sizes == p.sizes
+                && v.point.alpha == p.alpha
+                && v.point.predicted_makespan == p.makespan_s));
+        }
         let report = result.report();
         assert!(report.hypervolume_vs_baseline >= 0.0);
         assert!(report.knee_alpha.is_finite());
@@ -841,15 +618,20 @@ mod tests {
     #[test]
     fn explore_respects_the_budget() {
         let m = modeler([20.0, 80.0, 120.0, 150.0]);
-        let mut solver = ModelerSolver::new(&m, 20_000);
+        let tel = Telemetry::disabled();
+        let full = explore(
+            &mut ModelerSolver::new(&m, 20_000),
+            &FrontierConfig::default(),
+            &tel,
+        )
+        .unwrap();
         let cfg = FrontierConfig {
-            max_points: 7,
-            tol: 1e-9, // never converge: only the budget can stop it
+            max_points: 2,
             ..FrontierConfig::default()
         };
-        let tel = Telemetry::disabled();
-        let result = explore(&mut solver, &cfg, &tel).unwrap();
-        assert!(result.lp_solves <= 7, "spent {}", result.lp_solves);
+        let capped = explore(&mut ModelerSolver::new(&m, 20_000), &cfg, &tel).unwrap();
+        assert_eq!(capped.lp_solves, 2);
+        assert_eq!(capped.points[..], full.points[..2]);
     }
 
     #[test]
@@ -867,28 +649,16 @@ mod tests {
         let mut solver = ModelerSolver::new(&m, 999);
         let tel = Telemetry::disabled();
         let result = explore(&mut solver, &FrontierConfig::default(), &tel).unwrap();
-        assert_eq!(result.bisections, 0, "identical plans must not refine");
-        assert_eq!(result.points.len(), 1, "one distinct objective vector");
+        assert_eq!(result.lp_solves, 1, "one vertex, one plan");
+        assert_eq!(result.points.len(), 1);
     }
 
     #[test]
     fn config_validation_rejects_bad_inputs() {
-        let mut cfg = FrontierConfig {
-            tol: 0.0,
+        let cfg = FrontierConfig {
+            max_points: 0,
             ..FrontierConfig::default()
         };
-        assert!(cfg.validate().is_err());
-        cfg.tol = f64::NAN;
-        assert!(cfg.validate().is_err());
-        cfg = FrontierConfig::default();
-        cfg.coarse = vec![0.5];
-        assert!(cfg.validate().is_err());
-        cfg.coarse = vec![0.5, 0.2];
-        assert!(cfg.validate().is_err());
-        cfg.coarse = vec![0.0, 1.5];
-        assert!(cfg.validate().is_err());
-        cfg = FrontierConfig::default();
-        cfg.max_points = 2;
         assert!(cfg.validate().is_err());
         assert!(FrontierConfig::default().validate().is_ok());
         assert!(ObjectiveSet::parse("time,energy,transfer").is_ok());

@@ -76,7 +76,7 @@ pub use frontier::{
     dominates, explore, hypervolume, pareto_frontier, AlphaSolver, FrontierConfig, FrontierPoint,
     FrontierReport, FrontierResult, ModelerSolver, Objective, ObjectiveSet,
 };
-pub use pareto::{ParetoModeler, ParetoPoint, PartitionPlanError};
+pub use pareto::{ParetoModeler, ParetoPoint, ParetoVertex, PartitionPlanError};
 pub use session::{FrontierOutcome, PlanSession};
 pub use stages::{dataset_fingerprint, Deadline, PlanEngine, PlanError, StageReuse};
 pub use recovery::{

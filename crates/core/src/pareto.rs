@@ -10,11 +10,12 @@
 //!
 //! Scalarization turns the bi-objective (makespan, dirty energy) problem
 //! into a family of linear programs, one per `α ∈ [0, 1]`; each optimum is
-//! a Pareto-efficient point, and sweeping `α` traces the frontier (the
-//! paper's Fig. 5). `α = 1` is the **Het-Aware** scheme; the paper's
-//! **Het-Energy-Aware** runs use `α = 0.999` (mining) and `α = 0.995`
-//! (compression) because the energy objective's scale dwarfs the time
-//! objective's.
+//! a Pareto-efficient point. The paper traces the frontier (its Fig. 5) by
+//! sweeping `α`; [`ParetoModeler::vertices`] lists it instead, as the at
+//! most `p + 1` plans any `α` can return, each with its α-interval.
+//! `α = 1` is the **Het-Aware** scheme; the paper's **Het-Energy-Aware**
+//! runs use `α = 0.999` (mining) and `α = 0.995` (compression) because the
+//! energy objective's scale dwarfs the time objective's.
 //!
 //! The LP has only `p + 1` variables, and [`ParetoModeler::solve`] answers
 //! it exactly for every `α` and either sign of `k_i` by a walk over
@@ -71,6 +72,36 @@ pub struct ParetoPoint {
     pub predicted_dirty_joules: f64,
 }
 
+/// One vertex of the frontier (see [`ParetoModeler::vertices`]).
+#[derive(Debug, Clone)]
+pub struct ParetoVertex {
+    /// The vertex's plan, exactly as `solve(n, point.alpha)` returns it;
+    /// `point.alpha` is the representative α.
+    pub point: ParetoPoint,
+    /// Lowest α at which this vertex is optimal.
+    pub alpha_lo: f64,
+    /// Highest α at which this vertex is optimal.
+    pub alpha_hi: f64,
+}
+
+/// Index of the candidate minimizing `α·makespan + (1−α)·energy` over
+/// `(makespan, energy)` pairs in ascending makespan: the first strict
+/// minimum among finite scores, so ties keep the faster candidate.
+fn best_at(scored: &[(f64, f64)], alpha: f64) -> Option<usize> {
+    let mut best: Option<(f64, usize)> = None;
+    for (j, &(makespan, energy)) in scored.iter().enumerate() {
+        let s = alpha * makespan + (1.0 - alpha) * energy;
+        let improves = match best {
+            None => true,
+            Some((b, _)) => s < b,
+        };
+        if s.is_finite() && improves {
+            best = Some((s, j));
+        }
+    }
+    best.map(|(_, j)| j)
+}
+
 /// The modeler: owns the per-node models and answers planning queries.
 ///
 /// ```
@@ -94,6 +125,10 @@ pub struct ParetoPoint {
 /// // Pure energy: everything on the solar-covered node.
 /// let green = modeler.solve(900, 0.0).unwrap();
 /// assert_eq!(green.sizes, vec![0, 900]);
+/// // The frontier is these two plans and nothing between.
+/// let vertices = modeler.vertices(900).unwrap();
+/// let sizes: Vec<_> = vertices.iter().map(|v| v.point.sizes.clone()).collect();
+/// assert_eq!(sizes, vec![vec![600, 300], vec![0, 900]]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ParetoModeler {
@@ -218,17 +253,142 @@ impl ParetoModeler {
         if !(0.0..=1.0).contains(&alpha) {
             return Err(PartitionPlanError::BadAlpha(alpha));
         }
-        let fractional = self
-            .walk(n as f64, alpha)
-            .ok_or(PartitionPlanError::Degenerate(
-                "no finite candidate makespan",
-            ))?;
-        Ok(self.point_from_fractional(alpha, n, fractional))
+        let mut candidates = self.candidates(n as f64);
+        let scored: Vec<(f64, f64)> = candidates.iter().map(|x| self.objectives(x)).collect();
+        let best = best_at(&scored, alpha).ok_or(PartitionPlanError::Degenerate(
+            "no finite candidate makespan",
+        ))?;
+        Ok(self.point_from_fractional(alpha, n, candidates.swap_remove(best)))
     }
 
-    /// The breakpoint walk behind [`solve`](Self::solve): the fractional
-    /// sizes of the best candidate, or `None` if no candidate scores finite.
-    fn walk(&self, total: f64, alpha: f64) -> Option<Vec<f64>> {
+    /// The vertices of the time/energy frontier for `n` records, fastest
+    /// first: the walk's candidates on the lower-left convex hull of
+    /// `(makespan, Σ w_i·x_i)`. These are the only plans
+    /// [`solve`](Self::solve) returns for any α, so the list is the whole
+    /// frontier the paper's Fig. 5 traces by sweeping α, and it has at most
+    /// `p + 1` entries.
+    ///
+    /// Vertex `k` is optimal for `α ∈ [alpha_lo, alpha_hi]`, where
+    /// `α/(1−α)` at each end is the slope `ΔE/Δv` to that neighbour. Its
+    /// `point` is exactly what `solve(n, point.alpha)` returns, at a
+    /// representative α inside the interval: 1 for the fastest vertex, 0
+    /// for the greenest, and otherwise the α whose `α/(1−α)` is the
+    /// geometric mean of the two neighbouring slopes (the interval's
+    /// midpoint when that mean rounds onto an end). Where float rounding
+    /// parts the hull from the walk, the list follows the walk: a vertex
+    /// gives way to the near-twin candidate the walk returns at its
+    /// representative α, or is left out when no α lies strictly inside
+    /// its interval.
+    pub fn vertices(&self, n: usize) -> Result<Vec<ParetoVertex>, PartitionPlanError> {
+        let candidates = self.candidates(n as f64);
+        let scored: Vec<(f64, f64)> = candidates.iter().map(|x| self.objectives(x)).collect();
+        let fastest = best_at(&scored, 1.0).ok_or(PartitionPlanError::Degenerate(
+            "no finite candidate makespan",
+        ))?;
+        // Gift-wrap from the α = 1 optimum: the next vertex is the greener
+        // candidate, no faster, with the steepest trade `ΔE/Δv` (the
+        // highest α-breakpoint; infinite for an equal makespan, which α = 1
+        // alone leaves to the earlier candidate); among equal slopes, the
+        // greenest.
+        let mut chain = vec![fastest];
+        loop {
+            let (v, e) = scored[chain[chain.len() - 1]];
+            let slope = |j: usize| (e - scored[j].1) / (scored[j].0 - v);
+            let next = (0..scored.len())
+                .filter(|&j| scored[j].0 >= v && scored[j].0.is_finite() && scored[j].1 < e)
+                .max_by(|&a, &b| {
+                    let by_slope = slope(a).total_cmp(&slope(b));
+                    by_slope.then(scored[b].1.total_cmp(&scored[a].1))
+                });
+            match next {
+                Some(j) => chain.push(j),
+                None => break,
+            }
+        }
+        // Float rounding can separate the hull from what the walk returns:
+        // at a vertex's representative α the walk may pick a near-twin
+        // candidate (the same split up to a sliver on an expensive node),
+        // which then takes the vertex's place, or nothing strictly inside
+        // the interval may exist, and the vertex goes. Every such step
+        // retires one candidate for good, so the loop ends. The fastest
+        // vertex is the α = 1 optimum by construction.
+        let mut retired = vec![false; scored.len()];
+        loop {
+            let vertices = self.label(n, &candidates, &scored, &chain);
+            let miss = (1..chain.len()).find_map(|k| {
+                let v = &vertices[k];
+                let alpha = v.point.alpha;
+                let inside = (alpha == 0.0 || v.alpha_lo < alpha) && alpha < v.alpha_hi;
+                let found = if inside {
+                    best_at(&scored, alpha)
+                } else {
+                    None
+                };
+                (found != Some(chain[k])).then_some((k, found))
+            });
+            let Some((k, found)) = miss else {
+                return Ok(vertices);
+            };
+            retired[chain[k]] = true;
+            match found {
+                Some(j) if !retired[j] && !chain.contains(&j) => chain[k] = j,
+                _ => {
+                    chain.remove(k);
+                }
+            }
+        }
+    }
+
+    /// Attach α-intervals and representative αs to a hull `chain` of
+    /// candidate indices, fastest first.
+    fn label(
+        &self,
+        n: usize,
+        candidates: &[Vec<f64>],
+        scored: &[(f64, f64)],
+        chain: &[usize],
+    ) -> Vec<ParetoVertex> {
+        // `α/(1−α)` between neighbours, and the α it stands for.
+        let slopes: Vec<f64> = chain
+            .windows(2)
+            .map(|w| (scored[w[0]].1 - scored[w[1]].1) / (scored[w[1]].0 - scored[w[0]].0))
+            .collect();
+        let alpha = |ratio: f64| 1.0 / (1.0 + 1.0 / ratio);
+        (0..chain.len())
+            .map(|k| {
+                let alpha_hi = if k == 0 { 1.0 } else { alpha(slopes[k - 1]) };
+                let alpha_lo = slopes.get(k).map_or(0.0, |&s| alpha(s));
+                let representative = if k == 0 {
+                    1.0
+                } else if k == chain.len() - 1 {
+                    0.0
+                } else {
+                    // An infinite or float-squeezed slope can put the
+                    // geometric mean on an end; the midpoint is then the
+                    // α inside, if any is.
+                    let mean = alpha(slopes[k - 1].sqrt() * slopes[k].sqrt());
+                    if alpha_lo < mean && mean < alpha_hi {
+                        mean
+                    } else {
+                        0.5 * (alpha_lo + alpha_hi)
+                    }
+                };
+                ParetoVertex {
+                    point: self.point_from_fractional(
+                        representative,
+                        n,
+                        candidates[chain[k]].clone(),
+                    ),
+                    alpha_lo,
+                    alpha_hi,
+                }
+            })
+            .collect()
+    }
+
+    /// The breakpoint walk's candidates, in ascending makespan: the lowest
+    /// feasible makespan, then every breakpoint at or above `c_max`.
+    fn candidates(&self, total: f64) -> Vec<Vec<f64>> {
         let p = self.num_nodes();
         let slope = |i: usize| self.time[i].slope;
         let intercept = |i: usize| self.time[i].intercept;
@@ -296,26 +456,26 @@ impl ParetoModeler {
             .rev()
             .filter(|&(_, &v)| v >= c_max)
             .map(|(j, &v)| tight(&order[..=j], v));
+        lowest.into_iter().chain(walk).collect()
+    }
 
-        let score = |x: &[f64]| {
-            let makespan = (0..p)
-                .map(|i| slope(i) * x[i] + intercept(i))
-                .fold(0.0, f64::max);
-            let energy: f64 = (0..p).map(|i| cost[i] * x[i]).sum();
-            alpha * makespan + (1.0 - alpha) * energy
-        };
-        let mut best: Option<(f64, Vec<f64>)> = None;
-        for x in lowest.into_iter().chain(walk) {
-            let s = score(&x);
-            let improves = match &best {
-                None => true,
-                Some((b, _)) => s < *b,
-            };
-            if s.is_finite() && improves {
-                best = Some((s, x));
-            }
-        }
-        best.map(|(_, x)| x)
+    /// A candidate's `(max_i f_i(x_i), Σ w_i·x_i)`: the two terms the walk
+    /// scores it by.
+    fn objectives(&self, x: &[f64]) -> (f64, f64) {
+        let makespan = self
+            .time
+            .iter()
+            .zip(x)
+            .map(|(f, &xi)| f.slope * xi + f.intercept)
+            .fold(0.0, f64::max);
+        let energy: f64 = self
+            .time
+            .iter()
+            .zip(&self.energy)
+            .zip(x)
+            .map(|((f, e), &xi)| e.k() * f.slope * xi)
+            .sum();
+        (makespan, energy)
     }
 
     /// Exact `α = 1` solution (pure makespan minimization) by
@@ -368,13 +528,12 @@ impl ParetoModeler {
     /// Sweep `α` values to trace the Pareto frontier (the paper's Fig. 5).
     ///
     /// A fixed grid is *not* guaranteed to produce a clean frontier: two
-    /// grid points can map to plans where one dominates the other. The
-    /// sweep still returns every point (callers may want the raw curve),
-    /// but each dominated point now emits a structured warning event
-    /// (target `pareto`) instead of passing silently; use
-    /// [`crate::frontier::explore`] when a dominated-free frontier is
-    /// required.
-    ///
+    /// grid points can map to plans where one dominates the other, and
+    /// every vertex between grid steps is missed. The sweep still returns
+    /// every point (callers may want the raw curve), but each dominated
+    /// point emits a structured warning event (target `pareto`); use
+    /// [`vertices`](Self::vertices) (or [`crate::frontier::explore`]) for
+    /// the exact frontier.
     pub fn frontier(
         &self,
         n: usize,
@@ -396,7 +555,7 @@ impl ParetoModeler {
                     format!(
                         "swept point alpha={} is dominated within its own sweep \
                          (time {:.6} s, dirty {:.3} J); the fixed grid is not a \
-                         frontier — use the adaptive explorer (`frontier` command)",
+                         frontier — list its vertices (`frontier` command)",
                         p.alpha, p.predicted_makespan, p.predicted_dirty_joules
                     ),
                 );

@@ -17,8 +17,6 @@ use std::sync::Arc;
 
 use pareto_cluster::SimCluster;
 use pareto_datagen::{DataItem, Dataset};
-use pareto_energy::NodeEnergyProfile;
-use pareto_stats::LinearFit;
 use pareto_telemetry::Telemetry;
 use pareto_workloads::WorkloadKind;
 
@@ -216,10 +214,10 @@ impl<'a> PlanSession<'a> {
         self.engine.last_reuse()
     }
 
-    /// Run the adaptive frontier explorer ([`crate::frontier::explore`])
-    /// through this warm session. Each per-α solve is a full
+    /// Run the frontier explorer ([`crate::frontier::explore`]) through
+    /// this warm session. Each vertex's plan is a full
     /// [`plan`](Self::plan), so sketch/stratify/profile artifacts are
-    /// reused across every bisection (only the LP + partitioning rerun),
+    /// reused across every vertex (only the LP + partitioning rerun),
     /// and the whole [`FrontierResult`] is itself a fingerprinted cache
     /// artifact (stage name `frontier`): re-exploring with unchanged
     /// inputs is a single cache hit with zero LP solves.
@@ -291,9 +289,9 @@ struct SessionSolver<'s, 'a> {
     /// record index → home partition, lazily built once the partition
     /// count is known (constant within one exploration).
     home: Option<Vec<usize>>,
-    /// Time models + energy profiles captured from the last solve, for
-    /// the equal-split baseline.
-    captured: Option<(Vec<LinearFit>, Vec<NodeEnergyProfile>)>,
+    /// The modeler built from the first plan's time models and energy
+    /// profiles; every later plan of the exploration solves against it.
+    modeler: Option<ParetoModeler>,
 }
 
 impl<'s, 'a> SessionSolver<'s, 'a> {
@@ -309,7 +307,7 @@ impl<'s, 'a> SessionSolver<'s, 'a> {
             ids,
             payload_bytes,
             home: None,
-            captured: None,
+            modeler: None,
         }
     }
 
@@ -346,11 +344,9 @@ impl AlphaSolver for SessionSolver<'_, '_> {
         let point = plan.pareto.as_ref().ok_or(PlanError::Lp(
             PartitionPlanError::Degenerate("energy-aware plan produced no LP point"),
         ))?;
-        if let Some(models) = &plan.time_models {
-            self.captured = Some((
-                models.iter().map(|m| m.fit).collect(),
-                plan.energy_profiles.clone(),
-            ));
+        if let (None, Some(models)) = (&self.modeler, &plan.time_models) {
+            let fits = models.iter().map(|m| m.fit).collect();
+            self.modeler = Some(ParetoModeler::new(fits, plan.energy_profiles.clone())?);
         }
         let transfer_bytes = self.transfer_bytes(&plan.partitions);
         Ok(FrontierPoint {
@@ -362,19 +358,8 @@ impl AlphaSolver for SessionSolver<'_, '_> {
         })
     }
 
-    fn baseline(&mut self) -> Result<(f64, f64), PlanError> {
-        let (fits, profiles) = self.captured.clone().ok_or(PlanError::Lp(
-            PartitionPlanError::Degenerate("baseline requested before any solve"),
-        ))?;
+    fn modeler(&self) -> Option<(&ParetoModeler, usize)> {
         let n = self.session.dataset.len();
-        let p = fits.len();
-        let modeler = ParetoModeler::new(fits, profiles)?;
-        let equal = vec![n as f64 / p as f64; p];
-        let t = modeler
-            .predicted_times(&equal)
-            .iter()
-            .copied()
-            .fold(0.0, f64::max);
-        Ok((t, modeler.predicted_dirty(&equal)))
+        self.modeler.as_ref().map(|m| (m, n))
     }
 }

@@ -415,13 +415,9 @@ impl KeyInputs<'_> {
         let plan = KeyInputs { cfg: &cfg, ..*self }.plan_keys();
         let mut b = FingerprintBuilder::new("frontier")
             .mix_fp(plan.partition)
-            .mix_f64(explorer.tol)
             .mix_usize(explorer.max_points);
         for o in explorer.objectives.objectives() {
             b = b.mix_u64(*o as u64);
-        }
-        for &alpha in &explorer.coarse {
-            b = b.mix_f64(alpha);
         }
         b.finish()
     }
@@ -1109,8 +1105,6 @@ mod tests {
         } = FrameworkConfig::default();
         let FrontierConfig {
             objectives: _,
-            coarse: _,
-            tol: _,
             max_points: _,
         } = FrontierConfig::default();
 
@@ -1159,14 +1153,12 @@ mod tests {
                 from("partition"),
             ),
             ("roster length", |i| i.nodes += 1, from("partition")),
-            ("explorer.tol", |i| i.explorer.tol *= 2.0, from("frontier")),
             ("explorer.max_points", |i| i.explorer.max_points += 1, from("frontier")),
             (
                 "explorer.objectives",
                 |i| i.explorer.objectives = ObjectiveSet::full(),
                 from("frontier"),
             ),
-            ("explorer.coarse", |i| i.explorer.coarse.push(1.0), from("frontier")),
             // Never keyed: outputs are bit-identical whatever these say
             // (`lp_warm` is accepted and ignored).
             ("threads", |i| i.cfg.threads += 1, vec![]),

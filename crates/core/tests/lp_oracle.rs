@@ -266,6 +266,86 @@ fn check(inst: &Instance, n: usize, alpha: f64) {
     }
 }
 
+/// [`ParetoModeler::vertices`] against the walk and the brute-force
+/// enumeration. The intervals tile `[0, 1]` from α = 1 down, each with
+/// room in it, and no representative α sits on an α-breakpoint. `solve`
+/// at a vertex's representative α returns its fractional sizes bit for
+/// bit. For p ≤ 5 the list is the lower-left hull of the enumeration: at
+/// each vertex's representative α no enumerated vertex beats it, and at
+/// every interval end (where two listed vertices tie) none beats the
+/// list's best. The scalarized optimum over the enumeration is concave in
+/// α and the list's is linear between its breakpoints, so matching at the
+/// ends matches everywhere: no hull vertex is missing.
+fn check_vertices(inst: &Instance, n: usize) {
+    let modeler = inst.modeler();
+    let listed = modeler.vertices(n).expect("the walk always answers");
+    assert!(!listed.is_empty(), "a frontier has at least one vertex");
+    assert!(listed.len() <= inst.p() + 1, "at most p + 1 vertices");
+    assert_eq!(listed[0].alpha_hi, 1.0);
+    assert_eq!(listed[listed.len() - 1].alpha_lo, 0.0);
+    for pair in listed.windows(2) {
+        assert_eq!(
+            pair[0].alpha_lo, pair[1].alpha_hi,
+            "intervals must tile [0, 1]"
+        );
+    }
+    let last = listed.len() - 1;
+    for (k, v) in listed.iter().enumerate() {
+        let alpha = v.point.alpha;
+        // The fastest vertex stands at α = 1 and the greenest at α = 0;
+        // every other representative is strictly inside its interval. An
+        // end vertex's interval can round to a point: past a trade slope
+        // of 1/ε its α-breakpoint is 1.0 in floats, and α = 1 alone still
+        // reaches it.
+        let inside = v.alpha_lo < alpha && alpha < v.alpha_hi;
+        let end = (k == 0 && alpha == 1.0) || (k == last && k > 0 && alpha == 0.0);
+        assert!(
+            inside || end,
+            "representative α {alpha} of vertex {k} on an α-breakpoint of [{}, {}]",
+            v.alpha_lo,
+            v.alpha_hi
+        );
+        assert!(v.alpha_lo < v.alpha_hi || end, "empty interval {v:?}");
+        let solved = modeler.solve(n, alpha).expect("the walk always answers");
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&solved.fractional_sizes),
+            bits(&v.point.fractional_sizes),
+            "solve at the representative α {alpha} left the vertex"
+        );
+    }
+    if inst.p() > 5 {
+        return;
+    }
+    let enumerated = vertices(inst, n);
+    let best = |pool: &mut dyn Iterator<Item = Vec<f64>>, alpha: f64| {
+        pool.min_by(|a, b| {
+            inst.objective(a, alpha)
+                .total_cmp(&inst.objective(b, alpha))
+        })
+    };
+    for v in &listed {
+        let alpha = v.point.alpha;
+        if let Some(x) = best(&mut enumerated.iter().cloned(), alpha) {
+            assert_not_beaten(
+                inst,
+                n,
+                alpha,
+                &v.point.fractional_sizes,
+                &x,
+                "a hull vertex",
+            );
+        }
+        for end in [v.alpha_lo, v.alpha_hi] {
+            let mut sizes = listed.iter().map(|w| w.point.fractional_sizes.clone());
+            let ours = best(&mut sizes, end).expect("a non-empty list");
+            if let Some(x) = best(&mut enumerated.iter().cloned(), end) {
+                assert_not_beaten(inst, n, end, &ours, &x, "a vertex missing from the list");
+            }
+        }
+    }
+}
+
 /// Instances in the estimator's range.
 fn well_conditioned(max_nodes: usize) -> impl Strategy<Value = Instance> {
     (1usize..=max_nodes).prop_flat_map(|p| {
@@ -346,6 +426,22 @@ proptest! {
         alpha in alpha(),
     ) {
         check(&inst, n, alpha);
+    }
+
+    #[test]
+    fn vertices_are_the_hull_on_well_conditioned_instances(
+        inst in well_conditioned(8),
+        n in 0usize..1_000_000,
+    ) {
+        check_vertices(&inst, n);
+    }
+
+    #[test]
+    fn vertices_are_the_hull_on_hostile_instances(
+        inst in hostile(5),
+        n_exp in 0.0f64..9.0,
+    ) {
+        check_vertices(&inst, 10f64.powf(n_exp) as usize);
     }
 
     #[test]
@@ -482,6 +578,51 @@ fn a_breakpoint_within_float_resolution_of_the_lowest_makespan_is_still_a_candid
             x[1], 0.0,
             "alpha {alpha}: the steep node must stay idle: {x:?}"
         );
+    }
+}
+
+#[test]
+fn the_alpha_breakpoint_tie_is_an_interval_end_and_no_representative() {
+    // The fitted models of `golden_cli`'s seed-11 frontier case (p = 4,
+    // N = 200). Two vertices tie at α ≈ 0.9838103: the simplex this walk
+    // replaced once answered the bisection midpoints 0.98381032050 and
+    // 0.98381032236 with the other vertex. Listing the vertices puts that
+    // tie at an interval end, and no plan is ever asked for there.
+    let inst = instance(&[
+        (
+            0.0009295435232763248,
+            0.8473686380857428,
+            440.0,
+            278.6708407926043,
+        ),
+        (
+            0.0018590870465526497,
+            1.6947372761714856,
+            345.0,
+            297.83353113323494,
+        ),
+        (
+            0.002788630569828972,
+            2.542105914257229,
+            250.0,
+            262.97219296456757,
+        ),
+        (
+            0.0037181740931052994,
+            3.3894745523429712,
+            155.0,
+            225.4968991953872,
+        ),
+    ]);
+    check_vertices(&inst, 200);
+    let listed = inst.modeler().vertices(200).unwrap();
+    let sizes: Vec<_> = listed.iter().map(|v| v.point.sizes.clone()).collect();
+    assert_eq!(sizes, vec![vec![0, 0, 200, 0], vec![0, 0, 0, 200]]);
+    let tie = listed[0].alpha_lo;
+    assert!((tie - 0.9838103).abs() < 1e-7, "tie at {tie}");
+    assert_eq!([listed[0].point.alpha, listed[1].point.alpha], [1.0, 0.0]);
+    for alpha in [0.98381032050, 0.98381032236, tie] {
+        check(&inst, 200, alpha);
     }
 }
 

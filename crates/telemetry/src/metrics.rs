@@ -111,8 +111,8 @@ pub const PLAN_CACHE_EVENTS_TOTAL: &str = "pareto_plan_cache_events_total";
 /// dominated ones were solved but filtered out.
 pub const FRONTIER_POINTS_TOTAL: &str = "pareto_frontier_points_total";
 
-/// Counter of scalarized LP solves spent by the frontier explorer
-/// (coarse grid + adaptive bisections).
+/// Counter of scalarized LP solves spent by the frontier explorer (one
+/// per planned vertex).
 pub const FRONTIER_LP_SOLVES_TOTAL: &str = "pareto_frontier_lp_solves_total";
 
 /// Counter of plan-service requests, labelled `{outcome=served|degraded|

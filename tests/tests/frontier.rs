@@ -1,6 +1,6 @@
 //! Frontier explorer: dominance-law proptests, frontier invariants, and
-//! the refinement oracle (adaptive vs. coarse grid vs. dense reference
-//! sweep) across seeds and thread counts.
+//! the explorer's oracles (the walk's candidates and vertex list, a coarse
+//! α grid, a dense reference sweep) across seeds and thread counts.
 
 use pareto_cluster::{NodeSpec, SimCluster};
 use pareto_core::framework::{Framework, FrameworkConfig, Strategy as PlanStrategy};
@@ -114,7 +114,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// S2: the refinement oracle.
+// S2: the explorer's oracles.
 // ---------------------------------------------------------------------------
 
 /// Fit the per-node models via the real pipeline, then hand them to the
@@ -129,11 +129,7 @@ fn modeler_for(seed: u64, threads: usize) -> (ParetoModeler, usize) {
 
 /// The time models and energy profiles the real pipeline fits for `seed`
 /// on `p` nodes, and the record count they plan for.
-fn fitted(
-    seed: u64,
-    p: usize,
-    threads: usize,
-) -> (Vec<LinearFit>, Vec<NodeEnergyProfile>, usize) {
+fn fitted(seed: u64, p: usize, threads: usize) -> (Vec<LinearFit>, Vec<NodeEnergyProfile>, usize) {
     let ds = pareto_datagen::rcv1_syn(seed, 0.05);
     let cl = SimCluster::new(NodeSpec::paper_cluster(p, 400.0, 2, 9, seed));
     let plan = Framework::new(
@@ -164,7 +160,7 @@ fn explore_for(modeler: &ParetoModeler, n: usize, cfg: &FrontierConfig) -> Front
 }
 
 #[test]
-fn adaptive_refinement_beats_its_oracles() {
+fn explored_frontier_beats_its_oracles() {
     let cfg = FrontierConfig::default();
     for &seed in &[11u64, 31, 2017] {
         // The plan — and therefore the fitted modeler — is deterministic
@@ -172,9 +168,9 @@ fn adaptive_refinement_beats_its_oracles() {
         // reference sweep per seed serves every thread count.
         let (ref_modeler, ref_n) = modeler_for(seed, 1);
 
-        // Coarse-grid oracle: solve exactly the explorer's starting grid.
-        let coarse: Vec<(f64, Vec<f64>)> = cfg
-            .coarse
+        // Coarse-grid oracle: the grid the bisecting explorer once started
+        // from.
+        let coarse: Vec<(f64, Vec<f64>)> = [0.0, 0.25, 0.5, 0.75, 1.0]
             .iter()
             .map(|&a| {
                 let p = ref_modeler.solve(ref_n, a).expect("coarse solve");
@@ -184,8 +180,8 @@ fn adaptive_refinement_beats_its_oracles() {
         let coarse_vecs: Vec<Vec<f64>> = coarse.iter().map(|(_, v)| v.clone()).collect();
         let coarse_kept = pareto_frontier(&coarse_vecs);
 
-        // Dense reference: a uniform 1000-α sweep the adaptive run must
-        // never be dominated by.
+        // Dense reference: a uniform 1000-α sweep the explored frontier
+        // must never be dominated by.
         let dense: Vec<Vec<f64>> = (0..1000)
             .map(|i| {
                 let a = i as f64 / 999.0;
@@ -201,7 +197,7 @@ fn adaptive_refinement_beats_its_oracles() {
 
             // (a) Superset of the non-dominated coarse-grid points: every
             // coarse frontier point is matched exactly or strictly improved
-            // upon by the adaptive frontier.
+            // upon by the explored frontier.
             for &ci in &coarse_kept {
                 let c = &coarse_vecs[ci];
                 let covered = result.points.iter().any(|p| {
@@ -211,7 +207,7 @@ fn adaptive_refinement_beats_its_oracles() {
                 assert!(
                     covered,
                     "seed {seed} threads {threads}: coarse point α={} {c:?} \
-                     not covered by the adaptive frontier",
+                     not covered by the explored frontier",
                     coarse[ci].0
                 );
             }
@@ -222,7 +218,7 @@ fn adaptive_refinement_beats_its_oracles() {
                 let beaten = dense.iter().find(|d| dominates(d, &v));
                 assert!(
                     beaten.is_none(),
-                    "seed {seed} threads {threads}: adaptive point α={} {v:?} \
+                    "seed {seed} threads {threads}: explored point α={} {v:?} \
                      dominated by dense-sweep point {:?}",
                     p.alpha,
                     beaten
@@ -238,7 +234,7 @@ fn adaptive_refinement_beats_its_oracles() {
             assert_eq!(
                 pareto_frontier(&vecs).len(),
                 vecs.len(),
-                "seed {seed} threads {threads}: adaptive frontier has an \
+                "seed {seed} threads {threads}: explored frontier has an \
                  internally dominated point"
             );
 
@@ -253,16 +249,15 @@ fn adaptive_refinement_beats_its_oracles() {
                 "seed {seed}: frontier diverged across thread counts"
             );
             assert_eq!(pair[0].lp_solves, pair[1].lp_solves);
-            assert_eq!(pair[0].finest_gap, pair[1].finest_gap);
         }
     }
 }
 
 #[test]
 fn budget_truncated_run_is_covered_by_the_full_run() {
-    // FIFO refinement means a smaller budget solves a prefix of the full
-    // run's α sequence, so the full frontier must match or strictly
-    // improve on every truncated frontier point.
+    // A smaller budget plans a prefix of the full run's vertices, so the
+    // full frontier must match or strictly improve on every truncated
+    // frontier point.
     let (modeler, n) = modeler_for(31, 1);
     let full = explore_for(&modeler, n, &FrontierConfig::default());
     let cfg = FrontierConfig {
@@ -349,13 +344,14 @@ fn close(a: f64, b: f64) -> bool {
 }
 
 #[test]
-fn every_kept_point_is_a_walk_candidate() {
+fn the_kept_points_are_the_distinct_plan_vertices() {
     for p in [4usize, 8] {
         for seed in [11u64, 31, 107, 2017] {
             let (fits, profiles, n) = fitted(seed, p, 1);
             let modeler =
                 ParetoModeler::new(fits.clone(), profiles.clone()).expect("aligned models");
             let result = explore_for(&modeler, n, &FrontierConfig::default());
+            // Every kept point is a walk candidate, re-derived independently…
             let candidates = walk_candidates(&fits, &profiles, n);
             for point in &result.points {
                 assert!(
@@ -369,6 +365,33 @@ fn every_kept_point_is_a_walk_candidate() {
                     point.dirty_joules
                 );
             }
+            // …and the kept set is exactly the vertices with distinct
+            // integer plans, for at most p + 1 solves.
+            let mut vertices = modeler.vertices(n).expect("vertex list");
+            vertices.dedup_by(|later, kept| later.point.sizes == kept.point.sizes);
+            let kept: Vec<(f64, f64, f64, &[usize])> = result
+                .points
+                .iter()
+                .map(|q| (q.alpha, q.makespan_s, q.dirty_joules, &q.sizes[..]))
+                .collect();
+            let listed: Vec<(f64, f64, f64, &[usize])> = vertices
+                .iter()
+                .map(|v| {
+                    let q = &v.point;
+                    (
+                        q.alpha,
+                        q.predicted_makespan,
+                        q.predicted_dirty_joules,
+                        &q.sizes[..],
+                    )
+                })
+                .collect();
+            assert_eq!(kept, listed, "p {p} seed {seed}");
+            assert!(
+                result.lp_solves <= p + 1,
+                "p {p} seed {seed}: {}",
+                result.lp_solves
+            );
         }
     }
 }
