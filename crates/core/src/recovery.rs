@@ -1735,6 +1735,46 @@ mod tests {
         assert_eq!(sim.nodes[1].queue.len(), 15);
     }
 
+    /// A steal is taken only when the thief finishes the stolen half first.
+    /// Node 0 (speed 1) straggles at 1.8× over 40 items, 72 item-times in
+    /// all; the speed-1/4 node 3 would need 80 for the back half, so it
+    /// waits. With the roles swapped, node 3 straggling at 1.8× and node 0
+    /// idle, the fast thief finishes its half in 20 of 288 and steals.
+    #[test]
+    fn a_slow_thief_does_not_steal_what_it_would_finish_last() {
+        let cl = cluster(4);
+        let work = uniform_work(40, 1_000_000);
+        let (fits, profs) = (truthful_fits(&cl, 1_000_000), profiles(4));
+        let (tel, elastic) = (Telemetry::disabled(), ElasticPlan::none());
+        let cfg = RecoveryConfig::default();
+        for (victim, thief, steals) in [(0, 3, false), (3, 0, true)] {
+            let mut initial = vec![Vec::new(); 4];
+            initial[victim] = (0..40).collect();
+            let faults = FaultPlan::new().with_straggler(victim, 1.8);
+            let req = ExecRequest {
+                cluster: &cl,
+                work: &work,
+                initial: &initial,
+                strata: &[],
+                fits: &fits,
+                profiles: &profs,
+                alpha: 1.0,
+                faults: &faults,
+                cfg: &cfg,
+                elastic: None,
+                telemetry: None,
+            };
+            let modeler = req.validate().expect("well-formed request");
+            let mut sim = Sim::new(&req, &modeler, &faults, &elastic, &tel, 0.0);
+            assert_eq!(
+                sim.steal_from_straggler(thief),
+                steals,
+                "node {thief} stealing from node {victim}"
+            );
+            assert_eq!(sim.nodes[victim].queue.len(), if steals { 20 } else { 40 });
+        }
+    }
+
     #[test]
     fn total_cluster_loss_reports_incomplete() {
         let cl = cluster(2);

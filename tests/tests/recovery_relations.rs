@@ -20,6 +20,7 @@ use std::sync::Arc;
 
 use pareto_cluster::{FaultPlan, NodeSpec, SimCluster};
 use pareto_core::framework::{FaultRunOutcome, Framework, FrameworkConfig, Strategy};
+use pareto_core::partitioner::PartitionLayout;
 use pareto_core::{RecoveryConfig, RecoveryOutcome};
 use pareto_datagen::Dataset;
 use pareto_telemetry::{Telemetry, Track};
@@ -194,5 +195,56 @@ fn every_item_executes_exactly_once_under_every_fault_shape() {
     assert!(
         steals > 0,
         "no case stole, so moves by steal went unchecked"
+    );
+}
+
+/// The claims gate's C8 job at seed 43: crashing the node that is busy
+/// longest, 40 % into its busy time, costs wall time. A speed-blind steal
+/// made that node a slow thief holding a fast node's work, so its crash
+/// used to hand the work back to faster nodes and shorten the job.
+#[test]
+fn crashing_the_longest_busy_node_does_not_shorten_the_job() {
+    let data = pareto_datagen::rcv1_syn(43, 0.32);
+    let workload = WorkloadKind::FrequentPatterns { support: 0.1 };
+    let cluster = SimCluster::new(NodeSpec::paper_cluster(8, 400.0, 2, 9, 43));
+    let fw = Framework::new(
+        &cluster,
+        FrameworkConfig {
+            strategy: Strategy::HetAware,
+            layout: PartitionLayout::Representative,
+            seed: 43,
+            threads: 1,
+            ..FrameworkConfig::default()
+        },
+    );
+    let cfg = RecoveryConfig::default();
+    let clean = fw
+        .try_run_with_faults(&data, workload, &FaultPlan::none(), &cfg)
+        .expect("non-empty dataset, valid config");
+    let (victim, busy) = clean
+        .outcome
+        .report
+        .runs
+        .iter()
+        .enumerate()
+        .map(|(i, r)| (i, r.seconds))
+        .max_by(|a, b| a.1.total_cmp(&b.1))
+        .expect("a cluster has nodes");
+    let crashed = fw
+        .try_run_with_faults(
+            &data,
+            workload,
+            &FaultPlan::new().with_crash(victim, 0.4 * busy),
+            &cfg,
+        )
+        .expect("non-empty dataset, valid config");
+    let rec = &crashed.outcome.recovery;
+    assert_eq!(rec.crashed_nodes, vec![victim]);
+    assert!(rec.exactly_once);
+    assert!(
+        rec.makespan_overhead >= 0.0,
+        "crashing node {victim} shortened the job: {:.2} s against {:.2} s clean",
+        rec.makespan_s,
+        rec.fault_free_makespan_s
     );
 }
