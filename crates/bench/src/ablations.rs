@@ -8,7 +8,9 @@ use pareto_core::estimator::{HeterogeneityEstimator, SamplingPlan};
 use pareto_core::{Stratifier, StratifierConfig};
 use pareto_datagen::DataItem;
 use pareto_energy::{dirty_energy_joules, DirtyEnergyMode, NodeEnergyProfile};
-use pareto_stats::{simple_random_sample, stratified_sample, total_variation_distance, PolyFit};
+use pareto_stats::{
+    simple_random_sample, stratified_sample, total_variation_distance, LinearFit, PolyFit,
+};
 use pareto_workloads::{workload_ops, WorkloadKind};
 
 use crate::experiments::{make_cluster, ExpSettings};
@@ -199,19 +201,25 @@ pub fn mean_ge_ablation(st: ExpSettings) -> Table {
 /// mid-job; the proactive plan needs no movement. The table reports
 /// makespan, steals, and bytes moved for: static equal split, work
 /// stealing from that split, and the Het-Aware plan.
+///
+/// The stealing row is the recovery executor with no faults and no model:
+/// zero time fits make every node with queued work a candidate victim, as
+/// in classic work stealing, and a thief still takes a back half only when
+/// it would finish it before the victim.
 pub fn work_stealing_ablation(st: ExpSettings) -> Table {
-    use pareto_core::stealing::{record_work_from, simulate_work_stealing};
+    use pareto_core::stealing::record_work_from;
+    use pareto_core::{ExecRequest, RecoveryConfig};
     let ds = pareto_datagen::uk_syn(st.seed, st.scale);
     let cluster = make_cluster(4, st.seed);
+    let p = cluster.num_nodes();
     // Per-record cost: LZ77 over the record's own bytes (content-aware).
     let work = record_work_from(&ds, |item| {
         let bytes = item.payload.to_bytes();
         let (_, ops) = pareto_workloads::lz77_compress(&bytes, &Default::default());
         ops
     });
-    let n = ds.len();
     let equal: Vec<Vec<usize>> = {
-        let sizes = pareto_core::DataPartitioner::equal_sizes(n, 4);
+        let sizes = pareto_core::DataPartitioner::equal_sizes(ds.len(), p);
         let mut parts = Vec::new();
         let mut next = 0;
         for s in sizes {
@@ -221,21 +229,51 @@ pub fn work_stealing_ablation(st: ExpSettings) -> Table {
         parts
     };
     // Static equal split (no stealing).
-    let static_costs: Vec<pareto_cluster::Cost> = equal
+    let static_costs: Vec<Cost> = equal
         .iter()
-        .map(|q| pareto_cluster::Cost::compute(q.iter().map(|&r| work[r].ops).sum()))
+        .map(|q| Cost::compute(q.iter().map(|&r| work[r].ops).sum()))
         .collect();
     let static_report = cluster.account_costs(&static_costs);
     // Work stealing from the equal split.
-    let ws = simulate_work_stealing(&cluster, &work, &equal);
+    let no_model = LinearFit {
+        slope: 0.0,
+        intercept: 0.0,
+        r_squared: 0.0,
+        n: 0,
+    };
+    let no_energy = NodeEnergyProfile {
+        draw_watts: 0.0,
+        mean_green_watts: 0.0,
+    };
+    let ws = pareto_core::recovery::execute(&ExecRequest {
+        cluster: &cluster,
+        work: &work,
+        initial: &equal,
+        strata: &[],
+        fits: &vec![no_model; p],
+        profiles: &vec![no_energy; p],
+        alpha: 1.0,
+        faults: &pareto_cluster::FaultPlan::none(),
+        cfg: &RecoveryConfig {
+            straggler_threshold: 1.0,
+            ..RecoveryConfig::default()
+        },
+        elastic: None,
+        telemetry: None,
+    })
+    .expect("node-aligned request over a valid config");
+    // Every node fetches its own partition once; bytes beyond that moved
+    // in steals.
+    let charged: u64 = ws.report.runs.iter().map(|r| r.cost.bytes).sum();
+    let stolen_bytes = charged - work.iter().map(|w| w.bytes).sum::<u64>();
     // Proactive oracle: per-node ops proportional to node speed
     // (Het-Aware's effect with per-record knowledge).
-    let speeds = [1.0, 0.5, 1.0 / 3.0, 0.25];
+    let speeds: Vec<f64> = (0..p).map(|i| cluster.node(i).speed()).collect();
     let s: f64 = speeds.iter().sum();
     let total_ops: u64 = work.iter().map(|w| w.ops).sum();
-    let oracle_costs: Vec<pareto_cluster::Cost> = speeds
+    let oracle_costs: Vec<Cost> = speeds
         .iter()
-        .map(|sp| pareto_cluster::Cost::compute((total_ops as f64 * sp / s) as u64))
+        .map(|sp| Cost::compute((total_ops as f64 * sp / s) as u64))
         .collect();
     let oracle_report = cluster.account_costs(&oracle_costs);
 
@@ -251,9 +289,9 @@ pub fn work_stealing_ablation(st: ExpSettings) -> Table {
     ]);
     t.row(vec![
         "work-stealing".into(),
-        format!("{:.2}", ws.report.makespan_seconds),
-        ws.steals.to_string(),
-        ws.bytes_moved.to_string(),
+        format!("{:.2}", ws.recovery.makespan_s),
+        ws.recovery.speculative_steals.to_string(),
+        stolen_bytes.to_string(),
     ]);
     t.row(vec![
         "het-aware-plan".into(),

@@ -84,7 +84,7 @@ pub use recovery::{
 };
 pub use scheduling::{best_start, sweep_start_times, StartTimeOption};
 pub use partitioner::{DataPartitioner, PartitionLayout};
-pub use stealing::{simulate_work_stealing, RecordWork, StealingOutcome};
+pub use stealing::RecordWork;
 
 // The stratifier is a first-class component of the framework; re-export it
 // so downstream users need only this crate.

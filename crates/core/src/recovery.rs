@@ -21,8 +21,11 @@
 //!   failed and its partition is replanned like a crash.
 //! * **Stragglers** — a node whose projected finish exceeds its model
 //!   prediction `f_i(x_i)` by more than `straggler_threshold` gets the
-//!   back half of its queue speculatively re-executed on an idle node (the
-//!   same deque steal as `stealing.rs`), transfer paid by the thief.
+//!   back half of its queue speculatively re-executed on an idle node,
+//!   transfer paid by the thief. The thief takes that half only if it
+//!   would finish it, transfer and compute priced at its own speed, before
+//!   the straggler's projected finish. This is the only work-stealing
+//!   policy: the §I ablation runs it with no model and no faults.
 //! * **Network degradation** — windows from the plan stretch every
 //!   transfer a node performs while they are active.
 //! * **Planned elasticity** — an [`ElasticPlan`] schedules roster
@@ -1275,23 +1278,37 @@ impl<'a> Sim<'a> {
 
     /// Idle `node` looks for speculative re-execution: steal the back half
     /// of the most-behind straggler (projected finish > threshold ×
-    /// `f_v(x_v)`), transfer paid by the thief. If the thief dies
+    /// `f_v(x_v)`), transfer paid by the thief — but only if the thief,
+    /// priced at its own clock, speed, network and straggler factor, would
+    /// finish that half strictly before the victim's projected finish.
+    /// Otherwise it waits as if no victim were found. If the thief dies
     /// mid-transfer the stolen items become orphans and are replanned.
     /// Returns whether a steal happened.
     fn steal_from_straggler(&mut self, node: usize) -> bool {
         let victim = self.pick_victim(node, |v| self.projected_finish(v));
         #[cfg(test)]
         self.assert_matches_reference(node, victim);
-        let Some((victim, _)) = victim else {
+        let Some((victim, victim_finish)) = victim else {
             return false;
         };
         let work = self.req.work;
+        let (ops, bytes) = self.nodes[victim]
+            .queue
+            .back_half()
+            .fold((0u64, 0u64), |(ops, bytes), r| {
+                (ops + work[r].ops, bytes + work[r].bytes)
+            });
+        let before = self.nodes[node].clock;
+        let thief_finish = before
+            + self.event_seconds(node, &Cost::request(bytes), before)
+            + self.event_seconds(node, &Cost::compute(ops), before);
+        if thief_finish >= victim_finish {
+            return false;
+        }
         let stolen = self.nodes[victim].queue.steal_back_half();
         self.nodes[victim].assigned -= stolen.len();
-        let bytes: u64 = stolen.iter().map(|&r| work[r].bytes).sum();
         self.out.recovery.speculative_steals += 1;
         self.out.recovery.items_stolen += stolen.len();
-        let before = self.nodes[node].clock;
         let survived = self.charge(node, Cost::request(bytes), "steal");
         let hop = Hop {
             from: Some(victim),
@@ -1308,6 +1325,8 @@ impl<'a> Sim<'a> {
                 vec![
                     ("victim".into(), victim.to_string()),
                     ("items".into(), stolen.len().to_string()),
+                    ("thief_finish_s".into(), thief_finish.to_string()),
+                    ("victim_finish_s".into(), victim_finish.to_string()),
                 ],
             );
         }
@@ -1773,6 +1792,60 @@ mod tests {
             );
             assert_eq!(sim.nodes[victim].queue.len(), if steals { 20 } else { 40 });
         }
+    }
+
+    /// A start sized in proportion to node speed, under truthful fits,
+    /// finishes together and leaves nothing to steal.
+    #[test]
+    fn no_stealing_when_already_balanced() {
+        let cl = cluster(4);
+        let work = uniform_work(100, 1_000_000);
+        let mut next = 0;
+        let initial: Vec<Vec<usize>> = [48, 24, 16, 12]
+            .iter()
+            .map(|&take| {
+                next += take;
+                (next - take..next).collect()
+            })
+            .collect();
+        let out = run(&cl, &work, &initial, &FaultPlan::none());
+        assert_eq!(
+            out.recovery.speculative_steals, 0,
+            "balanced start should not steal"
+        );
+        assert!(out.recovery.exactly_once);
+        assert!(out.report.imbalance() < 1.05);
+    }
+
+    #[test]
+    fn empty_and_single_record_inputs() {
+        let cl = cluster(2);
+        let out = run(&cl, &[], &[vec![], vec![]], &FaultPlan::none());
+        assert_eq!(out.recovery.makespan_s, 0.0);
+        assert!(out.recovery.exactly_once);
+        let work = uniform_work(1, 5_000_000);
+        let out = run(&cl, &work, &[vec![0], vec![]], &FaultPlan::none());
+        assert!(out.recovery.makespan_s > 0.0);
+        assert_eq!(out.completed_by, vec![Some(0)]);
+    }
+
+    /// The fits price every item at the cheapest item's ops, so the nodes
+    /// run late and steal; each item's ops are still charged exactly once.
+    #[test]
+    fn all_records_processed_exactly_once() {
+        let cl = cluster(3);
+        let work: Vec<RecordWork> = (0..97)
+            .map(|i| RecordWork {
+                ops: 100_000 + (i as u64 % 7) * 50_000,
+                bytes: 64,
+            })
+            .collect();
+        let out = run(&cl, &work, &equal_split(97, 3), &FaultPlan::none());
+        assert!(out.recovery.speculative_steals > 0, "{:?}", out.recovery);
+        assert!(out.recovery.exactly_once);
+        let total_ops: u64 = work.iter().map(|w| w.ops).sum();
+        let charged: u64 = out.report.runs.iter().map(|r| r.cost.compute_ops).sum();
+        assert_eq!(charged, total_ops, "every record charged exactly once");
     }
 
     #[test]

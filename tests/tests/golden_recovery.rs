@@ -19,6 +19,12 @@
 //! in their last bits. With every `pareto_lp_*` metric dropped from both
 //! sides, all 24 dumps hashed as they did under the simplex.
 //!
+//! When the straggler steal gained its gate (a thief steals only what it
+//! would finish before the victim), every outcome digest stayed as
+//! recorded. The four dumps of the `straggler-steal` and
+//! `thief-dies-mid-steal` scenarios were re-recorded then: their `steal`
+//! instants gained the `thief_finish_s` and `victim_finish_s` attributes.
+//!
 //! On any mismatch the test prints the full observed table in the form of
 //! the `GOLDEN` constant, so an *intentional* change to the simulation can
 //! be re-pinned by pasting it.
@@ -50,8 +56,8 @@ const GOLDEN: &[(&str, f64, Pin)] = &[
     ("crash-mid-exec", 1.0, Pin { outcome: 0x77534633520c6ecd, dump: 0x8c367cd989509782 }),
     ("fetch-retry-exhaustion", 1.0, Pin { outcome: 0x5fa61f96eec66d1a, dump: 0x2654b3ad38b25fa1 }),
     ("transient-retries", 1.0, Pin { outcome: 0x5013e690b1a7aad1, dump: 0x956bf31aefc4baf2 }),
-    ("straggler-steal", 1.0, Pin { outcome: 0x58dc1ccc6e573fd7, dump: 0x44337324d882a473 }),
-    ("thief-dies-mid-steal", 1.0, Pin { outcome: 0x0883359076df87de, dump: 0x403f21369b661246 }),
+    ("straggler-steal", 1.0, Pin { outcome: 0x58dc1ccc6e573fd7, dump: 0x35f8deab464f60b0 }),
+    ("thief-dies-mid-steal", 1.0, Pin { outcome: 0x0883359076df87de, dump: 0x597ea880139a5f3e }),
     ("net-degradation", 1.0, Pin { outcome: 0x5e6e8130b9a62ade, dump: 0x82c3dbf3cdd898d9 }),
     ("drain", 1.0, Pin { outcome: 0xaa152ddc8899b414, dump: 0x973e8e2c7ff74e23 }),
     ("preempt-generous-grace", 1.0, Pin { outcome: 0xd684be885526789c, dump: 0x4693ddaba7d922c7 }),
@@ -62,8 +68,8 @@ const GOLDEN: &[(&str, f64, Pin)] = &[
     ("crash-mid-exec", 0.999, Pin { outcome: 0x77534633520c6ecd, dump: 0x8b6ff45aaae16cea }),
     ("fetch-retry-exhaustion", 0.999, Pin { outcome: 0x5fa61f96eec66d1a, dump: 0x5ae81ada6bb24089 }),
     ("transient-retries", 0.999, Pin { outcome: 0x5013e690b1a7aad1, dump: 0x49d60446ce0c549a }),
-    ("straggler-steal", 0.999, Pin { outcome: 0x58dc1ccc6e573fd7, dump: 0x926b04e75a15a41b }),
-    ("thief-dies-mid-steal", 0.999, Pin { outcome: 0xe2565bdd2f1f6315, dump: 0x4d9a74e6a87ba258 }),
+    ("straggler-steal", 0.999, Pin { outcome: 0x58dc1ccc6e573fd7, dump: 0xf9f96984ddec3a18 }),
+    ("thief-dies-mid-steal", 0.999, Pin { outcome: 0xe2565bdd2f1f6315, dump: 0xca7d16b0d207771a }),
     ("net-degradation", 0.999, Pin { outcome: 0x5e6e8130b9a62ade, dump: 0xf3494747d0dec671 }),
     ("drain", 0.999, Pin { outcome: 0xaa152ddc8899b414, dump: 0x03503c204e5ef40b }),
     ("preempt-generous-grace", 0.999, Pin { outcome: 0xd684be885526789c, dump: 0x179787987a90222f }),

@@ -12,6 +12,10 @@
 //!   count comes from the spans, not from the executor's own bookkeeping or
 //!   `core::audit`, so an item executed twice shows even if the outcome
 //!   records only its last completion.
+//! - (vii) A steal never finishes after its victim would have. Under the
+//!   same fault shapes, every `steal` instant's `thief_finish_s` (the
+//!   thief's projected finish of the stolen half) is below its
+//!   `victim_finish_s` (the victim's projected finish before the steal).
 //!
 //! The cases are web-graph runs on the 8-node paper cluster over three
 //! `uk_syn` seeds, plus one `rcv1_syn` mining run.
@@ -196,6 +200,40 @@ fn every_item_executes_exactly_once_under_every_fault_shape() {
         steals > 0,
         "no case stole, so moves by steal went unchecked"
     );
+}
+
+/// Relation (vii): a thief finishes what it steals before the victim
+/// would have, read from the `steal` instants' two projected finishes.
+#[test]
+fn every_steal_finishes_before_its_victim_would_have() {
+    let mut steals = 0;
+    for case in cases() {
+        let base = plain(&case);
+        let m = base.outcome.recovery.makespan_s;
+        for spec in fault_shapes(busiest(&base), case.nodes, m) {
+            let faults = FaultPlan::parse(&spec, case.nodes).expect("shape parses");
+            let tel = Telemetry::enabled();
+            run(&case, &faults, Some(&tel));
+            for steal in tel.snapshot().instants.iter().filter(|i| i.name == "steal") {
+                let attr = |key: &str| -> f64 {
+                    let (_, v) = steal
+                        .attrs
+                        .iter()
+                        .find(|(k, _)| k == key)
+                        .unwrap_or_else(|| panic!("a steal instant carries {key}"));
+                    v.parse().expect("a finish time")
+                };
+                let (thief, victim) = (attr("thief_finish_s"), attr("victim_finish_s"));
+                assert!(
+                    thief < victim,
+                    "{}, {spec}: thief finishes at {thief} s, victim at {victim} s",
+                    case.name
+                );
+                steals += 1;
+            }
+        }
+    }
+    assert!(steals > 0, "no case stole, so the relation went unchecked");
 }
 
 /// The claims gate's C8 job at seed 43: crashing the node that is busy
