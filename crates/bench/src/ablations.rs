@@ -560,6 +560,19 @@ mod tests {
         // static-equal >= work-stealing >= het-aware-plan (small tolerance).
         assert!(times[0] > times[1], "stealing must beat static: {times:?}");
         assert!(times[1] >= times[2] * 0.98, "stealing can't beat oracle: {times:?}");
+        // Balancing the equal split took steals that moved data.
+        let stealing: Vec<u64> = csv
+            .lines()
+            .nth(2)
+            .unwrap()
+            .split(',')
+            .skip(2)
+            .map(|v| v.parse().unwrap())
+            .collect();
+        assert!(
+            stealing.iter().all(|&v| v > 0),
+            "steals, bytes moved: {stealing:?}"
+        );
     }
 
     #[test]
