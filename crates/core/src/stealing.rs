@@ -125,8 +125,61 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recovery::{execute, ExecRequest, RecoveryConfig, RecoveryOutcome};
+    use pareto_cluster::{Cost, FaultPlan, NodeSpec, SimCluster};
+    use pareto_energy::NodeEnergyProfile;
+    use pareto_stats::LinearFit;
     use proptest::collection::vec;
     use proptest::prelude::any;
+
+    fn cluster(p: usize) -> SimCluster {
+        SimCluster::new(NodeSpec::paper_cluster(p, 400.0, 2, 9, 3))
+    }
+
+    fn uniform_work(n: usize, ops: u64) -> Vec<RecordWork> {
+        vec![RecordWork { ops, bytes: 100 }; n]
+    }
+
+    fn equal_split(n: usize, p: usize) -> Vec<Vec<usize>> {
+        let mut parts = vec![Vec::new(); p];
+        for i in 0..n {
+            parts[i * p / n].push(i);
+        }
+        parts
+    }
+
+    /// Run the executor as the §I ablation does: no model, no faults, and
+    /// any idle node may steal from any node still working.
+    fn steal(cl: &SimCluster, work: &[RecordWork], initial: &[Vec<usize>]) -> RecoveryOutcome {
+        let p = cl.num_nodes();
+        let no_model = LinearFit {
+            slope: 0.0,
+            intercept: 0.0,
+            r_squared: 0.0,
+            n: 0,
+        };
+        let no_energy = NodeEnergyProfile {
+            draw_watts: 0.0,
+            mean_green_watts: 0.0,
+        };
+        execute(&ExecRequest {
+            cluster: cl,
+            work,
+            initial,
+            strata: &[],
+            fits: &vec![no_model; p],
+            profiles: &vec![no_energy; p],
+            alpha: 1.0,
+            faults: &FaultPlan::none(),
+            cfg: &RecoveryConfig {
+                straggler_threshold: 1.0,
+                ..RecoveryConfig::default()
+            },
+            elastic: None,
+            telemetry: None,
+        })
+        .expect("node-aligned request over a valid config")
+    }
 
     proptest::proptest! {
         /// Random edit sequences leave a `WorkQueue` holding the same items,
@@ -169,5 +222,55 @@ mod tests {
                 assert_eq!(queue.ops(), model.iter().map(|&r| work[r].ops).sum::<u64>());
             }
         }
+    }
+
+    #[test]
+    fn stealing_improves_on_static_equal_split() {
+        let cl = cluster(4);
+        let work = uniform_work(400, 1_000_000);
+        let initial = equal_split(400, 4);
+        // Static equal split: slowest node (1/4 speed) dominates.
+        let static_costs: Vec<Cost> = initial
+            .iter()
+            .map(|q| Cost::compute(q.iter().map(|&r| work[r].ops).sum()))
+            .collect();
+        let static_report = cl.account_costs(&static_costs);
+        let ws = steal(&cl, &work, &initial);
+        assert!(ws.recovery.speculative_steals > 0, "idle fast nodes must steal");
+        assert!(ws.recovery.exactly_once);
+        assert!(
+            ws.report.makespan_seconds < static_report.makespan_seconds * 0.75,
+            "stealing {} vs static {}",
+            ws.report.makespan_seconds,
+            static_report.makespan_seconds
+        );
+    }
+
+    #[test]
+    fn stealing_cannot_beat_oracle_proportional_split() {
+        // Proactive speed-proportional sizing needs no steals and no
+        // transfers; work stealing converges toward it but pays movement.
+        let cl = cluster(4);
+        let work = uniform_work(500, 2_000_000);
+        let total_ops: u64 = work.iter().map(|w| w.ops).sum();
+        let speeds: Vec<f64> = (0..4).map(|i| cl.node(i).speed()).collect();
+        let s: f64 = speeds.iter().sum();
+        let oracle_costs: Vec<Cost> = speeds
+            .iter()
+            .map(|sp| Cost::compute((total_ops as f64 * sp / s) as u64))
+            .collect();
+        let oracle = cl.account_costs(&oracle_costs);
+        let ws = steal(&cl, &work, &equal_split(500, 4));
+        assert!(
+            ws.report.makespan_seconds >= oracle.makespan_seconds * 0.98,
+            "stealing {} cannot beat the proactive oracle {}",
+            ws.report.makespan_seconds,
+            oracle.makespan_seconds
+        );
+        // Every node fetches its own partition once; bytes beyond that
+        // moved in steals.
+        let charged: u64 = ws.report.runs.iter().map(|r| r.cost.bytes).sum();
+        let own: u64 = work.iter().map(|w| w.bytes).sum();
+        assert!(charged > own, "balancing required data movement");
     }
 }
