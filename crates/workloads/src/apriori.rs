@@ -815,4 +815,49 @@ mod tests {
             }
         }
     }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The same oracle on deep levels: each transaction draws most of
+        /// its items from one of two 8-item groups and the rest from the
+        /// whole 40-item pool, so about a third of the cases reach k ≥ 4
+        /// with long runs of rows sharing a prefix — the rows the join
+        /// and the prune probes walk. The candidate cap, when set, binds
+        /// partway through a level in about a quarter of the cases.
+        #[test]
+        fn deep_levels_equal_reference(
+            raw in proptest::collection::vec(
+                (
+                    0u64..2,
+                    proptest::collection::vec(0u64..8, 6..14),
+                    proptest::collection::vec(0u64..40, 0..3),
+                ),
+                20..120,
+            ),
+            support_pct in 5u32..=40,
+            max_len in 2usize..=6,
+            cap in 0usize..600,
+        ) {
+            // Half the cases mine uncapped.
+            let max_candidates = if cap < 300 { cap } else { 0 };
+            let db: Vec<ItemSet> = raw
+                .into_iter()
+                .map(|(group, core, noise)| {
+                    ItemSet::from_items(core.into_iter().map(|i| group * 20 + i).chain(noise).collect())
+                })
+                .collect();
+            let cfg = AprioriConfig {
+                min_support: support_pct as f64 / 100.0,
+                max_len,
+                max_candidates,
+            };
+            let (got, got_ops) = Apriori::new(cfg).mine(&refs(&db));
+            let (want, want_ops) = reference::mine(&cfg, &refs(&db));
+            proptest::prop_assert_eq!(&got.itemsets, &want.itemsets);
+            proptest::prop_assert_eq!(got.candidates_generated, want.candidates_generated);
+            proptest::prop_assert_eq!(got_ops, want_ops);
+            proptest::prop_assert_eq!(Apriori::new(cfg).ops(&refs(&db)), want_ops);
+        }
+    }
 }

@@ -137,6 +137,86 @@ fn plans_match_the_pins_recorded_before_the_kernel_rewrite() {
     }
 }
 
+/// One pinned planning outcome at the benchmark's cold-plan scale.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct BenchPin {
+    measure: u64,
+    sizes: u64,
+}
+
+/// Corpus seed → pin, in `BENCH_SEEDS` order. Recorded before the
+/// count-only Apriori level loop.
+#[rustfmt::skip]
+const GOLDEN_BENCH: &[(u64, BenchPin)] = &[
+    (7, BenchPin { measure: 0xd5e89eee7f53e64f, sizes: 0xa7edc0b1971952c4 }),
+    (11, BenchPin { measure: 0x5a611187781300a7, sizes: 0x2032ae4e24df0e86 }),
+    (31, BenchPin { measure: 0xded4260b48f53f84, sizes: 0x912609970c09f944 }),
+    (2017, BenchPin { measure: 0xc407962698d6735c, sizes: 0x39b80c457d33c363 }),
+];
+
+const BENCH_SEEDS: [u64; 4] = [7, 11, 31, 2017];
+
+/// `benchmark/`'s `plan_cold` op: a `rcv1_syn` corpus of 625 documents
+/// (scale 0.125) at support 0.1, planned with the default sampling plan
+/// on the 8-node paper cluster. The rows above stop at scale 0.12 and
+/// half that cluster, so this is the configuration every cold plan of
+/// the wall-clock benchmark runs.
+fn observe_bench(seed: u64, threads: usize) -> BenchPin {
+    const CONFIG_SEED: u64 = 2017;
+    let cluster = SimCluster::new(NodeSpec::paper_cluster(8, 400.0, 2, 9, CONFIG_SEED));
+    let cfg = FrameworkConfig {
+        strategy: Strategy::HetEnergyAware { alpha: 0.995 },
+        seed: CONFIG_SEED,
+        threads,
+        ..FrameworkConfig::default()
+    };
+    let workload = WorkloadKind::FrequentPatterns { support: 0.1 };
+    let ds = pareto_datagen::rcv1_syn(seed, 0.125);
+    assert_eq!(ds.len(), 625);
+    let plan = Framework::new(&cluster, cfg.clone())
+        .try_plan(&ds, workload)
+        .expect("non-empty dataset");
+    let (measurements, _) = HeterogeneityEstimator::new(&cluster, cfg.sampling, CONFIG_SEED)
+        .with_threads(threads)
+        .measure(&ds, &plan.stratification, workload);
+    BenchPin {
+        measure: digest(
+            measurements
+                .iter()
+                .flat_map(|&(size, ops)| [size as u64, ops]),
+        ),
+        sizes: digest(plan.sizes.iter().map(|&s| s as u64)),
+    }
+}
+
+#[test]
+fn bench_scale_plans_match_their_pins() {
+    let mut observed = Vec::new();
+    for seed in BENCH_SEEDS {
+        let serial = observe_bench(seed, 1);
+        for &threads in &thread_counts()[1..] {
+            assert_eq!(
+                serial,
+                observe_bench(seed, threads),
+                "seed {seed}: threads {threads} diverged from serial"
+            );
+        }
+        observed.push((seed, serial));
+    }
+    if observed != GOLDEN_BENCH {
+        let table: String = observed
+            .iter()
+            .map(|(seed, p)| {
+                format!(
+                    "    ({seed}, BenchPin {{ measure: {:#018x}, sizes: {:#018x} }}),\n",
+                    p.measure, p.sizes
+                )
+            })
+            .collect();
+        panic!("golden bench-scale pins diverged; observed:\n{table}");
+    }
+}
+
 /// One pinned post-append planning outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct AppendPin {
