@@ -10,11 +10,13 @@
 //!
 //! `ops` is the **cost model** the simulated cluster turns into node time
 //! and the LP's time models are fitted on; it is deliberately independent
-//! of how fast this process arrives at the answer. Internally itemsets are
-//! flat rows of dense item ranks and support is counted vertically — one
-//! transaction bitset per item, a candidate's support being the popcount
-//! of its items' AND — while every tally keeps the closed form of the
-//! horizontal scan it replaces (`n · Σ|candidate|` for a counting pass).
+//! of how fast this process arrives at the answer. Internally the frequent
+//! itemsets form a prefix tree over dense item ranks, one level per width,
+//! and support is counted vertically — one transaction bitset per item, a
+//! candidate's support being the popcount of its items' AND — while every
+//! tally keeps the closed form of the horizontal scan it replaces
+//! (`n · Σ|candidate|` for a counting pass, `k · ⌈log₂ |level|⌉` for a
+//! subset probe).
 
 use pareto_datagen::ItemSet;
 
@@ -174,127 +176,248 @@ impl Apriori {
             ops += t.len() as u64;
             stream.extend_from_slice(t.as_slice());
         }
-        stream.sort_unstable();
+        radix_sort(&mut stream);
         let mut items = Vec::new();
-        let mut start = 0;
-        while start < stream.len() {
-            let item = stream[start];
-            let count = stream[start..].partition_point(|&x| x == item);
-            if count as u32 >= minsup {
-                items.push(item);
+        for run in stream.chunk_by(|a, b| a == b) {
+            if run.len() as u32 >= minsup {
+                items.push(run[0]);
                 if KEEP {
                     out.itemsets.push(FrequentItemset {
-                        items: vec![item],
-                        count: count as u32,
+                        items: vec![run[0]],
+                        count: run.len() as u32,
                     });
                 }
             }
-            start += count;
         }
         out.candidates_generated += items.len() as u64;
 
         // --- Level-wise loop over rows of item ranks (rank order is item
         // order, so rows sort exactly as the itemsets they stand for) ---
         let index = ItemBitsets::build(items, transactions);
-        let mut level: Vec<u32> = (0..index.items.len() as u32).collect();
+        let mut tree = PrefixTree::new(index.items.len());
         let mut k = 2;
-        while !level.is_empty() && k <= self.cfg.max_len {
-            let (candidates, gen_ops) = self.generate_candidates(&level, k - 1);
+        while !tree.top().last.is_empty() && k <= self.cfg.max_len {
+            // Past the last level nothing reads the survivors, so a
+            // count-only run needs only how many candidates the prune
+            // keeps: it neither stores them nor counts their support.
+            let store = KEEP || k < self.cfg.max_len;
+            let (candidates, count, gen_ops) = self.generate_candidates(&tree, store);
             ops += gen_ops;
-            out.candidates_generated += (candidates.len() / k) as u64;
-            if candidates.is_empty() {
+            out.candidates_generated += count;
+            if count == 0 {
                 break;
             }
-            ops += (n * candidates.len()) as u64;
-            level.clear();
-            for cand in candidates.chunks_exact(k) {
-                let count = index.support(cand);
-                if count >= minsup {
-                    level.extend_from_slice(cand);
+            ops += n as u64 * count * k as u64;
+            if !store {
+                break;
+            }
+            let mut level = Level::default();
+            for (cand, &parent) in candidates.rows.chunks_exact(k).zip(&candidates.parent) {
+                let support = index.support(cand);
+                if support >= minsup {
+                    level.parent.push(parent);
+                    level.last.push(cand[k - 1]);
                     if KEEP {
                         out.itemsets.push(FrequentItemset {
                             items: cand.iter().map(|&r| index.items[r as usize]).collect(),
-                            count,
+                            count: support,
                         });
                     }
                 }
             }
+            tree.push(level);
             k += 1;
         }
         ops
     }
 
-    /// Join step + prune step over the sorted `(k−1)`-level, whose rows
-    /// are `width` ranks each. Returns the candidate rows (`width + 1`
-    /// ranks each, sorted) and the op tally.
-    fn generate_candidates(&self, level: &[u32], width: usize) -> (Vec<u32>, u64) {
-        let mut ops = 0u64;
-        let mut candidates = Vec::new();
-        let rows: Vec<&[u32]> = level.chunks_exact(width).collect();
+    /// Join step + prune step over the tree's top level, whose rows are
+    /// `width` ranks each. Returns the candidates (`width + 1` ranks each,
+    /// sorted; left empty unless `store`), how many there are, and the op
+    /// tally.
+    fn generate_candidates(&self, tree: &PrefixTree, store: bool) -> (Candidates, u64, u64) {
+        let top = tree.top();
+        let width = tree.levels.len();
         let k = width + 1;
+        let mut ops = 0u64;
+        let mut count = 0u64;
+        let mut candidates = Candidates::default();
         // One subset probe: a binary search of `k`-item compares.
-        let probe_ops = k as u64 * (rows.len() as f64).log2().ceil() as u64;
-        let mut cand = vec![0u32; k];
-        let mut subset = vec![0u32; width - 1];
+        let probe_ops = k as u64 * (top.last.len() as f64).log2().ceil() as u64;
+        // `first` is the row being joined, `ancestors[d]` the row of its
+        // `(d + 1)`-prefix.
+        let mut first = vec![0u32; width];
+        let mut ancestors = vec![0u32; width - 1];
         let mut siblings = vec![0..0; k - 2];
-        // `rows[block[r]..block[r + 1]]` are the rows whose first rank is
-        // `r` (for `r < top`); a subset probe searches only its block.
-        let top = rows.last().map_or(0, |row| row[0] as usize + 1);
-        let block: Vec<usize> = (0..=top)
-            .map(|r| rows.partition_point(|row| (row[0] as usize) < r))
-            .collect();
-        // Join: pairs sharing the first k-2 items (the level is sorted, so
-        // joinable sets are adjacent runs).
+        // Join: pairs of rows with the same parent (the level is sorted,
+        // so they are adjacent runs).
         let mut start = 0;
-        while start < rows.len() {
-            let prefix = &rows[start][..width - 1];
-            let run_len = rows[start..].partition_point(|r| r[..width - 1] == *prefix);
-            let run = &rows[start..start + run_len];
-            start += run.len();
-            for (i, first) in run.iter().enumerate() {
-                cand[..width].copy_from_slice(first);
+        while start < top.last.len() {
+            let parent = top.parent[start];
+            let end = start + top.parent[start..].iter().take_while(|&&p| p == parent).count();
+            tree.prefix(parent, &mut first[..width - 1], &mut ancestors);
+            for i in start..end {
+                first[width - 1] = top.last[i];
                 // Prune: all (k−1)-subsets must be frequent. The two the
                 // join came from are by construction; check the rest
                 // (drop positions 0..k-2). Such a subset is `first` minus
                 // the dropped position, then `second`'s last item — so for
-                // one `first` and position, every probe lands in the same
-                // run of the level. Find the run once; `second`s ascend,
-                // so a cursor walks it.
+                // one `first` and position, every probe lands among the
+                // children of one row one level down. Find them once;
+                // `second`s ascend, so a cursor walks them.
                 for (drop, sibling) in siblings.iter_mut().enumerate() {
-                    subset[..drop].copy_from_slice(&first[..drop]);
-                    subset[drop..].copy_from_slice(&first[drop + 1..]);
-                    let first_rank = subset[0] as usize;
-                    let (lo, hi) = match block.get(first_rank..first_rank + 2) {
-                        Some(&[lo, hi]) => (lo, hi),
-                        _ => (rows.len(), rows.len()),
-                    };
-                    let lo = lo + rows[lo..hi].partition_point(|r| r[..width - 1] < subset[..]);
-                    let len = rows[lo..hi].partition_point(|r| r[..width - 1] == subset[..]);
-                    *sibling = lo..lo + len;
+                    *sibling = tree.subset_siblings(&first, &ancestors, drop);
                 }
-                for second in &run[i + 1..] {
+                for j in i + 1..end {
                     ops += width as u64;
-                    let last = second[width - 1];
-                    cand[width] = last;
+                    let last = top.last[j];
                     let frequent = siblings.iter_mut().all(|sibling| {
                         ops += probe_ops;
-                        while sibling.start < sibling.end && rows[sibling.start][width - 1] < last {
+                        while sibling.start < sibling.end && top.last[sibling.start] < last {
                             sibling.start += 1;
                         }
-                        sibling.start < sibling.end && rows[sibling.start][width - 1] == last
+                        sibling.start < sibling.end && top.last[sibling.start] == last
                     });
                     if frequent {
-                        candidates.extend_from_slice(&cand);
-                        if self.cfg.max_candidates > 0
-                            && candidates.len() >= self.cfg.max_candidates * k
-                        {
-                            return (candidates, ops);
+                        count += 1;
+                        if store {
+                            candidates.rows.extend_from_slice(&first);
+                            candidates.rows.push(last);
+                            candidates.parent.push(i as u32);
+                        }
+                        if self.cfg.max_candidates > 0 && count >= self.cfg.max_candidates as u64 {
+                            return (candidates, count, ops);
                         }
                     }
                 }
             }
+            start = end;
         }
-        (candidates, ops)
+        (candidates, count, ops)
+    }
+}
+
+/// Sort `keys` ascending by least-significant-digit radix sort on bytes,
+/// running a pass only for the bytes in which the keys differ (two for
+/// item ids below 2¹⁶).
+fn radix_sort(keys: &mut Vec<u64>) {
+    let differ = keys.iter().fold(0, |acc, &key| acc | (key ^ keys[0]));
+    let mut sorted = vec![0u64; keys.len()];
+    for shift in (0..64).step_by(8).filter(|&shift| differ >> shift & 0xff != 0) {
+        let digit = |key: u64| (key >> shift) as usize & 0xff;
+        let mut offsets = [0usize; 256];
+        for &key in keys.iter() {
+            offsets[digit(key)] += 1;
+        }
+        let mut sum = 0;
+        for offset in &mut offsets {
+            (*offset, sum) = (sum, sum + *offset);
+        }
+        for &key in keys.iter() {
+            sorted[offsets[digit(key)]] = key;
+            offsets[digit(key)] += 1;
+        }
+        std::mem::swap(keys, &mut sorted);
+    }
+}
+
+/// The candidates of one level: flat rows of `k` ranks, and each row's
+/// parent — the top-level row it extends.
+#[derive(Default)]
+struct Candidates {
+    rows: Vec<u32>,
+    parent: Vec<u32>,
+}
+
+/// One level of the [`PrefixTree`]: its row `x` extends row `parent[x]`
+/// of the level below by the rank `last[x]`.
+#[derive(Default)]
+struct Level {
+    parent: Vec<u32>,
+    last: Vec<u32>,
+    /// `children[q]..children[q + 1]` are the rows of the level above
+    /// whose parent is `q`; empty while this is the top level.
+    children: Vec<u32>,
+}
+
+/// The frequent itemsets mined so far, one [`Level`] per width: row `x`
+/// of `levels[d]` is a `(d + 1)`-itemset. Every level is sorted, so a
+/// row's children are one run of the level above, ordered by last rank.
+/// Level 1 holds every tracked rank, and its row index is the rank.
+struct PrefixTree {
+    levels: Vec<Level>,
+}
+
+impl PrefixTree {
+    fn new(ranks: usize) -> PrefixTree {
+        let singletons = Level {
+            parent: vec![0; ranks],
+            last: (0..ranks as u32).collect(),
+            children: Vec::new(),
+        };
+        PrefixTree {
+            levels: vec![singletons],
+        }
+    }
+
+    fn top(&self) -> &Level {
+        &self.levels[self.levels.len() - 1]
+    }
+
+    /// Stack `level` on top, indexing it as the current top's children.
+    fn push(&mut self, level: Level) {
+        let below = self.levels.len() - 1;
+        let mut children = vec![0; self.levels[below].last.len() + 1];
+        for &parent in &level.parent {
+            children[parent as usize + 1] += 1;
+        }
+        for q in 1..children.len() {
+            children[q] += children[q - 1];
+        }
+        self.levels[below].children = children;
+        self.levels.push(level);
+    }
+
+    /// The rows of the level above `row` (a row of `levels[depth − 1]`)
+    /// whose parent is `row`.
+    fn children(&self, depth: usize, row: u32) -> std::ops::Range<usize> {
+        let children = &self.levels[depth - 1].children;
+        children[row as usize] as usize..children[row as usize + 1] as usize
+    }
+
+    /// Fill `ranks` with the itemset of `row`, a row of the level
+    /// `ranks.len()` wide, and `ancestors[d]` with the row of its
+    /// `(d + 1)`-prefix.
+    fn prefix(&self, mut row: u32, ranks: &mut [u32], ancestors: &mut [u32]) {
+        for d in (0..ranks.len()).rev() {
+            ancestors[d] = row;
+            ranks[d] = self.levels[d].last[row as usize];
+            row = self.levels[d].parent[row as usize];
+        }
+    }
+
+    /// The top-level rows whose prefix is `first` (a top-level itemset)
+    /// without its position `drop`, which must be below `first.len() − 1`:
+    /// the children of that prefix's row, or none if it has no row. The
+    /// search starts at the row of the kept prefix `first[..drop]` — for
+    /// `drop = 0`, at the level-1 row `first[1]` — and descends by one
+    /// binary search over last ranks per further item.
+    fn subset_siblings(&self, first: &[u32], ancestors: &[u32], drop: usize) -> std::ops::Range<usize> {
+        let (mut depth, mut row) = match drop {
+            0 => (1, first[1]),
+            _ => (drop, ancestors[drop - 1]),
+        };
+        for &rank in &first[depth + 1..] {
+            let children = self.children(depth, row);
+            let lasts = &self.levels[depth].last[children.clone()];
+            let at = lasts.partition_point(|&last| last < rank);
+            if lasts.get(at) != Some(&rank) {
+                return 0..0;
+            }
+            row = (children.start + at) as u32;
+            depth += 1;
+        }
+        self.children(depth, row)
     }
 }
 
@@ -761,6 +884,28 @@ mod tests {
                 assert_eq!(got.candidates_generated, want.candidates_generated, "{cfg:?}");
                 assert_eq!(got_ops, want_ops, "{cfg:?}");
                 assert_eq!(Apriori::new(cfg).ops(&refs(&db)), want_ops, "{cfg:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn radix_sort_equals_sort_unstable() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // Keys differing in the low bytes only, in one high byte only, in
+        // every byte, and not at all.
+        for mask in [0xffff, 0xff00_0000_00ff, u64::MAX, 0] {
+            for len in [0, 1, 2, 300] {
+                let mut keys: Vec<u64> = (0..len).map(|_| next() & mask | 0x42 << 40).collect();
+                let mut want = keys.clone();
+                want.sort_unstable();
+                super::radix_sort(&mut keys);
+                assert_eq!(keys, want, "mask {mask:#x}, {len} keys");
             }
         }
     }
