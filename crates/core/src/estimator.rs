@@ -53,9 +53,7 @@ impl SamplingPlan {
     /// 4·min_records)`, clamped to `n` and deduplicated.
     pub fn sizes(&self, n: usize) -> Vec<usize> {
         assert!(n > 0, "empty population");
-        let lo = ((self.lo_frac * n as f64).round() as usize)
-            .max(self.min_records)
-            .min(n);
+        let lo = self.smallest(n);
         let hi = ((self.hi_frac * n as f64).round() as usize)
             .max(self.min_records.saturating_mul(4))
             .clamp(lo, n);
@@ -64,6 +62,14 @@ impl SamplingPlan {
         }
         // Reuse the geometric scheduler over the [lo, hi] size range.
         progressive_schedule(hi, lo as f64 / hi as f64, 1.0, self.steps)
+    }
+
+    /// The smallest sample for a dataset of `n` records:
+    /// `max(lo_frac·n, min_records)`, clamped to `n`.
+    pub fn smallest(&self, n: usize) -> usize {
+        ((self.lo_frac * n as f64).round() as usize)
+            .max(self.min_records)
+            .min(n)
     }
 }
 

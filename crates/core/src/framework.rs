@@ -1180,6 +1180,37 @@ mod tests {
     }
 
     #[test]
+    fn degenerate_sampling_plan_surfaces_as_plan_error() {
+        let ds = pareto_datagen::rcv1_syn(7, 0.125);
+        let cl = cluster(8);
+        let plan = |sampling: SamplingPlan| {
+            let config = FrameworkConfig {
+                strategy: Strategy::HetEnergyAware { alpha: 0.995 },
+                sampling,
+                ..FrameworkConfig::default()
+            };
+            Framework::new(&cl, config).try_plan(&ds, WorkloadKind::FrequentPatterns { support: 0.1 })
+        };
+        let default = SamplingPlan::default;
+        for (sampling, expected) in [
+            // 0.05 % of 625 records rounds to 0, and no floor lifts it.
+            (SamplingPlan { min_records: 0, ..default() }, "min_records"),
+            (SamplingPlan { steps: 0, ..default() }, "steps"),
+            (SamplingPlan { lo_frac: 0.0, ..default() }, "lo_frac"),
+            (SamplingPlan { lo_frac: f64::NAN, ..default() }, "lo_frac"),
+            (SamplingPlan { hi_frac: 0.0001, ..default() }, "hi_frac"),
+            (SamplingPlan { hi_frac: f64::INFINITY, ..default() }, "hi_frac"),
+        ] {
+            let err = plan(sampling).unwrap_err();
+            assert!(
+                matches!(err, PlanError::InvalidSampling { field, .. } if field == expected),
+                "got {err}"
+            );
+        }
+        assert!(plan(default()).is_ok());
+    }
+
+    #[test]
     fn sequential_report_adds() {
         let cl = cluster(2);
         let r1 = cl.account_costs(&[Cost::compute(1_000_000), Cost::compute(2_000_000)]);

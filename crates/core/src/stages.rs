@@ -51,7 +51,7 @@ use pareto_telemetry::{metrics, ClockDomain, SpanId, Telemetry, Track};
 use pareto_workloads::WorkloadKind;
 
 use crate::cache::{Fingerprint, FingerprintBuilder, PlanCache, SharedPlanCache};
-use crate::estimator::{EnergyEstimator, HeterogeneityEstimator, NodeTimeModel};
+use crate::estimator::{EnergyEstimator, HeterogeneityEstimator, NodeTimeModel, SamplingPlan};
 use crate::framework::{FrameworkConfig, Plan, PlanTimings, Strategy};
 use crate::frontier::FrontierConfig;
 use crate::pareto::{ParetoModeler, PartitionPlanError};
@@ -71,6 +71,15 @@ pub enum PlanError {
     /// indexes them with `u32`).
     InvalidStratifier {
         /// The offending `FrameworkConfig.stratifier` field.
+        field: &'static str,
+        /// What is wrong with its value.
+        reason: &'static str,
+    },
+    /// A [`SamplingPlan`] the measure stage cannot draw samples from:
+    /// zero steps, fractions that are not finite with
+    /// `0 < lo_frac ≤ hi_frac`, or a smallest sample of no records.
+    InvalidSampling {
+        /// The offending `FrameworkConfig.sampling` field.
         field: &'static str,
         /// What is wrong with its value.
         reason: &'static str,
@@ -124,6 +133,9 @@ impl std::fmt::Display for PlanError {
             PlanError::EmptyRoster => write!(f, "cannot plan with an empty node roster"),
             PlanError::InvalidStratifier { field, reason } => {
                 write!(f, "invalid stratifier config: {field} {reason}")
+            }
+            PlanError::InvalidSampling { field, reason } => {
+                write!(f, "invalid sampling plan: {field} {reason}")
             }
             PlanError::InvalidWorkload { reason } => write!(f, "invalid workload: {reason}"),
             PlanError::UnknownNode { node, cluster_size } => write!(
@@ -440,6 +452,25 @@ fn validate_stratifier(cfg: &StratifierConfig, records: usize) -> Result<(), Pla
     Ok(())
 }
 
+/// Reject the sampling plans that would panic inside the measure stage,
+/// mid-plan, for a dataset of `records` records.
+fn validate_sampling(plan: &SamplingPlan, records: usize) -> Result<(), PlanError> {
+    let invalid = |field, reason| Err(PlanError::InvalidSampling { field, reason });
+    if plan.steps == 0 {
+        return invalid("steps", "must be at least 1");
+    }
+    if !(plan.lo_frac.is_finite() && plan.lo_frac > 0.0) {
+        return invalid("lo_frac", "must be finite and above 0");
+    }
+    if !(plan.hi_frac.is_finite() && plan.hi_frac >= plan.lo_frac) {
+        return invalid("hi_frac", "must be finite and at least lo_frac");
+    }
+    if plan.smallest(records) == 0 {
+        return invalid("min_records", "must make the smallest sample at least 1 record");
+    }
+    Ok(())
+}
+
 /// The `profile` artifact: energy `k_i` profiles for the roster plus (for
 /// model-driven strategies) the fitted per-node time models and the
 /// one-time estimation cost.
@@ -739,6 +770,7 @@ impl<'a> PlanEngine<'a> {
             return Err(PlanError::EmptyRoster);
         }
         validate_stratifier(&self.cfg.stratifier, dataset.len())?;
+        validate_sampling(&self.cfg.sampling, dataset.len())?;
         workload
             .validate()
             .map_err(|reason| PlanError::InvalidWorkload { reason })?;
