@@ -164,36 +164,28 @@ impl Apriori {
     /// level order.
     fn levels<const KEEP: bool>(&self, transactions: &[&ItemSet], out: &mut MiningOutput) -> u64 {
         let n = transactions.len();
-        let mut ops: u64 = 0;
         if n == 0 {
-            return ops;
+            return 0;
         }
         let minsup = self.abs_support(n);
 
-        // --- L1: singleton counts, as runs of the sorted item stream ---
-        let mut stream: Vec<u64> = Vec::new();
-        for t in transactions {
-            ops += t.len() as u64;
-            stream.extend_from_slice(t.as_slice());
-        }
-        radix_sort(&mut stream);
-        let mut items = Vec::new();
-        for run in stream.chunk_by(|a, b| a == b) {
-            if run.len() as u32 >= minsup {
-                items.push(run[0]);
-                if KEEP {
-                    out.itemsets.push(FrequentItemset {
-                        items: vec![run[0]],
-                        count: run.len() as u32,
-                    });
-                }
+        // --- L1: singleton counts, as runs of the sorted item stream,
+        // indexing the frequent ones on the way ---
+        let mut ops: u64 = transactions.iter().map(|t| t.len() as u64).sum();
+        let index = ItemBitsets::build(transactions, |item, count| {
+            let frequent = count >= minsup;
+            if KEEP && frequent {
+                out.itemsets.push(FrequentItemset {
+                    items: vec![item],
+                    count,
+                });
             }
-        }
-        out.candidates_generated += items.len() as u64;
+            frequent
+        });
+        out.candidates_generated += index.items.len() as u64;
 
         // --- Level-wise loop over rows of item ranks (rank order is item
         // order, so rows sort exactly as the itemsets they stand for) ---
-        let index = ItemBitsets::build(items, transactions);
         let mut tree = PrefixTree::new(index.items.len());
         let mut k = 2;
         while !tree.top().last.is_empty() && k <= self.cfg.max_len {
@@ -298,11 +290,12 @@ impl Apriori {
 }
 
 /// Sort `keys` ascending by least-significant-digit radix sort on bytes,
-/// running a pass only for the bytes in which the keys differ (two for
-/// item ids below 2¹⁶).
-fn radix_sort(keys: &mut Vec<u64>) {
+/// moving `tids[i]` along with `keys[i]` (stably, so equal keys keep their
+/// order), and running a pass only for the bytes in which the keys differ
+/// (two for item ids below 2¹⁶).
+fn radix_sort(keys: &mut Vec<u64>, tids: &mut Vec<u32>) {
     let differ = keys.iter().fold(0, |acc, &key| acc | (key ^ keys[0]));
-    let mut sorted = vec![0u64; keys.len()];
+    let mut sorted = (vec![0u64; keys.len()], vec![0u32; tids.len()]);
     for shift in (0..64).step_by(8).filter(|&shift| differ >> shift & 0xff != 0) {
         let digit = |key: u64| (key >> shift) as usize & 0xff;
         let mut offsets = [0usize; 256];
@@ -313,11 +306,13 @@ fn radix_sort(keys: &mut Vec<u64>) {
         for offset in &mut offsets {
             (*offset, sum) = (sum, sum + *offset);
         }
-        for &key in keys.iter() {
-            sorted[offsets[digit(key)]] = key;
-            offsets[digit(key)] += 1;
+        for (&key, &tid) in keys.iter().zip(tids.iter()) {
+            let at = &mut offsets[digit(key)];
+            (sorted.0[*at], sorted.1[*at]) = (key, tid);
+            *at += 1;
         }
-        std::mem::swap(keys, &mut sorted);
+        std::mem::swap(keys, &mut sorted.0);
+        std::mem::swap(tids, &mut sorted.1);
     }
 }
 
@@ -433,16 +428,32 @@ struct ItemBitsets {
 }
 
 impl ItemBitsets {
-    fn build(items: Vec<u64>, transactions: &[&ItemSet]) -> ItemBitsets {
-        let words = transactions.len().div_ceil(64);
-        let mut bits = vec![0u64; items.len() * words];
+    /// Index the items of `transactions` that `track(item, count)`
+    /// keeps, `count` being how many transactions hold the item. The
+    /// items are radix-sorted together with their transaction indices, so
+    /// each item is one run, met in item order, whose indices are its
+    /// bitset.
+    fn build(transactions: &[&ItemSet], mut track: impl FnMut(u64, u32) -> bool) -> ItemBitsets {
+        let mut keys = Vec::new();
+        let mut tids = Vec::new();
         for (tid, t) in transactions.iter().enumerate() {
-            // Both lists are sorted: search onward from the last hit.
-            let mut rank = 0;
-            for item in t.iter() {
-                rank += items[rank..].partition_point(|&tracked| tracked < item);
-                if items.get(rank) == Some(&item) {
-                    bits[rank * words + tid / 64] |= 1 << (tid % 64);
+            keys.extend_from_slice(t.as_slice());
+            tids.resize(keys.len(), tid as u32);
+        }
+        radix_sort(&mut keys, &mut tids);
+        let words = transactions.len().div_ceil(64);
+        let mut items = Vec::new();
+        let mut bits = Vec::new();
+        let mut start = 0;
+        for run in keys.chunk_by(|a, b| a == b) {
+            let holders = &tids[start..start + run.len()];
+            start += run.len();
+            if track(run[0], run.len() as u32) {
+                items.push(run[0]);
+                let row = bits.len();
+                bits.resize(row + words, 0u64);
+                for &tid in holders {
+                    bits[row + tid as usize / 64] |= 1 << (tid % 64);
                 }
             }
         }
@@ -472,7 +483,7 @@ pub fn count_candidates(candidates: &[Vec<u64>], transactions: &[&ItemSet]) -> (
     let mut items: Vec<u64> = candidates.iter().flatten().copied().collect();
     items.sort_unstable();
     items.dedup();
-    let index = ItemBitsets::build(items, transactions);
+    let index = ItemBitsets::build(transactions, |item, _| items.binary_search(&item).is_ok());
     let mut ranks = Vec::new();
     let counts = candidates
         .iter()
@@ -481,9 +492,12 @@ pub fn count_candidates(candidates: &[Vec<u64>], transactions: &[&ItemSet]) -> (
                 return transactions.len() as u32;
             }
             ranks.clear();
-            ranks.extend(cand.iter().map(|item| {
-                index.items.binary_search(item).expect("every candidate item is tracked") as u32
-            }));
+            for item in cand {
+                match index.items.binary_search(item) {
+                    Ok(rank) => ranks.push(rank as u32),
+                    Err(_) => return 0,
+                }
+            }
             index.support(&ranks)
         })
         .collect();
@@ -902,10 +916,12 @@ mod tests {
         for mask in [0xffff, 0xff00_0000_00ff, u64::MAX, 0] {
             for len in [0, 1, 2, 300] {
                 let mut keys: Vec<u64> = (0..len).map(|_| next() & mask | 0x42 << 40).collect();
-                let mut want = keys.clone();
-                want.sort_unstable();
-                super::radix_sort(&mut keys);
-                assert_eq!(keys, want, "mask {mask:#x}, {len} keys");
+                let mut tids: Vec<u32> = (0..len).collect();
+                let mut want: Vec<(u64, u32)> = keys.iter().copied().zip(tids.clone()).collect();
+                want.sort();
+                super::radix_sort(&mut keys, &mut tids);
+                let got: Vec<(u64, u32)> = keys.into_iter().zip(tids).collect();
+                assert_eq!(got, want, "mask {mask:#x}, {len} keys");
             }
         }
     }
