@@ -1189,7 +1189,8 @@ mod tests {
                 sampling,
                 ..FrameworkConfig::default()
             };
-            Framework::new(&cl, config).try_plan(&ds, WorkloadKind::FrequentPatterns { support: 0.1 })
+            Framework::new(&cl, config)
+                .try_plan(&ds, WorkloadKind::FrequentPatterns { support: 0.1 })
         };
         let default = SamplingPlan::default;
         for (sampling, expected) in [

@@ -1033,7 +1033,6 @@ fn record_plan_telemetry(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimator::SamplingPlan;
     use crate::frontier::ObjectiveSet;
     use crate::partitioner::PartitionLayout;
     use pareto_cluster::Durability;

@@ -18,6 +18,8 @@
 //! (`n · Σ|candidate|` for a counting pass, `k · ⌈log₂ |level|⌉` for a
 //! subset probe).
 
+use std::ops::Range;
+
 use pareto_datagen::ItemSet;
 
 /// Mining parameters.
@@ -375,7 +377,7 @@ impl PrefixTree {
 
     /// The rows of the level above `row` (a row of `levels[depth − 1]`)
     /// whose parent is `row`.
-    fn children(&self, depth: usize, row: u32) -> std::ops::Range<usize> {
+    fn children(&self, depth: usize, row: u32) -> Range<usize> {
         let children = &self.levels[depth - 1].children;
         children[row as usize] as usize..children[row as usize + 1] as usize
     }
@@ -397,7 +399,7 @@ impl PrefixTree {
     /// search starts at the row of the kept prefix `first[..drop]` — for
     /// `drop = 0`, at the level-1 row `first[1]` — and descends by one
     /// binary search over last ranks per further item.
-    fn subset_siblings(&self, first: &[u32], ancestors: &[u32], drop: usize) -> std::ops::Range<usize> {
+    fn subset_siblings(&self, first: &[u32], ancestors: &[u32], drop: usize) -> Range<usize> {
         let (mut depth, mut row) = match drop {
             0 => (1, first[1]),
             _ => (drop, ancestors[drop - 1]),
@@ -1005,7 +1007,8 @@ mod tests {
             let db: Vec<ItemSet> = raw
                 .into_iter()
                 .map(|(group, core, noise)| {
-                    ItemSet::from_items(core.into_iter().map(|i| group * 20 + i).chain(noise).collect())
+                    let items = core.into_iter().map(|i| group * 20 + i).chain(noise);
+                    ItemSet::from_items(items.collect())
                 })
                 .collect();
             let cfg = AprioriConfig {
