@@ -258,7 +258,6 @@ pub fn work_stealing_ablation(st: ExpSettings) -> Table {
             straggler_threshold: 1.0,
             ..RecoveryConfig::default()
         },
-        elastic: None,
         telemetry: None,
     })
     .expect("node-aligned request over a valid config");

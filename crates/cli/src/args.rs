@@ -112,7 +112,7 @@ pub enum Command {
         schedules: u32,
         /// Plant a known-bad corrupted schedule that must be caught.
         inject_corruption: bool,
-        /// Compose a seeded elastic roster plan into every schedule.
+        /// Switch seeded roster churn on in every schedule's fault mix.
         with_elastic: bool,
     },
     /// Plan-serving daemon: deterministic soak (`--soak`) or live TCP
@@ -195,8 +195,8 @@ pub struct Common {
     /// Fault-injection spec (`run` only; `run --help` gives the grammar).
     /// Parsed against the cluster size at execution time.
     pub faults: Option<String>,
-    /// Elastic roster spec (`run` only; `run --help` gives the grammar).
-    /// Parsed against the cluster size at execution time.
+    /// Roster-change spec (`run` only; `run --help` gives the grammar),
+    /// appended to `faults` and parsed with it at execution time.
     pub elastic: Option<String>,
     /// KV durability mode (`run` only; WAL arms every node's store and
     /// verifies bit-identical recovery after the workload).
@@ -446,14 +446,16 @@ const FLAGS: &[(&str, &str, Subs, &str, Setter)] = &[
       \x20 rot:NODE@OFF@MASK  XOR NODE's WAL byte OFF with MASK\n\
       \x20 snaploss:NODE      NODE loses its checkpoint snapshot\n\
       \x20 recrash:NODE@R     crash NODE mid-recovery after R records\n\
-      \x20 seeded:SEED        deterministic generated plan",
+      \x20 stall:NODE@COUNT   stall NODE's next COUNT LP solves\n\
+      \x20 seeded:SEED        deterministic generated plan\n\
+      and the roster changes --elastic lists",
      |p, s| store(&mut p.common.faults, Ok(Some(s.into())))),
     ("--elastic", "SPEC", RUN,
-     "planned roster transitions, executed alongside any --faults. SPEC is comma-separated:\n\
+     "roster changes, appended to any --faults (one grammar). SPEC is comma-separated:\n\
       \x20 join:NODE@T        NODE joins the roster at second T\n\
       \x20 drain:NODE@T       NODE finishes/hands off, then leaves\n\
       \x20 preempt:NODE@T@G   preemption notice at T, grace G s\n\
-      \x20 eseeded:SEED       deterministic generated plan",
+      \x20 eseeded:SEED       deterministic generated roster changes",
      |p, s| store(&mut p.common.elastic, Ok(Some(s.into())))),
     ("--sweep", "A1,A2,...", PLAN, "alphas to plan in turn through the warm session",
      |p, s| {
@@ -484,8 +486,8 @@ const FLAGS: &[(&str, &str, Subs, &str, Setter)] = &[
     ("--inject-corruption", "", CHAOS, "add a known-bad schedule that must be caught and shrunk",
      |p, _| store(&mut p.inject_corruption, Ok(true))),
     ("--with-elastic", "", CHAOS,
-     "compose a seeded elastic roster plan — joins, drains, preemptions — into every\n\
-      schedule and shrink over both event kinds",
+     "switch seeded roster churn — joins, drains, preemptions — on in every\n\
+      schedule's fault mix",
      |p, _| store(&mut p.with_elastic, Ok(true))),
     ("--candidate", "N", ELASTIC, "node to evaluate (default: highest node id)",
      |p, s| store(&mut p.candidate, num(s).map(Some))),

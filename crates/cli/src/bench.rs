@@ -26,7 +26,7 @@ use std::time::Instant;
 use pareto_cluster::{FaultPlan, KvStore, NodeSpec, SimCluster};
 use pareto_core::framework::{Framework, FrameworkConfig, Strategy};
 use pareto_core::frontier::FrontierConfig;
-use pareto_core::{ElasticPlan, PlanSession, RecoveryConfig};
+use pareto_core::{PlanSession, RecoveryConfig};
 use pareto_telemetry::json::{self, Value};
 use pareto_telemetry::{event, Telemetry};
 use pareto_workloads::WorkloadKind;
@@ -165,13 +165,7 @@ fn faulted_run(m: &Matrix) -> Result<Vec<Metric>, String> {
     let cluster = bench_cluster(m).with_telemetry(tel.clone());
     let fw = Framework::new(&cluster, framework_cfg(m)).with_telemetry(tel.clone());
     let out = fw
-        .try_run_with_elastic(
-            &dataset,
-            BENCH_WORKLOAD,
-            &faults,
-            &ElasticPlan::none(),
-            &RecoveryConfig::default(),
-        )
+        .try_run_with_faults(&dataset, BENCH_WORKLOAD, &faults, &RecoveryConfig::default())
         .map_err(|e| e.to_string())?;
     let rows = cluster.attribute_energy(&tel.snapshot().ledger);
     let energy_j: f64 = rows.iter().map(|r| r.energy_j).sum();

@@ -5,13 +5,12 @@ use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use pareto_cluster::{Durability, FaultPlan, FaultSpec, NodeSpec, SimCluster};
+use pareto_cluster::{
+    Durability, FaultEvent, FaultKind, FaultPlan, FaultSpec, NodeSpec, SimCluster,
+};
 use pareto_core::framework::{DurabilityReport, Framework, FrameworkConfig, Quality};
 use pareto_core::frontier::{FrontierConfig, FrontierResult, ObjectiveSet};
-use pareto_core::{
-    advise_join, run_chaos, ChaosConfig, ElasticPlan, ElasticSpec, JoinAdvice, ParetoModeler,
-    RecoveryConfig,
-};
+use pareto_core::{advise_join, run_chaos, ChaosConfig, JoinAdvice, ParetoModeler, RecoveryConfig};
 use pareto_core::PlanSession;
 use pareto_datagen::{loaders, writers, DataKind, Dataset};
 use pareto_telemetry::{
@@ -488,17 +487,16 @@ fn execute(common: &Common) -> Result<(), String> {
         fw = fw.with_telemetry(tel);
     }
     if common.faults.is_some() || common.elastic.is_some() {
-        let faults = match &common.faults {
-            Some(spec) => FaultPlan::parse(spec, common.nodes).map_err(|e| e.to_string())?,
-            None => FaultPlan::none(),
-        };
-        let elastic = match &common.elastic {
-            Some(spec) => ElasticPlan::parse(spec, common.nodes).map_err(|e| e.to_string())?,
-            None => ElasticPlan::none(),
-        };
+        // `--elastic` clauses are fault-plan clauses, appended after `--faults`.
+        let specs: Vec<&str> = [&common.faults, &common.elastic]
+            .into_iter()
+            .flatten()
+            .map(String::as_str)
+            .collect();
+        let faults = FaultPlan::parse(&specs.join(","), common.nodes).map_err(|e| e.to_string())?;
         let result = flight_guard(
             &session,
-            execute_with_faults(&fw, &dataset, common, &faults, &elastic),
+            execute_with_faults(&fw, &dataset, common, &faults),
             "run-error",
         );
         if let Some(session) = &session {
@@ -773,23 +771,16 @@ fn replan_cmd(
 }
 
 /// `run --faults` / `run --elastic`: execute through the fault-tolerant
-/// path (with any planned roster transitions) and print the structured
-/// recovery report next to the usual plan summary.
+/// path (roster changes included) and print the structured recovery
+/// report next to the usual plan summary.
 fn execute_with_faults(
     fw: &Framework,
     dataset: &Dataset,
     common: &Common,
     faults: &FaultPlan,
-    elastic: &ElasticPlan,
 ) -> Result<(), String> {
     let out = fw
-        .try_run_with_elastic(
-            dataset,
-            common.workload,
-            faults,
-            elastic,
-            &RecoveryConfig::default(),
-        )
+        .try_run_with_faults(dataset, common.workload, faults, &RecoveryConfig::default())
         .map_err(|e| e.to_string())?;
     let rec = &out.outcome.recovery;
     println!(
@@ -800,13 +791,23 @@ fn execute_with_faults(
     println!("strategy           {}", common.strategy.label());
     println!("partition sizes    {:?}", out.plan.sizes);
     println!("faults injected    {}", rec.faults_injected);
-    for ev in faults.events() {
+    let (roster, faults): (Vec<&FaultEvent>, Vec<_>) =
+        faults.events().iter().partition(|e| e.kind.is_roster());
+    for ev in faults {
         println!("                   node {} <- {:?}", ev.node_id, ev.kind);
     }
-    if !elastic.is_empty() {
-        println!("roster events      {}", elastic.len());
-        for ev in elastic.events() {
-            println!("                   node {} <- {:?}", ev.node_id, ev.kind);
+    if !roster.is_empty() {
+        println!("roster events      {}", roster.len());
+        for ev in roster {
+            // A roster line names the change (and a preemption's grace),
+            // not its time.
+            let change = match ev.kind {
+                FaultKind::Join { .. } => "Join".to_string(),
+                FaultKind::DrainThenLeave { .. } => "DrainThenLeave".to_string(),
+                FaultKind::Preempt { grace_s, .. } => format!("Preempt {{ grace_s: {grace_s:?} }}"),
+                kind => format!("{kind:?}"),
+            };
+            println!("                   node {} <- {change}", ev.node_id);
         }
         println!(
             "elastic            {} join(s), {} drain(s), {} preempt(s); left nodes {:?}",
@@ -874,10 +875,13 @@ fn chaos_cmd(
     let chaos = ChaosConfig {
         schedules,
         seed: common.seed,
-        spec: FaultSpec::storage(),
+        spec: if with_elastic {
+            FaultSpec::storage().with_roster()
+        } else {
+            FaultSpec::storage()
+        },
         recovery: RecoveryConfig::default(),
         inject_corruption,
-        elastic: with_elastic.then(ElasticSpec::default),
     };
     let report = flight_guard(
         &session,

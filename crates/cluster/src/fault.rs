@@ -1,12 +1,14 @@
 //! Seeded, deterministic fault injection for the simulated cluster.
 //!
-//! A [`FaultPlan`] is a schedule of adverse events against individual
-//! nodes: crashes at a simulated time, straggler slowdown factors,
-//! transient KV-store errors during partition fetch, and network
-//! degradation windows. Plans are plain data — the executor queries them
-//! (`crash_time`, `straggler_factor`, …) while advancing simulated time,
-//! so the same plan replayed against the same job is bit-reproducible
-//! regardless of host scheduling or thread count.
+//! A [`FaultPlan`] is one timeline of events against individual nodes:
+//! crashes at a simulated time, straggler slowdown factors, transient
+//! KV-store errors during partition fetch, network degradation windows,
+//! storage and serving faults, and roster changes (a node joining,
+//! draining then leaving, or being preempted). Plans are plain data — the
+//! executor queries them (`crash_time`, `straggler_factor`, `join_time`,
+//! …) while advancing simulated time, so the same plan replayed against
+//! the same job is bit-reproducible regardless of host scheduling or
+//! thread count.
 //!
 //! Plans come from three places:
 //! - explicit builders (`with_crash`, …) for tests and claims gates,
@@ -82,6 +84,37 @@ pub enum FaultKind {
         /// Number of consecutive stalled solves.
         count: u32,
     },
+    /// Roster: the node is absent at job start and joins at `at_s`.
+    Join {
+        /// Simulated seconds after job start.
+        at_s: f64,
+    },
+    /// Roster: at `at_s` the node stops taking new work, hands its queue
+    /// off through a KV-backed handoff record, and leaves.
+    DrainThenLeave {
+        /// Simulated seconds after job start.
+        at_s: f64,
+    },
+    /// Roster: a drain notice at `at_s` with a hard kill at
+    /// `at_s + grace_s`; a node still draining at the kill takes the
+    /// crash path.
+    Preempt {
+        /// Notice time, simulated seconds after job start.
+        at_s: f64,
+        /// Seconds between the notice and the hard kill.
+        grace_s: f64,
+    },
+}
+
+impl FaultKind {
+    /// True for the roster changes (join, drain, preempt): planned
+    /// membership events rather than faults, counted apart from them.
+    pub fn is_roster(&self) -> bool {
+        matches!(
+            self,
+            FaultKind::Join { .. } | FaultKind::DrainThenLeave { .. } | FaultKind::Preempt { .. }
+        )
+    }
 }
 
 /// A fault bound to a node.
@@ -134,6 +167,13 @@ pub struct FaultSpec {
     pub solver_stall_prob: f64,
     /// Stall runs last `[1, max]` consecutive solves.
     pub solver_stall_max: u32,
+    /// Per-node probability (node 0 excepted) of starting absent and
+    /// joining mid-job (zero by default; see [`FaultSpec::with_roster`]).
+    pub join_prob: f64,
+    /// Per-node probability of draining and leaving (zero by default).
+    pub drain_prob: f64,
+    /// Per-node probability of a preemption (zero by default).
+    pub preempt_prob: f64,
 }
 
 impl Default for FaultSpec {
@@ -158,6 +198,9 @@ impl Default for FaultSpec {
             recovery_crash_max_record: 4,
             solver_stall_prob: 0.0,
             solver_stall_max: 3,
+            join_prob: 0.0,
+            drain_prob: 0.0,
+            preempt_prob: 0.0,
         }
     }
 }
@@ -185,6 +228,66 @@ impl FaultSpec {
             ..FaultSpec::default()
         }
     }
+
+    /// `self` with roster churn switched on at the chaos sweep's mix:
+    /// roughly one join, drain or preemption per three nodes, each node
+    /// taking at most one of them.
+    pub fn with_roster(self) -> Self {
+        FaultSpec {
+            join_prob: 0.25,
+            drain_prob: 0.30,
+            preempt_prob: 0.25,
+            ..self
+        }
+    }
+}
+
+/// Roster change times (join, drain, preemption notice) are drawn
+/// uniformly from this window, simulated seconds.
+const ROSTER_WINDOW_S: (f64, f64) = (10.0, 150.0);
+
+/// Preemption grace periods are drawn uniformly from this window, seconds.
+const PREEMPT_GRACE_S: (f64, f64) = (5.0, 30.0);
+
+/// The `event_index` of every seeded draw, in four disjoint families so
+/// that switching one family on never moves another's draws: compute
+/// faults `0..=7`, storage faults `8..=15`, roster changes `16..=22` and
+/// serving faults `23..=24`. A new seeded kind claims fresh indices here.
+mod draw {
+    pub const CRASH: u64 = 0;
+    pub const CRASH_AT: u64 = 1;
+    pub const SLOW: u64 = 2;
+    pub const SLOW_FACTOR: u64 = 3;
+    pub const KV: u64 = 4;
+    pub const KV_COUNT: u64 = 5;
+    pub const NET: u64 = 6;
+    pub const NET_FROM: u64 = 7;
+    pub const TORN: u64 = 8;
+    pub const TORN_CUT: u64 = 9;
+    pub const ROT: u64 = 10;
+    pub const ROT_OFFSET: u64 = 11;
+    pub const ROT_MASK: u64 = 12;
+    pub const SNAPLOSS: u64 = 13;
+    pub const RECRASH: u64 = 14;
+    pub const RECRASH_AT: u64 = 15;
+    pub const JOIN: u64 = 16;
+    pub const JOIN_AT: u64 = 17;
+    pub const DRAIN: u64 = 18;
+    pub const DRAIN_AT: u64 = 19;
+    pub const PREEMPT: u64 = 20;
+    pub const PREEMPT_AT: u64 = 21;
+    pub const PREEMPT_GRACE: u64 = 22;
+    pub const STALL: u64 = 23;
+    pub const STALL_COUNT: u64 = 24;
+
+    /// Every family with its indices.
+    #[cfg(test)]
+    pub const FAMILIES: [(&str, &[u64]); 4] = [
+        ("compute", &[CRASH, CRASH_AT, SLOW, SLOW_FACTOR, KV, KV_COUNT, NET, NET_FROM]),
+        ("storage", &[TORN, TORN_CUT, ROT, ROT_OFFSET, ROT_MASK, SNAPLOSS, RECRASH, RECRASH_AT]),
+        ("roster", &[JOIN, JOIN_AT, DRAIN, DRAIN_AT, PREEMPT, PREEMPT_AT, PREEMPT_GRACE]),
+        ("serving", &[STALL, STALL_COUNT]),
+    ];
 }
 
 /// A deterministic schedule of faults for one job.
@@ -204,9 +307,7 @@ pub fn mix64(mut z: u64) -> u64 {
 /// Uniform draw in `[0, 1)` from `(seed, node_id, event_index)`.
 ///
 /// Event indices are partitioned by family so enabling one family never
-/// perturbs another's draws: compute faults use `0..=7`, storage faults
-/// `8..=15`, and elastic roster events (`core::elastic`) `16..=22`. New
-/// seeded event kinds must claim fresh indices.
+/// perturbs another's draws; the `draw` table in this module lists them.
 pub fn unit_draw(seed: u64, node_id: usize, event_index: u64) -> f64 {
     let h = raw_draw(seed, node_id, event_index);
     (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -330,6 +431,37 @@ impl FaultPlan {
         self
     }
 
+    /// Schedule `node_id` to start absent and join at `at_s`.
+    pub fn with_join(mut self, node_id: usize, at_s: f64) -> Self {
+        self.events.push(FaultEvent {
+            node_id,
+            kind: FaultKind::Join { at_s: at_s.max(0.0) },
+        });
+        self
+    }
+
+    /// Schedule `node_id` to drain and leave at `at_s`.
+    pub fn with_drain(mut self, node_id: usize, at_s: f64) -> Self {
+        self.events.push(FaultEvent {
+            node_id,
+            kind: FaultKind::DrainThenLeave { at_s: at_s.max(0.0) },
+        });
+        self
+    }
+
+    /// Schedule a preemption of `node_id`: notice at `at_s`, hard kill
+    /// `grace_s` later (both floored to 0).
+    pub fn with_preempt(mut self, node_id: usize, at_s: f64, grace_s: f64) -> Self {
+        self.events.push(FaultEvent {
+            node_id,
+            kind: FaultKind::Preempt {
+                at_s: at_s.max(0.0),
+                grace_s: grace_s.max(0.0),
+            },
+        });
+        self
+    }
+
     /// All scheduled events.
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
@@ -350,21 +482,60 @@ impl FaultPlan {
         self.events.len()
     }
 
-    /// True when no faults are scheduled.
+    /// True when no events are scheduled.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
 
+    /// Number of roster changes among the events; the rest are faults.
+    pub fn roster_len(&self) -> usize {
+        self.events.iter().filter(|e| e.kind.is_roster()).count()
+    }
+
+    /// Earliest time `time` reads off `node_id`'s events, if any.
+    fn earliest(&self, node_id: usize, time: impl Fn(FaultKind) -> Option<f64>) -> Option<f64> {
+        self.events
+            .iter()
+            .filter(|e| e.node_id == node_id)
+            .filter_map(|e| time(e.kind))
+            .fold(None, |acc, t| Some(acc.map_or(t, |a: f64| a.min(t))))
+    }
+
     /// Earliest crash time scheduled for `node_id`, if any.
     pub fn crash_time(&self, node_id: usize) -> Option<f64> {
+        self.earliest(node_id, |kind| match kind {
+            FaultKind::Crash { at_s } => Some(at_s),
+            _ => None,
+        })
+    }
+
+    /// Earliest join time scheduled for `node_id`, if any.
+    pub fn join_time(&self, node_id: usize) -> Option<f64> {
+        self.earliest(node_id, |kind| match kind {
+            FaultKind::Join { at_s } => Some(at_s),
+            _ => None,
+        })
+    }
+
+    /// Earliest drain time scheduled for `node_id`, if any.
+    pub fn drain_time(&self, node_id: usize) -> Option<f64> {
+        self.earliest(node_id, |kind| match kind {
+            FaultKind::DrainThenLeave { at_s } => Some(at_s),
+            _ => None,
+        })
+    }
+
+    /// `node_id`'s earliest preemption as `(notice_s, grace_s)`, if any
+    /// (ties keep the first scheduled).
+    pub fn preempt(&self, node_id: usize) -> Option<(f64, f64)> {
         self.events
             .iter()
             .filter(|e| e.node_id == node_id)
             .filter_map(|e| match e.kind {
-                FaultKind::Crash { at_s } => Some(at_s),
+                FaultKind::Preempt { at_s, grace_s } => Some((at_s, grace_s)),
                 _ => None,
             })
-            .fold(None, |acc, t| Some(acc.map_or(t, |a: f64| a.min(t))))
+            .reduce(|a, b| if a.0 <= b.0 { a } else { b })
     }
 
     /// Combined slowdown factor for `node_id` (product of its straggler
@@ -485,26 +656,30 @@ impl FaultPlan {
     /// independently through `(seed, node_id, event_index)`, so plans for
     /// different cluster sizes share the per-node outcomes of their common
     /// prefix and two runs with the same seed are identical everywhere.
+    ///
+    /// Roster changes come in a second pass, after every fault event. A
+    /// node takes at most one role per seed, priority join > drain >
+    /// preempt, and node 0 never joins, so some node is present at job
+    /// start.
     pub fn generate(seed: u64, num_nodes: usize, spec: &FaultSpec) -> Self {
+        let window = |u: f64, (lo, hi): (f64, f64)| lo + u * (hi - lo).max(0.0);
         let mut plan = FaultPlan::new();
         for node in 0..num_nodes {
-            if unit_draw(seed, node, 0) < spec.crash_prob {
-                let (lo, hi) = spec.crash_window_s;
-                let at = lo + unit_draw(seed, node, 1) * (hi - lo).max(0.0);
-                plan = plan.with_crash(node, at);
+            let u = |index| unit_draw(seed, node, index);
+            if u(draw::CRASH) < spec.crash_prob {
+                plan = plan.with_crash(node, window(u(draw::CRASH_AT), spec.crash_window_s));
             }
-            if unit_draw(seed, node, 2) < spec.straggler_prob {
-                let f = 1.0 + unit_draw(seed, node, 3) * (spec.straggler_max_factor - 1.0).max(0.0);
+            if u(draw::SLOW) < spec.straggler_prob {
+                let f = 1.0 + u(draw::SLOW_FACTOR) * (spec.straggler_max_factor - 1.0).max(0.0);
                 plan = plan.with_straggler(node, f);
             }
-            if unit_draw(seed, node, 4) < spec.store_error_prob {
-                let count = 1 + (unit_draw(seed, node, 5) * spec.store_error_max.max(1) as f64)
-                    as u32;
-                plan = plan.with_store_errors(node, count.min(spec.store_error_max.max(1)));
+            if u(draw::KV) < spec.store_error_prob {
+                let max = spec.store_error_max.max(1);
+                let count = 1 + (u(draw::KV_COUNT) * max as f64) as u32;
+                plan = plan.with_store_errors(node, count.min(max));
             }
-            if unit_draw(seed, node, 6) < spec.degradation_prob {
-                let (lo, hi) = spec.crash_window_s;
-                let from = lo + unit_draw(seed, node, 7) * (hi - lo).max(0.0);
+            if u(draw::NET) < spec.degradation_prob {
+                let from = window(u(draw::NET_FROM), spec.crash_window_s);
                 plan = plan.with_network_degradation(
                     node,
                     from,
@@ -512,33 +687,39 @@ impl FaultPlan {
                     spec.degradation_factor,
                 );
             }
-            // Storage faults use event indices 8+, so enabling them never
-            // perturbs the draws of the original four kinds above.
-            if unit_draw(seed, node, 8) < spec.torn_write_prob {
-                let cut =
-                    (unit_draw(seed, node, 9) * spec.torn_write_max_cut.max(1) as f64) as u32;
+            if u(draw::TORN) < spec.torn_write_prob {
+                let cut = (u(draw::TORN_CUT) * spec.torn_write_max_cut.max(1) as f64) as u32;
                 plan = plan.with_torn_write(node, cut);
             }
-            if unit_draw(seed, node, 10) < spec.bit_rot_prob {
-                let offset = raw_draw(seed, node, 11);
-                let mask = 1u8 << (raw_draw(seed, node, 12) % 8);
+            if u(draw::ROT) < spec.bit_rot_prob {
+                let offset = raw_draw(seed, node, draw::ROT_OFFSET);
+                let mask = 1u8 << (raw_draw(seed, node, draw::ROT_MASK) % 8);
                 plan = plan.with_bit_rot(node, offset, mask);
             }
-            if unit_draw(seed, node, 13) < spec.snapshot_loss_prob {
+            if u(draw::SNAPLOSS) < spec.snapshot_loss_prob {
                 plan = plan.with_snapshot_loss(node);
             }
-            if unit_draw(seed, node, 14) < spec.recovery_crash_prob {
-                let at = (unit_draw(seed, node, 15)
-                    * spec.recovery_crash_max_record.max(1) as f64) as u32;
+            if u(draw::RECRASH) < spec.recovery_crash_prob {
+                let at =
+                    (u(draw::RECRASH_AT) * spec.recovery_crash_max_record.max(1) as f64) as u32;
                 plan = plan.with_recovery_crash(node, at);
             }
-            // Serving faults claim indices 23+ (16..=22 belong to the
-            // elastic roster events in `core::elastic`), so enabling them
-            // never perturbs compute, storage, or elastic draws.
-            if unit_draw(seed, node, 23) < spec.solver_stall_prob {
-                let count =
-                    1 + (unit_draw(seed, node, 24) * spec.solver_stall_max.max(1) as f64) as u32;
-                plan = plan.with_solver_stall(node, count.min(spec.solver_stall_max.max(1)));
+            if u(draw::STALL) < spec.solver_stall_prob {
+                let max = spec.solver_stall_max.max(1);
+                let count = 1 + (u(draw::STALL_COUNT) * max as f64) as u32;
+                plan = plan.with_solver_stall(node, count.min(max));
+            }
+        }
+        for node in 0..num_nodes {
+            let u = |index| unit_draw(seed, node, index);
+            let at = |index| window(u(index), ROSTER_WINDOW_S);
+            if node > 0 && u(draw::JOIN) < spec.join_prob {
+                plan = plan.with_join(node, at(draw::JOIN_AT));
+            } else if u(draw::DRAIN) < spec.drain_prob {
+                plan = plan.with_drain(node, at(draw::DRAIN_AT));
+            } else if u(draw::PREEMPT) < spec.preempt_prob {
+                let grace = window(u(draw::PREEMPT_GRACE), PREEMPT_GRACE_S);
+                plan = plan.with_preempt(node, at(draw::PREEMPT_AT), grace);
             }
         }
         plan
@@ -574,6 +755,11 @@ impl FaultPlan {
                 FaultKind::SolverStall { count } => {
                     format!("stall:{}@{}", e.node_id, count)
                 }
+                FaultKind::Join { at_s } => format!("join:{}@{}", e.node_id, at_s),
+                FaultKind::DrainThenLeave { at_s } => format!("drain:{}@{}", e.node_id, at_s),
+                FaultKind::Preempt { at_s, grace_s } => {
+                    format!("preempt:{}@{}@{}", e.node_id, at_s, grace_s)
+                }
             })
             .collect();
         clauses.join(", ")
@@ -591,10 +777,15 @@ impl FaultPlan {
     /// snaploss:NODE         lose NODE's checkpoint snapshot
     /// recrash:NODE@R        crash NODE's recovery after R records
     /// stall:NODE@COUNT      stall NODE's next COUNT LP solves
-    /// seeded:SEED           generate a whole plan from SEED
+    /// join:NODE@T           NODE starts absent and joins at T seconds
+    /// drain:NODE@T          NODE drains and leaves at T seconds
+    /// preempt:NODE@T@G      NODE gets a preemption notice at T, killed G later
+    /// seeded:SEED           generate a fault plan from SEED
+    /// eseeded:SEED          generate roster changes only from SEED
     /// ```
     ///
-    /// Node indices must be `< num_nodes`.
+    /// Node indices must be `< num_nodes`; times, factors and windows must
+    /// be finite and non-negative.
     pub fn parse(spec: &str, num_nodes: usize) -> Result<Self, ClusterError> {
         let bad = |msg: String| ClusterError::BadFaultSpec(msg);
         let mut plan = FaultPlan::new();
@@ -606,10 +797,22 @@ impl FaultPlan {
             let (kind, rest) = clause
                 .split_once(':')
                 .ok_or_else(|| bad(format!("clause `{clause}` missing `:`")))?;
-            let parse_node = |s: &str| -> Result<usize, ClusterError> {
-                let id: usize = s
+            let kind = kind.trim();
+            let Some(&(_, usage)) = GRAMMAR.iter().find(|(name, _)| *name == kind) else {
+                let kinds: Vec<&str> = GRAMMAR.iter().map(|(name, _)| *name).collect();
+                return Err(bad(format!(
+                    "unknown fault kind `{kind}` (want {})",
+                    kinds.join("/")
+                )));
+            };
+            let args: Vec<&str> = rest.split('@').map(str::trim).collect();
+            if args.len() != usage.split('@').count() {
+                return Err(bad(format!("{kind} clause `{clause}` needs {kind}:{usage}")));
+            }
+            let node = || -> Result<usize, ClusterError> {
+                let id: usize = args[0]
                     .parse()
-                    .map_err(|_| bad(format!("bad node id `{s}` in `{clause}`")))?;
+                    .map_err(|_| bad(format!("bad node id `{}` in `{clause}`", args[0])))?;
                 if id >= num_nodes {
                     return Err(bad(format!(
                         "node {id} out of range (cluster has {num_nodes} nodes)"
@@ -617,128 +820,178 @@ impl FaultPlan {
                 }
                 Ok(id)
             };
-            let parse_f64 = |s: &str| -> Result<f64, ClusterError> {
+            let num = |s: &str| -> Result<f64, ClusterError> {
                 s.parse::<f64>()
                     .ok()
                     .filter(|v| v.is_finite() && *v >= 0.0)
                     .ok_or_else(|| bad(format!("bad number `{s}` in `{clause}`")))
             };
-            match kind.trim() {
-                "crash" => {
-                    let (node, t) = rest
-                        .split_once('@')
-                        .ok_or_else(|| bad(format!("crash clause `{clause}` needs NODE@T")))?;
-                    plan = plan.with_crash(parse_node(node.trim())?, parse_f64(t.trim())?);
-                }
-                "slow" => {
-                    let (node, f) = rest
-                        .split_once('@')
-                        .ok_or_else(|| bad(format!("slow clause `{clause}` needs NODE@FACTOR")))?;
-                    plan = plan.with_straggler(parse_node(node.trim())?, parse_f64(f.trim())?);
-                }
-                "kv" => {
-                    let (node, n) = rest
-                        .split_once('@')
-                        .ok_or_else(|| bad(format!("kv clause `{clause}` needs NODE@COUNT")))?;
-                    let count: u32 = n
-                        .trim()
-                        .parse()
-                        .map_err(|_| bad(format!("bad count `{n}` in `{clause}`")))?;
-                    plan = plan.with_store_errors(parse_node(node.trim())?, count);
-                }
+            // An integer argument in `min..=max`.
+            let int = |i: usize, min: u64, max: u64| -> Result<u64, ClusterError> {
+                args[i]
+                    .parse::<u64>()
+                    .ok()
+                    .filter(|v| (min..=max).contains(v))
+                    .ok_or_else(|| bad(format!("bad integer `{}` in `{clause}`", args[i])))
+            };
+            let u32_max = u64::from(u32::MAX);
+            plan = match kind {
+                "crash" => plan.with_crash(node()?, num(args[1])?),
+                "slow" => plan.with_straggler(node()?, num(args[1])?),
+                "kv" => plan.with_store_errors(node()?, int(1, 0, u32_max)? as u32),
                 "net" => {
-                    let (node, windowed) = rest
-                        .split_once('@')
-                        .ok_or_else(|| bad(format!("net clause `{clause}` needs NODE@FROM-TO@F")))?;
-                    let (window, f) = windowed
-                        .split_once('@')
-                        .ok_or_else(|| bad(format!("net clause `{clause}` needs NODE@FROM-TO@F")))?;
-                    let (from, to) = window
+                    let (from, to) = args[1]
                         .split_once('-')
-                        .ok_or_else(|| bad(format!("net window `{window}` needs FROM-TO")))?;
-                    plan = plan.with_network_degradation(
-                        parse_node(node.trim())?,
-                        parse_f64(from.trim())?,
-                        parse_f64(to.trim())?,
-                        parse_f64(f.trim())?,
-                    );
+                        .ok_or_else(|| bad(format!("net window `{}` needs FROM-TO", args[1])))?;
+                    let (from, to) = (num(from.trim())?, num(to.trim())?);
+                    plan.with_network_degradation(node()?, from, to, num(args[2])?)
                 }
-                "torn" => {
-                    let (node, k) = rest
-                        .split_once('@')
-                        .ok_or_else(|| bad(format!("torn clause `{clause}` needs NODE@K")))?;
-                    let cut: u32 = k
-                        .trim()
-                        .parse()
-                        .map_err(|_| bad(format!("bad cut `{k}` in `{clause}`")))?;
-                    plan = plan.with_torn_write(parse_node(node.trim())?, cut);
-                }
-                "rot" => {
-                    let (node, rest2) = rest
-                        .split_once('@')
-                        .ok_or_else(|| bad(format!("rot clause `{clause}` needs NODE@OFF@MASK")))?;
-                    let (off, mask) = rest2
-                        .split_once('@')
-                        .ok_or_else(|| bad(format!("rot clause `{clause}` needs NODE@OFF@MASK")))?;
-                    let offset: u64 = off
-                        .trim()
-                        .parse()
-                        .map_err(|_| bad(format!("bad offset `{off}` in `{clause}`")))?;
-                    let mask: u8 = mask
-                        .trim()
-                        .parse()
-                        .ok()
-                        .filter(|&m| m > 0)
-                        .ok_or_else(|| bad(format!("bad mask `{mask}` in `{clause}`")))?;
-                    plan = plan.with_bit_rot(parse_node(node.trim())?, offset, mask);
-                }
-                "snaploss" => {
-                    plan = plan.with_snapshot_loss(parse_node(rest.trim())?);
-                }
-                "recrash" => {
-                    let (node, r) = rest
-                        .split_once('@')
-                        .ok_or_else(|| bad(format!("recrash clause `{clause}` needs NODE@R")))?;
-                    let at: u32 = r
-                        .trim()
-                        .parse()
-                        .map_err(|_| bad(format!("bad record `{r}` in `{clause}`")))?;
-                    plan = plan.with_recovery_crash(parse_node(node.trim())?, at);
-                }
-                "stall" => {
-                    let (node, n) = rest
-                        .split_once('@')
-                        .ok_or_else(|| bad(format!("stall clause `{clause}` needs NODE@COUNT")))?;
-                    let count: u32 = n
-                        .trim()
-                        .parse()
-                        .ok()
-                        .filter(|&c| c > 0)
-                        .ok_or_else(|| bad(format!("bad count `{n}` in `{clause}`")))?;
-                    plan = plan.with_solver_stall(parse_node(node.trim())?, count);
-                }
-                "seeded" => {
-                    let seed: u64 = rest
-                        .trim()
-                        .parse()
-                        .map_err(|_| bad(format!("bad seed `{rest}` in `{clause}`")))?;
-                    let generated = FaultPlan::generate(seed, num_nodes, &FaultSpec::default());
+                "torn" => plan.with_torn_write(node()?, int(1, 0, u32_max)? as u32),
+                "rot" => plan.with_bit_rot(node()?, int(1, 0, u64::MAX)?, int(2, 1, 255)? as u8),
+                "snaploss" => plan.with_snapshot_loss(node()?),
+                "recrash" => plan.with_recovery_crash(node()?, int(1, 0, u32_max)? as u32),
+                "stall" => plan.with_solver_stall(node()?, int(1, 1, u32_max)? as u32),
+                "join" => plan.with_join(node()?, num(args[1])?),
+                "drain" => plan.with_drain(node()?, num(args[1])?),
+                "preempt" => plan.with_preempt(node()?, num(args[1])?, num(args[2])?),
+                // `seeded` (faults only) or `eseeded` (roster changes only).
+                seeded => {
+                    let seed = int(0, 0, u64::MAX)?;
+                    let spec = FaultSpec::default().with_roster();
+                    let mut generated = FaultPlan::generate(seed, num_nodes, &spec);
+                    // The two families draw from disjoint indices, so each
+                    // half is exactly what generating it alone would give.
+                    let roster = seeded == "eseeded";
+                    generated.events.retain(|e| e.kind.is_roster() == roster);
                     plan.events.extend(generated.events);
+                    plan
                 }
-                other => {
-                    return Err(bad(format!(
-                        "unknown fault kind `{other}` (want crash/slow/kv/net/torn/rot/snaploss/recrash/stall/seeded)"
-                    )))
-                }
-            }
+            };
         }
         Ok(plan)
     }
 }
 
+/// Every clause kind of [`FaultPlan::parse`] with its arguments, which are
+/// `@`-separated.
+const GRAMMAR: [(&str, &str); 14] = [
+    ("crash", "NODE@T"),
+    ("slow", "NODE@FACTOR"),
+    ("kv", "NODE@COUNT"),
+    ("net", "NODE@FROM-TO@F"),
+    ("torn", "NODE@K"),
+    ("rot", "NODE@OFF@MASK"),
+    ("snaploss", "NODE"),
+    ("recrash", "NODE@R"),
+    ("stall", "NODE@COUNT"),
+    ("join", "NODE@T"),
+    ("drain", "NODE@T"),
+    ("preempt", "NODE@T@GRACE"),
+    ("seeded", "SEED"),
+    ("eseeded", "SEED"),
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    #[test]
+    fn draw_index_families_are_disjoint() {
+        let mut owner = std::collections::BTreeMap::new();
+        for (family, indices) in draw::FAMILIES {
+            for &index in indices {
+                if let Some(other) = owner.insert(index, family) {
+                    panic!("index {index} claimed by both {other} and {family}");
+                }
+            }
+        }
+        // Each family is the contiguous block the docs name, and together
+        // they leave no hole.
+        let blocks: Vec<(&str, u64, u64)> = draw::FAMILIES
+            .iter()
+            .map(|(family, indices)| {
+                let (lo, hi) = (indices[0], indices[indices.len() - 1]);
+                assert_eq!(hi - lo + 1, indices.len() as u64, "{family} has a gap");
+                (*family, lo, hi)
+            })
+            .collect();
+        assert_eq!(
+            blocks,
+            [("compute", 0, 7), ("storage", 8, 15), ("roster", 16, 22), ("serving", 23, 24)]
+        );
+    }
+
+    /// One event of each of the twelve kinds, chosen by `kind % 12`, built
+    /// through the public builders from raw draws.
+    fn build(plan: FaultPlan, raw: (u8, usize, f64, f64, u64, u8)) -> FaultPlan {
+        let (kind, node, a, b, int, mask) = raw;
+        match kind % 12 {
+            0 => plan.with_crash(node, a),
+            1 => plan.with_straggler(node, a),
+            2 => plan.with_store_errors(node, int as u32),
+            3 => plan.with_network_degradation(node, a, b, a + b),
+            4 => plan.with_torn_write(node, int as u32),
+            5 => plan.with_bit_rot(node, int, mask),
+            6 => plan.with_snapshot_loss(node),
+            7 => plan.with_recovery_crash(node, int as u32),
+            8 => plan.with_solver_stall(node, int as u32),
+            9 => plan.with_join(node, a),
+            10 => plan.with_drain(node, a),
+            _ => plan.with_preempt(node, a, b),
+        }
+    }
+
+    /// Argument tokens for clause soup: valid and invalid numbers, the
+    /// grammar's separators, and junk.
+    const TOKENS: [&str; 16] = [
+        "0", "1", "3", "255", "12.5", "1e3", "-4", "4294967296", "18446744073709551616", "inf",
+        "NaN", "", " ", "x", ":", "@",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn any_plan_round_trips_through_its_spec(
+            n in 1usize..12,
+            raw in collection::vec(
+                (any::<u8>(), any::<usize>(), 0.0f64..1e6, 0.0f64..1e3, any::<u64>(), any::<u8>()),
+                0..24,
+            ),
+        ) {
+            let plan = raw
+                .into_iter()
+                .fold(FaultPlan::new(), |plan, (kind, node, a, b, int, mask)| {
+                    build(plan, (kind, node % n, a, b, int, mask))
+                });
+            let spec = plan.to_spec();
+            prop_assert_eq!(FaultPlan::parse(&spec, n).ok(), Some(plan), "`{}`", spec);
+        }
+
+        #[test]
+        fn parse_never_panics_on_arbitrary_bytes(bytes in collection::vec(any::<u8>(), 0..64)) {
+            let _ = FaultPlan::parse(&String::from_utf8_lossy(&bytes), 4);
+        }
+
+        #[test]
+        fn parse_never_panics_on_clause_soup(
+            clauses in collection::vec(
+                (0..GRAMMAR.len() + 1, collection::vec((0..TOKENS.len(), 0usize..3), 0..5)),
+                0..6,
+            ),
+        ) {
+            let clause = |(kind, args): (usize, Vec<(usize, usize)>)| {
+                let mut clause = GRAMMAR.get(kind).map_or("warp", |(name, _)| name).to_string();
+                for (i, (token, glue)) in args.into_iter().enumerate() {
+                    clause += if i == 0 { ":" } else { ["@", "-", ":"][glue] };
+                    clause += TOKENS[token];
+                }
+                clause
+            };
+            let spec: Vec<String> = clauses.into_iter().map(clause).collect();
+            let _ = FaultPlan::parse(&spec.join(","), 4);
+        }
+    }
 
     #[test]
     fn builders_and_queries() {

@@ -4,7 +4,7 @@
 //! promises — exactly-once item processing, conservation of the LP plan's
 //! partition sizes, monotone simulated time, bit-identical WAL recovery.
 //! This module turns those promises into *checked invariants*: given a
-//! [`RecoveryOutcome`] (plus the plan it executed), [`audit_elastic_run`]
+//! [`RecoveryOutcome`] (plus the plan it executed), [`audit_run`]
 //! returns an [`AuditReport`] listing every violated invariant with a
 //! human-readable detail string. The chaos harness ([`crate::chaos`])
 //! sweeps hundreds of seeded fault schedules through this auditor and
@@ -15,7 +15,6 @@
 
 use pareto_cluster::FaultPlan;
 
-use crate::elastic::ElasticPlan;
 use crate::framework::Plan;
 use crate::recovery::RecoveryOutcome;
 
@@ -157,21 +156,16 @@ impl AuditReport {
     }
 }
 
-/// Audit one execution against the plan it ran and the schedules it ran
+/// Audit one execution against the plan it ran and the schedule it ran
 /// under: `outcome` is what [`execute`](crate::recovery::execute) produced
-/// for `plan`'s partitions (one per cluster node) under `faults` and
-/// `elastic` (pass [`ElasticPlan::none`] for a fault-only run).
+/// for `plan`'s partitions (one per cluster node) under `faults`, roster
+/// changes included.
 ///
-/// Beyond the six fault invariants it checks the elastic-transition
-/// promises — exactly-once across drain handoffs, no work executed outside
-/// a node's membership window, and conservation of items and transition
-/// counts across join/leave boundaries.
-pub fn audit_elastic_run(
-    faults: &FaultPlan,
-    elastic: &ElasticPlan,
-    plan: &Plan,
-    outcome: &RecoveryOutcome,
-) -> AuditReport {
+/// Beyond the six fault invariants it checks the roster-change promises —
+/// exactly-once across drain handoffs, no work executed outside a node's
+/// membership window, and conservation of items and transition counts
+/// across join/leave boundaries.
+pub fn audit_run(faults: &FaultPlan, plan: &Plan, outcome: &RecoveryOutcome) -> AuditReport {
     let (partitions, sizes) = (&plan.partitions, &plan.sizes);
     let strata = &plan.stratification.assignments;
     let num_nodes = partitions.len();
@@ -222,7 +216,7 @@ pub fn audit_elastic_run(
     // it actually activated (a joiner killed before its join time never
     // contributes capacity, so its absence is not a violation).
     let never_activated = |i: usize| {
-        elastic.join_time(i).is_some() && outcome.join_epochs.get(i).copied().flatten().is_none()
+        faults.join_time(i).is_some() && outcome.join_epochs.get(i).copied().flatten().is_none()
     };
     let survivors = (0..num_nodes)
         .filter(|&i| {
@@ -317,10 +311,12 @@ pub fn audit_elastic_run(
         rec.exactly_once == (completed == n),
         || "exactly_once flag disagrees with completion count".into(),
     );
+    let roster_len = faults.roster_len();
+    let fault_len = faults.len() - roster_len;
     report.check(
         Invariant::ReportConsistency,
-        rec.faults_injected == faults.len(),
-        || format!("faults_injected {} != plan length {}", rec.faults_injected, faults.len()),
+        rec.faults_injected == fault_len,
+        || format!("faults_injected {} != {fault_len} fault event(s)", rec.faults_injected),
     );
     report.check(
         Invariant::ReportConsistency,
@@ -487,13 +483,13 @@ pub fn audit_elastic_run(
     });
     report.check(
         Invariant::ElasticConservation,
-        rec.elastic_events == elastic.len(),
-        || format!("elastic_events {} != plan length {}", rec.elastic_events, elastic.len()),
+        rec.elastic_events == roster_len,
+        || format!("elastic_events {} != {roster_len} roster event(s)", rec.elastic_events),
     );
     let applied =
         rec.joins_applied as usize + rec.drains_applied as usize + rec.preempts_applied as usize;
-    report.check(Invariant::ElasticConservation, applied <= elastic.len(), || {
-        format!("{applied} transition(s) applied from a plan of {}", elastic.len())
+    report.check(Invariant::ElasticConservation, applied <= roster_len, || {
+        format!("{applied} transition(s) applied from {roster_len} roster event(s)")
     });
     let join_epoch_count = outcome.join_epochs.iter().flatten().count();
     report.check(
@@ -512,7 +508,7 @@ pub fn audit_elastic_run(
             )
         },
     );
-    if elastic.is_empty() {
+    if roster_len == 0 {
         report.check(
             Invariant::ElasticConservation,
             rec.joins_applied == 0
@@ -523,7 +519,7 @@ pub fn audit_elastic_run(
                 && rec.items_handed_off == 0
                 && rec.left_nodes.is_empty()
                 && outcome.handed_off_items.is_empty(),
-            || "elastic activity reported under an empty elastic plan".into(),
+            || "roster activity reported under a plan with no roster events".into(),
         );
     }
 
@@ -542,13 +538,8 @@ mod tests {
     use pareto_stratify::Stratification;
 
     /// An equal-split plan over `p` nodes and what the executor made of it
-    /// under the two schedules.
-    fn elastic_fixture(
-        p: usize,
-        n: usize,
-        faults: &FaultPlan,
-        elastic: &ElasticPlan,
-    ) -> (Plan, RecoveryOutcome) {
+    /// under `faults`.
+    fn fixture(p: usize, n: usize, faults: &FaultPlan) -> (Plan, RecoveryOutcome) {
         let cl = SimCluster::new(NodeSpec::paper_cluster(p, 400.0, 2, 9, 3));
         let work = vec![RecordWork { ops: 1_000_000, bytes: 256 }; n];
         let mut partitions = vec![Vec::new(); p];
@@ -581,7 +572,6 @@ mod tests {
             alpha: 1.0,
             faults,
             cfg: &RecoveryConfig::default(),
-            elastic: Some(elastic),
             telemetry: None,
         })
         .expect("well-formed request");
@@ -603,15 +593,11 @@ mod tests {
         (plan, outcome)
     }
 
-    fn fixture(p: usize, n: usize, faults: &FaultPlan) -> (Plan, RecoveryOutcome) {
-        elastic_fixture(p, n, faults, &ElasticPlan::none())
-    }
-
     #[test]
     fn clean_run_passes_every_invariant() {
         let faults = FaultPlan::none();
         let (plan, outcome) = fixture(4, 120, &faults);
-        let report = audit_elastic_run(&faults, &ElasticPlan::none(), &plan, &outcome);
+        let report = audit_run(&faults, &plan, &outcome);
         assert!(report.is_clean(), "violations: {:?}", report.violations);
         assert!(report.checks > 10, "audit must actually check things");
     }
@@ -620,7 +606,7 @@ mod tests {
     fn crashed_run_still_passes_when_recovery_works() {
         let faults = FaultPlan::new().with_crash(1, 0.5).with_store_errors(2, 2);
         let (plan, outcome) = fixture(4, 120, &faults);
-        let report = audit_elastic_run(&faults, &ElasticPlan::none(), &plan, &outcome);
+        let report = audit_run(&faults, &plan, &outcome);
         assert!(report.is_clean(), "violations: {:?}", report.violations);
     }
 
@@ -628,7 +614,7 @@ mod tests {
     fn total_cluster_loss_is_not_a_violation() {
         let faults = FaultPlan::new().with_crash(0, 0.001).with_crash(1, 0.001);
         let (plan, outcome) = fixture(2, 40, &faults);
-        let report = audit_elastic_run(&faults, &ElasticPlan::none(), &plan, &outcome);
+        let report = audit_run(&faults, &plan, &outcome);
         // Losing the job to a total cluster loss is the *correct* outcome;
         // the auditor only flags invented completions.
         assert!(report.is_clean(), "violations: {:?}", report.violations);
@@ -640,7 +626,7 @@ mod tests {
         let (plan, mut outcome) = fixture(3, 60, &faults);
         // Forge a lost item that the report still claims completed.
         outcome.completed_by[7] = None;
-        let report = audit_elastic_run(&faults, &ElasticPlan::none(), &plan, &outcome);
+        let report = audit_run(&faults, &plan, &outcome);
         assert!(!report.is_clean());
         assert!(report
             .violations
@@ -664,7 +650,7 @@ mod tests {
         let (mut plan, outcome) = fixture(3, 60, &faults);
         let dup = plan.partitions[0][0];
         plan.partitions[1].push(dup); // same item in two partitions
-        let report = audit_elastic_run(&faults, &ElasticPlan::none(), &plan, &outcome);
+        let report = audit_run(&faults, &plan, &outcome);
         assert!(report
             .violations
             .iter()
@@ -677,7 +663,7 @@ mod tests {
         let faults = FaultPlan::none();
         let (plan, mut outcome) = fixture(4, 120, &faults);
         outcome.recovery.makespan_s = outcome.recovery.fault_free_makespan_s * 0.5;
-        let report = audit_elastic_run(&faults, &ElasticPlan::none(), &plan, &outcome);
+        let report = audit_run(&faults, &plan, &outcome);
         assert!(report
             .violations
             .iter()
@@ -689,14 +675,14 @@ mod tests {
         let faults = FaultPlan::none();
         // Calibrate transition times off the fault-free makespan so the
         // drain lands mid-run with work still queued.
-        let (_, base) = elastic_fixture(4, 120, &faults, &ElasticPlan::none());
+        let (_, base) = fixture(4, 120, &faults);
         let t = base.recovery.makespan_s * 0.3;
-        let elastic = ElasticPlan::new()
+        let roster = FaultPlan::new()
             .with_join(3, t * 0.5)
             .with_drain(1, t)
             .with_preempt(2, t * 1.4, base.recovery.makespan_s * 10.0);
-        let (plan, outcome) = elastic_fixture(4, 120, &faults, &elastic);
-        let report = audit_elastic_run(&faults, &elastic, &plan, &outcome);
+        let (plan, outcome) = fixture(4, 120, &roster);
+        let report = audit_run(&roster, &plan, &outcome);
         assert!(report.is_clean(), "violations: {:?}", report.violations);
         assert!(report.checks > 20, "elastic audit must check things");
         let labels: std::collections::HashSet<&str> =
@@ -707,9 +693,9 @@ mod tests {
     #[test]
     fn doctored_completion_after_leave_trips_leave_epoch() {
         let faults = FaultPlan::none();
-        let (_, base) = elastic_fixture(4, 120, &faults, &ElasticPlan::none());
-        let elastic = ElasticPlan::new().with_drain(1, base.recovery.makespan_s * 0.3);
-        let (plan, mut outcome) = elastic_fixture(4, 120, &faults, &elastic);
+        let (_, base) = fixture(4, 120, &faults);
+        let roster = FaultPlan::new().with_drain(1, base.recovery.makespan_s * 0.3);
+        let (plan, mut outcome) = fixture(4, 120, &roster);
         let leave = outcome.leave_epochs[1].expect("node 1 drained and left");
         let victim = outcome
             .completed_by
@@ -718,7 +704,7 @@ mod tests {
             .expect("node 1 completed something before draining");
         // Forge an execution on the drained node after its leave epoch.
         outcome.completed_at_s[victim] = Some(leave + 100.0);
-        let report = audit_elastic_run(&faults, &elastic, &plan, &outcome);
+        let report = audit_run(&roster, &plan, &outcome);
         assert!(report
             .violations
             .iter()
@@ -728,13 +714,13 @@ mod tests {
     #[test]
     fn doctored_handoff_aggregates_trip_handoff_exactly_once() {
         let faults = FaultPlan::none();
-        let (_, base) = elastic_fixture(4, 120, &faults, &ElasticPlan::none());
-        let elastic = ElasticPlan::new().with_drain(1, base.recovery.makespan_s * 0.3);
-        let (plan, mut outcome) = elastic_fixture(4, 120, &faults, &elastic);
+        let (_, base) = fixture(4, 120, &faults);
+        let roster = FaultPlan::new().with_drain(1, base.recovery.makespan_s * 0.3);
+        let (plan, mut outcome) = fixture(4, 120, &roster);
         assert!(outcome.recovery.items_handed_off > 0, "drain must hand off");
         // Claim one more handed-off item than the per-item log records.
         outcome.recovery.items_handed_off += 1;
-        let report = audit_elastic_run(&faults, &elastic, &plan, &outcome);
+        let report = audit_run(&roster, &plan, &outcome);
         assert!(report
             .violations
             .iter()
@@ -746,7 +732,7 @@ mod tests {
         let faults = FaultPlan::none();
         let (plan, mut outcome) = fixture(4, 120, &faults);
         outcome.recovery.joins_applied = 1;
-        let report = audit_elastic_run(&faults, &ElasticPlan::none(), &plan, &outcome);
+        let report = audit_run(&faults, &plan, &outcome);
         assert!(report
             .violations
             .iter()

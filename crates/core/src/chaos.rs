@@ -3,8 +3,9 @@
 //!
 //! One [`run_chaos`] call plans the job once, then drives hundreds of
 //! deterministic [`FaultPlan`]s — compute faults (crashes, stragglers,
-//! store errors, network degradation) *and* storage faults (torn WAL
-//! writes, bit-rot, snapshot loss, crash-during-recovery) — through the
+//! store errors, network degradation), storage faults (torn WAL writes,
+//! bit-rot, snapshot loss, crash-during-recovery) and, when the spec
+//! switches them on, roster changes (joins, drains, preemptions) — through the
 //! recovery executor and a per-node durable-store drill. Every outcome
 //! passes through the [`crate::audit`] invariant auditor; any violation is
 //! greedily shrunk (classic one-event-at-a-time delta debugging, to a
@@ -26,8 +27,7 @@ use pareto_stats::LinearFit;
 use pareto_telemetry::{event, Telemetry};
 use pareto_workloads::WorkloadKind;
 
-use crate::audit::{audit_elastic_run, AuditReport, Invariant, Violation};
-use crate::elastic::{ElasticPlan, ElasticSpec};
+use crate::audit::{audit_run, AuditReport, Invariant, Violation};
 use crate::framework::{recovery_inputs, Framework, FrameworkConfig, Plan};
 use crate::recovery::{self, ExecRequest, RecoveryConfig};
 use crate::stages::PlanError;
@@ -42,7 +42,8 @@ pub struct ChaosConfig {
     /// own SplitMix64 scheme.
     pub seed: u64,
     /// Per-schedule fault mix (defaults to [`FaultSpec::storage`]:
-    /// compute faults at their defaults plus every storage kind enabled).
+    /// compute faults at their defaults plus every storage kind enabled;
+    /// [`FaultSpec::with_roster`] adds roster churn).
     pub spec: FaultSpec,
     /// Recovery tunables for the executor (validated up front).
     pub recovery: RecoveryConfig,
@@ -51,11 +52,6 @@ pub struct ChaosConfig {
     /// payload-corrupting bit-rot event, proving the auditor catches
     /// silent corruption and the shrinker isolates it.
     pub inject_corruption: bool,
-    /// When set, every schedule additionally draws a seeded
-    /// [`ElasticPlan`] from this spec (same per-schedule seed, disjoint
-    /// draw indices), composing roster churn with the fault mix. `None`
-    /// (the default) keeps the sweep bit-identical to a fault-only run.
-    pub elastic: Option<ElasticSpec>,
 }
 
 impl Default for ChaosConfig {
@@ -66,7 +62,6 @@ impl Default for ChaosConfig {
             spec: FaultSpec::storage(),
             recovery: RecoveryConfig::default(),
             inject_corruption: false,
-            elastic: None,
         }
     }
 }
@@ -77,31 +72,14 @@ pub struct ScheduleFailure {
     /// The schedule's seed (`cfg.seed + index`; the injected-corruption
     /// schedule reuses `cfg.seed`).
     pub schedule_seed: u64,
-    /// The full offending schedule as a one-line spec (fault grammar,
-    /// plus an ` // elastic: …` suffix when roster churn was composed).
+    /// The full offending schedule as a one-line `--faults` spec.
     pub spec: String,
     /// Violations the full plan produced.
     pub violations: Vec<Violation>,
-    /// The greedily shrunk minimal fault plan.
+    /// The greedily shrunk minimal schedule.
     pub minimal: FaultPlan,
-    /// The greedily shrunk minimal elastic plan (empty when the sweep ran
-    /// without elasticity or the roster events were all noise).
-    pub minimal_elastic: ElasticPlan,
-    /// The combined minimal schedule as a one-line spec — the reproducer.
+    /// The minimal schedule as a one-line `--faults` spec — the reproducer.
     pub minimal_spec: String,
-}
-
-/// One-line spec for a combined fault + elastic schedule. Stays a single
-/// line so `grep '^minimal-spec:'` pipelines keep working; the elastic
-/// half round-trips through [`ElasticPlan::parse`].
-fn combined_spec(faults: &FaultPlan, elastic: &ElasticPlan) -> String {
-    if elastic.is_empty() {
-        faults.to_spec()
-    } else if faults.is_empty() {
-        format!("elastic: {}", elastic.to_spec())
-    } else {
-        format!("{} // elastic: {}", faults.to_spec(), elastic.to_spec())
-    }
 }
 
 /// Aggregate result of a chaos sweep.
@@ -358,12 +336,7 @@ impl ChaosContext<'_> {
     /// audit, and the per-node storage drills. `verify_checksums = false`
     /// is used only for the planted `--inject-corruption` schedule — the
     /// regular sweep always drills the real (verifying) recovery path.
-    fn evaluate(
-        &self,
-        faults: &FaultPlan,
-        elastic: &ElasticPlan,
-        verify_checksums: bool,
-    ) -> AuditReport {
+    fn evaluate(&self, faults: &FaultPlan, verify_checksums: bool) -> AuditReport {
         let outcome = recovery::execute(&ExecRequest {
             cluster: self.cluster,
             work: &self.work,
@@ -374,11 +347,10 @@ impl ChaosContext<'_> {
             alpha: self.alpha,
             faults,
             cfg: &self.recovery,
-            elastic: Some(elastic),
             telemetry: None,
         })
         .expect("run_chaos validated the config and planned node-aligned inputs");
-        let mut audit = audit_elastic_run(faults, elastic, &self.plan, &outcome);
+        let mut audit = audit_run(faults, &self.plan, &outcome);
         for (node, fx) in self.fixtures.iter().enumerate() {
             if faults.has_storage_faults(node) {
                 drill_node(node, fx, faults, verify_checksums, &mut audit);
@@ -388,50 +360,27 @@ impl ChaosContext<'_> {
     }
 }
 
-/// Greedy delta-debugging of a fault plan alone — [`shrink_combined_schedule`]
-/// with no elastic plan: drop one event at a time, left to right, keeping
-/// any drop that still fails, until a full pass removes nothing.
-/// Deterministic for a deterministic `fails`, hence the stable minimal
-/// specs the CI job diffs across runs.
+/// Greedy delta-debugging of a schedule: drop one event at a time, left
+/// to right, keeping any drop that still fails, until a full pass removes
+/// nothing. Deterministic for a deterministic `fails`, hence the stable
+/// minimal specs the CI job diffs across runs. A generated plan lists its
+/// faults before its roster changes, so each pass visits the faults first.
 pub fn shrink_schedule(plan: &FaultPlan, mut fails: impl FnMut(&FaultPlan) -> bool) -> FaultPlan {
-    shrink_combined_schedule(plan, &ElasticPlan::none(), |faults, _| fails(faults)).0
-}
-
-/// Delta-debug a combined fault + elastic schedule: alternate one-event-
-/// at-a-time passes over the fault plan (elastic held fixed) and the
-/// elastic plan (faults held fixed) until a whole round removes nothing.
-/// Deterministic for a deterministic `fails`, like [`shrink_schedule`].
-pub fn shrink_combined_schedule(
-    faults: &FaultPlan,
-    elastic: &ElasticPlan,
-    mut fails: impl FnMut(&FaultPlan, &ElasticPlan) -> bool,
-) -> (FaultPlan, ElasticPlan) {
-    let mut cf = faults.clone();
-    let mut ce = elastic.clone();
+    let mut current = plan.clone();
     loop {
         let mut progressed = false;
         let mut i = 0;
-        while i < cf.len() {
-            let candidate = cf.without_event(i);
-            if fails(&candidate, &ce) {
-                cf = candidate;
+        while i < current.len() {
+            let candidate = current.without_event(i);
+            if fails(&candidate) {
+                current = candidate;
                 progressed = true;
             } else {
                 i += 1;
             }
         }
-        let mut j = 0;
-        while j < ce.len() {
-            let candidate = ce.without_event(j);
-            if fails(&cf, &candidate) {
-                ce = candidate;
-                progressed = true;
-            } else {
-                j += 1;
-            }
-        }
         if !progressed {
-            return (cf, ce);
+            return current;
         }
     }
 }
@@ -479,38 +428,30 @@ pub fn run_chaos(
     };
 
     let mut report = ChaosReport::default();
-    // (seed, faults, elastic, verify) tuples: the sweep always drills the
-    // real verifying recovery path; --inject-corruption adds one planted
-    // schedule evaluated with checksum verification off. Roster churn is
-    // drawn from the same per-schedule seed through disjoint draw
-    // indices, so composing it never perturbs the fault draws.
-    let mut runs: Vec<(u64, FaultPlan, ElasticPlan, bool)> = (0..chaos.schedules)
+    // (seed, faults, verify) tuples: the sweep always drills the real
+    // verifying recovery path; --inject-corruption adds one planted
+    // schedule evaluated with checksum verification off.
+    let mut runs: Vec<(u64, FaultPlan, bool)> = (0..chaos.schedules)
         .map(|i| {
             let seed = chaos.seed.wrapping_add(i as u64);
-            let elastic = match &chaos.elastic {
-                Some(spec) => ElasticPlan::generate(seed, p, spec),
-                None => ElasticPlan::none(),
-            };
-            (seed, FaultPlan::generate(seed, p, &chaos.spec), elastic, true)
+            (seed, FaultPlan::generate(seed, p, &chaos.spec), true)
         })
         .collect();
     if chaos.inject_corruption {
         let planted = known_bad_schedule(chaos.seed, p, &chaos.spec, &ctx.fixtures[0]);
-        runs.push((chaos.seed, planted, ElasticPlan::none(), false));
+        runs.push((chaos.seed, planted, false));
     }
 
-    for (schedule_seed, faults, elastic, verify) in runs {
+    for (schedule_seed, faults, verify) in runs {
         report.schedules_run += 1;
-        let audit = ctx.evaluate(&faults, &elastic, verify);
+        let audit = ctx.evaluate(&faults, verify);
         report.checks += audit.checks;
         record_schedule_telemetry(telemetry, &audit);
         if audit.is_clean() {
             continue;
         }
-        let (minimal, minimal_elastic) = shrink_combined_schedule(&faults, &elastic, |f, e| {
-            !ctx.evaluate(f, e, verify).is_clean()
-        });
-        let minimal_spec = combined_spec(&minimal, &minimal_elastic);
+        let minimal = shrink_schedule(&faults, |f| !ctx.evaluate(f, verify).is_clean());
+        let minimal_spec = minimal.to_spec();
         // Structured warning so event sinks (stderr, capture, the flight
         // recorder) see the discovery the moment it is shrunk.
         event::warn(
@@ -519,11 +460,10 @@ pub fn run_chaos(
         );
         report.failures.push(ScheduleFailure {
             schedule_seed,
-            spec: combined_spec(&faults, &elastic),
+            spec: faults.to_spec(),
             violations: audit.violations,
             minimal_spec,
             minimal,
-            minimal_elastic,
         });
     }
     telemetry.gauge_set("pareto_chaos_schedules", &[], f64::from(report.schedules_run));
@@ -536,13 +476,16 @@ pub fn run_chaos(
 /// the flipped key silently redirects the op and the recovered state
 /// diverges from every legal prefix.
 fn known_bad_schedule(seed: u64, p: usize, spec: &FaultSpec, fx0: &NodeFixture) -> FaultPlan {
-    // Compute-only noise for the shrinker to strip (storage probs zeroed
-    // so the only storage event is the one we plant).
+    // Compute-only noise for the shrinker to strip (storage and roster
+    // probs zeroed so the only storage event is the one we plant).
     let compute_only = FaultSpec {
         torn_write_prob: 0.0,
         bit_rot_prob: 0.0,
         snapshot_loss_prob: 0.0,
         recovery_crash_prob: 0.0,
+        join_prob: 0.0,
+        drain_prob: 0.0,
+        preempt_prob: 0.0,
         ..*spec
     };
     // Record 1's payload starts 8 bytes past record 0's boundary (u32 len
@@ -657,7 +600,7 @@ mod tests {
         let chaos = ChaosConfig {
             schedules: 12,
             seed: 2017,
-            elastic: Some(ElasticSpec::default()),
+            spec: FaultSpec::storage().with_roster(),
             ..ChaosConfig::default()
         };
         let run = || {
@@ -677,7 +620,7 @@ mod tests {
         // Roster churn actually happened somewhere in the sweep: at least
         // one schedule seed draws a non-empty elastic plan.
         let churned = (0..12u64)
-            .any(|i| !ElasticPlan::generate(2017 + i, 4, &ElasticSpec::default()).is_empty());
+            .any(|i| FaultPlan::generate(2017 + i, 4, &chaos.spec).roster_len() > 0);
         assert!(churned, "default spec must produce churn in 12 schedules");
         let b = run();
         assert_eq!(a.checks, b.checks, "elastic sweep must be deterministic");
@@ -686,26 +629,22 @@ mod tests {
     #[test]
     fn combined_shrinker_isolates_the_elastic_culprit() {
         // Failure requires the drain on node 1; the crash, straggler, and
-        // join are noise the combined shrinker must strip from both plans.
-        let faults = FaultPlan::new().with_crash(0, 5.0).with_straggler(2, 2.0);
-        let elastic = ElasticPlan::new().with_join(3, 20.0).with_drain(1, 40.0);
-        let (min_f, min_e) =
-            shrink_combined_schedule(&faults, &elastic, |_, e| e.drain_time(1).is_some());
-        assert_eq!(min_f.len(), 0, "fault noise must vanish: {}", min_f.to_spec());
-        assert_eq!(min_e.len(), 1, "elastic noise must vanish: {}", min_e.to_spec());
-        assert_eq!(combined_spec(&min_f, &min_e), "elastic: drain:1@40");
+        // join are noise the shrinker must strip, faults and roster alike.
+        let plan = FaultPlan::new()
+            .with_crash(0, 5.0)
+            .with_straggler(2, 2.0)
+            .with_join(3, 20.0)
+            .with_drain(1, 40.0);
+        let minimal = shrink_schedule(&plan, |p| p.drain_time(1).is_some());
+        assert_eq!(minimal.to_spec(), "drain:1@40");
     }
 
     #[test]
     fn combined_spec_is_one_line_and_round_trips() {
-        let faults = FaultPlan::new().with_crash(0, 5.0);
-        let elastic = ElasticPlan::new().with_drain(1, 40.0);
-        let spec = combined_spec(&faults, &elastic);
-        assert!(!spec.contains('\n'));
-        let (fault_part, elastic_part) = spec.split_once(" // elastic: ").unwrap();
-        assert_eq!(FaultPlan::parse(fault_part, 4).unwrap(), faults);
-        assert_eq!(ElasticPlan::parse(elastic_part, 4).unwrap(), elastic);
-        assert_eq!(combined_spec(&faults, &ElasticPlan::none()), faults.to_spec());
+        let plan = FaultPlan::new().with_crash(0, 5.0).with_drain(1, 40.0);
+        let spec = plan.to_spec();
+        assert_eq!(spec, "crash:0@5, drain:1@40");
+        assert_eq!(FaultPlan::parse(&spec, 4).unwrap(), plan);
     }
 
     #[test]

@@ -1,367 +1,17 @@
-//! Planned roster elasticity: seeded join / drain / preempt schedules.
+//! The autoscaling advisor ([`advise_join`]): given the fitted `f_i`
+//! models and energy profiles, decide whether adding a candidate node pays
+//! for the cost of migrating its LP share onto it.
 //!
-//! Where [`pareto_cluster::fault`] models *adversarial* topology change
-//! (crashes, stragglers, flaky stores), this module models *planned*
-//! change: an [`ElasticPlan`] schedules nodes joining the roster mid-job,
-//! draining gracefully (finish or hand off queued work, then leave), or
-//! being preempted (a drain notice with a hard kill after a grace window).
-//! The recovery executor ([`crate::recovery`]) consumes an elastic plan
-//! alongside a fault plan; the auditor ([`crate::audit`]) checks
-//! exactly-once across handoffs and that no work executes outside a
-//! node's membership window.
-//!
-//! Plans are generated with the same `(seed, node_id, event_index)` draw
-//! scheme as fault plans ([`pareto_cluster::fault::unit_draw`]) so elastic
-//! schedules compose with fault schedules without perturbing either:
-//! compute faults own event indices `0..=7`, storage faults `8..=15`, and
-//! elastic events claim the block `16..=22`.
-//!
-//! The module also hosts the autoscaling advisor ([`advise_join`]): given
-//! the fitted `f_i` models and energy profiles it decides whether adding a
-//! candidate node pays for the cost of migrating its LP share onto it.
+//! Roster changes themselves — a node joining mid-job, draining then
+//! leaving, or being preempted — are events of the one fault timeline,
+//! [`pareto_cluster::FaultPlan`], which the recovery executor
+//! ([`crate::recovery`]) runs and the auditor ([`crate::audit`]) checks.
+//! This module's tests check their builders, queries, generator and
+//! grammar from the roster's point of view.
 
-use std::fmt;
-
-use pareto_cluster::fault::unit_draw;
 use pareto_cluster::{Cost, SimCluster};
 
 use crate::pareto::{ParetoModeler, PartitionPlanError};
-
-/// Event indices claimed by elastic draws (see [`unit_draw`]'s family
-/// partition). Fault kinds stop at 15; elastic starts at 16.
-const IDX_JOIN_OCCURS: u64 = 16;
-const IDX_JOIN_TIME: u64 = 17;
-const IDX_DRAIN_OCCURS: u64 = 18;
-const IDX_DRAIN_TIME: u64 = 19;
-const IDX_PREEMPT_OCCURS: u64 = 20;
-const IDX_PREEMPT_TIME: u64 = 21;
-const IDX_PREEMPT_GRACE: u64 = 22;
-
-/// What happens to a node at its scheduled time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ElasticEventKind {
-    /// The node is absent at job start and becomes available at `at_s`.
-    Join,
-    /// The node stops taking new work at `at_s`, hands off its queue via
-    /// a KV-backed handoff record, and leaves the roster.
-    DrainThenLeave,
-    /// A drain notice at `at_s` with a hard kill at `at_s + grace_s`: if
-    /// the node has not finished draining inside the grace window it
-    /// falls back to the crash path.
-    Preempt {
-        /// Seconds between the notice and the hard kill.
-        grace_s: f64,
-    },
-}
-
-/// One scheduled roster transition.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ElasticEvent {
-    /// The node the transition applies to.
-    pub node_id: usize,
-    /// Scheduled simulated time of the transition (notice time for
-    /// preemptions).
-    pub at_s: f64,
-    /// The transition kind.
-    pub kind: ElasticEventKind,
-}
-
-/// Probabilities and windows for seeded elastic schedule generation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ElasticSpec {
-    /// Probability a node (other than node 0) starts absent and joins.
-    pub join_prob: f64,
-    /// `[lo, hi)` window for join times, seconds.
-    pub join_window_s: (f64, f64),
-    /// Probability a node drains and leaves gracefully.
-    pub drain_prob: f64,
-    /// `[lo, hi)` window for drain times, seconds.
-    pub drain_window_s: (f64, f64),
-    /// Probability a node is preempted.
-    pub preempt_prob: f64,
-    /// `[lo, hi)` window for preempt notice times, seconds.
-    pub preempt_window_s: (f64, f64),
-    /// `[lo, hi)` window for the grace period, seconds.
-    pub preempt_grace_s: (f64, f64),
-}
-
-impl Default for ElasticSpec {
-    /// The standard chaos-sweep mix: roughly one roster transition per
-    /// three nodes of each kind, landing inside the same simulated window
-    /// the fault generator uses for crashes.
-    fn default() -> Self {
-        ElasticSpec {
-            join_prob: 0.25,
-            join_window_s: (10.0, 150.0),
-            drain_prob: 0.30,
-            drain_window_s: (10.0, 150.0),
-            preempt_prob: 0.25,
-            preempt_window_s: (10.0, 150.0),
-            preempt_grace_s: (5.0, 30.0),
-        }
-    }
-}
-
-/// A malformed elastic spec string.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ElasticSpecError(pub String);
-
-impl fmt::Display for ElasticSpecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "bad elastic spec: {}", self.0)
-    }
-}
-
-impl std::error::Error for ElasticSpecError {}
-
-/// A deterministic schedule of roster transitions for one job.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ElasticPlan {
-    events: Vec<ElasticEvent>,
-}
-
-impl ElasticPlan {
-    /// An empty plan.
-    pub fn new() -> Self {
-        ElasticPlan::default()
-    }
-
-    /// Alias for [`ElasticPlan::new`], mirroring [`pareto_cluster::FaultPlan::none`].
-    pub fn none() -> Self {
-        ElasticPlan::default()
-    }
-
-    /// The scheduled events, in insertion order.
-    pub fn events(&self) -> &[ElasticEvent] {
-        &self.events
-    }
-
-    /// Number of scheduled events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when no transitions are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Schedule `node` to join at `at_s` (floored to 0).
-    #[must_use]
-    pub fn with_join(mut self, node: usize, at_s: f64) -> Self {
-        self.events.push(ElasticEvent {
-            node_id: node,
-            at_s: at_s.max(0.0),
-            kind: ElasticEventKind::Join,
-        });
-        self
-    }
-
-    /// Schedule `node` to drain and leave at `at_s` (floored to 0).
-    #[must_use]
-    pub fn with_drain(mut self, node: usize, at_s: f64) -> Self {
-        self.events.push(ElasticEvent {
-            node_id: node,
-            at_s: at_s.max(0.0),
-            kind: ElasticEventKind::DrainThenLeave,
-        });
-        self
-    }
-
-    /// Schedule `node` to be preempted at `at_s` with `grace_s` seconds
-    /// before the hard kill (both floored to 0).
-    #[must_use]
-    pub fn with_preempt(mut self, node: usize, at_s: f64, grace_s: f64) -> Self {
-        self.events.push(ElasticEvent {
-            node_id: node,
-            at_s: at_s.max(0.0),
-            kind: ElasticEventKind::Preempt {
-                grace_s: grace_s.max(0.0),
-            },
-        });
-        self
-    }
-
-    /// A copy with event `index` removed; out of range is a no-op copy
-    /// (the shape the delta-debugging shrinker wants).
-    #[must_use]
-    pub fn without_event(&self, index: usize) -> Self {
-        let mut events = self.events.clone();
-        if index < events.len() {
-            events.remove(index);
-        }
-        ElasticPlan { events }
-    }
-
-    /// Earliest scheduled join time for `node`, if any.
-    pub fn join_time(&self, node: usize) -> Option<f64> {
-        self.events
-            .iter()
-            .filter(|e| e.node_id == node && e.kind == ElasticEventKind::Join)
-            .map(|e| e.at_s)
-            .fold(None, |acc, t| Some(acc.map_or(t, |a: f64| a.min(t))))
-    }
-
-    /// Earliest scheduled drain time for `node`, if any.
-    pub fn drain_time(&self, node: usize) -> Option<f64> {
-        self.events
-            .iter()
-            .filter(|e| {
-                e.node_id == node && e.kind == ElasticEventKind::DrainThenLeave
-            })
-            .map(|e| e.at_s)
-            .fold(None, |acc, t| Some(acc.map_or(t, |a: f64| a.min(t))))
-    }
-
-    /// Earliest scheduled preemption for `node` as `(notice_s, grace_s)`,
-    /// if any.
-    pub fn preempt(&self, node: usize) -> Option<(f64, f64)> {
-        self.events
-            .iter()
-            .filter_map(|e| match e.kind {
-                ElasticEventKind::Preempt { grace_s } if e.node_id == node => {
-                    Some((e.at_s, grace_s))
-                }
-                _ => None,
-            })
-            .fold(None, |acc: Option<(f64, f64)>, cur| match acc {
-                Some(a) if a.0 <= cur.0 => Some(a),
-                _ => Some(cur),
-            })
-    }
-
-    /// Generate a schedule from `(seed, node_id, event_index)` draws.
-    ///
-    /// Each node takes at most one elastic role per seed, priority
-    /// join > drain > preempt — a node cannot both start absent and
-    /// drain. Node 0 never joins so at least one node is present at job
-    /// start. All seven draws are made for every node regardless of which
-    /// role (if any) applies, so plans are prefix-stable in cluster size
-    /// and compose with fault plans generated from the same seed without
-    /// perturbing their draws.
-    pub fn generate(seed: u64, num_nodes: usize, spec: &ElasticSpec) -> Self {
-        let window = |u: f64, (lo, hi): (f64, f64)| lo + u * (hi - lo).max(0.0);
-        let mut plan = ElasticPlan::new();
-        for node in 0..num_nodes {
-            let joins = unit_draw(seed, node, IDX_JOIN_OCCURS) < spec.join_prob;
-            let join_at = window(unit_draw(seed, node, IDX_JOIN_TIME), spec.join_window_s);
-            let drains = unit_draw(seed, node, IDX_DRAIN_OCCURS) < spec.drain_prob;
-            let drain_at = window(unit_draw(seed, node, IDX_DRAIN_TIME), spec.drain_window_s);
-            let preempted = unit_draw(seed, node, IDX_PREEMPT_OCCURS) < spec.preempt_prob;
-            let preempt_at =
-                window(unit_draw(seed, node, IDX_PREEMPT_TIME), spec.preempt_window_s);
-            let grace = window(unit_draw(seed, node, IDX_PREEMPT_GRACE), spec.preempt_grace_s);
-            if joins && node > 0 {
-                plan = plan.with_join(node, join_at);
-            } else if drains {
-                plan = plan.with_drain(node, drain_at);
-            } else if preempted {
-                plan = plan.with_preempt(node, preempt_at, grace);
-            }
-        }
-        plan
-    }
-
-    /// Render as the elastic spec grammar: `join:N@T`, `drain:N@T`,
-    /// `preempt:N@T@G`, comma-joined. `{}` float formatting is shortest
-    /// round-trip, so `parse(to_spec())` is an exact identity.
-    pub fn to_spec(&self) -> String {
-        let clauses: Vec<String> = self
-            .events
-            .iter()
-            .map(|e| match e.kind {
-                ElasticEventKind::Join => format!("join:{}@{}", e.node_id, e.at_s),
-                ElasticEventKind::DrainThenLeave => {
-                    format!("drain:{}@{}", e.node_id, e.at_s)
-                }
-                ElasticEventKind::Preempt { grace_s } => {
-                    format!("preempt:{}@{}@{}", e.node_id, e.at_s, grace_s)
-                }
-            })
-            .collect();
-        clauses.join(", ")
-    }
-
-    /// Parse the spec grammar. Clauses are comma-separated and
-    /// whitespace-tolerant; empty clauses are skipped. `eseeded:SEED`
-    /// expands to `ElasticPlan::generate(SEED, num_nodes,
-    /// &ElasticSpec::default())`. Node ids must be `< num_nodes`.
-    pub fn parse(spec: &str, num_nodes: usize) -> Result<Self, ElasticSpecError> {
-        let bad = |clause: &str, why: &str| {
-            Err(ElasticSpecError(format!("clause {clause:?}: {why}")))
-        };
-        let node_of = |clause: &str, s: &str| -> Result<usize, ElasticSpecError> {
-            let n: usize = s
-                .trim()
-                .parse()
-                .map_err(|_| ElasticSpecError(format!("clause {clause:?}: bad node id {s:?}")))?;
-            if n >= num_nodes {
-                return Err(ElasticSpecError(format!(
-                    "clause {clause:?}: node {n} outside cluster of {num_nodes}"
-                )));
-            }
-            Ok(n)
-        };
-        let secs = |clause: &str, s: &str| -> Result<f64, ElasticSpecError> {
-            let v: f64 = s.trim().parse().map_err(|_| {
-                ElasticSpecError(format!("clause {clause:?}: bad seconds value {s:?}"))
-            })?;
-            if !v.is_finite() || v < 0.0 {
-                return Err(ElasticSpecError(format!(
-                    "clause {clause:?}: seconds must be finite and >= 0"
-                )));
-            }
-            Ok(v)
-        };
-        let mut plan = ElasticPlan::new();
-        for raw in spec.split(',') {
-            let clause = raw.trim();
-            if clause.is_empty() {
-                continue;
-            }
-            let (kind, rest) = match clause.split_once(':') {
-                Some(parts) => parts,
-                None => return bad(clause, "expected kind:args"),
-            };
-            match kind.trim() {
-                "join" | "drain" => {
-                    let (n, t) = match rest.split_once('@') {
-                        Some(parts) => parts,
-                        None => return bad(clause, "expected NODE@SECONDS"),
-                    };
-                    let node = node_of(clause, n)?;
-                    let at = secs(clause, t)?;
-                    plan = if kind.trim() == "join" {
-                        plan.with_join(node, at)
-                    } else {
-                        plan.with_drain(node, at)
-                    };
-                }
-                "preempt" => {
-                    let mut parts = rest.split('@');
-                    let (n, t, g) = match (parts.next(), parts.next(), parts.next(), parts.next())
-                    {
-                        (Some(n), Some(t), Some(g), None) => (n, t, g),
-                        _ => return bad(clause, "expected NODE@SECONDS@GRACE"),
-                    };
-                    let node = node_of(clause, n)?;
-                    plan = plan.with_preempt(node, secs(clause, t)?, secs(clause, g)?);
-                }
-                "eseeded" => {
-                    let seed: u64 = rest.trim().parse().map_err(|_| {
-                        ElasticSpecError(format!("clause {clause:?}: bad seed {rest:?}"))
-                    })?;
-                    let generated = ElasticPlan::generate(seed, num_nodes, &ElasticSpec::default());
-                    plan.events.extend(generated.events);
-                }
-                other => {
-                    return bad(clause, &format!("unknown elastic event kind {other:?}"));
-                }
-            }
-        }
-        Ok(plan)
-    }
-}
 
 /// The autoscaling advisor's verdict on one candidate join.
 #[derive(Debug, Clone, PartialEq)]
@@ -445,8 +95,8 @@ pub fn advise_join(
         cluster.cost_to_seconds(candidate, &Cost::request(migration_bytes))
     };
     // Pass 2: the candidate pays its migration before contributing.
-    let mut offsets = vec![0.0; extended.len()];
-    *offsets.last_mut().unwrap() = migration_seconds;
+    let mut offsets = vec![0.0; roster.len()];
+    offsets.push(migration_seconds);
     let joined = solve(
         &modeler.restrict_with_offsets(&extended, &offsets)?,
         backlog_items,
@@ -470,42 +120,51 @@ pub fn advise_join(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pareto_cluster::NodeSpec;
+    use pareto_cluster::{FaultPlan, FaultSpec, NodeSpec};
     use pareto_energy::NodeEnergyProfile;
     use pareto_stats::LinearFit;
 
-    fn spec_all() -> ElasticSpec {
-        ElasticSpec {
+    /// Roster churn at probability 0.5 per kind, and no faults.
+    fn spec_all() -> FaultSpec {
+        FaultSpec {
+            crash_prob: 0.0,
+            straggler_prob: 0.0,
+            store_error_prob: 0.0,
+            degradation_prob: 0.0,
             join_prob: 0.5,
             drain_prob: 0.5,
             preempt_prob: 0.5,
-            ..ElasticSpec::default()
+            ..FaultSpec::default()
         }
     }
 
     #[test]
     fn builders_and_queries() {
-        let plan = ElasticPlan::new()
+        let plan = FaultPlan::new()
             .with_join(2, 40.0)
             .with_drain(1, 30.0)
             .with_preempt(3, 20.0, 10.0)
-            .with_drain(1, 25.0);
-        assert_eq!(plan.len(), 4);
-        assert!(!plan.is_empty());
+            .with_drain(1, 25.0)
+            .with_crash(0, 5.0);
+        assert_eq!(plan.len(), 5);
+        assert_eq!(plan.roster_len(), 4);
         assert_eq!(plan.join_time(2), Some(40.0));
         assert_eq!(plan.join_time(1), None);
         // Earliest drain wins.
         assert_eq!(plan.drain_time(1), Some(25.0));
         assert_eq!(plan.preempt(3), Some((20.0, 10.0)));
         assert_eq!(plan.preempt(0), None);
+        // A crash is not a roster change, and a preemption is not a crash.
+        assert_eq!(plan.crash_time(0), Some(5.0));
+        assert_eq!(plan.crash_time(3), None);
         // Times are floored at zero.
-        let floored = ElasticPlan::new().with_preempt(0, -3.0, -1.0);
+        let floored = FaultPlan::new().with_preempt(0, -3.0, -1.0);
         assert_eq!(floored.preempt(0), Some((0.0, 0.0)));
     }
 
     #[test]
     fn without_event_removes_exactly_one() {
-        let plan = ElasticPlan::new().with_join(1, 10.0).with_drain(2, 20.0);
+        let plan = FaultPlan::new().with_join(1, 10.0).with_drain(2, 20.0);
         let cut = plan.without_event(0);
         assert_eq!(cut.len(), 1);
         assert_eq!(cut.events()[0].node_id, 2);
@@ -516,11 +175,11 @@ mod tests {
     #[test]
     fn generation_is_deterministic_and_prefix_stable() {
         let spec = spec_all();
-        let a = ElasticPlan::generate(99, 8, &spec);
-        let b = ElasticPlan::generate(99, 8, &spec);
+        let a = FaultPlan::generate(99, 8, &spec);
+        let b = FaultPlan::generate(99, 8, &spec);
         assert_eq!(a, b);
         // A node's role does not depend on cluster size.
-        let small = ElasticPlan::generate(99, 4, &spec);
+        let small = FaultPlan::generate(99, 4, &spec);
         for node in 0..4 {
             assert_eq!(a.join_time(node), small.join_time(node));
             assert_eq!(a.drain_time(node), small.drain_time(node));
@@ -530,20 +189,17 @@ mod tests {
 
     #[test]
     fn generation_respects_probabilities_and_exclusivity() {
-        let zero = ElasticSpec {
-            join_prob: 0.0,
-            drain_prob: 0.0,
-            preempt_prob: 0.0,
-            ..ElasticSpec::default()
-        };
-        assert!(ElasticPlan::generate(7, 16, &zero).is_empty());
-        let always = ElasticSpec {
+        // The stock specs draw no roster changes.
+        for spec in [FaultSpec::default(), FaultSpec::storage(), FaultSpec::serving()] {
+            assert_eq!(FaultPlan::generate(7, 16, &spec).roster_len(), 0);
+        }
+        let always = FaultSpec {
             join_prob: 1.0,
             drain_prob: 1.0,
             preempt_prob: 1.0,
-            ..ElasticSpec::default()
+            ..spec_all()
         };
-        let plan = ElasticPlan::generate(7, 16, &always);
+        let plan = FaultPlan::generate(7, 16, &always);
         // One role per node; node 0 never joins, so it drains instead.
         assert_eq!(plan.len(), 16);
         assert_eq!(plan.join_time(0), None);
@@ -557,32 +213,35 @@ mod tests {
 
     #[test]
     fn parse_round_trips_each_clause() {
-        let plan = ElasticPlan::new()
+        let plan = FaultPlan::new()
             .with_join(3, 42.5)
             .with_drain(0, 17.25)
             .with_preempt(2, 61.0, 12.5);
         let spec = plan.to_spec();
-        let parsed = ElasticPlan::parse(&spec, 4).expect("round trip");
-        assert_eq!(parsed, plan);
+        assert_eq!(spec, "join:3@42.5, drain:0@17.25, preempt:2@61@12.5");
+        assert_eq!(FaultPlan::parse(&spec, 4).expect("round trip"), plan);
         // Whitespace and empty clauses are tolerated.
-        let sloppy = ElasticPlan::parse(" join:1@5 , , drain:0@9.5 ", 2).expect("sloppy");
+        let sloppy = FaultPlan::parse(" join:1@5 , , drain:0@9.5 ", 2).expect("sloppy");
         assert_eq!(sloppy.len(), 2);
     }
 
     #[test]
     fn to_spec_round_trips_generated_plans() {
         for seed in [7u64, 2017, 0xE1A5] {
-            let plan = ElasticPlan::generate(seed, 8, &spec_all());
-            let parsed = ElasticPlan::parse(&plan.to_spec(), 8).expect("round trip");
+            let plan = FaultPlan::generate(seed, 8, &spec_all());
+            let parsed = FaultPlan::parse(&plan.to_spec(), 8).expect("round trip");
             assert_eq!(parsed, plan, "seed {seed}");
         }
     }
 
     #[test]
     fn parse_eseeded_matches_generate() {
-        let parsed = ElasticPlan::parse("eseeded:2017", 6).expect("seeded");
-        let generated = ElasticPlan::generate(2017, 6, &ElasticSpec::default());
-        assert_eq!(parsed, generated);
+        let parsed = FaultPlan::parse("eseeded:2017", 6).expect("seeded");
+        let generated = FaultPlan::generate(2017, 6, &FaultSpec::default().with_roster());
+        // The roster changes come last, and `eseeded` is exactly them.
+        assert!(!parsed.is_empty());
+        assert_eq!(generated.roster_len(), parsed.len());
+        assert_eq!(parsed.events(), &generated.events()[generated.len() - parsed.len()..]);
     }
 
     #[test]
@@ -599,7 +258,7 @@ mod tests {
             "eseeded:banana",
         ] {
             assert!(
-                ElasticPlan::parse(bad, 4).is_err(),
+                FaultPlan::parse(bad, 4).is_err(),
                 "{bad:?} should be rejected"
             );
         }

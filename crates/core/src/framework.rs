@@ -27,7 +27,6 @@ use pareto_workloads::{
 use crate::estimator::{NodeTimeModel, SamplingPlan};
 use crate::pareto::ParetoPoint;
 use crate::partitioner::PartitionLayout;
-use crate::elastic::ElasticPlan;
 use crate::recovery::{self, ExecRequest, RecoveryConfig, RecoveryOutcome};
 use crate::stages::{PlanEngine, PlanError};
 use crate::stealing::RecordWork;
@@ -362,8 +361,10 @@ impl<'a> Framework<'a> {
     }
 
     /// Plan, then execute the workload under an injected [`FaultPlan`],
-    /// recovering from crashes by re-solving the LP over the survivors
-    /// (see [`crate::recovery`] for the full fault model).
+    /// recovering from crashes by re-solving the LP over the survivors and
+    /// carrying out its roster changes — scheduled joins, drain-then-leave
+    /// departures and preemptions (see [`crate::recovery`] for the full
+    /// fault model).
     ///
     /// The per-item work profile comes from one real execution of the
     /// workload: its total measured op count is spread over records
@@ -381,21 +382,6 @@ impl<'a> Framework<'a> {
         faults: &FaultPlan,
         recovery_cfg: &RecoveryConfig,
     ) -> Result<FaultRunOutcome, PlanError> {
-        self.try_run_with_elastic(dataset, workload, faults, &ElasticPlan::none(), recovery_cfg)
-    }
-
-    /// Like [`Framework::try_run_with_faults`], additionally executing a
-    /// planned [`ElasticPlan`] of roster transitions — scheduled joins,
-    /// drain-then-leave departures, and preemptions — alongside the fault
-    /// plan (see [`crate::elastic`] for the roster model).
-    pub fn try_run_with_elastic(
-        &self,
-        dataset: &Dataset,
-        workload: WorkloadKind,
-        faults: &FaultPlan,
-        elastic: &ElasticPlan,
-        recovery_cfg: &RecoveryConfig,
-    ) -> Result<FaultRunOutcome, PlanError> {
         recovery_cfg.validate()?;
         let plan = self.try_plan(dataset, workload)?;
         let (work, fits, alpha) =
@@ -410,7 +396,6 @@ impl<'a> Framework<'a> {
             alpha,
             faults,
             cfg: recovery_cfg,
-            elastic: Some(elastic),
             telemetry: Some(&self.telemetry),
         })?;
         Ok(FaultRunOutcome { plan, outcome })

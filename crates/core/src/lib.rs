@@ -57,16 +57,10 @@ pub mod session;
 pub mod stages;
 pub mod stealing;
 
-pub use audit::{audit_elastic_run, AuditReport, Invariant, Violation};
+pub use audit::{audit_run, AuditReport, Invariant, Violation};
 pub use cache::{CacheStats, Fingerprint, FingerprintBuilder, PlanCache, SharedPlanCache};
-pub use chaos::{
-    run_chaos, shrink_combined_schedule, shrink_schedule, ChaosConfig, ChaosReport,
-    ScheduleFailure,
-};
-pub use elastic::{
-    advise_join, ElasticEvent, ElasticEventKind, ElasticPlan, ElasticSpec, ElasticSpecError,
-    JoinAdvice,
-};
+pub use chaos::{run_chaos, shrink_schedule, ChaosConfig, ChaosReport, ScheduleFailure};
+pub use elastic::{advise_join, JoinAdvice};
 pub use estimator::{EnergyEstimator, HeterogeneityEstimator, NodeTimeModel, SamplingPlan};
 pub use framework::{
     DurabilityReport, FaultRunOutcome, Framework, FrameworkConfig, NodeDurability, Plan,

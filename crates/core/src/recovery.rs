@@ -28,8 +28,8 @@
 //!   policy: the §I ablation runs it with no model and no faults.
 //! * **Network degradation** — windows from the plan stretch every
 //!   transfer a node performs while they are active.
-//! * **Planned elasticity** — an [`ElasticPlan`] schedules roster
-//!   transitions alongside the fault plan: a *draining* node stops taking
+//! * **Planned elasticity** — the fault plan's roster events schedule
+//!   membership changes on the same timeline: a *draining* node stops taking
 //!   work at its notice, writes a KV-backed handoff record for its queue
 //!   (with the same retry + exponential backoff the fetch path uses — the
 //!   node's transient store-error count applies to the handoff write too)
@@ -53,7 +53,6 @@ use pareto_energy::NodeEnergyProfile;
 use pareto_stats::LinearFit;
 use pareto_telemetry::{ClockDomain, SpanId, Telemetry, Track};
 
-use crate::elastic::ElasticPlan;
 use crate::pareto::{ParetoModeler, PartitionPlanError};
 use crate::stealing::{RecordWork, WorkQueue};
 
@@ -201,7 +200,8 @@ impl Default for RecoveryConfig {
 /// Derives `PartialEq` so determinism tests can compare whole reports.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecoveryReport {
-    /// Events in the injected fault plan.
+    /// Fault events in the injected plan (roster events are counted in
+    /// `elastic_events`).
     pub faults_injected: usize,
     /// Nodes that died (scheduled crash or exhausted retries), in death
     /// order.
@@ -236,7 +236,7 @@ pub struct RecoveryReport {
     /// `dirty − fault_free_dirty` in joules (absolute, since dirty energy
     /// can legitimately sit near zero under green surplus).
     pub dirty_overhead_j: f64,
-    /// Events in the injected elastic plan.
+    /// Roster events (joins, drains, preemptions) in the injected plan.
     pub elastic_events: usize,
     /// Joins that actually activated (a scheduled join whose node was
     /// killed before its join time never activates).
@@ -329,13 +329,10 @@ pub struct ExecRequest<'a> {
     /// Scalarization weight of runtime re-solves (`>= 1` uses exact
     /// waterfilling).
     pub alpha: f64,
-    /// The fault schedule to survive.
+    /// The schedule to survive: faults and roster changes alike.
     pub faults: &'a FaultPlan,
     /// Retry, backoff and straggler tunables.
     pub cfg: &'a RecoveryConfig,
-    /// Planned roster transitions (joins, drains, preemptions) consumed
-    /// alongside the fault plan.
-    pub elastic: Option<&'a ElasticPlan>,
     /// Recorder for the faulty pass: per-node sim-clock spans (fetch
     /// retries, item execution, transfers), crash and elastic-transition
     /// instants, coordinator replan instants, work-item lineage, the energy
@@ -380,8 +377,8 @@ impl ExecRequest<'_> {
 }
 
 /// Execute `req.work` over the `req.initial` per-node queues while
-/// honouring the fault (and elastic) plan, recovering as described in the
-/// module docs. The fault-free baseline (same job, empty plans) is
+/// honouring the fault plan, recovering as described in the module docs.
+/// The fault-free baseline (same job, empty plan) is
 /// simulated internally to price the recovery overhead.
 ///
 /// Errors — never panics — on a request whose per-node inputs are not
@@ -390,9 +387,8 @@ impl ExecRequest<'_> {
 /// negative slope, or whose config is invalid.
 pub fn execute(req: &ExecRequest<'_>) -> Result<RecoveryOutcome, RecoveryConfigError> {
     let modeler = req.validate()?;
-    let (silent, no_elastic) = (Telemetry::disabled(), ElasticPlan::none());
+    let silent = Telemetry::disabled();
     let tel = req.telemetry.unwrap_or(&silent);
-    let elastic = req.elastic.unwrap_or(&no_elastic);
     // Spans land after any previously recorded jobs on the shared sim
     // timeline; the cursor only moves when a recorder is attached.
     let epoch = if tel.is_enabled() {
@@ -400,17 +396,17 @@ pub fn execute(req: &ExecRequest<'_>) -> Result<RecoveryOutcome, RecoveryConfigE
     } else {
         0.0
     };
-    let mut out = Sim::new(req, &modeler, req.faults, elastic, tel, epoch).run();
+    let mut out = Sim::new(req, &modeler, req.faults, tel, epoch).run();
     let rec = &mut out.recovery;
     if tel.is_enabled() {
         req.cluster.advance_sim_epoch(rec.makespan_s);
     }
     (rec.fault_free_makespan_s, rec.fault_free_dirty_linear_j) =
-        if req.faults.is_empty() && elastic.is_empty() {
+        if req.faults.is_empty() {
             (rec.makespan_s, rec.dirty_linear_j)
         } else {
             // Baseline pass records nothing — only the faulty run is the story.
-            let base = Sim::new(req, &modeler, &FaultPlan::none(), &no_elastic, &silent, 0.0)
+            let base = Sim::new(req, &modeler, &FaultPlan::none(), &silent, 0.0)
                 .run()
                 .recovery;
             (base.makespan_s, base.dirty_linear_j)
@@ -560,12 +556,11 @@ impl<'a> Sim<'a> {
         req: &'a ExecRequest<'a>,
         modeler: &'a ParetoModeler,
         faults: &'a FaultPlan,
-        elastic: &'a ElasticPlan,
         tel: &'a Telemetry,
         epoch: f64,
     ) -> Self {
         let p = req.cluster.num_nodes();
-        let join_at: Vec<Option<f64>> = (0..p).map(|i| elastic.join_time(i)).collect();
+        let join_at: Vec<Option<f64>> = (0..p).map(|i| faults.join_time(i)).collect();
         let lineage = tel.is_enabled().then(|| {
             let mut lin = vec![(0u32, 0u32); req.work.len()];
             for (i, q) in req.initial.iter().enumerate() {
@@ -599,15 +594,15 @@ impl<'a> Sim<'a> {
             epoch,
             kill_at: (0..p)
                 .map(|i| {
-                    let preempt_kill = elastic.preempt(i).map(|(t, grace)| t + grace);
+                    let preempt_kill = faults.preempt(i).map(|(t, grace)| t + grace);
                     faults.crash_time(i).into_iter().chain(preempt_kill).reduce(f64::min)
                 })
                 .collect(),
             straggler: (0..p).map(|i| faults.straggler_factor(i)).collect(),
             drain_notice: (0..p)
                 .map(|i| {
-                    let drain = elastic.drain_time(i).map(|t| (t, false));
-                    let preempt = elastic.preempt(i).map(|(t, _)| (t, true));
+                    let drain = faults.drain_time(i).map(|t| (t, false));
+                    let preempt = faults.preempt(i).map(|(t, _)| (t, true));
                     match (drain, preempt) {
                         (Some(d), Some(pr)) => Some(if d.0 <= pr.0 { d } else { pr }),
                         (d, None) => d,
@@ -639,8 +634,8 @@ impl<'a> Sim<'a> {
             out: RecoveryOutcome {
                 report: JobReport::from_runs(Vec::new()),
                 recovery: RecoveryReport {
-                    faults_injected: faults.len(),
-                    elastic_events: elastic.len(),
+                    faults_injected: faults.len() - faults.roster_len(),
+                    elastic_events: faults.roster_len(),
                     items_total: req.work.len(),
                     ..RecoveryReport::default()
                 },
@@ -1412,12 +1407,11 @@ mod tests {
             .collect()
     }
 
-    fn run_elastic(
+    fn run_cfg(
         cl: &SimCluster,
         work: &[RecordWork],
         initial: &[Vec<usize>],
         faults: &FaultPlan,
-        elastic: &ElasticPlan,
         cfg: &RecoveryConfig,
     ) -> RecoveryOutcome {
         let strata: Vec<u32> = (0..work.len()).map(|i| (i % 3) as u32).collect();
@@ -1433,7 +1427,6 @@ mod tests {
             alpha: 1.0,
             faults,
             cfg,
-            elastic: Some(elastic),
             telemetry: None,
         })
         .expect("well-formed request")
@@ -1445,8 +1438,7 @@ mod tests {
         initial: &[Vec<usize>],
         faults: &FaultPlan,
     ) -> RecoveryOutcome {
-        let cfg = RecoveryConfig::default();
-        run_elastic(cl, work, initial, faults, &ElasticPlan::none(), &cfg)
+        run_cfg(cl, work, initial, faults, &RecoveryConfig::default())
     }
 
     /// The unit tests' side of `steal_from_straggler`'s check.
@@ -1613,7 +1605,6 @@ mod tests {
             alpha: 1.0,
             faults: &faults,
             cfg: &cfg,
-            elastic: None,
             telemetry: None,
         };
         assert!(execute(&good).is_ok());
@@ -1670,7 +1661,7 @@ mod tests {
         let cfg = RecoveryConfig::new(4, 0.05, 1.5).unwrap();
         let run_with = |errors: u32| {
             let faults = FaultPlan::new().with_store_errors(1, errors);
-            run_elastic(&cl, &work, &initial, &faults, &ElasticPlan::none(), &cfg)
+            run_cfg(&cl, &work, &initial, &faults, &cfg)
         };
         // Exactly at budget: survives, all retries spent on node 1.
         let at = run_with(4);
@@ -1742,12 +1733,11 @@ mod tests {
             alpha: 1.0,
             faults: &faults,
             cfg: &cfg,
-            elastic: None,
             telemetry: None,
         };
         let modeler = req.validate().expect("well-formed request");
-        let (tel, elastic) = (Telemetry::disabled(), ElasticPlan::none());
-        let mut sim = Sim::new(&req, &modeler, &faults, &elastic, &tel, 0.0);
+        let tel = Telemetry::disabled();
+        let mut sim = Sim::new(&req, &modeler, &faults, &tel, 0.0);
         assert!(!sim.steal_from_straggler(2), "on pace: nothing to steal");
         sim.nodes[1].pending = Cost::request(1 << 40);
         assert!(sim.steal_from_straggler(2), "the transfer makes node 1 late");
@@ -1764,7 +1754,7 @@ mod tests {
         let cl = cluster(4);
         let work = uniform_work(40, 1_000_000);
         let (fits, profs) = (truthful_fits(&cl, 1_000_000), profiles(4));
-        let (tel, elastic) = (Telemetry::disabled(), ElasticPlan::none());
+        let tel = Telemetry::disabled();
         let cfg = RecoveryConfig::default();
         for (victim, thief, steals) in [(0, 3, false), (3, 0, true)] {
             let mut initial = vec![Vec::new(); 4];
@@ -1780,11 +1770,10 @@ mod tests {
                 alpha: 1.0,
                 faults: &faults,
                 cfg: &cfg,
-                elastic: None,
-                telemetry: None,
+                    telemetry: None,
             };
             let modeler = req.validate().expect("well-formed request");
-            let mut sim = Sim::new(&req, &modeler, &faults, &elastic, &tel, 0.0);
+            let mut sim = Sim::new(&req, &modeler, &faults, &tel, 0.0);
             assert_eq!(
                 sim.steal_from_straggler(thief),
                 steals,
@@ -1885,23 +1874,23 @@ mod tests {
         assert_eq!(ordered.len(), 9);
     }
 
+    /// A plan without roster events counts every event as a fault and
+    /// reports no roster activity at all.
     #[test]
     fn empty_elastic_plan_changes_nothing() {
         let cl = cluster(4);
         let work = uniform_work(120, 1_000_000);
         let initial = equal_split(120, 4);
         let plan = FaultPlan::generate(0xFA17, 4, &pareto_cluster::FaultSpec::default());
-        let base = run(&cl, &work, &initial, &plan);
-        let with_none = run_elastic(
-            &cl,
-            &work,
-            &initial,
-            &plan,
-            &ElasticPlan::none(),
-            &RecoveryConfig::default(),
-        );
-        assert_eq!(base.recovery, with_none.recovery);
-        assert_eq!(base.completed_by, with_none.completed_by);
+        assert!(!plan.is_empty() && plan.roster_len() == 0);
+        let out = run(&cl, &work, &initial, &plan);
+        let rec = &out.recovery;
+        assert_eq!(rec.faults_injected, plan.len());
+        assert_eq!(rec.elastic_events, 0);
+        assert_eq!((rec.joins_applied, rec.drains_applied, rec.preempts_applied), (0, 0, 0));
+        assert_eq!((rec.handoff_records, rec.items_handed_off), (0, 0));
+        assert!(rec.left_nodes.is_empty() && out.handed_off_items.is_empty());
+        assert!(out.join_epochs.iter().chain(&out.leave_epochs).all(Option::is_none));
     }
 
     #[test]
@@ -1911,15 +1900,8 @@ mod tests {
         let initial = equal_split(200, 4);
         let baseline = run(&cl, &work, &initial, &FaultPlan::none());
         let t = baseline.recovery.makespan_s * 0.3;
-        let elastic = ElasticPlan::new().with_drain(1, t);
-        let out = run_elastic(
-            &cl,
-            &work,
-            &initial,
-            &FaultPlan::none(),
-            &elastic,
-            &RecoveryConfig::default(),
-        );
+        let roster = FaultPlan::new().with_drain(1, t);
+        let out = run(&cl, &work, &initial, &roster);
         assert_eq!(out.recovery.drains_applied, 1);
         assert_eq!(out.recovery.left_nodes, vec![1]);
         assert_eq!(out.recovery.crashed_nodes, Vec::<usize>::new());
@@ -1948,15 +1930,8 @@ mod tests {
         let baseline = run(&cl, &work, &initial, &FaultPlan::none());
         let t = baseline.recovery.makespan_s * 0.3;
         // Grace long enough to cover the handoff write comfortably.
-        let elastic = ElasticPlan::new().with_preempt(2, t, baseline.recovery.makespan_s);
-        let out = run_elastic(
-            &cl,
-            &work,
-            &initial,
-            &FaultPlan::none(),
-            &elastic,
-            &RecoveryConfig::default(),
-        );
+        let roster = FaultPlan::new().with_preempt(2, t, baseline.recovery.makespan_s);
+        let out = run(&cl, &work, &initial, &roster);
         assert_eq!(out.recovery.preempts_applied, 1);
         assert_eq!(out.recovery.left_nodes, vec![2]);
         assert_eq!(out.recovery.crashed_nodes, Vec::<usize>::new());
@@ -1970,15 +1945,8 @@ mod tests {
         let initial = equal_split(200, 4);
         let baseline = run(&cl, &work, &initial, &FaultPlan::none());
         let t = baseline.recovery.makespan_s * 0.3;
-        let elastic = ElasticPlan::new().with_preempt(2, t, 0.0);
-        let out = run_elastic(
-            &cl,
-            &work,
-            &initial,
-            &FaultPlan::none(),
-            &elastic,
-            &RecoveryConfig::default(),
-        );
+        let roster = FaultPlan::new().with_preempt(2, t, 0.0);
+        let out = run(&cl, &work, &initial, &roster);
         // The kill lands at the notice: the node dies mid-work or during
         // the handoff, never gracefully.
         assert_eq!(out.recovery.left_nodes, Vec::<usize>::new());
@@ -1995,15 +1963,8 @@ mod tests {
         // Node 3 starts absent: its would-be share spread over 0..=2.
         let initial = equal_split(240, 4);
         let baseline = run(&cl, &work, &initial, &FaultPlan::none());
-        let elastic = ElasticPlan::new().with_join(3, baseline.recovery.makespan_s * 0.2);
-        let out = run_elastic(
-            &cl,
-            &work,
-            &initial,
-            &FaultPlan::none(),
-            &elastic,
-            &RecoveryConfig::default(),
-        );
+        let roster = FaultPlan::new().with_join(3, baseline.recovery.makespan_s * 0.2);
+        let out = run(&cl, &work, &initial, &roster);
         assert_eq!(out.recovery.joins_applied, 1);
         assert!(out.recovery.exactly_once);
         assert!(out.join_epochs[3].is_some());
@@ -2035,28 +1996,13 @@ mod tests {
         let initial = equal_split(40, 2);
         let faults = FaultPlan::new().with_crash(0, 0.001).with_crash(1, 0.001);
         // Without a joiner the job is lost...
-        let lost = run_elastic(
-            &cl,
-            &work,
-            &initial,
-            &faults,
-            &ElasticPlan::none(),
-            &RecoveryConfig::default(),
-        );
+        let lost = run(&cl, &work, &initial, &faults);
         assert!(!lost.recovery.exactly_once);
         // ...but a cluster with a third node joining later rescues it.
         let cl3 = cluster(3);
         let mut initial3 = equal_split(40, 2);
         initial3.push(Vec::new());
-        let elastic = ElasticPlan::new().with_join(2, 50.0);
-        let rescued = run_elastic(
-            &cl3,
-            &work,
-            &initial3,
-            &faults,
-            &elastic,
-            &RecoveryConfig::default(),
-        );
+        let rescued = run(&cl3, &work, &initial3, &faults.clone().with_join(2, 50.0));
         assert!(rescued.recovery.exactly_once, "{:?}", rescued.recovery);
         assert_eq!(rescued.recovery.joins_applied, 1);
         assert!(rescued.completed_by.iter().all(|c| *c == Some(2)));
@@ -2075,16 +2021,15 @@ mod tests {
         let t = baseline.recovery.makespan_s * 0.3;
         // 5 store errors: consumed once at fetch, then again by the
         // drain handoff write.
-        let faults = FaultPlan::new().with_store_errors(1, 5);
-        let elastic = ElasticPlan::new().with_drain(1, t);
-        let out = run_elastic(&cl, &work, &initial, &faults, &elastic, &cfg);
+        let faults = FaultPlan::new().with_store_errors(1, 5).with_drain(1, t);
+        let out = run_cfg(&cl, &work, &initial, &faults, &cfg);
         assert_eq!(out.recovery.retries_spent, 5, "fetch retries");
         assert_eq!(out.recovery.handoff_retries, 5, "handoff retries");
         assert_eq!(out.recovery.handoff_records, 1);
         assert_eq!(out.recovery.left_nodes, vec![1]);
         assert!(out.recovery.exactly_once);
         // Determinism with zero backoff.
-        let again = run_elastic(&cl, &work, &initial, &faults, &elastic, &cfg);
+        let again = run_cfg(&cl, &work, &initial, &faults, &cfg);
         assert_eq!(out.recovery, again.recovery);
     }
 
@@ -2103,9 +2048,8 @@ mod tests {
         let cl = cluster(2);
         let work = uniform_work(40, 1_000_000);
         let initial = equal_split(40, 2);
-        let faults = FaultPlan::new().with_store_errors(0, 1000);
-        let elastic = ElasticPlan::new().with_drain(0, 1e6);
-        let out = run_elastic(&cl, &work, &initial, &faults, &elastic, &cfg);
+        let faults = FaultPlan::new().with_store_errors(0, 1000).with_drain(0, 1e6);
+        let out = run_cfg(&cl, &work, &initial, &faults, &cfg);
         assert_eq!(out.recovery.retries_spent, 1000);
         assert_eq!(out.recovery.crashed_nodes, Vec::<usize>::new());
         assert!(out.recovery.exactly_once);
@@ -2116,15 +2060,11 @@ mod tests {
         let cl = cluster(4);
         let work = uniform_work(150, 1_500_000);
         let initial = equal_split(150, 4);
-        let faults = FaultPlan::generate(0xFA17, 4, &pareto_cluster::FaultSpec::storage());
-        let elastic = crate::elastic::ElasticPlan::generate(
-            0xFA17,
-            4,
-            &crate::elastic::ElasticSpec::default(),
-        );
-        let cfg = RecoveryConfig::default();
-        let a = run_elastic(&cl, &work, &initial, &faults, &elastic, &cfg);
-        let b = run_elastic(&cl, &work, &initial, &faults, &elastic, &cfg);
+        let spec = pareto_cluster::FaultSpec::storage().with_roster();
+        let faults = FaultPlan::generate(0xFA17, 4, &spec);
+        assert!(faults.roster_len() > 0);
+        let a = run(&cl, &work, &initial, &faults);
+        let b = run(&cl, &work, &initial, &faults);
         assert_eq!(a.recovery, b.recovery);
         assert_eq!(a.completed_by, b.completed_by);
         assert_eq!(a.reassigned_items, b.reassigned_items);

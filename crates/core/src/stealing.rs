@@ -175,7 +175,6 @@ mod tests {
                 straggler_threshold: 1.0,
                 ..RecoveryConfig::default()
             },
-            elastic: None,
             telemetry: None,
         })
         .expect("node-aligned request over a valid config")

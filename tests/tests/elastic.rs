@@ -1,13 +1,14 @@
 //! Acceptance gate for the elastic roster layer: a full-size sweep of 256
 //! seeded elastic+fault schedules passes all nine auditor invariants, is
 //! reproducible across planning thread counts {1, 4, 8} for three master
-//! seeds, and the combined shrinker emits a stable one-line reproducer.
+//! seeds, and the shrinker reduces a mixed fault + roster schedule to a
+//! stable one-line reproducer.
 
-use pareto_cluster::{FaultPlan, NodeSpec, SimCluster};
+use pareto_cluster::{FaultPlan, FaultSpec, NodeSpec, SimCluster};
 use pareto_core::framework::{FrameworkConfig, Strategy};
 use pareto_core::{
-    advise_join, run_chaos, shrink_combined_schedule, ChaosConfig, ChaosReport, ElasticPlan,
-    ElasticSpec, ParetoModeler, PlanSession, RecoveryConfig,
+    advise_join, run_chaos, shrink_schedule, ChaosConfig, ChaosReport, ParetoModeler,
+    PlanSession, RecoveryConfig,
 };
 use pareto_datagen::Dataset;
 use pareto_integration_tests::thread_counts;
@@ -42,7 +43,7 @@ fn elastic_chaos(seed: u64) -> ChaosConfig {
     ChaosConfig {
         schedules: 256,
         seed,
-        elastic: Some(ElasticSpec::default()),
+        spec: FaultSpec::storage().with_roster(),
         ..ChaosConfig::default()
     }
 }
@@ -91,17 +92,16 @@ fn elastic_sweep_clean_and_identical_across_thread_counts() {
     }
 }
 
-/// Composing elastic churn must not perturb the fault half of the sweep:
-/// a zero-probability elastic spec draws only empty roster plans, so the
-/// sweep report is exactly the fault-only report (disjoint draw indices,
-/// identical audit path), and the real default-spec sweep is itself
+/// Composing roster churn must not perturb the fault half of the sweep:
+/// with the roster mix on, every schedule's fault events are exactly the
+/// fault-only schedule (disjoint draw indices, roster events listed
+/// after), and both the fault-only and the composed sweeps are
 /// reproducible run to run.
 #[test]
 fn elastic_composition_leaves_fault_only_sweeps_untouched() {
     let fault_only = ChaosConfig {
         schedules: 64,
         seed: 2017,
-        elastic: None,
         ..ChaosConfig::default()
     };
     let a = sweep(1, &fault_only);
@@ -109,58 +109,49 @@ fn elastic_composition_leaves_fault_only_sweeps_untouched() {
     assert_eq!(a.checks, b.checks, "fault-only sweep must be reproducible");
     assert!(a.is_clean() && b.is_clean());
 
-    // Elasticity at probability zero is byte-for-byte a fault-only sweep.
-    let inert = sweep(
-        1,
-        &ChaosConfig {
-            elastic: Some(ElasticSpec {
-                join_prob: 0.0,
-                drain_prob: 0.0,
-                preempt_prob: 0.0,
-                ..ElasticSpec::default()
-            }),
-            ..fault_only.clone()
-        },
-    );
-    assert!(inert.is_clean());
-    assert_eq!(
-        inert.checks, a.checks,
-        "zero-probability elasticity must not change a single audit check"
-    );
-
     let composed = ChaosConfig {
-        elastic: Some(ElasticSpec::default()),
-        ..fault_only
+        spec: fault_only.spec.with_roster(),
+        ..fault_only.clone()
     };
+    let mut churned = 0;
+    for i in 0..u64::from(fault_only.schedules) {
+        let seed = fault_only.seed + i;
+        let faults = FaultPlan::generate(seed, 4, &fault_only.spec);
+        let mixed = FaultPlan::generate(seed, 4, &composed.spec);
+        let roster = mixed.roster_len();
+        churned += usize::from(roster > 0);
+        assert_eq!(
+            &mixed.events()[..faults.len()],
+            faults.events(),
+            "seed {seed}: the roster mix moved a fault event"
+        );
+        assert_eq!(mixed.len(), faults.len() + roster, "seed {seed}");
+    }
+    assert!(churned > 0, "the roster mix must churn somewhere in the sweep");
+
     let c1 = sweep(1, &composed);
     let c2 = sweep(1, &composed);
     assert!(c1.is_clean() && c2.is_clean());
     assert_eq!(c1.checks, c2.checks, "composed sweep must be reproducible");
 }
 
-/// The combined shrinker reduces a fault+elastic conjunction to exactly
-/// the culpable events from each half, in one stable one-line spec.
+/// The shrinker reduces a fault + roster conjunction to exactly the
+/// culpable event of each kind, in one stable one-line spec.
 #[test]
 fn combined_shrinker_isolates_culprits_from_both_halves() {
-    let faults = FaultPlan::new()
+    let plan = FaultPlan::new()
         .with_straggler(0, 3.0)
         .with_crash(2, 40.0)
-        .with_store_errors(1, 2);
-    let elastic = ElasticPlan::new()
+        .with_store_errors(1, 2)
         .with_join(3, 10.0)
         .with_drain(1, 35.0)
         .with_preempt(2, 80.0, 5.0);
     // Failure requires BOTH the crash on 2 and the drain on 1.
-    let needs_both = |f: &FaultPlan, e: &ElasticPlan| {
-        f.crash_time(2).is_some() && e.drain_time(1).is_some()
-    };
-    let (min_f, min_e) = shrink_combined_schedule(&faults, &elastic, needs_both);
-    assert_eq!(min_f.to_spec(), "crash:2@40");
-    assert_eq!(min_e.to_spec(), "drain:1@35");
+    let needs_both = |p: &FaultPlan| p.crash_time(2).is_some() && p.drain_time(1).is_some();
+    let minimal = shrink_schedule(&plan, needs_both);
+    assert_eq!(minimal.to_spec(), "crash:2@40, drain:1@35");
     // Fixpoint: shrinking the minimum again changes nothing.
-    let (again_f, again_e) = shrink_combined_schedule(&min_f, &min_e, needs_both);
-    assert_eq!(again_f.to_spec(), min_f.to_spec());
-    assert_eq!(again_e.to_spec(), min_e.to_spec());
+    assert_eq!(shrink_schedule(&minimal, needs_both), minimal);
 }
 
 /// The autoscaling advisor is deterministic and self-consistent: the same
@@ -219,31 +210,19 @@ fn join_advice_is_deterministic_and_self_consistent() {
 #[test]
 fn single_drain_schedule_audits_clean_with_handoffs() {
     use pareto_core::framework::Framework;
-    use pareto_core::{audit_elastic_run, FaultRunOutcome};
+    use pareto_core::{audit_run, FaultRunOutcome};
 
     let (cluster, dataset, cfg) = setup(1);
     let fw = Framework::new(&cluster, cfg);
     let wl = WorkloadKind::FrequentPatterns { support: 0.15 };
     let clean: FaultRunOutcome = fw
-        .try_run_with_elastic(
-            &dataset,
-            wl,
-            &FaultPlan::none(),
-            &ElasticPlan::none(),
-            &RecoveryConfig::default(),
-        )
+        .try_run_with_faults(&dataset, wl, &FaultPlan::none(), &RecoveryConfig::default())
         .expect("clean run");
     let t = clean.outcome.recovery.makespan_s * 0.4;
-    let elastic = ElasticPlan::new().with_drain(1, t);
+    let drain = FaultPlan::new().with_drain(1, t);
 
     let run = fw
-        .try_run_with_elastic(
-            &dataset,
-            wl,
-            &FaultPlan::none(),
-            &elastic,
-            &RecoveryConfig::default(),
-        )
+        .try_run_with_faults(&dataset, wl, &drain, &RecoveryConfig::default())
         .expect("drained run");
     let rec = &run.outcome.recovery;
     assert!(rec.exactly_once, "drain must preserve exactly-once: {rec:?}");
@@ -252,7 +231,7 @@ fn single_drain_schedule_audits_clean_with_handoffs() {
         rec.handoff_records >= 1 && rec.items_handed_off >= 1,
         "a mid-job drain must hand off in-flight work: {rec:?}"
     );
-    let report = audit_elastic_run(&FaultPlan::none(), &elastic, &run.plan, &run.outcome);
+    let report = audit_run(&drain, &run.plan, &run.outcome);
     assert!(
         report.is_clean(),
         "drain run must satisfy all nine invariants: {:?}",

@@ -6,20 +6,11 @@
 
 use pareto_cluster::{FaultPlan, FaultSpec, NodeSpec, SimCluster};
 use pareto_core::framework::{FaultRunOutcome, Framework, FrameworkConfig, Strategy};
-use pareto_core::{ElasticPlan, ElasticSpec, RecoveryConfig};
+use pareto_core::RecoveryConfig;
 use pareto_integration_tests::thread_counts;
 use pareto_workloads::WorkloadKind;
 
 fn faulted_run(seed: u64, threads: usize, faults: &FaultPlan) -> FaultRunOutcome {
-    elastic_run(seed, threads, faults, &ElasticPlan::none())
-}
-
-fn elastic_run(
-    seed: u64,
-    threads: usize,
-    faults: &FaultPlan,
-    elastic: &ElasticPlan,
-) -> FaultRunOutcome {
     let ds = pareto_datagen::rcv1_syn(seed, 0.06);
     let cl = SimCluster::new(NodeSpec::paper_cluster(4, 400.0, 2, 9, seed));
     Framework::new(
@@ -31,14 +22,13 @@ fn elastic_run(
             ..FrameworkConfig::default()
         },
     )
-    .try_run_with_elastic(
+    .try_run_with_faults(
         &ds,
         WorkloadKind::FrequentPatterns { support: 0.15 },
         faults,
-        elastic,
         &RecoveryConfig::default(),
     )
-    .expect("elastic run must plan")
+    .expect("faulted run must plan")
 }
 
 /// Compare two fault runs field-for-field; f64s via to_bits.
@@ -164,62 +154,62 @@ fn executor_results_ignore_storage_fault_events() {
     );
 }
 
-/// Every generated elastic schedule survives a `to_spec` → `parse` round
-/// trip, so a printed minimal reproducer (including the combined
-/// `// elastic:` suffix the chaos shrinker emits) is always a valid
-/// `--elastic` argument.
+/// Every generated roster schedule survives a `to_spec` → `parse` round
+/// trip, so a printed minimal reproducer that carries roster changes is
+/// always a valid `--faults` (or `--elastic`) argument.
 #[test]
 fn generated_elastic_plans_round_trip_through_the_spec_grammar() {
     let mut non_empty = 0;
     for seed in [7u64, 42, 2017, 31337] {
-        let plan = ElasticPlan::generate(seed, 4, &ElasticSpec::default());
+        let plan = FaultPlan::parse(&format!("eseeded:{seed}"), 4).expect("eseeded parses");
         non_empty += usize::from(!plan.is_empty());
         let spec = plan.to_spec();
-        let reparsed = ElasticPlan::parse(&spec, 4)
+        let reparsed = FaultPlan::parse(&spec, 4)
             .unwrap_or_else(|e| panic!("seed {seed}: {spec:?} failed to parse: {e}"));
         assert_eq!(reparsed.to_spec(), spec, "seed {seed} round trip");
         assert_eq!(reparsed.events(), plan.events(), "seed {seed} events");
     }
-    assert!(non_empty > 0, "every test seed drew an empty elastic plan");
+    assert!(non_empty > 0, "every test seed drew an empty roster plan");
 }
 
-/// Hand-written elastic clauses round-trip too, and `eseeded:SEED`
-/// expands to exactly the generated plan — the grammar and the generator
-/// agree on one canonical event list.
+/// Hand-written roster clauses round-trip too, and `eseeded:SEED`
+/// expands to exactly the roster half of the generated plan — the grammar
+/// and the generator agree on one canonical event list.
 #[test]
 fn elastic_spec_grammar_accepts_explicit_and_seeded_clauses() {
     let spec = "join:3@12.5, drain:1@40, preempt:2@60@7.25";
-    let plan = ElasticPlan::parse(spec, 4).expect("explicit clauses parse");
+    let plan = FaultPlan::parse(spec, 4).expect("explicit clauses parse");
     assert_eq!(plan.to_spec(), spec);
     assert_eq!(plan.join_time(3), Some(12.5));
     assert_eq!(plan.drain_time(1), Some(40.0));
     assert_eq!(plan.preempt(2), Some((60.0, 7.25)));
 
-    let seeded = ElasticPlan::parse("eseeded:42", 4).expect("seeded clause parses");
+    let seeded = FaultPlan::parse("eseeded:42", 4).expect("seeded clause parses");
+    let generated = FaultPlan::generate(42, 4, &FaultSpec::default().with_roster());
     assert_eq!(
         seeded.events(),
-        ElasticPlan::generate(42, 4, &ElasticSpec::default()).events(),
-        "eseeded:SEED must expand to the generated plan verbatim"
+        &generated.events()[generated.len() - generated.roster_len()..],
+        "eseeded:SEED must expand to the generated roster events verbatim"
     );
 
     // Malformed clauses are typed errors, not silent drops.
-    assert!(ElasticPlan::parse("join:9@5", 4).is_err(), "node range");
-    assert!(ElasticPlan::parse("drain:1@-3", 4).is_err(), "negative time");
-    assert!(ElasticPlan::parse("preempt:1@5", 4).is_err(), "missing grace");
-    assert!(ElasticPlan::parse("vanish:1@5", 4).is_err(), "unknown kind");
+    assert!(FaultPlan::parse("join:9@5", 4).is_err(), "node range");
+    assert!(FaultPlan::parse("drain:1@-3", 4).is_err(), "negative time");
+    assert!(FaultPlan::parse("preempt:1@5", 4).is_err(), "missing grace");
+    assert!(FaultPlan::parse("vanish:1@5", 4).is_err(), "unknown kind");
 }
 
-/// Composed fault + elastic schedules replay bit-identically at every
-/// thread count — the elastic extension of the CI determinism matrix.
+/// Composed fault + roster schedules replay bit-identically at every
+/// thread count — the roster extension of the CI determinism matrix.
 #[test]
 fn composed_elastic_schedule_identical_across_thread_counts() {
     let counts = thread_counts();
     for seed in [11u64, 2017] {
-        let faults = FaultPlan::generate(seed ^ 0xFA17, 4, &FaultSpec::default());
-        let elastic = ElasticPlan::generate(seed ^ 0xE1A5, 4, &ElasticSpec::default());
-        let serial = elastic_run(seed, counts[0], &faults, &elastic);
+        let spec = format!("seeded:{}, eseeded:{}", seed ^ 0xFA17, seed ^ 0xE1A5);
+        let plan = FaultPlan::parse(&spec, 4).expect("seeded clauses parse");
+        let serial = faulted_run(seed, counts[0], &plan);
         for &threads in &counts[1..] {
-            let par = elastic_run(seed, threads, &faults, &elastic);
+            let par = faulted_run(seed, threads, &plan);
             assert_bit_identical(
                 &serial,
                 &par,
@@ -282,9 +272,10 @@ fn spec_digest(spec: &str) -> u64 {
 const PIN_SEEDS: [u64; 3] = [7, 11, 2017];
 
 /// FNV-1a digests of `to_spec()` for the seeded generators at
-/// [`PIN_SEEDS`], recorded while roster schedules still had a plan type
-/// of their own. A generator change that moves a single draw shows here,
-/// checked against the past rather than against the generator itself.
+/// [`PIN_SEEDS`], recorded while roster schedules still had a plan type,
+/// generator and grammar of their own. A generator change that moves a
+/// single draw shows here, checked against the past rather than against
+/// the generator itself.
 const GENERATOR_PINS: [(&str, [u64; 3]); 4] = [
     ("default", [0xeaa2_8094_77bd_2d3a, 0x2c41_3212_e184_2f52, 0xd935_f6d1_b942_ecf3]),
     ("storage", [0x41e9_7e7e_b3ec_ac51, 0x13c0_8945_7cf3_0485, 0xb699_8231_1f15_328b]),
@@ -292,17 +283,20 @@ const GENERATOR_PINS: [(&str, [u64; 3]); 4] = [
     ("roster", [0xcba9_19ba_9f26_bacc, 0x15ce_0813_fbea_a4e8, 0xd0c2_9473_8224_1430]),
 ];
 
-/// The spec of one pinned generated plan.
+/// The spec of one pinned generated plan: `seeded:S` and `eseeded:S`
+/// through the grammar, the storage and serving mixes through `generate`.
 fn generated_spec(family: &str, seed: u64) -> String {
+    let parsed = |clause: &str| FaultPlan::parse(&format!("{clause}:{seed}"), 8).unwrap();
     match family {
-        "default" => FaultPlan::generate(seed, 8, &FaultSpec::default()).to_spec(),
+        "default" => parsed("seeded").to_spec(),
         "storage" => FaultPlan::generate(seed, 8, &FaultSpec::storage()).to_spec(),
         "serving" => FaultPlan::generate(seed, 8, &FaultSpec::serving()).to_spec(),
-        _ => ElasticPlan::generate(seed, 8, &ElasticSpec::default()).to_spec(),
+        _ => parsed("eseeded").to_spec(),
     }
 }
 
-/// Every seeded generator reproduces its pinned plans byte for byte.
+/// Every seeded generator reproduces its pinned plans byte for byte, and
+/// a roster-enabled plan is the fault plan followed by the roster plan.
 #[test]
 fn generated_plans_match_their_pinned_digests() {
     for (family, pins) in GENERATOR_PINS {
@@ -311,5 +305,14 @@ fn generated_plans_match_their_pinned_digests() {
             assert!(!spec.is_empty(), "{family} at seed {seed} drew an empty plan");
             assert_eq!(spec_digest(&spec), pin, "{family} at seed {seed}: `{spec}`");
         }
+    }
+    for seed in PIN_SEEDS {
+        let mixed = FaultPlan::generate(seed, 8, &FaultSpec::storage().with_roster());
+        let joined = format!(
+            "{}, {}",
+            generated_spec("storage", seed),
+            generated_spec("roster", seed)
+        );
+        assert_eq!(mixed.to_spec(), joined, "seed {seed}");
     }
 }

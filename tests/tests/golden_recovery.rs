@@ -31,7 +31,7 @@
 
 use pareto_cluster::{FaultPlan, NodeSpec, SimCluster};
 use pareto_core::framework::{Framework, FrameworkConfig, Strategy};
-use pareto_core::{ElasticPlan, RecoveryConfig, RecoveryOutcome};
+use pareto_core::{RecoveryConfig, RecoveryOutcome};
 use pareto_integration_tests::{digest, thread_counts};
 use pareto_telemetry::export::json_dump;
 use pareto_telemetry::{ClockDomain, Telemetry, TelemetrySnapshot, Track};
@@ -154,12 +154,7 @@ fn outcome_digest(out: &RecoveryOutcome) -> u64 {
 /// the run recorded on the simulated clock: wall-clock planning spans and
 /// the wall-seconds stage histogram are dropped (they are the one
 /// legitimately machine-dependent part of a dump).
-fn run(
-    alpha: f64,
-    threads: usize,
-    faults: &FaultPlan,
-    elastic: &ElasticPlan,
-) -> (RecoveryOutcome, TelemetrySnapshot) {
+fn run(alpha: f64, threads: usize, faults: &FaultPlan) -> (RecoveryOutcome, TelemetrySnapshot) {
     let ds = pareto_datagen::rcv1_syn(SEED, 0.06);
     let tel = Telemetry::enabled();
     let cl = SimCluster::new(NodeSpec::paper_cluster(NODES, 400.0, 2, 9, SEED))
@@ -172,7 +167,7 @@ fn run(
     };
     let out = Framework::new(&cl, cfg)
         .with_telemetry(tel.clone())
-        .try_run_with_elastic(&ds, WORKLOAD, faults, elastic, &RecoveryConfig::default())
+        .try_run_with_faults(&ds, WORKLOAD, faults, &RecoveryConfig::default())
         .expect("run must plan");
     let mut snap = tel.snapshot();
     snap.spans.retain(|s| s.domain == ClockDomain::Sim);
@@ -183,69 +178,60 @@ fn run(
 
 /// A named scenario plus a substring its telemetry dump must contain —
 /// proof that the run actually exercised the mechanism it is named for.
-type Scenario = (&'static str, FaultPlan, ElasticPlan, &'static str);
+type Scenario = (&'static str, FaultPlan, &'static str);
 
 /// The scenario matrix for one `alpha`. Event times are fractions of the
 /// fault-free makespan `t` so they land mid-job under either plan;
 /// `thief` is the node (and mid-transfer instant) of the first speculative
 /// steal in the straggler scenario, which the next scenario kills.
 fn scenarios(t: f64, thief: (usize, f64)) -> Vec<Scenario> {
-    let none = ElasticPlan::none;
     let straggler = || FaultPlan::new().with_straggler(3, 8.0);
     let mut degraded = FaultPlan::new();
     for node in 0..NODES {
         degraded = degraded.with_network_degradation(node, 0.0, 1e9, 50.0);
     }
     vec![
-        ("fault-free", FaultPlan::none(), none(), r#""kind":"fetch""#),
+        ("fault-free", FaultPlan::none(), r#""kind":"fetch""#),
         (
             "crash-mid-exec",
             FaultPlan::new().with_crash(1, t * 0.4),
-            none(),
             r#""during":"exec""#,
         ),
         (
             "fetch-retry-exhaustion",
             FaultPlan::new().with_store_errors(2, 10),
-            none(),
             r#""during":"fetch""#,
         ),
         (
             "transient-retries",
             FaultPlan::new().with_store_errors(2, 2),
-            none(),
             r#""name":"kv-retry""#,
         ),
-        ("straggler-steal", straggler(), none(), r#""kind":"steal""#),
+        ("straggler-steal", straggler(), r#""kind":"steal""#),
         (
             "thief-dies-mid-steal",
             straggler().with_crash(thief.0, thief.1),
-            none(),
             r#""during":"steal""#,
         ),
-        ("net-degradation", degraded, none(), r#""kind":"fetch""#),
+        ("net-degradation", degraded, r#""kind":"fetch""#),
         (
             "drain",
-            FaultPlan::none(),
-            ElasticPlan::new().with_drain(1, t * 0.3),
+            FaultPlan::new().with_drain(1, t * 0.3),
             r#""name":"leave""#,
         ),
         (
             "preempt-generous-grace",
-            FaultPlan::none(),
-            ElasticPlan::new().with_preempt(2, t * 0.3, t),
+            FaultPlan::new().with_preempt(2, t * 0.3, t),
             r#""name":"leave""#,
         ),
         (
             "preempt-zero-grace",
-            FaultPlan::none(),
-            ElasticPlan::new().with_preempt(2, t * 0.3, 0.0),
+            FaultPlan::new().with_preempt(2, t * 0.3, 0.0),
             r#""name":"crash""#,
         ),
         (
             "join-rebalance",
-            FaultPlan::none(),
-            ElasticPlan::new().with_join(3, t * 0.2),
+            FaultPlan::new().with_join(3, t * 0.2),
             r#""name":"rebalance""#,
         ),
         (
@@ -253,8 +239,8 @@ fn scenarios(t: f64, thief: (usize, f64)) -> Vec<Scenario> {
             FaultPlan::new()
                 .with_crash(0, 0.001)
                 .with_crash(1, 0.001)
-                .with_crash(2, 0.001),
-            ElasticPlan::new().with_join(3, t * 2.0),
+                .with_crash(2, 0.001)
+                .with_join(3, t * 2.0),
             r#""kind":"rescue""#,
         ),
     ]
@@ -279,17 +265,12 @@ fn recovery_matches_the_pins_recorded_before_the_executor_collapse() {
     let counts = thread_counts();
     let mut observed = Vec::new();
     for alpha in ALPHAS {
-        let (clean, _) = run(alpha, 1, &FaultPlan::none(), &ElasticPlan::none());
+        let (clean, _) = run(alpha, 1, &FaultPlan::none());
         let t = clean.recovery.makespan_s;
-        let (_, straggler_snap) = run(
-            alpha,
-            1,
-            &FaultPlan::new().with_straggler(3, 8.0),
-            &ElasticPlan::none(),
-        );
-        for (name, faults, elastic, marker) in scenarios(t, first_steal(&straggler_snap)) {
+        let (_, straggler_snap) = run(alpha, 1, &FaultPlan::new().with_straggler(3, 8.0));
+        for (name, faults, marker) in scenarios(t, first_steal(&straggler_snap)) {
             let observe = |threads: usize| {
-                let (out, snap) = run(alpha, threads, &faults, &elastic);
+                let (out, snap) = run(alpha, threads, &faults);
                 let dump = json_dump(&snap, &[]);
                 assert!(dump.contains(marker), "{name} alpha {alpha}: dump lacks {marker}");
                 Pin {

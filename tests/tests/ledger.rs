@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use pareto_cluster::{FaultPlan, NodeSpec, SimCluster};
 use pareto_core::framework::{FaultRunOutcome, Framework, FrameworkConfig, Strategy};
-use pareto_core::{ElasticPlan, RecoveryConfig};
+use pareto_core::RecoveryConfig;
 use pareto_telemetry::ledger::{reconcile, ReferenceTotal};
 use pareto_telemetry::Telemetry;
 use pareto_workloads::WorkloadKind;
@@ -20,11 +20,7 @@ const REL_TOL: f64 = 1e-3;
 
 /// Run the workload with the recorder attached and return the cluster
 /// (needed for attribution), the outcome, and the recorder.
-fn traced_run(
-    seed: u64,
-    faults: &FaultPlan,
-    elastic: &ElasticPlan,
-) -> (SimCluster, FaultRunOutcome, Arc<Telemetry>) {
+fn traced_run(seed: u64, faults: &FaultPlan) -> (SimCluster, FaultRunOutcome, Arc<Telemetry>) {
     let ds = pareto_datagen::rcv1_syn(seed, 0.06);
     let tel = Telemetry::enabled();
     let cl = SimCluster::new(NodeSpec::paper_cluster(4, 400.0, 2, 9, seed))
@@ -37,11 +33,10 @@ fn traced_run(
     };
     let out = {
         let fw = Framework::new(&cl, cfg).with_telemetry(tel.clone());
-        fw.try_run_with_elastic(
+        fw.try_run_with_faults(
             &ds,
             WorkloadKind::FrequentPatterns { support: 0.15 },
             faults,
-            elastic,
             &RecoveryConfig::default(),
         )
         .expect("run completes")
@@ -80,7 +75,7 @@ fn assert_reconciles(cl: &SimCluster, out: &FaultRunOutcome, tel: &Telemetry, ct
 /// Clean run: only exec intervals, every node reconciles.
 #[test]
 fn clean_run_ledger_reconciles() {
-    let (cl, out, tel) = traced_run(7, &FaultPlan::none(), &ElasticPlan::none());
+    let (cl, out, tel) = traced_run(7, &FaultPlan::none());
     assert_reconciles(&cl, &out, &tel, "clean run");
 }
 
@@ -90,10 +85,10 @@ fn clean_run_ledger_reconciles() {
 #[test]
 fn crashed_run_ledger_reconciles() {
     let seed = 31u64;
-    let (_, clean, _) = traced_run(seed, &FaultPlan::none(), &ElasticPlan::none());
+    let (_, clean, _) = traced_run(seed, &FaultPlan::none());
     let tc = clean.outcome.recovery.makespan_s * 0.4;
     let faults = FaultPlan::new().with_crash(1, tc);
-    let (cl, out, tel) = traced_run(seed, &faults, &ElasticPlan::none());
+    let (cl, out, tel) = traced_run(seed, &faults);
     assert_eq!(out.outcome.recovery.crashed_nodes, vec![1]);
     assert_reconciles(&cl, &out, &tel, "crashed run");
     // The crash shows up as distinct ledger stages beyond plain exec.
@@ -112,14 +107,14 @@ fn crashed_run_ledger_reconciles() {
 #[test]
 fn elastic_drain_ledger_reconciles() {
     let seed = 5u64;
-    let (_, clean, _) = traced_run(seed, &FaultPlan::none(), &ElasticPlan::none());
+    let (_, clean, _) = traced_run(seed, &FaultPlan::none());
     let t = clean.outcome.recovery.makespan_s * 0.4;
-    let elastic = ElasticPlan::new().with_drain(1, t);
-    let (cl, out, tel) = traced_run(seed, &FaultPlan::none(), &elastic);
+    let drain = FaultPlan::new().with_drain(1, t);
+    let (cl, out, tel) = traced_run(seed, &drain);
     assert_eq!(out.outcome.recovery.left_nodes, vec![1]);
     assert_reconciles(&cl, &out, &tel, "drained run");
 
-    let faults = FaultPlan::new().with_crash(2, t * 1.2);
-    let (cl, out, tel) = traced_run(seed, &faults, &elastic);
+    let crash_and_drain = FaultPlan::new().with_crash(2, t * 1.2).with_drain(1, t);
+    let (cl, out, tel) = traced_run(seed, &crash_and_drain);
     assert_reconciles(&cl, &out, &tel, "drain+crash run");
 }
