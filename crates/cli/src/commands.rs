@@ -835,7 +835,7 @@ fn execute_with_faults(
         }
     );
     println!(
-        "makespan           {:.2} s vs {:.2} s fault-free (+{:.1}%)",
+        "makespan           {:.2} s vs {:.2} s fault-free ({:+.1}%)",
         rec.makespan_s,
         rec.fault_free_makespan_s,
         rec.makespan_overhead * 100.0
