@@ -46,20 +46,6 @@ impl Summary {
         }
     }
 
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance.sqrt()
-    }
-
-    /// Coefficient of variation (stddev/mean); 0 when the mean is 0.
-    pub fn cv(&self) -> f64 {
-        if self.mean.abs() <= f64::EPSILON {
-            0.0
-        } else {
-            self.stddev() / self.mean.abs()
-        }
-    }
-
     /// Max/mean imbalance ratio — the load-balance figure of merit: 1.0 is a
     /// perfectly balanced set of per-partition times.
     pub fn imbalance(&self) -> f64 {
@@ -164,12 +150,6 @@ mod tests {
         assert_eq!(s.n, 1);
         assert_close(s.mean, 7.0, 0.0);
         assert_eq!(s.variance, 0.0);
-    }
-
-    #[test]
-    fn summary_cv_zero_mean() {
-        let s = Summary::of(&[-1.0, 1.0]);
-        assert_eq!(s.cv(), 0.0);
     }
 
     #[test]

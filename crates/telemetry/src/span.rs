@@ -69,18 +69,6 @@ impl Track {
             Track::Node(i) => format!("node{i}"),
         }
     }
-
-    /// Parse an exporter label back into a track.
-    pub fn from_label(s: &str) -> Option<Track> {
-        match s {
-            "planner" => Some(Track::Planner),
-            "coordinator" => Some(Track::Coordinator),
-            _ => s
-                .strip_prefix("node")
-                .and_then(|n| n.parse().ok())
-                .map(Track::Node),
-        }
-    }
 }
 
 /// Key/value attributes attached to spans and instants.
@@ -128,11 +116,9 @@ mod tests {
 
     #[test]
     fn track_labels_round_trip() {
-        for t in [Track::Planner, Track::Coordinator, Track::Node(0), Track::Node(17)] {
-            assert_eq!(Track::from_label(&t.label()), Some(t));
-        }
-        assert_eq!(Track::from_label("nodeX"), None);
-        assert_eq!(Track::from_label("bogus"), None);
+        let tracks = [Track::Planner, Track::Coordinator, Track::Node(0), Track::Node(17)];
+        let labels: Vec<String> = tracks.iter().map(Track::label).collect();
+        assert_eq!(labels, ["planner", "coordinator", "node0", "node17"]);
     }
 
     #[test]

@@ -67,40 +67,6 @@ pub struct MiningOutput {
     pub num_transactions: usize,
 }
 
-impl MiningOutput {
-    /// The **closed** frequent itemsets: those with no frequent superset
-    /// of identical support (the lossless condensed representation the
-    /// CloseGraph line of work — the paper's reference [23] — mines
-    /// directly; here derived by post-processing).
-    pub fn closed_itemsets(&self) -> Vec<&FrequentItemset> {
-        self.itemsets
-            .iter()
-            .filter(|f| {
-                !self.itemsets.iter().any(|g| {
-                    g.count == f.count
-                        && g.items.len() > f.items.len()
-                        && is_subset(&f.items, &g.items)
-                })
-            })
-            .collect()
-    }
-}
-
-/// `a ⊆ b` for sorted item slices.
-fn is_subset(a: &[u64], b: &[u64]) -> bool {
-    let mut j = 0usize;
-    for &x in a {
-        while j < b.len() && b[j] < x {
-            j += 1;
-        }
-        if j >= b.len() || b[j] != x {
-            return false;
-        }
-        j += 1;
-    }
-    true
-}
-
 /// The miner.
 ///
 /// ```
@@ -776,43 +742,6 @@ mod tests {
             min_support: 0.0,
             ..AprioriConfig::default()
         });
-    }
-
-    #[test]
-    fn closed_itemsets_are_lossless_and_minimal() {
-        // {1,2} in 3 transactions, {1} alone in a 4th: {1} is closed
-        // (support 4 != any superset's), {2} is NOT closed ({1,2} has the
-        // same support 3), {1,2} is closed.
-        let db = itemsets(&[&[1, 2], &[1, 2], &[1, 2], &[1]]);
-        let (out, _) = Apriori::new(AprioriConfig {
-            min_support: 0.25,
-            ..AprioriConfig::default()
-        })
-        .mine(&refs(&db));
-        let closed = out.closed_itemsets();
-        let closed_sets: Vec<&[u64]> = closed.iter().map(|f| f.items.as_slice()).collect();
-        assert!(closed_sets.contains(&&[1u64][..]));
-        assert!(closed_sets.contains(&&[1u64, 2][..]));
-        assert!(!closed_sets.contains(&&[2u64][..]), "{{2}} is absorbed by {{1,2}}");
-        // Losslessness: every frequent itemset has a closed superset with
-        // equal support.
-        for f in &out.itemsets {
-            assert!(
-                closed.iter().any(|c| c.count == f.count
-                    && super::is_subset(&f.items, &c.items)),
-                "itemset {:?} lost by closure",
-                f.items
-            );
-        }
-    }
-
-    #[test]
-    fn is_subset_cases() {
-        assert!(super::is_subset(&[], &[1, 2]));
-        assert!(super::is_subset(&[2], &[1, 2, 3]));
-        assert!(super::is_subset(&[1, 3], &[1, 2, 3]));
-        assert!(!super::is_subset(&[1, 4], &[1, 2, 3]));
-        assert!(!super::is_subset(&[1], &[]));
     }
 
     #[test]
