@@ -640,7 +640,7 @@ mod tests {
     }
 
     #[test]
-    fn combined_spec_is_one_line_and_round_trips() {
+    fn mixed_schedule_spec_is_one_line_and_round_trips() {
         let plan = FaultPlan::new().with_crash(0, 5.0).with_drain(1, 40.0);
         let spec = plan.to_spec();
         assert_eq!(spec, "crash:0@5, drain:1@40");

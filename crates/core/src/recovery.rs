@@ -401,16 +401,15 @@ pub fn execute(req: &ExecRequest<'_>) -> Result<RecoveryOutcome, RecoveryConfigE
     if tel.is_enabled() {
         req.cluster.advance_sim_epoch(rec.makespan_s);
     }
-    (rec.fault_free_makespan_s, rec.fault_free_dirty_linear_j) =
-        if req.faults.is_empty() {
-            (rec.makespan_s, rec.dirty_linear_j)
-        } else {
-            // Baseline pass records nothing — only the faulty run is the story.
-            let base = Sim::new(req, &modeler, &FaultPlan::none(), &silent, 0.0)
-                .run()
-                .recovery;
-            (base.makespan_s, base.dirty_linear_j)
-        };
+    (rec.fault_free_makespan_s, rec.fault_free_dirty_linear_j) = if req.faults.is_empty() {
+        (rec.makespan_s, rec.dirty_linear_j)
+    } else {
+        // Baseline pass records nothing — only the faulty run is the story.
+        let base = Sim::new(req, &modeler, &FaultPlan::none(), &silent, 0.0)
+            .run()
+            .recovery;
+        (base.makespan_s, base.dirty_linear_j)
+    };
     rec.makespan_overhead = if rec.fault_free_makespan_s > 0.0 {
         rec.makespan_s / rec.fault_free_makespan_s - 1.0
     } else {

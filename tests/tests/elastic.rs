@@ -7,8 +7,8 @@
 use pareto_cluster::{FaultPlan, FaultSpec, NodeSpec, SimCluster};
 use pareto_core::framework::{FrameworkConfig, Strategy};
 use pareto_core::{
-    advise_join, run_chaos, shrink_schedule, ChaosConfig, ChaosReport, ParetoModeler,
-    PlanSession, RecoveryConfig,
+    advise_join, run_chaos, shrink_schedule, ChaosConfig, ChaosReport, ParetoModeler, PlanSession,
+    RecoveryConfig,
 };
 use pareto_datagen::Dataset;
 use pareto_integration_tests::thread_counts;
