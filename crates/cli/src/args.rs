@@ -1362,9 +1362,7 @@ mod tests {
     /// FNV-1a of the parsed command's `Debug` form.
     fn command_digest(line: &str) -> u64 {
         let cmd = parse(&argv(line)).unwrap_or_else(|e| panic!("`{line}` must parse: {e:?}"));
-        format!("{cmd:?}").bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
+        pareto_datagen::item::stable_hash64(format!("{cmd:?}").as_bytes())
     }
 
     /// Every argv that CI, the benchmark's `daemon_args()`, the README and

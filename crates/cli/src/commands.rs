@@ -5,9 +5,7 @@ use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use pareto_cluster::{
-    Durability, FaultEvent, FaultKind, FaultPlan, FaultSpec, NodeSpec, SimCluster,
-};
+use pareto_cluster::{FaultEvent, FaultKind, FaultPlan, FaultSpec, NodeSpec, SimCluster};
 use pareto_core::framework::{DurabilityReport, Framework, FrameworkConfig, Quality};
 use pareto_core::frontier::{FrontierConfig, FrontierResult, ObjectiveSet};
 use pareto_core::{advise_join, run_chaos, ChaosConfig, JoinAdvice, ParetoModeler, RecoveryConfig};
@@ -556,20 +554,12 @@ fn execute(common: &Common) -> Result<(), String> {
     Ok(())
 }
 
-fn durability_label(mode: Durability) -> &'static str {
-    match mode {
-        Durability::None => "none",
-        Durability::SnapshotOnCheckpoint => "snapshot",
-        Durability::Wal => "wal",
-    }
-}
-
 /// Print the post-run durability verification and fail the command when
 /// any node's recovery was not bit-identical.
 fn print_durability(dur: &DurabilityReport) -> Result<(), String> {
     println!(
         "durability         {} — {} WAL record(s) across {} node(s)",
-        durability_label(dur.mode),
+        dur.mode.label(),
         dur.total_wal_records(),
         dur.nodes.len()
     );

@@ -39,9 +39,7 @@ use std::process::Command;
 
 /// FNV-1a over bytes.
 fn digest(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+    pareto_datagen::item::stable_hash64(bytes)
 }
 
 /// Which bytes of an invocation are pinned.

@@ -34,6 +34,10 @@ use crate::node::NodeSpec;
 /// §III-D property that forces α ≈ 1 for useful trade-offs.
 pub const DEFAULT_BASE_OPS_PER_SEC: f64 = 1.0e6;
 
+/// Job start offset into the green traces, seconds: every job starts at
+/// the traces' origin.
+const JOB_START_S: f64 = 0.0;
+
 /// Per-node outcome of a job.
 #[derive(Debug, Clone)]
 pub struct NodeRun {
@@ -104,9 +108,6 @@ pub struct SimCluster {
     nodes: Vec<NodeSpec>,
     stores: Vec<KvStore>,
     network: NetworkModel,
-    base_ops_per_sec: f64,
-    /// Job start offset into the green traces, seconds.
-    job_start_s: f64,
     /// Instrumentation recorder (disabled by default: every recording
     /// call is a no-op and no epoch state mutates).
     telemetry: Arc<Telemetry>,
@@ -130,8 +131,6 @@ impl SimCluster {
             nodes,
             stores,
             network: NetworkModel::default(),
-            base_ops_per_sec: DEFAULT_BASE_OPS_PER_SEC,
-            job_start_s: 0.0,
             telemetry: Telemetry::disabled(),
             sim_epoch: Mutex::new(0.0),
         })
@@ -145,12 +144,6 @@ impl SimCluster {
     /// non-panicking form.
     pub fn new(nodes: Vec<NodeSpec>) -> Self {
         Self::try_new(nodes).expect("cluster needs at least one node")
-    }
-
-    /// Override the network model.
-    pub fn with_network(mut self, network: NetworkModel) -> Self {
-        self.network = network;
-        self
     }
 
     /// Attach a telemetry recorder: jobs record per-node execution spans
@@ -182,26 +175,6 @@ impl SimCluster {
         start
     }
 
-    /// Override the type-1 compute rate (abstract ops per second); rejects
-    /// non-positive or non-finite rates.
-    pub fn try_with_base_ops_per_sec(mut self, rate: f64) -> Result<Self, ClusterError> {
-        if !(rate > 0.0 && rate.is_finite()) {
-            return Err(ClusterError::NonPositiveComputeRate(rate));
-        }
-        self.base_ops_per_sec = rate;
-        Ok(self)
-    }
-
-    /// Set where in the green traces jobs start (seconds); rejects
-    /// negative or non-finite offsets.
-    pub fn try_with_job_start(mut self, t0_seconds: f64) -> Result<Self, ClusterError> {
-        if !(t0_seconds >= 0.0 && t0_seconds.is_finite()) {
-            return Err(ClusterError::BadJobStart(t0_seconds));
-        }
-        self.job_start_s = t0_seconds;
-        Ok(self)
-    }
-
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
@@ -227,9 +200,10 @@ impl SimCluster {
         &self.network
     }
 
-    /// Base compute rate (type-1 ops/second).
+    /// Base compute rate (type-1 ops/second):
+    /// [`DEFAULT_BASE_OPS_PER_SEC`].
     pub fn base_ops_per_sec(&self) -> f64 {
-        self.base_ops_per_sec
+        DEFAULT_BASE_OPS_PER_SEC
     }
 
     /// Deterministic digest of the planning-relevant state of an active
@@ -244,18 +218,13 @@ impl SimCluster {
     /// Panics if a roster id is out of range.
     pub fn roster_fingerprint(&self, roster: &[usize]) -> u64 {
         let mut state =
-            pareto_stats::split_seed(0x0057_A7E5_9EC0_0001, self.base_ops_per_sec.to_bits());
+            pareto_stats::split_seed(0x0057_A7E5_9EC0_0001, DEFAULT_BASE_OPS_PER_SEC.to_bits());
         state = pareto_stats::split_seed(state, roster.len() as u64);
         for &id in roster {
             state = pareto_stats::split_seed(state, id as u64);
             state = pareto_stats::split_seed(state, self.nodes[id].planning_fingerprint());
         }
         state
-    }
-
-    /// Job start offset into the green traces (seconds).
-    pub fn job_start_s(&self) -> f64 {
-        self.job_start_s
     }
 
     /// Attribute recorded busy intervals against this cluster's power
@@ -270,7 +239,7 @@ impl SimCluster {
     pub fn cost_to_seconds(&self, node_id: usize, cost: &Cost) -> f64 {
         cost.seconds(
             self.nodes[node_id].speed(),
-            self.base_ops_per_sec,
+            DEFAULT_BASE_OPS_PER_SEC,
             &self.network,
         )
     }
@@ -284,14 +253,14 @@ impl SimCluster {
         let dirty_linear = dirty_energy_joules(
             &power,
             &node.trace,
-            self.job_start_s,
+            JOB_START_S,
             seconds,
             DirtyEnergyMode::PaperLinear,
         );
         let dirty_clamped = dirty_energy_joules(
             &power,
             &node.trace,
-            self.job_start_s,
+            JOB_START_S,
             seconds,
             DirtyEnergyMode::Clamped,
         );
@@ -318,14 +287,14 @@ impl SimCluster {
         let dirty_linear = dirty_energy_joules(
             &power,
             &node.trace,
-            self.job_start_s,
+            JOB_START_S,
             busy_seconds,
             DirtyEnergyMode::PaperLinear,
         );
         let dirty_clamped = dirty_energy_joules(
             &power,
             &node.trace,
-            self.job_start_s,
+            JOB_START_S,
             busy_seconds,
             DirtyEnergyMode::Clamped,
         );
@@ -503,7 +472,7 @@ impl GreenSource for SimCluster {
     }
 
     fn job_start_s(&self) -> f64 {
-        self.job_start_s
+        JOB_START_S
     }
 }
 
@@ -643,45 +612,6 @@ mod tests {
     }
 
     #[test]
-    fn base_rate_scales_times_inversely() {
-        let nodes = NodeSpec::paper_cluster(2, 400.0, 1, 9, 3);
-        let with_rate = |nodes, rate| {
-            SimCluster::new(nodes)
-                .try_with_base_ops_per_sec(rate)
-                .expect("positive rate")
-        };
-        let slow = with_rate(nodes.clone(), 1e6);
-        let fast = with_rate(nodes, 2e6);
-        let cost = Cost::compute(10_000_000);
-        let t_slow = slow.cost_to_seconds(0, &cost);
-        let t_fast = fast.cost_to_seconds(0, &cost);
-        assert!((t_slow / t_fast - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn job_start_offset_changes_energy_not_time() {
-        let nodes = NodeSpec::paper_cluster(2, 400.0, 2, 0, 3);
-        let starting_at = |nodes, t0| {
-            SimCluster::new(nodes)
-                .try_with_job_start(t0)
-                .expect("non-negative start")
-        };
-        let morning = starting_at(nodes.clone(), 8.0 * 3600.0);
-        let night = starting_at(nodes, 0.0);
-        let costs = [Cost::compute(50_000_000), Cost::compute(50_000_000)];
-        let r_morning = morning.account_costs(&costs);
-        let r_night = night.account_costs(&costs);
-        assert_eq!(r_morning.makespan_seconds, r_night.makespan_seconds);
-        // At night there is no solar supply: everything is dirty.
-        assert!(
-            r_night.total_dirty_clamped >= r_morning.total_dirty_clamped,
-            "night {} should be at least as dirty as morning {}",
-            r_night.total_dirty_clamped,
-            r_morning.total_dirty_clamped
-        );
-    }
-
-    #[test]
     fn job_ledger_reconciles_with_node_runs() {
         use pareto_telemetry::ledger::{reconcile, ReferenceTotal};
         let tel = Telemetry::enabled();
@@ -723,16 +653,6 @@ mod tests {
         assert_eq!(
             SimCluster::try_new(vec![]).err(),
             Some(ClusterError::EmptyCluster)
-        );
-        let c = cluster(2);
-        assert_eq!(
-            c.try_with_base_ops_per_sec(0.0).err(),
-            Some(ClusterError::NonPositiveComputeRate(0.0))
-        );
-        let c = cluster(2);
-        assert_eq!(
-            c.try_with_job_start(-5.0).err(),
-            Some(ClusterError::BadJobStart(-5.0))
         );
         let c = cluster(2);
         let tasks: Vec<fn(JobCtx<'_>) -> ((), Cost)> = vec![|_| ((), Cost::ZERO)];

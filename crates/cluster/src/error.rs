@@ -10,10 +10,6 @@
 pub enum ClusterError {
     /// A cluster needs at least one node.
     EmptyCluster,
-    /// `base_ops_per_sec` must be positive and finite.
-    NonPositiveComputeRate(f64),
-    /// The job start offset into the traces must be non-negative and finite.
-    BadJobStart(f64),
     /// Network latency must be non-negative and finite.
     BadLatency(f64),
     /// Network bandwidth must be positive and finite.
@@ -40,12 +36,6 @@ impl std::fmt::Display for ClusterError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ClusterError::EmptyCluster => write!(f, "cluster needs at least one node"),
-            ClusterError::NonPositiveComputeRate(r) => {
-                write!(f, "base ops/sec must be positive and finite, got {r}")
-            }
-            ClusterError::BadJobStart(t) => {
-                write!(f, "job start must be non-negative and finite, got {t}")
-            }
             ClusterError::BadLatency(l) => {
                 write!(f, "latency must be non-negative and finite, got {l}")
             }

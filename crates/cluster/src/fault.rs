@@ -19,6 +19,7 @@
 
 use crate::error::ClusterError;
 use crate::network::NetworkModel;
+pub use pareto_stats::mix64;
 
 /// One kind of injected adversity.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -294,14 +295,6 @@ mod draw {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,
-}
-
-/// SplitMix64 finalizer: one bijective avalanche round.
-pub fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Uniform draw in `[0, 1)` from `(seed, node_id, event_index)`.

@@ -58,10 +58,7 @@ pub use kvstore::{
     Durability, KvError, KvStats, KvStore, Pipeline, RecoverError, RecoverReport, Reply,
 };
 pub use network::NetworkModel;
-pub use persist::{
-    dump_to_file, entries_to_bytes, load_from_file, snapshot_from_bytes, snapshot_to_bytes,
-    PersistError,
-};
+pub use persist::{entries_to_bytes, snapshot_from_bytes, snapshot_to_bytes, PersistError};
 pub use node::{MachineType, NodeSpec, SupplyTopology};
 pub use wal::{
     crc32, replay_bytes, replay_with_options, Wal, WalError, WalOp, WalReplay, WalStats,

@@ -1,8 +1,8 @@
-//! Disk persistence for the KV store (§III-E: "we support the final
+//! Snapshot persistence for the KV store (§III-E: "we support the final
 //! partitions to be data partitions stored on disk, or data partitions
 //! stored on Redis").
 //!
-//! A store snapshot is a single file in a tagged, length-prefixed binary
+//! A store snapshot is one byte image in a tagged, length-prefixed binary
 //! layout (an RDB-like dump):
 //!
 //! ```text
@@ -23,19 +23,16 @@
 //! path, the chaos auditor) can tell torn files from bit-rot.
 
 use std::collections::HashSet;
-use std::io::{self, Read, Write};
-use std::path::Path;
+use std::io::{self, Read};
 
 use bytes::Bytes;
 
 use crate::kvstore::{KvStore, Reply};
 use crate::wal::crc32;
 
-/// Errors from snapshot I/O and decoding.
+/// Errors from snapshot decoding.
 #[derive(Debug)]
 pub enum PersistError {
-    /// Underlying I/O failure.
-    Io(io::Error),
     /// Not a snapshot, or structurally damaged (`m` names the spot).
     Corrupt(&'static str),
     /// Input ends before the structure it declares (`m` names the field).
@@ -59,7 +56,6 @@ pub enum PersistError {
 impl std::fmt::Display for PersistError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PersistError::Io(e) => write!(f, "snapshot io: {e}"),
             PersistError::Corrupt(m) => write!(f, "corrupt snapshot: {m}"),
             PersistError::Truncated(m) => write!(f, "truncated snapshot: {m}"),
             PersistError::TrailingGarbage { extra_bytes } => {
@@ -75,12 +71,6 @@ impl std::fmt::Display for PersistError {
 }
 
 impl std::error::Error for PersistError {}
-
-impl From<io::Error> for PersistError {
-    fn from(e: io::Error) -> Self {
-        PersistError::Io(e)
-    }
-}
 
 const MAGIC: &[u8; 4] = b"PKV2";
 /// magic + entry count + crc footer.
@@ -200,19 +190,6 @@ pub fn snapshot_from_bytes(data: &[u8]) -> Result<KvStore, PersistError> {
     Ok(store)
 }
 
-/// Dump a store snapshot to `path`.
-pub fn dump_to_file(store: &KvStore, path: &Path) -> Result<(), PersistError> {
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(&snapshot_to_bytes(store))?;
-    Ok(())
-}
-
-/// Load a store snapshot from `path`.
-pub fn load_from_file(path: &Path) -> Result<KvStore, PersistError> {
-    let data = std::fs::read(path)?;
-    snapshot_from_bytes(&data)
-}
-
 fn read_u32(cur: &mut io::Cursor<&[u8]>, what: &'static str) -> Result<u32, PersistError> {
     let mut buf = [0u8; 4];
     cur.read_exact(&mut buf)
@@ -255,18 +232,6 @@ mod tests {
         let a = snapshot_to_bytes(&populated());
         let b = snapshot_to_bytes(&populated());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let kv = populated();
-        let dir = std::env::temp_dir().join("pareto-persist-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("node0.pkv");
-        dump_to_file(&kv, &path).unwrap();
-        let restored = load_from_file(&path).unwrap();
-        assert_eq!(snapshot_to_bytes(&kv), snapshot_to_bytes(&restored));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

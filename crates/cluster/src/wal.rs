@@ -34,7 +34,7 @@ use bytes::Bytes;
 /// by [`WalStats`] and the `pareto_wal_records_total{op}` counter.
 pub const WAL_OP_LABELS: [&str; 5] = ["set", "rpush", "incr", "set_counter", "del"];
 
-/// Default segment-rotation threshold (bytes of framed records).
+/// Segment-rotation threshold (bytes of framed records).
 pub const DEFAULT_SEGMENT_BYTES: usize = 64 * 1024;
 
 /// One logical, replayable store mutation.
@@ -275,26 +275,13 @@ impl WalStats {
 pub struct Wal {
     sealed: Vec<Vec<u8>>,
     active: Vec<u8>,
-    segment_bytes: usize,
     stats: WalStats,
 }
 
 impl Wal {
-    /// An empty log with the default segment-rotation threshold.
+    /// An empty log, rotating segments at [`DEFAULT_SEGMENT_BYTES`].
     pub fn new() -> Self {
-        Wal {
-            segment_bytes: DEFAULT_SEGMENT_BYTES,
-            ..Wal::default()
-        }
-    }
-
-    /// An empty log rotating segments once the active one reaches
-    /// `segment_bytes` (floored to 1).
-    pub fn with_segment_bytes(segment_bytes: usize) -> Self {
-        Wal {
-            segment_bytes: segment_bytes.max(1),
-            ..Wal::default()
-        }
+        Wal::default()
     }
 
     /// Append one operation; returns the framed record length in bytes.
@@ -309,7 +296,7 @@ impl Wal {
         self.stats.records += 1;
         self.stats.bytes += frame_len;
         self.stats.records_by_op[op.tag() as usize] += 1;
-        if self.active.len() >= self.segment_bytes.max(1) {
+        if self.active.len() >= DEFAULT_SEGMENT_BYTES {
             self.sealed.push(std::mem::take(&mut self.active));
         }
         self.stats.segments = self.sealed.len() + usize::from(!self.active.is_empty());
@@ -517,10 +504,12 @@ mod tests {
 
     #[test]
     fn segments_rotate_and_truncate_drops_everything() {
-        let mut wal = Wal::with_segment_bytes(32);
+        let mut wal = Wal::new();
+        let value = Bytes::from(vec![7u8; DEFAULT_SEGMENT_BYTES / 4]);
         for i in 0..10 {
-            wal.append(&WalOp::Incr {
-                key: format!("ctr{i}"),
+            wal.append(&WalOp::Set {
+                key: format!("k{i}"),
+                value: value.clone(),
             });
         }
         assert!(wal.stats().segments > 1, "{:?}", wal.stats());

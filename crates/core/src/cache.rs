@@ -21,6 +21,7 @@ use std::any::Any;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+use pareto_datagen::item::stable_hash64;
 use pareto_stats::split_seed;
 
 /// A deterministic 64-bit digest of a stage's inputs.
@@ -40,7 +41,7 @@ impl FingerprintBuilder {
     /// identical payloads in different domains never collide.
     pub fn new(domain: &str) -> Self {
         FingerprintBuilder {
-            state: split_seed(0x5EED_F1E1_D000_0000, fnv1a(domain.as_bytes())),
+            state: split_seed(0x5EED_F1E1_D000_0000, stable_hash64(domain.as_bytes())),
         }
     }
 
@@ -74,7 +75,8 @@ impl FingerprintBuilder {
     /// Fold a byte string (FNV-1a folded, then mixed — length included so
     /// concatenations can't collide).
     pub fn mix_bytes(self, bytes: &[u8]) -> Self {
-        self.mix_u64(bytes.len() as u64).mix_u64(fnv1a(bytes))
+        self.mix_u64(bytes.len() as u64)
+            .mix_u64(stable_hash64(bytes))
     }
 
     /// Finish the digest. The final fixed mix separates finished digests
@@ -82,16 +84,6 @@ impl FingerprintBuilder {
     pub fn finish(self) -> Fingerprint {
         Fingerprint(split_seed(self.state, 0x00F1_AA11_5EA1))
     }
-}
-
-/// FNV-1a 64-bit over a byte slice.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// Per-stage hit/miss/evict counters, kept next to the entries so callers

@@ -101,26 +101,18 @@ impl ObjectiveSet {
     /// Parse a comma-separated spec, e.g. `time,energy` or
     /// `time,energy,transfer`.
     pub fn parse(spec: &str) -> Result<Self, String> {
-        let mut list = Vec::new();
-        for part in spec.split(',') {
-            let o = match part.trim() {
-                "time" => Objective::Time,
-                "energy" | "dirty_energy" => Objective::DirtyEnergy,
-                "transfer" | "transfer_bytes" => Objective::TransferBytes,
-                other => {
-                    return Err(format!(
-                        "unknown objective {other:?} (expected time, energy, or transfer)"
-                    ))
-                }
-            };
-            if !list.contains(&o) {
-                list.push(o);
-            }
-        }
-        if list.is_empty() {
-            return Err("objective set must not be empty".into());
-        }
-        Ok(ObjectiveSet(list))
+        let list = spec
+            .split(',')
+            .map(|part| match part.trim() {
+                "time" => Ok(Objective::Time),
+                "energy" | "dirty_energy" => Ok(Objective::DirtyEnergy),
+                "transfer" | "transfer_bytes" => Ok(Objective::TransferBytes),
+                other => Err(format!(
+                    "unknown objective {other:?} (expected time, energy, or transfer)"
+                )),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Self::new(&list)
     }
 
     /// The objectives in order.

@@ -52,7 +52,6 @@ pub mod frontier;
 pub mod pareto;
 pub mod partitioner;
 pub mod recovery;
-pub mod scheduling;
 pub mod session;
 pub mod stages;
 pub mod stealing;
@@ -76,7 +75,6 @@ pub use stages::{dataset_fingerprint, Deadline, PlanEngine, PlanError, StageReus
 pub use recovery::{
     ExecRequest, RecoveryConfig, RecoveryConfigError, RecoveryOutcome, RecoveryReport,
 };
-pub use scheduling::{best_start, sweep_start_times, StartTimeOption};
 pub use partitioner::{DataPartitioner, PartitionLayout};
 pub use stealing::RecordWork;
 

@@ -38,11 +38,6 @@ impl AdjacencyGraph {
         self.offsets.len() - 1
     }
 
-    /// Number of directed edges.
-    pub fn num_edges(&self) -> usize {
-        self.targets.len()
-    }
-
     /// Sorted out-neighbors of `v`.
     pub fn neighbors(&self, v: usize) -> &[u32] {
         &self.targets[self.offsets[v]..self.offsets[v + 1]]
@@ -63,18 +58,6 @@ impl AdjacencyGraph {
         }
         ItemSet::from_sorted_unchecked(ns.iter().map(|&t| t as u64).collect())
     }
-
-    /// Serialize vertex `v` as bytes: `[degree, neighbors…]` little-endian
-    /// `u32`s — the unit stored in the KV store and fed to compressors.
-    pub fn vertex_bytes(&self, v: usize) -> Vec<u8> {
-        let ns = self.neighbors(v);
-        let mut out = Vec::with_capacity(4 + 4 * ns.len());
-        out.extend_from_slice(&(ns.len() as u32).to_le_bytes());
-        for &t in ns {
-            out.extend_from_slice(&t.to_le_bytes());
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -89,7 +72,7 @@ mod tests {
     fn csr_construction() {
         let g = sample();
         assert_eq!(g.num_nodes(), 3);
-        assert_eq!(g.num_edges(), 3); // duplicate (0->1) removed
+        assert_eq!((0..3).map(|v| g.degree(v)).sum::<usize>(), 3); // duplicate (0->1) removed
         assert_eq!(g.neighbors(0), &[1, 2]);
         assert_eq!(g.neighbors(1), &[] as &[u32]);
         assert_eq!(g.neighbors(2), &[0]);
@@ -121,18 +104,8 @@ mod tests {
     }
 
     #[test]
-    fn vertex_bytes_layout() {
-        let g = sample();
-        let b = g.vertex_bytes(0);
-        assert_eq!(b.len(), 4 + 8);
-        assert_eq!(&b[0..4], &2u32.to_le_bytes());
-        assert_eq!(&b[4..8], &1u32.to_le_bytes());
-    }
-
-    #[test]
     fn empty_graph() {
         let g = AdjacencyGraph::from_adjacency(vec![]);
         assert_eq!(g.num_nodes(), 0);
-        assert_eq!(g.num_edges(), 0);
     }
 }

@@ -152,6 +152,7 @@ impl FromIterator<Item> for ItemSet {
 /// A stable 64-bit hash for mapping structured keys (pivot triples, tokens)
 /// into the universal item space. FNV-1a — deterministic across runs and
 /// platforms, which the tests and experiments rely on.
+#[inline]
 pub fn stable_hash64(bytes: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -29,7 +29,6 @@ pub mod loaders;
 pub mod text;
 pub mod tree;
 pub mod writers;
-pub mod xml;
 
 pub use dataset::{DataItem, DataKind, Dataset, Payload};
 pub use generators::{
@@ -40,4 +39,3 @@ pub use graph::AdjacencyGraph;
 pub use item::{Item, ItemSet};
 pub use text::Document;
 pub use tree::{prufer_decode, prufer_encode, LabeledTree, Pivot, TreeError};
-pub use xml::{dataset_from_xml, parse_record_trees, parse_tree, TagInterner, XmlError};

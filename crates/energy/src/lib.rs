@@ -30,11 +30,9 @@
 pub mod dirty;
 pub mod location;
 pub mod power;
-pub mod pvwatts;
 pub mod solar;
 
 pub use dirty::{dirty_energy_joules, DirtyEnergyMode, NodeEnergyProfile};
 pub use location::{google_dc_locations, Location};
 pub use power::NodePowerModel;
-pub use pvwatts::{load_pvwatts_file, parse_pvwatts_csv, PvWattsError, AC_OUTPUT_COLUMN};
 pub use solar::{CloudModel, GreenEnergyTrace, SolarConfig};

@@ -41,4 +41,4 @@
 
 mod simplex;
 
-pub use simplex::{Basis, LpError, MaximizeProblem, Problem, Relation, Solution, Solved, SolveStatus, StartKind};
+pub use simplex::{Basis, LpError, Problem, Relation, Solution, Solved, SolveStatus, StartKind};

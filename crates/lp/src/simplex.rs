@@ -1,4 +1,4 @@
-//! Revised simplex with warm-startable, serializable bases.
+//! Revised simplex with warm-startable bases.
 //!
 //! Problems are stated as `minimize c·x` over `x ≥ 0` with linear
 //! constraints `a·x {≤,≥,=} b`. Internally each right-hand side is made
@@ -11,8 +11,8 @@
 //!
 //! Unlike a dense tableau, the solver works with an explicit basis (an LU
 //! factorization of the basic columns, refreshed per pivot) over the
-//! original standardized data. That makes the final basis a first-class,
-//! serializable artifact ([`Basis`]) that callers can hold and re-seed via
+//! original standardized data. That makes the final basis a first-class
+//! artifact ([`Basis`]) that callers can hold and re-seed via
 //! [`Problem::solve_from`]: the basis is re-factorized against the new
 //! problem, primal feasibility is repaired with bounded dual simplex steps,
 //! and the remaining primal pivots start from a near-optimal vertex.
@@ -117,7 +117,7 @@ pub enum StartKind {
     WarmFallback,
 }
 
-/// A serializable simplex basis: the set of basic column indices of the
+/// A simplex basis: the set of basic column indices of the
 /// standardized problem (structural variables first, then one slack or
 /// surplus column per row in row order, then artificials).
 ///
@@ -131,9 +131,6 @@ pub struct Basis {
     n_struct: u32,
     cols: Vec<u32>,
 }
-
-/// Magic prefix of the [`Basis::encode`] byte format.
-const BASIS_MAGIC: &[u8; 4] = b"PLB1";
 
 impl Basis {
     /// Build a basis from raw column indices (sorted internally). Returns
@@ -162,46 +159,6 @@ impl Basis {
     pub fn num_structural(&self) -> usize {
         self.n_struct as usize
     }
-
-    /// Basic column indices, sorted ascending.
-    pub fn columns(&self) -> &[u32] {
-        &self.cols
-    }
-
-    /// Serialize to a compact, versioned little-endian byte layout:
-    /// `"PLB1" | m: u32 | n_struct: u32 | cols: u32 × m`.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(12 + 4 * self.cols.len());
-        out.extend_from_slice(BASIS_MAGIC);
-        out.extend_from_slice(&self.m.to_le_bytes());
-        out.extend_from_slice(&self.n_struct.to_le_bytes());
-        for c in &self.cols {
-            out.extend_from_slice(&c.to_le_bytes());
-        }
-        out
-    }
-
-    /// Inverse of [`Basis::encode`]; `None` on any malformed input.
-    pub fn decode(bytes: &[u8]) -> Option<Basis> {
-        let rest = bytes.strip_prefix(BASIS_MAGIC)?;
-        if rest.len() < 8 {
-            return None;
-        }
-        let m = u32::from_le_bytes(rest[0..4].try_into().ok()?);
-        let n_struct = u32::from_le_bytes(rest[4..8].try_into().ok()?);
-        let body = &rest[8..];
-        if body.len() != 4 * m as usize {
-            return None;
-        }
-        let cols: Vec<u32> = body
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        if cols.windows(2).any(|w| w[0] >= w[1]) {
-            return None;
-        }
-        Some(Basis { m, n_struct, cols })
-    }
 }
 
 /// A solve outcome carrying the reusable basis alongside the solution.
@@ -229,14 +186,6 @@ impl Problem {
         Problem {
             costs,
             rows: Vec::new(),
-        }
-    }
-
-    /// Start a maximization problem (costs are negated internally; the
-    /// reported objective is negated back).
-    pub fn maximize(costs: Vec<f64>) -> MaximizeProblem {
-        MaximizeProblem {
-            inner: Problem::minimize(costs.iter().map(|c| -c).collect()),
         }
     }
 
@@ -309,28 +258,6 @@ impl Problem {
             solved.start = StartKind::WarmFallback;
         }
         Ok(solved)
-    }
-}
-
-/// Builder wrapper so `maximize` reads naturally at call sites.
-#[derive(Debug, Clone)]
-pub struct MaximizeProblem {
-    inner: Problem,
-}
-
-impl MaximizeProblem {
-    /// Add the constraint `coeffs·x  rel  rhs`.
-    pub fn constrain(&mut self, coeffs: Vec<f64>, rel: Relation, rhs: f64) -> &mut Self {
-        self.inner.constrain(coeffs, rel, rhs);
-        self
-    }
-
-    /// Solve; the objective is reported in maximization sign.
-    pub fn solve(&self) -> Result<Solution, LpError> {
-        let mut sol = self.inner.solve()?;
-        sol.objective = -sol.objective;
-        sol.x.truncate(self.inner.num_vars());
-        Ok(sol)
     }
 }
 
@@ -951,14 +878,15 @@ mod tests {
 
     #[test]
     fn textbook_maximization() {
-        // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 -> (2, 6), 36.
-        let mut p = Problem::maximize(vec![3.0, 5.0]);
+        // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 -> (2, 6), 36,
+        // posed as min -3x - 5y.
+        let mut p = Problem::minimize(vec![-3.0, -5.0]);
         p.constrain(vec![1.0, 0.0], Relation::Le, 4.0);
         p.constrain(vec![0.0, 2.0], Relation::Le, 12.0);
         p.constrain(vec![3.0, 2.0], Relation::Le, 18.0);
         let s = p.solve().unwrap();
         assert_eq!(s.status, SolveStatus::Optimal);
-        assert!(close(s.objective, 36.0));
+        assert!(close(-s.objective, 36.0));
         assert!(close(s.x[0], 2.0) && close(s.x[1], 6.0));
     }
 
@@ -1017,15 +945,16 @@ mod tests {
 
     #[test]
     fn degenerate_problem_terminates() {
-        // Multiple constraints meeting at a degenerate vertex.
-        let mut p = Problem::maximize(vec![1.0, 1.0]);
+        // Multiple constraints meeting at a degenerate vertex; max x + y
+        // posed as min -x - y.
+        let mut p = Problem::minimize(vec![-1.0, -1.0]);
         p.constrain(vec![1.0, 0.0], Relation::Le, 1.0);
         p.constrain(vec![1.0, 0.0], Relation::Le, 1.0);
         p.constrain(vec![1.0, 1.0], Relation::Le, 2.0);
         p.constrain(vec![0.0, 1.0], Relation::Le, 1.0);
         let s = p.solve().unwrap();
         assert_eq!(s.status, SolveStatus::Optimal);
-        assert!(close(s.objective, 2.0));
+        assert!(close(-s.objective, 2.0));
     }
 
     #[test]
@@ -1088,8 +1017,8 @@ mod tests {
                 got: 1
             })
         );
-        // Same through the maximize wrapper.
-        let mut q = Problem::maximize(vec![1.0, 2.0]);
+        // Same for a row that is too long, on negated costs.
+        let mut q = Problem::minimize(vec![-1.0, -2.0]);
         q.constrain(vec![1.0, 2.0, 3.0], Relation::Ge, 1.0);
         assert_eq!(
             q.solve(),
@@ -1163,24 +1092,6 @@ mod tests {
         sum_row[p_nodes] = 0.0;
         p.constrain(sum_row, Relation::Eq, total);
         p
-    }
-
-    #[test]
-    fn basis_roundtrips_through_bytes() {
-        let solved = sweep_problem(0.7).solve_cold().unwrap();
-        let basis = solved.basis.expect("optimal basis");
-        let bytes = basis.encode();
-        assert_eq!(Basis::decode(&bytes), Some(basis.clone()));
-        // Corrupt each region and expect rejection.
-        assert_eq!(Basis::decode(&bytes[1..]), None);
-        let mut short = bytes.clone();
-        short.pop();
-        assert_eq!(Basis::decode(&short), None);
-        let mut dup = bytes.clone();
-        let off = 12;
-        let first: [u8; 4] = dup[off..off + 4].try_into().unwrap();
-        dup[off + 4..off + 8].copy_from_slice(&first); // duplicate column
-        assert_eq!(Basis::decode(&dup), None);
     }
 
     #[test]

@@ -36,6 +36,7 @@ use pareto_cluster::fault::mix64;
 use pareto_cluster::{NodeSpec, SimCluster};
 use pareto_core::framework::{FrameworkConfig, Plan, Strategy};
 use pareto_core::{Deadline, PlanError, PlanSession, SharedPlanCache};
+use pareto_datagen::item::stable_hash64;
 use pareto_telemetry::{metrics, Telemetry};
 use pareto_workloads::WorkloadKind;
 
@@ -123,12 +124,7 @@ struct Tenant {
 
 /// Stable 64-bit hash of a tenant name (FNV-1a folded through mix64).
 fn tenant_hash(name: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in name.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    mix64(h)
+    mix64(stable_hash64(name.as_bytes()))
 }
 
 /// The transport-free service core.

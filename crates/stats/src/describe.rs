@@ -88,40 +88,6 @@ pub fn total_variation_distance(p: &[f64], q: &[f64]) -> f64 {
     0.5 * p.iter().zip(&q).map(|(a, b)| (a - b).abs()).sum::<f64>()
 }
 
-/// Kullback–Leibler divergence `KL(p‖q)` in bits; `q` is smoothed by
-/// `1e-12` so the result stays finite on empty bins.
-pub fn kl_divergence(p: &[f64], q: &[f64]) -> f64 {
-    assert_eq!(p.len(), q.len(), "distributions must have equal support");
-    let p = normalize(p);
-    let q = normalize(q);
-    p.iter()
-        .zip(&q)
-        .filter(|(a, _)| **a > 0.0)
-        .map(|(a, b)| a * (a / (b + 1e-12)).log2())
-        .sum()
-}
-
-/// Jensen–Shannon divergence (bits): symmetric, bounded by 1 bit.
-pub fn js_divergence(p: &[f64], q: &[f64]) -> f64 {
-    assert_eq!(p.len(), q.len(), "distributions must have equal support");
-    let p = normalize(p);
-    let q = normalize(q);
-    let m: Vec<f64> = p.iter().zip(&q).map(|(a, b)| 0.5 * (a + b)).collect();
-    0.5 * kl_divergence(&p, &m) + 0.5 * kl_divergence(&q, &m)
-}
-
-/// Pearson chi-square statistic of observed counts against expected counts.
-/// Expected bins of zero are skipped.
-pub fn chi_square_statistic(observed: &[f64], expected: &[f64]) -> f64 {
-    assert_eq!(observed.len(), expected.len());
-    observed
-        .iter()
-        .zip(expected)
-        .filter(|(_, e)| **e > 0.0)
-        .map(|(o, e)| (o - e).powi(2) / e)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,28 +139,5 @@ mod tests {
     fn tvd_identical_zero_disjoint_one() {
         assert_close(total_variation_distance(&[1.0, 2.0], &[2.0, 4.0]), 0.0, 1e-12);
         assert_close(total_variation_distance(&[1.0, 0.0], &[0.0, 1.0]), 1.0, 1e-12);
-    }
-
-    #[test]
-    fn kl_zero_iff_equal() {
-        assert_close(kl_divergence(&[1.0, 3.0], &[1.0, 3.0]), 0.0, 1e-9);
-        assert!(kl_divergence(&[0.9, 0.1], &[0.1, 0.9]) > 0.0);
-    }
-
-    #[test]
-    fn js_symmetric_and_bounded() {
-        let p = [0.7, 0.2, 0.1];
-        let q = [0.1, 0.1, 0.8];
-        let d1 = js_divergence(&p, &q);
-        let d2 = js_divergence(&q, &p);
-        assert_close(d1, d2, 1e-12);
-        assert!(d1 > 0.0 && d1 <= 1.0);
-        assert_close(js_divergence(&[1.0, 0.0], &[0.0, 1.0]), 1.0, 1e-9);
-    }
-
-    #[test]
-    fn chi_square_zero_on_match() {
-        assert_close(chi_square_statistic(&[10.0, 20.0], &[10.0, 20.0]), 0.0, 1e-12);
-        assert!(chi_square_statistic(&[15.0, 15.0], &[10.0, 20.0]) > 0.0);
     }
 }

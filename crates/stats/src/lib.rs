@@ -25,12 +25,9 @@ pub mod regression;
 pub mod rng;
 pub mod sampling;
 
-pub use describe::{
-    chi_square_statistic, entropy_bits, js_divergence, kl_divergence, normalize,
-    total_variation_distance, Summary,
-};
+pub use describe::{entropy_bits, normalize, total_variation_distance, Summary};
 pub use regression::{LinearFit, PolyFit, RegressionError};
-pub use rng::{seeded_rng, split_seed, SeedSequence};
+pub use rng::{mix64, seeded_rng, split_seed};
 pub use sampling::{
     largest_remainder_apportion, progressive_schedule, proportional_allocation,
     simple_random_sample, stratified_sample, SamplingError,

@@ -18,43 +18,26 @@ pub fn seeded_rng(seed: u64) -> WorkspaceRng {
     ChaCha8Rng::seed_from_u64(seed)
 }
 
-/// Derive an independent child seed from `(seed, stream)`.
-///
-/// This is SplitMix64 applied to the combined value; it decorrelates streams
-/// produced from small consecutive seeds, so `split_seed(7, 0)` and
-/// `split_seed(7, 1)` behave as unrelated seeds.
-pub fn split_seed(seed: u64, stream: u64) -> u64 {
-    let mut z = seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(stream)
-        .wrapping_add(0x9E37_79B9_7F4A_7C15);
+/// SplitMix64's golden-ratio increment.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64 step: add the increment, then one bijective avalanche round.
+#[inline]
+pub fn mix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
 
-/// A counter-based source of independent seeds.
+/// Derive an independent child seed from `(seed, stream)`.
 ///
-/// Handy when a component needs to hand one fresh seed to each of its
-/// sub-components (e.g. one seed per MinHash permutation).
-#[derive(Debug, Clone)]
-pub struct SeedSequence {
-    base: u64,
-    next: u64,
-}
-
-impl SeedSequence {
-    /// Start a sequence rooted at `base`.
-    pub fn new(base: u64) -> Self {
-        SeedSequence { base, next: 0 }
-    }
-
-    /// Produce the next independent seed.
-    pub fn next_seed(&mut self) -> u64 {
-        let s = split_seed(self.base, self.next);
-        self.next += 1;
-        s
-    }
+/// This is SplitMix64 applied to the combined value; it decorrelates streams
+/// produced from small consecutive seeds, so `split_seed(7, 0)` and
+/// `split_seed(7, 1)` behave as unrelated seeds.
+#[inline]
+pub fn split_seed(seed: u64, stream: u64) -> u64 {
+    mix64(seed.wrapping_mul(GAMMA).wrapping_add(stream))
 }
 
 #[cfg(test)]
@@ -87,19 +70,6 @@ mod tests {
         let s1 = split_seed(7, 1);
         assert_ne!(s0, s1);
         assert!(s0.abs_diff(s1) > 1_000_000, "streams look correlated");
-    }
-
-    #[test]
-    fn seed_sequence_is_deterministic_and_distinct() {
-        let mut sq1 = SeedSequence::new(99);
-        let mut sq2 = SeedSequence::new(99);
-        let a: Vec<u64> = (0..16).map(|_| sq1.next_seed()).collect();
-        let b: Vec<u64> = (0..16).map(|_| sq2.next_seed()).collect();
-        assert_eq!(a, b);
-        let mut sorted = a.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), a.len(), "seed collision in sequence");
     }
 
     #[test]

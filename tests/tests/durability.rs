@@ -4,16 +4,8 @@
 //! recovered store on a legal, bit-identical state.
 
 use pareto_cluster::{entries_to_bytes, replay_bytes, KvStore};
+use pareto_stats::mix64;
 use proptest::prelude::*;
-
-/// SplitMix64 — a tiny local mixer so each (seed, thread, op) draw is an
-/// independent pure function, mirroring the fault layer's scheme.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Drive `threads` concurrent writers against one WAL-armed store. Key
 /// spaces are typed so no writer trips a WrongType error: strings under

@@ -263,9 +263,7 @@ fn single_crash_recovery_identical_across_thread_counts() {
 
 /// FNV-1a over a spec string's bytes.
 fn spec_digest(spec: &str) -> u64 {
-    spec.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+    pareto_datagen::item::stable_hash64(spec.as_bytes())
 }
 
 /// Seeds of the generator pins; every pinned plan spans 8 nodes.
