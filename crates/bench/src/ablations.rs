@@ -173,8 +173,13 @@ pub fn mean_ge_ablation(st: ExpSettings) -> Table {
         let power = node.power();
         let profile = NodeEnergyProfile::from_trace(&power, &node.trace, 0.0, horizon);
         for job_s in [600.0, 3600.0, 4.0 * 3600.0] {
-            let exact =
-                dirty_energy_joules(&power, &node.trace, 0.0, job_s, DirtyEnergyMode::PaperLinear);
+            let exact = dirty_energy_joules(
+                &power,
+                &node.trace,
+                0.0,
+                job_s,
+                DirtyEnergyMode::PaperLinear,
+            );
             let linear = profile.linear_dirty_joules(job_s);
             let rel = if exact.abs() > 1e-9 {
                 ((exact - linear) / exact).abs()
@@ -192,7 +197,6 @@ pub fn mean_ge_ablation(st: ExpSettings) -> Table {
     }
     t
 }
-
 
 /// §I: work stealing vs proactive Het-Aware sizing on a per-record
 /// compression workload.
@@ -321,7 +325,13 @@ pub fn normalized_alpha_ablation(st: ExpSettings) -> Table {
         ParetoModeler::new(models.iter().map(|m| m.fit).collect(), profiles).expect("aligned");
     let mut t = Table::new(
         "Ablation — raw vs normalized α (§III-D future work)",
-        &["alpha", "raw_time_s", "raw_dirty_kJ", "norm_time_s", "norm_dirty_kJ"],
+        &[
+            "alpha",
+            "raw_time_s",
+            "raw_dirty_kJ",
+            "norm_time_s",
+            "norm_dirty_kJ",
+        ],
     );
     for alpha in [1.0, 0.75, 0.5, 0.25, 0.0] {
         let raw = modeler.solve(ds.len(), alpha).expect("feasible");
@@ -336,7 +346,6 @@ pub fn normalized_alpha_ablation(st: ExpSettings) -> Table {
     }
     t
 }
-
 
 /// §III-B: robustness of the plan to green-energy **forecast error**.
 ///
@@ -371,8 +380,7 @@ pub fn forecast_error_ablation(st: ExpSettings) -> Table {
         .collect();
     let n_records = 100_000usize;
     let alpha = 0.995;
-    let truth_modeler =
-        ParetoModeler::new(fits.clone(), true_profiles.clone()).expect("aligned");
+    let truth_modeler = ParetoModeler::new(fits.clone(), true_profiles.clone()).expect("aligned");
     let oracle = truth_modeler.solve(n_records, alpha).expect("feasible");
     // Regret is measured on the scalarized objective the planner actually
     // optimizes — the oracle is optimal for it by construction, so regret
@@ -387,7 +395,13 @@ pub fn forecast_error_ablation(st: ExpSettings) -> Table {
 
     let mut t = Table::new(
         "Ablation — green-energy forecast error vs plan regret (§III-B)",
-        &["noise", "plan_dirty_kJ", "oracle_dirty_kJ", "objective_regret", "makespan_s"],
+        &[
+            "noise",
+            "plan_dirty_kJ",
+            "oracle_dirty_kJ",
+            "objective_regret",
+            "makespan_s",
+        ],
     );
     let mut rng = pareto_stats::seeded_rng(st.seed ^ 0xF0CA);
     for sigma in [0.0f64, 0.1, 0.25, 0.5, 1.0] {
@@ -422,7 +436,6 @@ pub fn forecast_error_ablation(st: ExpSettings) -> Table {
     t
 }
 
-
 /// §II: does Het-Energy-Aware partitioning pay under each datacenter
 /// supply design?
 ///
@@ -438,7 +451,13 @@ pub fn supply_topology_ablation(st: ExpSettings) -> Table {
 
     let mut t = Table::new(
         "Ablation — green-supply topology vs energy-aware benefit (§II)",
-        &["topology", "k_spread_W", "dirty_alpha1_kJ", "dirty_alpha995_kJ", "saving_kJ"],
+        &[
+            "topology",
+            "k_spread_W",
+            "dirty_alpha1_kJ",
+            "dirty_alpha995_kJ",
+            "saving_kJ",
+        ],
     );
     let horizon = 6.0 * 3600.0;
     for (name, topology) in [
@@ -549,7 +568,11 @@ mod tests {
 
     #[test]
     fn work_stealing_ablation_orders_executors() {
-        let t = work_stealing_ablation(ExpSettings { scale: 0.05, seed: 5, threads: 1 });
+        let t = work_stealing_ablation(ExpSettings {
+            scale: 0.05,
+            seed: 5,
+            threads: 1,
+        });
         let csv = t.to_csv();
         let times: Vec<f64> = csv
             .lines()
@@ -558,7 +581,10 @@ mod tests {
             .collect();
         // static-equal >= work-stealing >= het-aware-plan (small tolerance).
         assert!(times[0] > times[1], "stealing must beat static: {times:?}");
-        assert!(times[1] >= times[2] * 0.98, "stealing can't beat oracle: {times:?}");
+        assert!(
+            times[1] >= times[2] * 0.98,
+            "stealing can't beat oracle: {times:?}"
+        );
         // Balancing the equal split took steals that moved data.
         let stealing: Vec<u64> = csv
             .lines()

@@ -126,7 +126,11 @@ fn run(cmd: &str, st: ExpSettings, out: &Option<PathBuf>) -> Result<(), String> 
             }
         }
         "ablations" => {
-            emit(ablations::regression_ablation(st), "ablation_regression", out);
+            emit(
+                ablations::regression_ablation(st),
+                "ablation_regression",
+                out,
+            );
             emit(ablations::pipeline_ablation(4096), "ablation_pipeline", out);
             emit(ablations::sampling_ablation(st), "ablation_sampling", out);
             emit(ablations::kmodes_l_ablation(st), "ablation_kmodes_l", out);
@@ -154,8 +158,17 @@ fn run(cmd: &str, st: ExpSettings, out: &Option<PathBuf>) -> Result<(), String> 
         }
         "all" => {
             for c in [
-                "table1", "fig2", "fig3", "fig4", "table2", "table3", "fig5", "fig6",
-                "ablations", "faults", "check",
+                "table1",
+                "fig2",
+                "fig3",
+                "fig4",
+                "table2",
+                "table3",
+                "fig5",
+                "fig6",
+                "ablations",
+                "faults",
+                "check",
             ] {
                 eprintln!("--- running {c} ---");
                 run(c, st, out)?;

@@ -353,11 +353,7 @@ mod tests {
         });
         assert_eq!(results.len(), 9);
         let (table, all) = render_claims(&results);
-        assert!(
-            all,
-            "reproduction gate failed:\n{}",
-            table.render()
-        );
+        assert!(all, "reproduction gate failed:\n{}", table.render());
     }
 
     #[test]

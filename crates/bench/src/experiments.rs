@@ -9,9 +9,9 @@
 
 use pareto_cluster::{FaultPlan, NodeSpec, SimCluster};
 use pareto_core::framework::{Framework, FrameworkConfig, Quality, Strategy};
+use pareto_core::partitioner::PartitionLayout;
 use pareto_core::PlanSession;
 use pareto_core::RecoveryConfig;
-use pareto_core::partitioner::PartitionLayout;
 use pareto_core::StratifierConfig;
 use pareto_datagen::Dataset;
 use pareto_workloads::WorkloadKind;
@@ -254,7 +254,12 @@ pub fn table1(st: ExpSettings) -> Table {
 // Figures 2 & 3 — frequent pattern mining sweeps
 // ---------------------------------------------------------------------------
 
-fn mining_sweep(datasets: &[Dataset], support: f64, st: ExpSettings, title: &str) -> (Table, Vec<StrategyRow>) {
+fn mining_sweep(
+    datasets: &[Dataset],
+    support: f64,
+    st: ExpSettings,
+    title: &str,
+) -> (Table, Vec<StrategyRow>) {
     let mut table = Table::new(title, &standard_headers());
     let mut rows = Vec::new();
     for ds in datasets {
@@ -293,7 +298,10 @@ pub fn fig2(st: ExpSettings) -> (Table, Vec<StrategyRow>) {
 
 /// Fig. 3: Apriori text mining on RCV1-syn — time (a) and dirty energy (b).
 pub fn fig3(st: ExpSettings) -> (Table, Vec<StrategyRow>) {
-    let datasets = vec![pareto_datagen::rcv1_syn(st.seed, st.scale * MINING_SCALE_BOOST)];
+    let datasets = vec![pareto_datagen::rcv1_syn(
+        st.seed,
+        st.scale * MINING_SCALE_BOOST,
+    )];
     mining_sweep(
         &datasets,
         TEXT_SUPPORT,
@@ -413,13 +421,14 @@ pub fn planning_speedup(st: ExpSettings, thread_counts: &[usize]) -> Table {
             st.seed,
             threads,
         );
-        let plan = Framework::new(&cluster, cfg).try_plan(
-            &ds,
-            WorkloadKind::FrequentPatterns {
-                support: TEXT_SUPPORT,
-            },
-        )
-        .expect("non-empty dataset");
+        let plan = Framework::new(&cluster, cfg)
+            .try_plan(
+                &ds,
+                WorkloadKind::FrequentPatterns {
+                    support: TEXT_SUPPORT,
+                },
+            )
+            .expect("non-empty dataset");
         let t = plan.timings;
         let (base_total, base_sizes) =
             baseline.get_or_insert_with(|| (t.total_s, plan.sizes.clone()));
@@ -534,9 +543,7 @@ pub fn replan_amortization(st: ExpSettings) -> Table {
 
 /// α values swept for the frontier plots. Clustered near 1 because the
 /// energy objective's scale dwarfs the time objective's (§III-D).
-pub const ALPHA_SWEEP: [f64; 9] = [
-    1.0, 0.999_99, 0.999_9, 0.999, 0.995, 0.99, 0.95, 0.9, 0.0,
-];
+pub const ALPHA_SWEEP: [f64; 9] = [1.0, 0.999_99, 0.999_9, 0.999, 0.995, 0.99, 0.95, 0.9, 0.0];
 
 /// Sweep α for one dataset/workload at `p = 8`; includes the Stratified
 /// baseline as the final row (the paper's yellow marker above the
@@ -550,7 +557,13 @@ pub fn frontier_sweep(
 ) -> (Table, Vec<StrategyRow>) {
     let mut table = Table::new(
         title,
-        &["dataset", "alpha", "time_s", "dirty_linear_kJ", "dirty_clamped_kJ"],
+        &[
+            "dataset",
+            "alpha",
+            "time_s",
+            "dirty_linear_kJ",
+            "dirty_clamped_kJ",
+        ],
     );
     let mut rows = Vec::new();
     let mut emit = |row: StrategyRow, table: &mut Table| {
@@ -586,7 +599,13 @@ pub fn fig5(st: ExpSettings) -> (Table, Vec<StrategyRow>) {
     let mut all_rows = Vec::new();
     let mut combined = Table::new(
         "Fig. 5 — Pareto frontiers (8 partitions): α sweep vs Stratified baseline",
-        &["dataset", "alpha", "time_s", "dirty_linear_kJ", "dirty_clamped_kJ"],
+        &[
+            "dataset",
+            "alpha",
+            "time_s",
+            "dirty_linear_kJ",
+            "dirty_clamped_kJ",
+        ],
     );
     let cases: Vec<(Dataset, WorkloadKind, PartitionLayout)> = vec![
         (
@@ -743,10 +762,7 @@ pub fn faults_experiment(st: ExpSettings) -> Table {
             .try_run_with_faults(&ds, workload, &plan, &rcfg)
             .expect("non-empty dataset, valid config");
         let rec = &out.outcome.recovery;
-        assert!(
-            rec.exactly_once,
-            "scenario {name:?} lost items: {rec:?}"
-        );
+        assert!(rec.exactly_once, "scenario {name:?} lost items: {rec:?}");
         if name == "crash" || name == "combined" {
             assert!(
                 rec.crashed_nodes.contains(&victim),
@@ -845,7 +861,13 @@ pub fn telemetry_overhead(st: ExpSettings) -> Table {
     let mut table = Table::new(
         "Telemetry overhead — recorder off vs on (identical results asserted)",
         &[
-            "stage", "telemetry", "wall_ms", "spans", "instants", "series", "inert",
+            "stage",
+            "telemetry",
+            "wall_ms",
+            "spans",
+            "instants",
+            "series",
+            "inert",
         ],
     );
     let rows: [(&str, &str, f64, usize, usize, usize); 4] = [

@@ -77,7 +77,11 @@ impl Table {
         let _ = writeln!(
             out,
             "{}",
-            self.headers.iter().map(|h| esc(h)).collect::<Vec<_>>().join(",")
+            self.headers
+                .iter()
+                .map(|h| esc(h))
+                .collect::<Vec<_>>()
+                .join(",")
         );
         for row in &self.rows {
             let _ = writeln!(

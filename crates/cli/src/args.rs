@@ -347,20 +347,34 @@ where
     E: fmt::Display,
     R: std::ops::RangeBounds<T> + fmt::Debug,
 {
-    num(s).and_then(|v| if range.contains(&v) { Ok(v) } else { Err(format!("must be in {range:?}")) })
+    num(s).and_then(|v| {
+        if range.contains(&v) {
+            Ok(v)
+        } else {
+            Err(format!("must be in {range:?}"))
+        }
+    })
 }
 
 fn positive(s: &str) -> Result<f64, String> {
     num(s).and_then(|v: f64| {
-        if v > 0.0 && v.is_finite() { Ok(v) } else { Err("must be finite and > 0".into()) }
+        if v > 0.0 && v.is_finite() {
+            Ok(v)
+        } else {
+            Err("must be finite and > 0".into())
+        }
     })
 }
 
 fn choice<T: Copy>(s: &str, options: &[(&str, T)]) -> Result<T, String> {
-    options.iter().find(|(name, _)| *name == s).map(|&(_, v)| v).ok_or_else(|| {
-        let names: Vec<&str> = options.iter().map(|&(name, _)| name).collect();
-        format!("expected one of {}", names.join("|"))
-    })
+    options
+        .iter()
+        .find(|(name, _)| *name == s)
+        .map(|&(_, v)| v)
+        .ok_or_else(|| {
+            let names: Vec<&str> = options.iter().map(|&(name, _)| name).collect();
+            format!("expected one of {}", names.join("|"))
+        })
 }
 
 /// Store a parsed value in the field a flag fills.
@@ -549,7 +563,10 @@ pub fn usage(mask: Subs) -> String {
     let indent = format!("\n{:29}", "");
     let mut text = String::from("usage:\n");
     for (name, _, about) in SUBCOMMANDS.iter().filter(|(_, bit, _)| bit & mask != 0) {
-        text += &format!("  paretofab {name} [flags]\n      {}\n", about.replace('\n', "\n      "));
+        text += &format!(
+            "  paretofab {name} [flags]\n      {}\n",
+            about.replace('\n', "\n      ")
+        );
     }
     text += "\nflags (`paretofab <subcommand> --help` lists only the ones it accepts):\n";
     for (name, value, _, help, _) in FLAGS.iter().filter(|f| f.2 & mask != 0) {
@@ -633,7 +650,12 @@ impl Parsed {
     /// `--workload` with `--support`), check what the subcommand requires,
     /// and build its [`Command`].
     fn finish(self, sub: Subs) -> Result<Command, ParseError> {
-        let Parsed { mut common, out, soak, .. } = self;
+        let Parsed {
+            mut common,
+            out,
+            soak,
+            ..
+        } = self;
         // `--strategy` names the family, `--alpha` its weight; `--alpha`
         // alone selects het-energy-aware.
         common.strategy = match (self.strategy.unwrap_or(common.strategy), self.alpha) {
@@ -670,7 +692,10 @@ impl Parsed {
                 seed: common.seed,
                 out: out.ok_or("gen requires --out FILE")?,
             },
-            PARTITION => Command::Partition { common, out: out.ok_or("partition requires --out DIR")? },
+            PARTITION => Command::Partition {
+                common,
+                out: out.ok_or("partition requires --out DIR")?,
+            },
             RUN => Command::Run { common },
             FRONTIER => Command::Frontier {
                 common,
@@ -678,13 +703,19 @@ impl Parsed {
                 max_points: self.max_points.unwrap_or(48),
                 out,
             },
-            PLAN => Command::Plan { common, sweep: self.sweep, out },
+            PLAN => Command::Plan {
+                common,
+                sweep: self.sweep,
+                out,
+            },
             REPLAN => {
                 let deltas = (self.drop_node, self.restore_node, self.realpha);
                 if deltas == (None, None, None) && self.append_scale == 0.0 {
-                    return Err("replan needs at least one delta: --drop-node, --restore-node, \
+                    return Err(
+                        "replan needs at least one delta: --drop-node, --restore-node, \
                          --realpha, or --append-scale"
-                        .into());
+                            .into(),
+                    );
                 }
                 Command::Replan {
                     common,
@@ -702,7 +733,11 @@ impl Parsed {
                     _ => None,
                 },
             },
-            BENCH => Command::Bench { common, record: self.record, baseline: self.baseline },
+            BENCH => Command::Bench {
+                common,
+                record: self.record,
+                baseline: self.baseline,
+            },
             CHAOS => Command::Chaos {
                 common,
                 schedules: self.schedules.unwrap_or(256),
@@ -736,10 +771,15 @@ impl Parsed {
             ELASTIC => {
                 if let Some(c) = self.candidate.filter(|&c| c >= common.nodes) {
                     let nodes = common.nodes;
-                    let message = format!("--candidate {c} is out of range (cluster has {nodes} nodes)");
+                    let message =
+                        format!("--candidate {c} is out of range (cluster has {nodes} nodes)");
                     return Err(message.into());
                 }
-                Command::Elastic { common, candidate: self.candidate, out }
+                Command::Elastic {
+                    common,
+                    candidate: self.candidate,
+                    out,
+                }
             }
             _ => unreachable!("every row of SUBCOMMANDS has an arm"),
         })
@@ -783,10 +823,7 @@ mod tests {
         match cmd {
             Command::Run { common } => {
                 assert_eq!(common.nodes, 4);
-                assert_eq!(
-                    common.strategy,
-                    Strategy::HetEnergyAware { alpha: 0.99 }
-                );
+                assert_eq!(common.strategy, Strategy::HetEnergyAware { alpha: 0.99 });
                 assert_eq!(
                     common.workload,
                     WorkloadKind::FrequentPatterns { support: 0.05 }
@@ -1129,8 +1166,10 @@ mod tests {
     #[test]
     fn parses_elastic_spec_and_chaos_flag() {
         let spec = "join:3@20,drain:1@40,preempt:2@60@15,eseeded:7";
-        let cmd =
-            parse(&argv(&format!("run --preset rcv1 --nodes 4 --elastic {spec}"))).unwrap();
+        let cmd = parse(&argv(&format!(
+            "run --preset rcv1 --nodes 4 --elastic {spec}"
+        )))
+        .unwrap();
         match cmd {
             Command::Run { common } => assert_eq!(common.elastic.as_deref(), Some(spec)),
             other => panic!("unexpected {other:?}"),
@@ -1143,9 +1182,21 @@ mod tests {
         }
         assert!(parse(&argv("run --preset rcv1 --elastic")).is_err());
         let cmd = parse(&argv("chaos --preset rcv1 --with-elastic")).unwrap();
-        assert!(matches!(cmd, Command::Chaos { with_elastic: true, .. }));
+        assert!(matches!(
+            cmd,
+            Command::Chaos {
+                with_elastic: true,
+                ..
+            }
+        ));
         let cmd = parse(&argv("chaos --preset rcv1")).unwrap();
-        assert!(matches!(cmd, Command::Chaos { with_elastic: false, .. }));
+        assert!(matches!(
+            cmd,
+            Command::Chaos {
+                with_elastic: false,
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -1170,7 +1221,11 @@ mod tests {
         let cmd = parse(&argv("elastic --preset rcv1")).unwrap();
         assert!(matches!(
             cmd,
-            Command::Elastic { candidate: None, out: None, .. }
+            Command::Elastic {
+                candidate: None,
+                out: None,
+                ..
+            }
         ));
         assert!(parse(&argv("elastic")).is_err()); // no data source
         assert!(parse(&argv("elastic --preset rcv1 --nodes 4 --candidate 4")).is_err());
@@ -1238,7 +1293,10 @@ mod tests {
     #[test]
     fn parses_storage_fault_clauses() {
         let spec = "torn:1@13,rot:2@40@8,snaploss:3,recrash:0@2";
-        let cmd = parse(&argv(&format!("run --preset rcv1 --nodes 4 --faults {spec}"))).unwrap();
+        let cmd = parse(&argv(&format!(
+            "run --preset rcv1 --nodes 4 --faults {spec}"
+        )))
+        .unwrap();
         match cmd {
             Command::Run { common } => assert_eq!(common.faults.as_deref(), Some(spec)),
             other => panic!("unexpected {other:?}"),
@@ -1252,9 +1310,10 @@ mod tests {
             Command::Run { common } => assert_eq!(common.strategy, Strategy::ClusterMode),
             other => panic!("unexpected {other:?}"),
         }
-        let cmd =
-            parse(&argv("run --preset rcv1 --strategy het-energy-aware-norm --alpha 0.4"))
-                .unwrap();
+        let cmd = parse(&argv(
+            "run --preset rcv1 --strategy het-energy-aware-norm --alpha 0.4",
+        ))
+        .unwrap();
         match cmd {
             Command::Run { common } => assert_eq!(
                 common.strategy,
@@ -1276,7 +1335,11 @@ mod tests {
                 other => panic!("`{sub} --help` must be the help outcome, got {other:?}"),
             };
             assert_eq!(help, usage(bit));
-            assert_eq!(help.matches("  paretofab ").count(), 1, "{sub}: only its own synopsis");
+            assert_eq!(
+                help.matches("  paretofab ").count(),
+                1,
+                "{sub}: only its own synopsis"
+            );
             for &(flag, placeholder, subs, _, _) in FLAGS {
                 let listed = help.lines().any(|l| l.starts_with(&format!("  {flag} ")));
                 assert_eq!(listed, subs & bit != 0, "{flag} in `{sub} --help`");
@@ -1296,8 +1359,14 @@ mod tests {
         }
         for (i, &(flag, _, subs, help, _)) in FLAGS.iter().enumerate() {
             assert!(flag.starts_with("--") && !help.is_empty(), "{flag}");
-            assert!(subs != 0 && subs < 1 << SUBCOMMANDS.len(), "{flag}: accepted somewhere real");
-            assert!(FLAGS[..i].iter().all(|f| f.0 != flag), "{flag} declared twice");
+            assert!(
+                subs != 0 && subs < 1 << SUBCOMMANDS.len(),
+                "{flag}: accepted somewhere real"
+            );
+            assert!(
+                FLAGS[..i].iter().all(|f| f.0 != flag),
+                "{flag} declared twice"
+            );
         }
         // The whole-program usage names every subcommand and every flag.
         let all = usage(Subs::MAX);
@@ -1318,7 +1387,10 @@ mod tests {
             ("--cache-cap", soak.service.cache_capacity.to_string()),
             ("--dataset-scale", soak.service.dataset_scale.to_string()),
         ] {
-            let line = serve.lines().find(|l| l.starts_with(&format!("  {flag} "))).unwrap();
+            let line = serve
+                .lines()
+                .find(|l| l.starts_with(&format!("  {flag} ")))
+                .unwrap();
             assert!(line.ends_with(&format!("(default {default})")), "{line}");
         }
     }
@@ -1347,7 +1419,10 @@ mod tests {
                 let soak = SoakConfig::default();
                 assert!(opts.listen.is_none() && !opts.chaos);
                 assert_eq!((opts.requests, opts.tenants), (soak.requests, soak.tenants));
-                assert_eq!((opts.clients, opts.sim_workers), (soak.clients, soak.sim_workers));
+                assert_eq!(
+                    (opts.clients, opts.sim_workers),
+                    (soak.clients, soak.sim_workers)
+                );
                 assert_eq!(opts.nodes, soak.service.nodes);
             }
             other => panic!("unexpected {other:?}"),

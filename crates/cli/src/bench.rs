@@ -165,7 +165,12 @@ fn faulted_run(m: &Matrix) -> Result<Vec<Metric>, String> {
     let cluster = bench_cluster(m).with_telemetry(tel.clone());
     let fw = Framework::new(&cluster, framework_cfg(m)).with_telemetry(tel.clone());
     let out = fw
-        .try_run_with_faults(&dataset, BENCH_WORKLOAD, &faults, &RecoveryConfig::default())
+        .try_run_with_faults(
+            &dataset,
+            BENCH_WORKLOAD,
+            &faults,
+            &RecoveryConfig::default(),
+        )
         .map_err(|e| e.to_string())?;
     let rows = cluster.attribute_energy(&tel.snapshot().ledger);
     let energy_j: f64 = rows.iter().map(|r| r.energy_j).sum();
@@ -310,7 +315,10 @@ pub fn bench_cmd(
     );
     let mut metrics = Vec::new();
     for (label, run) in [
-        ("cold_plan", cold_plan as fn(&Matrix) -> Result<Vec<Metric>, String>),
+        (
+            "cold_plan",
+            cold_plan as fn(&Matrix) -> Result<Vec<Metric>, String>,
+        ),
         ("warm_replan", warm_replan),
         ("wal_recover", wal_recover),
         ("frontier_explore", frontier_explore),
@@ -324,7 +332,10 @@ pub fn bench_cmd(
         );
     }
     for metric in &metrics {
-        println!("bench metric       {} = {}  [gated]", metric.name, metric.value);
+        println!(
+            "bench metric       {} = {}  [gated]",
+            metric.name, metric.value
+        );
     }
 
     if let Some(path) = record {

@@ -8,8 +8,8 @@ use std::sync::Arc;
 use pareto_cluster::{FaultEvent, FaultKind, FaultPlan, FaultSpec, NodeSpec, SimCluster};
 use pareto_core::framework::{DurabilityReport, Framework, FrameworkConfig, Quality};
 use pareto_core::frontier::{FrontierConfig, FrontierResult, ObjectiveSet};
-use pareto_core::{advise_join, run_chaos, ChaosConfig, JoinAdvice, ParetoModeler, RecoveryConfig};
 use pareto_core::PlanSession;
+use pareto_core::{advise_join, run_chaos, ChaosConfig, JoinAdvice, ParetoModeler, RecoveryConfig};
 use pareto_datagen::{loaders, writers, DataKind, Dataset};
 use pareto_telemetry::{
     event, export, json, report, CaptureSink, FlightRecorder, StderrSink, TeeSink, Telemetry,
@@ -179,7 +179,11 @@ fn write_text(path: &Path, contents: &str) -> Result<(), String> {
 /// `report`: validate and summarize a `--telemetry-out` dump (and
 /// optionally a `--trace-out` chrome trace). `report lineage --batch N`
 /// reconstructs one work batch's causal hop chain instead.
-fn report_cmd(input: &Path, trace: Option<&Path>, lineage_batch: Option<u32>) -> Result<(), String> {
+fn report_cmd(
+    input: &Path,
+    trace: Option<&Path>,
+    lineage_batch: Option<u32>,
+) -> Result<(), String> {
     let text = fs::read_to_string(input).map_err(|e| format!("read {input:?}: {e}"))?;
     let doc = json::parse(&text).map_err(|e| format!("parse {input:?}: {e}"))?;
     report::validate_dump(&doc).map_err(|e| format!("invalid dump {input:?}: {e}"))?;
@@ -269,7 +273,11 @@ fn build_framework_parts(
         durability: common.durability,
         ..FrameworkConfig::default()
     };
-    (Dataset::new("placeholder", DataKind::Text, vec![]), cluster, cfg)
+    (
+        Dataset::new("placeholder", DataKind::Text, vec![]),
+        cluster,
+        cfg,
+    )
 }
 
 fn partition(common: &Common, out: &Path) -> Result<(), String> {
@@ -301,7 +309,11 @@ fn partition(common: &Common, out: &Path) -> Result<(), String> {
     let mut emit = |line: String| {
         let _ = writeln!(f, "{line}");
     };
-    emit(format!("dataset: {} ({} records)", dataset.name, dataset.len()));
+    emit(format!(
+        "dataset: {} ({} records)",
+        dataset.name,
+        dataset.len()
+    ));
     emit(format!("strategy: {}", common.strategy.label()));
     emit(format!("sizes: {:?}", plan.sizes));
     emit(format!(
@@ -317,7 +329,10 @@ fn partition(common: &Common, out: &Path) -> Result<(), String> {
     ));
     if let Some(point) = &plan.pareto {
         emit(format!("alpha: {}", point.alpha));
-        emit(format!("predicted makespan: {:.2}s", point.predicted_makespan));
+        emit(format!(
+            "predicted makespan: {:.2}s",
+            point.predicted_makespan
+        ));
         emit(format!(
             "predicted dirty energy: {:.1} kJ",
             point.predicted_dirty_joules / 1000.0
@@ -470,7 +485,11 @@ fn frontier_json(result: &FrontierResult) -> String {
              \"transfer_bytes\": {}, \"sizes\": {:?}}}",
             p.alpha, p.makespan_s, p.dirty_joules, p.transfer_bytes, p.sizes
         );
-        s.push_str(if i + 1 < result.points.len() { ",\n" } else { "\n" });
+        s.push_str(if i + 1 < result.points.len() {
+            ",\n"
+        } else {
+            "\n"
+        });
     }
     s.push_str("  ]\n}\n");
     s
@@ -541,9 +560,9 @@ fn execute(common: &Common) -> Result<(), String> {
             input_bytes,
             output_bytes,
             ratio,
-        } => println!(
-            "quality            {input_bytes} -> {output_bytes} bytes (ratio {ratio:.2})"
-        ),
+        } => {
+            println!("quality            {input_bytes} -> {output_bytes} bytes (ratio {ratio:.2})")
+        }
     }
     if let Some(dur) = &outcome.durability {
         print_durability(dur)?;
@@ -644,7 +663,11 @@ fn plan_cmd(common: &Common, sweep: &[f64], out: Option<&Path>) -> Result<(), St
 
     let mut plans = Vec::new();
     if sweep.is_empty() {
-        let plan = flight_guard(&tel, session.plan().map_err(|e| e.to_string()), "plan-error")?;
+        let plan = flight_guard(
+            &tel,
+            session.plan().map_err(|e| e.to_string()),
+            "plan-error",
+        )?;
         println!("plan               {}", plan_line(&plan));
         println!("stage cache        {}", reuse_line(session.last_reuse()));
         println!("{}", planning_time_line(&plan, common.threads));
@@ -652,8 +675,11 @@ fn plan_cmd(common: &Common, sweep: &[f64], out: Option<&Path>) -> Result<(), St
     } else {
         for &alpha in sweep {
             session.set_alpha(alpha);
-            let plan =
-                flight_guard(&tel, session.plan().map_err(|e| e.to_string()), "plan-error")?;
+            let plan = flight_guard(
+                &tel,
+                session.plan().map_err(|e| e.to_string()),
+                "plan-error",
+            )?;
             println!(
                 "plan               {}  [{}; {:.4}s]",
                 plan_line(&plan),
@@ -1066,8 +1092,8 @@ fn serve_cmd(common: &Common, opts: &ServeOpts, out: Option<&Path>) -> Result<()
     if let Some(addr) = &opts.listen {
         let svc = Arc::new(PlanService::new(service, TelemetrySession::recorder(&tel)));
         let server = Server::start(svc);
-        let listener = std::net::TcpListener::bind(addr.as_str())
-            .map_err(|e| format!("bind {addr}: {e}"))?;
+        let listener =
+            std::net::TcpListener::bind(addr.as_str()).map_err(|e| format!("bind {addr}: {e}"))?;
         let local = listener
             .local_addr()
             .map_err(|e| format!("local addr: {e}"))?;
@@ -1108,11 +1134,9 @@ fn serve_cmd(common: &Common, opts: &ServeOpts, out: Option<&Path>) -> Result<()
     );
     println!(
         "resilience         shed_events={} retries={} coalesced={} stalls={} crashes={}",
-        soak.shed_events, soak.retries, soak.coalesced, soak.stalls_injected,
-        soak.crashes_injected
+        soak.shed_events, soak.retries, soak.coalesced, soak.stalls_injected, soak.crashes_injected
     );
-    let hit_rate =
-        soak.cache_hits as f64 / (soak.cache_hits + soak.cache_misses).max(1) as f64;
+    let hit_rate = soak.cache_hits as f64 / (soak.cache_hits + soak.cache_misses).max(1) as f64;
     println!(
         "stage cache        {} hits / {} misses ({:.1}% hit rate), {} evictions",
         soak.cache_hits,
@@ -1139,10 +1163,7 @@ fn serve_cmd(common: &Common, opts: &ServeOpts, out: Option<&Path>) -> Result<()
         tel.finish()?;
     }
     if soak.audit_violations > 0 {
-        return Err(format!(
-            "soak audit violations: {}",
-            soak.audit_violations
-        ));
+        return Err(format!("soak audit violations: {}", soak.audit_violations));
     }
     Ok(())
 }

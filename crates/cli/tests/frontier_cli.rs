@@ -84,10 +84,7 @@ fn invalid_explorer_flags_exit_nonzero() {
     ];
     for args in cases {
         let out = bin().args(*args).output().expect("spawn paretofab");
-        assert!(
-            !out.status.success(),
-            "expected nonzero exit for {args:?}"
-        );
+        assert!(!out.status.success(), "expected nonzero exit for {args:?}");
         assert!(
             !out.stderr.is_empty(),
             "expected a diagnostic on stderr for {args:?}"

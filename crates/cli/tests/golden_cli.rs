@@ -206,7 +206,9 @@ fn ci_artifacts_match_the_bytes_recorded_at_the_parent_commit() {
     for (index, (name, argv, pin, golden)) in cases().into_iter().enumerate() {
         let actual = run_case(index, &argv, pin);
         if actual != golden {
-            mismatches.push(format!("{name}: {actual:#018x} (pinned {golden:#018x})\n    {argv}"));
+            mismatches.push(format!(
+                "{name}: {actual:#018x} (pinned {golden:#018x})\n    {argv}"
+            ));
         }
     }
     assert!(

@@ -83,7 +83,16 @@ fn bench_baseline_round_trip_and_injected_regression() {
 
     // A baseline from a different matrix is an error, not a pass.
     let out = bin()
-        .args(["bench", "--scale", "0.03", "--nodes", "4", "--seed", "7", "--baseline"])
+        .args([
+            "bench",
+            "--scale",
+            "0.03",
+            "--nodes",
+            "4",
+            "--seed",
+            "7",
+            "--baseline",
+        ])
         .arg(&record)
         .output()
         .expect("spawn paretofab bench");
@@ -108,9 +117,23 @@ fn traced_faulted_dump(name: &str) -> [PathBuf; 3] {
     ];
     let out = bin()
         .args([
-            "run", "--preset", "rcv1", "--scale", "0.05", "--nodes", "4", "--seed", "31",
-            "--strategy", "het-energy-aware", "--alpha", "0.995", "--support", "0.15",
-            "--faults", "crash:1@0.5",
+            "run",
+            "--preset",
+            "rcv1",
+            "--scale",
+            "0.05",
+            "--nodes",
+            "4",
+            "--seed",
+            "31",
+            "--strategy",
+            "het-energy-aware",
+            "--alpha",
+            "0.995",
+            "--support",
+            "0.15",
+            "--faults",
+            "crash:1@0.5",
         ])
         .arg("--telemetry-out")
         .arg(&files[0])
@@ -151,10 +174,18 @@ fn report_validates_dump_and_reconstructs_lineage() {
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-    assert!(stdout.contains("telemetry dump:"), "summary header missing: {stdout}");
-    assert!(stdout.contains("[ledger]"), "ledger section missing: {stdout}");
     assert!(
-        stdout.lines().any(|l| l.starts_with("chrome trace ") && l.contains(": OK")),
+        stdout.contains("telemetry dump:"),
+        "summary header missing: {stdout}"
+    );
+    assert!(
+        stdout.contains("[ledger]"),
+        "ledger section missing: {stdout}"
+    );
+    assert!(
+        stdout
+            .lines()
+            .any(|l| l.starts_with("chrome trace ") && l.contains(": OK")),
         "chrome trace verdict missing: {stdout}"
     );
 
@@ -181,7 +212,10 @@ fn report_validates_dump_and_reconstructs_lineage() {
         String::from_utf8_lossy(&out.stderr)
     );
     let chain = String::from_utf8_lossy(&out.stdout).into_owned();
-    assert!(chain.contains("lineage of batch 1"), "header missing: {chain}");
+    assert!(
+        chain.contains("lineage of batch 1"),
+        "header missing: {chain}"
+    );
     assert!(chain.contains("place - -> node1"), "hop 0 missing: {chain}");
     assert!(
         chain.contains("redistribute node1 -> "),
@@ -209,8 +243,18 @@ fn flight_recorder_dumps_on_failure_only() {
     let flight = tmp("flight.json");
     let out = bin()
         .args([
-            "run", "--preset", "rcv1", "--scale", "0.02", "--nodes", "2", "--seed", "7",
-            "--faults", "crash:0@0.01,crash:1@0.01", "--flight-out",
+            "run",
+            "--preset",
+            "rcv1",
+            "--scale",
+            "0.02",
+            "--nodes",
+            "2",
+            "--seed",
+            "7",
+            "--faults",
+            "crash:0@0.01,crash:1@0.01",
+            "--flight-out",
         ])
         .arg(&flight)
         .output()
@@ -225,7 +269,15 @@ fn flight_recorder_dumps_on_failure_only() {
     let flight = tmp("flight-clean.json");
     let out = bin()
         .args([
-            "run", "--preset", "rcv1", "--scale", "0.02", "--nodes", "2", "--seed", "7",
+            "run",
+            "--preset",
+            "rcv1",
+            "--scale",
+            "0.02",
+            "--nodes",
+            "2",
+            "--seed",
+            "7",
             "--flight-out",
         ])
         .arg(&flight)
@@ -246,8 +298,19 @@ fn flight_recorder_dumps_on_failure_only() {
     let flight = tmp("flight-chaos.json");
     let out = bin()
         .args([
-            "chaos", "--preset", "rcv1", "--scale", "0.05", "--seed", "2017", "--nodes", "4",
-            "--schedules", "16", "--inject-corruption", "--flight-out",
+            "chaos",
+            "--preset",
+            "rcv1",
+            "--scale",
+            "0.05",
+            "--seed",
+            "2017",
+            "--nodes",
+            "4",
+            "--schedules",
+            "16",
+            "--inject-corruption",
+            "--flight-out",
         ])
         .arg(&flight)
         .output()
@@ -270,8 +333,19 @@ fn flight_recorder_dumps_on_failure_only() {
 fn durable_run_recovers_every_node() {
     let out = bin()
         .args([
-            "run", "--preset", "rcv1", "--scale", "0.1", "--seed", "7", "--nodes", "4",
-            "--workload", "patterns", "--durability", "wal",
+            "run",
+            "--preset",
+            "rcv1",
+            "--scale",
+            "0.1",
+            "--seed",
+            "7",
+            "--nodes",
+            "4",
+            "--workload",
+            "patterns",
+            "--durability",
+            "wal",
         ])
         .output()
         .expect("spawn paretofab run");
@@ -298,7 +372,9 @@ fn durable_run_recovers_every_node() {
 fn tiny_scale_graph_presets_plan() {
     for preset in ["uk", "arabic"] {
         let out = bin()
-            .args(["plan", "--preset", preset, "--scale", "0.001", "--nodes", "4"])
+            .args([
+                "plan", "--preset", preset, "--scale", "0.001", "--nodes", "4",
+            ])
             .output()
             .expect("spawn paretofab plan");
         assert!(

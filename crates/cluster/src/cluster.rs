@@ -93,8 +93,7 @@ impl JobReport {
         if self.runs.is_empty() {
             return 1.0;
         }
-        let mean: f64 =
-            self.runs.iter().map(|r| r.seconds).sum::<f64>() / self.runs.len() as f64;
+        let mean: f64 = self.runs.iter().map(|r| r.seconds).sum::<f64>() / self.runs.len() as f64;
         if mean <= 0.0 {
             1.0
         } else {
@@ -330,8 +329,7 @@ impl SimCluster {
             slots.push(None);
         }
         crossbeam::thread::scope(|scope| {
-            for (node_id, (task, slot)) in tasks.into_iter().zip(slots.iter_mut()).enumerate()
-            {
+            for (node_id, (task, slot)) in tasks.into_iter().zip(slots.iter_mut()).enumerate() {
                 let ctx = JobCtx {
                     node_id,
                     store: &self.stores[node_id],

@@ -43,10 +43,16 @@ impl std::fmt::Display for ClusterError {
                 write!(f, "bandwidth must be positive and finite, got {b}")
             }
             ClusterError::TaskCountMismatch { nodes, tasks } => {
-                write!(f, "one task per node required: {nodes} nodes, {tasks} tasks")
+                write!(
+                    f,
+                    "one task per node required: {nodes} nodes, {tasks} tasks"
+                )
             }
             ClusterError::CostCountMismatch { nodes, costs } => {
-                write!(f, "one cost per node required: {nodes} nodes, {costs} costs")
+                write!(
+                    f,
+                    "one cost per node required: {nodes} nodes, {costs} costs"
+                )
             }
             ClusterError::BadFaultSpec(msg) => write!(f, "bad fault spec: {msg}"),
         }

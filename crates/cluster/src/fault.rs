@@ -284,9 +284,37 @@ mod draw {
     /// Every family with its indices.
     #[cfg(test)]
     pub const FAMILIES: [(&str, &[u64]); 4] = [
-        ("compute", &[CRASH, CRASH_AT, SLOW, SLOW_FACTOR, KV, KV_COUNT, NET, NET_FROM]),
-        ("storage", &[TORN, TORN_CUT, ROT, ROT_OFFSET, ROT_MASK, SNAPLOSS, RECRASH, RECRASH_AT]),
-        ("roster", &[JOIN, JOIN_AT, DRAIN, DRAIN_AT, PREEMPT, PREEMPT_AT, PREEMPT_GRACE]),
+        (
+            "compute",
+            &[
+                CRASH,
+                CRASH_AT,
+                SLOW,
+                SLOW_FACTOR,
+                KV,
+                KV_COUNT,
+                NET,
+                NET_FROM,
+            ],
+        ),
+        (
+            "storage",
+            &[
+                TORN, TORN_CUT, ROT, ROT_OFFSET, ROT_MASK, SNAPLOSS, RECRASH, RECRASH_AT,
+            ],
+        ),
+        (
+            "roster",
+            &[
+                JOIN,
+                JOIN_AT,
+                DRAIN,
+                DRAIN_AT,
+                PREEMPT,
+                PREEMPT_AT,
+                PREEMPT_GRACE,
+            ],
+        ),
         ("serving", &[STALL, STALL_COUNT]),
     ];
 }
@@ -328,7 +356,9 @@ impl FaultPlan {
     pub fn with_crash(mut self, node_id: usize, at_s: f64) -> Self {
         self.events.push(FaultEvent {
             node_id,
-            kind: FaultKind::Crash { at_s: at_s.max(0.0) },
+            kind: FaultKind::Crash {
+                at_s: at_s.max(0.0),
+            },
         });
         self
     }
@@ -428,7 +458,9 @@ impl FaultPlan {
     pub fn with_join(mut self, node_id: usize, at_s: f64) -> Self {
         self.events.push(FaultEvent {
             node_id,
-            kind: FaultKind::Join { at_s: at_s.max(0.0) },
+            kind: FaultKind::Join {
+                at_s: at_s.max(0.0),
+            },
         });
         self
     }
@@ -437,7 +469,9 @@ impl FaultPlan {
     pub fn with_drain(mut self, node_id: usize, at_s: f64) -> Self {
         self.events.push(FaultEvent {
             node_id,
-            kind: FaultKind::DrainThenLeave { at_s: at_s.max(0.0) },
+            kind: FaultKind::DrainThenLeave {
+                at_s: at_s.max(0.0),
+            },
         });
         self
     }
@@ -601,9 +635,9 @@ impl FaultPlan {
 
     /// True when `node_id`'s checkpoint snapshot is scheduled to be lost.
     pub fn snapshot_lost(&self, node_id: usize) -> bool {
-        self.events.iter().any(|e| {
-            e.node_id == node_id && matches!(e.kind, FaultKind::SnapshotLoss)
-        })
+        self.events
+            .iter()
+            .any(|e| e.node_id == node_id && matches!(e.kind, FaultKind::SnapshotLoss))
     }
 
     /// Record index at which `node_id`'s recovery crashes, if scheduled.
@@ -800,7 +834,9 @@ impl FaultPlan {
             };
             let args: Vec<&str> = rest.split('@').map(str::trim).collect();
             if args.len() != usage.split('@').count() {
-                return Err(bad(format!("{kind} clause `{clause}` needs {kind}:{usage}")));
+                return Err(bad(format!(
+                    "{kind} clause `{clause}` needs {kind}:{usage}"
+                )));
             }
             let node = || -> Result<usize, ClusterError> {
                 let id: usize = args[0]
@@ -911,7 +947,12 @@ mod tests {
             .collect();
         assert_eq!(
             blocks,
-            [("compute", 0, 7), ("storage", 8, 15), ("roster", 16, 22), ("serving", 23, 24)]
+            [
+                ("compute", 0, 7),
+                ("storage", 8, 15),
+                ("roster", 16, 22),
+                ("serving", 23, 24)
+            ]
         );
     }
 
@@ -938,8 +979,22 @@ mod tests {
     /// Argument tokens for clause soup: valid and invalid numbers, the
     /// grammar's separators, and junk.
     const TOKENS: [&str; 16] = [
-        "0", "1", "3", "255", "12.5", "1e3", "-4", "4294967296", "18446744073709551616", "inf",
-        "NaN", "", " ", "x", ":", "@",
+        "0",
+        "1",
+        "3",
+        "255",
+        "12.5",
+        "1e3",
+        "-4",
+        "4294967296",
+        "18446744073709551616",
+        "inf",
+        "NaN",
+        "",
+        " ",
+        "x",
+        ":",
+        "@",
     ];
 
     proptest! {
@@ -1134,7 +1189,11 @@ mod tests {
             recovery_crash_prob: 1.0,
             ..FaultSpec::default()
         };
-        assert_eq!(FaultPlan::generate(5, 4, &all).len(), 32, "4 nodes x 8 kinds");
+        assert_eq!(
+            FaultPlan::generate(5, 4, &all).len(),
+            32,
+            "4 nodes x 8 kinds"
+        );
     }
 
     #[test]
@@ -1223,13 +1282,13 @@ mod tests {
     #[test]
     fn parse_rejects_garbage() {
         for bad in [
-            "crash:9@10",   // node out of range
-            "crash:1",      // missing @T
-            "warp:1@3",     // unknown kind
-            "slow:x@2",     // bad node id
-            "crash:1@nan",  // non-finite time
-            "net:1@10@3",   // malformed window
-            "seeded:pi",    // bad seed
+            "crash:9@10",  // node out of range
+            "crash:1",     // missing @T
+            "warp:1@3",    // unknown kind
+            "slow:x@2",    // bad node id
+            "crash:1@nan", // non-finite time
+            "net:1@10@3",  // malformed window
+            "seeded:pi",   // bad seed
         ] {
             assert!(
                 FaultPlan::parse(bad, 8).is_err(),

@@ -293,22 +293,17 @@ impl KvStore {
                 Some(_) => Err(KvError::WrongType { key: k.clone() }),
                 None => Ok((Reply::Int(0), 8)),
             },
-            Op::Incr(k) => {
-                match map
-                    .entry(k.clone())
-                    .or_insert_with(|| Value::Counter(0))
-                {
-                    Value::Counter(c) => {
-                        *c += 1;
-                        let n = *c;
-                        if wal_on {
-                            self.log_wal(WalOp::Incr { key: k.clone() });
-                        }
-                        Ok((Reply::Int(n), 8))
+            Op::Incr(k) => match map.entry(k.clone()).or_insert_with(|| Value::Counter(0)) {
+                Value::Counter(c) => {
+                    *c += 1;
+                    let n = *c;
+                    if wal_on {
+                        self.log_wal(WalOp::Incr { key: k.clone() });
                     }
-                    _ => Err(KvError::WrongType { key: k.clone() }),
+                    Ok((Reply::Int(n), 8))
                 }
-            }
+                _ => Err(KvError::WrongType { key: k.clone() }),
+            },
             Op::Del(k) => {
                 let existed = map.remove(k).is_some();
                 if existed && wal_on {
@@ -703,8 +698,7 @@ pub fn decode_records(blob: &[u8]) -> Result<Vec<Bytes>, KvError> {
         if pos + 4 > blob.len() {
             return Err(KvError::CorruptBlob);
         }
-        let len =
-            u32::from_le_bytes(blob[pos..pos + 4].try_into().expect("4 bytes")) as usize;
+        let len = u32::from_le_bytes(blob[pos..pos + 4].try_into().expect("4 bytes")) as usize;
         pos += 4;
         if pos + len > blob.len() {
             return Err(KvError::CorruptBlob);
@@ -809,7 +803,9 @@ mod tests {
         // Unpipelined equivalent pays 64 round trips.
         let mut unbatched = Cost::ZERO;
         for i in 0..64 {
-            let (_, c) = kv.set(&format!("u{i}"), Bytes::from(vec![0u8; 10])).unwrap();
+            let (_, c) = kv
+                .set(&format!("u{i}"), Bytes::from(vec![0u8; 10]))
+                .unwrap();
             unbatched.add(c);
         }
         assert_eq!(unbatched.round_trips, 64);
@@ -1003,7 +999,8 @@ mod tests {
         let kv = KvStore::new();
         kv.enable_wal();
         for i in 0..10 {
-            kv.set(&format!("k{i}"), Bytes::from(vec![i as u8; 8])).unwrap();
+            kv.set(&format!("k{i}"), Bytes::from(vec![i as u8; 8]))
+                .unwrap();
         }
         let checkpoint = kv.checkpoint();
         assert_eq!(kv.wal_stats().records, 0, "checkpoint truncates the log");
@@ -1011,7 +1008,10 @@ mod tests {
         kv.incr("post-ctr").unwrap();
         let (recovered, report) = KvStore::recover(Some(&checkpoint), &kv.wal_bytes()).unwrap();
         assert_same_state(&kv, &recovered);
-        assert_eq!(report.records_replayed, 2, "only post-checkpoint records replay");
+        assert_eq!(
+            report.records_replayed, 2,
+            "only post-checkpoint records replay"
+        );
     }
 
     #[test]
@@ -1072,7 +1072,9 @@ mod tests {
         snap[mid] ^= 0x01;
         assert!(matches!(
             KvStore::recover(Some(&snap), &kv.wal_bytes()),
-            Err(RecoverError::Snapshot(PersistError::ChecksumMismatch { .. }))
+            Err(RecoverError::Snapshot(
+                PersistError::ChecksumMismatch { .. }
+            ))
         ));
     }
 

@@ -247,23 +247,17 @@ mod tests {
 
     #[test]
     fn per_server_same_site_independent_weather() {
-        let nodes =
-            NodeSpec::cluster_with_supply(4, 400.0, 1, 9, 5, SupplyTopology::PerServer);
-        assert!(nodes.iter().all(|n| n.location.name == nodes[0].location.name));
+        let nodes = NodeSpec::cluster_with_supply(4, 400.0, 1, 9, 5, SupplyTopology::PerServer);
+        assert!(nodes
+            .iter()
+            .all(|n| n.location.name == nodes[0].location.name));
         assert_ne!(nodes[0].trace.hourly(), nodes[1].trace.hourly());
     }
 
     #[test]
     fn geo_matches_paper_cluster() {
         let a = NodeSpec::paper_cluster(6, 400.0, 1, 9, 3);
-        let b = NodeSpec::cluster_with_supply(
-            6,
-            400.0,
-            1,
-            9,
-            3,
-            SupplyTopology::GeoDistributed,
-        );
+        let b = NodeSpec::cluster_with_supply(6, 400.0, 1, 9, 3, SupplyTopology::GeoDistributed);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.trace.hourly(), y.trace.hourly());
             assert_eq!(x.location.name, y.location.name);

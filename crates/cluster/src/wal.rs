@@ -291,7 +291,8 @@ impl Wal {
         self.active.reserve(frame_len);
         self.active
             .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.active.extend_from_slice(&crc32(&payload).to_le_bytes());
+        self.active
+            .extend_from_slice(&crc32(&payload).to_le_bytes());
         self.active.extend_from_slice(&payload);
         self.stats.records += 1;
         self.stats.bytes += frame_len;
@@ -479,7 +480,10 @@ mod tests {
         // Flip one payload byte of the first record (frame header is 8).
         bytes[9] ^= 0x40;
         let err = replay_bytes(&bytes).unwrap_err();
-        assert!(matches!(err, WalError::ChecksumMismatch { record: 0, .. }), "{err}");
+        assert!(
+            matches!(err, WalError::ChecksumMismatch { record: 0, .. }),
+            "{err}"
+        );
         // The broken path used by chaos `--inject-corruption` accepts it.
         assert!(replay_with_options(&bytes, false).is_ok());
     }
@@ -531,7 +535,13 @@ mod tests {
         let by_op = wal.stats().by_op();
         assert_eq!(
             by_op,
-            vec![("set", 1), ("rpush", 1), ("incr", 2), ("set_counter", 1), ("del", 1)]
+            vec![
+                ("set", 1),
+                ("rpush", 1),
+                ("incr", 2),
+                ("set_counter", 1),
+                ("del", 1)
+            ]
         );
     }
 }

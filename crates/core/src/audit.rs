@@ -189,13 +189,18 @@ pub fn audit_run(faults: &FaultPlan, plan: &Plan, outcome: &RecoveryOutcome) -> 
     });
     let dupes = seen.iter().filter(|&&c| c > 1).count();
     let missing = seen.iter().filter(|&&c| c == 0).count();
-    report.check(Invariant::SizeConservation, dupes == 0 && missing == 0, || {
-        format!("initial partitions are not a permutation: {dupes} duplicated, {missing} missing")
-    });
     report.check(
         Invariant::SizeConservation,
-        sizes.len() == partitions.len()
-            && sizes.iter().zip(partitions).all(|(&s, p)| s == p.len()),
+        dupes == 0 && missing == 0,
+        || {
+            format!(
+                "initial partitions are not a permutation: {dupes} duplicated, {missing} missing"
+            )
+        },
+    );
+    report.check(
+        Invariant::SizeConservation,
+        sizes.len() == partitions.len() && sizes.iter().zip(partitions).all(|(&s, p)| s == p.len()),
         || {
             format!(
                 "LP sizes {:?} disagree with materialized partitions {:?}",
@@ -207,7 +212,12 @@ pub fn audit_run(faults: &FaultPlan, plan: &Plan, outcome: &RecoveryOutcome) -> 
     report.check(
         Invariant::SizeConservation,
         sizes.iter().sum::<usize>() == n,
-        || format!("LP sizes sum {} != items_total {n}", sizes.iter().sum::<usize>()),
+        || {
+            format!(
+                "LP sizes sum {} != items_total {n}",
+                sizes.iter().sum::<usize>()
+            )
+        },
     );
 
     // --- ExactlyOnce: total completion whenever anyone survived. --------
@@ -269,7 +279,12 @@ pub fn audit_run(faults: &FaultPlan, plan: &Plan, outcome: &RecoveryOutcome) -> 
     report.check(
         Invariant::TimeMonotone,
         rec.makespan_s.is_finite() && rec.makespan_s >= 0.0,
-        || format!("makespan {} is not a finite non-negative time", rec.makespan_s),
+        || {
+            format!(
+                "makespan {} is not a finite non-negative time",
+                rec.makespan_s
+            )
+        },
     );
     report.check(
         Invariant::TimeMonotone,
@@ -304,7 +319,12 @@ pub fn audit_run(faults: &FaultPlan, plan: &Plan, outcome: &RecoveryOutcome) -> 
     report.check(
         Invariant::ReportConsistency,
         rec.items_completed == completed,
-        || format!("items_completed {} != observed {completed}", rec.items_completed),
+        || {
+            format!(
+                "items_completed {} != observed {completed}",
+                rec.items_completed
+            )
+        },
     );
     report.check(
         Invariant::ReportConsistency,
@@ -316,7 +336,12 @@ pub fn audit_run(faults: &FaultPlan, plan: &Plan, outcome: &RecoveryOutcome) -> 
     report.check(
         Invariant::ReportConsistency,
         rec.faults_injected == fault_len,
-        || format!("faults_injected {} != {fault_len} fault event(s)", rec.faults_injected),
+        || {
+            format!(
+                "faults_injected {} != {fault_len} fault event(s)",
+                rec.faults_injected
+            )
+        },
     );
     report.check(
         Invariant::ReportConsistency,
@@ -336,7 +361,12 @@ pub fn audit_run(faults: &FaultPlan, plan: &Plan, outcome: &RecoveryOutcome) -> 
         Invariant::ReportConsistency,
         crashed_sorted.len() == rec.crashed_nodes.len()
             && crashed_sorted.iter().all(|&c| c < num_nodes),
-        || format!("crashed_nodes {:?} has duplicates or unknown ids", rec.crashed_nodes),
+        || {
+            format!(
+                "crashed_nodes {:?} has duplicates or unknown ids",
+                rec.crashed_nodes
+            )
+        },
     );
     // An item may complete on a node that *later* crashed, but a node
     // that died at sim-time zero (zero busy seconds) can never have
@@ -381,14 +411,12 @@ pub fn audit_run(faults: &FaultPlan, plan: &Plan, outcome: &RecoveryOutcome) -> 
             )
         },
     );
-    let out_of_range_handoffs = outcome
-        .handed_off_items
-        .iter()
-        .filter(|&&r| r >= n)
-        .count();
-    report.check(Invariant::HandoffExactlyOnce, out_of_range_handoffs == 0, || {
-        format!("{out_of_range_handoffs} handed-off item(s) outside 0..{n}")
-    });
+    let out_of_range_handoffs = outcome.handed_off_items.iter().filter(|&&r| r >= n).count();
+    report.check(
+        Invariant::HandoffExactlyOnce,
+        out_of_range_handoffs == 0,
+        || format!("{out_of_range_handoffs} handed-off item(s) outside 0..{n}"),
+    );
     if survivors > 0 {
         // With capacity left at end-of-run, every item that rode a handoff
         // record must have landed and completed — never on the node that
@@ -419,11 +447,18 @@ pub fn audit_run(faults: &FaultPlan, plan: &Plan, outcome: &RecoveryOutcome) -> 
     report.check(
         Invariant::LeaveEpochRespected,
         left_sorted.len() == rec.left_nodes.len() && left_sorted.iter().all(|&l| l < num_nodes),
-        || format!("left_nodes {:?} has duplicates or unknown ids", rec.left_nodes),
+        || {
+            format!(
+                "left_nodes {:?} has duplicates or unknown ids",
+                rec.left_nodes
+            )
+        },
     );
     report.check(
         Invariant::LeaveEpochRespected,
-        rec.left_nodes.iter().all(|l| !rec.crashed_nodes.contains(l)),
+        rec.left_nodes
+            .iter()
+            .all(|l| !rec.crashed_nodes.contains(l)),
         || {
             format!(
                 "left_nodes {:?} overlaps crashed_nodes {:?}",
@@ -484,18 +519,30 @@ pub fn audit_run(faults: &FaultPlan, plan: &Plan, outcome: &RecoveryOutcome) -> 
     report.check(
         Invariant::ElasticConservation,
         rec.elastic_events == roster_len,
-        || format!("elastic_events {} != {roster_len} roster event(s)", rec.elastic_events),
+        || {
+            format!(
+                "elastic_events {} != {roster_len} roster event(s)",
+                rec.elastic_events
+            )
+        },
     );
     let applied =
         rec.joins_applied as usize + rec.drains_applied as usize + rec.preempts_applied as usize;
-    report.check(Invariant::ElasticConservation, applied <= roster_len, || {
-        format!("{applied} transition(s) applied from {roster_len} roster event(s)")
-    });
+    report.check(
+        Invariant::ElasticConservation,
+        applied <= roster_len,
+        || format!("{applied} transition(s) applied from {roster_len} roster event(s)"),
+    );
     let join_epoch_count = outcome.join_epochs.iter().flatten().count();
     report.check(
         Invariant::ElasticConservation,
         rec.joins_applied as usize == join_epoch_count,
-        || format!("joins_applied {} != {join_epoch_count} recorded join epoch(s)", rec.joins_applied),
+        || {
+            format!(
+                "joins_applied {} != {join_epoch_count} recorded join epoch(s)",
+                rec.joins_applied
+            )
+        },
     );
     let leave_epoch_count = outcome.leave_epochs.iter().flatten().count();
     report.check(
@@ -541,7 +588,13 @@ mod tests {
     /// under `faults`.
     fn fixture(p: usize, n: usize, faults: &FaultPlan) -> (Plan, RecoveryOutcome) {
         let cl = SimCluster::new(NodeSpec::paper_cluster(p, 400.0, 2, 9, 3));
-        let work = vec![RecordWork { ops: 1_000_000, bytes: 256 }; n];
+        let work = vec![
+            RecordWork {
+                ops: 1_000_000,
+                bytes: 256
+            };
+            n
+        ];
         let mut partitions = vec![Vec::new(); p];
         for i in 0..n {
             partitions[i * p / n].push(i);

@@ -136,8 +136,12 @@ impl NodeFixture {
                 .expect("list key");
             store.incr("counter:items").expect("counter key");
         }
-        store.set_counter("counter:epoch", 7).expect("fresh counter");
-        store.set("meta:tmp", b"transient".to_vec()).expect("fresh key");
+        store
+            .set_counter("counter:epoch", 7)
+            .expect("fresh counter");
+        store
+            .set("meta:tmp", b"transient".to_vec())
+            .expect("fresh key");
         store.del("meta:tmp").expect("delete string key");
         let records_by_op: Vec<(&'static str, u64)> = store.wal_stats().by_op();
         let (entries, wal) = store.export_with_wal();
@@ -146,13 +150,9 @@ impl NodeFixture {
         // Prefix state i = baseline + records 0..i (i = 0 ..= n records).
         let prefix_exports: Vec<Vec<u8>> = (0..=replay.ops.len() as u64)
             .map(|limit| {
-                let (st, _) = KvStore::recover_with_options(
-                    Some(&baseline),
-                    &wal,
-                    Some(limit),
-                    true,
-                )
-                .expect("fixture prefix replay");
+                let (st, _) =
+                    KvStore::recover_with_options(Some(&baseline), &wal, Some(limit), true)
+                        .expect("fixture prefix replay");
                 entries_to_bytes(&st.export_entries())
             })
             .collect();
@@ -190,16 +190,27 @@ fn drill_node(
     // must tolerate the tear and land exactly on the longest-complete-
     // prefix state.
     if let Some(cut) = faults.torn_write(node) {
-        let keep = fx.wal.len().saturating_sub(cut as usize % fx.wal.len().max(1));
+        let keep = fx
+            .wal
+            .len()
+            .saturating_sub(cut as usize % fx.wal.len().max(1));
         let torn = &fx.wal[..keep];
         match KvStore::recover(Some(&fx.baseline), torn) {
             Ok((store, rep)) => {
                 let got = NodeFixture::export_of(&store);
                 let want = fx.prefix_at_byte(keep);
                 audit.check(Invariant::WalRecovery, got == want, || {
-                    format!("node {node}: torn cut {cut} did not recover the longest complete prefix")
+                    format!(
+                        "node {node}: torn cut {cut} did not recover the longest complete prefix"
+                    )
                 });
-                let boundary = fx.boundaries.iter().filter(|&&b| b <= keep).max().copied().unwrap_or(0);
+                let boundary = fx
+                    .boundaries
+                    .iter()
+                    .filter(|&&b| b <= keep)
+                    .max()
+                    .copied()
+                    .unwrap_or(0);
                 audit.check(
                     Invariant::WalRecovery,
                     rep.torn_tail_bytes == keep - boundary,
@@ -297,7 +308,9 @@ fn drill_node(
                 let got = NodeFixture::export_of(&store);
                 let want = &fx.prefix_exports[rep.records_replayed as usize];
                 audit.check(Invariant::WalRecovery, got == *want, || {
-                    format!("node {node}: partial recovery ({at_record} records) off its prefix state")
+                    format!(
+                        "node {node}: partial recovery ({at_record} records) off its prefix state"
+                    )
                 });
             }
             Err(e) => audit.violate(
@@ -466,7 +479,11 @@ pub fn run_chaos(
             minimal,
         });
     }
-    telemetry.gauge_set("pareto_chaos_schedules", &[], f64::from(report.schedules_run));
+    telemetry.gauge_set(
+        "pareto_chaos_schedules",
+        &[],
+        f64::from(report.schedules_run),
+    );
     Ok(report)
 }
 
@@ -580,7 +597,12 @@ mod tests {
             .any(|v| v.invariant == Invariant::WalRecovery));
         // The shrinker strips the compute noise down to the single
         // planted bit-rot event.
-        assert_eq!(failure.minimal.len(), 1, "minimal: {}", failure.minimal_spec);
+        assert_eq!(
+            failure.minimal.len(),
+            1,
+            "minimal: {}",
+            failure.minimal_spec
+        );
         assert!(
             failure.minimal_spec.starts_with("rot:0@"),
             "minimal spec: {}",
@@ -619,8 +641,8 @@ mod tests {
         assert!(a.is_clean(), "failures: {:?}", a.failures);
         // Roster churn actually happened somewhere in the sweep: at least
         // one schedule seed draws a non-empty elastic plan.
-        let churned = (0..12u64)
-            .any(|i| FaultPlan::generate(2017 + i, 4, &chaos.spec).roster_len() > 0);
+        let churned =
+            (0..12u64).any(|i| FaultPlan::generate(2017 + i, 4, &chaos.spec).roster_len() > 0);
         assert!(churned, "default spec must produce churn in 12 schedules");
         let b = run();
         assert_eq!(a.checks, b.checks, "elastic sweep must be deterministic");

@@ -65,7 +65,9 @@ pub fn advise_join(
         return Err(PartitionPlanError::Degenerate("node index out of range"));
     }
     if roster.contains(&candidate) {
-        return Err(PartitionPlanError::Degenerate("candidate already in roster"));
+        return Err(PartitionPlanError::Degenerate(
+            "candidate already in roster",
+        ));
     }
     let solve = |m: &ParetoModeler, n: usize| {
         if alpha >= 1.0 {
@@ -190,7 +192,11 @@ mod tests {
     #[test]
     fn generation_respects_probabilities_and_exclusivity() {
         // The stock specs draw no roster changes.
-        for spec in [FaultSpec::default(), FaultSpec::storage(), FaultSpec::serving()] {
+        for spec in [
+            FaultSpec::default(),
+            FaultSpec::storage(),
+            FaultSpec::serving(),
+        ] {
             assert_eq!(FaultPlan::generate(7, 16, &spec).roster_len(), 0);
         }
         let always = FaultSpec {
@@ -241,7 +247,10 @@ mod tests {
         // The roster changes come last, and `eseeded` is exactly them.
         assert!(!parsed.is_empty());
         assert_eq!(generated.roster_len(), parsed.len());
-        assert_eq!(parsed.events(), &generated.events()[generated.len() - parsed.len()..]);
+        assert_eq!(
+            parsed.events(),
+            &generated.events()[generated.len() - parsed.len()..]
+        );
     }
 
     #[test]
@@ -287,10 +296,8 @@ mod tests {
     #[test]
     fn advisor_is_deterministic_and_accounts_migration() {
         let (cluster, modeler) = advisor_fixture();
-        let a = advise_join(&cluster, &modeler, &[0, 1, 2], 3, 5_000, 256, 1.0)
-            .expect("advice");
-        let b = advise_join(&cluster, &modeler, &[0, 1, 2], 3, 5_000, 256, 1.0)
-            .expect("advice");
+        let a = advise_join(&cluster, &modeler, &[0, 1, 2], 3, 5_000, 256, 1.0).expect("advice");
+        let b = advise_join(&cluster, &modeler, &[0, 1, 2], 3, 5_000, 256, 1.0).expect("advice");
         assert_eq!(a, b);
         assert!(a.current_makespan_s > 0.0);
         assert!(a.migration_items > 0);
@@ -303,8 +310,8 @@ mod tests {
     fn huge_migration_cost_makes_join_unprofitable() {
         let (cluster, modeler) = advisor_fixture();
         // A big backlog of tiny items: join clearly pays.
-        let cheap = advise_join(&cluster, &modeler, &[0, 1], 3, 50_000, 1, 1.0)
-            .expect("cheap advice");
+        let cheap =
+            advise_join(&cluster, &modeler, &[0, 1], 3, 50_000, 1, 1.0).expect("cheap advice");
         assert!(cheap.worthwhile, "cheap migration should pay: {cheap:?}");
         // A tiny backlog of enormous items: migration swamps the benefit.
         let dear = advise_join(&cluster, &modeler, &[0, 1], 3, 16, 1_000_000_000, 1.0)

@@ -240,9 +240,7 @@ impl<'a> HeterogeneityEstimator<'a> {
             let handles: Vec<_> = ids
                 .chunks(chunk)
                 .map(|shard| {
-                    scope.spawn(move |_| {
-                        shard.iter().map(|&id| fit_node(id)).collect::<Vec<_>>()
-                    })
+                    scope.spawn(move |_| shard.iter().map(|&id| fit_node(id)).collect::<Vec<_>>())
                 })
                 .collect();
             for handle in handles {
@@ -367,11 +365,8 @@ mod tests {
     fn estimates_one_model_per_node() {
         let (ds, cluster, strat) = setup();
         let est = HeterogeneityEstimator::new(&cluster, SamplingPlan::default(), 11);
-        let (models, cost) = est.estimate(
-            &ds,
-            &strat,
-            WorkloadKind::FrequentPatterns { support: 0.1 },
-        );
+        let (models, cost) =
+            est.estimate(&ds, &strat, WorkloadKind::FrequentPatterns { support: 0.1 });
         assert_eq!(models.len(), 4);
         assert!(cost.compute_ops > 0);
         for m in &models {
@@ -425,20 +420,16 @@ mod tests {
     #[test]
     fn estimation_is_thread_count_invariant() {
         let (ds, cluster, strat) = setup();
-        let (base_models, base_cost) =
-            HeterogeneityEstimator::new(&cluster, SamplingPlan::default(), 11).estimate(
-                &ds,
-                &strat,
-                WorkloadKind::FrequentPatterns { support: 0.1 },
-            );
+        let (base_models, base_cost) = HeterogeneityEstimator::new(
+            &cluster,
+            SamplingPlan::default(),
+            11,
+        )
+        .estimate(&ds, &strat, WorkloadKind::FrequentPatterns { support: 0.1 });
         for threads in [2, 4, 8] {
-            let (models, cost) = HeterogeneityEstimator::new(
-                &cluster,
-                SamplingPlan::default(),
-                11,
-            )
-            .with_threads(threads)
-            .estimate(&ds, &strat, WorkloadKind::FrequentPatterns { support: 0.1 });
+            let (models, cost) = HeterogeneityEstimator::new(&cluster, SamplingPlan::default(), 11)
+                .with_threads(threads)
+                .estimate(&ds, &strat, WorkloadKind::FrequentPatterns { support: 0.1 });
             assert_eq!(base_cost.compute_ops, cost.compute_ops, "threads={threads}");
             for (a, b) in base_models.iter().zip(&models) {
                 assert_eq!(a.node_id, b.node_id);

@@ -12,12 +12,14 @@
 
 use std::sync::Arc;
 
-use pareto_cluster::{entries_to_bytes, Cost, Durability, FaultPlan, JobCtx, JobReport, KvStore, SimCluster};
+use pareto_cluster::{
+    entries_to_bytes, Cost, Durability, FaultPlan, JobCtx, JobReport, KvStore, SimCluster,
+};
 use pareto_datagen::{DataItem, Dataset};
 use pareto_energy::NodeEnergyProfile;
 use pareto_stats::LinearFit;
-use pareto_telemetry::Telemetry;
 use pareto_stratify::{Stratification, StratifierConfig};
+use pareto_telemetry::Telemetry;
 use pareto_workloads::{
     lz77_compress, son_candidate_union, son_global_count, son_local_mine_with, son_merge,
     webgraph_compress, AprioriConfig, LocalMiner, Lz77Config, MiningOutput, WebGraphConfig,
@@ -454,8 +456,11 @@ impl<'a> Framework<'a> {
                     let (entries, wal) = store.export_with_wal();
                     let stats = store.wal_stats();
                     for (op, count) in stats.by_op() {
-                        self.telemetry
-                            .counter_add("pareto_wal_records_total", &[("op", op)], count);
+                        self.telemetry.counter_add(
+                            "pareto_wal_records_total",
+                            &[("op", op)],
+                            count,
+                        );
                     }
                     let ok = match KvStore::recover(baselines.get(node_id).map(Vec::as_slice), &wal)
                     {
@@ -541,10 +546,7 @@ impl<'a> Framework<'a> {
         // the §IV master-selection priority) ---
         let local_refs: Vec<&MiningOutput> = locals.iter().collect();
         let candidates = son_candidate_union(&local_refs);
-        let candidate_bytes: u64 = candidates
-            .iter()
-            .map(|c| 8 * c.len() as u64 + 4)
-            .sum();
+        let candidate_bytes: u64 = candidates.iter().map(|c| 8 * c.len() as u64 + 4).sum();
 
         // --- Phase 2: every node counts the global candidates ---
         let phase2_tasks: Vec<_> = partitions
@@ -593,8 +595,7 @@ impl<'a> Framework<'a> {
             .map(|part| {
                 move |ctx: JobCtx<'_>| {
                     let mut cost = Self::fetch_partition_cost(&ctx);
-                    let records: Vec<&DataItem> =
-                        part.iter().map(|&i| &dataset.items[i]).collect();
+                    let records: Vec<&DataItem> = part.iter().map(|&i| &dataset.items[i]).collect();
                     let (input_bytes, output_bytes, ops, blob) = match workload {
                         WorkloadKind::Lz77 => {
                             let mut input = Vec::new();
@@ -612,10 +613,8 @@ impl<'a> Framework<'a> {
                                     _ => &[][..],
                                 })
                                 .collect();
-                            let (out, ops) =
-                                webgraph_compress(&lists, &WebGraphConfig::default());
-                            let in_bytes =
-                                lists.iter().map(|l| 4 + 4 * l.len() as u64).sum();
+                            let (out, ops) = webgraph_compress(&lists, &WebGraphConfig::default());
+                            let in_bytes = lists.iter().map(|l| 4 + 4 * l.len() as u64).sum();
                             (in_bytes, out.len() as u64, ops, out)
                         }
                         WorkloadKind::FrequentPatterns { .. }
@@ -747,8 +746,7 @@ fn synthetic_fits(cluster: &SimCluster, work: &[RecordWork]) -> Vec<LinearFit> {
     };
     (0..cluster.num_nodes())
         .map(|i| {
-            let secs_per_item =
-                mean_ops / (cluster.base_ops_per_sec() * cluster.node(i).speed());
+            let secs_per_item = mean_ops / (cluster.base_ops_per_sec() * cluster.node(i).speed());
             LinearFit {
                 slope: secs_per_item.max(f64::MIN_POSITIVE),
                 intercept: 0.0,
@@ -816,9 +814,12 @@ mod tests {
     fn het_aware_gives_slow_nodes_less_data() {
         let ds = text_ds();
         let cl = cluster(4);
-        let plan = Framework::new(&cl, cfg(Strategy::HetAware, PartitionLayout::Representative))
-            .try_plan(&ds, WorkloadKind::Lz77)
-            .expect("non-empty dataset");
+        let plan = Framework::new(
+            &cl,
+            cfg(Strategy::HetAware, PartitionLayout::Representative),
+        )
+        .try_plan(&ds, WorkloadKind::Lz77)
+        .expect("non-empty dataset");
         // Node 0 is 4x faster than node 3.
         assert!(
             plan.sizes[0] > 2 * plan.sizes[3],
@@ -833,12 +834,18 @@ mod tests {
     fn het_aware_beats_stratified_on_makespan() {
         let ds = text_ds();
         let cl = cluster(4);
-        let base = Framework::new(&cl, cfg(Strategy::Stratified, PartitionLayout::Representative))
-            .try_run(&ds, WorkloadKind::Lz77)
-            .expect("non-empty dataset");
-        let het = Framework::new(&cl, cfg(Strategy::HetAware, PartitionLayout::Representative))
-            .try_run(&ds, WorkloadKind::Lz77)
-            .expect("non-empty dataset");
+        let base = Framework::new(
+            &cl,
+            cfg(Strategy::Stratified, PartitionLayout::Representative),
+        )
+        .try_run(&ds, WorkloadKind::Lz77)
+        .expect("non-empty dataset");
+        let het = Framework::new(
+            &cl,
+            cfg(Strategy::HetAware, PartitionLayout::Representative),
+        )
+        .try_run(&ds, WorkloadKind::Lz77)
+        .expect("non-empty dataset");
         assert!(
             het.report.makespan_seconds < base.report.makespan_seconds * 0.75,
             "het {} vs stratified {}",
@@ -851,9 +858,12 @@ mod tests {
     fn energy_aware_cuts_dirty_energy() {
         let ds = graph_ds();
         let cl = cluster(4);
-        let het = Framework::new(&cl, cfg(Strategy::HetAware, PartitionLayout::SimilarTogether))
-            .try_run(&ds, WorkloadKind::WebGraph)
-            .expect("non-empty dataset");
+        let het = Framework::new(
+            &cl,
+            cfg(Strategy::HetAware, PartitionLayout::SimilarTogether),
+        )
+        .try_run(&ds, WorkloadKind::WebGraph)
+        .expect("non-empty dataset");
         let green = Framework::new(
             &cl,
             cfg(
@@ -940,7 +950,9 @@ mod tests {
             .try_run(&ds, WorkloadKind::FrequentPatternsEclat { support: 0.2 })
             .expect("non-empty dataset");
         let freq = |q: &Quality| match q {
-            Quality::Mining { global_frequent, .. } => *global_frequent,
+            Quality::Mining {
+                global_frequent, ..
+            } => *global_frequent,
             other => panic!("unexpected {other:?}"),
         };
         assert_eq!(freq(&apriori.quality), freq(&eclat.quality));
@@ -955,9 +967,12 @@ mod tests {
     fn plan_records_stage_timings() {
         let ds = text_ds();
         let cl = cluster(4);
-        let plan = Framework::new(&cl, cfg(Strategy::HetAware, PartitionLayout::Representative))
-            .try_plan(&ds, WorkloadKind::Lz77)
-            .expect("non-empty dataset");
+        let plan = Framework::new(
+            &cl,
+            cfg(Strategy::HetAware, PartitionLayout::Representative),
+        )
+        .try_plan(&ds, WorkloadKind::Lz77)
+        .expect("non-empty dataset");
         let t = plan.timings;
         for (label, v) in [
             ("sketch", t.sketch_s),
@@ -979,7 +994,10 @@ mod tests {
         let ds = text_ds();
         let cl = cluster(4);
         let plan_at = |threads: usize| {
-            let mut config = cfg(Strategy::HetEnergyAware { alpha: 0.995 }, PartitionLayout::SimilarTogether);
+            let mut config = cfg(
+                Strategy::HetEnergyAware { alpha: 0.995 },
+                PartitionLayout::SimilarTogether,
+            );
             config.threads = threads;
             Framework::new(&cl, config)
                 .try_plan(&ds, WorkloadKind::FrequentPatterns { support: 0.15 })
@@ -991,7 +1009,10 @@ mod tests {
         let counts = extra.split(',').filter_map(|t| t.trim().parse().ok());
         for threads in [2, 4, 8].into_iter().chain(counts) {
             let par = plan_at(threads);
-            assert_eq!(serial.stratification.assignments, par.stratification.assignments);
+            assert_eq!(
+                serial.stratification.assignments,
+                par.stratification.assignments
+            );
             assert_eq!(serial.sizes, par.sizes);
             assert_eq!(serial.partitions, par.partitions);
             let (a, b) = (
@@ -1010,9 +1031,12 @@ mod tests {
         let ds = text_ds();
         let cl = cluster(4);
         let run = || {
-            Framework::new(&cl, cfg(Strategy::HetAware, PartitionLayout::Representative))
-                .try_run(&ds, WorkloadKind::FrequentPatterns { support: 0.15 })
-                .expect("non-empty dataset")
+            Framework::new(
+                &cl,
+                cfg(Strategy::HetAware, PartitionLayout::Representative),
+            )
+            .try_run(&ds, WorkloadKind::FrequentPatterns { support: 0.15 })
+            .expect("non-empty dataset")
         };
         let a = run();
         let b = run();
@@ -1025,7 +1049,10 @@ mod tests {
     fn faulted_run_recovers_from_mid_job_crash() {
         let ds = text_ds();
         let cl = cluster(4);
-        let fw = Framework::new(&cl, cfg(Strategy::HetAware, PartitionLayout::Representative));
+        let fw = Framework::new(
+            &cl,
+            cfg(Strategy::HetAware, PartitionLayout::Representative),
+        );
         let workload = WorkloadKind::Lz77;
         let cfg = RecoveryConfig::default();
         // Fault-free pass to place the crash mid-job.
@@ -1057,9 +1084,12 @@ mod tests {
         let cl = cluster(4);
         let faults = FaultPlan::generate(7, 4, &pareto_cluster::FaultSpec::default());
         let run = || {
-            Framework::new(&cl, cfg(Strategy::HetAware, PartitionLayout::Representative))
-                .try_run_with_faults(&ds, WorkloadKind::Lz77, &faults, &RecoveryConfig::default())
-                .expect("non-empty dataset, valid config")
+            Framework::new(
+                &cl,
+                cfg(Strategy::HetAware, PartitionLayout::Representative),
+            )
+            .try_run_with_faults(&ds, WorkloadKind::Lz77, &faults, &RecoveryConfig::default())
+            .expect("non-empty dataset, valid config")
         };
         let a = run();
         let b = run();
@@ -1105,9 +1135,12 @@ mod tests {
     fn durability_off_reports_nothing_and_changes_nothing() {
         let ds = text_ds();
         let cl = cluster(4);
-        let base = Framework::new(&cl, cfg(Strategy::HetAware, PartitionLayout::Representative))
-            .try_run(&ds, WorkloadKind::Lz77)
-            .expect("non-empty dataset");
+        let base = Framework::new(
+            &cl,
+            cfg(Strategy::HetAware, PartitionLayout::Representative),
+        )
+        .try_run(&ds, WorkloadKind::Lz77)
+        .expect("non-empty dataset");
         assert!(base.durability.is_none());
         // Arming WAL must not perturb the measured run (durability is
         // observational): identical makespan and plan either way.
@@ -1124,7 +1157,10 @@ mod tests {
     fn invalid_recovery_config_surfaces_as_plan_error() {
         let ds = text_ds();
         let cl = cluster(4);
-        let fw = Framework::new(&cl, cfg(Strategy::HetAware, PartitionLayout::Representative));
+        let fw = Framework::new(
+            &cl,
+            cfg(Strategy::HetAware, PartitionLayout::Representative),
+        );
         let bad = RecoveryConfig {
             max_retries: 0,
             ..RecoveryConfig::default()
@@ -1150,11 +1186,29 @@ mod tests {
         };
         let default = StratifierConfig::default;
         for (stratifier, expected) in [
-            (StratifierConfig { num_strata: 0, ..default() }, "num_strata"),
+            (
+                StratifierConfig {
+                    num_strata: 0,
+                    ..default()
+                },
+                "num_strata",
+            ),
             (StratifierConfig { l: 0, ..default() }, "l"),
             // 200 documents x 2^25 hash functions = 2^32.7 coordinates.
-            (StratifierConfig { sketch_size: 1 << 25, ..default() }, "sketch_size"),
-            (StratifierConfig { sketch_size: usize::MAX, ..default() }, "sketch_size"),
+            (
+                StratifierConfig {
+                    sketch_size: 1 << 25,
+                    ..default()
+                },
+                "sketch_size",
+            ),
+            (
+                StratifierConfig {
+                    sketch_size: usize::MAX,
+                    ..default()
+                },
+                "sketch_size",
+            ),
         ] {
             let err = bad(stratifier);
             assert!(
@@ -1180,12 +1234,48 @@ mod tests {
         let default = SamplingPlan::default;
         for (sampling, expected) in [
             // 0.05 % of 625 records rounds to 0, and no floor lifts it.
-            (SamplingPlan { min_records: 0, ..default() }, "min_records"),
-            (SamplingPlan { steps: 0, ..default() }, "steps"),
-            (SamplingPlan { lo_frac: 0.0, ..default() }, "lo_frac"),
-            (SamplingPlan { lo_frac: f64::NAN, ..default() }, "lo_frac"),
-            (SamplingPlan { hi_frac: 0.0001, ..default() }, "hi_frac"),
-            (SamplingPlan { hi_frac: f64::INFINITY, ..default() }, "hi_frac"),
+            (
+                SamplingPlan {
+                    min_records: 0,
+                    ..default()
+                },
+                "min_records",
+            ),
+            (
+                SamplingPlan {
+                    steps: 0,
+                    ..default()
+                },
+                "steps",
+            ),
+            (
+                SamplingPlan {
+                    lo_frac: 0.0,
+                    ..default()
+                },
+                "lo_frac",
+            ),
+            (
+                SamplingPlan {
+                    lo_frac: f64::NAN,
+                    ..default()
+                },
+                "lo_frac",
+            ),
+            (
+                SamplingPlan {
+                    hi_frac: 0.0001,
+                    ..default()
+                },
+                "hi_frac",
+            ),
+            (
+                SamplingPlan {
+                    hi_frac: f64::INFINITY,
+                    ..default()
+                },
+                "hi_frac",
+            ),
         ] {
             let err = plan(sampling).unwrap_err();
             assert!(
@@ -1203,15 +1293,13 @@ mod tests {
         let r2 = cl.account_costs(&[Cost::compute(3_000_000), Cost::compute(1_000_000)]);
         let combined = sequential_report(&r1, &r2);
         assert!(
-            (combined.makespan_seconds - (r1.makespan_seconds + r2.makespan_seconds)).abs()
-                < 1e-12
+            (combined.makespan_seconds - (r1.makespan_seconds + r2.makespan_seconds)).abs() < 1e-12
         );
         assert!(
             (combined.runs[0].seconds - (r1.runs[0].seconds + r2.runs[0].seconds)).abs() < 1e-12
         );
         assert!(
-            (combined.total_energy_joules
-                - (r1.total_energy_joules + r2.total_energy_joules))
+            (combined.total_energy_joules - (r1.total_energy_joules + r2.total_energy_joules))
                 .abs()
                 < 1e-9
         );

@@ -70,12 +70,12 @@ pub use frontier::{
     FrontierReport, FrontierResult, ModelerSolver, Objective, ObjectiveSet,
 };
 pub use pareto::{ParetoModeler, ParetoPoint, ParetoVertex, PartitionPlanError};
-pub use session::{FrontierOutcome, PlanSession};
-pub use stages::{dataset_fingerprint, Deadline, PlanEngine, PlanError, StageReuse};
+pub use partitioner::{DataPartitioner, PartitionLayout};
 pub use recovery::{
     ExecRequest, RecoveryConfig, RecoveryConfigError, RecoveryOutcome, RecoveryReport,
 };
-pub use partitioner::{DataPartitioner, PartitionLayout};
+pub use session::{FrontierOutcome, PlanSession};
+pub use stages::{dataset_fingerprint, Deadline, PlanEngine, PlanError, StageReuse};
 pub use stealing::RecordWork;
 
 // The stratifier is a first-class component of the framework; re-export it

@@ -192,7 +192,9 @@ impl ParetoModeler {
             });
         }
         if nodes.iter().any(|&i| i >= self.num_nodes()) {
-            return Err(PartitionPlanError::Degenerate("survivor index out of range"));
+            return Err(PartitionPlanError::Degenerate(
+                "survivor index out of range",
+            ));
         }
         let time = nodes
             .iter()
@@ -716,7 +718,11 @@ mod tests {
     #[test]
     fn lp_with_intercepts_matches_waterfilling() {
         let time = vec![fit(1e-3, 5.0), fit(2e-3, 1.0), fit(4e-3, 0.5)];
-        let energy = vec![profile(440.0, 0.0), profile(250.0, 0.0), profile(155.0, 0.0)];
+        let energy = vec![
+            profile(440.0, 0.0),
+            profile(250.0, 0.0),
+            profile(155.0, 0.0),
+        ];
         let m = ParetoModeler::new(time, energy).unwrap();
         let wf = m.solve_het_aware(50_000);
         let lp = m.solve(50_000, 1.0).unwrap();
@@ -880,7 +886,10 @@ mod tests {
         // increase the hypervolume.
         let equal = vec![n as f64 / 4.0; 4];
         let baseline = (
-            m.predicted_times(&equal).iter().copied().fold(0.0, f64::max),
+            m.predicted_times(&equal)
+                .iter()
+                .copied()
+                .fold(0.0, f64::max),
             m.predicted_dirty(&equal),
         );
         let reference = (baseline.0 * 2.0, baseline.1.abs() * 2.0 + 1.0);

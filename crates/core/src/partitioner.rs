@@ -308,7 +308,10 @@ mod tests {
         // The optimizer may park nearly everything on one node.
         let strat = stratification(200, 4, 8);
         let sizes = vec![197, 1, 1, 1];
-        for layout in [PartitionLayout::Representative, PartitionLayout::SimilarTogether] {
+        for layout in [
+            PartitionLayout::Representative,
+            PartitionLayout::SimilarTogether,
+        ] {
             let parts = DataPartitioner::new(2).partition(&strat, &sizes, layout);
             assert_exact_cover(&parts, 200);
             assert_eq!(parts[0].len(), 197);

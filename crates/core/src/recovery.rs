@@ -114,7 +114,10 @@ impl std::fmt::Display for RecoveryConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RecoveryConfigError::ZeroRetries => {
-                write!(f, "max_retries must be >= 1 (0 turns every transient error fatal)")
+                write!(
+                    f,
+                    "max_retries must be >= 1 (0 turns every transient error fatal)"
+                )
             }
             RecoveryConfigError::AbsurdRetries(n) => write!(
                 f,
@@ -440,7 +443,11 @@ fn record_recovery_telemetry(tel: &Telemetry, rec: &RecoveryReport, epoch: f64) 
             ("items".into(), rec.items_total.to_string()),
         ],
     );
-    tel.counter_add("pareto_faults_injected_total", &[], rec.faults_injected as u64);
+    tel.counter_add(
+        "pareto_faults_injected_total",
+        &[],
+        rec.faults_injected as u64,
+    );
     tel.counter_add("pareto_crashes_total", &[], rec.crashed_nodes.len() as u64);
     tel.counter_add("pareto_replans_total", &[], rec.replans as u64);
     tel.counter_add("pareto_retries_total", &[], rec.retries_spent as u64);
@@ -463,7 +470,11 @@ fn record_recovery_telemetry(tel: &Telemetry, rec: &RecoveryReport, epoch: f64) 
         rec.makespan_overhead,
     );
     tel.gauge_set("pareto_recovery_dirty_linear_j", &[], rec.dirty_linear_j);
-    tel.gauge_set("pareto_recovery_dirty_overhead_j", &[], rec.dirty_overhead_j);
+    tel.gauge_set(
+        "pareto_recovery_dirty_overhead_j",
+        &[],
+        rec.dirty_overhead_j,
+    );
 }
 
 /// Per-node simulation state.
@@ -594,7 +605,11 @@ impl<'a> Sim<'a> {
             kill_at: (0..p)
                 .map(|i| {
                     let preempt_kill = faults.preempt(i).map(|(t, grace)| t + grace);
-                    faults.crash_time(i).into_iter().chain(preempt_kill).reduce(f64::min)
+                    faults
+                        .crash_time(i)
+                        .into_iter()
+                        .chain(preempt_kill)
+                        .reduce(f64::min)
                 })
                 .collect(),
             straggler: (0..p).map(|i| faults.straggler_factor(i)).collect(),
@@ -1577,7 +1592,9 @@ mod tests {
         assert!(ok.validate().is_ok());
         assert!(RecoveryConfig::default().validate().is_ok());
         // Error messages are self-describing.
-        assert!(RecoveryConfigError::ZeroRetries.to_string().contains("max_retries"));
+        assert!(RecoveryConfigError::ZeroRetries
+            .to_string()
+            .contains("max_retries"));
         assert!(RecoveryConfigError::BadStragglerThreshold(0.5)
             .to_string()
             .contains("1.0"));
@@ -1607,43 +1624,98 @@ mod tests {
             telemetry: None,
         };
         assert!(execute(&good).is_ok());
-        let misaligned = |input, len| RecoveryConfigError::Misaligned { input, len, nodes: 3 };
-        let short = ExecRequest { initial: &initial[..2], ..good };
+        let misaligned = |input, len| RecoveryConfigError::Misaligned {
+            input,
+            len,
+            nodes: 3,
+        };
+        let short = ExecRequest {
+            initial: &initial[..2],
+            ..good
+        };
         assert_eq!(execute(&short).unwrap_err(), misaligned("initial", 2));
-        let short = ExecRequest { fits: &fits[..1], ..good };
+        let short = ExecRequest {
+            fits: &fits[..1],
+            ..good
+        };
         assert_eq!(execute(&short).unwrap_err(), misaligned("fits", 1));
-        let short = ExecRequest { profiles: &[], ..good };
+        let short = ExecRequest {
+            profiles: &[],
+            ..good
+        };
         assert_eq!(execute(&short).unwrap_err(), misaligned("profiles", 0));
         let mut stray = initial.clone();
         stray[1].push(30);
-        let out_of_range = ExecRequest { initial: &stray, ..good };
+        let out_of_range = ExecRequest {
+            initial: &stray,
+            ..good
+        };
         assert_eq!(
             execute(&out_of_range).unwrap_err(),
-            RecoveryConfigError::ItemOutOfRange { item: 30, items: 30 }
+            RecoveryConfigError::ItemOutOfRange {
+                item: 30,
+                items: 30
+            }
         );
-        let bad_cfg = RecoveryConfig { max_retries: 0, ..cfg };
-        let invalid = ExecRequest { cfg: &bad_cfg, ..good };
-        assert_eq!(execute(&invalid).unwrap_err(), RecoveryConfigError::ZeroRetries);
+        let bad_cfg = RecoveryConfig {
+            max_retries: 0,
+            ..cfg
+        };
+        let invalid = ExecRequest {
+            cfg: &bad_cfg,
+            ..good
+        };
+        assert_eq!(
+            execute(&invalid).unwrap_err(),
+            RecoveryConfigError::ZeroRetries
+        );
         // Queued ops summing past u64::MAX would wrap a queue's running
         // total; exactly u64::MAX passes the check. (Only the check:
         // simulating 2^64 ops does not finish in test time.)
         let two = [vec![0], vec![1], vec![]];
         let huge = uniform_work(2, u64::MAX / 2 + 1);
-        let overflow = ExecRequest { work: &huge, initial: &two, ..good };
-        assert_eq!(execute(&overflow).unwrap_err(), RecoveryConfigError::WorkOverflow);
-        let edge = [huge[0], RecordWork { ops: u64::MAX / 2, bytes: 256 }];
-        assert!(ExecRequest { work: &edge, initial: &two, ..good }.validate().is_ok());
+        let overflow = ExecRequest {
+            work: &huge,
+            initial: &two,
+            ..good
+        };
+        assert_eq!(
+            execute(&overflow).unwrap_err(),
+            RecoveryConfigError::WorkOverflow
+        );
+        let edge = [
+            huge[0],
+            RecordWork {
+                ops: u64::MAX / 2,
+                bytes: 256,
+            },
+        ];
+        assert!(ExecRequest {
+            work: &edge,
+            initial: &two,
+            ..good
+        }
+        .validate()
+        .is_ok());
         // Fits and profiles the planning model rejects.
         let mut negative = fits.clone();
         negative[2].slope = -1e-6;
-        let bad_fit = ExecRequest { fits: &negative, alpha: 0.5, ..good };
+        let bad_fit = ExecRequest {
+            fits: &negative,
+            alpha: 0.5,
+            ..good
+        };
         assert!(matches!(
             execute(&bad_fit).unwrap_err(),
             RecoveryConfigError::BadModel(PartitionPlanError::Degenerate(_))
         ));
         let mut nan = profs.clone();
         nan[0].mean_green_watts = f64::NAN;
-        let bad_profile = ExecRequest { profiles: &nan, alpha: 0.5, ..good };
+        let bad_profile = ExecRequest {
+            profiles: &nan,
+            alpha: 0.5,
+            ..good
+        };
         assert!(matches!(
             execute(&bad_profile).unwrap_err(),
             RecoveryConfigError::BadModel(PartitionPlanError::Degenerate(_))
@@ -1739,7 +1811,10 @@ mod tests {
         let mut sim = Sim::new(&req, &modeler, &faults, &tel, 0.0);
         assert!(!sim.steal_from_straggler(2), "on pace: nothing to steal");
         sim.nodes[1].pending = Cost::request(1 << 40);
-        assert!(sim.steal_from_straggler(2), "the transfer makes node 1 late");
+        assert!(
+            sim.steal_from_straggler(2),
+            "the transfer makes node 1 late"
+        );
         assert_eq!(sim.nodes[1].queue.len(), 15);
     }
 
@@ -1769,7 +1844,7 @@ mod tests {
                 alpha: 1.0,
                 faults: &faults,
                 cfg: &cfg,
-                    telemetry: None,
+                telemetry: None,
             };
             let modeler = req.validate().expect("well-formed request");
             let mut sim = Sim::new(&req, &modeler, &faults, &tel, 0.0);
@@ -1886,10 +1961,17 @@ mod tests {
         let rec = &out.recovery;
         assert_eq!(rec.faults_injected, plan.len());
         assert_eq!(rec.elastic_events, 0);
-        assert_eq!((rec.joins_applied, rec.drains_applied, rec.preempts_applied), (0, 0, 0));
+        assert_eq!(
+            (rec.joins_applied, rec.drains_applied, rec.preempts_applied),
+            (0, 0, 0)
+        );
         assert_eq!((rec.handoff_records, rec.items_handed_off), (0, 0));
         assert!(rec.left_nodes.is_empty() && out.handed_off_items.is_empty());
-        assert!(out.join_epochs.iter().chain(&out.leave_epochs).all(Option::is_none));
+        assert!(out
+            .join_epochs
+            .iter()
+            .chain(&out.leave_epochs)
+            .all(Option::is_none));
     }
 
     #[test]
@@ -2047,7 +2129,9 @@ mod tests {
         let cl = cluster(2);
         let work = uniform_work(40, 1_000_000);
         let initial = equal_split(40, 2);
-        let faults = FaultPlan::new().with_store_errors(0, 1000).with_drain(0, 1e6);
+        let faults = FaultPlan::new()
+            .with_store_errors(0, 1000)
+            .with_drain(0, 1e6);
         let out = run_cfg(&cl, &work, &initial, &faults, &cfg);
         assert_eq!(out.recovery.retries_spent, 1000);
         assert_eq!(out.recovery.crashed_nodes, Vec::<usize>::new());

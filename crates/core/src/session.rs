@@ -225,10 +225,7 @@ impl<'a> PlanSession<'a> {
     /// The session's strategy is forced to
     /// [`Strategy::HetEnergyAware`] for the duration (the explorer owns
     /// α) and restored afterwards.
-    pub fn explore_frontier(
-        &mut self,
-        cfg: &FrontierConfig,
-    ) -> Result<FrontierOutcome, PlanError> {
+    pub fn explore_frontier(&mut self, cfg: &FrontierConfig) -> Result<FrontierOutcome, PlanError> {
         cfg.validate().map_err(PlanError::Frontier)?;
         // The key comes from the same derivation as the plan's key chain,
         // so every input any stage reads invalidates the frontier too.
@@ -341,9 +338,12 @@ impl AlphaSolver for SessionSolver<'_, '_> {
         self.session
             .set_strategy(Strategy::HetEnergyAware { alpha });
         let plan = self.session.plan()?;
-        let point = plan.pareto.as_ref().ok_or(PlanError::Lp(
-            PartitionPlanError::Degenerate("energy-aware plan produced no LP point"),
-        ))?;
+        let point = plan
+            .pareto
+            .as_ref()
+            .ok_or(PlanError::Lp(PartitionPlanError::Degenerate(
+                "energy-aware plan produced no LP point",
+            )))?;
         if let (None, Some(models)) = (&self.modeler, &plan.time_models) {
             let fits = models.iter().map(|m| m.fit).collect();
             self.modeler = Some(ParetoModeler::new(fits, plan.energy_profiles.clone())?);

@@ -287,10 +287,7 @@ pub(crate) fn extend_dataset_fingerprint(fp: Fingerprint, items: &[DataItem]) ->
 /// Content digest of a whole dataset (name excluded: the cache is
 /// content-addressed).
 pub fn dataset_fingerprint(dataset: &Dataset) -> Fingerprint {
-    extend_dataset_fingerprint(
-        FingerprintBuilder::new("dataset").finish(),
-        &dataset.items,
-    )
+    extend_dataset_fingerprint(FingerprintBuilder::new("dataset").finish(), &dataset.items)
 }
 
 /// Seed of the progressive-sampling estimator (keyed by `measure`).
@@ -396,7 +393,11 @@ impl KeyInputs<'_> {
             .finish();
         let partition = FingerprintBuilder::new("partition")
             .mix_fp(stratify)
-            .mix_fp(if needs_models { optimize } else { Fingerprint(0) })
+            .mix_fp(if needs_models {
+                optimize
+            } else {
+                Fingerprint(0)
+            })
             .mix_fp(strategy)
             .mix_u64(cfg.layout as u64)
             .mix_u64(placement_seed(cfg))
@@ -466,7 +467,10 @@ fn validate_sampling(plan: &SamplingPlan, records: usize) -> Result<(), PlanErro
         return invalid("hi_frac", "must be finite and at least lo_frac");
     }
     if plan.smallest(records) == 0 {
-        return invalid("min_records", "must make the smallest sample at least 1 record");
+        return invalid(
+            "min_records",
+            "must make the smallest sample at least 1 record",
+        );
     }
     Ok(())
 }
@@ -776,7 +780,9 @@ impl<'a> PlanEngine<'a> {
             .map_err(|reason| PlanError::InvalidWorkload { reason })?;
         let started = Instant::now();
         let wall_start = self.telemetry.wall_now();
-        let keys = self.key_inputs(workload, dataset_fp, dataset.len()).plan_keys();
+        let keys = self
+            .key_inputs(workload, dataset_fp, dataset.len())
+            .plan_keys();
 
         let cluster = self.cluster.get();
         let cfg = &self.cfg;
@@ -795,12 +801,13 @@ impl<'a> PlanEngine<'a> {
             // generation's sketch is a bit-identical prefix (MinHash is a
             // pure per-record function): sketch only the appended records.
             // A speculative lookup, so absence is not counted as a miss.
-            let prefix = prev_dataset
-                .filter(|&(_, prev_len)| prev_len < n)
-                .and_then(|(prev_fp, _)| {
-                    let prev_key = sketch_key(prev_fp, &cfg.stratifier);
-                    cache.get_if_cached::<SignatureMatrix>("sketch", prev_key)
-                });
+            let prefix =
+                prev_dataset
+                    .filter(|&(_, prev_len)| prev_len < n)
+                    .and_then(|(prev_fp, _)| {
+                        let prev_key = sketch_key(prev_fp, &cfg.stratifier);
+                        cache.get_if_cached::<SignatureMatrix>("sketch", prev_key)
+                    });
             Ok(match prefix {
                 Some(prefix) => stratifier.sketch_append(dataset, &prefix),
                 None => stratifier.sketch(dataset),
@@ -912,7 +919,13 @@ impl<'a> PlanEngine<'a> {
             &plan,
             n,
             wall_start,
-            [sketched, stratified, profiled, optimize_record.unwrap_or(skipped), partitioned],
+            [
+                sketched,
+                stratified,
+                profiled,
+                optimize_record.unwrap_or(skipped),
+                partitioned,
+            ],
         );
         self.last_reuse = StageReuse {
             sketch: sketched.hit,
@@ -965,7 +978,10 @@ fn record_plan_telemetry(
             cursor,
             cursor + seconds,
             root,
-            vec![("cache".into(), if hit { "hit".into() } else { "miss".into() })],
+            vec![(
+                "cache".into(),
+                if hit { "hit".into() } else { "miss".into() },
+            )],
         );
         cursor += seconds;
         tel.observe(
@@ -1006,7 +1022,11 @@ fn record_plan_telemetry(
     if let Some(models) = &plan.time_models {
         for (i, m) in models.iter().enumerate() {
             let node = i.to_string();
-            tel.gauge_set("pareto_fit_slope_s_per_item", &[("node", &node)], m.fit.slope);
+            tel.gauge_set(
+                "pareto_fit_slope_s_per_item",
+                &[("node", &node)],
+                m.fit.slope,
+            );
             tel.gauge_set(
                 "pareto_fit_intercept_s",
                 &[("node", &node)],
@@ -1016,7 +1036,11 @@ fn record_plan_telemetry(
     }
     for (i, prof) in plan.energy_profiles.iter().enumerate() {
         let node = i.to_string();
-        tel.gauge_set("pareto_node_draw_watts", &[("node", &node)], prof.draw_watts);
+        tel.gauge_set(
+            "pareto_node_draw_watts",
+            &[("node", &node)],
+            prof.draw_watts,
+        );
         tel.gauge_set(
             "pareto_node_green_watts",
             &[("node", &node)],
@@ -1085,7 +1109,15 @@ mod tests {
         };
         let k = inputs.plan_keys();
         let frontier = inputs.frontier_key(&i.explorer);
-        [k.sketch, k.stratify, k.measure, k.profile, k.optimize, k.partition, frontier]
+        [
+            k.sketch,
+            k.stratify,
+            k.measure,
+            k.profile,
+            k.optimize,
+            k.partition,
+            frontier,
+        ]
     }
 
     /// The names of the keys that differ between `base()` and `flipped`.
@@ -1102,7 +1134,10 @@ mod tests {
     /// `stage` and every key downstream of it. Under a model-driven
     /// strategy the dependencies form one chain, so that is a suffix.
     fn from(stage: &str) -> Vec<&'static str> {
-        let at = CHAIN.iter().position(|s| *s == stage).expect("a chain stage");
+        let at = CHAIN
+            .iter()
+            .position(|s| *s == stage)
+            .expect("a chain stage");
         CHAIN[at..].to_vec()
     }
 
@@ -1141,25 +1176,77 @@ mod tests {
 
         type Row = (&'static str, fn(&mut Inputs), Vec<&'static str>);
         let rows: Vec<Row> = vec![
-            ("dataset digest", |i| i.dataset_fp = Fingerprint(12), from("sketch")),
-            ("stratifier.sketch_size", |i| i.cfg.stratifier.sketch_size += 1, from("sketch")),
-            ("stratifier.seed", |i| i.cfg.stratifier.seed += 1, from("sketch")),
-            ("stratifier.num_strata", |i| i.cfg.stratifier.num_strata += 1, from("stratify")),
-            ("stratifier.l", |i| i.cfg.stratifier.l += 1, from("stratify")),
-            ("stratifier.max_iters", |i| i.cfg.stratifier.max_iters += 1, from("stratify")),
-            ("sampling.lo_frac", |i| i.cfg.sampling.lo_frac *= 2.0, from("measure")),
-            ("sampling.hi_frac", |i| i.cfg.sampling.hi_frac *= 2.0, from("measure")),
-            ("sampling.steps", |i| i.cfg.sampling.steps += 1, from("measure")),
-            ("sampling.min_records", |i| i.cfg.sampling.min_records += 1, from("measure")),
+            (
+                "dataset digest",
+                |i| i.dataset_fp = Fingerprint(12),
+                from("sketch"),
+            ),
+            (
+                "stratifier.sketch_size",
+                |i| i.cfg.stratifier.sketch_size += 1,
+                from("sketch"),
+            ),
+            (
+                "stratifier.seed",
+                |i| i.cfg.stratifier.seed += 1,
+                from("sketch"),
+            ),
+            (
+                "stratifier.num_strata",
+                |i| i.cfg.stratifier.num_strata += 1,
+                from("stratify"),
+            ),
+            (
+                "stratifier.l",
+                |i| i.cfg.stratifier.l += 1,
+                from("stratify"),
+            ),
+            (
+                "stratifier.max_iters",
+                |i| i.cfg.stratifier.max_iters += 1,
+                from("stratify"),
+            ),
+            (
+                "sampling.lo_frac",
+                |i| i.cfg.sampling.lo_frac *= 2.0,
+                from("measure"),
+            ),
+            (
+                "sampling.hi_frac",
+                |i| i.cfg.sampling.hi_frac *= 2.0,
+                from("measure"),
+            ),
+            (
+                "sampling.steps",
+                |i| i.cfg.sampling.steps += 1,
+                from("measure"),
+            ),
+            (
+                "sampling.min_records",
+                |i| i.cfg.sampling.min_records += 1,
+                from("measure"),
+            ),
             ("seed", |i| i.cfg.seed += 1, from("measure")),
             (
                 "workload",
                 |i| i.workload = WorkloadKind::FrequentPatterns { support: 0.2 },
                 from("measure"),
             ),
-            ("workload kind", |i| i.workload = WorkloadKind::Lz77, from("measure")),
-            ("roster digest", |i| i.roster_fp = Fingerprint(23), from("profile")),
-            ("planning_horizon_s", |i| i.cfg.planning_horizon_s += 1.0, from("profile")),
+            (
+                "workload kind",
+                |i| i.workload = WorkloadKind::Lz77,
+                from("measure"),
+            ),
+            (
+                "roster digest",
+                |i| i.roster_fp = Fingerprint(23),
+                from("profile"),
+            ),
+            (
+                "planning_horizon_s",
+                |i| i.cfg.planning_horizon_s += 1.0,
+                from("profile"),
+            ),
             ("dataset length", |i| i.records += 1, from("optimize")),
             // The explorer owns α and forces its own strategy, so the
             // session's strategy stops short of the frontier key.
@@ -1184,7 +1271,11 @@ mod tests {
                 from("partition"),
             ),
             ("roster length", |i| i.nodes += 1, from("partition")),
-            ("explorer.max_points", |i| i.explorer.max_points += 1, from("frontier")),
+            (
+                "explorer.max_points",
+                |i| i.explorer.max_points += 1,
+                from("frontier"),
+            ),
             (
                 "explorer.objectives",
                 |i| i.explorer.objectives = ObjectiveSet::full(),

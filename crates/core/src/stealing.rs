@@ -235,7 +235,10 @@ mod tests {
             .collect();
         let static_report = cl.account_costs(&static_costs);
         let ws = steal(&cl, &work, &initial);
-        assert!(ws.recovery.speculative_steals > 0, "idle fast nodes must steal");
+        assert!(
+            ws.recovery.speculative_steals > 0,
+            "idle fast nodes must steal"
+        );
         assert!(ws.recovery.exactly_once);
         assert!(
             ws.report.makespan_seconds < static_report.makespan_seconds * 0.75,

@@ -122,7 +122,13 @@ pub fn gen_trees(cfg: &TreeGenConfig, seed: u64) -> Dataset {
         let n = rng.gen_range(cfg.min_nodes..=cfg.max_nodes);
         // Random recursive tree: parent(v) uniform in 0..v.
         let parent: Vec<u32> = (0..n)
-            .map(|v| if v == 0 { 0 } else { rng.gen_range(0..v) as u32 })
+            .map(|v| {
+                if v == 0 {
+                    0
+                } else {
+                    rng.gen_range(0..v) as u32
+                }
+            })
             .collect();
         // Family label base: disjoint-ish label ranges create separation.
         let base = (f as u32 * 97) % cfg.label_vocab;
@@ -490,7 +496,11 @@ mod tests {
         };
         let a = gen_trees(&cfg, 1);
         let b = gen_trees(&cfg, 2);
-        assert!(a.items.iter().zip(&b.items).any(|(x, y)| x.items != y.items));
+        assert!(a
+            .items
+            .iter()
+            .zip(&b.items)
+            .any(|(x, y)| x.items != y.items));
     }
 
     #[test]
@@ -605,6 +615,9 @@ mod tests {
         for it in &ds.items {
             counts[it.truth_cluster.unwrap() as usize] += 1;
         }
-        assert!(counts[0] > counts[9], "family sizes should be skewed: {counts:?}");
+        assert!(
+            counts[0] > counts[9],
+            "family sizes should be skewed: {counts:?}"
+        );
     }
 }

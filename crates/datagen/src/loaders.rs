@@ -118,10 +118,16 @@ pub fn load_graph<R: BufRead>(name: &str, reader: R) -> Result<Dataset, LoadErro
             message: format!("bad vertex id {head:?}: {e}"),
         })?;
         let targets = parse_u32s(rest, lineno)?;
-        max_id = max_id.max(v).max(targets.iter().copied().max().unwrap_or(0));
+        max_id = max_id
+            .max(v)
+            .max(targets.iter().copied().max().unwrap_or(0));
         rows.push((v, targets));
     }
-    let n = if rows.is_empty() { 0 } else { max_id as usize + 1 };
+    let n = if rows.is_empty() {
+        0
+    } else {
+        max_id as usize + 1
+    };
     let mut lists = vec![Vec::new(); n];
     for (v, targets) in rows {
         lists[v as usize].extend(targets);

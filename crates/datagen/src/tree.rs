@@ -301,12 +301,7 @@ fn prufer_encode_with_order(tree: &LabeledTree) -> (Vec<u32>, Vec<usize>) {
     (seq, order)
 }
 
-fn neighbor_of(
-    tree: &LabeledTree,
-    children: &[Vec<u32>],
-    removed: &[bool],
-    v: usize,
-) -> usize {
+fn neighbor_of(tree: &LabeledTree, children: &[Vec<u32>], removed: &[bool], v: usize) -> usize {
     if v != 0 {
         let p = tree.parent[v] as usize;
         if !removed[p] {
@@ -378,7 +373,9 @@ pub fn prufer_decode(seq: &[u32], labels: Vec<u32>) -> Result<LabeledTree, TreeE
         }
     }
     if visited.iter().any(|&v| !v) {
-        return Err(TreeError::InvalidPrufer("decoded graph is disconnected".into()));
+        return Err(TreeError::InvalidPrufer(
+            "decoded graph is disconnected".into(),
+        ));
     }
     LabeledTree::new(parent, labels)
 }

@@ -24,7 +24,11 @@ pub fn write_trees<W: Write>(dataset: &Dataset, mut out: W) -> io::Result<()> {
 
 /// Write a graph dataset as `v: t1 t2 …` adjacency lines.
 pub fn write_graph<W: Write>(dataset: &Dataset, mut out: W) -> io::Result<()> {
-    assert_eq!(dataset.kind, DataKind::Graph, "graph writer needs graph data");
+    assert_eq!(
+        dataset.kind,
+        DataKind::Graph,
+        "graph writer needs graph data"
+    );
     for item in &dataset.items {
         let Payload::Adjacency(ns) = &item.payload else {
             unreachable!("graph dataset holds adjacency payloads");

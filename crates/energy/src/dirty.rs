@@ -175,7 +175,9 @@ mod tests {
         let node = NodePowerModel::paper_node(2);
         let flat = flat_trace(100.0);
         let spiky = GreenEnergyTrace::from_hourly(
-            (0..24).map(|h| if h % 2 == 0 { 0.0 } else { 200.0 }).collect(),
+            (0..24)
+                .map(|h| if h % 2 == 0 { 0.0 } else { 200.0 })
+                .collect(),
         );
         let horizon = 6.0 * 3600.0;
         for (trace, tol_exact) in [(&flat, true), (&spiky, false)] {

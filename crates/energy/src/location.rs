@@ -21,7 +21,13 @@ pub struct Location {
 impl Location {
     /// Synthesize this location's trace for a panel of `panel_watts`,
     /// spanning `days`, starting at `start_hour` local time.
-    pub fn trace(&self, panel_watts: f64, days: usize, start_hour: usize, seed: u64) -> GreenEnergyTrace {
+    pub fn trace(
+        &self,
+        panel_watts: f64,
+        days: usize,
+        start_hour: usize,
+        seed: u64,
+    ) -> GreenEnergyTrace {
         let cfg = SolarConfig {
             panel_watts,
             latitude_deg: self.latitude_deg,
@@ -34,12 +40,9 @@ impl Location {
         };
         // Mix the site identity into the seed so different locations get
         // independent weather even with the same experiment seed.
-        let site_hash = self
-            .name
-            .bytes()
-            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-                (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
-            });
+        let site_hash = self.name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+        });
         GreenEnergyTrace::synthesize(&cfg, seed ^ site_hash)
     }
 }
@@ -91,10 +94,7 @@ mod tests {
         let day = 86_400.0;
         let sunny = locs[0].trace(400.0, 2, 0, 5).energy_joules(0.0, day);
         let cloudy = locs[3].trace(400.0, 2, 0, 5).energy_joules(0.0, day);
-        assert!(
-            sunny > cloudy,
-            "sunny {sunny} should beat cloudy {cloudy}"
-        );
+        assert!(sunny > cloudy, "sunny {sunny} should beat cloudy {cloudy}");
     }
 
     #[test]

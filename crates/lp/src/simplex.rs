@@ -676,7 +676,11 @@ fn solve_cold_std(std: &Standard) -> Result<Solved, LpError> {
             .map(|j| if j >= std.art_start { 1.0 } else { 0.0 })
             .collect();
         let status = eng.primal(&phase1, std.n_total)?;
-        debug_assert_ne!(status, SolveStatus::Unbounded, "phase 1 is bounded below by 0");
+        debug_assert_ne!(
+            status,
+            SolveStatus::Unbounded,
+            "phase 1 is bounded below by 0"
+        );
         if eng.objective(&phase1) > 1e-7 {
             return Ok(Solved {
                 solution: Solution {
@@ -739,9 +743,8 @@ fn try_warm(std: &Standard, warm: &Basis) -> WarmOutcome {
         let mut dual_steps = 0;
         loop {
             let y = eng.multipliers(&std.costs);
-            let dual_ok = (0..std.art_start).all(|j| {
-                eng.in_basis[j] || eng.reduced_cost(&std.costs, &y, j) > -EPS
-            });
+            let dual_ok = (0..std.art_start)
+                .all(|j| eng.in_basis[j] || eng.reduced_cost(&std.costs, &y, j) > -EPS);
             if !dual_ok {
                 return WarmOutcome::Abandoned {
                     pivots: eng.iterations,
@@ -1120,7 +1123,10 @@ mod tests {
             }
             basis = warm.basis;
         }
-        assert!(warm_hits >= 3, "sweep should accept warm starts, got {warm_hits}");
+        assert!(
+            warm_hits >= 3,
+            "sweep should accept warm starts, got {warm_hits}"
+        );
     }
 
     #[test]

@@ -17,10 +17,7 @@ fn bounded_lp() -> impl Strategy<Value = LpSpec> {
     (2usize..6).prop_flat_map(|nvars| {
         let costs = proptest::collection::vec(-10.0f64..10.0, nvars);
         let rows = proptest::collection::vec(
-            (
-                proptest::collection::vec(-5.0f64..5.0, nvars),
-                0.5f64..50.0,
-            ),
+            (proptest::collection::vec(-5.0f64..5.0, nvars), 0.5f64..50.0),
             1..6,
         );
         let box_bound = 1.0f64..100.0;
@@ -45,9 +42,8 @@ fn feasible(x: &[f64], rows: &[(Vec<f64>, f64)], bound: f64) -> bool {
     if x.iter().any(|&v| v < -1e-7 || v > bound + 1e-7) {
         return false;
     }
-    rows.iter().all(|(coeffs, rhs)| {
-        coeffs.iter().zip(x).map(|(c, v)| c * v).sum::<f64>() <= rhs + 1e-7
-    })
+    rows.iter()
+        .all(|(coeffs, rhs)| coeffs.iter().zip(x).map(|(c, v)| c * v).sum::<f64>() <= rhs + 1e-7)
 }
 
 proptest! {

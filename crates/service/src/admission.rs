@@ -61,7 +61,10 @@ impl<T> BoundedQueue<T> {
     pub fn offer(&mut self, item: T) -> Admission<T> {
         if self.items.len() >= self.capacity {
             self.shed += 1;
-            return Admission::Shed { item, queue_depth: self.items.len() };
+            return Admission::Shed {
+                item,
+                queue_depth: self.items.len(),
+            };
         }
         let position = self.items.len();
         self.items.push_back(item);
@@ -123,7 +126,10 @@ pub struct Dispatcher<T> {
 impl<T> Dispatcher<T> {
     /// An idle dispatcher admitting at most `capacity` waiting leaders.
     pub fn new(capacity: usize) -> Self {
-        Dispatcher { queue: BoundedQueue::new(capacity), inflight: BTreeMap::new() }
+        Dispatcher {
+            queue: BoundedQueue::new(capacity),
+            inflight: BTreeMap::new(),
+        }
     }
 
     /// Offer a request: fold it into in-flight identical work (only when
@@ -142,9 +148,10 @@ impl<T> Dispatcher<T> {
                 }
                 Submitted::Queued
             }
-            Admission::Shed { item: (_, item), queue_depth } => {
-                Submitted::Shed { item, queue_depth }
-            }
+            Admission::Shed {
+                item: (_, item),
+                queue_depth,
+            } => Submitted::Shed { item, queue_depth },
         }
     }
 
@@ -186,7 +193,13 @@ mod tests {
         assert_eq!(q.offer('a'), Admission::Queued { position: 0 });
         assert_eq!(q.offer('b'), Admission::Queued { position: 1 });
         // The shed item comes back to the caller.
-        assert_eq!(q.offer('c'), Admission::Shed { item: 'c', queue_depth: 2 });
+        assert_eq!(
+            q.offer('c'),
+            Admission::Shed {
+                item: 'c',
+                queue_depth: 2
+            }
+        );
         assert_eq!(q.pop(), Some('a'));
         assert_eq!(q.offer('d'), Admission::Queued { position: 1 });
         assert_eq!(q.admitted, 3);
@@ -197,7 +210,13 @@ mod tests {
     fn zero_capacity_floors_to_one() {
         let mut q = BoundedQueue::new(0);
         assert_eq!(q.offer(1), Admission::Queued { position: 0 });
-        assert_eq!(q.offer(2), Admission::Shed { item: 2, queue_depth: 1 });
+        assert_eq!(
+            q.offer(2),
+            Admission::Shed {
+                item: 2,
+                queue_depth: 1
+            }
+        );
     }
 
     #[test]
@@ -225,7 +244,13 @@ mod tests {
     fn shed_leader_leaves_no_key_in_flight() {
         let mut d = Dispatcher::new(1);
         assert_eq!(d.submit(1, true, 'a'), Submitted::Queued);
-        assert_eq!(d.submit(2, true, 'b'), Submitted::Shed { item: 'b', queue_depth: 1 });
+        assert_eq!(
+            d.submit(2, true, 'b'),
+            Submitted::Shed {
+                item: 'b',
+                queue_depth: 1
+            }
+        );
         // Had the shed left key 2 in flight, this retry would fold into a
         // leader that will never answer.
         assert_eq!(d.next_leader(), Some((1, 'a')));
@@ -241,7 +266,10 @@ mod tests {
         assert_eq!(d.submit(8, false, "loner"), Submitted::Queued);
         assert_eq!(
             d.drain(),
-            vec![("leader", vec!["first follower", "second follower"]), ("loner", vec![])]
+            vec![
+                ("leader", vec!["first follower", "second follower"]),
+                ("loner", vec![])
+            ]
         );
         assert!(d.is_idle());
         assert_eq!(d.next_leader(), None);

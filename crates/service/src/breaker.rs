@@ -78,8 +78,7 @@ impl Breaker {
     /// Current state, advancing `Open → HalfOpen` if the cooldown has
     /// elapsed by `now`.
     pub fn state(&mut self, now: u64) -> BreakerState {
-        if self.state == BreakerState::Open && now.saturating_sub(self.opened_at) >= self.cooldown
-        {
+        if self.state == BreakerState::Open && now.saturating_sub(self.opened_at) >= self.cooldown {
             self.state = BreakerState::HalfOpen;
         }
         self.state
@@ -99,7 +98,10 @@ impl Breaker {
         match self.state(now) {
             BreakerState::HalfOpen => {
                 self.state = BreakerState::Closed;
-                Some(Transition { to: BreakerState::Closed, at: now })
+                Some(Transition {
+                    to: BreakerState::Closed,
+                    at: now,
+                })
             }
             _ => None,
         }
@@ -115,7 +117,10 @@ impl Breaker {
                 if self.consecutive_failures >= self.threshold {
                     self.state = BreakerState::Open;
                     self.opened_at = now;
-                    return Some(Transition { to: BreakerState::Open, at: now });
+                    return Some(Transition {
+                        to: BreakerState::Open,
+                        at: now,
+                    });
                 }
                 None
             }
@@ -123,7 +128,10 @@ impl Breaker {
                 self.state = BreakerState::Open;
                 self.opened_at = now;
                 self.consecutive_failures = self.threshold;
-                Some(Transition { to: BreakerState::Open, at: now })
+                Some(Transition {
+                    to: BreakerState::Open,
+                    at: now,
+                })
             }
             BreakerState::Open => None,
         }
@@ -141,7 +149,10 @@ mod tests {
         assert_eq!(b.on_failure(1), None);
         assert_eq!(
             b.on_failure(2),
-            Some(Transition { to: BreakerState::Open, at: 2 })
+            Some(Transition {
+                to: BreakerState::Open,
+                at: 2
+            })
         );
         assert!(!b.allow(3));
     }
@@ -166,14 +177,20 @@ mod tests {
         // Failed probe re-opens with a fresh cooldown.
         assert_eq!(
             b.on_failure(11),
-            Some(Transition { to: BreakerState::Open, at: 11 })
+            Some(Transition {
+                to: BreakerState::Open,
+                at: 11
+            })
         );
         assert!(!b.allow(20));
         assert!(b.allow(21));
         // Successful probe closes.
         assert_eq!(
             b.on_success(21),
-            Some(Transition { to: BreakerState::Closed, at: 21 })
+            Some(Transition {
+                to: BreakerState::Closed,
+                at: 21
+            })
         );
         assert_eq!(b.state(22), BreakerState::Closed);
     }
@@ -183,7 +200,10 @@ mod tests {
         let mut b = Breaker::new(0, 5);
         assert_eq!(
             b.on_failure(0),
-            Some(Transition { to: BreakerState::Open, at: 0 })
+            Some(Transition {
+                to: BreakerState::Open,
+                at: 0
+            })
         );
     }
 }

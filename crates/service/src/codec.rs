@@ -206,7 +206,10 @@ pub struct PayloadReader<'a> {
 impl<'a> PayloadReader<'a> {
     /// Start reading at the front of `payload`.
     pub fn new(payload: &'a [u8]) -> Self {
-        PayloadReader { buf: payload, pos: 0 }
+        PayloadReader {
+            buf: payload,
+            pos: 0,
+        }
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
@@ -310,7 +313,9 @@ mod tests {
         frame.extend_from_slice(&u32::MAX.to_be_bytes());
         assert_eq!(
             decode_frame(&frame),
-            Err(CodecError::Oversized { len: u32::MAX as usize })
+            Err(CodecError::Oversized {
+                len: u32::MAX as usize
+            })
         );
     }
 

@@ -77,7 +77,12 @@ impl ErrorKind {
             1 => ErrorKind::BreakerOpen,
             2 => ErrorKind::SolverFailed,
             3 => ErrorKind::InvalidRequest,
-            tag => return Err(CodecError::BadTag { what: "error kind", tag }),
+            tag => {
+                return Err(CodecError::BadTag {
+                    what: "error kind",
+                    tag,
+                })
+            }
         })
     }
 
@@ -183,12 +188,22 @@ impl Request {
         let tenant = r.get_str()?;
         let deadline_budget = r.get_u64()?;
         let kind = match tag {
-            REQ_PLAN => RequestKind::Plan { alpha: r.get_f64()? },
+            REQ_PLAN => RequestKind::Plan {
+                alpha: r.get_f64()?,
+            },
             REQ_REPLAN => {
                 let append = r.get_u32()?;
-                RequestKind::Replan { append, alpha: r.get_f64()? }
+                RequestKind::Replan {
+                    append,
+                    alpha: r.get_f64()?,
+                }
             }
-            tag => return Err(CodecError::BadTag { what: "request", tag }),
+            tag => {
+                return Err(CodecError::BadTag {
+                    what: "request",
+                    tag,
+                })
+            }
         };
         r.finish()?;
         let alpha = match kind {
@@ -200,7 +215,12 @@ impl Request {
                 detail: format!("{alpha} outside [0, 1]"),
             });
         }
-        Ok(Request { id, tenant, deadline_budget, kind })
+        Ok(Request {
+            id,
+            tenant,
+            deadline_budget,
+            kind,
+        })
     }
 }
 
@@ -209,7 +229,14 @@ impl Response {
     pub fn encode(&self) -> Result<Vec<u8>, CodecError> {
         let mut w = PayloadWriter::new();
         match self {
-            Response::Served { id, digest, sizes, makespan_s, degraded, source_digest } => {
+            Response::Served {
+                id,
+                digest,
+                sizes,
+                makespan_s,
+                degraded,
+                source_digest,
+            } => {
                 w.put_u8(RESP_SERVED);
                 w.put_u64(*id);
                 w.put_u64(*digest);
@@ -262,19 +289,39 @@ impl Response {
                 let degraded = match r.get_u8()? {
                     0 => false,
                     1 => true,
-                    tag => return Err(CodecError::BadTag { what: "degraded flag", tag }),
+                    tag => {
+                        return Err(CodecError::BadTag {
+                            what: "degraded flag",
+                            tag,
+                        })
+                    }
                 };
                 let source_digest = r.get_u64()?;
-                Response::Served { id, digest, sizes, makespan_s, degraded, source_digest }
+                Response::Served {
+                    id,
+                    digest,
+                    sizes,
+                    makespan_s,
+                    degraded,
+                    source_digest,
+                }
             }
-            RESP_SHED => Response::Shed { id: r.get_u64()?, queue_depth: r.get_u32()? },
+            RESP_SHED => Response::Shed {
+                id: r.get_u64()?,
+                queue_depth: r.get_u32()?,
+            },
             RESP_ERROR => {
                 let id = r.get_u64()?;
                 let kind = ErrorKind::from_tag(r.get_u8()?)?;
                 let detail = r.get_str()?;
                 Response::Error { id, kind, detail }
             }
-            tag => return Err(CodecError::BadTag { what: "response", tag }),
+            tag => {
+                return Err(CodecError::BadTag {
+                    what: "response",
+                    tag,
+                })
+            }
         };
         r.finish()?;
         Ok(resp)
@@ -313,7 +360,10 @@ mod tests {
             id: u64::MAX,
             tenant: "".into(),
             deadline_budget: 0,
-            kind: RequestKind::Replan { append: 128, alpha: 0.0 },
+            kind: RequestKind::Replan {
+                append: 128,
+                alpha: 0.0,
+            },
         });
     }
 
@@ -327,7 +377,10 @@ mod tests {
             degraded: true,
             source_digest: 0x1234,
         });
-        round_trip_response(&Response::Shed { id: 2, queue_depth: 64 });
+        round_trip_response(&Response::Shed {
+            id: 2,
+            queue_depth: 64,
+        });
         round_trip_response(&Response::Error {
             id: 3,
             kind: ErrorKind::BreakerOpen,
@@ -371,7 +424,10 @@ mod tests {
         ));
         assert!(matches!(
             Response::decode(&[0xEE, 0, 0, 0, 0, 0, 0, 0, 0]),
-            Err(CodecError::BadTag { what: "response", .. })
+            Err(CodecError::BadTag {
+                what: "response",
+                ..
+            })
         ));
     }
 

@@ -27,7 +27,12 @@ pub struct RetryPolicy {
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy { base: 4, max_delay: 256, attempts: 4, seed: 0x52_45_54_52 }
+        RetryPolicy {
+            base: 4,
+            max_delay: 256,
+            attempts: 4,
+            seed: 0x52_45_54_52,
+        }
     }
 }
 
@@ -78,7 +83,12 @@ mod tests {
 
     #[test]
     fn windows_grow_exponentially() {
-        let p = RetryPolicy { base: 4, max_delay: 1 << 30, attempts: 8, seed: 9 };
+        let p = RetryPolicy {
+            base: 4,
+            max_delay: 1 << 30,
+            attempts: 8,
+            seed: 9,
+        };
         // The jitter window for retry r is base << (r-1); sampled maxima
         // over many requests should approach it and never exceed it.
         for retry in 1..=6u32 {
@@ -94,7 +104,10 @@ mod tests {
 
     #[test]
     fn attempts_budget() {
-        let p = RetryPolicy { attempts: 3, ..RetryPolicy::default() };
+        let p = RetryPolicy {
+            attempts: 3,
+            ..RetryPolicy::default()
+        };
         assert!(p.may_attempt(0));
         assert!(p.may_attempt(2));
         assert!(!p.may_attempt(3));

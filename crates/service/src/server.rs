@@ -141,9 +141,8 @@ impl PlanService {
     /// Build the service: one simulated cluster, one shared cache, no
     /// tenants yet (sessions materialize on first request).
     pub fn new(cfg: ServiceConfig, telemetry: Option<Arc<Telemetry>>) -> Self {
-        let mut cluster = SimCluster::new(NodeSpec::paper_cluster(
-            cfg.nodes, 400.0, 2, 9, cfg.seed,
-        ));
+        let mut cluster =
+            SimCluster::new(NodeSpec::paper_cluster(cfg.nodes, 400.0, 2, 9, cfg.seed));
         if let Some(tel) = &telemetry {
             cluster = cluster.with_telemetry(tel.clone());
         }
@@ -222,11 +221,7 @@ impl PlanService {
 
     fn record_transition(&self, to: &'static str) {
         if let Some(tel) = &self.telemetry {
-            tel.counter_add(
-                metrics::SERVICE_BREAKER_TRANSITIONS_TOTAL,
-                &[("to", to)],
-                1,
-            );
+            tel.counter_add(metrics::SERVICE_BREAKER_TRANSITIONS_TOTAL, &[("to", to)], 1);
         }
     }
 
@@ -282,7 +277,9 @@ impl PlanService {
             | Response::Error { id: slot, .. } => *slot = id,
         }
         self.record_outcome(match answer {
-            Response::Served { degraded: false, .. } => "served",
+            Response::Served {
+                degraded: false, ..
+            } => "served",
             Response::Served { degraded: true, .. } => "degraded",
             Response::Shed { .. } => "shed",
             Response::Error { .. } => "error",
@@ -318,8 +315,7 @@ impl PlanService {
         if let RequestKind::Replan { append, .. } = req.kind {
             t.appends += 1;
             let salt = mix64(self.cfg.seed ^ tenant_hash(&req.tenant) ^ t.appends);
-            let extra = pareto_datagen::rcv1_syn(salt, 0.002 * f64::from(append.min(8)))
-                .items;
+            let extra = pareto_datagen::rcv1_syn(salt, 0.002 * f64::from(append.min(8))).items;
             t.session.append_items(extra);
         }
 
@@ -428,7 +424,10 @@ struct ReplySlot {
 
 impl ReplySlot {
     fn new() -> Arc<Self> {
-        Arc::new(ReplySlot { slot: Mutex::new(None), ready: Condvar::new() })
+        Arc::new(ReplySlot {
+            slot: Mutex::new(None),
+            ready: Condvar::new(),
+        })
     }
 
     fn fulfill(&self, resp: Response) {
@@ -565,13 +564,20 @@ fn submit(shared: &ServerShared, request: Request) -> Arc<ReplySlot> {
     let reply = ReplySlot::new();
     let id = request.id;
     let key = shared.service.work_key(&request);
-    let job = Job { request, reply: reply.clone() };
-    match shared.service.admit(&mut shared.dispatcher.lock(), key, job) {
+    let job = Job {
+        request,
+        reply: reply.clone(),
+    };
+    match shared
+        .service
+        .admit(&mut shared.dispatcher.lock(), key, job)
+    {
         Submitted::Folded => {}
         Submitted::Queued => shared.work_ready.notify_one(),
-        Submitted::Shed { queue_depth, .. } => {
-            reply.fulfill(Response::Shed { id, queue_depth: queue_depth as u32 })
-        }
+        Submitted::Shed { queue_depth, .. } => reply.fulfill(Response::Shed {
+            id,
+            queue_depth: queue_depth as u32,
+        }),
     }
     reply
 }
@@ -597,7 +603,9 @@ fn worker_loop(shared: &ServerShared) {
         let followers = shared.dispatcher.lock().complete(key);
         job.reply.fulfill(response.clone());
         for follower in followers {
-            let answer = shared.service.follower_answer(&response, follower.request.id);
+            let answer = shared
+                .service
+                .follower_answer(&response, follower.request.id);
             follower.reply.fulfill(answer);
         }
     }
@@ -677,7 +685,9 @@ pub struct TcpClient {
 impl TcpClient {
     /// Connect to a server address.
     pub fn connect(addr: std::net::SocketAddr) -> std::io::Result<Self> {
-        Ok(TcpClient { stream: TcpStream::connect(addr)? })
+        Ok(TcpClient {
+            stream: TcpStream::connect(addr)?,
+        })
     }
 
     /// Send one request, wait for its response.
@@ -685,11 +695,12 @@ impl TcpClient {
         let frame = encode_frame(&request.encode()?)?;
         self.stream
             .write_all(&frame)
-            .map_err(|e| CodecError::BadValue { what: "socket write", detail: e.to_string() })?;
-        let payload = read_frame(&mut self.stream)?.ok_or(CodecError::Truncated {
-            needed: 1,
-            have: 0,
-        })?;
+            .map_err(|e| CodecError::BadValue {
+                what: "socket write",
+                detail: e.to_string(),
+            })?;
+        let payload =
+            read_frame(&mut self.stream)?.ok_or(CodecError::Truncated { needed: 1, have: 0 })?;
         Response::decode(&payload)
     }
 }
@@ -722,7 +733,14 @@ mod tests {
         let svc = PlanService::new(small_cfg(), None);
         let resp = svc.handle(&plan_req(1, "acme", 0.9), 0, false);
         match resp {
-            Response::Served { id, degraded, sizes, digest, source_digest, .. } => {
+            Response::Served {
+                id,
+                degraded,
+                sizes,
+                digest,
+                source_digest,
+                ..
+            } => {
                 assert_eq!(id, 1);
                 assert!(!degraded);
                 assert_eq!(digest, source_digest);
@@ -734,7 +752,11 @@ mod tests {
 
     #[test]
     fn stall_storm_trips_breaker_then_degrades() {
-        let cfg = ServiceConfig { breaker_threshold: 2, breaker_cooldown: 100, ..small_cfg() };
+        let cfg = ServiceConfig {
+            breaker_threshold: 2,
+            breaker_cooldown: 100,
+            ..small_cfg()
+        };
         let svc = PlanService::new(cfg, None);
         // Seed a good plan so degradation has a source.
         let first = svc.handle(&plan_req(1, "acme", 0.9), 0, false);
@@ -745,7 +767,11 @@ mod tests {
         // Two stalls trip the breaker (threshold 2); both degrade.
         for (i, now) in [(2u64, 1u64), (3, 2)] {
             match svc.handle(&plan_req(i, "acme", 0.9), now, true) {
-                Response::Served { degraded: true, source_digest, .. } => {
+                Response::Served {
+                    degraded: true,
+                    source_digest,
+                    ..
+                } => {
                     assert_eq!(source_digest, good_digest);
                 }
                 other => panic!("expected degraded, got {other:?}"),
@@ -753,7 +779,11 @@ mod tests {
         }
         // Breaker now open: no stall injected, still degraded (no solve).
         match svc.handle(&plan_req(4, "acme", 0.9), 3, false) {
-            Response::Served { degraded: true, source_digest, .. } => {
+            Response::Served {
+                degraded: true,
+                source_digest,
+                ..
+            } => {
                 assert_eq!(source_digest, good_digest);
             }
             other => panic!("expected degraded (breaker open), got {other:?}"),
@@ -762,15 +792,24 @@ mod tests {
 
     #[test]
     fn breaker_open_without_cache_is_typed_error() {
-        let cfg = ServiceConfig { breaker_threshold: 1, ..small_cfg() };
+        let cfg = ServiceConfig {
+            breaker_threshold: 1,
+            ..small_cfg()
+        };
         let svc = PlanService::new(cfg, None);
         // First request stalls: nothing cached, breaker trips.
         match svc.handle(&plan_req(1, "cold", 0.9), 0, true) {
-            Response::Error { kind: ErrorKind::SolverFailed, .. } => {}
+            Response::Error {
+                kind: ErrorKind::SolverFailed,
+                ..
+            } => {}
             other => panic!("expected SolverFailed, got {other:?}"),
         }
         match svc.handle(&plan_req(2, "cold", 0.9), 1, false) {
-            Response::Error { kind: ErrorKind::BreakerOpen, .. } => {}
+            Response::Error {
+                kind: ErrorKind::BreakerOpen,
+                ..
+            } => {}
             other => panic!("expected BreakerOpen, got {other:?}"),
         }
     }
@@ -781,7 +820,10 @@ mod tests {
         let mut req = plan_req(1, "deadline", 0.9);
         req.deadline_budget = 2; // sketch + stratify only
         match svc.handle(&req, 0, false) {
-            Response::Error { kind: ErrorKind::DeadlineExceeded, .. } => {}
+            Response::Error {
+                kind: ErrorKind::DeadlineExceeded,
+                ..
+            } => {}
             other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
         // The two completed stages were cached; a budget of 3 more
@@ -789,25 +831,33 @@ mod tests {
         let mut retry = plan_req(2, "deadline", 0.9);
         retry.deadline_budget = 5;
         match svc.handle(&retry, 1, false) {
-            Response::Served { degraded: false, .. } => {}
+            Response::Served {
+                degraded: false, ..
+            } => {}
             other => panic!("expected Served after resume, got {other:?}"),
         }
     }
 
     #[test]
     fn half_open_probe_recovers_service() {
-        let cfg = ServiceConfig { breaker_threshold: 1, breaker_cooldown: 10, ..small_cfg() };
+        let cfg = ServiceConfig {
+            breaker_threshold: 1,
+            breaker_cooldown: 10,
+            ..small_cfg()
+        };
         let svc = PlanService::new(cfg, None);
         svc.handle(&plan_req(1, "acme", 0.9), 0, false); // seed cache
         svc.handle(&plan_req(2, "acme", 0.9), 1, true); // trip
-        // Before cooldown: degraded.
+                                                        // Before cooldown: degraded.
         match svc.handle(&plan_req(3, "acme", 0.9), 5, false) {
             Response::Served { degraded: true, .. } => {}
             other => panic!("expected degraded, got {other:?}"),
         }
         // After cooldown: half-open probe solves fresh and closes.
         match svc.handle(&plan_req(4, "acme", 0.9), 11, false) {
-            Response::Served { degraded: false, .. } => {}
+            Response::Served {
+                degraded: false, ..
+            } => {}
             other => panic!("expected fresh serve, got {other:?}"),
         }
     }
@@ -817,7 +867,14 @@ mod tests {
         let svc = Arc::new(PlanService::new(small_cfg(), None));
         let server = Server::start(svc);
         let resp = server.call(plan_req(7, "acme", 0.8));
-        assert!(matches!(resp, Response::Served { id: 7, degraded: false, .. }));
+        assert!(matches!(
+            resp,
+            Response::Served {
+                id: 7,
+                degraded: false,
+                ..
+            }
+        ));
         // Warm second call hits the cache (same α).
         let resp = server.call(plan_req(8, "acme", 0.8));
         assert!(matches!(resp, Response::Served { id: 8, .. }));

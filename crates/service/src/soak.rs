@@ -238,7 +238,10 @@ impl Sim {
         let ordinal = self.issued as usize;
         let id = self.next_id;
         self.next_id += 1;
-        let tenant = format!("t{}", self.draw(ordinal, 1) % self.cfg.tenants.max(1) as u64);
+        let tenant = format!(
+            "t{}",
+            self.draw(ordinal, 1) % self.cfg.tenants.max(1) as u64
+        );
         let alpha = [0.9, 0.95, 0.99, 0.999][(self.draw(ordinal, 2) % 4) as usize];
         let replan = (self.draw(ordinal, 3) % 100) < u64::from(self.cfg.replan_pct);
         // Budgets: mostly unconstrained, a slice too tight for a cold
@@ -253,7 +256,12 @@ impl Sim {
             RequestKind::Plan { alpha }
         };
         Pending {
-            req: Request { id, tenant, deadline_budget, kind },
+            req: Request {
+                id,
+                tenant,
+                deadline_budget,
+                kind,
+            },
             client,
             first_issued: 0, // stamped at dispatch
             attempt: 0,
@@ -272,8 +280,10 @@ impl Sim {
                 // A slot only idles once the queue is empty, so the
                 // request just queued is the one `next_leader` hands back.
                 if let Some(worker) = self.workers.iter().position(Option::is_none) {
-                    let (key, pending) =
-                        self.dispatcher.next_leader().expect("the request just queued");
+                    let (key, pending) = self
+                        .dispatcher
+                        .next_leader()
+                        .expect("the request just queued");
                     self.start(worker, key, pending, now);
                 }
             }
@@ -288,7 +298,10 @@ impl Sim {
             self.retries += 1;
             self.service.record_retry("shed");
             let delay = self.cfg.retry.backoff_delay(pending.req.id, next_retry);
-            let pending = Pending { attempt: next_retry, ..pending };
+            let pending = Pending {
+                attempt: next_retry,
+                ..pending
+            };
             self.schedule(now + delay, Event::Redispatch { pending });
         } else {
             self.outcomes.shed += 1;
@@ -315,22 +328,32 @@ impl Sim {
         }
         let response = self.service.handle(&pending.req, now, stall);
         let duration = match &response {
-            Response::Served { degraded: false, .. } => {
-                6 + self.draw(pending.req.id as usize, 401) % 6
-            }
+            Response::Served {
+                degraded: false, ..
+            } => 6 + self.draw(pending.req.id as usize, 401) % 6,
             Response::Served { degraded: true, .. } => {
                 2 + self.draw(pending.req.id as usize, 402) % 2
             }
             _ => 1 + self.draw(pending.req.id as usize, 403) % 2,
         };
-        self.workers[worker] = Some(Running { key, leader: pending, response });
+        self.workers[worker] = Some(Running {
+            key,
+            leader: pending,
+            response,
+        });
         self.schedule(now + duration, Event::Complete { worker });
     }
 
     /// Record a terminal response for one logical request.
     fn terminal(&mut self, pending: &Pending, response: &Response, now: u64) {
         match response {
-            Response::Served { degraded, sizes, digest, source_digest, .. } => {
+            Response::Served {
+                degraded,
+                sizes,
+                digest,
+                source_digest,
+                ..
+            } => {
                 if *degraded {
                     self.outcomes.degraded += 1;
                     if *source_digest == 0 {

@@ -16,11 +16,19 @@ fn request_from(id: u64, tenant_sel: u8, budget: u64, alpha_sel: u8, replan: boo
     };
     let alpha = [0.0, 0.5, 0.999, 1.0][(alpha_sel % 4) as usize];
     let kind = if replan {
-        RequestKind::Replan { append: u32::from(tenant_sel), alpha }
+        RequestKind::Replan {
+            append: u32::from(tenant_sel),
+            alpha,
+        }
     } else {
         RequestKind::Plan { alpha }
     };
-    Request { id, tenant, deadline_budget: budget, kind }
+    Request {
+        id,
+        tenant,
+        deadline_budget: budget,
+        kind,
+    }
 }
 
 proptest! {

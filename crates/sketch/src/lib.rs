@@ -101,7 +101,11 @@ impl SignatureMatrix {
     /// Panics unless `values.len() == rows * width`.
     pub fn new(width: usize, rows: usize, values: Vec<u64>) -> Self {
         assert_eq!(values.len(), rows * width, "values must fill rows x width");
-        SignatureMatrix { width, rows, values }
+        SignatureMatrix {
+            width,
+            rows,
+            values,
+        }
     }
 
     /// Number of signatures.
@@ -172,7 +176,11 @@ impl MinHasher {
     /// contiguous block of rows in place, so the result is bit-identical
     /// at any thread count.
     pub fn sketch_matrix(&self, sets: &[&ItemSet], threads: usize) -> SignatureMatrix {
-        self.sketch_extend(&SignatureMatrix::new(self.num_hashes(), 0, Vec::new()), sets, threads)
+        self.sketch_extend(
+            &SignatureMatrix::new(self.num_hashes(), 0, Vec::new()),
+            sets,
+            threads,
+        )
     }
 
     /// Extend an existing matrix with sketches of appended sets. Sketching
@@ -217,7 +225,11 @@ impl MinHasher {
             })
             .expect("sketch worker panicked");
         }
-        SignatureMatrix { width, rows, values }
+        SignatureMatrix {
+            width,
+            rows,
+            values,
+        }
     }
 }
 
@@ -353,7 +365,11 @@ mod tests {
         let whole = h.sketch_matrix(&refs, 1);
         for split in [0, 1, 17, 40] {
             let prefix = h.sketch_matrix(&refs[..split], 1);
-            assert_eq!(h.sketch_extend(&prefix, &refs[split..], 2), whole, "split {split}");
+            assert_eq!(
+                h.sketch_extend(&prefix, &refs[split..], 2),
+                whole,
+                "split {split}"
+            );
         }
     }
 

@@ -135,16 +135,34 @@ mod tests {
         // `lo + hi` needs exactly one conditional subtract.
         let top = (PRIME - 1) as u128 * (PRIME - 1) as u128;
         assert_eq!((top >> 61) as u64, PRIME - 3);
-        for (a, x) in [(PRIME - 1, PRIME - 1), (PRIME - 1, PRIME - 2), (1 << 60, PRIME - 1)] {
+        for (a, x) in [
+            (PRIME - 1, PRIME - 1),
+            (PRIME - 1, PRIME - 2),
+            (1 << 60, PRIME - 1),
+        ] {
             for b in [0, 1, PRIME - 1] {
-                assert_eq!(affine(a, x, b), apply_reference(a, b, x), "a={a} x={x} b={b}");
+                assert_eq!(
+                    affine(a, x, b),
+                    apply_reference(a, b, x),
+                    "a={a} x={x} b={b}"
+                );
             }
         }
     }
 
     #[test]
     fn reduce_is_mod_p() {
-        let edges = [0, 1, PRIME - 1, PRIME, PRIME + 1, 2 * PRIME, 1 << 61, u64::MAX - 1, u64::MAX];
+        let edges = [
+            0,
+            1,
+            PRIME - 1,
+            PRIME,
+            PRIME + 1,
+            2 * PRIME,
+            1 << 61,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
         for x in edges {
             assert_eq!(reduce(x), x % PRIME, "x={x}");
         }
@@ -170,8 +188,14 @@ mod tests {
 
     #[test]
     fn from_seed_deterministic() {
-        assert_eq!(LinearPermutation::from_seed(5), LinearPermutation::from_seed(5));
-        assert_ne!(LinearPermutation::from_seed(5), LinearPermutation::from_seed(6));
+        assert_eq!(
+            LinearPermutation::from_seed(5),
+            LinearPermutation::from_seed(5)
+        );
+        assert_ne!(
+            LinearPermutation::from_seed(5),
+            LinearPermutation::from_seed(6)
+        );
     }
 
     #[test]

@@ -137,7 +137,15 @@ mod tests {
 
     #[test]
     fn tvd_identical_zero_disjoint_one() {
-        assert_close(total_variation_distance(&[1.0, 2.0], &[2.0, 4.0]), 0.0, 1e-12);
-        assert_close(total_variation_distance(&[1.0, 0.0], &[0.0, 1.0]), 1.0, 1e-12);
+        assert_close(
+            total_variation_distance(&[1.0, 2.0], &[2.0, 4.0]),
+            0.0,
+            1e-12,
+        );
+        assert_close(
+            total_variation_distance(&[1.0, 0.0], &[0.0, 1.0]),
+            1.0,
+            1e-12,
+        );
     }
 }

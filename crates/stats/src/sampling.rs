@@ -103,7 +103,10 @@ pub fn largest_remainder_apportion(weights: &[f64], total: usize) -> Vec<usize> 
 /// Proportional allocation of a sample of size `k` across strata of the
 /// given sizes (Cochran's proportional allocation). The result sums to `k`
 /// and never exceeds any stratum's size.
-pub fn proportional_allocation(strata_sizes: &[usize], k: usize) -> Result<Vec<usize>, SamplingError> {
+pub fn proportional_allocation(
+    strata_sizes: &[usize],
+    k: usize,
+) -> Result<Vec<usize>, SamplingError> {
     let n: usize = strata_sizes.iter().sum();
     if k > n {
         return Err(SamplingError::SampleTooLarge {

@@ -131,11 +131,15 @@ impl Columns {
         let mut rows = vec![0u32; n * num_attrs];
         let chunk = num_attrs.div_ceil(shards).max(1);
         run_shards(
-            ids.chunks_mut(chunk * n).zip(rows.chunks_mut(chunk * n)).enumerate(),
+            ids.chunks_mut(chunk * n)
+                .zip(rows.chunks_mut(chunk * n))
+                .enumerate(),
             |(shard, (ids, rows))| {
                 let mut keyed: Vec<(u64, u32)> = Vec::with_capacity(n);
-                for (off, (ids, rows)) in
-                    ids.chunks_exact_mut(n).zip(rows.chunks_exact_mut(n)).enumerate()
+                for (off, (ids, rows)) in ids
+                    .chunks_exact_mut(n)
+                    .zip(rows.chunks_exact_mut(n))
+                    .enumerate()
                 {
                     let a = shard * chunk + off;
                     keyed.clear();
@@ -165,7 +169,13 @@ impl Columns {
             }
         }
         starts.push(cells);
-        Columns { n, ids, base, rows, starts }
+        Columns {
+            n,
+            ids,
+            base,
+            rows,
+            starts,
+        }
     }
 
     fn column(&self, a: usize) -> &[u32] {
@@ -435,7 +445,12 @@ impl UpdateShard {
     /// descending count with the lower id (= lower value) first among
     /// equals, and return how many there are (at most `fresh.len()`).
     fn top_values(&mut self, col: &[u32], members: &[u32]) -> usize {
-        let UpdateShard { count, touched, fresh, .. } = self;
+        let UpdateShard {
+            count,
+            touched,
+            fresh,
+            ..
+        } = self;
         // Whether a member brings a new id is a coin flip over MinHash
         // values, so write the id unconditionally and advance past it only
         // when it is new instead of branching on it.
@@ -478,7 +493,12 @@ impl UpdateShard {
     ) {
         const OLD: u32 = 1;
         const KEPT: u32 = 2;
-        let UpdateShard { count, fresh, deltas, .. } = self;
+        let UpdateShard {
+            count,
+            fresh,
+            deltas,
+            ..
+        } = self;
         let (old, fresh) = (&list[..*len as usize], &fresh[..fresh_len]);
         for &id in old {
             count[id as usize] = OLD;
@@ -487,12 +507,20 @@ impl UpdateShard {
             if count[id as usize] == OLD {
                 count[id as usize] = KEPT;
             } else {
-                deltas.push(Delta { slot: base + id, cluster, entered: true });
+                deltas.push(Delta {
+                    slot: base + id,
+                    cluster,
+                    entered: true,
+                });
             }
         }
         for &id in old {
             if count[id as usize] == OLD {
-                deltas.push(Delta { slot: base + id, cluster, entered: false });
+                deltas.push(Delta {
+                    slot: base + id,
+                    cluster,
+                    entered: false,
+                });
             }
             count[id as usize] = 0;
         }
@@ -549,8 +577,10 @@ mod reference {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(cfg.seed);
         let mut idx: Vec<usize> = (0..n).collect();
         idx.shuffle(&mut rng);
-        let mut centers: Vec<Center> =
-            idx[..k].iter().map(|&i| Center::from_row(rows[i])).collect();
+        let mut centers: Vec<Center> = idx[..k]
+            .iter()
+            .map(|&i| Center::from_row(rows[i]))
+            .collect();
 
         let mut assignments = vec![u32::MAX; n];
         let mut scores = vec![0u32; n];
@@ -656,7 +686,11 @@ mod tests {
             assert_eq!(got.assignments, expected.assignments, "{ctx}");
             assert_eq!(got.iterations, expected.iterations, "{ctx}");
             assert_eq!(got.total_score, expected.total_score, "{ctx}");
-            assert_eq!(got.zero_match_rate.to_bits(), expected.zero_match_rate.to_bits(), "{ctx}");
+            assert_eq!(
+                got.zero_match_rate.to_bits(),
+                expected.zero_match_rate.to_bits(),
+                "{ctx}"
+            );
             assert_eq!(got.num_clusters, expected.num_clusters, "{ctx}");
         }
     }
@@ -689,7 +723,10 @@ mod tests {
                     })
                     .collect();
                 let step = history.len() + 1;
-                assert_eq!(scores, expected, "score block after assignment {step}, {cfg:?}");
+                assert_eq!(
+                    scores, expected,
+                    "score block after assignment {step}, {cfg:?}"
+                );
                 history.push(
                     scores
                         .chunks_exact(k)
@@ -715,8 +752,8 @@ mod tests {
             let (prev, now) = (&history[at - 1], &history[at]);
             let emptied =
                 (0..k).any(|c| members(now, c).is_empty() && !members(prev, c).is_empty());
-            let clean = (0..k)
-                .any(|c| !members(now, c).is_empty() && members(now, c) == members(prev, c));
+            let clean =
+                (0..k).any(|c| !members(now, c).is_empty() && members(now, c) == members(prev, c));
             (emptied && clean).then_some(at + 1)
         })
     }
@@ -797,7 +834,10 @@ mod tests {
             let (cfg, sigs) = chain_fixture(seed);
             let history = assert_scores_maintained(&cfg, &sigs);
             if let Some(step) = late_empty_step(&history, cfg.num_clusters) {
-                println!("seed {seed}: cluster empties at {step} of {}", history.len());
+                println!(
+                    "seed {seed}: cluster empties at {step} of {}",
+                    history.len()
+                );
             }
         }
     }
@@ -810,8 +850,15 @@ mod tests {
         let (cfg, sigs) = chain_fixture(58);
         let history = assert_scores_maintained(&cfg, &sigs);
         let step = late_empty_step(&history, cfg.num_clusters);
-        assert!(step >= Some(5), "no late empty cluster: {step:?} of {}", history.len());
-        assert!(history.len() > step.unwrap_or(0) + 2, "the run ends with the re-seed");
+        assert!(
+            step >= Some(5),
+            "no late empty cluster: {step:?} of {}",
+            history.len()
+        );
+        assert!(
+            history.len() > step.unwrap_or(0) + 2,
+            "the run ends with the re-seed"
+        );
         assert_matches_reference(&cfg, &sigs);
     }
 
@@ -824,7 +871,9 @@ mod tests {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let values: Vec<u64> = (0..n * width)
             .map(|_| {
-                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1);
                 (state >> 33) % 7
             })
             .collect();
@@ -842,9 +891,8 @@ mod tests {
 
     #[test]
     fn degenerate_shapes_are_defined_and_match_the_reference() {
-        let m = |width: usize, rows: &[&[u64]]| {
-            SignatureMatrix::new(width, rows.len(), rows.concat())
-        };
+        let m =
+            |width: usize, rows: &[&[u64]]| SignatureMatrix::new(width, rows.len(), rows.concat());
         let max = u64::MAX;
         let cases = [
             // sketch_size = 0: nothing can match.
@@ -893,7 +941,11 @@ mod tests {
         // More values per attribute can only widen matching; the final
         // objective with larger L should be >= the L=1 objective.
         let (sigs, _) = grouped_signatures(15, 32);
-        let score = |l: usize| CompositeKModes::new(config(3, l, 15, 11)).run(&sigs).total_score;
+        let score = |l: usize| {
+            CompositeKModes::new(config(3, l, 15, 11))
+                .run(&sigs)
+                .total_score
+        };
         assert!(score(4) >= score(1));
     }
 

@@ -157,10 +157,7 @@ pub fn chrome_trace(snapshot: &TelemetrySnapshot) -> String {
                 ("ph", Value::Str("M".into())),
                 ("pid", Value::Num(pid as f64)),
                 ("tid", Value::Num(0.0)),
-                (
-                    "args",
-                    Value::obj(vec![("name", Value::Str(pname.into()))]),
-                ),
+                ("args", Value::obj(vec![("name", Value::Str(pname.into()))])),
             ]));
         }
         events.push(Value::obj(vec![
@@ -245,8 +242,24 @@ mod tests {
             SpanId::NONE,
             vec![],
         );
-        tel.span(Track::Planner, "sketch", ClockDomain::Wall, 0.0, 1.0, root, vec![]);
-        tel.span(Track::Planner, "stratify", ClockDomain::Wall, 1.0, 2.0, root, vec![]);
+        tel.span(
+            Track::Planner,
+            "sketch",
+            ClockDomain::Wall,
+            0.0,
+            1.0,
+            root,
+            vec![],
+        );
+        tel.span(
+            Track::Planner,
+            "stratify",
+            ClockDomain::Wall,
+            1.0,
+            2.0,
+            root,
+            vec![],
+        );
         tel.span(
             Track::Node(0),
             "exec",
@@ -298,7 +311,15 @@ mod tests {
             vec![],
         );
         // Parent lives on another track: must not corrupt nesting.
-        tel.span(Track::Node(0), "exec", ClockDomain::Sim, 0.0, 1.0, planner, vec![]);
+        tel.span(
+            Track::Node(0),
+            "exec",
+            ClockDomain::Sim,
+            0.0,
+            1.0,
+            planner,
+            vec![],
+        );
         let text = chrome_trace(&tel.snapshot());
         let doc = json::parse(&text).unwrap();
         let stats = validate_chrome_trace(&doc).expect("well-formed trace");

@@ -52,7 +52,9 @@ fn ledger_value(iv: &BusyInterval) -> Value {
         ("stage", Value::Str(iv.stage.clone())),
         (
             "stratum",
-            iv.stratum.map(|s| Value::Num(s as f64)).unwrap_or(Value::Null),
+            iv.stratum
+                .map(|s| Value::Num(s as f64))
+                .unwrap_or(Value::Null),
         ),
         ("start_s", Value::Num(iv.start_s)),
         ("end_s", Value::Num(iv.end_s)),
@@ -110,7 +112,10 @@ pub fn json_dump(snapshot: &TelemetrySnapshot, events: &[Event]) -> String {
                             Value::obj(vec![
                                 (
                                     "le",
-                                    h.bounds.get(i).map(|&b| Value::Num(b)).unwrap_or(Value::Null),
+                                    h.bounds
+                                        .get(i)
+                                        .map(|&b| Value::Num(b))
+                                        .unwrap_or(Value::Null),
                                 ),
                                 ("count", Value::Num(c as f64)),
                             ])
@@ -183,7 +188,15 @@ mod tests {
             SpanId::NONE,
             vec![("records".into(), "100".into())],
         );
-        tel.span(Track::Planner, "sketch", ClockDomain::Wall, 0.0, 1.0, root, vec![]);
+        tel.span(
+            Track::Planner,
+            "sketch",
+            ClockDomain::Wall,
+            0.0,
+            1.0,
+            root,
+            vec![],
+        );
         tel.instant(Track::Node(1), "crash", ClockDomain::Sim, 4.5, vec![]);
         tel.counter_add("c_total", &[("node", "1")], 2);
         tel.gauge_set("g", &[], 0.5);

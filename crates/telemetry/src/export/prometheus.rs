@@ -28,7 +28,9 @@ fn write_labels(out: &mut String, labels: &[(String, String)], extra: Option<(&s
 }
 
 fn escape(v: &str) -> String {
-    v.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
+    v.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 fn type_line(out: &mut String, last: &mut Option<String>, name: &str, kind: &str) {
@@ -203,7 +205,10 @@ fn validate_exposition_inner(text: &str) -> Result<(), String> {
                 let kind = parts
                     .next()
                     .ok_or_else(|| format!("line {lineno}: TYPE without a kind"))?;
-                if !matches!(kind, "counter" | "gauge" | "histogram" | "summary" | "untyped") {
+                if !matches!(
+                    kind,
+                    "counter" | "gauge" | "histogram" | "summary" | "untyped"
+                ) {
                     return Err(format!("line {lineno}: unknown TYPE kind {kind:?}"));
                 }
                 if kind == "histogram" {
@@ -241,8 +246,7 @@ fn validate_exposition_inner(text: &str) -> Result<(), String> {
 
         for base in &histogram_types {
             let suffix = &name[base.len().min(name.len())..];
-            if !name.starts_with(base.as_str())
-                || !matches!(suffix, "_bucket" | "_sum" | "_count")
+            if !name.starts_with(base.as_str()) || !matches!(suffix, "_bucket" | "_sum" | "_count")
             {
                 continue;
             }
@@ -394,13 +398,19 @@ h_s_count 1
 h_s_bucket{le=\"+Inf\"} 1
 h_s_count 1
 ";
-        assert!(validate_exposition(no_sum).unwrap_err().to_string().contains("_sum"));
+        assert!(validate_exposition(no_sum)
+            .unwrap_err()
+            .to_string()
+            .contains("_sum"));
         let no_count = "\
 # TYPE h_s histogram
 h_s_bucket{le=\"+Inf\"} 1
 h_s_sum 1.0
 ";
-        assert!(validate_exposition(no_count).unwrap_err().to_string().contains("_count"));
+        assert!(validate_exposition(no_count)
+            .unwrap_err()
+            .to_string()
+            .contains("_count"));
 
         // _count disagreeing with the +Inf bucket.
         let bad_count = "\

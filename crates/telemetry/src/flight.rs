@@ -179,7 +179,12 @@ mod tests {
         assert_eq!(frames.len(), 3);
         // Oldest two evicted: the tail starts at event 2.
         assert_eq!(
-            frames[0].get("data").unwrap().get("message").unwrap().as_str(),
+            frames[0]
+                .get("data")
+                .unwrap()
+                .get("message")
+                .unwrap()
+                .as_str(),
             Some("event 2")
         );
     }

@@ -199,7 +199,12 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
                         *pos += 1;
                         return Ok(Value::Arr(items));
                     }
-                    other => return Err(format!("expected ',' or ']' at byte {pos}, found {other:?}", pos = *pos)),
+                    other => {
+                        return Err(format!(
+                            "expected ',' or ']' at byte {pos}, found {other:?}",
+                            pos = *pos
+                        ))
+                    }
                 }
             }
         }
@@ -225,7 +230,12 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
                         *pos += 1;
                         return Ok(Value::Obj(map));
                     }
-                    other => return Err(format!("expected ',' or '}}' at byte {pos}, found {other:?}", pos = *pos)),
+                    other => {
+                        return Err(format!(
+                            "expected ',' or '}}' at byte {pos}, found {other:?}",
+                            pos = *pos
+                        ))
+                    }
                 }
             }
         }
@@ -351,9 +361,6 @@ mod tests {
     #[test]
     fn parses_whitespace_and_unicode() {
         let v = parse(" { \"a\" : [ 1 , \"\\u00e9\" ] } ").unwrap();
-        assert_eq!(
-            v.get("a").unwrap().as_arr().unwrap()[1].as_str(),
-            Some("é")
-        );
+        assert_eq!(v.get("a").unwrap().as_arr().unwrap()[1].as_str(), Some("é"));
     }
 }

@@ -95,9 +95,7 @@ pub const DURATION_BOUNDS_S: &[f64] = &[
 ];
 
 /// Default histogram bounds for sizes/counts (log-spaced).
-pub const SIZE_BOUNDS: &[f64] = &[
-    1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6, 1e7,
-];
+pub const SIZE_BOUNDS: &[f64] = &[1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6, 1e7];
 
 /// Counter of plan-cache events, labelled `{event=hit|miss|evict,
 /// stage=<stage name>}`. Recorded by the incremental planning engine's
@@ -280,9 +278,7 @@ mod tests {
 
         let mut other_bounds = MetricsRegistry::new();
         other_bounds.observe(key.clone(), 0.5, &[0.25, 2.0]);
-        let err = merged
-            .merge(&other_bounds.histograms[&key])
-            .unwrap_err();
+        let err = merged.merge(&other_bounds.histograms[&key]).unwrap_err();
         assert!(err.to_string().contains("bounds mismatch"));
     }
 

@@ -28,8 +28,7 @@ pub struct ChromeStats {
 /// matched/same-name `B`/`E` pairs, no unclosed spans. Malformations are
 /// typed ([`TelemetryError::MalformedTrace`]), never panics.
 pub fn validate_chrome_trace(doc: &Value) -> Result<ChromeStats, TelemetryError> {
-    validate_chrome_trace_inner(doc)
-        .map_err(|detail| TelemetryError::MalformedTrace { detail })
+    validate_chrome_trace_inner(doc).map_err(|detail| TelemetryError::MalformedTrace { detail })
 }
 
 fn validate_chrome_trace_inner(doc: &Value) -> Result<ChromeStats, String> {
@@ -268,11 +267,7 @@ pub fn summarize_dump(doc: &Value) -> Result<String, TelemetryError> {
     if let Some(metrics) = doc.get("metrics") {
         let _ = writeln!(out, "\n[metrics]");
         for section in ["counters", "gauges"] {
-            for m in metrics
-                .get(section)
-                .and_then(|v| v.as_arr())
-                .unwrap_or(&[])
-            {
+            for m in metrics.get(section).and_then(|v| v.as_arr()).unwrap_or(&[]) {
                 let name = m.get("name").and_then(|v| v.as_str()).unwrap_or("?");
                 let value = m.get("value").and_then(|v| v.as_f64()).unwrap_or(f64::NAN);
                 let labels = match m.get("labels") {
@@ -343,12 +338,12 @@ pub fn summarize_dump(doc: &Value) -> Result<String, TelemetryError> {
 /// unknown or the run wasn't traced
 /// ([`TelemetryError::LineageNotFound`]).
 pub fn lineage_chain(doc: &Value, batch: u32) -> Result<String, TelemetryError> {
-    let instants = doc
-        .get("instants")
-        .and_then(|v| v.as_arr())
-        .ok_or(TelemetryError::MalformedDump {
-            detail: "missing instants array".into(),
-        })?;
+    let instants =
+        doc.get("instants")
+            .and_then(|v| v.as_arr())
+            .ok_or(TelemetryError::MalformedDump {
+                detail: "missing instants array".into(),
+            })?;
     let want = batch.to_string();
     let mut out = String::new();
     let mut hops = 0usize;
@@ -383,7 +378,9 @@ pub fn lineage_chain(doc: &Value, batch: u32) -> Result<String, TelemetryError> 
     if hops == 0 {
         return Err(TelemetryError::LineageNotFound { batch });
     }
-    Ok(format!("lineage of batch {batch}: {hops} hop group(s)\n{out}"))
+    Ok(format!(
+        "lineage of batch {batch}: {hops} hop group(s)\n{out}"
+    ))
 }
 
 #[cfg(test)]
@@ -403,7 +400,15 @@ mod tests {
             SpanId::NONE,
             vec![],
         );
-        tel.span(Track::Planner, "sketch", ClockDomain::Wall, 0.0, 1.0, root, vec![]);
+        tel.span(
+            Track::Planner,
+            "sketch",
+            ClockDomain::Wall,
+            0.0,
+            1.0,
+            root,
+            vec![],
+        );
         tel.instant(Track::Node(0), "crash", ClockDomain::Sim, 1.5, vec![]);
         tel.counter_add("c_total", &[], 1);
         tel.snapshot()
@@ -447,16 +452,14 @@ mod tests {
         )
         .unwrap();
         assert!(validate_chrome_trace(&doc).is_err());
-        let doc = json::parse(
-            r#"{"traceEvents":[{"name":"a","ph":"B","ts":1.0,"pid":1,"tid":1}]}"#,
-        )
-        .unwrap();
+        let doc =
+            json::parse(r#"{"traceEvents":[{"name":"a","ph":"B","ts":1.0,"pid":1,"tid":1}]}"#)
+                .unwrap();
         let err = validate_chrome_trace(&doc).unwrap_err();
         assert!(err.to_string().contains("unclosed"), "{err}");
-        let doc = json::parse(
-            r#"{"traceEvents":[{"name":"a","ph":"E","ts":1.0,"pid":1,"tid":1}]}"#,
-        )
-        .unwrap();
+        let doc =
+            json::parse(r#"{"traceEvents":[{"name":"a","ph":"E","ts":1.0,"pid":1,"tid":1}]}"#)
+                .unwrap();
         assert!(validate_chrome_trace(&doc).is_err());
     }
 

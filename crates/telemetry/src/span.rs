@@ -116,7 +116,12 @@ mod tests {
 
     #[test]
     fn track_labels_round_trip() {
-        let tracks = [Track::Planner, Track::Coordinator, Track::Node(0), Track::Node(17)];
+        let tracks = [
+            Track::Planner,
+            Track::Coordinator,
+            Track::Node(0),
+            Track::Node(17),
+        ];
         let labels: Vec<String> = tracks.iter().map(Track::label).collect();
         assert_eq!(labels, ["planner", "coordinator", "node0", "node17"]);
     }

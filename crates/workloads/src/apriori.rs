@@ -214,7 +214,11 @@ impl Apriori {
         let mut start = 0;
         while start < top.last.len() {
             let parent = top.parent[start];
-            let end = start + top.parent[start..].iter().take_while(|&&p| p == parent).count();
+            let end = start
+                + top.parent[start..]
+                    .iter()
+                    .take_while(|&&p| p == parent)
+                    .count();
             tree.prefix(parent, &mut first[..width - 1], &mut ancestors);
             for i in start..end {
                 first[width - 1] = top.last[i];
@@ -264,7 +268,10 @@ impl Apriori {
 fn radix_sort(keys: &mut Vec<u64>, tids: &mut Vec<u32>) {
     let differ = keys.iter().fold(0, |acc, &key| acc | (key ^ keys[0]));
     let mut sorted = (vec![0u64; keys.len()], vec![0u32; tids.len()]);
-    for shift in (0..64).step_by(8).filter(|&shift| differ >> shift & 0xff != 0) {
+    for shift in (0..64)
+        .step_by(8)
+        .filter(|&shift| differ >> shift & 0xff != 0)
+    {
         let digit = |key: u64| (key >> shift) as usize & 0xff;
         let mut offsets = [0usize; 256];
         for &key in keys.iter() {
@@ -435,7 +442,10 @@ impl ItemBitsets {
         let (first, rest) = ranks.split_first().expect("a candidate has items");
         let mut count = 0;
         for (w, &word) in row(*first).iter().enumerate() {
-            count += rest.iter().fold(word, |acc, &rank| acc & row(rank)[w]).count_ones();
+            count += rest
+                .iter()
+                .fold(word, |acc, &rank| acc & row(rank)[w])
+                .count_ones();
         }
         count
     }
@@ -551,8 +561,7 @@ mod reference {
         let mut start = 0;
         while start < level.len() {
             let mut end = start + 1;
-            while end < level.len()
-                && level[end][..k_minus_1 - 1] == level[start][..k_minus_1 - 1]
+            while end < level.len() && level[end][..k_minus_1 - 1] == level[start][..k_minus_1 - 1]
             {
                 end += 1;
             }
@@ -579,23 +588,25 @@ mod reference {
         let mut subset = Vec::with_capacity(k - 1);
         for drop in 0..k - 2 {
             subset.clear();
-            subset.extend(
-                cand.iter()
-                    .enumerate()
-                    .filter_map(|(i, &v)| if i == drop { None } else { Some(v) }),
-            );
+            subset.extend(cand.iter().enumerate().filter_map(|(i, &v)| {
+                if i == drop {
+                    None
+                } else {
+                    Some(v)
+                }
+            }));
             *ops += (k as u64) * (level.len() as f64).log2().ceil() as u64;
-            if level.binary_search_by(|probe| probe.as_slice().cmp(&subset)).is_err() {
+            if level
+                .binary_search_by(|probe| probe.as_slice().cmp(&subset))
+                .is_err()
+            {
                 return false;
             }
         }
         true
     }
 
-    pub fn count_candidates(
-        candidates: &[Vec<u64>],
-        transactions: &[&ItemSet],
-    ) -> (Vec<u32>, u64) {
+    pub fn count_candidates(candidates: &[Vec<u64>], transactions: &[&ItemSet]) -> (Vec<u32>, u64) {
         let mut counts = vec![0u32; candidates.len()];
         let mut ops = 0u64;
         for t in transactions {
@@ -615,7 +626,9 @@ mod tests {
     use super::*;
 
     fn itemsets(raw: &[&[u64]]) -> Vec<ItemSet> {
-        raw.iter().map(|r| ItemSet::from_items(r.to_vec())).collect()
+        raw.iter()
+            .map(|r| ItemSet::from_items(r.to_vec()))
+            .collect()
     }
 
     fn refs(sets: &[ItemSet]) -> Vec<&ItemSet> {
@@ -624,12 +637,7 @@ mod tests {
 
     /// The canonical Agrawal–Srikant toy database.
     fn classic_db() -> Vec<ItemSet> {
-        itemsets(&[
-            &[1, 3, 4],
-            &[2, 3, 5],
-            &[1, 2, 3, 5],
-            &[2, 5],
-        ])
+        itemsets(&[&[1, 3, 4], &[2, 3, 5], &[1, 2, 3, 5], &[2, 5]])
     }
 
     #[test]
@@ -695,9 +703,7 @@ mod tests {
     fn lower_support_means_more_work() {
         // The paper's Fig. 6 premise: support is the workload's key knob.
         let db: Vec<ItemSet> = (0..60)
-            .map(|i| {
-                ItemSet::from_items(vec![1, 2, 3, 4 + (i % 6), 20 + (i % 9), 40 + (i % 4)])
-            })
+            .map(|i| ItemSet::from_items(vec![1, 2, 3, 4 + (i % 6), 20 + (i % 9), 40 + (i % 4)]))
             .collect();
         let run = |s: f64| {
             Apriori::new(AprioriConfig {
@@ -802,8 +808,16 @@ mod tests {
         for n in [0, 1, 63, 64, 65, 200] {
             let db = striped_db(n);
             let got = count_candidates(&cands, &refs(&db));
-            assert_eq!(got, reference::count_candidates(&cands, &refs(&db)), "n = {n}");
-            assert_eq!(got.1, n as u64 * 15, "n = {n}: ops is n x total candidate items");
+            assert_eq!(
+                got,
+                reference::count_candidates(&cands, &refs(&db)),
+                "n = {n}"
+            );
+            assert_eq!(
+                got.1,
+                n as u64 * 15,
+                "n = {n}: ops is n x total candidate items"
+            );
         }
         // No candidates at all.
         assert_eq!(count_candidates(&[], &refs(&striped_db(5))), (vec![], 0));
@@ -815,9 +829,13 @@ mod tests {
             .map(|i| ItemSet::from_items(vec![1, 2, 3, 4 + (i % 6), 20 + (i % 9), 40 + (i % 4)]))
             .collect();
         for db in [classic_db(), striped_db(65), striped_db(200), dense] {
-            for (min_support, max_len, max_candidates) in
-                [(0.5, 4, 200_000), (0.05, 6, 0), (0.2, 3, 0), (0.1, 5, 7), (1.0, 2, 1)]
-            {
+            for (min_support, max_len, max_candidates) in [
+                (0.5, 4, 200_000),
+                (0.05, 6, 0),
+                (0.2, 3, 0),
+                (0.1, 5, 7),
+                (1.0, 2, 1),
+            ] {
                 let cfg = AprioriConfig {
                     min_support,
                     max_len,
@@ -826,7 +844,10 @@ mod tests {
                 let (got, got_ops) = Apriori::new(cfg).mine(&refs(&db));
                 let (want, want_ops) = reference::mine(&cfg, &refs(&db));
                 assert_eq!(got.itemsets, want.itemsets, "{cfg:?}");
-                assert_eq!(got.candidates_generated, want.candidates_generated, "{cfg:?}");
+                assert_eq!(
+                    got.candidates_generated, want.candidates_generated,
+                    "{cfg:?}"
+                );
                 assert_eq!(got_ops, want_ops, "{cfg:?}");
                 assert_eq!(Apriori::new(cfg).ops(&refs(&db)), want_ops, "{cfg:?}");
             }

@@ -192,7 +192,9 @@ mod tests {
     use crate::apriori::{Apriori, AprioriConfig};
 
     fn db(raw: &[&[u64]]) -> Vec<ItemSet> {
-        raw.iter().map(|r| ItemSet::from_items(r.to_vec())).collect()
+        raw.iter()
+            .map(|r| ItemSet::from_items(r.to_vec()))
+            .collect()
     }
 
     fn refs(sets: &[ItemSet]) -> Vec<&ItemSet> {

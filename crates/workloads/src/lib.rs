@@ -235,10 +235,7 @@ mod tests {
         let ds = text_items();
         let refs: Vec<&DataItem> = ds.items.iter().collect();
         let (a, _) = run_workload(WorkloadKind::FrequentPatterns { support: 0.5 }, &refs);
-        let (e, _) = run_workload(
-            WorkloadKind::FrequentPatternsEclat { support: 0.5 },
-            &refs,
-        );
+        let (e, _) = run_workload(WorkloadKind::FrequentPatternsEclat { support: 0.5 }, &refs);
         match (a, e) {
             (WorkloadOutput::Patterns(pa), WorkloadOutput::Patterns(pe)) => {
                 assert_eq!(pa.itemsets, pe.itemsets);

@@ -177,8 +177,7 @@ pub fn lz77_decompress(stream: &[u8]) -> Result<Vec<u8>, Lz77Error> {
                     return Err(Lz77Error::Truncated);
                 }
                 let off =
-                    u16::from_le_bytes(stream[i + 1..i + 3].try_into().expect("2 bytes"))
-                        as usize;
+                    u16::from_le_bytes(stream[i + 1..i + 3].try_into().expect("2 bytes")) as usize;
                 let len = stream[i + 3] as usize;
                 if off == 0 || off > out.len() {
                     return Err(Lz77Error::BadOffset);
@@ -219,7 +218,11 @@ mod tests {
     fn roundtrip_repetitive_compresses() {
         let data: Vec<u8> = b"abcdefgh".iter().copied().cycle().take(10_000).collect();
         let (clen, _) = roundtrip(&data);
-        assert!(clen < data.len() / 10, "compressed {clen} of {}", data.len());
+        assert!(
+            clen < data.len() / 10,
+            "compressed {clen} of {}",
+            data.len()
+        );
     }
 
     #[test]
@@ -249,7 +252,10 @@ mod tests {
             "high-entropy data must stay near-incompressible: {clen} of {}",
             data.len()
         );
-        assert!(clen < data.len() + data.len() / 50 + 32, "overhead too high");
+        assert!(
+            clen < data.len() + data.len() / 50 + 32,
+            "overhead too high"
+        );
     }
 
     #[test]
@@ -260,8 +266,12 @@ mod tests {
             .collect();
         let mixed: Vec<u8> = (0..200u32)
             .flat_map(|i| {
-                format!("record:{:08x},{:08x};", i.wrapping_mul(2654435761), i * 7919)
-                    .into_bytes()
+                format!(
+                    "record:{:08x},{:08x};",
+                    i.wrapping_mul(2654435761),
+                    i * 7919
+                )
+                .into_bytes()
             })
             .collect();
         let (c_sim, _) = lz77_compress(&similar, &Lz77Config::default());
@@ -297,13 +307,25 @@ mod tests {
     #[should_panic]
     fn oversized_window_rejected() {
         // Offsets are u16: windows beyond 65536 are unencodable.
-        lz77_compress(b"x", &Lz77Config { window: 1 << 20, max_chain: 4 });
+        lz77_compress(
+            b"x",
+            &Lz77Config {
+                window: 1 << 20,
+                max_chain: 4,
+            },
+        );
     }
 
     #[test]
     #[should_panic]
     fn zero_chain_rejected() {
-        lz77_compress(b"x", &Lz77Config { window: 1024, max_chain: 0 });
+        lz77_compress(
+            b"x",
+            &Lz77Config {
+                window: 1024,
+                max_chain: 0,
+            },
+        );
     }
 
     #[test]

@@ -108,7 +108,11 @@ pub fn son_merge(
     let minsup = ((min_support * total_transactions as f64).ceil() as u32).max(1);
     let mut totals: HashMap<&[u64], u32> = HashMap::new();
     for counts in per_partition_counts {
-        assert_eq!(counts.len(), candidates.len(), "count vector shape mismatch");
+        assert_eq!(
+            counts.len(),
+            candidates.len(),
+            "count vector shape mismatch"
+        );
         for (cand, &c) in candidates.iter().zip(counts) {
             *totals.entry(cand.as_slice()).or_insert(0) += c;
         }
@@ -129,14 +133,8 @@ pub fn son_merge(
 }
 
 /// Reference single-process composition of both phases.
-pub fn son_distributed_mine(
-    partitions: &[Vec<&ItemSet>],
-    cfg: &AprioriConfig,
-) -> SonOutput {
-    let locals: Vec<SonLocal> = partitions
-        .iter()
-        .map(|p| son_local_mine(p, cfg))
-        .collect();
+pub fn son_distributed_mine(partitions: &[Vec<&ItemSet>], cfg: &AprioriConfig) -> SonOutput {
+    let locals: Vec<SonLocal> = partitions.iter().map(|p| son_local_mine(p, cfg)).collect();
     let local_refs: Vec<&MiningOutput> = locals.iter().map(|l| &l.local).collect();
     let candidates = son_candidate_union(&local_refs);
     let mut per_partition_counts = Vec::with_capacity(partitions.len());
@@ -166,7 +164,9 @@ mod tests {
     use super::*;
 
     fn db(raw: &[&[u64]]) -> Vec<ItemSet> {
-        raw.iter().map(|r| ItemSet::from_items(r.to_vec())).collect()
+        raw.iter()
+            .map(|r| ItemSet::from_items(r.to_vec()))
+            .collect()
     }
 
     fn cfg(support: f64) -> AprioriConfig {
@@ -211,10 +211,7 @@ mod tests {
         // only appears in half the data.
         let p1 = db(&[&[1, 2], &[1, 2], &[1, 2]]);
         let p2 = db(&[&[8, 9], &[8, 9], &[8, 9]]);
-        let partitions = vec![
-            p1.iter().collect::<Vec<_>>(),
-            p2.iter().collect::<Vec<_>>(),
-        ];
+        let partitions = vec![p1.iter().collect::<Vec<_>>(), p2.iter().collect::<Vec<_>>()];
         let son = son_distributed_mine(&partitions, &cfg(0.8));
         assert!(son.global_frequent.is_empty());
         assert_eq!(son.false_positives, son.candidate_count);
@@ -243,8 +240,14 @@ mod tests {
         // Skewed: each partition holds one topic, so every subset of that
         // topic's core is locally 100% frequent — candidate explosion.
         let by_topic = vec![
-            refs.iter().filter(|s| s.contains(1)).copied().collect::<Vec<_>>(),
-            refs.iter().filter(|s| s.contains(7)).copied().collect::<Vec<_>>(),
+            refs.iter()
+                .filter(|s| s.contains(1))
+                .copied()
+                .collect::<Vec<_>>(),
+            refs.iter()
+                .filter(|s| s.contains(7))
+                .copied()
+                .collect::<Vec<_>>(),
         ];
         let c = cfg(0.6);
         let son_strat = son_distributed_mine(&strat, &c);

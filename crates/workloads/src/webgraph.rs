@@ -310,8 +310,7 @@ mod tests {
         let host_b: Vec<Vec<u32>> = (0..50)
             .map(|i| vec![900, 901, 902, 903, 904, 1200 + i])
             .collect();
-        let grouped: Vec<Vec<u32>> =
-            host_a.iter().chain(host_b.iter()).cloned().collect();
+        let grouped: Vec<Vec<u32>> = host_a.iter().chain(host_b.iter()).cloned().collect();
         let mut interleaved = Vec::new();
         for (a, b) in host_a.iter().zip(&host_b) {
             interleaved.push(a.clone());
@@ -319,7 +318,9 @@ mod tests {
         }
         let size = |lists: &[Vec<u32>]| {
             let refs: Vec<&[u32]> = lists.iter().map(Vec::as_slice).collect();
-            webgraph_compress(&refs, &WebGraphConfig { window: 1 }).0.len()
+            webgraph_compress(&refs, &WebGraphConfig { window: 1 })
+                .0
+                .len()
         };
         assert!(
             size(&grouped) < size(&interleaved),

@@ -6,8 +6,8 @@ use proptest::prelude::*;
 
 use pareto_datagen::ItemSet;
 use pareto_workloads::{
-    lz77_compress, lz77_decompress, son_distributed_mine, webgraph_compress,
-    webgraph_decompress, Apriori, AprioriConfig, Lz77Config, WebGraphConfig,
+    lz77_compress, lz77_decompress, son_distributed_mine, webgraph_compress, webgraph_decompress,
+    Apriori, AprioriConfig, Lz77Config, WebGraphConfig,
 };
 
 proptest! {

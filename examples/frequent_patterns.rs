@@ -89,11 +89,7 @@ fn main() {
         else {
             unreachable!("mining workload yields mining quality");
         };
-        println!(
-            "\n{:<18} sizes {:?}",
-            strategy.label(),
-            outcome.plan.sizes
-        );
+        println!("\n{:<18} sizes {:?}", strategy.label(), outcome.plan.sizes);
         println!(
             "  time {:>8.1}s  dirty {:>7.1} kJ  candidates {:>6}  false+ {:>6}  frequent {}",
             outcome.report.makespan_seconds,

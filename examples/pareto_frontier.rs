@@ -31,7 +31,9 @@ fn main() {
 
     println!("predicted frontier (LP only, no execution):");
     println!("{:>10} {:>12} {:>14}", "alpha", "time_s", "dirty_kJ");
-    let alphas = [1.0, 0.9999, 0.999, 0.997, 0.995, 0.99, 0.97, 0.95, 0.9, 0.5, 0.0];
+    let alphas = [
+        1.0, 0.9999, 0.999, 0.997, 0.995, 0.99, 0.97, 0.95, 0.9, 0.5, 0.0,
+    ];
     for &alpha in &alphas {
         let point = modeler.solve(dataset.len(), alpha).expect("feasible LP");
         println!(

@@ -42,7 +42,9 @@ fn main() {
                 ..FrameworkConfig::default()
             },
         );
-        let outcome = framework.try_run(&dataset, workload).expect("non-empty dataset");
+        let outcome = framework
+            .try_run(&dataset, workload)
+            .expect("non-empty dataset");
         print_report(strategy.label(), &outcome.report);
         if let Quality::Mining {
             global_frequent,

@@ -382,8 +382,8 @@ pub mod prelude {
 
     pub use crate::collection;
     pub use crate::{
-        any, prop_assert, prop_assert_eq, prop_assert_ne, proptest, Arbitrary, BoxedStrategy,
-        Just, ProptestConfig, Strategy,
+        any, prop_assert, prop_assert_eq, prop_assert_ne, proptest, Arbitrary, BoxedStrategy, Just,
+        ProptestConfig, Strategy,
     };
 }
 

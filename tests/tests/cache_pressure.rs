@@ -27,7 +27,9 @@ fn cfg(seed: u64, strategy: Strategy) -> FrameworkConfig {
 /// into `telemetry`) and return the cache handle.
 fn churn_cache(capacity: usize, rounds: usize, telemetry: Arc<Telemetry>) -> SharedPlanCache {
     let seed = 2017;
-    let cluster = Arc::new(SimCluster::new(NodeSpec::paper_cluster(4, 400.0, 2, 9, seed)));
+    let cluster = Arc::new(SimCluster::new(NodeSpec::paper_cluster(
+        4, 400.0, 2, 9, seed,
+    )));
     let dataset = pareto_datagen::rcv1_syn(seed, 0.03);
     let shared = SharedPlanCache::new(capacity);
     let alphas = [0.9, 0.95, 0.99, 0.999];
@@ -202,7 +204,9 @@ fn telemetry_counts_every_eviction() {
         .iter()
         .filter(|(key, _)| {
             key.name == metrics::PLAN_CACHE_EVENTS_TOTAL
-                && key.labels.contains(&("event".to_string(), "evict".to_string()))
+                && key
+                    .labels
+                    .contains(&("event".to_string(), "evict".to_string()))
         })
         .map(|(_, &n)| n)
         .sum();
@@ -218,7 +222,10 @@ fn counters_reconcile_with_occupancy_under_pressure() {
     for capacity in [2usize, 4, 8, 64] {
         let (hits, misses, evictions, len, cap) = churn(capacity, 12);
         assert_eq!(cap, capacity);
-        assert!(len <= capacity, "cap {capacity}: occupancy {len} over capacity");
+        assert!(
+            len <= capacity,
+            "cap {capacity}: occupancy {len} over capacity"
+        );
         assert_eq!(
             misses - evictions,
             len as u64,
@@ -258,7 +265,9 @@ fn smaller_cache_trades_hits_for_evictions() {
 #[test]
 fn evicting_cache_still_serves_bit_correct_plans() {
     let seed = 2017;
-    let cluster = Arc::new(SimCluster::new(NodeSpec::paper_cluster(4, 400.0, 2, 9, seed)));
+    let cluster = Arc::new(SimCluster::new(NodeSpec::paper_cluster(
+        4, 400.0, 2, 9, seed,
+    )));
     let dataset = pareto_datagen::rcv1_syn(seed, 0.03);
     let shared = SharedPlanCache::new(2);
     let mut session = PlanSession::new_shared(
@@ -272,12 +281,9 @@ fn evicting_cache_still_serves_bit_correct_plans() {
     for &alpha in &[0.9, 0.99, 0.9, 0.999, 0.99] {
         session.set_alpha(alpha);
         let warm = session.plan().expect("pressured plan");
-        let cold = Framework::new(
-            &cluster,
-            cfg(seed, Strategy::HetEnergyAware { alpha }),
-        )
-        .try_plan(&dataset, WORKLOAD)
-        .expect("non-empty dataset");
+        let cold = Framework::new(&cluster, cfg(seed, Strategy::HetEnergyAware { alpha }))
+            .try_plan(&dataset, WORKLOAD)
+            .expect("non-empty dataset");
         let warm_point = warm.pareto.as_ref().expect("warm pareto point");
         let cold_point = cold.pareto.as_ref().expect("cold pareto point");
         assert_eq!(warm.sizes, cold.sizes, "alpha {alpha}: sizes diverged");

@@ -130,8 +130,7 @@ fn shrinker_keeps_a_minimal_conjunction_in_order() {
         .with_snapshot_loss(3)
         .with_store_errors(0, 2);
     // Failure requires BOTH the torn write on 1 and the snapshot loss on 3.
-    let needs_both =
-        |p: &FaultPlan| p.torn_write(1).is_some() && p.snapshot_lost(3);
+    let needs_both = |p: &FaultPlan| p.torn_write(1).is_some() && p.snapshot_lost(3);
     let minimal = shrink_schedule(&plan, needs_both);
     assert_eq!(minimal.len(), 2, "minimal: {}", minimal.to_spec());
     assert_eq!(minimal.to_spec(), "torn:1@7, snaploss:3");

@@ -162,7 +162,10 @@ fn run_outcomes_identical_across_thread_counts() {
         let par = run_at(threads);
         assert_eq!(base.plan.sizes, par.plan.sizes);
         assert_eq!(base.report.makespan_seconds, par.report.makespan_seconds);
-        assert_eq!(base.report.total_dirty_linear, par.report.total_dirty_linear);
+        assert_eq!(
+            base.report.total_dirty_linear,
+            par.report.total_dirty_linear
+        );
     }
 }
 

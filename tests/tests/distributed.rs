@@ -96,10 +96,7 @@ fn pipelined_bulk_load_is_cheaper_than_sequential() {
     // Sequential puts.
     let mut seq_cost = Cost::ZERO;
     for i in 0..n {
-        let (_, c) = cl
-            .store(0)
-            .rpush("seq", vec![0u8; 32])
-            .unwrap();
+        let (_, c) = cl.store(0).rpush("seq", vec![0u8; 32]).unwrap();
         seq_cost.add(c);
         let _ = i;
     }

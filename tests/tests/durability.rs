@@ -11,7 +11,12 @@ use proptest::prelude::*;
 /// spaces are typed so no writer trips a WrongType error: strings under
 /// `k:*`, lists under `log:<thread>`, one shared counter. Returns the
 /// pre-WAL baseline snapshot.
-fn concurrent_workload(store: &KvStore, seed: u64, threads: usize, ops_per_thread: usize) -> Vec<u8> {
+fn concurrent_workload(
+    store: &KvStore,
+    seed: u64,
+    threads: usize,
+    ops_per_thread: usize,
+) -> Vec<u8> {
     // Pre-existing state that only the snapshot (not the WAL) carries.
     store.set("meta:origin", b"seed-state".to_vec()).unwrap();
     store.set_counter("counter:shared", 0).unwrap();
@@ -37,7 +42,9 @@ fn concurrent_workload(store: &KvStore, seed: u64, threads: usize, ops_per_threa
                             store.incr("counter:shared").expect("bump shared counter");
                         }
                         _ => {
-                            store.del(&format!("k:{}", draw % 16)).expect("delete string key");
+                            store
+                                .del(&format!("k:{}", draw % 16))
+                                .expect("delete string key");
                         }
                     }
                 }

@@ -127,7 +127,10 @@ fn elastic_composition_leaves_fault_only_sweeps_untouched() {
         );
         assert_eq!(mixed.len(), faults.len() + roster, "seed {seed}");
     }
-    assert!(churned > 0, "the roster mix must churn somewhere in the sweep");
+    assert!(
+        churned > 0,
+        "the roster mix must churn somewhere in the sweep"
+    );
 
     let c1 = sweep(1, &composed);
     let c2 = sweep(1, &composed);
@@ -161,9 +164,12 @@ fn combined_shrinker_isolates_culprits_from_both_halves() {
 fn join_advice_is_deterministic_and_self_consistent() {
     let (cluster, dataset, cfg) = setup(1);
     let items = dataset.len();
-    let mut session = PlanSession::new(&cluster, cfg, dataset, WorkloadKind::FrequentPatterns {
-        support: 0.15,
-    });
+    let mut session = PlanSession::new(
+        &cluster,
+        cfg,
+        dataset,
+        WorkloadKind::FrequentPatterns { support: 0.15 },
+    );
     let cold = session.plan().expect("cold plan");
     let models = cold.time_models.as_ref().expect("het-aware fits models");
     let fits: Vec<_> = models.iter().map(|m| m.fit).collect();
@@ -225,7 +231,10 @@ fn single_drain_schedule_audits_clean_with_handoffs() {
         .try_run_with_faults(&dataset, wl, &drain, &RecoveryConfig::default())
         .expect("drained run");
     let rec = &run.outcome.recovery;
-    assert!(rec.exactly_once, "drain must preserve exactly-once: {rec:?}");
+    assert!(
+        rec.exactly_once,
+        "drain must preserve exactly-once: {rec:?}"
+    );
     assert_eq!(rec.left_nodes, vec![1], "node 1 must leave at {t}s");
     assert!(
         rec.handoff_records >= 1 && rec.items_handed_off >= 1,

@@ -275,10 +275,38 @@ const PIN_SEEDS: [u64; 3] = [7, 11, 2017];
 /// single draw shows here, checked against the past rather than against
 /// the generator itself.
 const GENERATOR_PINS: [(&str, [u64; 3]); 4] = [
-    ("default", [0xeaa2_8094_77bd_2d3a, 0x2c41_3212_e184_2f52, 0xd935_f6d1_b942_ecf3]),
-    ("storage", [0x41e9_7e7e_b3ec_ac51, 0x13c0_8945_7cf3_0485, 0xb699_8231_1f15_328b]),
-    ("serving", [0x12ef_5f4e_cfb9_a1bd, 0x7ba5_8176_7f58_8218, 0x2cb3_75fa_43c5_5cc3]),
-    ("roster", [0xcba9_19ba_9f26_bacc, 0x15ce_0813_fbea_a4e8, 0xd0c2_9473_8224_1430]),
+    (
+        "default",
+        [
+            0xeaa2_8094_77bd_2d3a,
+            0x2c41_3212_e184_2f52,
+            0xd935_f6d1_b942_ecf3,
+        ],
+    ),
+    (
+        "storage",
+        [
+            0x41e9_7e7e_b3ec_ac51,
+            0x13c0_8945_7cf3_0485,
+            0xb699_8231_1f15_328b,
+        ],
+    ),
+    (
+        "serving",
+        [
+            0x12ef_5f4e_cfb9_a1bd,
+            0x7ba5_8176_7f58_8218,
+            0x2cb3_75fa_43c5_5cc3,
+        ],
+    ),
+    (
+        "roster",
+        [
+            0xcba9_19ba_9f26_bacc,
+            0x15ce_0813_fbea_a4e8,
+            0xd0c2_9473_8224_1430,
+        ],
+    ),
 ];
 
 /// The spec of one pinned generated plan: `seeded:S` and `eseeded:S`
@@ -300,7 +328,10 @@ fn generated_plans_match_their_pinned_digests() {
     for (family, pins) in GENERATOR_PINS {
         for (seed, pin) in PIN_SEEDS.into_iter().zip(pins) {
             let spec = generated_spec(family, seed);
-            assert!(!spec.is_empty(), "{family} at seed {seed} drew an empty plan");
+            assert!(
+                !spec.is_empty(),
+                "{family} at seed {seed} drew an empty plan"
+            );
             assert_eq!(spec_digest(&spec), pin, "{family} at seed {seed}: `{spec}`");
         }
     }

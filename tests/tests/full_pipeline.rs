@@ -109,11 +109,13 @@ fn mining_results_are_strategy_invariant() {
         Strategy::Random,
         Strategy::RoundRobin,
     ] {
-        let outcome =
-            Framework::new(&cl, cfg(strategy, PartitionLayout::Representative))
-                .try_run(&ds, workload)
-                .expect("non-empty dataset");
-        let Quality::Mining { global_frequent, .. } = outcome.quality else {
+        let outcome = Framework::new(&cl, cfg(strategy, PartitionLayout::Representative))
+            .try_run(&ds, workload)
+            .expect("non-empty dataset");
+        let Quality::Mining {
+            global_frequent, ..
+        } = outcome.quality
+        else {
             panic!("expected mining quality");
         };
         counts.push(global_frequent);
@@ -131,9 +133,12 @@ fn cluster_mode_reports_hash_dictated_sizes() {
     // produced (and must still be an exact cover).
     let cl = cluster(4);
     let ds = pareto_datagen::rcv1_syn(13, 0.08);
-    let plan = Framework::new(&cl, cfg(Strategy::ClusterMode, PartitionLayout::Representative))
-        .try_plan(&ds, WorkloadKind::FrequentPatterns { support: 0.15 })
-        .expect("non-empty dataset");
+    let plan = Framework::new(
+        &cl,
+        cfg(Strategy::ClusterMode, PartitionLayout::Representative),
+    )
+    .try_plan(&ds, WorkloadKind::FrequentPatterns { support: 0.15 })
+    .expect("non-empty dataset");
     assert!(plan.time_models.is_none(), "cluster-mode never estimates");
     assert!(plan.pareto.is_none(), "cluster-mode never optimizes");
     assert_eq!(plan.estimation_cost.compute_ops, 0);
@@ -194,9 +199,12 @@ fn estimation_cost_is_small_relative_to_job() {
     // §III: the progressive-sampling estimate is "a one-time cost (small)".
     let cl = cluster(4);
     let ds = pareto_datagen::rcv1_syn(11, 0.12);
-    let outcome = Framework::new(&cl, cfg(Strategy::HetAware, PartitionLayout::Representative))
-        .try_run(&ds, WorkloadKind::FrequentPatterns { support: 0.15 })
-        .expect("non-empty dataset");
+    let outcome = Framework::new(
+        &cl,
+        cfg(Strategy::HetAware, PartitionLayout::Representative),
+    )
+    .try_run(&ds, WorkloadKind::FrequentPatterns { support: 0.15 })
+    .expect("non-empty dataset");
     let est_ops = outcome.plan.estimation_cost.compute_ops;
     let job_ops: u64 = outcome.report.runs.iter().map(|r| r.cost.compute_ops).sum();
     assert!(est_ops > 0);
@@ -228,9 +236,12 @@ fn plan_sizes_respect_node_speeds() {
 fn single_node_cluster_degenerates_gracefully() {
     let cl = cluster(1);
     let ds = pareto_datagen::rcv1_syn(5, 0.05);
-    let outcome = Framework::new(&cl, cfg(Strategy::HetAware, PartitionLayout::Representative))
-        .try_run(&ds, WorkloadKind::FrequentPatterns { support: 0.2 })
-        .expect("non-empty dataset");
+    let outcome = Framework::new(
+        &cl,
+        cfg(Strategy::HetAware, PartitionLayout::Representative),
+    )
+    .try_run(&ds, WorkloadKind::FrequentPatterns { support: 0.2 })
+    .expect("non-empty dataset");
     assert_eq!(outcome.plan.sizes, vec![ds.len()]);
     assert!(outcome.report.makespan_seconds > 0.0);
 }

@@ -47,7 +47,12 @@ const GOLDEN: &[(&str, u64, Pin)] = &[
     ("uk_syn", 2017, Pin { assignments: 0xb7588aa0bc7e54a4, iterations: 20, measure: 0xfc9ea72b3be02b62, sizes: 0x132c5fc2e0772ac4 }),
 ];
 
-type Domain = (&'static str, fn(u64) -> Dataset, WorkloadKind, PartitionLayout);
+type Domain = (
+    &'static str,
+    fn(u64) -> Dataset,
+    WorkloadKind,
+    PartitionLayout,
+);
 
 fn domains() -> [Domain; 3] {
     [
@@ -256,7 +261,10 @@ fn observe_append(seed: u64, threads: usize) -> AppendPin {
     session.append_items(extra);
     let plan = session.plan().expect("non-empty dataset");
     let reuse = session.last_reuse();
-    assert!(!reuse.sketch && !reuse.stratify, "an append must re-stratify");
+    assert!(
+        !reuse.sketch && !reuse.stratify,
+        "an append must re-stratify"
+    );
     AppendPin {
         assignments: digest(plan.stratification.assignments.iter().map(|&c| c as u64)),
         iterations: plan.stratification.iterations,

@@ -80,7 +80,8 @@ const GOLDEN: &[(&str, f64, Pin)] = &[
 
 /// `None` → 0, `Some(x)` → 1 then `x`: keeps `Some(0)` apart from `None`.
 fn opt_words(v: &[Option<u64>]) -> impl Iterator<Item = u64> + '_ {
-    v.iter().flat_map(|o| [u64::from(o.is_some()), o.unwrap_or(0)])
+    v.iter()
+        .flat_map(|o| [u64::from(o.is_some()), o.unwrap_or(0)])
 }
 
 fn list_words(v: &[usize]) -> impl Iterator<Item = u64> + '_ {
@@ -90,11 +91,13 @@ fn list_words(v: &[usize]) -> impl Iterator<Item = u64> + '_ {
 /// Every field of the outcome, f64s by bit pattern.
 fn outcome_digest(out: &RecoveryOutcome) -> u64 {
     let r = &out.recovery;
-    let bits = |v: &[Option<f64>]| -> Vec<Option<u64>> {
-        v.iter().map(|o| o.map(f64::to_bits)).collect()
-    };
-    let completed_by: Vec<Option<u64>> =
-        out.completed_by.iter().map(|o| o.map(|n| n as u64)).collect();
+    let bits =
+        |v: &[Option<f64>]| -> Vec<Option<u64>> { v.iter().map(|o| o.map(f64::to_bits)).collect() };
+    let completed_by: Vec<Option<u64>> = out
+        .completed_by
+        .iter()
+        .map(|o| o.map(|n| n as u64))
+        .collect();
     let mut words: Vec<u64> = vec![
         r.faults_injected as u64,
         r.replans as u64,
@@ -172,7 +175,9 @@ fn run(alpha: f64, threads: usize, faults: &FaultPlan) -> (RecoveryOutcome, Tele
     let mut snap = tel.snapshot();
     snap.spans.retain(|s| s.domain == ClockDomain::Sim);
     snap.instants.retain(|i| i.domain == ClockDomain::Sim);
-    snap.metrics.histograms.retain(|k, _| k.name != "pareto_plan_stage_s");
+    snap.metrics
+        .histograms
+        .retain(|k, _| k.name != "pareto_plan_stage_s");
     (out.outcome, snap)
 }
 
@@ -272,7 +277,10 @@ fn recovery_matches_the_pins_recorded_before_the_executor_collapse() {
             let observe = |threads: usize| {
                 let (out, snap) = run(alpha, threads, &faults);
                 let dump = json_dump(&snap, &[]);
-                assert!(dump.contains(marker), "{name} alpha {alpha}: dump lacks {marker}");
+                assert!(
+                    dump.contains(marker),
+                    "{name} alpha {alpha}: dump lacks {marker}"
+                );
                 Pin {
                     outcome: outcome_digest(&out),
                     dump: digest(dump.bytes().map(u64::from)),

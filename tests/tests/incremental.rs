@@ -184,7 +184,10 @@ fn alpha_sweep_computes_upstream_stages_once() {
 
     let label = |key: &MetricKey, name: &str| {
         let value = key.labels.iter().find(|(k, _)| k == name);
-        value.expect("plan-cache counters carry stage and event").1.clone()
+        value
+            .expect("plan-cache counters carry stage and event")
+            .1
+            .clone()
     };
     let in_telemetry: BTreeMap<(String, String), u64> = telemetry
         .snapshot()
@@ -241,7 +244,10 @@ fn append_replan_matches_cold_plan_over_grown_dataset() {
     assert_eq!(stats.misses("sketch"), 2);
     assert_eq!(stats.hits("sketch"), 1, "prefix sketch must be reused");
     let reuse = session.last_reuse();
-    assert!(!reuse.sketch && !reuse.stratify, "append must recompute content stages");
+    assert!(
+        !reuse.sketch && !reuse.stratify,
+        "append must recompute content stages"
+    );
 }
 
 /// Dropping a node invalidates profile/optimize/partition but keeps the
@@ -267,8 +273,14 @@ fn drop_node_replan_matches_cold_subset_plan() {
 
     let stats = session.cache_stats();
     let reuse = session.last_reuse();
-    assert!(reuse.sketch && reuse.stratify, "content stages must survive node churn");
-    assert!(!reuse.profile && !reuse.partition, "roster stages must recompute");
+    assert!(
+        reuse.sketch && reuse.stratify,
+        "content stages must survive node churn"
+    );
+    assert!(
+        !reuse.profile && !reuse.partition,
+        "roster stages must recompute"
+    );
     assert_eq!(
         stats.hits("measure"),
         1,
@@ -295,12 +307,7 @@ fn drop_node_replan_matches_cold_subset_plan() {
 fn empty_inputs_are_typed_errors() {
     let cl = cluster(7);
     let empty = Dataset::new("empty", pareto_datagen::DataKind::Text, vec![]);
-    let mut session = PlanSession::new(
-        &cl,
-        cfg(7, 1, Strategy::Stratified),
-        empty,
-        WORKLOAD,
-    );
+    let mut session = PlanSession::new(&cl, cfg(7, 1, Strategy::Stratified), empty, WORKLOAD);
     let err = session.plan().expect_err("empty dataset must not plan");
     assert!(err.to_string().contains("empty dataset"), "got: {err}");
 
@@ -312,13 +319,22 @@ fn empty_inputs_are_typed_errors() {
     }
     // Dropping the last node would empty the roster — refused eagerly
     // with its own typed error, not a downstream infeasible-LP failure.
-    let err = session.drop_node(3).expect_err("last-node drop must be refused");
+    let err = session
+        .drop_node(3)
+        .expect_err("last-node drop must be refused");
     assert!(
         matches!(err, pareto_core::PlanError::LastRosterNode { node: 3 }),
         "got: {err}"
     );
-    assert!(err.to_string().contains("last node on the roster"), "got: {err}");
-    assert_eq!(session.roster(), &[3], "failed drop must leave the roster intact");
+    assert!(
+        err.to_string().contains("last node on the roster"),
+        "got: {err}"
+    );
+    assert_eq!(
+        session.roster(),
+        &[3],
+        "failed drop must leave the roster intact"
+    );
 }
 
 /// A mining support outside (0, 1] is a typed error before the first
@@ -438,7 +454,10 @@ fn shared_cache_sessions_replan_bit_identically() {
         .with_shared_cache(shared.clone());
     let mut b = PlanSession::new_shared(cl.clone(), cfg(seed, 1, strategy), ds.clone(), WORKLOAD)
         .with_shared_cache(shared.clone());
-    assert!(a.cache().same_store(b.cache()), "sessions must share one store");
+    assert!(
+        a.cache().same_store(b.cache()),
+        "sessions must share one store"
+    );
 
     // Session A pays for the pipeline once.
     let plan_a = a.plan().expect("session A plan");
@@ -476,13 +495,13 @@ fn shared_cache_sessions_replan_bit_identically() {
     // stages, and still matches a cold reference bit for bit.
     a.set_alpha(0.9);
     let warm = a.plan().expect("alpha replan via shared cache");
-    let cold_alpha = Framework::new(
-        &cl,
-        cfg(seed, 1, Strategy::HetEnergyAware { alpha: 0.9 }),
-    )
-    .try_plan(&ds, WORKLOAD)
-    .expect("non-empty dataset");
+    let cold_alpha = Framework::new(&cl, cfg(seed, 1, Strategy::HetEnergyAware { alpha: 0.9 }))
+        .try_plan(&ds, WORKLOAD)
+        .expect("non-empty dataset");
     assert_plans_identical(&warm, &cold_alpha, "shared-cache alpha replan");
     let reuse = a.last_reuse();
-    assert!(reuse.sketch && reuse.stratify && reuse.profile, "upstream stages must be reused");
+    assert!(
+        reuse.sketch && reuse.stratify && reuse.profile,
+        "upstream stages must be reused"
+    );
 }

@@ -23,8 +23,8 @@ const REL_TOL: f64 = 1e-3;
 fn traced_run(seed: u64, faults: &FaultPlan) -> (SimCluster, FaultRunOutcome, Arc<Telemetry>) {
     let ds = pareto_datagen::rcv1_syn(seed, 0.06);
     let tel = Telemetry::enabled();
-    let cl = SimCluster::new(NodeSpec::paper_cluster(4, 400.0, 2, 9, seed))
-        .with_telemetry(tel.clone());
+    let cl =
+        SimCluster::new(NodeSpec::paper_cluster(4, 400.0, 2, 9, seed)).with_telemetry(tel.clone());
     let cfg = FrameworkConfig {
         strategy: Strategy::HetEnergyAware { alpha: 0.995 },
         seed,
@@ -48,7 +48,10 @@ fn traced_run(seed: u64, faults: &FaultPlan) -> (SimCluster, FaultRunOutcome, Ar
 /// `NodeRun` totals; panics with the mismatch list on failure.
 fn assert_reconciles(cl: &SimCluster, out: &FaultRunOutcome, tel: &Telemetry, ctx: &str) {
     let snap = tel.snapshot();
-    assert!(!snap.ledger.is_empty(), "{ctx}: no ledger intervals recorded");
+    assert!(
+        !snap.ledger.is_empty(),
+        "{ctx}: no ledger intervals recorded"
+    );
     let rows = cl.attribute_energy(&snap.ledger);
     let reference: Vec<ReferenceTotal> = out
         .outcome
@@ -63,7 +66,10 @@ fn assert_reconciles(cl: &SimCluster, out: &FaultRunOutcome, tel: &Telemetry, ct
         })
         .collect();
     let errors = reconcile(&rows, &reference, REL_TOL);
-    assert!(errors.is_empty(), "{ctx}: ledger does not reconcile: {errors:#?}");
+    assert!(
+        errors.is_empty(),
+        "{ctx}: ledger does not reconcile: {errors:#?}"
+    );
     // The attribution genuinely split green off: the paper cluster starts
     // at hour 9, when the panels produce.
     assert!(

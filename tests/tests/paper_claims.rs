@@ -42,12 +42,18 @@ fn cfg(strategy: Strategy, layout: PartitionLayout) -> FrameworkConfig {
 fn het_aware_speedup_on_compression() {
     let cl = cluster(8);
     let ds = pareto_datagen::arabic_syn(SEED, 0.3);
-    let base = Framework::new(&cl, cfg(Strategy::Stratified, PartitionLayout::SimilarTogether))
-        .try_run(&ds, WorkloadKind::WebGraph)
-        .expect("non-empty dataset");
-    let het = Framework::new(&cl, cfg(Strategy::HetAware, PartitionLayout::SimilarTogether))
-        .try_run(&ds, WorkloadKind::WebGraph)
-        .expect("non-empty dataset");
+    let base = Framework::new(
+        &cl,
+        cfg(Strategy::Stratified, PartitionLayout::SimilarTogether),
+    )
+    .try_run(&ds, WorkloadKind::WebGraph)
+    .expect("non-empty dataset");
+    let het = Framework::new(
+        &cl,
+        cfg(Strategy::HetAware, PartitionLayout::SimilarTogether),
+    )
+    .try_run(&ds, WorkloadKind::WebGraph)
+    .expect("non-empty dataset");
     let speedup = 1.0 - het.report.makespan_seconds / base.report.makespan_seconds;
     assert!(
         speedup > 0.30,
@@ -64,12 +70,18 @@ fn het_aware_speedup_on_mining() {
     let cl = cluster(4);
     let ds = pareto_datagen::rcv1_syn(SEED, 0.15);
     let workload = WorkloadKind::FrequentPatterns { support: 0.12 };
-    let base = Framework::new(&cl, cfg(Strategy::Stratified, PartitionLayout::Representative))
-        .try_run(&ds, workload)
-        .expect("non-empty dataset");
-    let het = Framework::new(&cl, cfg(Strategy::HetAware, PartitionLayout::Representative))
-        .try_run(&ds, workload)
-        .expect("non-empty dataset");
+    let base = Framework::new(
+        &cl,
+        cfg(Strategy::Stratified, PartitionLayout::Representative),
+    )
+    .try_run(&ds, workload)
+    .expect("non-empty dataset");
+    let het = Framework::new(
+        &cl,
+        cfg(Strategy::HetAware, PartitionLayout::Representative),
+    )
+    .try_run(&ds, workload)
+    .expect("non-empty dataset");
     assert!(
         het.report.makespan_seconds < base.report.makespan_seconds,
         "het {} vs base {}",
@@ -85,9 +97,12 @@ fn energy_aware_trades_time_for_dirty_energy() {
     let cl = cluster(8);
     let ds = pareto_datagen::rcv1_syn(SEED, 0.15);
     let workload = WorkloadKind::FrequentPatterns { support: 0.12 };
-    let het = Framework::new(&cl, cfg(Strategy::HetAware, PartitionLayout::Representative))
-        .try_run(&ds, workload)
-        .expect("non-empty dataset");
+    let het = Framework::new(
+        &cl,
+        cfg(Strategy::HetAware, PartitionLayout::Representative),
+    )
+    .try_run(&ds, workload)
+    .expect("non-empty dataset");
     let green = Framework::new(
         &cl,
         cfg(
@@ -153,9 +168,12 @@ fn baseline_is_dominated_by_some_alpha() {
     let cl = cluster(8);
     let ds = pareto_datagen::rcv1_syn(SEED, 1.0);
     let workload = WorkloadKind::FrequentPatterns { support: 0.1 };
-    let base = Framework::new(&cl, cfg(Strategy::Stratified, PartitionLayout::Representative))
-        .try_run(&ds, workload)
-        .expect("non-empty dataset");
+    let base = Framework::new(
+        &cl,
+        cfg(Strategy::Stratified, PartitionLayout::Representative),
+    )
+    .try_run(&ds, workload)
+    .expect("non-empty dataset");
     let bt = base.report.makespan_seconds;
     let be = base.report.total_dirty_linear;
     let mut dominated = false;
@@ -180,7 +198,10 @@ fn baseline_is_dominated_by_some_alpha() {
             break;
         }
     }
-    assert!(dominated, "no swept α dominated the baseline ({bt}s, {be}J)");
+    assert!(
+        dominated,
+        "no swept α dominated the baseline ({bt}s, {be}J)"
+    );
 }
 
 /// §V-C2 quality claim: heterogeneity-aware partitions match the
@@ -207,10 +228,7 @@ fn compression_ratio_is_preserved() {
     .collect();
     let base = runs[0];
     for r in &runs[1..] {
-        assert!(
-            (r - base).abs() / base < 0.05,
-            "ratio drifted: {runs:?}"
-        );
+        assert!((r - base).abs() / base < 0.05, "ratio drifted: {runs:?}");
     }
 }
 
@@ -265,8 +283,7 @@ fn stratified_controls_candidate_inflation() {
     // Similar-together is the *adversarial* layout for mining: each
     // partition is one topic, so local support thresholds admit many
     // false positives.
-    let (cands_grouped, freq_grouped) =
-        get(Strategy::Stratified, PartitionLayout::SimilarTogether);
+    let (cands_grouped, freq_grouped) = get(Strategy::Stratified, PartitionLayout::SimilarTogether);
     assert_eq!(freq_rep, freq_grouped, "SON exactness");
     assert!(
         cands_rep <= cands_grouped,
@@ -343,10 +360,7 @@ fn scan_seeds_for_claim_shapes() {
         )
         .try_run(&big, big_workload)
         .expect("non-empty dataset");
-        let (bt, be) = (
-            base.report.makespan_seconds,
-            base.report.total_dirty_linear,
-        );
+        let (bt, be) = (base.report.makespan_seconds, base.report.total_dirty_linear);
         print!("seed {seed}: base ({bt:.0}s, {:.0} kJ);", be / 1000.0);
         let mut dominated = false;
         for &alpha in &[1.0, 0.999, 0.998, 0.997, 0.9965, 0.996, 0.995, 0.99] {
@@ -355,19 +369,11 @@ fn scan_seeds_for_claim_shapes() {
             } else {
                 Strategy::HetEnergyAware { alpha }
             };
-            let out = Framework::new(
-                &cl,
-                cfg_at(seed, strategy, PartitionLayout::Representative),
-            )
-            .try_run(&big, big_workload)
-            .expect("non-empty dataset");
-            let (t, e) = (
-                out.report.makespan_seconds,
-                out.report.total_dirty_linear,
-            );
-            let dom = t <= bt * 1.001
-                && e <= be * 1.001
-                && (t < bt * 0.98 || e < be * 0.98);
+            let out = Framework::new(&cl, cfg_at(seed, strategy, PartitionLayout::Representative))
+                .try_run(&big, big_workload)
+                .expect("non-empty dataset");
+            let (t, e) = (out.report.makespan_seconds, out.report.total_dirty_linear);
+            let dom = t <= bt * 1.001 && e <= be * 1.001 && (t < bt * 0.98 || e < be * 0.98);
             print!(
                 " a{alpha} ({t:.0}s, {:.1} kJ{})",
                 e / 1000.0,

@@ -164,7 +164,10 @@ fn soak_summaries_match_the_recorded_goldens() {
         (
             "ci-overload",
             SoakConfig {
-                service: ServiceConfig { queue_capacity: 2, ..base().service },
+                service: ServiceConfig {
+                    queue_capacity: 2,
+                    ..base().service
+                },
                 requests: 400,
                 clients: 16,
                 sim_workers: 1,
@@ -172,7 +175,15 @@ fn soak_summaries_match_the_recorded_goldens() {
             },
             0x2765_4fb2_94fe_0e1e,
         ),
-        ("no-chaos", SoakConfig { requests: 300, chaos: false, ..base() }, 0x8136_888f_5ea5_b443),
+        (
+            "no-chaos",
+            SoakConfig {
+                requests: 300,
+                chaos: false,
+                ..base()
+            },
+            0x8136_888f_5ea5_b443,
+        ),
     ];
     let mut mismatches = Vec::new();
     for (name, cfg, golden) in cases {
@@ -182,7 +193,10 @@ fn soak_summaries_match_the_recorded_goldens() {
             cfg.service.seed = 2017;
             cfg.service.threads = threads;
             let report = run_soak(cfg, None);
-            assert_eq!(report.audit_violations, 0, "{name}: soak audit must be clean");
+            assert_eq!(
+                report.audit_violations, 0,
+                "{name}: soak audit must be clean"
+            );
             let actual = digest(report.json.bytes().map(u64::from));
             if actual != golden {
                 mismatches.push(format!(

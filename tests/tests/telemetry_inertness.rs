@@ -20,7 +20,11 @@ use pareto_workloads::WorkloadKind;
 
 const THREADS: [usize; 3] = [1, 4, 8];
 
-fn make_framework(seed: u64, threads: usize, tel: Option<Arc<Telemetry>>) -> (SimCluster, FrameworkConfig) {
+fn make_framework(
+    seed: u64,
+    threads: usize,
+    tel: Option<Arc<Telemetry>>,
+) -> (SimCluster, FrameworkConfig) {
     let mut cl = SimCluster::new(NodeSpec::paper_cluster(4, 400.0, 2, 9, seed));
     if let Some(tel) = tel {
         cl = cl.with_telemetry(tel);
@@ -41,7 +45,8 @@ fn plan_with(seed: u64, threads: usize, tel: Option<Arc<Telemetry>>) -> Plan {
     if let Some(tel) = tel {
         fw = fw.with_telemetry(tel);
     }
-    fw.try_plan(&ds, WorkloadKind::FrequentPatterns { support: 0.15 }).expect("non-empty dataset")
+    fw.try_plan(&ds, WorkloadKind::FrequentPatterns { support: 0.15 })
+        .expect("non-empty dataset")
 }
 
 fn faulted_run_with(
@@ -104,7 +109,14 @@ fn plan_is_bit_identical_with_telemetry_on() {
         let on = plan_with(2017, threads, Some(tel.clone()));
         assert_plans_bit_identical(&off, &on, &format!("threads {threads}"));
         let snap = tel.snapshot();
-        for stage in ["plan", "sketch", "stratify", "profile", "optimize", "partition"] {
+        for stage in [
+            "plan",
+            "sketch",
+            "stratify",
+            "profile",
+            "optimize",
+            "partition",
+        ] {
             assert!(
                 snap.spans.iter().any(|s| s.name == stage),
                 "threads {threads}: no {stage:?} span recorded"
@@ -331,7 +343,10 @@ fn ledger_covers_busy_time_and_lineage_traces_the_crashed_batch() {
     // Every node that was accounted busy has ledger intervals, and their
     // busy-axis extents sum to the accounted busy seconds — coverage
     // without overlap, which is what makes the green integrals telescope.
-    assert!(!snap.ledger.is_empty(), "faulted run recorded no ledger intervals");
+    assert!(
+        !snap.ledger.is_empty(),
+        "faulted run recorded no ledger intervals"
+    );
     let mut busy_by_node: BTreeMap<usize, f64> = BTreeMap::new();
     for iv in &snap.ledger {
         assert!(
@@ -446,7 +461,10 @@ fn service_soak_is_inert_to_recording_but_counters_are_rich() {
         .filter(|(k, _)| k.name == SERVICE_RETRIES_TOTAL)
         .map(|(_, v)| *v)
         .sum();
-    assert_eq!(retry_total, recorded.retries, "retry counter out of balance");
+    assert_eq!(
+        retry_total, recorded.retries,
+        "retry counter out of balance"
+    );
     // Scattered soak stalls may never hit one tenant three times in a
     // row, so drive a breaker trip deterministically and check the
     // transition lands on the recorder.
