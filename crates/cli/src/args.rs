@@ -13,7 +13,7 @@ use std::str::FromStr;
 
 use pareto_cluster::Durability;
 use pareto_core::framework::Strategy;
-use pareto_core::frontier::ObjectiveSet;
+use pareto_core::frontier::{FrontierConfig, ObjectiveSet};
 use pareto_core::partitioner::PartitionLayout;
 use pareto_datagen::DataKind;
 use pareto_service::SoakConfig;
@@ -195,9 +195,6 @@ pub struct Common {
     /// Fault-injection spec (`run` only; `run --help` gives the grammar).
     /// Parsed against the cluster size at execution time.
     pub faults: Option<String>,
-    /// Roster-change spec (`run` only; `run --help` gives the grammar),
-    /// appended to `faults` and parsed with it at execution time.
-    pub elastic: Option<String>,
     /// KV durability mode (`run` only; WAL arms every node's store and
     /// verifies bit-identical recovery after the workload).
     pub durability: Durability,
@@ -225,7 +222,6 @@ impl Default for Common {
             seed: 2017,
             threads: 1,
             faults: None,
-            elastic: None,
             durability: Durability::None,
             trace_out: None,
             metrics_out: None,
@@ -462,15 +458,11 @@ const FLAGS: &[(&str, &str, Subs, &str, Setter)] = &[
       \x20 recrash:NODE@R     crash NODE mid-recovery after R records\n\
       \x20 stall:NODE@COUNT   stall NODE's next COUNT LP solves\n\
       \x20 seeded:SEED        deterministic generated plan\n\
-      and the roster changes --elastic lists",
-     |p, s| store(&mut p.common.faults, Ok(Some(s.into())))),
-    ("--elastic", "SPEC", RUN,
-     "roster changes, appended to any --faults (one grammar). SPEC is comma-separated:\n\
       \x20 join:NODE@T        NODE joins the roster at second T\n\
       \x20 drain:NODE@T       NODE finishes/hands off, then leaves\n\
       \x20 preempt:NODE@T@G   preemption notice at T, grace G s\n\
       \x20 eseeded:SEED       deterministic generated roster changes",
-     |p, s| store(&mut p.common.elastic, Ok(Some(s.into())))),
+     |p, s| store(&mut p.common.faults, Ok(Some(s.into())))),
     ("--sweep", "A1,A2,...", PLAN, "alphas to plan in turn through the warm session",
      |p, s| {
          store(&mut p.sweep, s.split(',').map(|a| num(a.trim())).collect())?;
@@ -484,7 +476,10 @@ const FLAGS: &[(&str, &str, Subs, &str, Setter)] = &[
      "comma-separated from time, energy, transfer (default time,energy)",
      |p, s| store(&mut p.objectives, ObjectiveSet::parse(s).map(Some))),
     ("--max-points", "N", FRONTIER, "cap on planned frontier vertices (default 48)",
-     |p, s| store(&mut p.max_points, within(2.., s).map(Some))),
+     |p, s| store(&mut p.max_points, num(s).and_then(|max_points| {
+         let cfg = FrontierConfig { max_points, ..FrontierConfig::default() };
+         cfg.validate().map(|()| Some(max_points))
+     }))),
     ("--drop-node", "N", REPLAN, "drop this node from the roster before replanning",
      |p, s| store(&mut p.drop_node, num(s).map(Some))),
     ("--restore-node", "N", REPLAN,
@@ -904,7 +899,17 @@ mod tests {
             parse(&argv("frontier --preset rcv1 --tol 1e-3")),
             Err(ParseError::Invalid(m)) if m == "unknown argument \"--tol\""
         ));
-        assert!(parse(&argv("frontier --preset rcv1 --max-points 1")).is_err());
+        // The library's bound: one vertex (the fastest) is a frontier, none
+        // is not.
+        assert!(matches!(
+            parse(&argv("frontier --preset rcv1 --max-points 1")),
+            Ok(Command::Frontier { max_points: 1, .. })
+        ));
+        assert!(matches!(
+            parse(&argv("frontier --preset rcv1 --max-points 0")),
+            Err(ParseError::Invalid(m))
+                if m == "bad --max-points \"0\": --max-points must be at least 1"
+        ));
         assert!(parse(&argv("frontier --preset rcv1 --max-points nope")).is_err());
     }
 
@@ -1165,22 +1170,22 @@ mod tests {
 
     #[test]
     fn parses_elastic_spec_and_chaos_flag() {
+        // Roster changes are clauses of the one `--faults` grammar.
         let spec = "join:3@20,drain:1@40,preempt:2@60@15,eseeded:7";
         let cmd = parse(&argv(&format!(
-            "run --preset rcv1 --nodes 4 --elastic {spec}"
+            "run --preset rcv1 --nodes 4 --faults {spec}"
         )))
         .unwrap();
         match cmd {
-            Command::Run { common } => assert_eq!(common.elastic.as_deref(), Some(spec)),
+            Command::Run { common } => assert_eq!(common.faults.as_deref(), Some(spec)),
             other => panic!("unexpected {other:?}"),
         }
-        // Default: no elastic plan.
+        // Default: no fault plan.
         let cmd = parse(&argv("run --preset rcv1")).unwrap();
         match cmd {
-            Command::Run { common } => assert!(common.elastic.is_none()),
+            Command::Run { common } => assert!(common.faults.is_none()),
             other => panic!("unexpected {other:?}"),
         }
-        assert!(parse(&argv("run --preset rcv1 --elastic")).is_err());
         let cmd = parse(&argv("chaos --preset rcv1 --with-elastic")).unwrap();
         assert!(matches!(
             cmd,
@@ -1448,100 +1453,105 @@ mod tests {
     /// with `lp_warm: …, ` cut from the `Debug` text and the flag dropped
     /// from the two argvs that passed it, so the check still compares
     /// against the past. `--tol` went the same way: the two `frontier`
-    /// digests were recomputed at 0c3b28f with `tol: 0.001, ` cut.
+    /// digests were recomputed at 0c3b28f with `tol: 0.001, ` cut. So did
+    /// `run`'s separate roster-change flag: every digest of a command with
+    /// a `Common` was recomputed at 7829c79 with its `elastic` field folded
+    /// into `faults` (joined by `,`, as `run` joined the two specs), and the
+    /// two argvs that passed that flag now pass the joined spec to
+    /// `--faults`.
     #[test]
     #[rustfmt::skip]
     fn documented_argvs_parse_to_the_commands_recorded_at_the_parent_commit() {
         let cases: &[(u64, &str)] = &[
             // .github/workflows/ci.yml
-            (0x5ebf_e0ce_cdbf_9a86,
+            (0xa5ea_f086_94e7_eaf3,
              "run --preset rcv1 --scale 0.25 --seed 7 --nodes 4 --strategy het-energy-aware \
               --workload patterns --faults crash:1@0.3 --trace-out t/trace.json \
               --metrics-out t/metrics.prom --telemetry-out t/dump.json"),
             (0x5b73_5b96_3fc1_88d8,
              "report --input t/dump.json --trace t/trace.json"),
-            (0x84dc_d6d4_0026_76ec,
+            (0xbf90_ebdd_d6db_559d,
              "plan --preset rcv1 --scale 0.25 --seed 7 --nodes 4 --strategy het-energy-aware \
               --workload patterns --sweep \
               1.0,0.999,0.995,0.99,0.95,0.9,0.75,0.5,0.25,0.1,0.0 --out a.txt \
               --telemetry-out c/dump.json"),
             (0x1731_3af5_7dff_13be,
              "report --input c/dump.json"),
-            (0xafac_a57a_a0af_9140,
+            (0x26b1_fd92_a7bd_bc71,
              "chaos --preset rcv1 --scale 0.05 --seed 2017 --nodes 4 --schedules 64"),
-            (0x1e84_bd58_e325_e249,
+            (0x8c59_6c35_79a9_0f24,
              "chaos --preset rcv1 --scale 0.05 --seed 2017 --nodes 4 --schedules 16 \
               --inject-corruption --flight-out c/flight-a.json"),
-            (0x071b_57e6_9af6_e8e1,
+            (0x95da_7ce0_51dd_ec7e,
              "run --preset rcv1 --scale 0.1 --seed 7 --nodes 4 --workload patterns \
               --durability wal"),
-            (0x82a3_919d_a76f_914b,
+            (0xfbcc_5cd4_03b6_ec00,
              "chaos --preset rcv1 --scale 0.05 --seed 2017 --nodes 4 --schedules 64 \
               --with-elastic"),
-            (0x150b_e485_a5a2_bfd2,
+            (0x93bc_6045_3248_ca09,
              "chaos --preset rcv1 --scale 0.05 --seed 2017 --nodes 4 --schedules 16 \
               --inject-corruption --with-elastic --flight-out e/flight-a.json"),
-            (0x0536_735d_8014_61ad,
-             "run --preset rcv1 --scale 0.05 --seed 2017 --nodes 4 --elastic \
+            (0xe5a7_488e_35a6_e302,
+             "run --preset rcv1 --scale 0.05 --seed 2017 --nodes 4 --faults \
               join:3@0.5,drain:1@1.0,preempt:2@1.5@5"),
-            (0x3f31_cb7c_e320_1565,
+            (0x9ec7_ebc5_09fa_e90e,
              "plan --preset rcv1 --scale 0.04 --seed 31 --nodes 4 --threads 8 \
               --strategy het-energy-aware --workload patterns --sweep \
               1.0,0.999,0.995,0.9,0.5,0.0 --out w/sweep.txt"),
-            (0x31a3_b7c2_5b12_149a,
+            (0xf14a_ae48_ae70_f6a1,
              "frontier --preset rcv1 --scale 0.04 --seed 31 --nodes 4 --threads 8 \
               --strategy het-energy-aware --workload patterns --out w/frontier.json"),
-            (0xd894_fbf5_07d9_9b93,
+            (0x5c36_0805_b076_2d96,
              "serve --soak --requests 1000 --seed 2017 --out s/soak-a.json"),
-            (0x4821_93ea_1055_d313,
+            (0x3a96_3552_9c26_a9b0,
              "serve --soak --requests 1000 --seed 2017 --threads 4 --out s/soak-b.json"),
-            (0x1cec_2470_2c5b_99e2,
+            (0x29d1_595d_a906_c4a7,
              "serve --soak --requests 400 --seed 2017 --clients 16 --sim-workers 1 \
               --queue-cap 2 --out s/soak-overload.json"),
             // benchmark/src/workloads/serve_mixed.rs::daemon_args behind proc.rs's `serve --listen`
-            (0xbd13_2549_987c_3024,
+            (0xa97c_a374_2cb4_454f,
              "serve --listen 127.0.0.1:0 --workers 2 --queue-cap 8 --cache-cap 4096 \
               --dataset-scale 0.125 --nodes 8 --threads 1 --seed 2017"),
             // README.md
             (0xd853_48fc_4167_e846,
              "gen --preset rcv1 --scale 0.25 --out corpus.txt"),
-            (0x3dec_2951_7707_a580,
+            (0xd2b2_ee59_182e_935b,
              "partition --input corpus.txt --kind text --nodes 8 --strategy het-aware \
               --workload patterns --support 0.1 --out parts/"),
-            (0x190f_343a_741a_1ffe,
+            (0x42ef_f829_6ce7_c57d,
              "run --preset uk --nodes 8 --strategy het-energy-aware --alpha 0.995 --workload \
               webgraph"),
-            (0x9140_767c_0cdc_50c2,
+            (0x96b2_5627_aa34_aba9,
              "run --preset rcv1 --nodes 4 --faults crash:1@2.0,slow:3@4,kv:2@2"),
-            (0x8bb0_83ea_fbdb_b881,
+            (0xc22d_8ed7_3816_04a8,
              "run --preset rcv1 --nodes 8 --faults seeded:99"),
-            (0x1508_190f_9561_8282,
+            (0xcfa4_e8d3_89af_cbe3,
              "run --preset rcv1 --nodes 4 --durability wal"),
-            (0xef8e_efe2_cd9e_681f,
+            (0x9464_ee5c_7c64_7290,
              "replan --preset rcv1 --nodes 4 --strategy het-energy-aware --workload patterns \
               --append-scale 0.01 --drop-node 2 --realpha 0.9"),
-            (0xaa2d_3663_8d74_4697,
+            (0x072b_2461_b178_74b2,
              "frontier --preset rcv1 --scale 0.05 --nodes 4 --objectives time,energy \
               --max-points 48 --out frontier.json"),
-            (0x9487_7519_0e75_556a,
-             "run --preset rcv1 --nodes 4 --faults crash:2@2.0 --elastic eseeded:99"),
-            (0x89ff_5c11_ffad_db82,
+            (0x6521_c53e_d7c2_1aca,
+             "run --preset rcv1 --nodes 4 --faults crash:2@2.0,eseeded:99"),
+            (0x3aee_ed1e_655b_10f5,
              "elastic --preset rcv1 --scale 0.05 --nodes 4 --candidate 3 --out advice.json"),
-            (0x823c_453c_9b9f_9bf0,
+            (0x798d_d950_d9a0_563d,
              "serve --soak --requests 400 --clients 16 --sim-workers 1 --queue-cap 2"),
-            (0x35c5_e643_94ae_9820,
+            (0xfa91_53f8_437b_7b8b,
              "serve --listen 127.0.0.1:7315 --workers 4"),
             (0x6d13_37c7_723d_789a,
              "report lineage --input dump.json --batch 1"),
             // .claude/skills/verify/SKILL.md
-            (0x48ef_6815_3a54_31ca,
+            (0xfe56_6b11_31ee_7a15,
              "partition --input /tmp/corpus.txt --kind text --nodes 4 --strategy \
               het-energy-aware --alpha 0.995 --workload patterns --support 0.12 --threads 4 \
               --out /tmp/parts/"),
-            (0x35c5_6923_f432_3dc1,
+            (0xf179_472e_5e86_a4e8,
              "run --preset uk --nodes 4 --scale 0.08 --strategy het-aware --workload \
               webgraph --threads 8"),
-            (0x444c_e188_c3a2_633a,
+            (0xb48b_34c6_6af7_0b37,
              "run --preset rcv1 --scale 0.05 --nodes 4 --seed 31 --faults crash:1@0.5 \
               --telemetry-out /tmp/d.json"),
         ];

@@ -503,14 +503,8 @@ fn execute(common: &Common) -> Result<(), String> {
     if let Some(tel) = TelemetrySession::recorder(&session) {
         fw = fw.with_telemetry(tel);
     }
-    if common.faults.is_some() || common.elastic.is_some() {
-        // `--elastic` clauses are fault-plan clauses, appended after `--faults`.
-        let specs: Vec<&str> = [&common.faults, &common.elastic]
-            .into_iter()
-            .flatten()
-            .map(String::as_str)
-            .collect();
-        let faults = FaultPlan::parse(&specs.join(","), common.nodes).map_err(|e| e.to_string())?;
+    if let Some(spec) = &common.faults {
+        let faults = FaultPlan::parse(spec, common.nodes).map_err(|e| e.to_string())?;
         let result = flight_guard(
             &session,
             execute_with_faults(&fw, &dataset, common, &faults),
@@ -786,7 +780,7 @@ fn replan_cmd(
     Ok(())
 }
 
-/// `run --faults` / `run --elastic`: execute through the fault-tolerant
+/// `run --faults`: execute through the fault-tolerant
 /// path (roster changes included) and print the structured recovery
 /// report next to the usual plan summary.
 fn execute_with_faults(

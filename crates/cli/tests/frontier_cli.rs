@@ -80,7 +80,7 @@ fn invalid_explorer_flags_exit_nonzero() {
         &["frontier", "--preset", "rcv1", "--objectives", "karma"],
         &["frontier", "--preset", "rcv1", "--objectives", ""],
         &["frontier", "--preset", "rcv1", "--tol", "1e-3"],
-        &["frontier", "--preset", "rcv1", "--max-points", "1"],
+        &["frontier", "--preset", "rcv1", "--max-points", "0"],
     ];
     for args in cases {
         let out = bin().args(*args).output().expect("spawn paretofab");

@@ -127,7 +127,7 @@ fn cases() -> Vec<(&'static str, String, Pin, u64)> {
         (
             "elastic-chaos-smoke/elastic-run",
             "run --preset rcv1 --scale 0.05 --seed 2017 --nodes 4 \
-             --elastic join:3@0.5,drain:1@1.0,preempt:2@1.5@5"
+             --faults join:3@0.5,drain:1@1.0,preempt:2@1.5@5"
                 .to_string(),
             Pin::Stdout,
             0xd20c_3a43_dbe8_c53d,

@@ -106,7 +106,6 @@ impl JobReport {
 pub struct SimCluster {
     nodes: Vec<NodeSpec>,
     stores: Vec<KvStore>,
-    network: NetworkModel,
     /// Instrumentation recorder (disabled by default: every recording
     /// call is a no-op and no epoch state mutates).
     telemetry: Arc<Telemetry>,
@@ -119,7 +118,7 @@ pub struct SimCluster {
 }
 
 impl SimCluster {
-    /// Build a cluster from node specs with the default network and
+    /// Build a cluster from node specs with the datacenter network and
     /// compute rate; rejects an empty node list.
     pub fn try_new(nodes: Vec<NodeSpec>) -> Result<Self, ClusterError> {
         if nodes.is_empty() {
@@ -129,13 +128,12 @@ impl SimCluster {
         Ok(SimCluster {
             nodes,
             stores,
-            network: NetworkModel::default(),
             telemetry: Telemetry::disabled(),
             sim_epoch: Mutex::new(0.0),
         })
     }
 
-    /// Build a cluster from node specs with the default network and
+    /// Build a cluster from node specs with the datacenter network and
     /// compute rate.
     ///
     /// # Panics
@@ -194,11 +192,6 @@ impl SimCluster {
         &self.stores[id]
     }
 
-    /// Network model in force.
-    pub fn network(&self) -> &NetworkModel {
-        &self.network
-    }
-
     /// Base compute rate (type-1 ops/second):
     /// [`DEFAULT_BASE_OPS_PER_SEC`].
     pub fn base_ops_per_sec(&self) -> f64 {
@@ -239,38 +232,13 @@ impl SimCluster {
         cost.seconds(
             self.nodes[node_id].speed(),
             DEFAULT_BASE_OPS_PER_SEC,
-            &self.network,
+            &NetworkModel::DATACENTER,
         )
     }
 
-    /// Charge a node's run and produce its [`NodeRun`].
+    /// Charge a node's run for the seconds its cost converts to.
     fn account(&self, node_id: usize, cost: Cost) -> NodeRun {
-        let node = &self.nodes[node_id];
-        let seconds = self.cost_to_seconds(node_id, &cost);
-        let power = node.power();
-        let energy_joules = power.energy_joules(seconds);
-        let dirty_linear = dirty_energy_joules(
-            &power,
-            &node.trace,
-            JOB_START_S,
-            seconds,
-            DirtyEnergyMode::PaperLinear,
-        );
-        let dirty_clamped = dirty_energy_joules(
-            &power,
-            &node.trace,
-            JOB_START_S,
-            seconds,
-            DirtyEnergyMode::Clamped,
-        );
-        NodeRun {
-            node_id,
-            seconds,
-            energy_joules,
-            dirty_joules_linear: dirty_linear,
-            dirty_joules_clamped: dirty_clamped,
-            cost,
-        }
+        self.account_busy(node_id, self.cost_to_seconds(node_id, &cost), cost)
     }
 
     /// Account a node that was busy for an explicit number of simulated

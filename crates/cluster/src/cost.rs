@@ -108,7 +108,7 @@ mod tests {
 
     #[test]
     fn seconds_scale_with_speed() {
-        let net = NetworkModel::default();
+        let net = NetworkModel::DATACENTER;
         let c = Cost::compute(1_000_000);
         let fast = c.seconds(1.0, 1e6, &net);
         let slow = c.seconds(0.25, 1e6, &net);
@@ -118,7 +118,10 @@ mod tests {
 
     #[test]
     fn network_not_scaled_by_speed() {
-        let net = NetworkModel::new(100e-6, 1e9).unwrap();
+        let net = NetworkModel {
+            latency_s: 100e-6,
+            bandwidth_bps: 1e9,
+        };
         let c = Cost::request(0);
         assert_eq!(c.seconds(1.0, 1e6, &net), c.seconds(0.25, 1e6, &net));
     }

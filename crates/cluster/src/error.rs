@@ -5,15 +5,11 @@
 //! so the constructors now surface these as values (the panicking
 //! convenience constructors remain and delegate to the `try_` forms).
 
-/// Why a cluster, network, or job configuration was rejected.
+/// Why a cluster or job configuration was rejected.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ClusterError {
     /// A cluster needs at least one node.
     EmptyCluster,
-    /// Network latency must be non-negative and finite.
-    BadLatency(f64),
-    /// Network bandwidth must be positive and finite.
-    BadBandwidth(f64),
     /// `execute_job` needs exactly one task per node.
     TaskCountMismatch {
         /// Number of nodes in the cluster.
@@ -36,12 +32,6 @@ impl std::fmt::Display for ClusterError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ClusterError::EmptyCluster => write!(f, "cluster needs at least one node"),
-            ClusterError::BadLatency(l) => {
-                write!(f, "latency must be non-negative and finite, got {l}")
-            }
-            ClusterError::BadBandwidth(b) => {
-                write!(f, "bandwidth must be positive and finite, got {b}")
-            }
             ClusterError::TaskCountMismatch { nodes, tasks } => {
                 write!(
                     f,

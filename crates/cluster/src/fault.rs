@@ -1056,7 +1056,7 @@ mod tests {
         assert_eq!(plan.straggler_factor(2), 1.0);
         assert_eq!(plan.store_error_count(0), 2);
         assert_eq!(plan.store_error_count(1), 0);
-        let base = NetworkModel::datacenter();
+        let base = NetworkModel::DATACENTER;
         let inside = plan.network_at(3, 15.0, &base);
         assert!(inside.latency_s > base.latency_s);
         assert!(inside.bandwidth_bps < base.bandwidth_bps);
@@ -1124,7 +1124,7 @@ mod tests {
         assert_eq!(plan.crash_time(3), Some(120.5));
         assert_eq!(plan.straggler_factor(1), 2.5);
         assert_eq!(plan.store_error_count(0), 2);
-        let base = NetworkModel::datacenter();
+        let base = NetworkModel::DATACENTER;
         assert_ne!(plan.network_at(2, 30.0, &base), base);
         assert_eq!(plan.network_at(2, 80.0, &base), base);
     }

@@ -7,8 +7,9 @@
 //!
 //! * string values and **lists** of byte sequences (`GET`/`SET`/`RPUSH`/
 //!   `LRANGE`/`LLEN`/`DEL`),
-//! * the atomic **fetch-and-increment** (`INCR`) the global barrier is
-//!   built on,
+//! * the atomic **fetch-and-increment** (`INCR`), the paper's barrier
+//!   primitive (§IV; SON's barrier is charged as two 8-byte requests per
+//!   node),
 //! * **pipelining**: requests queue locally and ship in batches of the
 //!   configured width, paying one network round trip per batch,
 //! * the §IV **blob layout**: a whole partition's records concatenated as
@@ -378,7 +379,7 @@ impl KvStore {
     }
 
     /// Atomic fetch-and-increment (`INCR`); returns the post-increment
-    /// value. This is the primitive the global barrier uses (§IV).
+    /// value: the paper's barrier primitive (§IV).
     pub fn incr(&self, key: &str) -> Result<(i64, Cost), KvError> {
         match self.single(Op::Incr(key.to_owned()))? {
             (Reply::Int(n), cost) => Ok((n, cost)),
@@ -394,7 +395,7 @@ impl KvStore {
         }
     }
 
-    /// Read a counter without mutating (used by barrier polls).
+    /// Read a counter without mutating.
     pub fn counter_value(&self, key: &str) -> Result<(i64, Cost), KvError> {
         match self.single(Op::Get(key.to_owned()))? {
             (Reply::Int(n), cost) => Ok((n, cost)),

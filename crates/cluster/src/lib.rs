@@ -20,7 +20,6 @@
 //!   4-byte length prefixes, `GET`/`PUT`/`RPUSH`/`LRANGE`, atomic
 //!   fetch-and-increment, and request **pipelining** with the same cost
 //!   structure as Redis pipelining (round trips amortized over batches).
-//! * [`barrier`] — the global barrier built on fetch-and-increment (§IV).
 //! * [`cluster`] — [`SimCluster`](cluster::SimCluster): runs one real task
 //!   per node (optionally on real threads), charges simulated time and
 //!   energy, and reports makespan + per-node dirty energy.
@@ -38,7 +37,6 @@
 //! Simulated time is `f64` seconds derived from integer operation counts —
 //! reproducible to the bit across runs and machines.
 
-pub mod barrier;
 pub mod cluster;
 pub mod cost;
 pub mod error;
@@ -49,7 +47,6 @@ pub mod node;
 pub mod persist;
 pub mod wal;
 
-pub use barrier::GlobalBarrier;
 pub use cluster::{JobCtx, JobReport, NodeRun, SimCluster};
 pub use cost::Cost;
 pub use error::ClusterError;

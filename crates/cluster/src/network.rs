@@ -6,8 +6,6 @@
 //! real hardware ("known to substantially improve the response times",
 //! §IV): batching k requests into one round trip saves `(k−1)·latency`.
 
-use crate::error::ClusterError;
-
 /// Latency/bandwidth network model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkModel {
@@ -18,25 +16,12 @@ pub struct NetworkModel {
 }
 
 impl NetworkModel {
-    /// Create a model; rejects non-positive bandwidth, negative latency,
-    /// and non-finite values.
-    pub fn new(latency_s: f64, bandwidth_bps: f64) -> Result<Self, ClusterError> {
-        if !(latency_s >= 0.0 && latency_s.is_finite()) {
-            return Err(ClusterError::BadLatency(latency_s));
-        }
-        if !(bandwidth_bps > 0.0 && bandwidth_bps.is_finite()) {
-            return Err(ClusterError::BadBandwidth(bandwidth_bps));
-        }
-        Ok(NetworkModel {
-            latency_s,
-            bandwidth_bps,
-        })
-    }
-
-    /// An intra-rack datacenter network: 100 µs RTT, 1 Gbit/s effective.
-    pub fn datacenter() -> Self {
-        NetworkModel::new(100e-6, 125e6).expect("datacenter constants are valid")
-    }
+    /// The one network every cluster runs on: an intra-rack datacenter
+    /// network, 100 µs RTT, 1 Gbit/s effective.
+    pub const DATACENTER: NetworkModel = NetworkModel {
+        latency_s: 100e-6,
+        bandwidth_bps: 125e6,
+    };
 
     /// Time to move `bytes` using `round_trips` request round trips.
     pub fn transfer_seconds(&self, bytes: u64, round_trips: u64) -> f64 {
@@ -55,19 +40,13 @@ impl NetworkModel {
     }
 }
 
-impl Default for NetworkModel {
-    fn default() -> Self {
-        NetworkModel::datacenter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn latency_dominates_small_requests() {
-        let net = NetworkModel::datacenter();
+        let net = NetworkModel::DATACENTER;
         let many = net.transfer_seconds(1000, 1000);
         let one = net.transfer_seconds(1000, 1);
         assert!(many > 50.0 * one, "pipelining must matter: {many} vs {one}");
@@ -75,27 +54,16 @@ mod tests {
 
     #[test]
     fn bandwidth_term() {
-        let net = NetworkModel::new(0.0, 100.0).unwrap();
+        let net = NetworkModel {
+            latency_s: 0.0,
+            bandwidth_bps: 100.0,
+        };
         assert!((net.transfer_seconds(250, 5) - 2.5).abs() < 1e-12);
     }
 
     #[test]
-    fn rejects_bad_configs() {
-        assert_eq!(
-            NetworkModel::new(0.0, 0.0),
-            Err(ClusterError::BadBandwidth(0.0))
-        );
-        assert_eq!(
-            NetworkModel::new(-1.0, 100.0),
-            Err(ClusterError::BadLatency(-1.0))
-        );
-        assert!(NetworkModel::new(f64::NAN, 100.0).is_err());
-        assert!(NetworkModel::new(0.0, f64::INFINITY).is_err());
-    }
-
-    #[test]
     fn degradation_slows_transfers() {
-        let base = NetworkModel::datacenter();
+        let base = NetworkModel::DATACENTER;
         let slow = base.degraded(8.0);
         assert!(slow.transfer_seconds(1 << 20, 4) > base.transfer_seconds(1 << 20, 4));
         // Factors below 1 never speed a link up.

@@ -32,10 +32,10 @@ use bytes::Bytes;
 
 /// Labels for the five loggable operations, indexed by wire tag. Shared
 /// by [`WalStats`] and the `pareto_wal_records_total{op}` counter.
-pub const WAL_OP_LABELS: [&str; 5] = ["set", "rpush", "incr", "set_counter", "del"];
+pub(crate) const WAL_OP_LABELS: [&str; 5] = ["set", "rpush", "incr", "set_counter", "del"];
 
 /// Segment-rotation threshold (bytes of framed records).
-pub const DEFAULT_SEGMENT_BYTES: usize = 64 * 1024;
+pub(crate) const DEFAULT_SEGMENT_BYTES: usize = 64 * 1024;
 
 /// One logical, replayable store mutation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,7 +74,7 @@ pub enum WalOp {
 }
 
 impl WalOp {
-    /// Wire tag (index into [`WAL_OP_LABELS`]).
+    /// Wire tag (index into `WAL_OP_LABELS`).
     fn tag(&self) -> u8 {
         match self {
             WalOp::Set { .. } => 0,
@@ -249,7 +249,8 @@ pub struct WalStats {
     pub bytes: usize,
     /// Sealed segments plus the active one (when non-empty).
     pub segments: usize,
-    /// Records per operation kind, in [`WAL_OP_LABELS`] order.
+    /// Records per operation kind, in wire-tag order (`set`, `rpush`,
+    /// `incr`, `set_counter`, `del`).
     pub records_by_op: [u64; 5],
 }
 
@@ -279,7 +280,7 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// An empty log, rotating segments at [`DEFAULT_SEGMENT_BYTES`].
+    /// An empty log, rotating segments at `DEFAULT_SEGMENT_BYTES` (64 KiB).
     pub fn new() -> Self {
         Wal::default()
     }

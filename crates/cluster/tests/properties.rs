@@ -62,7 +62,7 @@ proptest! {
         trips in 0u64..1u64 << 16,
         speed_sel in 0usize..4,
     ) {
-        let net = NetworkModel::datacenter();
+        let net = NetworkModel::DATACENTER;
         let speed = [1.0, 0.5, 1.0 / 3.0, 0.25][speed_sel];
         let rate = 1.0e6;
         let a = Cost { compute_ops: ops1, bytes, round_trips: trips };

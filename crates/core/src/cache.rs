@@ -1,4 +1,4 @@
-//! Content-addressed artifact cache for the staged planning engine.
+//! Content-addressed artifact cache for the staged planning pipeline.
 //!
 //! Every stage of the plan pipeline ([`crate::stages`]) names its output
 //! with a [`Fingerprint`] — a seeded SplitMix64 digest of every input the
@@ -274,7 +274,7 @@ impl PlanCache {
 /// tenant, in the plan-serving daemon) can share one artifact store and
 /// identical dataset digests dedupe fleet-wide.
 ///
-/// Single-threaded semantics are unchanged: every engine gets a private
+/// Single-threaded semantics are unchanged: every session gets a private
 /// `SharedPlanCache` by default, the lock is uncontended, and the
 /// fingerprint/eviction behavior inside is exactly [`PlanCache`]'s — the
 /// wrapper adds sharing, not policy. Under contention the lock is held for

@@ -30,7 +30,8 @@ use crate::estimator::{NodeTimeModel, SamplingPlan};
 use crate::pareto::ParetoPoint;
 use crate::partitioner::PartitionLayout;
 use crate::recovery::{self, ExecRequest, RecoveryConfig, RecoveryOutcome};
-use crate::stages::{PlanEngine, PlanError};
+use crate::session::PlanSession;
+use crate::stages::PlanError;
 use crate::stealing::RecordWork;
 
 /// Partitioning strategy under test (§V-C compares the first three).
@@ -309,17 +310,16 @@ impl<'a> Framework<'a> {
     /// over every record), **stratify** (compositeKModes over the
     /// sketches), **profile** (energy `k_i` profiles + progressive-sampling
     /// time models), **optimize** (Pareto LP), and **partition**
-    /// (materialization) — in a one-shot cold
-    /// [`crate::stages::PlanEngine`]; long-lived callers use
-    /// [`crate::session::PlanSession`] to keep the engine's artifact cache
-    /// warm across replans. The first three stages shard their inner loops
+    /// (materialization) — in a one-shot cold [`PlanSession`] over the
+    /// borrowed dataset; long-lived callers keep a session of their own to
+    /// keep its artifact cache warm across replans. The first three stages shard their inner loops
     /// across [`FrameworkConfig::threads`] workers; the plan is
     /// bit-identical at any thread count. Planning failures (empty dataset,
     /// infeasible LP) come back as a typed [`PlanError`].
     pub fn try_plan(&self, dataset: &Dataset, workload: WorkloadKind) -> Result<Plan, PlanError> {
-        PlanEngine::new(self.cluster, self.cfg.clone())
+        PlanSession::borrowed(self.cluster, self.cfg.clone(), dataset, workload)
             .with_telemetry(self.telemetry.clone())
-            .plan(dataset, workload)
+            .plan()
     }
 
     /// Plan, place, and execute the workload; returns the measured run, or
@@ -533,7 +533,8 @@ impl<'a> Framework<'a> {
                         part.iter().map(|&i| &dataset.items[i].items).collect();
                     let local = son_local_mine_with(miner, &sets, &cfg);
                     cost.add(Cost::compute(local.ops));
-                    // Barrier before the union step (§IV).
+                    // Barrier before the union step (§IV): an `INCR`
+                    // arrival and one confirming poll, 8 bytes each.
                     cost.add(Cost::request(8).plus(Cost::request(8)));
                     (local.local, cost)
                 }

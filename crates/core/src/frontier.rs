@@ -1,10 +1,9 @@
 //! The Pareto frontier as a finite list, plus the dominance order that
 //! filters it.
 //!
-//! [`crate::pareto::ParetoModeler::frontier`] maps `solve` over a
-//! caller-supplied α grid, so the "frontier" it reports can contain
-//! dominated points and misses every bend between grid steps. This module
-//! lists the frontier instead:
+//! Mapping `solve` over a fixed α grid can report dominated points and
+//! misses every bend between grid steps. This module lists the frontier
+//! instead:
 //!
 //! 1. [`dominates`] defines a **strict partial order** over a configurable
 //!    [`ObjectiveSet`] — completion time, dirty energy, transfer bytes,

@@ -75,7 +75,7 @@ pub use recovery::{
     ExecRequest, RecoveryConfig, RecoveryConfigError, RecoveryOutcome, RecoveryReport,
 };
 pub use session::{FrontierOutcome, PlanSession};
-pub use stages::{dataset_fingerprint, Deadline, PlanEngine, PlanError, StageReuse};
+pub use stages::{dataset_fingerprint, Deadline, PlanError, StageReuse};
 pub use stealing::RecordWork;
 
 // The stratifier is a first-class component of the framework; re-export it

@@ -28,8 +28,6 @@
 use pareto_energy::NodeEnergyProfile;
 use pareto_stats::{largest_remainder_apportion, LinearFit};
 
-use crate::frontier::pareto_frontier;
-
 /// Errors from planning.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PartitionPlanError {
@@ -527,45 +525,6 @@ impl ParetoModeler {
         self.point_from_fractional(1.0, n, fractional)
     }
 
-    /// Sweep `α` values to trace the Pareto frontier (the paper's Fig. 5).
-    ///
-    /// A fixed grid is *not* guaranteed to produce a clean frontier: two
-    /// grid points can map to plans where one dominates the other, and
-    /// every vertex between grid steps is missed. The sweep still returns
-    /// every point (callers may want the raw curve), but each dominated
-    /// point emits a structured warning event (target `pareto`); use
-    /// [`vertices`](Self::vertices) (or [`crate::frontier::explore`]) for
-    /// the exact frontier.
-    pub fn frontier(
-        &self,
-        n: usize,
-        alphas: &[f64],
-    ) -> Result<Vec<ParetoPoint>, PartitionPlanError> {
-        let points = alphas
-            .iter()
-            .map(|&a| self.solve(n, a))
-            .collect::<Result<Vec<_>, _>>()?;
-        let objectives: Vec<Vec<f64>> = points
-            .iter()
-            .map(|p| vec![p.predicted_makespan, p.predicted_dirty_joules])
-            .collect();
-        let keep = pareto_frontier(&objectives);
-        for (i, p) in points.iter().enumerate() {
-            if !keep.contains(&i) {
-                pareto_telemetry::event::warn(
-                    "pareto",
-                    format!(
-                        "swept point alpha={} is dominated within its own sweep \
-                         (time {:.6} s, dirty {:.3} J); the fixed grid is not a \
-                         frontier — list its vertices (`frontier` command)",
-                        p.alpha, p.predicted_makespan, p.predicted_dirty_joules
-                    ),
-                );
-            }
-        }
-        Ok(points)
-    }
-
     /// Scale-free scalarization — the normalization the paper proposes as
     /// future work ("this problem can be avoided by normalizing both the
     /// objective functions to 0-1 scale", §III-D).
@@ -617,7 +576,7 @@ impl ParetoModeler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frontier::hypervolume;
+    use crate::frontier::{hypervolume, pareto_frontier};
 
     fn fit(slope: f64, intercept: f64) -> LinearFit {
         LinearFit {
@@ -748,7 +707,10 @@ mod tests {
     fn frontier_trades_time_for_energy() {
         let m = paper_modeler([20.0, 80.0, 120.0, 150.0]);
         let alphas = [1.0, 0.9999, 0.999, 0.99, 0.9, 0.5, 0.0];
-        let frontier = m.frontier(20_000, &alphas).unwrap();
+        let frontier: Vec<ParetoPoint> = alphas
+            .iter()
+            .map(|&a| m.solve(20_000, a).unwrap())
+            .collect();
         // Monotone trends along the sweep (within tiny tolerance).
         for w in frontier.windows(2) {
             assert!(
@@ -866,7 +828,7 @@ mod tests {
         let m = paper_modeler([20.0, 60.0, 100.0, 140.0]);
         let n = 50_000;
         let alphas = [1.0, 0.999, 0.995, 0.99, 0.9, 0.0];
-        let frontier = m.frontier(n, &alphas).unwrap();
+        let frontier: Vec<ParetoPoint> = alphas.iter().map(|&a| m.solve(n, a).unwrap()).collect();
         let points: Vec<(f64, f64)> = frontier
             .iter()
             .map(|p| (p.predicted_makespan, p.predicted_dirty_joules))

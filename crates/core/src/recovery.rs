@@ -48,7 +48,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use pareto_cluster::{Cost, FaultPlan, JobReport, SimCluster};
+use pareto_cluster::{Cost, FaultPlan, JobReport, NetworkModel, SimCluster};
 use pareto_energy::NodeEnergyProfile;
 use pareto_stats::LinearFit;
 use pareto_telemetry::{ClockDomain, SpanId, Telemetry, Track};
@@ -761,7 +761,7 @@ impl<'a> Sim<'a> {
     /// stretched by the node's straggler factor.
     fn event_seconds(&self, node: usize, cost: &Cost, now: f64) -> f64 {
         let cluster = self.req.cluster;
-        let net = self.faults.network_at(node, now, cluster.network());
+        let net = self.faults.network_at(node, now, &NetworkModel::DATACENTER);
         cost.seconds(cluster.node(node).speed(), cluster.base_ops_per_sec(), &net)
             * self.straggler[node]
     }

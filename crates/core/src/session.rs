@@ -1,36 +1,101 @@
-//! A long-lived planning session: one [`PlanEngine`] kept warm across
-//! replans, plus the delta operations a production planner sees most —
-//! dataset appends, node churn, and α/strategy changes.
+//! The planner: a cluster, a configuration, an artifact cache and an
+//! active node roster over one dataset/workload pair. [`PlanSession::plan`]
+//! runs the five cache-keyed stages of [`crate::stages`] as straight-line
+//! code; the delta operations a production planner sees most — dataset
+//! appends, node churn, and α/strategy changes — edit the session between
+//! plans, and only stages whose keys changed rerun.
 //!
-//! The session owns its dataset and maintains the content chain digest
-//! incrementally (appending records extends a chain hash), so an append
-//! costs a digest of the *new* records only and the previous generation's
-//! digest survives as the prefix hint that lets the sketch stage reuse its
-//! cached signatures.
+//! A long-lived session owns its dataset and maintains the content chain
+//! digest incrementally (appending records extends a chain hash), so an
+//! append costs a digest of the *new* records only and the previous
+//! generation's digest survives as the prefix hint that lets the sketch
+//! stage reuse its cached signatures. [`crate::Framework::try_plan`] opens
+//! a one-shot cold session over a *borrowed* dataset.
 //!
 //! Every plan a warm session produces is bit-identical to a cold
 //! [`crate::Framework::try_plan`] over the same inputs — the cache only ever
 //! returns what a cold compute would have produced (the `incremental`
 //! integration suite proptests this across deltas, threads, and seeds).
 
+use std::borrow::Cow;
 use std::sync::Arc;
+use std::time::Instant;
 
-use pareto_cluster::SimCluster;
+use pareto_cluster::{Cost, SimCluster};
 use pareto_datagen::{DataItem, Dataset};
+use pareto_energy::NodeEnergyProfile;
+use pareto_sketch::SignatureMatrix;
+use pareto_stats::LinearFit;
+use pareto_stratify::Stratifier;
 use pareto_telemetry::Telemetry;
 use pareto_workloads::WorkloadKind;
 
 use crate::cache::{CacheStats, Fingerprint, SharedPlanCache};
-use crate::framework::{FrameworkConfig, Plan, Strategy};
+use crate::estimator::{EnergyEstimator, HeterogeneityEstimator, NodeTimeModel};
+use crate::framework::{FrameworkConfig, Plan, PlanTimings, Strategy};
 use crate::frontier::{explore, AlphaSolver, FrontierConfig, FrontierPoint, FrontierResult};
 use crate::pareto::{ParetoModeler, PartitionPlanError};
 use crate::partitioner::DataPartitioner;
-use crate::stages::{self, Deadline, PlanEngine, PlanError, StageReuse};
+use crate::stages::{
+    self, cached, placement_seed, record_plan_telemetry, sampling_seed, sketch_key,
+    strategy_needs_models, validate_sampling, validate_stratifier, Deadline, KeyInputs, PlanError,
+    StageRecord, StageReuse, StageRunner,
+};
 
-/// A replanning session over one dataset/workload pair.
+/// How a session holds its cluster: borrowed (zero-cost) or shared (`Arc`,
+/// for sessions that must be `'static` — one per tenant in the plan
+/// server).
+enum ClusterRef<'a> {
+    Borrowed(&'a SimCluster),
+    Shared(Arc<SimCluster>),
+}
+
+impl ClusterRef<'_> {
+    fn get(&self) -> &SimCluster {
+        match self {
+            ClusterRef::Borrowed(c) => c,
+            ClusterRef::Shared(c) => c,
+        }
+    }
+}
+
+/// The `profile` artifact: energy `k_i` profiles for the roster plus (for
+/// model-driven strategies) the fitted per-node time models and the
+/// one-time estimation cost.
+struct ProfileArtifact {
+    profiles: Vec<NodeEnergyProfile>,
+    models: Option<Vec<NodeTimeModel>>,
+    cost: Cost,
+}
+
+/// The `measure` sub-artifact: the raw `(sample size, ops)` measurements
+/// behind the fits. Crucially **node-independent** — a roster change
+/// re-fits without re-measuring.
+struct MeasureArtifact {
+    measurements: Vec<(usize, u64)>,
+    cost: Cost,
+}
+
+/// The `partition` artifact: final sizes + record placement.
+struct PartitionArtifact {
+    sizes: Vec<usize>,
+    partitions: Vec<Vec<usize>>,
+}
+
+/// A planning session over one dataset/workload pair.
 pub struct PlanSession<'a> {
-    engine: PlanEngine<'a>,
-    dataset: Dataset,
+    cluster: ClusterRef<'a>,
+    cfg: FrameworkConfig,
+    telemetry: Arc<Telemetry>,
+    cache: SharedPlanCache,
+    /// Active node ids (sorted).
+    roster: Vec<usize>,
+    last_reuse: StageReuse,
+    /// Cooperative cancellation token, polled before every stage.
+    deadline: Deadline,
+    /// Owned by a long-lived session; borrowed by the cold one-shot plan
+    /// of [`crate::Framework::try_plan`], which must not copy it.
+    dataset: Cow<'a, Dataset>,
     workload: WorkloadKind,
     /// Chain digest of the current dataset contents.
     dataset_fp: Fingerprint,
@@ -47,7 +112,12 @@ impl<'a> PlanSession<'a> {
         dataset: Dataset,
         workload: WorkloadKind,
     ) -> Self {
-        Self::over(PlanEngine::new(cluster, cfg), dataset, workload)
+        Self::over(
+            ClusterRef::Borrowed(cluster),
+            cfg,
+            Cow::Owned(dataset),
+            workload,
+        )
     }
 
     /// Open a `'static` session over a shared cluster handle, so the
@@ -60,12 +130,43 @@ impl<'a> PlanSession<'a> {
         dataset: Dataset,
         workload: WorkloadKind,
     ) -> PlanSession<'static> {
-        PlanSession::over(PlanEngine::new_shared(cluster, cfg), dataset, workload)
+        PlanSession::over(
+            ClusterRef::Shared(cluster),
+            cfg,
+            Cow::Owned(dataset),
+            workload,
+        )
     }
 
-    fn over(engine: PlanEngine<'a>, dataset: Dataset, workload: WorkloadKind) -> Self {
+    /// A cold session over a borrowed dataset, for one plan.
+    pub(crate) fn borrowed(
+        cluster: &'a SimCluster,
+        cfg: FrameworkConfig,
+        dataset: &'a Dataset,
+        workload: WorkloadKind,
+    ) -> Self {
+        Self::over(
+            ClusterRef::Borrowed(cluster),
+            cfg,
+            Cow::Borrowed(dataset),
+            workload,
+        )
+    }
+
+    fn over(
+        cluster: ClusterRef<'a>,
+        cfg: FrameworkConfig,
+        dataset: Cow<'a, Dataset>,
+        workload: WorkloadKind,
+    ) -> Self {
         PlanSession {
-            engine,
+            roster: (0..cluster.get().num_nodes()).collect(),
+            cluster,
+            cfg,
+            telemetry: Telemetry::disabled(),
+            cache: SharedPlanCache::default(),
+            last_reuse: StageReuse::default(),
+            deadline: Deadline::None,
             dataset_fp: stages::dataset_fingerprint(&dataset),
             dataset,
             workload,
@@ -75,13 +176,14 @@ impl<'a> PlanSession<'a> {
 
     /// Attach a telemetry recorder (cache counters + plan spans).
     pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
-        self.engine = self.engine.with_telemetry(telemetry);
+        self.telemetry = telemetry;
         self
     }
 
-    /// Bound the artifact cache.
+    /// Bound the artifact cache to `capacity` entries (replaces the
+    /// session's private cache with a fresh one).
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.engine = self.engine.with_cache_capacity(capacity);
+        self.cache = SharedPlanCache::new(capacity);
         self
     }
 
@@ -89,40 +191,203 @@ impl<'a> PlanSession<'a> {
     /// fingerprints (same dataset digest, roster, config) dedupe across
     /// every session holding a clone of the handle.
     pub fn with_shared_cache(mut self, cache: SharedPlanCache) -> Self {
-        self.engine = self.engine.with_shared_cache(cache);
+        self.cache = cache;
         self
     }
 
     /// Set the cancellation token polled before every stage of subsequent
     /// plans ([`Deadline::None`] clears it).
     pub fn set_deadline(&mut self, deadline: Deadline) {
-        self.engine.set_deadline(deadline);
+        self.deadline = deadline;
     }
 
-    /// Plan (or replan) with the current dataset, roster, and config.
-    /// Only stages whose inputs changed since the cached artifacts were
-    /// produced are recomputed.
-    pub fn plan(&mut self) -> Result<Plan, PlanError> {
-        let plan = self.engine.plan_with_fingerprint(
-            &self.dataset,
-            self.workload,
-            self.dataset_fp,
-            self.prev_dataset,
-        )?;
-        self.prev_dataset = Some((self.dataset_fp, self.dataset.len()));
-        Ok(plan)
-    }
-
-    /// Sweep the scalarization weight: one plan per α, in order. The
-    /// sketch/stratify/profile artifacts are computed once (cold) and
-    /// reused for every subsequent α — only the LP + partitioning rerun.
-    pub fn sweep(&mut self, alphas: &[f64]) -> Result<Vec<Plan>, PlanError> {
-        let mut plans = Vec::with_capacity(alphas.len());
-        for &alpha in alphas {
-            self.set_alpha(alpha);
-            plans.push(self.plan()?);
+    /// The [`KeyInputs`] of a plan of the current dataset under the
+    /// current configuration and roster.
+    fn key_inputs(&self) -> KeyInputs<'_> {
+        KeyInputs {
+            cfg: &self.cfg,
+            workload: self.workload,
+            dataset_fp: self.dataset_fp,
+            records: self.dataset.len(),
+            roster_fp: Fingerprint(self.cluster.get().roster_fingerprint(&self.roster)),
+            nodes: self.roster.len(),
         }
-        Ok(plans)
+    }
+
+    /// Plan (or replan) with the current dataset, roster, and config,
+    /// consulting the cache per stage: only stages whose inputs changed
+    /// since the cached artifacts were produced are recomputed.
+    pub fn plan(&mut self) -> Result<Plan, PlanError> {
+        let dataset: &Dataset = &self.dataset;
+        let workload = self.workload;
+        if dataset.is_empty() {
+            return Err(PlanError::EmptyDataset);
+        }
+        if self.roster.is_empty() {
+            return Err(PlanError::EmptyRoster);
+        }
+        validate_stratifier(&self.cfg.stratifier, dataset.len())?;
+        validate_sampling(&self.cfg.sampling, dataset.len())?;
+        workload
+            .validate()
+            .map_err(|reason| PlanError::InvalidWorkload { reason })?;
+        let started = Instant::now();
+        let wall_start = self.telemetry.wall_now();
+        let keys = self.key_inputs().plan_keys();
+        let prev_dataset = self.prev_dataset;
+
+        let cluster = self.cluster.get();
+        let cfg = &self.cfg;
+        let roster = self.roster.as_slice();
+        let telemetry: &Telemetry = &self.telemetry;
+        let (n, p) = (dataset.len(), roster.len());
+        let stratifier = Stratifier::new(cfg.stratifier.clone()).with_threads(cfg.threads);
+        let mut run = StageRunner {
+            cache: &self.cache,
+            telemetry,
+            deadline: &mut self.deadline,
+        };
+
+        let (signatures, sketched) = run.stage("sketch", keys.sketch, |cache| {
+            // After an append the full-dataset key misses, but the previous
+            // generation's sketch is a bit-identical prefix (MinHash is a
+            // pure per-record function): sketch only the appended records.
+            // A speculative lookup, so absence is not counted as a miss.
+            let prefix =
+                prev_dataset
+                    .filter(|&(_, prev_len)| prev_len < n)
+                    .and_then(|(prev_fp, _)| {
+                        let prev_key = sketch_key(prev_fp, &cfg.stratifier);
+                        cache.get_if_cached::<SignatureMatrix>("sketch", prev_key)
+                    });
+            Ok(match prefix {
+                Some(prefix) => stratifier.sketch_append(dataset, &prefix),
+                None => stratifier.sketch(dataset),
+            })
+        })?;
+
+        let (stratification, stratified) = run.stage("stratify", keys.stratify, |_| {
+            Ok(stratifier.stratify_signatures(&signatures))
+        })?;
+
+        let (profile, profiled) = run.stage("profile", keys.profile, |cache| {
+            let all_profiles = EnergyEstimator::profiles(cluster, 0.0, cfg.planning_horizon_s);
+            let profiles = roster.iter().map(|&id| all_profiles[id]).collect();
+            if !strategy_needs_models(&cfg.strategy) {
+                return Ok(ProfileArtifact {
+                    profiles,
+                    models: None,
+                    cost: Cost::ZERO,
+                });
+            }
+            let estimator = HeterogeneityEstimator::new(cluster, cfg.sampling, sampling_seed(cfg))
+                .with_threads(cfg.threads);
+            // Measurements are cached separately: they survive roster
+            // changes (the workload sample never touches a node), so
+            // dropping a node re-fits the cheap per-node lines without
+            // re-running the workload.
+            let (measured, _) = cached(cache, telemetry, "measure", keys.measure, |_| {
+                let (measurements, cost) = estimator.measure(dataset, &stratification, workload);
+                Ok(MeasureArtifact { measurements, cost })
+            })?;
+            Ok(ProfileArtifact {
+                profiles,
+                models: Some(estimator.fit_measurements(&measured.measurements, roster)),
+                cost: measured.cost,
+            })
+        })?;
+
+        // The scalarized LP (or waterfilling for pure Het-Aware) runs
+        // exactly when the profile stage fitted time models. The artifact
+        // is the chosen Pareto point.
+        let optimized = match &profile.models {
+            None => None,
+            Some(models) => Some(run.stage("optimize", keys.optimize, |_| {
+                let fits: Vec<LinearFit> = models.iter().map(|m| m.fit).collect();
+                let modeler = ParetoModeler::new(fits, profile.profiles.clone())?;
+                Ok(match cfg.strategy {
+                    Strategy::HetEnergyAware { alpha } => modeler.solve(n, alpha)?,
+                    Strategy::HetEnergyAwareNormalized { alpha } => {
+                        modeler.solve_normalized(n, alpha)?
+                    }
+                    // Het-Aware, the one model-driven strategy left.
+                    _ => modeler.solve_het_aware(n),
+                })
+            })?),
+        };
+
+        let (placed, partitioned) = run.stage("partition", keys.partition, |_| {
+            let sizes = match &optimized {
+                Some((point, _)) => point.sizes.clone(),
+                None => DataPartitioner::equal_sizes(n, p),
+            };
+            let partitioner = DataPartitioner::new(placement_seed(cfg));
+            let partitions = match cfg.strategy {
+                Strategy::Random => partitioner.random(n, &sizes),
+                Strategy::RoundRobin => DataPartitioner::round_robin(n, p),
+                Strategy::ClusterMode => {
+                    let ids: Vec<u64> = dataset.items.iter().map(|i| i.id).collect();
+                    DataPartitioner::hash_slots(&ids, p)
+                }
+                _ => partitioner.partition(&stratification, &sizes, cfg.layout),
+            };
+            // Hash placement dictates its own sizes; report what it produced.
+            let sizes = if matches!(cfg.strategy, Strategy::ClusterMode) {
+                partitions.iter().map(Vec::len).collect()
+            } else {
+                sizes
+            };
+            Ok(PartitionArtifact { sizes, partitions })
+        })?;
+
+        let (point, optimize_record) = optimized.unzip();
+        let plan = Plan {
+            stratification: stratification.as_ref().clone(),
+            time_models: profile.models.clone(),
+            energy_profiles: profile.profiles.clone(),
+            pareto: point.map(|point| point.as_ref().clone()),
+            sizes: placed.sizes.clone(),
+            partitions: placed.partitions.clone(),
+            estimation_cost: profile.cost,
+            timings: PlanTimings {
+                sketch_s: sketched.seconds,
+                stratify_s: stratified.seconds,
+                profile_s: profiled.seconds,
+                optimize_s: optimize_record.map_or(0.0, |r| r.seconds),
+                partition_s: partitioned.seconds,
+                total_s: started.elapsed().as_secs_f64(),
+            },
+        };
+        // A strategy that solves no LP never runs "optimize": its
+        // zero-length span reads as cached.
+        let skipped = StageRecord {
+            name: "optimize",
+            hit: true,
+            seconds: 0.0,
+        };
+        record_plan_telemetry(
+            telemetry,
+            cfg,
+            &plan,
+            n,
+            wall_start,
+            [
+                sketched,
+                stratified,
+                profiled,
+                optimize_record.unwrap_or(skipped),
+                partitioned,
+            ],
+        );
+        self.last_reuse = StageReuse {
+            sketch: sketched.hit,
+            stratify: stratified.hit,
+            profile: profiled.hit,
+            optimize: optimize_record.is_some_and(|r| r.hit),
+            partition: partitioned.hit,
+        };
+        self.prev_dataset = Some((self.dataset_fp, n));
+        Ok(plan)
     }
 
     /// Append records to the dataset, extending the content digest
@@ -130,7 +395,7 @@ impl<'a> PlanSession<'a> {
     /// appended records and re-stratifies/re-profiles from there.
     pub fn append_items(&mut self, items: Vec<DataItem>) {
         self.dataset_fp = stages::extend_dataset_fingerprint(self.dataset_fp, &items);
-        self.dataset.items.extend(items);
+        self.dataset.to_mut().items.extend(items);
     }
 
     /// Remove a node from the active roster. Cached measurements survive
@@ -139,33 +404,50 @@ impl<'a> PlanSession<'a> {
     /// [`PlanError::LastRosterNode`] — a session with an empty roster
     /// could never plan again.
     pub fn drop_node(&mut self, node: usize) -> Result<(), PlanError> {
-        let roster = self.engine.roster();
+        let roster = &self.roster;
         if !roster.contains(&node) {
             return Err(PlanError::UnknownNode {
                 node,
-                cluster_size: self.engine.cluster().num_nodes(),
+                cluster_size: self.cluster.get().num_nodes(),
             });
         }
-        if roster == [node] {
+        if roster == &[node] {
             return Err(PlanError::LastRosterNode { node });
         }
         let next: Vec<usize> = roster.iter().copied().filter(|&id| id != node).collect();
-        self.engine.set_roster(next)
+        self.set_roster(next)
     }
 
     /// Return a cluster node to the active roster (no-op if present).
     pub fn restore_node(&mut self, node: usize) -> Result<(), PlanError> {
-        let mut next = self.engine.roster().to_vec();
+        let mut next = self.roster.clone();
         next.push(node);
-        self.engine.set_roster(next)
+        self.set_roster(next)
+    }
+
+    /// Replace the active roster; ids must exist in the cluster.
+    fn set_roster(&mut self, mut roster: Vec<usize>) -> Result<(), PlanError> {
+        roster.sort_unstable();
+        roster.dedup();
+        if roster.is_empty() {
+            return Err(PlanError::EmptyRoster);
+        }
+        let p = self.cluster.get().num_nodes();
+        if let Some(&bad) = roster.iter().find(|&&id| id >= p) {
+            return Err(PlanError::UnknownNode {
+                node: bad,
+                cluster_size: p,
+            });
+        }
+        self.roster = roster;
+        Ok(())
     }
 
     /// Change the scalarization weight. Energy-aware strategies keep
     /// their class; any other strategy switches to
     /// [`Strategy::HetEnergyAware`] at the given α.
     pub fn set_alpha(&mut self, alpha: f64) {
-        let cfg = self.engine.config_mut();
-        cfg.strategy = match cfg.strategy {
+        self.cfg.strategy = match self.cfg.strategy {
             Strategy::HetEnergyAwareNormalized { .. } => {
                 Strategy::HetEnergyAwareNormalized { alpha }
             }
@@ -175,7 +457,7 @@ impl<'a> PlanSession<'a> {
 
     /// Switch the partitioning strategy outright.
     pub fn set_strategy(&mut self, strategy: Strategy) {
-        self.engine.config_mut().strategy = strategy;
+        self.cfg.strategy = strategy;
     }
 
     /// The current dataset.
@@ -190,28 +472,28 @@ impl<'a> PlanSession<'a> {
 
     /// The active roster (sorted node ids).
     pub fn roster(&self) -> &[usize] {
-        self.engine.roster()
+        &self.roster
     }
 
     /// Configuration in force.
     pub fn config(&self) -> &FrameworkConfig {
-        self.engine.config()
+        &self.cfg
     }
 
     /// Snapshot of the cache hit/miss/evict counters accumulated over the
     /// session (over the whole fleet, for a shared cache).
     pub fn cache_stats(&self) -> CacheStats {
-        self.engine.cache().stats()
+        self.cache.stats()
     }
 
     /// The session's cache handle, for sharing with sibling sessions.
     pub fn cache(&self) -> &SharedPlanCache {
-        self.engine.cache()
+        &self.cache
     }
 
     /// Which stages of the last plan were served from the cache.
     pub fn last_reuse(&self) -> StageReuse {
-        self.engine.last_reuse()
+        self.last_reuse
     }
 
     /// Run the frontier explorer ([`crate::frontier::explore`]) through
@@ -229,29 +511,26 @@ impl<'a> PlanSession<'a> {
         cfg.validate().map_err(PlanError::Frontier)?;
         // The key comes from the same derivation as the plan's key chain,
         // so every input any stage reads invalidates the frontier too.
-        let key = self
-            .engine
-            .key_inputs(self.workload, self.dataset_fp, self.dataset.len())
-            .frontier_key(cfg);
-        let telemetry = self.engine.telemetry().clone();
+        let key = self.key_inputs().frontier_key(cfg);
+        let telemetry = self.telemetry.clone();
         // The exploration calls `plan()`, which takes the cache lock per
         // stage: look up, explore unlocked, then store.
-        let found = stages::lookup(&mut self.engine.cache().lock(), &telemetry, "frontier", key);
+        let found = stages::lookup(&mut self.cache.lock(), &telemetry, "frontier", key);
         if let Some(result) = found {
             return Ok(FrontierOutcome {
                 result,
                 cache_hit: true,
             });
         }
-        let saved_strategy = self.engine.config().strategy;
+        let saved_strategy = self.cfg.strategy;
         let explored = {
             let mut solver = SessionSolver::new(self);
             explore(&mut solver, cfg, &telemetry)
         };
-        self.engine.config_mut().strategy = saved_strategy;
+        self.cfg.strategy = saved_strategy;
         let result = Arc::new(explored?);
         stages::store(
-            &mut self.engine.cache().lock(),
+            &mut self.cache.lock(),
             &telemetry,
             "frontier",
             key,

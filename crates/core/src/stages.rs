@@ -1,7 +1,6 @@
-//! The staged planning engine: `Framework::try_plan` as a fixed pipeline
-//! of five cache-keyed stages — **sketch**, **stratify**, **profile**,
-//! **optimize**, **partition** — written as straight-line code in
-//! [`PlanEngine::plan_with_fingerprint`].
+//! The staged planning pipeline: five cache-keyed stages — **sketch**,
+//! **stratify**, **profile**, **optimize**, **partition** — written as
+//! straight-line code in [`PlanSession::plan`](crate::PlanSession::plan).
 //!
 //! Two pieces carry the design:
 //!
@@ -17,10 +16,9 @@
 //!   artifacts.
 //!
 //! A cold run computes every stage and is bit-identical to the historical
-//! monolithic pipeline; a warm run (same cache, e.g. via
-//! [`crate::session::PlanSession`]) recomputes only the stages whose keys
-//! changed. The invalidation matrix lives in DESIGN.md §10; the short
-//! version:
+//! monolithic pipeline; a warm run (a long-lived [`crate::PlanSession`])
+//! recomputes only the stages whose keys changed. The invalidation matrix
+//! lives in DESIGN.md §10; the short version:
 //!
 //! | input changed            | sketch | stratify | profile | optimize | partition |
 //! |--------------------------|--------|----------|---------|----------|-----------|
@@ -41,21 +39,16 @@ use std::any::Any;
 use std::sync::Arc;
 use std::time::Instant;
 
-use pareto_cluster::{Cost, SimCluster};
 use pareto_datagen::{DataItem, Dataset};
-use pareto_energy::NodeEnergyProfile;
-use pareto_sketch::SignatureMatrix;
-use pareto_stats::LinearFit;
-use pareto_stratify::{Stratifier, StratifierConfig};
+use pareto_stratify::StratifierConfig;
 use pareto_telemetry::{metrics, ClockDomain, SpanId, Telemetry, Track};
 use pareto_workloads::WorkloadKind;
 
 use crate::cache::{Fingerprint, FingerprintBuilder, PlanCache, SharedPlanCache};
-use crate::estimator::{EnergyEstimator, HeterogeneityEstimator, NodeTimeModel, SamplingPlan};
-use crate::framework::{FrameworkConfig, Plan, PlanTimings, Strategy};
+use crate::estimator::SamplingPlan;
+use crate::framework::{FrameworkConfig, Plan, Strategy};
 use crate::frontier::FrontierConfig;
-use crate::pareto::{ParetoModeler, PartitionPlanError};
-use crate::partitioner::DataPartitioner;
+use crate::pareto::PartitionPlanError;
 
 /// A planning failure, returned instead of the historical panics so the
 /// CLI (and any embedding service) can map it to a clean exit.
@@ -179,10 +172,10 @@ impl From<crate::recovery::RecoveryConfigError> for PlanError {
 }
 
 /// A cooperative cancellation token polled at every stage boundary of
-/// [`PlanEngine::plan_with_fingerprint`]. The pipeline checks it *before*
-/// each stage, so when it trips the stages already computed are cached and
-/// the caller gets [`PlanError::DeadlineExceeded`] naming the first stage
-/// that did not run.
+/// [`PlanSession::plan`](crate::PlanSession::plan). The pipeline checks it
+/// *before* each stage, so when it trips the stages already computed are
+/// cached and the caller gets [`PlanError::DeadlineExceeded`] naming the
+/// first stage that did not run.
 ///
 /// The deadline is control-plane state: it never enters a fingerprint, and
 /// a plan that completes under a deadline is bit-identical to one computed
@@ -230,7 +223,7 @@ pub struct StageReuse {
 }
 
 /// True for the strategies that fit per-node time models and solve the LP.
-fn strategy_needs_models(strategy: &Strategy) -> bool {
+pub(crate) fn strategy_needs_models(strategy: &Strategy) -> bool {
     matches!(
         strategy,
         Strategy::HetAware
@@ -291,12 +284,12 @@ pub fn dataset_fingerprint(dataset: &Dataset) -> Fingerprint {
 }
 
 /// Seed of the progressive-sampling estimator (keyed by `measure`).
-fn sampling_seed(cfg: &FrameworkConfig) -> u64 {
+pub(crate) fn sampling_seed(cfg: &FrameworkConfig) -> u64 {
     cfg.seed ^ 0x5A17
 }
 
 /// Seed of the partitioner's record placement (keyed by `partition`).
-fn placement_seed(cfg: &FrameworkConfig) -> u64 {
+pub(crate) fn placement_seed(cfg: &FrameworkConfig) -> u64 {
     cfg.seed ^ 0x9A27
 }
 
@@ -347,7 +340,7 @@ pub(crate) struct PlanKeys {
     pub partition: Fingerprint,
 }
 
-fn sketch_key(dataset_fp: Fingerprint, cfg: &StratifierConfig) -> Fingerprint {
+pub(crate) fn sketch_key(dataset_fp: Fingerprint, cfg: &StratifierConfig) -> Fingerprint {
     FingerprintBuilder::new("sketch")
         .mix_fp(dataset_fp)
         .mix_usize(cfg.sketch_size)
@@ -438,7 +431,7 @@ impl KeyInputs<'_> {
 
 /// Reject the stratifier settings that would panic inside the stratify
 /// stage, mid-plan, for a dataset of `records` records.
-fn validate_stratifier(cfg: &StratifierConfig, records: usize) -> Result<(), PlanError> {
+pub(crate) fn validate_stratifier(cfg: &StratifierConfig, records: usize) -> Result<(), PlanError> {
     let invalid = |field, reason| Err(PlanError::InvalidStratifier { field, reason });
     if cfg.num_strata == 0 {
         return invalid("num_strata", "must be at least 1");
@@ -455,7 +448,7 @@ fn validate_stratifier(cfg: &StratifierConfig, records: usize) -> Result<(), Pla
 
 /// Reject the sampling plans that would panic inside the measure stage,
 /// mid-plan, for a dataset of `records` records.
-fn validate_sampling(plan: &SamplingPlan, records: usize) -> Result<(), PlanError> {
+pub(crate) fn validate_sampling(plan: &SamplingPlan, records: usize) -> Result<(), PlanError> {
     let invalid = |field, reason| Err(PlanError::InvalidSampling { field, reason });
     if plan.steps == 0 {
         return invalid("steps", "must be at least 1");
@@ -473,29 +466,6 @@ fn validate_sampling(plan: &SamplingPlan, records: usize) -> Result<(), PlanErro
         );
     }
     Ok(())
-}
-
-/// The `profile` artifact: energy `k_i` profiles for the roster plus (for
-/// model-driven strategies) the fitted per-node time models and the
-/// one-time estimation cost.
-struct ProfileArtifact {
-    profiles: Vec<NodeEnergyProfile>,
-    models: Option<Vec<NodeTimeModel>>,
-    cost: Cost,
-}
-
-/// The `measure` sub-artifact: the raw `(sample size, ops)` measurements
-/// behind the fits. Crucially **node-independent** — a roster change
-/// re-fits without re-measuring.
-struct MeasureArtifact {
-    measurements: Vec<(usize, u64)>,
-    cost: Cost,
-}
-
-/// The `partition` artifact: final sizes + record placement.
-struct PartitionArtifact {
-    sizes: Vec<usize>,
-    partitions: Vec<Vec<usize>>,
 }
 
 /// Counting lookup, the driver's first half: consult the cache and count
@@ -541,7 +511,7 @@ pub(crate) fn store<T: Any + Send + Sync>(
 /// the cache for *auxiliary* artifacts (the append-prefix sketch, the
 /// nested `measure` sub-artifact). Returns the artifact and whether it was
 /// a hit.
-fn cached<T: Any + Send + Sync>(
+pub(crate) fn cached<T: Any + Send + Sync>(
     cache: &mut PlanCache,
     telemetry: &Telemetry,
     name: &'static str,
@@ -559,10 +529,10 @@ fn cached<T: Any + Send + Sync>(
 /// What the driver saw of one stage: served from the cache or computed,
 /// and the wall time either took.
 #[derive(Debug, Clone, Copy)]
-struct StageRecord {
-    name: &'static str,
-    hit: bool,
-    seconds: f64,
+pub(crate) struct StageRecord {
+    pub name: &'static str,
+    pub hit: bool,
+    pub seconds: f64,
 }
 
 /// One plan's pass through the five stages: polls the deadline *before*
@@ -572,14 +542,14 @@ struct StageRecord {
 /// so on a shared cache concurrent tenants pipeline — while one computes
 /// `optimize` another can compute `sketch` — and two tenants missing the
 /// same key compute it once.
-struct StageRunner<'a> {
-    cache: &'a SharedPlanCache,
-    telemetry: &'a Telemetry,
-    deadline: &'a mut Deadline,
+pub(crate) struct StageRunner<'a> {
+    pub cache: &'a SharedPlanCache,
+    pub telemetry: &'a Telemetry,
+    pub deadline: &'a mut Deadline,
 }
 
 impl StageRunner<'_> {
-    fn stage<T: Any + Send + Sync>(
+    pub(crate) fn stage<T: Any + Send + Sync>(
         &mut self,
         name: &'static str,
         key: Fingerprint,
@@ -594,357 +564,13 @@ impl StageRunner<'_> {
     }
 }
 
-/// How an engine holds its cluster: borrowed (the historical embedding,
-/// zero-cost) or shared (`Arc`, for engines that must be `'static` — one
-/// per tenant in the plan server).
-enum ClusterRef<'a> {
-    Borrowed(&'a SimCluster),
-    Shared(Arc<SimCluster>),
-}
-
-impl ClusterRef<'_> {
-    fn get(&self) -> &SimCluster {
-        match self {
-            ClusterRef::Borrowed(c) => c,
-            ClusterRef::Shared(c) => c,
-        }
-    }
-}
-
-/// The staged engine: a cluster + configuration + artifact cache + active
-/// node roster. [`crate::Framework::try_plan`] wraps a fresh (cold) engine per
-/// call; [`crate::session::PlanSession`] keeps one warm across replans.
-pub struct PlanEngine<'a> {
-    cluster: ClusterRef<'a>,
-    cfg: FrameworkConfig,
-    telemetry: Arc<Telemetry>,
-    cache: SharedPlanCache,
-    roster: Vec<usize>,
-    last_reuse: StageReuse,
-    /// Cooperative cancellation token, polled before every stage.
-    deadline: Deadline,
-}
-
-impl<'a> PlanEngine<'a> {
-    /// An engine over the full cluster roster with a cold default cache.
-    pub fn new(cluster: &'a SimCluster, cfg: FrameworkConfig) -> Self {
-        Self::over(ClusterRef::Borrowed(cluster), cfg)
-    }
-
-    /// Like [`new`](Self::new) over a shared cluster handle, yielding a
-    /// `'static` engine that can move across threads (the plan server
-    /// keeps one per tenant).
-    pub fn new_shared(cluster: Arc<SimCluster>, cfg: FrameworkConfig) -> PlanEngine<'static> {
-        PlanEngine::over(ClusterRef::Shared(cluster), cfg)
-    }
-
-    fn over(cluster: ClusterRef<'a>, cfg: FrameworkConfig) -> Self {
-        PlanEngine {
-            roster: (0..cluster.get().num_nodes()).collect(),
-            cluster,
-            cfg,
-            telemetry: Telemetry::disabled(),
-            cache: SharedPlanCache::default(),
-            last_reuse: StageReuse::default(),
-            deadline: Deadline::None,
-        }
-    }
-
-    /// Attach a telemetry recorder.
-    pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Bound the artifact cache to `capacity` entries (replaces the
-    /// engine's private cache with a fresh one).
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache = SharedPlanCache::new(capacity);
-        self
-    }
-
-    /// Plug in a fleet-shared artifact cache (replacing the engine's
-    /// private one). Identical stage fingerprints then dedupe across every
-    /// engine holding a clone of the handle.
-    pub fn with_shared_cache(mut self, cache: SharedPlanCache) -> Self {
-        self.cache = cache;
-        self
-    }
-
-    /// Set the cancellation token polled before every stage of subsequent
-    /// plans ([`Deadline::None`] clears it).
-    pub fn set_deadline(&mut self, deadline: Deadline) {
-        self.deadline = deadline;
-    }
-
-    /// Configuration in force (mutable: α/strategy deltas edit in place).
-    pub fn config_mut(&mut self) -> &mut FrameworkConfig {
-        &mut self.cfg
-    }
-
-    /// Configuration in force.
-    pub fn config(&self) -> &FrameworkConfig {
-        &self.cfg
-    }
-
-    /// The cluster this engine plans for.
-    pub fn cluster(&self) -> &SimCluster {
-        self.cluster.get()
-    }
-
-    /// Active node ids (sorted).
-    pub fn roster(&self) -> &[usize] {
-        &self.roster
-    }
-
-    /// Replace the active roster; ids must exist in the cluster.
-    pub fn set_roster(&mut self, mut roster: Vec<usize>) -> Result<(), PlanError> {
-        roster.sort_unstable();
-        roster.dedup();
-        if roster.is_empty() {
-            return Err(PlanError::EmptyRoster);
-        }
-        let p = self.cluster.get().num_nodes();
-        if let Some(&bad) = roster.iter().find(|&&id| id >= p) {
-            return Err(PlanError::UnknownNode {
-                node: bad,
-                cluster_size: p,
-            });
-        }
-        self.roster = roster;
-        Ok(())
-    }
-
-    /// The cache handle (shared or private), for same-crate composite
-    /// artifacts (the session stores a whole frontier under one key) and
-    /// for plugging the handle into sibling engines.
-    pub fn cache(&self) -> &SharedPlanCache {
-        &self.cache
-    }
-
-    /// The attached telemetry recorder.
-    pub(crate) fn telemetry(&self) -> &Arc<Telemetry> {
-        &self.telemetry
-    }
-
-    /// The [`KeyInputs`] of a plan of a dataset with digest `dataset_fp`
-    /// and `records` records under the current configuration and roster.
-    pub(crate) fn key_inputs(
-        &self,
-        workload: WorkloadKind,
-        dataset_fp: Fingerprint,
-        records: usize,
-    ) -> KeyInputs<'_> {
-        KeyInputs {
-            cfg: &self.cfg,
-            workload,
-            dataset_fp,
-            records,
-            roster_fp: Fingerprint(self.cluster.get().roster_fingerprint(&self.roster)),
-            nodes: self.roster.len(),
-        }
-    }
-
-    /// Which stages of the last successful plan came from the cache.
-    pub fn last_reuse(&self) -> StageReuse {
-        self.last_reuse
-    }
-
-    /// Plan `dataset` under `workload`, consulting the cache per stage.
-    pub fn plan(&mut self, dataset: &Dataset, workload: WorkloadKind) -> Result<Plan, PlanError> {
-        let fp = dataset_fingerprint(dataset);
-        self.plan_with_fingerprint(dataset, workload, fp, None)
-    }
-
-    /// Like [`plan`](Self::plan) with a precomputed dataset digest and an
-    /// optional previous-generation hint (digest + length) enabling
-    /// append-prefix sketch reuse. Used by `PlanSession`, which maintains
-    /// the chain digest incrementally.
-    pub fn plan_with_fingerprint(
-        &mut self,
-        dataset: &Dataset,
-        workload: WorkloadKind,
-        dataset_fp: Fingerprint,
-        prev_dataset: Option<(Fingerprint, usize)>,
-    ) -> Result<Plan, PlanError> {
-        if dataset.is_empty() {
-            return Err(PlanError::EmptyDataset);
-        }
-        if self.roster.is_empty() {
-            return Err(PlanError::EmptyRoster);
-        }
-        validate_stratifier(&self.cfg.stratifier, dataset.len())?;
-        validate_sampling(&self.cfg.sampling, dataset.len())?;
-        workload
-            .validate()
-            .map_err(|reason| PlanError::InvalidWorkload { reason })?;
-        let started = Instant::now();
-        let wall_start = self.telemetry.wall_now();
-        let keys = self
-            .key_inputs(workload, dataset_fp, dataset.len())
-            .plan_keys();
-
-        let cluster = self.cluster.get();
-        let cfg = &self.cfg;
-        let roster = self.roster.as_slice();
-        let telemetry: &Telemetry = &self.telemetry;
-        let (n, p) = (dataset.len(), roster.len());
-        let stratifier = Stratifier::new(cfg.stratifier.clone()).with_threads(cfg.threads);
-        let mut run = StageRunner {
-            cache: &self.cache,
-            telemetry,
-            deadline: &mut self.deadline,
-        };
-
-        let (signatures, sketched) = run.stage("sketch", keys.sketch, |cache| {
-            // After an append the full-dataset key misses, but the previous
-            // generation's sketch is a bit-identical prefix (MinHash is a
-            // pure per-record function): sketch only the appended records.
-            // A speculative lookup, so absence is not counted as a miss.
-            let prefix =
-                prev_dataset
-                    .filter(|&(_, prev_len)| prev_len < n)
-                    .and_then(|(prev_fp, _)| {
-                        let prev_key = sketch_key(prev_fp, &cfg.stratifier);
-                        cache.get_if_cached::<SignatureMatrix>("sketch", prev_key)
-                    });
-            Ok(match prefix {
-                Some(prefix) => stratifier.sketch_append(dataset, &prefix),
-                None => stratifier.sketch(dataset),
-            })
-        })?;
-
-        let (stratification, stratified) = run.stage("stratify", keys.stratify, |_| {
-            Ok(stratifier.stratify_signatures(&signatures))
-        })?;
-
-        let (profile, profiled) = run.stage("profile", keys.profile, |cache| {
-            let all_profiles = EnergyEstimator::profiles(cluster, 0.0, cfg.planning_horizon_s);
-            let profiles = roster.iter().map(|&id| all_profiles[id]).collect();
-            if !strategy_needs_models(&cfg.strategy) {
-                return Ok(ProfileArtifact {
-                    profiles,
-                    models: None,
-                    cost: Cost::ZERO,
-                });
-            }
-            let estimator = HeterogeneityEstimator::new(cluster, cfg.sampling, sampling_seed(cfg))
-                .with_threads(cfg.threads);
-            // Measurements are cached separately: they survive roster
-            // changes (the workload sample never touches a node), so
-            // dropping a node re-fits the cheap per-node lines without
-            // re-running the workload.
-            let (measured, _) = cached(cache, telemetry, "measure", keys.measure, |_| {
-                let (measurements, cost) = estimator.measure(dataset, &stratification, workload);
-                Ok(MeasureArtifact { measurements, cost })
-            })?;
-            Ok(ProfileArtifact {
-                profiles,
-                models: Some(estimator.fit_measurements(&measured.measurements, roster)),
-                cost: measured.cost,
-            })
-        })?;
-
-        // The scalarized LP (or waterfilling for pure Het-Aware) runs
-        // exactly when the profile stage fitted time models. The artifact
-        // is the chosen Pareto point.
-        let optimized = match &profile.models {
-            None => None,
-            Some(models) => Some(run.stage("optimize", keys.optimize, |_| {
-                let fits: Vec<LinearFit> = models.iter().map(|m| m.fit).collect();
-                let modeler = ParetoModeler::new(fits, profile.profiles.clone())?;
-                Ok(match cfg.strategy {
-                    Strategy::HetEnergyAware { alpha } => modeler.solve(n, alpha)?,
-                    Strategy::HetEnergyAwareNormalized { alpha } => {
-                        modeler.solve_normalized(n, alpha)?
-                    }
-                    // Het-Aware, the one model-driven strategy left.
-                    _ => modeler.solve_het_aware(n),
-                })
-            })?),
-        };
-
-        let (placed, partitioned) = run.stage("partition", keys.partition, |_| {
-            let sizes = match &optimized {
-                Some((point, _)) => point.sizes.clone(),
-                None => DataPartitioner::equal_sizes(n, p),
-            };
-            let partitioner = DataPartitioner::new(placement_seed(cfg));
-            let partitions = match cfg.strategy {
-                Strategy::Random => partitioner.random(n, &sizes),
-                Strategy::RoundRobin => DataPartitioner::round_robin(n, p),
-                Strategy::ClusterMode => {
-                    let ids: Vec<u64> = dataset.items.iter().map(|i| i.id).collect();
-                    DataPartitioner::hash_slots(&ids, p)
-                }
-                _ => partitioner.partition(&stratification, &sizes, cfg.layout),
-            };
-            // Hash placement dictates its own sizes; report what it produced.
-            let sizes = if matches!(cfg.strategy, Strategy::ClusterMode) {
-                partitions.iter().map(Vec::len).collect()
-            } else {
-                sizes
-            };
-            Ok(PartitionArtifact { sizes, partitions })
-        })?;
-
-        let (point, optimize_record) = optimized.unzip();
-        let plan = Plan {
-            stratification: stratification.as_ref().clone(),
-            time_models: profile.models.clone(),
-            energy_profiles: profile.profiles.clone(),
-            pareto: point.map(|point| point.as_ref().clone()),
-            sizes: placed.sizes.clone(),
-            partitions: placed.partitions.clone(),
-            estimation_cost: profile.cost,
-            timings: PlanTimings {
-                sketch_s: sketched.seconds,
-                stratify_s: stratified.seconds,
-                profile_s: profiled.seconds,
-                optimize_s: optimize_record.map_or(0.0, |r| r.seconds),
-                partition_s: partitioned.seconds,
-                total_s: started.elapsed().as_secs_f64(),
-            },
-        };
-        // A strategy that solves no LP never runs "optimize": its
-        // zero-length span reads as cached.
-        let skipped = StageRecord {
-            name: "optimize",
-            hit: true,
-            seconds: 0.0,
-        };
-        record_plan_telemetry(
-            telemetry,
-            cfg,
-            &plan,
-            n,
-            wall_start,
-            [
-                sketched,
-                stratified,
-                profiled,
-                optimize_record.unwrap_or(skipped),
-                partitioned,
-            ],
-        );
-        self.last_reuse = StageReuse {
-            sketch: sketched.hit,
-            stratify: stratified.hit,
-            profile: profiled.hit,
-            optimize: optimize_record.is_some_and(|r| r.hit),
-            partition: partitioned.hit,
-        };
-        Ok(plan)
-    }
-}
-
 /// Record the planning span tree (§9 taxonomy: `plan` → `sketch` /
 /// `stratify` / `profile` / `optimize` / `partition` on the planner track,
 /// wall clock) plus the plan-shape metrics. Called from serial code only,
 /// after the plan is fully decided — nothing here can feed back. Each
 /// stage span carries a `cache` attribute (`hit`/`miss`) describing
 /// artifact reuse.
-fn record_plan_telemetry(
+pub(crate) fn record_plan_telemetry(
     tel: &Telemetry,
     cfg: &FrameworkConfig,
     plan: &Plan,

@@ -152,7 +152,7 @@ proptest! {
     fn frontier_monotone((fits, profiles) in modeler_inputs()) {
         let m = ParetoModeler::new(fits, profiles).unwrap();
         let alphas = [1.0, 0.999, 0.99, 0.9, 0.5, 0.1, 0.0];
-        let points = m.frontier(50_000, &alphas).unwrap();
+        let points: Vec<_> = alphas.iter().map(|&a| m.solve(50_000, a).unwrap()).collect();
         for w in points.windows(2) {
             prop_assert!(w[1].predicted_makespan >= w[0].predicted_makespan - 1e-6);
             prop_assert!(

@@ -18,9 +18,9 @@ pub struct NodePowerModel {
 
 impl NodePowerModel {
     /// The paper's base power (HP SL, 60 W).
-    pub const PAPER_BASE_WATTS: f64 = 60.0;
+    pub(crate) const PAPER_BASE_WATTS: f64 = 60.0;
     /// The paper's per-core power (Intel Xeon, 95 W).
-    pub const PAPER_CORE_WATTS: f64 = 95.0;
+    pub(crate) const PAPER_CORE_WATTS: f64 = 95.0;
 
     /// A node with `cores` active cores under the paper's constants.
     pub fn paper_node(cores: u32) -> Self {

@@ -25,7 +25,7 @@ pub mod regression;
 pub mod rng;
 pub mod sampling;
 
-pub use describe::{entropy_bits, normalize, total_variation_distance, Summary};
+pub use describe::{entropy_bits, normalize, total_variation_distance};
 pub use regression::{LinearFit, PolyFit, RegressionError};
 pub use rng::{mix64, seeded_rng, split_seed};
 pub use sampling::{

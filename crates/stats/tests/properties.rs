@@ -5,7 +5,6 @@ use proptest::prelude::*;
 use pareto_stats::{
     entropy_bits, largest_remainder_apportion, progressive_schedule, proportional_allocation,
     seeded_rng, simple_random_sample, stratified_sample, total_variation_distance, LinearFit,
-    Summary,
 };
 
 proptest! {
@@ -130,18 +129,6 @@ proptest! {
         let fit = LinearFit::fit(&pts).unwrap();
         prop_assert!((fit.slope - slope).abs() < 1e-6 * (1.0 + slope.abs()));
         prop_assert!((fit.intercept - intercept).abs() < 1e-5 * (1.0 + intercept.abs()));
-    }
-
-    /// Summary statistics agree with naive computation.
-    #[test]
-    fn summary_matches_naive(values in proptest::collection::vec(-1e6f64..1e6, 1..100)) {
-        let s = Summary::of(&values);
-        let n = values.len() as f64;
-        let mean = values.iter().sum::<f64>() / n;
-        let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n;
-        prop_assert!((s.mean - mean).abs() < 1e-6 * (1.0 + mean.abs()));
-        prop_assert!((s.variance - var).abs() < 1e-4 * (1.0 + var.abs()));
-        prop_assert_eq!(s.n, values.len());
     }
 
     /// Distribution distances satisfy their axioms on random histograms.

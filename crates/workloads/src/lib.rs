@@ -32,8 +32,8 @@ pub use apriori::{Apriori, AprioriConfig, FrequentItemset, MiningOutput};
 pub use eclat::{Eclat, EclatConfig};
 pub use lz77::{lz77_compress, lz77_decompress, Lz77Config};
 pub use son::{
-    son_candidate_union, son_distributed_mine, son_global_count, son_local_mine,
-    son_local_mine_with, son_merge, LocalMiner, SonLocal, SonOutput,
+    son_candidate_union, son_distributed_mine, son_global_count, son_local_mine_with, son_merge,
+    LocalMiner, SonLocal, SonOutput,
 };
 pub use webgraph::{webgraph_compress, webgraph_decompress, WebGraphConfig};
 

@@ -43,13 +43,8 @@ pub struct SonLocal {
     pub ops: u64,
 }
 
-/// Phase 1: mine one partition locally (Apriori).
-pub fn son_local_mine(partition: &[&ItemSet], cfg: &AprioriConfig) -> SonLocal {
-    son_local_mine_with(LocalMiner::Apriori, partition, cfg)
-}
-
-/// Phase 1 with an explicit local miner. The Eclat path reuses the
-/// Apriori config's support/length bounds.
+/// Phase 1: mine one partition locally with `miner`. The Eclat path
+/// reuses the Apriori config's support/length bounds.
 pub fn son_local_mine_with(
     miner: LocalMiner,
     partition: &[&ItemSet],
@@ -134,7 +129,10 @@ pub fn son_merge(
 
 /// Reference single-process composition of both phases.
 pub fn son_distributed_mine(partitions: &[Vec<&ItemSet>], cfg: &AprioriConfig) -> SonOutput {
-    let locals: Vec<SonLocal> = partitions.iter().map(|p| son_local_mine(p, cfg)).collect();
+    let locals: Vec<SonLocal> = partitions
+        .iter()
+        .map(|p| son_local_mine_with(LocalMiner::Apriori, p, cfg))
+        .collect();
     let local_refs: Vec<&MiningOutput> = locals.iter().map(|l| &l.local).collect();
     let candidates = son_candidate_union(&local_refs);
     let mut per_partition_counts = Vec::with_capacity(partitions.len());

@@ -156,7 +156,7 @@ fn executor_results_ignore_storage_fault_events() {
 
 /// Every generated roster schedule survives a `to_spec` → `parse` round
 /// trip, so a printed minimal reproducer that carries roster changes is
-/// always a valid `--faults` (or `--elastic`) argument.
+/// always a valid `--faults` argument.
 #[test]
 fn generated_elastic_plans_round_trip_through_the_spec_grammar() {
     let mut non_empty = 0;

@@ -4,13 +4,13 @@
 //!
 //! The cache is an optimization, never an oracle: every test here compares
 //! a cache-served plan against a from-scratch reference (a fresh
-//! [`Framework`] or [`PlanEngine`]) field by field, floats by bit pattern.
+//! [`Framework`] or [`PlanSession`]) field by field, floats by bit pattern.
 
 use std::collections::BTreeMap;
 
 use pareto_cluster::{NodeSpec, SimCluster};
 use pareto_core::framework::{Framework, FrameworkConfig, Plan, Strategy};
-use pareto_core::{PlanEngine, PlanSession};
+use pareto_core::PlanSession;
 use pareto_datagen::Dataset;
 use pareto_telemetry::{metrics, MetricKey, Telemetry};
 use pareto_workloads::WorkloadKind;
@@ -167,7 +167,13 @@ fn alpha_sweep_computes_upstream_stages_once() {
         WORKLOAD,
     )
     .with_telemetry(telemetry.clone());
-    let plans = session.sweep(&alphas).expect("sweep");
+    let plans: Vec<Plan> = alphas
+        .iter()
+        .map(|&alpha| {
+            session.set_alpha(alpha);
+            session.plan().expect("sweep")
+        })
+        .collect();
 
     let stats = session.cache_stats();
     for stage in ["sketch", "stratify", "profile"] {
@@ -266,9 +272,9 @@ fn drop_node_replan_matches_cold_subset_plan() {
     let warm = session.plan().expect("replan after drop");
     assert_eq!(session.roster(), &[0, 1, 3]);
 
-    let mut engine = PlanEngine::new(&cl, cfg(seed, 4, strategy));
-    engine.set_roster(vec![0, 1, 3]).expect("set roster");
-    let cold = engine.plan(&ds, WORKLOAD).expect("cold subset plan");
+    let mut fresh = PlanSession::new(&cl, cfg(seed, 4, strategy), ds.clone(), WORKLOAD);
+    fresh.drop_node(2).expect("drop node 2");
+    let cold = fresh.plan().expect("cold subset plan");
     assert_plans_identical(&warm, &cold, "drop-node replan vs cold subset plan");
 
     let stats = session.cache_stats();
@@ -412,9 +418,9 @@ proptest! {
             2 => {
                 session.drop_node(1).expect("drop node 1");
                 let warm = session.plan().expect("drop replan");
-                let mut engine = PlanEngine::new(&cl, cfg(seed, threads, strategy));
-                engine.set_roster(vec![0, 2, 3]).expect("set roster");
-                let cold = engine.plan(&ds, WORKLOAD).expect("cold subset plan");
+                let mut fresh = PlanSession::new(&cl, cfg(seed, threads, strategy), ds.clone(), WORKLOAD);
+                fresh.drop_node(1).expect("drop node 1");
+                let cold = fresh.plan().expect("cold subset plan");
                 (warm, cold, "drop node")
             }
             _ => {
