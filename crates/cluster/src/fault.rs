@@ -591,11 +591,11 @@ impl FaultPlan {
             .sum()
     }
 
-    /// The network `node_id` sees at simulated time `t`: `base` with every
-    /// active degradation window applied (latency multiplied, bandwidth
-    /// divided).
-    pub fn network_at(&self, node_id: usize, t: f64, base: &NetworkModel) -> NetworkModel {
-        let mut net = *base;
+    /// The network `node_id` sees at simulated time `t`:
+    /// [`NetworkModel::DATACENTER`] with every active degradation window
+    /// applied (latency multiplied, bandwidth divided).
+    pub fn network_at(&self, node_id: usize, t: f64) -> NetworkModel {
+        let mut net = NetworkModel::DATACENTER;
         for e in self.events.iter().filter(|e| e.node_id == node_id) {
             if let FaultKind::NetworkDegradation {
                 from_s,
@@ -1057,12 +1057,12 @@ mod tests {
         assert_eq!(plan.store_error_count(0), 2);
         assert_eq!(plan.store_error_count(1), 0);
         let base = NetworkModel::DATACENTER;
-        let inside = plan.network_at(3, 15.0, &base);
+        let inside = plan.network_at(3, 15.0);
         assert!(inside.latency_s > base.latency_s);
         assert!(inside.bandwidth_bps < base.bandwidth_bps);
         // Outside the window, and for other nodes, the base model applies.
-        assert_eq!(plan.network_at(3, 25.0, &base), base);
-        assert_eq!(plan.network_at(0, 15.0, &base), base);
+        assert_eq!(plan.network_at(3, 25.0), base);
+        assert_eq!(plan.network_at(0, 15.0), base);
     }
 
     #[test]
@@ -1125,8 +1125,8 @@ mod tests {
         assert_eq!(plan.straggler_factor(1), 2.5);
         assert_eq!(plan.store_error_count(0), 2);
         let base = NetworkModel::DATACENTER;
-        assert_ne!(plan.network_at(2, 30.0, &base), base);
-        assert_eq!(plan.network_at(2, 80.0, &base), base);
+        assert_ne!(plan.network_at(2, 30.0), base);
+        assert_eq!(plan.network_at(2, 80.0), base);
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //! Determinism rules (DESIGN.md §10):
 //! * keys are pure functions of stage inputs — never of wall time,
 //!   iteration order, or thread count;
-//! * the store is a `BTreeMap`, and eviction picks the least-recently-used
-//!   entry with a smallest-key tie-break, so the cache's behavior is
-//!   bit-identical across runs;
+//! * the store is a `BTreeMap`, and eviction takes a superseded entry (the
+//!   previous dataset generation's sketch, once its extension is stored)
+//!   and then, under capacity pressure, the least-recently-used entry with
+//!   a smallest-key tie-break, so the cache's behavior is bit-identical
+//!   across runs;
 //! * artifacts are immutable (`Arc`) — a cache hit hands back the exact
 //!   value a cold compute would have produced, which is what makes warm
 //!   replans bit-identical to cold plans.
@@ -144,6 +146,8 @@ pub struct PlanCache {
     capacity: usize,
     tick: u64,
     entries: BTreeMap<(&'static str, Fingerprint), Entry>,
+    /// The entry the next insert replaces, set by [`PlanCache::supersede`].
+    superseded: Option<(&'static str, Fingerprint)>,
     stats: CacheStats,
 }
 
@@ -159,6 +163,7 @@ impl PlanCache {
             capacity: capacity.max(1),
             tick: 0,
             entries: BTreeMap::new(),
+            superseded: None,
             stats: CacheStats::default(),
         }
     }
@@ -201,11 +206,15 @@ impl PlanCache {
         }
     }
 
-    /// Look up an *auxiliary* artifact (e.g. the previous dataset
-    /// generation's sketch, used as an append prefix): records a hit when
-    /// found but stays silent on absence, so speculative lookups don't
-    /// inflate miss counts.
-    pub fn get_if_cached<T: Any + Send + Sync>(
+    /// Look up an artifact that the next [`insert`](Self::insert)
+    /// replaces (the previous dataset generation's sketch, used as the
+    /// append prefix of the extended one): records a hit when found but
+    /// stays silent on absence, so a speculative lookup doesn't inflate
+    /// miss counts, and marks the entry so that the next insert evicts
+    /// it. The caller inserts under the same guard (the stage driver holds
+    /// one across lookup, compute and store), so no other insert can
+    /// take the mark.
+    pub fn supersede<T: Any + Send + Sync>(
         &mut self,
         stage: &'static str,
         fp: Fingerprint,
@@ -213,6 +222,7 @@ impl PlanCache {
         let v = self.lookup::<T>(stage, fp);
         if v.is_some() {
             self.stats.bump(stage, "hit");
+            self.superseded = Some((stage, fp));
         }
         v
     }
@@ -236,8 +246,10 @@ impl PlanCache {
         )
     }
 
-    /// Insert an artifact, evicting the least-recently-used entry (smallest
-    /// key on ties) when full. Returns the stage names of evicted entries.
+    /// Insert an artifact. The entry marked by [`supersede`](Self::supersede)
+    /// leaves first, then the least-recently-used entries (smallest key on
+    /// ties) while the cache is full. Returns the stage names of evicted
+    /// entries, superseded ones included.
     pub fn insert<T: Any + Send + Sync>(
         &mut self,
         stage: &'static str,
@@ -245,6 +257,12 @@ impl PlanCache {
         value: Arc<T>,
     ) -> Vec<&'static str> {
         let mut evicted = Vec::new();
+        if let Some(old) = self.superseded.take() {
+            if old != (stage, fp) && self.entries.remove(&old).is_some() {
+                self.stats.bump(old.0, "evict");
+                evicted.push(old.0);
+            }
+        }
         if !self.entries.contains_key(&(stage, fp)) {
             while self.entries.len() >= self.capacity {
                 let victim = self
@@ -361,11 +379,39 @@ mod tests {
     #[test]
     fn quiet_lookup_never_counts_misses() {
         let mut cache = PlanCache::new(4);
-        assert!(cache.get_if_cached::<u32>("s", fp(9)).is_none());
+        assert!(cache.supersede::<u32>("s", fp(9)).is_none());
         assert_eq!(cache.stats().misses("s"), 0);
         cache.insert("s", fp(9), Arc::new(1u32));
-        assert!(cache.get_if_cached::<u32>("s", fp(9)).is_some());
+        assert!(cache.supersede::<u32>("s", fp(9)).is_some());
         assert_eq!(cache.stats().hits("s"), 1);
+    }
+
+    #[test]
+    fn superseded_entry_leaves_as_an_eviction_on_the_next_insert() {
+        let mut cache = PlanCache::new(4);
+        cache.insert("s", fp(1), Arc::new(1u32));
+        cache.insert("t", fp(2), Arc::new(2u32));
+        // Absence marks nothing: the next insert evicts no one.
+        assert!(cache.supersede::<u32>("s", fp(7)).is_none());
+        assert!(cache.insert("t", fp(3), Arc::new(3u32)).is_empty());
+        assert_eq!(*cache.supersede::<u32>("s", fp(1)).unwrap(), 1);
+        assert_eq!(cache.insert("s", fp(4), Arc::new(4u32)), vec!["s"]);
+        assert!(cache.get::<u32>("s", fp(1)).is_none());
+        assert_eq!(cache.len(), 3);
+        assert_eq!(cache.stats().evictions("s"), 1);
+        // The mark is spent: a later insert at capacity evicts by LRU only.
+        assert!(cache.insert("u", fp(5), Arc::new(5u32)).is_empty());
+        assert_eq!(cache.insert("u", fp(6), Arc::new(6u32)), vec!["t"]);
+    }
+
+    #[test]
+    fn superseding_a_key_by_itself_evicts_nothing() {
+        let mut cache = PlanCache::new(2);
+        cache.insert("s", fp(1), Arc::new(1u32));
+        assert!(cache.supersede::<u32>("s", fp(1)).is_some());
+        assert!(cache.insert("s", fp(1), Arc::new(2u32)).is_empty());
+        assert_eq!(*cache.get::<u32>("s", fp(1)).unwrap(), 2);
+        assert_eq!(cache.stats().evictions("s"), 0);
     }
 
     #[test]

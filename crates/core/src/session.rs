@@ -7,10 +7,13 @@
 //!
 //! A long-lived session owns its dataset and maintains the content chain
 //! digest incrementally (appending records extends a chain hash), so an
-//! append costs a digest of the *new* records only and the previous
-//! generation's digest survives as the prefix hint that lets the sketch
-//! stage reuse its cached signatures. [`crate::Framework::try_plan`] opens
-//! a one-shot cold session over a *borrowed* dataset.
+//! append costs a digest of the *new* records only. The digest of the last
+//! sketched generation names its cached signatures, which the next plan
+//! after an append extends by the new records; the extended sketch
+//! supersedes them, so the cache holds one signature matrix per session
+//! lineage, not one per generation. [`crate::Framework::try_plan`] opens a
+//! one-shot cold session over a *borrowed* dataset, which it does not
+//! digest.
 //!
 //! Every plan a warm session produces is bit-identical to a cold
 //! [`crate::Framework::try_plan`] over the same inputs — the cache only ever
@@ -99,8 +102,8 @@ pub struct PlanSession<'a> {
     workload: WorkloadKind,
     /// Chain digest of the current dataset contents.
     dataset_fp: Fingerprint,
-    /// Digest + length at the last successful plan (the sketch-append
-    /// prefix hint).
+    /// Digest + length of the last generation whose sketch stage
+    /// completed (the sketch-append prefix hint).
     prev_dataset: Option<(Fingerprint, usize)>,
 }
 
@@ -112,10 +115,12 @@ impl<'a> PlanSession<'a> {
         dataset: Dataset,
         workload: WorkloadKind,
     ) -> Self {
+        let dataset_fp = stages::dataset_fingerprint(&dataset);
         Self::over(
             ClusterRef::Borrowed(cluster),
             cfg,
             Cow::Owned(dataset),
+            dataset_fp,
             workload,
         )
     }
@@ -130,15 +135,21 @@ impl<'a> PlanSession<'a> {
         dataset: Dataset,
         workload: WorkloadKind,
     ) -> PlanSession<'static> {
+        let dataset_fp = stages::dataset_fingerprint(&dataset);
         PlanSession::over(
             ClusterRef::Shared(cluster),
             cfg,
             Cow::Owned(dataset),
+            dataset_fp,
             workload,
         )
     }
 
-    /// A cold session over a borrowed dataset, for one plan.
+    /// A cold session over a borrowed dataset, for one plan. Its private
+    /// cache is dropped with it, so no later lookup can ever meet its
+    /// keys: the dataset is not digested, and every key is derived from a
+    /// fixed stand-in digest instead. Such a session must never share a
+    /// cache.
     pub(crate) fn borrowed(
         cluster: &'a SimCluster,
         cfg: FrameworkConfig,
@@ -149,6 +160,7 @@ impl<'a> PlanSession<'a> {
             ClusterRef::Borrowed(cluster),
             cfg,
             Cow::Borrowed(dataset),
+            Fingerprint(0),
             workload,
         )
     }
@@ -157,6 +169,7 @@ impl<'a> PlanSession<'a> {
         cluster: ClusterRef<'a>,
         cfg: FrameworkConfig,
         dataset: Cow<'a, Dataset>,
+        dataset_fp: Fingerprint,
         workload: WorkloadKind,
     ) -> Self {
         PlanSession {
@@ -167,7 +180,7 @@ impl<'a> PlanSession<'a> {
             cache: SharedPlanCache::default(),
             last_reuse: StageReuse::default(),
             deadline: Deadline::None,
-            dataset_fp: stages::dataset_fingerprint(&dataset),
+            dataset_fp,
             dataset,
             workload,
             prev_dataset: None,
@@ -252,19 +265,24 @@ impl<'a> PlanSession<'a> {
             // After an append the full-dataset key misses, but the previous
             // generation's sketch is a bit-identical prefix (MinHash is a
             // pure per-record function): sketch only the appended records.
-            // A speculative lookup, so absence is not counted as a miss.
+            // The extended sketch supersedes the prefix, which leaves the
+            // cache as an eviction when the stage stores it. A speculative
+            // lookup, so absence is not counted as a miss.
             let prefix =
                 prev_dataset
                     .filter(|&(_, prev_len)| prev_len < n)
                     .and_then(|(prev_fp, _)| {
                         let prev_key = sketch_key(prev_fp, &cfg.stratifier);
-                        cache.get_if_cached::<SignatureMatrix>("sketch", prev_key)
+                        cache.supersede::<SignatureMatrix>("sketch", prev_key)
                     });
             Ok(match prefix {
                 Some(prefix) => stratifier.sketch_append(dataset, &prefix),
                 None => stratifier.sketch(dataset),
             })
         })?;
+        // The current generation's sketch is cached from here on: it is
+        // the next append's prefix even if a later stage fails.
+        self.prev_dataset = Some((self.dataset_fp, n));
 
         let (stratification, stratified) = run.stage("stratify", keys.stratify, |_| {
             Ok(stratifier.stratify_signatures(&signatures))
@@ -386,7 +404,6 @@ impl<'a> PlanSession<'a> {
             optimize: optimize_record.is_some_and(|r| r.hit),
             partition: partitioned.hit,
         };
-        self.prev_dataset = Some((self.dataset_fp, n));
         Ok(plan)
     }
 

@@ -30,10 +30,12 @@
 //! | `threads`                | —      | —        | —       | —        | —         |
 //!
 //! ¹ via the measurement sub-artifact; a dataset *append* still reuses the
-//!   prefix sketch. ² measurements are node-independent and survive roster
-//!   changes — only the cheap per-node fits re-run. ³ only when the change
-//!   toggles whether time models are needed. `threads` never invalidates
-//!   anything because every stage is bit-identical at any thread count.
+//!   prefix sketch, and storing the extended sketch evicts the prefix (the
+//!   superseded generation). ² measurements are node-independent and
+//!   survive roster changes — only the cheap per-node fits re-run. ³ only
+//!   when the change toggles whether time models are needed. `threads`
+//!   never invalidates anything because every stage is bit-identical at
+//!   any thread count.
 
 use std::any::Any;
 use std::sync::Arc;
@@ -508,8 +510,9 @@ pub(crate) fn store<T: Any + Send + Sync>(
 
 /// The get-or-compute driver: [`lookup`], and on a miss `compute` then
 /// [`store`], all under the caller's one cache guard. `compute` receives
-/// the cache for *auxiliary* artifacts (the append-prefix sketch, the
-/// nested `measure` sub-artifact). Returns the artifact and whether it was
+/// the cache for *auxiliary* artifacts: the append-prefix sketch, which
+/// [`PlanCache::supersede`] marks so that this store evicts it, and the
+/// nested `measure` sub-artifact. Returns the artifact and whether it was
 /// a hit.
 pub(crate) fn cached<T: Any + Send + Sync>(
     cache: &mut PlanCache,

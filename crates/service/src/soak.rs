@@ -122,7 +122,8 @@ pub struct SoakReport {
     pub cache_hits: u64,
     /// Shared-cache stage misses.
     pub cache_misses: u64,
-    /// Shared-cache evictions under capacity pressure.
+    /// Shared-cache evictions: superseded append prefixes and entries
+    /// dropped under capacity pressure.
     pub cache_evictions: u64,
     /// p50 terminal latency in sim ticks.
     pub latency_p50: u64,

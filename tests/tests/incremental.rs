@@ -10,8 +10,9 @@ use std::collections::BTreeMap;
 
 use pareto_cluster::{NodeSpec, SimCluster};
 use pareto_core::framework::{Framework, FrameworkConfig, Plan, Strategy};
-use pareto_core::PlanSession;
-use pareto_datagen::Dataset;
+use pareto_core::{CacheStats, Deadline, PlanError, PlanSession};
+use pareto_datagen::{DataItem, Dataset};
+use pareto_integration_tests::thread_counts;
 use pareto_telemetry::{metrics, MetricKey, Telemetry};
 use pareto_workloads::WorkloadKind;
 use proptest::prelude::*;
@@ -510,4 +511,219 @@ fn shared_cache_sessions_replan_bit_identically() {
         reuse.sketch && reuse.stratify && reuse.profile,
         "upstream stages must be reused"
     );
+}
+
+/// Records appended by lineage step `step` of the session seeded `seed`.
+fn extra(seed: u64, step: u64) -> Vec<DataItem> {
+    pareto_datagen::rcv1_syn(seed + 100 + step, 0.005).items
+}
+
+/// A cold plan over `ds` — the reference every warm plan must equal.
+fn cold(cl: &SimCluster, seed: u64, threads: usize, strategy: Strategy, ds: &Dataset) -> Plan {
+    Framework::new(cl, cfg(seed, threads, strategy))
+        .try_plan(ds, WORKLOAD)
+        .expect("non-empty dataset")
+}
+
+fn total(stats: &CacheStats, event: &str) -> u64 {
+    stats
+        .events()
+        .filter(|(_, kind, _)| *kind == event)
+        .map(|(_, _, n)| n)
+        .sum()
+}
+
+/// Every stored artifact arrived through a miss and left through an
+/// eviction, superseded append prefixes included.
+fn assert_reconciles(cache: &pareto_core::SharedPlanCache, ctx: &str) {
+    let stats = cache.stats();
+    assert_eq!(
+        total(&stats, "miss") - total(&stats, "evict"),
+        cache.lock().len() as u64,
+        "{ctx}: misses - evictions must equal occupancy"
+    );
+}
+
+/// A lineage of appends keeps one signature matrix: each plan after an
+/// append extends the previous generation's sketch and evicts it, so `k`
+/// append+plan cycles on a cache far too large for capacity eviction
+/// leave exactly one `sketch` entry — and every plan still equals a cold
+/// plan of the same dataset.
+#[test]
+fn append_lineage_keeps_one_sketch_entry() {
+    let seed = 23;
+    let k = 4u64;
+    let cl = cluster(seed);
+    let strategy = Strategy::HetEnergyAware { alpha: 0.99 };
+    for threads in thread_counts() {
+        let ctx = format!("threads {threads}");
+        let telemetry = Telemetry::enabled();
+        let mut grown = dataset(seed);
+        let mut session =
+            PlanSession::new(&cl, cfg(seed, threads, strategy), grown.clone(), WORKLOAD)
+                .with_cache_capacity(4096)
+                .with_telemetry(telemetry.clone());
+        session.plan().expect("cold plan");
+        for step in 0..k {
+            let items = extra(seed, step);
+            session.append_items(items.clone());
+            grown.items.extend(items);
+            let warm = session.plan().expect("append replan");
+            let reference = cold(&cl, seed, threads, strategy, &grown);
+            assert_plans_identical(&warm, &reference, &format!("{ctx}, append {step}"));
+        }
+
+        let stats = session.cache_stats();
+        assert_eq!(
+            stats.misses("sketch"),
+            k + 1,
+            "{ctx}: one sketch per generation"
+        );
+        assert_eq!(
+            stats.hits("sketch"),
+            k,
+            "{ctx}: every append reuses its prefix"
+        );
+        assert_eq!(
+            stats.misses("sketch") - stats.evictions("sketch"),
+            1,
+            "{ctx}: the lineage must leave exactly one sketch entry"
+        );
+        assert_eq!(
+            total(&stats, "evict"),
+            k,
+            "{ctx}: only superseded prefixes leave a 4096-entry cache"
+        );
+        assert_reconciles(session.cache(), &ctx);
+        let evicted_in_telemetry: u64 = telemetry
+            .snapshot()
+            .metrics
+            .counters
+            .iter()
+            .filter(|(key, _)| {
+                key.name == metrics::PLAN_CACHE_EVENTS_TOTAL
+                    && key
+                        .labels
+                        .contains(&("event".to_string(), "evict".to_string()))
+            })
+            .map(|(_, &n)| n)
+            .sum();
+        assert_eq!(
+            evicted_in_telemetry, k,
+            "{ctx}: telemetry counts each eviction once"
+        );
+    }
+}
+
+/// Two sessions over identical data share a cache. When one appends, the
+/// generation both sketched is superseded; the other session's next plan
+/// recomputes its sketch, and both stay bit-identical to cold plans. When
+/// the second appends the same records, it is served the first's sketch.
+#[test]
+fn shared_lineage_survives_a_sibling_append() {
+    let seed = 29;
+    let cl = std::sync::Arc::new(cluster(seed));
+    let strategy = Strategy::HetEnergyAware { alpha: 0.99 };
+    for threads in thread_counts() {
+        let ctx = format!("threads {threads}");
+        let ds = dataset(seed);
+        let shared = pareto_core::SharedPlanCache::new(4096);
+        let open = || {
+            PlanSession::new_shared(
+                cl.clone(),
+                cfg(seed, threads, strategy),
+                ds.clone(),
+                WORKLOAD,
+            )
+            .with_shared_cache(shared.clone())
+        };
+        let (mut a, mut b) = (open(), open());
+        let base = cold(&cl, seed, threads, strategy, &ds);
+        assert_plans_identical(&a.plan().expect("A plan"), &base, &format!("{ctx}: A"));
+        assert_plans_identical(&b.plan().expect("B plan"), &base, &format!("{ctx}: B"));
+
+        let items = extra(seed, 0);
+        let mut grown = ds.clone();
+        grown.items.extend(items.clone());
+        let grown_ref = cold(&cl, seed, threads, strategy, &grown);
+        a.append_items(items.clone());
+        let after = a.plan().expect("A append plan");
+        assert_plans_identical(&after, &grown_ref, &format!("{ctx}: A after append"));
+        assert_eq!(
+            shared.stats().evictions("sketch"),
+            1,
+            "{ctx}: prefix superseded"
+        );
+
+        let again = b.plan().expect("B replan");
+        assert_plans_identical(&again, &base, &format!("{ctx}: B after sibling append"));
+        assert!(
+            !b.last_reuse().sketch,
+            "{ctx}: B's superseded sketch is recomputed"
+        );
+        assert!(
+            b.last_reuse().stratify,
+            "{ctx}: B's downstream artifacts survive"
+        );
+
+        b.append_items(items);
+        let caught_up = b.plan().expect("B append plan");
+        assert_plans_identical(&caught_up, &grown_ref, &format!("{ctx}: B after append"));
+        assert!(
+            b.last_reuse().sketch,
+            "{ctx}: B is served A's extended sketch"
+        );
+        assert_reconciles(&shared, &ctx);
+    }
+}
+
+/// A deadline that trips after the sketch stage has stored the extended
+/// sketch does not orphan it: the next append extends that sketch, and the
+/// plan still equals a cold plan of the whole dataset.
+#[test]
+fn deadline_after_sketch_keeps_the_lineage() {
+    let seed = 37;
+    let cl = cluster(seed);
+    let strategy = Strategy::HetEnergyAware { alpha: 0.99 };
+    for threads in thread_counts() {
+        let ctx = format!("threads {threads}");
+        let mut grown = dataset(seed);
+        let mut session =
+            PlanSession::new(&cl, cfg(seed, threads, strategy), grown.clone(), WORKLOAD)
+                .with_cache_capacity(4096);
+        session.plan().expect("cold plan");
+
+        for step in 0..2 {
+            let items = extra(seed, step);
+            session.append_items(items.clone());
+            grown.items.extend(items);
+            if step == 0 {
+                // One checkpoint: the sketch stage runs, stratify does not.
+                session.set_deadline(Deadline::Budget(1));
+                let err = session.plan().expect_err("deadline must trip");
+                assert_eq!(
+                    err,
+                    PlanError::DeadlineExceeded { stage: "stratify" },
+                    "{ctx}"
+                );
+                session.set_deadline(Deadline::None);
+            }
+        }
+        let warm = session.plan().expect("plan after the second append");
+        let reference = cold(&cl, seed, threads, strategy, &grown);
+        assert_plans_identical(&warm, &reference, &format!("{ctx}: after deadline"));
+
+        let stats = session.cache_stats();
+        assert_eq!(
+            stats.hits("sketch"),
+            2,
+            "{ctx}: each append extends the last sketch"
+        );
+        assert_eq!(
+            stats.misses("sketch") - stats.evictions("sketch"),
+            1,
+            "{ctx}: no generation's sketch is orphaned"
+        );
+        assert_reconciles(session.cache(), &ctx);
+    }
 }
