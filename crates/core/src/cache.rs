@@ -3,18 +3,18 @@
 //! Every stage of the plan pipeline ([`crate::stages`]) names its output
 //! with a [`Fingerprint`] — a seeded SplitMix64 digest of every input the
 //! stage reads (dataset content, stratifier config, node roster + energy
-//! traces, strategy + α). The [`PlanCache`] maps `(stage name,
+//! traces, strategy + α). The [`SharedPlanCache`] maps `(stage name,
 //! fingerprint)` to the stage's artifact, so a replan recomputes only the
 //! stages whose inputs actually changed.
 //!
 //! Determinism rules (DESIGN.md §10):
 //! * keys are pure functions of stage inputs — never of wall time,
 //!   iteration order, or thread count;
-//! * the store is a `BTreeMap`, and eviction takes a superseded entry (the
-//!   previous dataset generation's sketch, once its extension is stored)
-//!   and then, under capacity pressure, the least-recently-used entry with
-//!   a smallest-key tie-break, so the cache's behavior is bit-identical
-//!   across runs;
+//! * the store is a `BTreeMap`, and eviction takes a retired entry (the
+//!   previous dataset generation's sketch, once the dataset has moved past
+//!   it) and then, under capacity pressure, the least-recently-used entry
+//!   with a smallest-key tie-break, so the cache's behavior is
+//!   bit-identical across runs;
 //! * artifacts are immutable (`Arc`) — a cache hit hands back the exact
 //!   value a cold compute would have produced, which is what makes warm
 //!   replans bit-identical to cold plans.
@@ -141,93 +141,47 @@ struct Entry {
 }
 
 /// Bounded, deterministic LRU store of stage artifacts keyed by
-/// `(stage name, fingerprint)`.
-pub struct PlanCache {
+/// `(stage name, fingerprint)`. Reached only through [`SharedPlanCache`].
+struct PlanCache {
     capacity: usize,
     tick: u64,
     entries: BTreeMap<(&'static str, Fingerprint), Entry>,
-    /// The entry the next insert replaces, set by [`PlanCache::supersede`].
-    superseded: Option<(&'static str, Fingerprint)>,
     stats: CacheStats,
 }
 
-impl PlanCache {
-    /// Default entry bound: generous for α sweeps (one artifact per stage
-    /// per distinct input), small enough that a long session can't grow
-    /// without bound.
-    pub const DEFAULT_CAPACITY: usize = 64;
+/// Default entry bound: generous for α sweeps (one artifact per stage per
+/// distinct input), small enough that a long session can't grow without
+/// bound.
+const DEFAULT_CAPACITY: usize = 64;
 
-    /// A cache bounded to `capacity` entries (floored at 1).
-    pub fn new(capacity: usize) -> Self {
+impl PlanCache {
+    fn new(capacity: usize) -> Self {
         PlanCache {
             capacity: capacity.max(1),
             tick: 0,
             entries: BTreeMap::new(),
-            superseded: None,
             stats: CacheStats::default(),
         }
     }
 
-    /// Entry bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Live entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Hit/miss/evict counters.
-    pub fn stats(&self) -> &CacheStats {
-        &self.stats
-    }
-
     /// Look up a stage artifact, recording a hit or a miss.
-    pub fn get<T: Any + Send + Sync>(
+    fn get<T: Any + Send + Sync>(
         &mut self,
         stage: &'static str,
         fp: Fingerprint,
     ) -> Option<Arc<T>> {
-        match self.lookup::<T>(stage, fp) {
-            Some(v) => {
-                self.stats.bump(stage, "hit");
-                Some(v)
-            }
-            None => {
-                self.stats.bump(stage, "miss");
-                None
-            }
+        let found = self.get_if_cached::<T>(stage, fp);
+        if found.is_none() {
+            self.stats.bump(stage, "miss");
         }
+        found
     }
 
-    /// Look up an artifact that the next [`insert`](Self::insert)
-    /// replaces (the previous dataset generation's sketch, used as the
-    /// append prefix of the extended one): records a hit when found but
-    /// stays silent on absence, so a speculative lookup doesn't inflate
-    /// miss counts, and marks the entry so that the next insert evicts
-    /// it. The caller inserts under the same guard (the stage driver holds
-    /// one across lookup, compute and store), so no other insert can
-    /// take the mark.
-    pub fn supersede<T: Any + Send + Sync>(
-        &mut self,
-        stage: &'static str,
-        fp: Fingerprint,
-    ) -> Option<Arc<T>> {
-        let v = self.lookup::<T>(stage, fp);
-        if v.is_some() {
-            self.stats.bump(stage, "hit");
-            self.superseded = Some((stage, fp));
-        }
-        v
-    }
-
-    fn lookup<T: Any + Send + Sync>(
+    /// Look up an artifact that may well be absent (the previous dataset
+    /// generation's sketch, the append prefix of the extended one):
+    /// records a hit when found but stays silent on absence, so a
+    /// speculative lookup doesn't inflate miss counts.
+    fn get_if_cached<T: Any + Send + Sync>(
         &mut self,
         stage: &'static str,
         fp: Fingerprint,
@@ -235,6 +189,7 @@ impl PlanCache {
         let entry = self.entries.get_mut(&(stage, fp))?;
         self.tick += 1;
         entry.last_used = self.tick;
+        self.stats.bump(stage, "hit");
         // The key embeds the stage name, and every stage stores exactly one
         // artifact type, so a mismatched downcast is a programming error.
         Some(
@@ -246,21 +201,30 @@ impl PlanCache {
         )
     }
 
-    /// Insert an artifact. The entry marked by [`supersede`](Self::supersede)
-    /// leaves first, then the least-recently-used entries (smallest key on
-    /// ties) while the cache is full. Returns the stage names of evicted
-    /// entries, superseded ones included.
-    pub fn insert<T: Any + Send + Sync>(
+    /// Evict `(stage, fp)` if present, counting it as an eviction.
+    fn retire(&mut self, stage: &'static str, fp: Fingerprint) -> bool {
+        let present = self.entries.remove(&(stage, fp)).is_some();
+        if present {
+            self.stats.bump(stage, "evict");
+        }
+        present
+    }
+
+    /// Insert an artifact. The entry it `retires` (another key of the same
+    /// stage) leaves first, then the least-recently-used entries (smallest
+    /// key on ties) while the cache is full. Returns the stage names of
+    /// evicted entries, the retired one included.
+    fn insert<T: Any + Send + Sync>(
         &mut self,
         stage: &'static str,
         fp: Fingerprint,
         value: Arc<T>,
+        retires: Option<Fingerprint>,
     ) -> Vec<&'static str> {
         let mut evicted = Vec::new();
-        if let Some(old) = self.superseded.take() {
-            if old != (stage, fp) && self.entries.remove(&old).is_some() {
-                self.stats.bump(old.0, "evict");
-                evicted.push(old.0);
+        if let Some(old) = retires.filter(|&old| old != fp) {
+            if self.retire(stage, old) {
+                evicted.push(stage);
             }
         }
         if !self.entries.contains_key(&(stage, fp)) {
@@ -288,17 +252,20 @@ impl PlanCache {
     }
 }
 
-/// A [`PlanCache`] behind `Arc<Mutex<…>>` so many sessions (one per
-/// tenant, in the plan-serving daemon) can share one artifact store and
-/// identical dataset digests dedupe fleet-wide.
+/// The plan pipeline's artifact store: a bounded LRU map behind
+/// `Arc<Mutex<…>>`, so many sessions (one per tenant, in the plan-serving
+/// daemon) can share one store. Every session gets a private one by
+/// default.
 ///
-/// Single-threaded semantics are unchanged: every session gets a private
-/// `SharedPlanCache` by default, the lock is uncontended, and the
-/// fingerprint/eviction behavior inside is exactly [`PlanCache`]'s — the
-/// wrapper adds sharing, not policy. Under contention the lock is held for
-/// the duration of one stage (lookup + compute + insert), which is also
-/// what guarantees two tenants missing the same fingerprint compute it
-/// once: the second locker finds the first's artifact already inserted.
+/// The mutex is held for one lookup, one retirement or one insert, never
+/// across a compute: the stage driver ([`crate::stages`]) looks up,
+/// computes unlocked on a miss, then inserts. So two threads that plan
+/// identical inputs on one cache at the same time may both miss and both
+/// compute. Their artifacts are bit-identical, the later insert
+/// overwrites the earlier, and that raced miss is the one case where
+/// `misses − evictions` exceeds [`occupancy`](Self::occupancy). The
+/// plan-serving daemon never races that way: a tenant's requests run one
+/// after another, and tenants plan different datasets.
 #[derive(Clone)]
 pub struct SharedPlanCache {
     inner: Arc<Mutex<PlanCache>>,
@@ -312,17 +279,57 @@ impl SharedPlanCache {
         }
     }
 
-    /// Lock the underlying cache. Poisoning is ignored on purpose: the
-    /// cache holds only immutable `Arc`ed artifacts plus counters, so a
-    /// panicking peer cannot leave it half-written, and a serving process
-    /// must not abort because one worker died.
-    pub fn lock(&self) -> MutexGuard<'_, PlanCache> {
+    /// Poisoning is ignored on purpose: the cache holds only immutable
+    /// `Arc`ed artifacts plus counters, and no compute runs under the
+    /// guard, so a panicking peer cannot leave it half-written, and a
+    /// serving process must not abort because one worker died.
+    fn lock(&self) -> MutexGuard<'_, PlanCache> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    pub(crate) fn get<T: Any + Send + Sync>(
+        &self,
+        stage: &'static str,
+        fp: Fingerprint,
+    ) -> Option<Arc<T>> {
+        self.lock().get(stage, fp)
+    }
+
+    pub(crate) fn get_if_cached<T: Any + Send + Sync>(
+        &self,
+        stage: &'static str,
+        fp: Fingerprint,
+    ) -> Option<Arc<T>> {
+        self.lock().get_if_cached(stage, fp)
+    }
+
+    pub(crate) fn retire(&self, stage: &'static str, fp: Fingerprint) -> bool {
+        self.lock().retire(stage, fp)
+    }
+
+    pub(crate) fn insert<T: Any + Send + Sync>(
+        &self,
+        stage: &'static str,
+        fp: Fingerprint,
+        value: Arc<T>,
+        retires: Option<Fingerprint>,
+    ) -> Vec<&'static str> {
+        self.lock().insert(stage, fp, value, retires)
     }
 
     /// Snapshot of the hit/miss/evict counters.
     pub fn stats(&self) -> CacheStats {
-        self.lock().stats().clone()
+        self.lock().stats.clone()
+    }
+
+    /// Live entries.
+    pub fn occupancy(&self) -> usize {
+        self.lock().entries.len()
+    }
+
+    /// Entry bound.
+    pub fn capacity(&self) -> usize {
+        self.lock().capacity
     }
 
     /// True when both handles view the same underlying store.
@@ -333,7 +340,7 @@ impl SharedPlanCache {
 
 impl Default for SharedPlanCache {
     fn default() -> Self {
-        SharedPlanCache::new(PlanCache::DEFAULT_CAPACITY)
+        SharedPlanCache::new(DEFAULT_CAPACITY)
     }
 }
 
@@ -370,70 +377,89 @@ mod tests {
     fn get_records_hits_and_misses() {
         let mut cache = PlanCache::new(4);
         assert!(cache.get::<u32>("s", fp(1)).is_none());
-        cache.insert("s", fp(1), Arc::new(7u32));
+        cache.insert("s", fp(1), Arc::new(7u32), None);
         assert_eq!(*cache.get::<u32>("s", fp(1)).unwrap(), 7);
-        assert_eq!(cache.stats().misses("s"), 1);
-        assert_eq!(cache.stats().hits("s"), 1);
+        assert_eq!(cache.stats.misses("s"), 1);
+        assert_eq!(cache.stats.hits("s"), 1);
     }
 
     #[test]
     fn quiet_lookup_never_counts_misses() {
         let mut cache = PlanCache::new(4);
-        assert!(cache.supersede::<u32>("s", fp(9)).is_none());
-        assert_eq!(cache.stats().misses("s"), 0);
-        cache.insert("s", fp(9), Arc::new(1u32));
-        assert!(cache.supersede::<u32>("s", fp(9)).is_some());
-        assert_eq!(cache.stats().hits("s"), 1);
+        assert!(cache.get_if_cached::<u32>("s", fp(9)).is_none());
+        assert_eq!(cache.stats.misses("s"), 0);
+        cache.insert("s", fp(9), Arc::new(1u32), None);
+        assert!(cache.get_if_cached::<u32>("s", fp(9)).is_some());
+        assert_eq!(cache.stats.hits("s"), 1);
     }
 
     #[test]
-    fn superseded_entry_leaves_as_an_eviction_on_the_next_insert() {
+    fn retired_entry_leaves_as_an_eviction_of_the_insert() {
         let mut cache = PlanCache::new(4);
-        cache.insert("s", fp(1), Arc::new(1u32));
-        cache.insert("t", fp(2), Arc::new(2u32));
-        // Absence marks nothing: the next insert evicts no one.
-        assert!(cache.supersede::<u32>("s", fp(7)).is_none());
-        assert!(cache.insert("t", fp(3), Arc::new(3u32)).is_empty());
-        assert_eq!(*cache.supersede::<u32>("s", fp(1)).unwrap(), 1);
-        assert_eq!(cache.insert("s", fp(4), Arc::new(4u32)), vec!["s"]);
+        cache.insert("s", fp(1), Arc::new(1u32), None);
+        cache.insert("t", fp(2), Arc::new(2u32), None);
+        // Retiring an absent key evicts no one.
+        assert!(cache.get_if_cached::<u32>("t", fp(7)).is_none());
+        assert!(cache
+            .insert("t", fp(3), Arc::new(3u32), Some(fp(7)))
+            .is_empty());
+        assert_eq!(*cache.get_if_cached::<u32>("s", fp(1)).unwrap(), 1);
+        assert_eq!(
+            cache.insert("s", fp(4), Arc::new(4u32), Some(fp(1))),
+            vec!["s"]
+        );
         assert!(cache.get::<u32>("s", fp(1)).is_none());
-        assert_eq!(cache.len(), 3);
-        assert_eq!(cache.stats().evictions("s"), 1);
-        // The mark is spent: a later insert at capacity evicts by LRU only.
-        assert!(cache.insert("u", fp(5), Arc::new(5u32)).is_empty());
-        assert_eq!(cache.insert("u", fp(6), Arc::new(6u32)), vec!["t"]);
+        assert_eq!(cache.entries.len(), 3);
+        assert_eq!(cache.stats.evictions("s"), 1);
+        // Retirement is per insert: a later insert at capacity evicts by
+        // LRU only.
+        assert!(cache.insert("u", fp(5), Arc::new(5u32), None).is_empty());
+        assert_eq!(cache.insert("u", fp(6), Arc::new(6u32), None), vec!["t"]);
     }
 
     #[test]
-    fn superseding_a_key_by_itself_evicts_nothing() {
+    fn retiring_the_inserted_key_evicts_nothing() {
         let mut cache = PlanCache::new(2);
-        cache.insert("s", fp(1), Arc::new(1u32));
-        assert!(cache.supersede::<u32>("s", fp(1)).is_some());
-        assert!(cache.insert("s", fp(1), Arc::new(2u32)).is_empty());
+        cache.insert("s", fp(1), Arc::new(1u32), None);
+        assert!(cache.get_if_cached::<u32>("s", fp(1)).is_some());
+        assert!(cache
+            .insert("s", fp(1), Arc::new(2u32), Some(fp(1)))
+            .is_empty());
         assert_eq!(*cache.get::<u32>("s", fp(1)).unwrap(), 2);
-        assert_eq!(cache.stats().evictions("s"), 0);
+        assert_eq!(cache.stats.evictions("s"), 0);
+    }
+
+    #[test]
+    fn retire_evicts_only_a_present_entry() {
+        let mut cache = PlanCache::new(2);
+        cache.insert("s", fp(1), Arc::new(1u32), None);
+        assert!(!cache.retire("s", fp(2)));
+        assert!(cache.retire("s", fp(1)));
+        assert!(!cache.retire("s", fp(1)));
+        assert!(cache.entries.is_empty());
+        assert_eq!(cache.stats.evictions("s"), 1);
     }
 
     #[test]
     fn eviction_is_lru_and_deterministic() {
         let mut cache = PlanCache::new(2);
-        cache.insert("a", fp(1), Arc::new(1u32));
-        cache.insert("b", fp(2), Arc::new(2u32));
+        cache.insert("a", fp(1), Arc::new(1u32), None);
+        cache.insert("b", fp(2), Arc::new(2u32), None);
         // Touch "a" so "b" is the LRU victim.
         assert!(cache.get::<u32>("a", fp(1)).is_some());
-        let evicted = cache.insert("c", fp(3), Arc::new(3u32));
+        let evicted = cache.insert("c", fp(3), Arc::new(3u32), None);
         assert_eq!(evicted, vec!["b"]);
         assert!(cache.get::<u32>("a", fp(1)).is_some());
         assert!(cache.get::<u32>("b", fp(2)).is_none());
-        assert_eq!(cache.stats().evictions("b"), 1);
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.stats.evictions("b"), 1);
+        assert_eq!(cache.entries.len(), 2);
     }
 
     #[test]
     fn reinsert_does_not_evict() {
         let mut cache = PlanCache::new(1);
-        cache.insert("a", fp(1), Arc::new(1u32));
-        let evicted = cache.insert("a", fp(1), Arc::new(2u32));
+        cache.insert("a", fp(1), Arc::new(1u32), None);
+        let evicted = cache.insert("a", fp(1), Arc::new(2u32), None);
         assert!(evicted.is_empty());
         assert_eq!(*cache.get::<u32>("a", fp(1)).unwrap(), 2);
     }

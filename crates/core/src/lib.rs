@@ -57,7 +57,7 @@ pub mod stages;
 pub mod stealing;
 
 pub use audit::{audit_run, AuditReport, Invariant, Violation};
-pub use cache::{CacheStats, Fingerprint, FingerprintBuilder, PlanCache, SharedPlanCache};
+pub use cache::{CacheStats, Fingerprint, FingerprintBuilder, SharedPlanCache};
 pub use chaos::{run_chaos, shrink_schedule, ChaosConfig, ChaosReport, ScheduleFailure};
 pub use elastic::{advise_join, JoinAdvice};
 pub use estimator::{EnergyEstimator, HeterogeneityEstimator, NodeTimeModel, SamplingPlan};

@@ -9,8 +9,8 @@
 //! digest incrementally (appending records extends a chain hash), so an
 //! append costs a digest of the *new* records only. The digest of the last
 //! sketched generation names its cached signatures, which the next plan
-//! after an append extends by the new records; the extended sketch
-//! supersedes them, so the cache holds one signature matrix per session
+//! after an append extends by the new records; the sketch stage then
+//! retires them, so the cache holds one signature matrix per session
 //! lineage, not one per generation. [`crate::Framework::try_plan`] opens a
 //! one-shot cold session over a *borrowed* dataset, which it does not
 //! digest.
@@ -200,9 +200,9 @@ impl<'a> PlanSession<'a> {
         self
     }
 
-    /// Share an artifact cache with other sessions: identical stage
-    /// fingerprints (same dataset digest, roster, config) dedupe across
-    /// every session holding a clone of the handle.
+    /// Share an artifact cache with other sessions: a stage whose
+    /// fingerprint (same dataset digest, roster, config) another session
+    /// already stored is served from that session's artifact.
     pub fn with_shared_cache(mut self, cache: SharedPlanCache) -> Self {
         self.cache = cache;
         self
@@ -255,26 +255,25 @@ impl<'a> PlanSession<'a> {
         let telemetry: &Telemetry = &self.telemetry;
         let (n, p) = (dataset.len(), roster.len());
         let stratifier = Stratifier::new(cfg.stratifier.clone()).with_threads(cfg.threads);
+        let cache = &self.cache;
         let mut run = StageRunner {
-            cache: &self.cache,
+            cache,
             telemetry,
             deadline: &mut self.deadline,
         };
 
-        let (signatures, sketched) = run.stage("sketch", keys.sketch, |cache| {
-            // After an append the full-dataset key misses, but the previous
-            // generation's sketch is a bit-identical prefix (MinHash is a
-            // pure per-record function): sketch only the appended records.
-            // The extended sketch supersedes the prefix, which leaves the
-            // cache as an eviction when the stage stores it. A speculative
-            // lookup, so absence is not counted as a miss.
-            let prefix =
-                prev_dataset
-                    .filter(|&(_, prev_len)| prev_len < n)
-                    .and_then(|(prev_fp, _)| {
-                        let prev_key = sketch_key(prev_fp, &cfg.stratifier);
-                        cache.supersede::<SignatureMatrix>("sketch", prev_key)
-                    });
+        // After an append the full-dataset key misses, but the previous
+        // generation's sketch is a bit-identical prefix (MinHash is a pure
+        // per-record function): sketch only the appended records. The
+        // dataset has moved past that generation, so the stage retires it
+        // whether the extended sketch is found or stored.
+        let prefix_key = prev_dataset
+            .filter(|&(_, prev_len)| prev_len < n)
+            .map(|(prev_fp, _)| sketch_key(prev_fp, &cfg.stratifier));
+        let (signatures, sketched) = run.stage("sketch", keys.sketch, prefix_key, || {
+            let prefix = prefix_key.and_then(|key| {
+                stages::get_if_cached::<SignatureMatrix>(cache, telemetry, "sketch", key)
+            });
             Ok(match prefix {
                 Some(prefix) => stratifier.sketch_append(dataset, &prefix),
                 None => stratifier.sketch(dataset),
@@ -284,11 +283,11 @@ impl<'a> PlanSession<'a> {
         // the next append's prefix even if a later stage fails.
         self.prev_dataset = Some((self.dataset_fp, n));
 
-        let (stratification, stratified) = run.stage("stratify", keys.stratify, |_| {
+        let (stratification, stratified) = run.stage("stratify", keys.stratify, None, || {
             Ok(stratifier.stratify_signatures(&signatures))
         })?;
 
-        let (profile, profiled) = run.stage("profile", keys.profile, |cache| {
+        let (profile, profiled) = run.stage("profile", keys.profile, None, || {
             let all_profiles = EnergyEstimator::profiles(cluster, 0.0, cfg.planning_horizon_s);
             let profiles = roster.iter().map(|&id| all_profiles[id]).collect();
             if !strategy_needs_models(&cfg.strategy) {
@@ -304,7 +303,7 @@ impl<'a> PlanSession<'a> {
             // changes (the workload sample never touches a node), so
             // dropping a node re-fits the cheap per-node lines without
             // re-running the workload.
-            let (measured, _) = cached(cache, telemetry, "measure", keys.measure, |_| {
+            let (measured, _) = cached(cache, telemetry, "measure", keys.measure, None, || {
                 let (measurements, cost) = estimator.measure(dataset, &stratification, workload);
                 Ok(MeasureArtifact { measurements, cost })
             })?;
@@ -320,7 +319,7 @@ impl<'a> PlanSession<'a> {
         // is the chosen Pareto point.
         let optimized = match &profile.models {
             None => None,
-            Some(models) => Some(run.stage("optimize", keys.optimize, |_| {
+            Some(models) => Some(run.stage("optimize", keys.optimize, None, || {
                 let fits: Vec<LinearFit> = models.iter().map(|m| m.fit).collect();
                 let modeler = ParetoModeler::new(fits, profile.profiles.clone())?;
                 Ok(match cfg.strategy {
@@ -334,7 +333,7 @@ impl<'a> PlanSession<'a> {
             })?),
         };
 
-        let (placed, partitioned) = run.stage("partition", keys.partition, |_| {
+        let (placed, partitioned) = run.stage("partition", keys.partition, None, || {
             let sizes = match &optimized {
                 Some((point, _)) => point.sizes.clone(),
                 None => DataPartitioner::equal_sizes(n, p),
@@ -529,34 +528,17 @@ impl<'a> PlanSession<'a> {
         // The key comes from the same derivation as the plan's key chain,
         // so every input any stage reads invalidates the frontier too.
         let key = self.key_inputs().frontier_key(cfg);
+        // The exploration plans through this session's own cache, so the
+        // driver gets a second handle to it.
+        let cache = self.cache.clone();
         let telemetry = self.telemetry.clone();
-        // The exploration calls `plan()`, which takes the cache lock per
-        // stage: look up, explore unlocked, then store.
-        let found = stages::lookup(&mut self.cache.lock(), &telemetry, "frontier", key);
-        if let Some(result) = found {
-            return Ok(FrontierOutcome {
-                result,
-                cache_hit: true,
-            });
-        }
-        let saved_strategy = self.cfg.strategy;
-        let explored = {
-            let mut solver = SessionSolver::new(self);
-            explore(&mut solver, cfg, &telemetry)
-        };
-        self.cfg.strategy = saved_strategy;
-        let result = Arc::new(explored?);
-        stages::store(
-            &mut self.cache.lock(),
-            &telemetry,
-            "frontier",
-            key,
-            result.clone(),
-        );
-        Ok(FrontierOutcome {
-            result,
-            cache_hit: false,
-        })
+        let (result, cache_hit) = cached(&cache, &telemetry, "frontier", key, None, || {
+            let saved_strategy = self.cfg.strategy;
+            let explored = explore(&mut SessionSolver::new(self), cfg, &telemetry);
+            self.cfg.strategy = saved_strategy;
+            explored
+        })?;
+        Ok(FrontierOutcome { result, cache_hit })
     }
 }
 

@@ -9,11 +9,11 @@
 //!   configuration, the workload, and digests + sizes of the dataset and
 //!   roster — never of an artifact — so the whole chain is derived before
 //!   the first stage runs;
-//! * the **driver** (`cached`, made of a counting `lookup` and a counting
-//!   `store`): the one place an artifact is looked up, computed on a miss,
-//!   inserted, and counted in [`crate::cache::CacheStats`] and telemetry.
-//!   Each stage is one call to it with a closure over the upstream
-//!   artifacts.
+//! * the **driver** (`cached`): the one place an artifact is looked up,
+//!   computed on a miss, inserted, and counted in
+//!   [`crate::cache::CacheStats`] and telemetry. The cache is locked for
+//!   the lookup and the insert only, never across a compute. Each stage
+//!   is one call to it with a closure over the upstream artifacts.
 //!
 //! A cold run computes every stage and is bit-identical to the historical
 //! monolithic pipeline; a warm run (a long-lived [`crate::PlanSession`])
@@ -30,8 +30,9 @@
 //! | `threads`                | —      | —        | —       | —        | —         |
 //!
 //! ¹ via the measurement sub-artifact; a dataset *append* still reuses the
-//!   prefix sketch, and storing the extended sketch evicts the prefix (the
-//!   superseded generation). ² measurements are node-independent and
+//!   prefix sketch, and the sketch stage retires the prefix (the previous
+//!   generation) whether the extended sketch hit or was stored.
+//!   ² measurements are node-independent and
 //!   survive roster changes — only the cheap per-node fits re-run. ³ only
 //!   when the change toggles whether time models are needed. `threads`
 //!   never invalidates anything because every stage is bit-identical at
@@ -46,7 +47,7 @@ use pareto_stratify::StratifierConfig;
 use pareto_telemetry::{metrics, ClockDomain, SpanId, Telemetry, Track};
 use pareto_workloads::WorkloadKind;
 
-use crate::cache::{Fingerprint, FingerprintBuilder, PlanCache, SharedPlanCache};
+use crate::cache::{Fingerprint, FingerprintBuilder, SharedPlanCache};
 use crate::estimator::SamplingPlan;
 use crate::framework::{FrameworkConfig, Plan, Strategy};
 use crate::frontier::FrontierConfig;
@@ -470,62 +471,63 @@ pub(crate) fn validate_sampling(plan: &SamplingPlan, records: usize) -> Result<(
     Ok(())
 }
 
-/// Counting lookup, the driver's first half: consult the cache and count
-/// the hit or miss in `CacheStats` (inside [`PlanCache::get`]) and,
-/// inertly, in telemetry.
-pub(crate) fn lookup<T: Any + Send + Sync>(
-    cache: &mut PlanCache,
+/// Count one plan-cache event in telemetry; the cache counts the same
+/// event in its `CacheStats`. Every event the driver sees passes through
+/// here, so the two cannot disagree.
+fn count(telemetry: &Telemetry, stage: &str, event: &str) {
+    telemetry.counter_add(
+        metrics::PLAN_CACHE_EVENTS_TOTAL,
+        &[("event", event), ("stage", stage)],
+        1,
+    );
+}
+
+/// Look up an artifact that may well be absent (the sketch stage's append
+/// prefix): a hit is counted, absence is not, so a speculative lookup
+/// doesn't inflate miss counts.
+pub(crate) fn get_if_cached<T: Any + Send + Sync>(
+    cache: &SharedPlanCache,
     telemetry: &Telemetry,
     name: &'static str,
     key: Fingerprint,
 ) -> Option<Arc<T>> {
-    let found = cache.get::<T>(name, key);
-    let event = if found.is_some() { "hit" } else { "miss" };
-    telemetry.counter_add(
-        metrics::PLAN_CACHE_EVENTS_TOTAL,
-        &[("event", event), ("stage", name)],
-        1,
-    );
+    let found = cache.get_if_cached(name, key);
+    if found.is_some() {
+        count(telemetry, name, "hit");
+    }
     found
 }
 
-/// Counting store, the driver's second half: insert the artifact and count
-/// every victim the insert evicted, in `CacheStats` (inside
-/// [`PlanCache::insert`]) and in telemetry.
-pub(crate) fn store<T: Any + Send + Sync>(
-    cache: &mut PlanCache,
-    telemetry: &Telemetry,
-    name: &'static str,
-    key: Fingerprint,
-    value: Arc<T>,
-) {
-    for victim in cache.insert(name, key, value) {
-        telemetry.counter_add(
-            metrics::PLAN_CACHE_EVENTS_TOTAL,
-            &[("event", "evict"), ("stage", victim)],
-            1,
-        );
-    }
-}
-
-/// The get-or-compute driver: [`lookup`], and on a miss `compute` then
-/// [`store`], all under the caller's one cache guard. `compute` receives
-/// the cache for *auxiliary* artifacts: the append-prefix sketch, which
-/// [`PlanCache::supersede`] marks so that this store evicts it, and the
-/// nested `measure` sub-artifact. Returns the artifact and whether it was
-/// a hit.
+/// The get-or-compute driver, the one way an artifact enters the cache:
+/// look `key` up, and on a miss run `compute` and insert its result. The
+/// cache is locked for the lookup and for the insert, never across
+/// `compute`. `retires` names an older entry of the same stage that the
+/// artifact replaces (the previous dataset generation's sketch): it leaves
+/// as an eviction on a hit, and on a miss the insert evicts it before any
+/// LRU victim. Every hit, miss and eviction is counted in `CacheStats` and
+/// telemetry. Returns the artifact and whether it was a hit.
 pub(crate) fn cached<T: Any + Send + Sync>(
-    cache: &mut PlanCache,
+    cache: &SharedPlanCache,
     telemetry: &Telemetry,
     name: &'static str,
     key: Fingerprint,
-    compute: impl FnOnce(&mut PlanCache) -> Result<T, PlanError>,
+    retires: Option<Fingerprint>,
+    compute: impl FnOnce() -> Result<T, PlanError>,
 ) -> Result<(Arc<T>, bool), PlanError> {
-    if let Some(found) = lookup(cache, telemetry, name, key) {
+    if let Some(found) = cache.get(name, key) {
+        count(telemetry, name, "hit");
+        if let Some(old) = retires.filter(|&old| old != key) {
+            if cache.retire(name, old) {
+                count(telemetry, name, "evict");
+            }
+        }
         return Ok((found, true));
     }
-    let computed = Arc::new(compute(cache)?);
-    store(cache, telemetry, name, key, computed.clone());
+    count(telemetry, name, "miss");
+    let computed = Arc::new(compute()?);
+    for victim in cache.insert(name, key, computed.clone(), retires) {
+        count(telemetry, victim, "evict");
+    }
     Ok((computed, false))
 }
 
@@ -540,11 +542,8 @@ pub(crate) struct StageRecord {
 
 /// One plan's pass through the five stages: polls the deadline *before*
 /// each stage (an expired token leaves every stage that already ran
-/// cached for the next attempt), then holds one cache guard across that
-/// stage's lookup + compute + insert. The lock is per stage, not per plan,
-/// so on a shared cache concurrent tenants pipeline — while one computes
-/// `optimize` another can compute `sketch` — and two tenants missing the
-/// same key compute it once.
+/// cached for the next attempt), then times that stage's trip through
+/// [`cached`].
 pub(crate) struct StageRunner<'a> {
     pub cache: &'a SharedPlanCache,
     pub telemetry: &'a Telemetry,
@@ -556,12 +555,12 @@ impl StageRunner<'_> {
         &mut self,
         name: &'static str,
         key: Fingerprint,
-        compute: impl FnOnce(&mut PlanCache) -> Result<T, PlanError>,
+        retires: Option<Fingerprint>,
+        compute: impl FnOnce() -> Result<T, PlanError>,
     ) -> Result<(Arc<T>, StageRecord), PlanError> {
         self.deadline.poll(name)?;
-        let mut cache = self.cache.lock();
         let started = Instant::now();
-        let (artifact, hit) = cached(&mut cache, self.telemetry, name, key, compute)?;
+        let (artifact, hit) = cached(self.cache, self.telemetry, name, key, retires, compute)?;
         let seconds = started.elapsed().as_secs_f64();
         Ok((artifact, StageRecord { name, hit, seconds }))
     }

@@ -4,7 +4,8 @@
 //! submit plan/replan requests (length-prefixed frames over TCP or an
 //! in-process channel — one codec for both), a bounded worker pool
 //! executes them through per-tenant warm [`pareto_core::PlanSession`]s
-//! over one fleet-wide shared artifact cache, and a resilience core
+//! over one fleet-wide shared artifact cache (locked only to look up and
+//! to insert, so tenants compute in parallel), and a resilience core
 //! keeps tail behavior typed and bounded:
 //!
 //! * **Admission control** ([`admission::Dispatcher`]) — a bounded queue
@@ -24,7 +25,10 @@
 //!   with the digest it was computed over.
 //! * **Coalescing** (the same [`admission::Dispatcher`]) — concurrent
 //!   identical requests fold into one solve; the in-flight table lives
-//!   beside the queue, under one lock.
+//!   beside the queue, under one lock. This is the service's one dedupe
+//!   of concurrent work: the cache does not dedupe two simultaneous
+//!   misses of one key, and no two tenants ever miss the same key (each
+//!   plans its own dataset, one request at a time).
 //!
 //! The [`soak`] module replays thousands of seeded mixed requests —
 //! including injected solver stalls and overload — through the same

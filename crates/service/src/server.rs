@@ -163,7 +163,7 @@ impl PlanService {
         }
     }
 
-    /// The shared artifact cache (all tenants dedupe through it).
+    /// The artifact cache every tenant session shares.
     pub fn cache(&self) -> &SharedPlanCache {
         &self.cache
     }

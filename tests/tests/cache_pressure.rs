@@ -67,13 +67,12 @@ fn total(stats: &CacheStats, kind: &str) -> u64 {
 fn churn(capacity: usize, rounds: usize) -> (u64, u64, u64, usize, usize) {
     let shared = churn_cache(capacity, rounds, Telemetry::disabled());
     let stats = shared.stats();
-    let cache = shared.lock();
     (
         total(&stats, "hit"),
         total(&stats, "miss"),
         total(&stats, "evict"),
-        cache.len(),
-        cache.capacity(),
+        shared.occupancy(),
+        shared.capacity(),
     )
 }
 

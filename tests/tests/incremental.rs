@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 
 use pareto_cluster::{NodeSpec, SimCluster};
 use pareto_core::framework::{Framework, FrameworkConfig, Plan, Strategy};
-use pareto_core::{CacheStats, Deadline, PlanError, PlanSession};
+use pareto_core::{CacheStats, Deadline, FrontierConfig, FrontierResult, PlanError, PlanSession};
 use pareto_datagen::{DataItem, Dataset};
 use pareto_integration_tests::thread_counts;
 use pareto_telemetry::{metrics, MetricKey, Telemetry};
@@ -189,6 +189,22 @@ fn alpha_sweep_computes_upstream_stages_once() {
     assert_eq!(stats.misses("optimize"), alphas.len() as u64);
     assert_eq!(stats.misses("partition"), alphas.len() as u64);
 
+    assert_telemetry_matches(&telemetry, &stats, "alpha sweep");
+
+    for (alpha, plan) in alphas.iter().zip(&plans) {
+        let cold = Framework::new(
+            &cl,
+            cfg(seed, 4, Strategy::HetEnergyAware { alpha: *alpha }),
+        )
+        .try_plan(&ds, WORKLOAD)
+        .expect("non-empty dataset");
+        assert_plans_identical(plan, &cold, &format!("sweep alpha {alpha}"));
+    }
+}
+
+/// The `pareto_plan_cache_events_total` counters a `report` prints must
+/// equal `CacheStats` event for event.
+fn assert_telemetry_matches(telemetry: &Telemetry, stats: &CacheStats, ctx: &str) {
     let label = |key: &MetricKey, name: &str| {
         let value = key.labels.iter().find(|(k, _)| k == name);
         value
@@ -208,17 +224,10 @@ fn alpha_sweep_computes_upstream_stages_once() {
         .events()
         .map(|(stage, event, n)| ((stage.to_string(), event.to_string()), n))
         .collect();
-    assert_eq!(in_telemetry, in_stats, "telemetry and CacheStats disagree");
-
-    for (alpha, plan) in alphas.iter().zip(&plans) {
-        let cold = Framework::new(
-            &cl,
-            cfg(seed, 4, Strategy::HetEnergyAware { alpha: *alpha }),
-        )
-        .try_plan(&ds, WORKLOAD)
-        .expect("non-empty dataset");
-        assert_plans_identical(plan, &cold, &format!("sweep alpha {alpha}"));
-    }
+    assert_eq!(
+        in_telemetry, in_stats,
+        "{ctx}: telemetry and CacheStats disagree"
+    );
 }
 
 /// Appending records invalidates downstream stages but reuses the previous
@@ -539,7 +548,7 @@ fn assert_reconciles(cache: &pareto_core::SharedPlanCache, ctx: &str) {
     let stats = cache.stats();
     assert_eq!(
         total(&stats, "miss") - total(&stats, "evict"),
-        cache.lock().len() as u64,
+        cache.occupancy() as u64,
         "{ctx}: misses - evictions must equal occupancy"
     );
 }
@@ -612,6 +621,7 @@ fn append_lineage_keeps_one_sketch_entry() {
             evicted_in_telemetry, k,
             "{ctx}: telemetry counts each eviction once"
         );
+        assert_telemetry_matches(&telemetry, &stats, &ctx);
     }
 }
 
@@ -673,6 +683,12 @@ fn shared_lineage_survives_a_sibling_append() {
             b.last_reuse().sketch,
             "{ctx}: B is served A's extended sketch"
         );
+        let stats = shared.stats();
+        assert_eq!(
+            stats.misses("sketch") - stats.evictions("sketch"),
+            1,
+            "{ctx}: B retires the generation it moved past"
+        );
         assert_reconciles(&shared, &ctx);
     }
 }
@@ -725,5 +741,89 @@ fn deadline_after_sketch_keeps_the_lineage() {
             "{ctx}: no generation's sketch is orphaned"
         );
         assert_reconciles(session.cache(), &ctx);
+    }
+}
+
+/// A frontier's points with every float as its bit pattern.
+fn frontier_bits(result: &FrontierResult) -> Vec<(u64, u64, u64, u64, Vec<usize>)> {
+    result
+        .points
+        .iter()
+        .map(|p| {
+            (
+                p.alpha.to_bits(),
+                p.makespan_s.to_bits(),
+                p.dirty_joules.to_bits(),
+                p.transfer_bytes.to_bits(),
+                p.sizes.clone(),
+            )
+        })
+        .collect()
+}
+
+/// Two sessions over different datasets share one cache and plan at the
+/// same time, one per scoped thread. The cache is locked only to look up
+/// and to insert, so their stage computes overlap. Every plan and
+/// frontier still equals its single-session reference, telemetry equals
+/// `CacheStats`, and (no key is common to both, so no miss is raced)
+/// misses − evictions equals occupancy, although a 64-entry cache evicts
+/// in whatever order the two threads interleave.
+#[test]
+fn concurrent_sessions_over_one_cache_stay_exact() {
+    let seeds = [41u64, 43];
+    let cl = std::sync::Arc::new(cluster(seeds[0]));
+    let strategy = Strategy::HetEnergyAware { alpha: 0.99 };
+    let explorer = &FrontierConfig::default();
+    for threads in thread_counts() {
+        let ctx = format!("threads {threads}");
+        let shared = pareto_core::SharedPlanCache::new(64);
+        let telemetry = Telemetry::enabled();
+        let open = |seed: u64| {
+            PlanSession::new_shared(
+                cl.clone(),
+                cfg(seed, threads, strategy),
+                dataset(seed),
+                WORKLOAD,
+            )
+        };
+        // Both threads start planning together, so their cold stages overlap.
+        let start = &std::sync::Barrier::new(seeds.len());
+        let served: Vec<(Plan, std::sync::Arc<FrontierResult>)> = std::thread::scope(|scope| {
+            let sessions: Vec<_> = seeds
+                .iter()
+                .map(|&seed| {
+                    let mut session = open(seed)
+                        .with_shared_cache(shared.clone())
+                        .with_telemetry(telemetry.clone());
+                    scope.spawn(move || {
+                        start.wait();
+                        let plan = session.plan().expect("concurrent plan");
+                        let frontier = session.explore_frontier(explorer);
+                        (plan, frontier.expect("concurrent frontier").result)
+                    })
+                })
+                .collect();
+            sessions
+                .into_iter()
+                .map(|s| s.join().expect("session thread"))
+                .collect()
+        });
+
+        for (&seed, (plan, frontier)) in seeds.iter().zip(&served) {
+            let ds = dataset(seed);
+            let reference = cold(&cl, seed, threads, strategy, &ds);
+            assert_plans_identical(plan, &reference, &format!("{ctx}, seed {seed}"));
+            let alone = open(seed)
+                .explore_frontier(explorer)
+                .expect("reference frontier")
+                .result;
+            assert_eq!(
+                frontier_bits(frontier),
+                frontier_bits(&alone),
+                "{ctx}, seed {seed}: frontier diverged"
+            );
+        }
+        assert_telemetry_matches(&telemetry, &shared.stats(), &ctx);
+        assert_reconciles(&shared, &ctx);
     }
 }
