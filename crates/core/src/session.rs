@@ -5,15 +5,22 @@
 //! appends, node churn, and α/strategy changes — edit the session between
 //! plans, and only stages whose keys changed rerun.
 //!
-//! A long-lived session owns its dataset and maintains the content chain
-//! digest incrementally (appending records extends a chain hash), so an
-//! append costs a digest of the *new* records only. The digest of the last
-//! sketched generation names its cached signatures, which the next plan
-//! after an append extends by the new records; the sketch stage then
-//! retires them, so the cache holds one signature matrix per session
-//! lineage, not one per generation. [`crate::Framework::try_plan`] opens a
-//! one-shot cold session over a *borrowed* dataset, which it does not
-//! digest.
+//! The dataset's content chain digest is computed on demand: when the
+//! session is handed a cache ([`PlanSession::with_shared_cache`]), where
+//! another session's keys could meet its own, or when
+//! [`PlanSession::dataset_fingerprint`] is read. Until then the session
+//! keys its own cache by a stand-in that names the dataset's generation
+//! (its length — appends only grow it). A session handed that cache
+//! digests, so no other session can meet such a key. Once computed, the
+//! digest is maintained incrementally (appending records extends a chain
+//! hash), so an append costs a digest of the *new* records only.
+//!
+//! The key of the last sketched generation names its cached signatures,
+//! which the next plan after an append extends by the new records; the
+//! sketch stage then retires them, so the cache holds one signature
+//! matrix per session lineage, not one per generation.
+//! [`crate::Framework::try_plan`] opens a one-shot cold session over a
+//! *borrowed* dataset, which it does not copy.
 //!
 //! Every plan a warm session produces is bit-identical to a cold
 //! [`crate::Framework::try_plan`] over the same inputs — the cache only ever
@@ -100,9 +107,10 @@ pub struct PlanSession<'a> {
     /// of [`crate::Framework::try_plan`], which must not copy it.
     dataset: Cow<'a, Dataset>,
     workload: WorkloadKind,
-    /// Chain digest of the current dataset contents.
-    dataset_fp: Fingerprint,
-    /// Digest + length of the last generation whose sketch stage
+    /// Chain digest of the current dataset contents, once computed (see
+    /// the module doc); until then keys name the generation instead.
+    digest: Option<Fingerprint>,
+    /// Dataset key + length of the last generation whose sketch stage
     /// completed (the sketch-append prefix hint).
     prev_dataset: Option<(Fingerprint, usize)>,
 }
@@ -115,12 +123,10 @@ impl<'a> PlanSession<'a> {
         dataset: Dataset,
         workload: WorkloadKind,
     ) -> Self {
-        let dataset_fp = stages::dataset_fingerprint(&dataset);
         Self::over(
             ClusterRef::Borrowed(cluster),
             cfg,
             Cow::Owned(dataset),
-            dataset_fp,
             workload,
         )
     }
@@ -135,21 +141,15 @@ impl<'a> PlanSession<'a> {
         dataset: Dataset,
         workload: WorkloadKind,
     ) -> PlanSession<'static> {
-        let dataset_fp = stages::dataset_fingerprint(&dataset);
         PlanSession::over(
             ClusterRef::Shared(cluster),
             cfg,
             Cow::Owned(dataset),
-            dataset_fp,
             workload,
         )
     }
 
-    /// A cold session over a borrowed dataset, for one plan. Its private
-    /// cache is dropped with it, so no later lookup can ever meet its
-    /// keys: the dataset is not digested, and every key is derived from a
-    /// fixed stand-in digest instead. Such a session must never share a
-    /// cache.
+    /// A cold session over a borrowed dataset, for one plan.
     pub(crate) fn borrowed(
         cluster: &'a SimCluster,
         cfg: FrameworkConfig,
@@ -160,7 +160,6 @@ impl<'a> PlanSession<'a> {
             ClusterRef::Borrowed(cluster),
             cfg,
             Cow::Borrowed(dataset),
-            Fingerprint(0),
             workload,
         )
     }
@@ -169,7 +168,6 @@ impl<'a> PlanSession<'a> {
         cluster: ClusterRef<'a>,
         cfg: FrameworkConfig,
         dataset: Cow<'a, Dataset>,
-        dataset_fp: Fingerprint,
         workload: WorkloadKind,
     ) -> Self {
         PlanSession {
@@ -180,7 +178,7 @@ impl<'a> PlanSession<'a> {
             cache: SharedPlanCache::default(),
             last_reuse: StageReuse::default(),
             deadline: Deadline::None,
-            dataset_fp,
+            digest: None,
             dataset,
             workload,
             prev_dataset: None,
@@ -202,8 +200,18 @@ impl<'a> PlanSession<'a> {
 
     /// Share an artifact cache with other sessions: a stage whose
     /// fingerprint (same dataset digest, roster, config) another session
-    /// already stored is served from that session's artifact.
+    /// already stored is served from that session's artifact. Digests the
+    /// dataset, if it is not yet: from here on keys name content.
     pub fn with_shared_cache(mut self, cache: SharedPlanCache) -> Self {
+        if self.digest.is_none() {
+            // The prefix hint names a generation too; re-key it by the
+            // digest of that prefix, on the way to the whole dataset's.
+            let split = self.prev_dataset.map_or(0, |(_, len)| len);
+            let (head, tail) = self.dataset.items.split_at(split);
+            let prefix = stages::records_fingerprint(head);
+            self.prev_dataset = self.prev_dataset.map(|(_, len)| (prefix, len));
+            self.digest = Some(stages::extend_dataset_fingerprint(prefix, tail));
+        }
         self.cache = cache;
         self
     }
@@ -220,7 +228,7 @@ impl<'a> PlanSession<'a> {
         KeyInputs {
             cfg: &self.cfg,
             workload: self.workload,
-            dataset_fp: self.dataset_fp,
+            dataset_fp: self.dataset_key(),
             records: self.dataset.len(),
             roster_fp: Fingerprint(self.cluster.get().roster_fingerprint(&self.roster)),
             nodes: self.roster.len(),
@@ -246,7 +254,8 @@ impl<'a> PlanSession<'a> {
             .map_err(|reason| PlanError::InvalidWorkload { reason })?;
         let started = Instant::now();
         let wall_start = self.telemetry.wall_now();
-        let keys = self.key_inputs().plan_keys();
+        let inputs = self.key_inputs();
+        let (keys, dataset_key) = (inputs.plan_keys(), inputs.dataset_fp);
         let prev_dataset = self.prev_dataset;
 
         let cluster = self.cluster.get();
@@ -281,7 +290,7 @@ impl<'a> PlanSession<'a> {
         })?;
         // The current generation's sketch is cached from here on: it is
         // the next append's prefix even if a later stage fails.
-        self.prev_dataset = Some((self.dataset_fp, n));
+        self.prev_dataset = Some((dataset_key, n));
 
         let (stratification, stratified) = run.stage("stratify", keys.stratify, None, || {
             Ok(stratifier.stratify_signatures(&signatures))
@@ -410,7 +419,9 @@ impl<'a> PlanSession<'a> {
     /// incrementally. The next [`plan`](Self::plan) re-sketches only the
     /// appended records and re-stratifies/re-profiles from there.
     pub fn append_items(&mut self, items: Vec<DataItem>) {
-        self.dataset_fp = stages::extend_dataset_fingerprint(self.dataset_fp, &items);
+        if let Some(digest) = &mut self.digest {
+            *digest = stages::extend_dataset_fingerprint(*digest, &items);
+        }
         self.dataset.to_mut().items.extend(items);
     }
 
@@ -481,9 +492,21 @@ impl<'a> PlanSession<'a> {
         &self.dataset
     }
 
-    /// The current content digest.
+    /// The current content digest ([`crate::dataset_fingerprint`] of the
+    /// dataset). A session whose cache was never shared computes it here,
+    /// on every call.
     pub fn dataset_fingerprint(&self) -> Fingerprint {
-        self.dataset_fp
+        self.digest
+            .unwrap_or_else(|| stages::records_fingerprint(&self.dataset.items))
+    }
+
+    /// What cache keys mix in for the dataset: its digest once computed,
+    /// else a stand-in naming the generation. Appends only grow the
+    /// dataset, so the length tells a session's generations apart, and
+    /// the prefix key of an append never equals the key it extends.
+    fn dataset_key(&self) -> Fingerprint {
+        self.digest
+            .unwrap_or_else(|| stages::generation_key(self.dataset.len()))
     }
 
     /// The active roster (sorted node ids).

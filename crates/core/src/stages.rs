@@ -283,7 +283,20 @@ pub(crate) fn extend_dataset_fingerprint(fp: Fingerprint, items: &[DataItem]) ->
 /// Content digest of a whole dataset (name excluded: the cache is
 /// content-addressed).
 pub fn dataset_fingerprint(dataset: &Dataset) -> Fingerprint {
-    extend_dataset_fingerprint(FingerprintBuilder::new("dataset").finish(), &dataset.items)
+    records_fingerprint(&dataset.items)
+}
+
+/// [`dataset_fingerprint`] of a dataset holding `items`.
+pub(crate) fn records_fingerprint(items: &[DataItem]) -> Fingerprint {
+    extend_dataset_fingerprint(FingerprintBuilder::new("dataset").finish(), items)
+}
+
+/// The stand-in for a dataset digest in the keys of a session whose cache
+/// no other session reads: it names the generation of `records` records.
+pub(crate) fn generation_key(records: usize) -> Fingerprint {
+    FingerprintBuilder::new("generation")
+        .mix_usize(records)
+        .finish()
 }
 
 /// Seed of the progressive-sampling estimator (keyed by `measure`).
@@ -306,7 +319,8 @@ pub(crate) struct KeyInputs<'a> {
     /// The workload the estimator drives.
     pub workload: WorkloadKind,
     /// Content digest of the dataset (chain hash; see
-    /// [`dataset_fingerprint`]).
+    /// [`dataset_fingerprint`]), or [`generation_key`] in a session whose
+    /// cache no other session reads.
     pub dataset_fp: Fingerprint,
     /// `dataset.len()`.
     pub records: usize,

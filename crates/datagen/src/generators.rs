@@ -9,6 +9,8 @@
 //!
 //! All generators are deterministic functions of their seed.
 
+use std::sync::OnceLock;
+
 use rand::Rng;
 
 use crate::dataset::{DataItem, DataKind, Dataset, Payload};
@@ -305,39 +307,66 @@ impl Default for TextGenConfig {
     }
 }
 
+/// A topic-clustered text generator with its Zipf tables built once: a
+/// corpus costs its draws only, not the `vocab_size` powers behind the
+/// background CDF.
+#[derive(Debug, Clone)]
+struct TextGenerator {
+    cfg: TextGenConfig,
+    topic_dist: ZipfSampler,
+    /// Each topic owns a contiguous vocab slice of this many words.
+    slice: u32,
+    word_dist: ZipfSampler,
+    background: ZipfSampler,
+}
+
+impl TextGenerator {
+    /// Build the samplers of `cfg`; each corpus names its own size.
+    fn new(cfg: &TextGenConfig) -> Self {
+        assert!(cfg.num_topics >= 1 && cfg.vocab_size as usize >= cfg.num_topics * 4);
+        assert!(cfg.min_len >= 1 && cfg.max_len >= cfg.min_len);
+        let slice = cfg.vocab_size / cfg.num_topics as u32;
+        TextGenerator {
+            cfg: cfg.clone(),
+            topic_dist: ZipfSampler::new(cfg.num_topics, cfg.topic_skew),
+            slice,
+            word_dist: ZipfSampler::new(slice as usize, cfg.word_skew),
+            background: ZipfSampler::new(cfg.vocab_size as usize, cfg.word_skew),
+        }
+    }
+
+    /// A corpus of `num_docs` documents.
+    fn generate(&self, num_docs: usize, seed: u64) -> Dataset {
+        let cfg = &self.cfg;
+        let mut rng = rng_from(seed);
+        let mut items = Vec::with_capacity(num_docs);
+        for id in 0..num_docs {
+            let topic = self.topic_dist.sample(&mut rng);
+            let base = topic as u32 * self.slice;
+            let len = rng.gen_range(cfg.min_len..=cfg.max_len);
+            let mut tokens = Vec::with_capacity(len);
+            for _ in 0..len {
+                if rng.gen_bool(cfg.topic_purity) {
+                    tokens.push(base + self.word_dist.sample(&mut rng) as u32);
+                } else {
+                    tokens.push(self.background.sample(&mut rng) as u32);
+                }
+            }
+            let doc = Document::new(tokens);
+            items.push(DataItem {
+                id: id as u64,
+                items: doc.item_set(),
+                payload: Payload::Text(doc),
+                truth_cluster: Some(topic as u32),
+            });
+        }
+        Dataset::new(format!("text-syn-{seed}"), DataKind::Text, items)
+    }
+}
+
 /// Generate a topic-clustered corpus with Zipfian word frequencies.
 pub fn gen_text(cfg: &TextGenConfig, seed: u64) -> Dataset {
-    assert!(cfg.num_topics >= 1 && cfg.vocab_size as usize >= cfg.num_topics * 4);
-    assert!(cfg.min_len >= 1 && cfg.max_len >= cfg.min_len);
-    let mut rng = rng_from(seed);
-    let topic_dist = ZipfSampler::new(cfg.num_topics, cfg.topic_skew);
-    // Each topic owns a contiguous vocab slice; words are Zipf within it.
-    let slice = cfg.vocab_size / cfg.num_topics as u32;
-    let word_dist = ZipfSampler::new(slice as usize, cfg.word_skew);
-    let background = ZipfSampler::new(cfg.vocab_size as usize, cfg.word_skew);
-
-    let mut items = Vec::with_capacity(cfg.num_docs);
-    for id in 0..cfg.num_docs {
-        let topic = topic_dist.sample(&mut rng);
-        let base = topic as u32 * slice;
-        let len = rng.gen_range(cfg.min_len..=cfg.max_len);
-        let mut tokens = Vec::with_capacity(len);
-        for _ in 0..len {
-            if rng.gen_bool(cfg.topic_purity) {
-                tokens.push(base + word_dist.sample(&mut rng) as u32);
-            } else {
-                tokens.push(background.sample(&mut rng) as u32);
-            }
-        }
-        let doc = Document::new(tokens);
-        items.push(DataItem {
-            id: id as u64,
-            items: doc.item_set(),
-            payload: Payload::Text(doc),
-            truth_cluster: Some(topic as u32),
-        });
-    }
-    Dataset::new(format!("text-syn-{seed}"), DataKind::Text, items)
+    TextGenerator::new(cfg).generate(cfg.num_docs, seed)
 }
 
 // ---------------------------------------------------------------------------
@@ -426,19 +455,24 @@ pub fn arabic_syn(seed: u64, scale: f64) -> Dataset {
     ds
 }
 
-/// RCV1-like news corpus.
+/// RCV1-like news corpus. Every call draws from one generator, built on
+/// the first: callers that generate many small corpora (a plan server's
+/// appends, a benchmark's rounds) pay for its Zipf tables once.
 pub fn rcv1_syn(seed: u64, scale: f64) -> Dataset {
-    let cfg = TextGenConfig {
-        num_docs: scaled(5000, scale),
-        num_topics: 24,
-        vocab_size: 24_000,
-        min_len: 40,
-        max_len: 160,
-        topic_purity: 0.85,
-        topic_skew: 0.95,
-        word_skew: 1.05,
-    };
-    let mut ds = gen_text(&cfg, seed);
+    static RCV1: OnceLock<TextGenerator> = OnceLock::new();
+    let generator = RCV1.get_or_init(|| {
+        TextGenerator::new(&TextGenConfig {
+            num_docs: 5000,
+            num_topics: 24,
+            vocab_size: 24_000,
+            min_len: 40,
+            max_len: 160,
+            topic_purity: 0.85,
+            topic_skew: 0.95,
+            word_skew: 1.05,
+        })
+    });
+    let mut ds = generator.generate(scaled(5000, scale), seed);
     ds.name = "rcv1-syn".into();
     ds
 }
@@ -588,6 +622,26 @@ mod tests {
             .filter(|i| i.truth_cluster == Some(0))
             .count();
         assert!(t0 > 200 / 5, "topic skew missing: {t0}");
+    }
+
+    #[test]
+    fn one_generator_gives_every_corpus_a_fresh_one_would() {
+        // The shared RCV1 generator against one built for the call, over
+        // corpora of different sizes drawn in turn.
+        for (seed, scale) in [(3, 0.01), (4, 0.002), (3, 0.01), (5, 0.03)] {
+            let cfg = TextGenConfig {
+                num_docs: scaled(5000, scale),
+                num_topics: 24,
+                vocab_size: 24_000,
+                min_len: 40,
+                max_len: 160,
+                topic_purity: 0.85,
+                topic_skew: 0.95,
+                word_skew: 1.05,
+            };
+            let (shared, fresh) = (rcv1_syn(seed, scale), gen_text(&cfg, seed));
+            assert_eq!(shared.items, fresh.items, "seed {seed}, scale {scale}");
+        }
     }
 
     #[test]

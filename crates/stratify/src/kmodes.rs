@@ -15,7 +15,11 @@
 //! every column of the signature matrix is **dictionary-encoded** once
 //! (dense `u32` ids in ascending value order, stored column-major), so
 //! "the same value" is "the same id", id order is value order, and every
-//! per-value table is a direct-indexed array. The same sort yields an
+//! per-value table is a direct-indexed array. A column is ordered by one
+//! **bucket pass**, not a full sort: rows scatter in row order into a
+//! power of two (≥ `n`) of equal-width buckets over the column's
+//! `[min, max]`, and only buckets holding two or more rows are sorted —
+//! linear on MinHash values, which spread evenly. The same order yields an
 //! **inverted index** `(attribute, id) → rows holding it`.
 //!
 //! An `n × K` **score block** — cell `(row, cluster)` counts the
@@ -135,16 +139,19 @@ impl Columns {
                 .zip(rows.chunks_mut(chunk * n))
                 .enumerate(),
             |(shard, (ids, rows))| {
-                let mut keyed: Vec<(u64, u32)> = Vec::with_capacity(n);
+                let mut column = vec![0u64; n];
+                let mut keyed = vec![(0u64, 0u32); n];
+                let mut fill = vec![0u32; n.next_power_of_two() + 1];
                 for (off, (ids, rows)) in ids
                     .chunks_exact_mut(n)
                     .zip(rows.chunks_exact_mut(n))
                     .enumerate()
                 {
                     let a = shard * chunk + off;
-                    keyed.clear();
-                    keyed.extend((0..n).map(|i| (signatures.row(i)[a], i as u32)));
-                    keyed.sort_unstable();
+                    for (i, value) in column.iter_mut().enumerate() {
+                        *value = signatures.row(i)[a];
+                    }
+                    bucket_sort(&column, &mut keyed, &mut fill);
                     let (mut id, mut prev) = (0, keyed[0].0);
                     for (slot, &(value, row)) in rows.iter_mut().zip(&keyed) {
                         id += u32::from(value != prev);
@@ -188,6 +195,46 @@ impl Columns {
     }
 }
 
+/// Write `column`'s `(value, row)` pairs into `keyed` in ascending order.
+/// Rows are scattered, in row order, into `fill.len() - 1` (a power of
+/// two, at least `column.len()`) equal-width buckets spanning
+/// `[min, max]`, so only a bucket holding two or more pairs needs a sort.
+/// MinHash values are near uniform, which leaves most buckets with one
+/// pair or none; a column whose values crowd into one bucket costs a
+/// plain sort.
+fn bucket_sort(column: &[u64], keyed: &mut [(u64, u32)], fill: &mut [u32]) {
+    let (min, max) = column
+        .iter()
+        .fold((u64::MAX, 0), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+    // The smallest shift that maps `max - min` below the bucket count.
+    // Only a one-row column has a single bucket, and it spans nothing, so
+    // the shift stays below 64.
+    let span_bits = u64::BITS - max.saturating_sub(min).leading_zeros();
+    let shift = span_bits.saturating_sub((fill.len() - 1).trailing_zeros());
+    let bucket = |v: u64| ((v - min) >> shift) as usize;
+    fill.fill(0);
+    for &v in column {
+        fill[bucket(v) + 1] += 1;
+    }
+    for b in 1..fill.len() {
+        fill[b] += fill[b - 1];
+    }
+    // Placing advances each bucket's start to its end; `fill[b]` is bucket
+    // `b`'s end afterwards, and `fill[b - 1]` (for `b = 0`, zero) its start.
+    for (row, &v) in column.iter().enumerate() {
+        let at = &mut fill[bucket(v)];
+        keyed[*at as usize] = (v, row as u32);
+        *at += 1;
+    }
+    let mut start = 0;
+    for &end in &fill[..fill.len() - 1] {
+        if end - start > 1 {
+            keyed[start as usize..end as usize].sort_unstable();
+        }
+        start = end;
+    }
+}
+
 /// One change to a center list: the id at `slot` of an (attribute, id)
 /// table entered (or left) `cluster`'s list for that attribute, so every
 /// row holding the id matches the cluster on one attribute more (fewer).
@@ -205,8 +252,10 @@ struct UpdateShard {
     /// list is computed, old/new marks while it is diffed.
     count: Vec<u32>,
     /// Room for one entry per point: the ids the current (attribute,
-    /// cluster) touched, later their sort keys.
-    touched: Vec<u64>,
+    /// cluster) touched.
+    touched: Vec<u32>,
+    /// `L` slots: the sort keys of the best ids ranked so far.
+    top: Vec<u64>,
     /// The list being computed, before it replaces the old one.
     fresh: Vec<u32>,
     /// What this shard's last update step changed, in (attribute,
@@ -297,6 +346,7 @@ impl CompositeKModes {
             UpdateShard {
                 count: vec![0; widest as usize],
                 touched: vec![0; n],
+                top: vec![0; l],
                 fresh: vec![0; l],
                 deltas: Vec::new(),
             };
@@ -448,6 +498,7 @@ impl UpdateShard {
         let UpdateShard {
             count,
             touched,
+            top,
             fresh,
             ..
         } = self;
@@ -457,23 +508,33 @@ impl UpdateShard {
         let mut distinct = 0;
         for &point in members {
             let id = col[point as usize];
-            touched[distinct] = id as u64;
+            touched[distinct] = id;
             distinct += usize::from(count[id as usize] == 0);
             count[id as usize] += 1;
         }
-        let touched = &mut touched[..distinct];
-        // One integer key per id that sorts ascending into the wanted order.
-        for key in touched.iter_mut() {
-            let id = *key as usize;
-            *key |= ((u32::MAX - count[id]) as u64) << 32;
-            count[id] = 0;
+        // One integer key per id that sorts ascending into the wanted
+        // order; `top[..len]` holds the smallest keys seen so far, sorted.
+        // Most ids occur once in a cluster, so once the buffer is full a
+        // key rarely beats its last entry and costs one comparison.
+        let mut len = 0;
+        for &id in &touched[..distinct] {
+            let key = u64::from(u32::MAX - count[id as usize]) << 32 | u64::from(id);
+            count[id as usize] = 0;
+            if len == top.len() {
+                if key > top[len - 1] {
+                    continue;
+                }
+                len -= 1;
+            }
+            let mut at = len;
+            while at > 0 && top[at - 1] > key {
+                top[at] = top[at - 1];
+                at -= 1;
+            }
+            top[at] = key;
+            len += 1;
         }
-        let len = touched.len().min(fresh.len());
-        if len < touched.len() {
-            touched.select_nth_unstable(len - 1);
-        }
-        touched[..len].sort_unstable();
-        for (slot, &key) in fresh.iter_mut().zip(&touched[..len]) {
+        for (slot, &key) in fresh.iter_mut().zip(&top[..len]) {
             *slot = key as u32;
         }
         len
@@ -773,6 +834,52 @@ mod tests {
         SignatureMatrix::new(width, n, values)
     }
 
+    /// The sort-based encode the bucket pass replaced, kept as its oracle:
+    /// each column's `(value, row)` pairs sorted outright. Returns `(ids,
+    /// base, rows, starts)` as [`Columns`] lays them out.
+    fn sorted_encode(signatures: &SignatureMatrix) -> [Vec<u32>; 4] {
+        let (n, width) = (signatures.num_rows(), signatures.width());
+        let (mut ids, mut base) = (vec![0; n * width], vec![0]);
+        let (mut rows, mut starts) = (Vec::new(), Vec::new());
+        for a in 0..width {
+            let mut keyed: Vec<(u64, u32)> =
+                (0..n).map(|i| (signatures.row(i)[a], i as u32)).collect();
+            keyed.sort_unstable();
+            let mut distinct = 0;
+            for (at, &(value, row)) in keyed.iter().enumerate() {
+                if at == 0 || value != keyed[at - 1].0 {
+                    starts.push((a * n + at) as u32);
+                    distinct += 1;
+                }
+                ids[a * n + row as usize] = distinct - 1;
+                rows.push(row);
+            }
+            base.push(base[a] + distinct);
+        }
+        starts.push((n * width) as u32);
+        [ids, base, rows, starts]
+    }
+
+    /// A column of `n` values drawn from `raw` in one of the shapes the
+    /// bucket pass must order: MinHash-like 60-bit values, the same with
+    /// `u64::MAX` empty-set sentinels, one value throughout, small values
+    /// with one far outlier (every other value shares a bucket), or a tiny
+    /// pool of ties.
+    fn shaped_column(shape: u8, raw: &[u64]) -> Vec<u64> {
+        raw.iter()
+            .enumerate()
+            .map(|(i, &r)| match shape {
+                0 => r >> 4,
+                1 if r % 5 == 0 => u64::MAX,
+                1 => r >> 4,
+                2 => raw[0],
+                3 if i == raw.len() / 2 => u64::MAX - (r & 0xff),
+                3 => r % 50,
+                _ => r % 7,
+            })
+            .collect()
+    }
+
     #[test]
     #[ignore = "diagnostic: seed scan for recovers_separated_groups calibration"]
     fn scan_seeds_for_group_recovery() {
@@ -951,6 +1058,31 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The bucket pass lays out the same ids, inverted index and table
+        /// bases as a full sort, on wide and degenerate columns, at every
+        /// shard count.
+        #[test]
+        fn bucket_encode_equals_sorted_encode(
+            n in 1usize..300,
+            shapes in proptest::collection::vec(0u8..5, 1..6),
+            raw in proptest::collection::vec(any::<u64>(), 300 * 5),
+        ) {
+            let width = shapes.len();
+            let columns: Vec<Vec<u64>> = shapes
+                .iter()
+                .enumerate()
+                .map(|(a, &shape)| shaped_column(shape, &raw[a * n..(a + 1) * n]))
+                .collect();
+            let values = (0..n * width).map(|cell| columns[cell % width][cell / width]).collect();
+            let sigs = SignatureMatrix::new(width, n, values);
+            let expected = sorted_encode(&sigs);
+            for shards in 1..=3 {
+                let cols = Columns::encode(&sigs, shards);
+                let got = [cols.ids, cols.base, cols.rows, cols.starts];
+                prop_assert_eq!(&got, &expected, "shards {}", shards);
+            }
+        }
 
         /// Random matrices over a tiny value pool: most columns tie on
         /// counts, many points tie on score, and with K close to n some

@@ -557,7 +557,9 @@ fn assert_reconciles(cache: &pareto_core::SharedPlanCache, ctx: &str) {
 /// append extends the previous generation's sketch and evicts it, so `k`
 /// append+plan cycles on a cache far too large for capacity eviction
 /// leave exactly one `sketch` entry — and every plan still equals a cold
-/// plan of the same dataset.
+/// plan of the same dataset. The session's cache is its own, so its keys
+/// name generations, not digests: a stand-in that did not tell two
+/// generations apart would serve the prefix sketch as the whole one.
 #[test]
 fn append_lineage_keeps_one_sketch_entry() {
     let seed = 23;
@@ -623,6 +625,100 @@ fn append_lineage_keeps_one_sketch_entry() {
         );
         assert_telemetry_matches(&telemetry, &stats, &ctx);
     }
+}
+
+/// A session keys a cache of its own by generation and digests its
+/// dataset only when handed a cache another session fills. Over two
+/// different datasets of one length, neither session is ever served the
+/// other's artifacts — not even through the prefix hint of a session that
+/// appended before it was handed the store — and every plan equals a cold
+/// plan.
+#[test]
+fn a_store_shared_by_handing_it_over_never_mixes_datasets() {
+    use std::sync::Arc;
+
+    let seed = 31;
+    let cl = Arc::new(cluster(seed));
+    let strategy = Strategy::HetEnergyAware { alpha: 0.99 };
+    let (ds_a, ds_b) = (dataset(seed), dataset(seed + 1));
+    assert_eq!(ds_a.len(), ds_b.len(), "the stand-ins must coincide");
+    let open = |ds: &Dataset| PlanSession::new(&cl, cfg(seed, 1, strategy), ds.clone(), WORKLOAD);
+
+    let mut a = open(&ds_a);
+    let plan_a = a.plan().expect("A plan");
+    assert_plans_identical(&plan_a, &cold(&cl, seed, 1, strategy, &ds_a), "A");
+    let store = a.cache().clone();
+
+    let mut b = open(&ds_b).with_shared_cache(store.clone());
+    let plan_b = b.plan().expect("B plan");
+    assert_plans_identical(&plan_b, &cold(&cl, seed, 1, strategy, &ds_b), "B");
+    assert_eq!(
+        total(&store.stats(), "hit"),
+        0,
+        "B is served nothing of A's"
+    );
+
+    // C plans and appends on a cache of its own, then joins the store.
+    let mut c = open(&ds_b);
+    c.plan().expect("C private plan");
+    let items = extra(seed, 0);
+    c.append_items(items.clone());
+    let mut c = c.with_shared_cache(store.clone());
+    let mut grown = ds_b.clone();
+    grown.items.extend(items);
+    let plan_c = c.plan().expect("C append plan");
+    assert_plans_identical(&plan_c, &cold(&cl, seed, 1, strategy, &grown), "C");
+    // C's prefix is B's dataset, not A's generation of the same length.
+    assert_eq!(
+        total(&store.stats(), "hit"),
+        1,
+        "C extends B's sketch and nothing else"
+    );
+
+    // A still keys by generation and is served its own artifacts only.
+    a.set_alpha(0.9);
+    let warm = a.plan().expect("A alpha replan");
+    let reference = cold(&cl, seed, 1, Strategy::HetEnergyAware { alpha: 0.9 }, &ds_a);
+    assert_plans_identical(&warm, &reference, "A after its siblings");
+    let reuse = a.last_reuse();
+    assert!(reuse.sketch && reuse.stratify && reuse.profile && !reuse.optimize);
+    assert_reconciles(&store, "handed-over store");
+}
+
+/// A session whose cache was never shared computes its digest when it is
+/// read: after two appends it equals the digest a sharing session
+/// maintained incrementally and the digest of the whole dataset, and
+/// reading it leaves the session's keys (and its warm artifacts) alone.
+#[test]
+fn an_undigested_session_reports_the_digest_of_its_records() {
+    let seed = 37;
+    let cl = cluster(seed);
+    let strategy = Strategy::HetEnergyAware { alpha: 0.99 };
+    let mut grown = dataset(seed);
+    let open = || PlanSession::new(&cl, cfg(seed, 1, strategy), grown.clone(), WORKLOAD);
+    let mut private = open();
+    let mut digested = open().with_shared_cache(pareto_core::SharedPlanCache::default());
+    for step in 0..2 {
+        let items = extra(seed, step);
+        for session in [&mut private, &mut digested] {
+            session.plan().expect("plan");
+            session.append_items(items.clone());
+        }
+        grown.items.extend(items);
+    }
+    let whole = pareto_core::dataset_fingerprint(&grown);
+    assert_eq!(private.dataset_fingerprint(), whole);
+    assert_eq!(digested.dataset_fingerprint(), whole);
+
+    let plan = private.plan().expect("plan after the read");
+    assert_plans_identical(&plan, &cold(&cl, seed, 1, strategy, &grown), "private");
+    assert_eq!(private.dataset_fingerprint(), whole);
+    private.plan().expect("replan");
+    let reuse = private.last_reuse();
+    assert!(
+        reuse.sketch && reuse.stratify && reuse.profile && reuse.optimize && reuse.partition,
+        "a read digest must not re-key the session"
+    );
 }
 
 /// Two sessions over identical data share a cache. When one appends, the
